@@ -27,8 +27,8 @@ from .bvp import (BVPProblem, BVPSolution, CONTRACTION_FACTOR, bvp_operator,
                   check_operator_contraction, check_rhs_displacement_bound,
                   finite_difference_solve, gate_accepts_start, green_kernel,
                   green_row_integral, integral_operator,
-                  kernel_quadrature_matrix, row_integral_quadrature,
-                  second_difference_residual, solve_bvp)
+                  row_integral_quadrature, second_difference_residual,
+                  solve_bvp)
 from . import builtins
 from . import sampling
 
@@ -57,7 +57,7 @@ __all__ = [
     "check_gate_limit", "check_gate_propagation",
     "check_operator_contraction", "check_rhs_displacement_bound",
     "finite_difference_solve", "gate_accepts_start", "green_kernel",
-    "green_row_integral", "integral_operator", "kernel_quadrature_matrix",
-    "row_integral_quadrature", "second_difference_residual", "solve_bvp",
+    "green_row_integral", "integral_operator", "row_integral_quadrature",
+    "second_difference_residual", "solve_bvp",
     "builtins", "sampling",
 ]

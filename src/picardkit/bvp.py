@@ -17,6 +17,13 @@ formula extends smoothly past the panel). Every rule is exact on linear
 integrands, so the row sums of the discrete operator reproduce the
 closed-form kernel row integral ``t(1 - t)/2`` to rounding error, whose
 maximum 1/8 is the operator's contraction constant.
+
+The kernel is semiseparable, ``x(t) = (1 - t) int_0^t s f + t int_t^1
+(1 - s) f``, so the whole split rule is evaluated as two prefix sums, one
+forward and one over the reversed grid, without forming the
+``(n + 1) x (n + 1)`` quadrature matrix: each operator apply takes O(n) time
+and memory, and no BLAS call is involved, so the BLAS thread count does not
+affect the solver.
 """
 
 from __future__ import annotations
@@ -68,71 +75,53 @@ def green_row_integral(t):
     return out
 
 
-def _panel_weights(m: int) -> np.ndarray:
-    """Composite Simpson weights (unit spacing) for one smooth panel of
-    ``m >= 2`` subintervals: plain 1/3 rule when m is even, 1/3 plus a
-    trailing 3/8 block when odd. All weights are positive and the rule is
-    exact on cubics."""
-    w = np.zeros(m + 1)
-    if m == 0:
-        return w
-    if m == 1:
-        return np.array([0.5, 0.5])
-    if m % 2 == 0:
-        w[0] = w[m] = 1.0 / 3.0
-        w[1:m:2] = 4.0 / 3.0
-        w[2:m:2] = 2.0 / 3.0
-        return w
-    head = m - 3
-    if head > 0:
-        w[0] = 1.0 / 3.0
-        w[1:head:2] = 4.0 / 3.0
-        w[2:head:2] = 2.0 / 3.0
-        w[head] = 1.0 / 3.0
-    w[head:] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
-    return w
+def _split_simpson_prefix(g: np.ndarray) -> np.ndarray:
+    """Entry i is the split-Simpson quadrature (unit spacing) of ``g`` over
+    nodes ``0..i``, for every i at once.
+
+    Even i is a prefix sum of Simpson panels. Odd i >= 3 closes the Simpson
+    prefix over ``0..i-3`` with a 3/8 block on ``[i-3, i]``, the kink side.
+    The one-subinterval panel at i = 1 uses a 3-point Newton-Cotes rule
+    (exact on quadratics) on the smooth branch extension over nodes 0..2,
+    except on the degenerate n = 2 grid, where it is the trapezoid.
+    """
+    n = g.size - 1
+    out = np.empty(n + 1)
+    panels = (g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2]) / 3.0
+    simpson = np.concatenate(([0.0], np.cumsum(panels)))
+    out[::2] = simpson
+    out[3::2] = simpson[:-2] + (3.0 * g[:-3:2] + 9.0 * g[1:-2:2]
+                                + 9.0 * g[2:-1:2] + 3.0 * g[3::2]) / 8.0
+    if n >= 4:
+        out[1] = (5.0 * g[0] + 8.0 * g[1] - g[2]) / 12.0
+    else:
+        out[1] = 0.5 * (g[0] + g[1])
+    return out
 
 
-# 3-point Newton-Cotes weights for the leading subinterval [x0, x1] of three
-# equispaced nodes (exact on quadratics); used on the smooth kernel branch
-# where a panel has a single subinterval.
-_EDGE_RULE = np.array([5.0, 8.0, -1.0]) / 12.0
+def _kernel_quadrature(ts: np.ndarray, complement: np.ndarray,
+                       f: np.ndarray) -> np.ndarray:
+    """Split-Simpson quadrature of ``G(t_i, s) f(s)`` over s at every node.
 
-
-def kernel_quadrature_matrix(n: int) -> np.ndarray:
-    """Matrix ``K`` with ``(K @ f_values)[i]`` the split-Simpson quadrature
-    of ``G(t_i, s) f(s)`` over s.
-
-    Row i integrates the two smooth panels [0, t_i] and [t_i, 1]
-    independently; odd panels place their 3/8 block on the kink side. The
-    one-subinterval panels at i = 1 and i = n - 1 apply the edge rule to the
-    smooth branch extension (for n >= 4; the degenerate n = 2 grid falls
-    back to the trapezoid)."""
-    ts = nodes(n)
-    h = 1.0 / n
-    # branch formulas, each smooth on the whole square
-    lower = ts[None, :] * (1.0 - ts[:, None])   # s (1 - t), exact where s <= t
-    upper = ts[:, None] * (1.0 - ts[None, :])   # t (1 - s), exact where t <= s
-    w_lower = np.zeros((n + 1, n + 1))
-    w_upper = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        if i == 1 and n >= 4:
-            w_lower[i, :3] = _EDGE_RULE
-        else:
-            w_lower[i, :i + 1] = _panel_weights(i)
-        m = n - i
-        if m == 1 and n >= 4:
-            w_upper[i, n - 2:] = _EDGE_RULE[::-1]
-        else:
-            w_upper[i, i:] = _panel_weights(m)[::-1]
-    return h * (w_lower * lower + w_upper * upper)
+    The kernel is semiseparable, ``x(t) = (1 - t) int_0^t s f + t int_t^1
+    (1 - s) f``, so each smooth panel [0, t_i] and [t_i, 1] is a prefix sum:
+    the lower one runs forward over ``s f``, the upper one runs the same
+    rule over the reversed ``(1 - s) f``, which puts its 3/8 blocks on the
+    kink side and its edge rule at i = n - 1. ``complement`` is ``1 - ts``.
+    O(n) time and memory.
+    """
+    h = 1.0 / (ts.size - 1)
+    lower = _split_simpson_prefix(ts * f)
+    upper = _split_simpson_prefix((complement * f)[::-1])[::-1]
+    return h * (complement * lower + ts * upper)
 
 
 def row_integral_quadrature(n: int) -> np.ndarray:
     """Split-Simpson quadrature of each kernel row ``G(t_i, .)`` over s;
     agrees with :func:`green_row_integral` to rounding error because every
     panel rule is exact on linear integrands."""
-    return kernel_quadrature_matrix(n) @ np.ones(n + 1)
+    ts = nodes(n)
+    return _kernel_quadrature(ts, 1.0 - ts, np.ones(n + 1))
 
 
 @dataclass
@@ -152,7 +141,7 @@ class BVPProblem:
     gate: Optional[Callable[[float, float], float]] = None
     name: str = "bvp"
     nodes: np.ndarray = field(init=False, repr=False)
-    _kernel_weights: np.ndarray = field(init=False, repr=False)
+    _complement: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -162,7 +151,7 @@ class BVPProblem:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         self.nodes = nodes(self.n)
-        self._kernel_weights = kernel_quadrature_matrix(self.n)
+        self._complement = 1.0 - self.nodes
 
     def gate_value(self, a: float, b: float) -> float:
         if self.gate is None:
@@ -188,7 +177,8 @@ def integral_operator(problem: BVPProblem, x: Point) -> np.ndarray:
     if xa.shape != problem.nodes.shape:
         raise DomainError(f"iterate has {xa.size} nodes, problem grid has "
                           f"{problem.nodes.size}")
-    out = problem._kernel_weights @ problem.rhs_values(xa)
+    out = _kernel_quadrature(problem.nodes, problem._complement,
+                             problem.rhs_values(xa))
     out[0] = 0.0
     out[-1] = 0.0
     return out

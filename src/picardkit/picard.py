@@ -40,8 +40,9 @@ class PicardConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not self.divergence_bound > 0.0:
-            raise ValueError(f"divergence_bound must be positive, got {self.divergence_bound}")
+        if not (math.isfinite(self.divergence_bound) and self.divergence_bound > 0.0):
+            raise ValueError(f"divergence_bound must be finite and positive, "
+                             f"got {self.divergence_bound}")
 
 
 @dataclass

@@ -92,31 +92,33 @@ def make_report(name: str, witnesses: Iterable[Witness], samples: int, *,
                               notes=notes)
 
 
+# merged status: the first of these that any operand has
+_STATUS_PRECEDENCE = (FAIL, HYPOTHESIS_UNMET, CAVEAT, PASS)
+
+
 def merge_reports(first: VerificationReport, *rest: VerificationReport) -> VerificationReport:
     """Combine reports of the same check over partitioned sample sets.
 
     The merge is associative and order-independent: witnesses are re-sorted
-    canonically and statuses combine as fail > hypothesis-unmet > pass.
+    canonically, notes are kept once each in sorted order, statuses combine
+    as fail > hypothesis-unmet > caveat > pass, and the merged mode is
+    "falsification" when any operand's is.
     """
-    merged = first.canonical()
+    reports = (first,) + rest
     for other in rest:
-        if other.name != merged.name:
-            raise ValueError(f"cannot merge reports {merged.name!r} and {other.name!r}")
-        statuses = {merged.status, other.status}
-        if FAIL in statuses:
-            status = FAIL
-        elif HYPOTHESIS_UNMET in statuses:
-            status = HYPOTHESIS_UNMET
-        else:
-            status = PASS
-        notes = merged.notes + tuple(n for n in other.notes if n not in merged.notes)
-        merged = VerificationReport(
-            name=merged.name, status=status,
-            witnesses=sorted(merged.witnesses + other.witnesses, key=Witness.sort_key),
-            samples=merged.samples + other.samples,
-            mode=merged.mode, tolerance=max(merged.tolerance, other.tolerance),
-            notes=notes)
-    return merged
+        if other.name != first.name:
+            raise ValueError(f"cannot merge reports {first.name!r} and {other.name!r}")
+    statuses = {rep.status for rep in reports}
+    modes = {rep.mode for rep in reports}
+    return VerificationReport(
+        name=first.name,
+        status=next(s for s in _STATUS_PRECEDENCE if s in statuses),
+        witnesses=sorted((w for rep in reports for w in rep.witnesses),
+                         key=Witness.sort_key),
+        samples=sum(rep.samples for rep in reports),
+        mode="falsification" if "falsification" in modes else first.mode,
+        tolerance=max(rep.tolerance for rep in reports),
+        notes=tuple(sorted({note for rep in reports for note in rep.notes})))
 
 
 def render_text(reports: Sequence[VerificationReport],

@@ -1,10 +1,11 @@
-"""Boundary-value solver: kernel facts, quadrature identities, operator
-behavior against closed forms and a fine independent quadrature, the Picard
-solve against a finite-difference oracle, and the gate predicates."""
+"""Boundary-value solver: the matrix-free operator against a dense reference
+matrix, kernel facts, quadrature identities, operator behavior against
+closed forms and a fine independent quadrature, the Picard solve against a
+finite-difference oracle, and the gate predicates."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -13,12 +14,105 @@ from picardkit import (BVPProblem, DomainError, PicardConfig,
                        check_operator_contraction,
                        check_rhs_displacement_bound, finite_difference_solve,
                        gate_accepts_start, green_kernel, green_row_integral,
-                       integral_operator, kernel_quadrature_matrix, nodes,
-                       row_integral_quadrature, solve_bvp, sup_metric)
+                       integral_operator, nodes, row_integral_quadrature,
+                       solve_bvp, sup_metric)
 from picardkit.builtins import rhs_pi2sin, rhs_sin_plus_one, rhs_zero
 from picardkit.sampling import random_grid_pairs, seeded_rng
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+# Dense reference oracle: the (n + 1) x (n + 1) split-Simpson quadrature
+# matrix, one row at a time. The library applies the same rule as two
+# prefix sums; these tests hold the two equal.
+
+def _panel_weights(m: int) -> np.ndarray:
+    """Composite Simpson weights (unit spacing) for one smooth panel of
+    ``m >= 2`` subintervals: plain 1/3 rule when m is even, 1/3 plus a
+    trailing 3/8 block when odd. All weights are positive and the rule is
+    exact on cubics."""
+    w = np.zeros(m + 1)
+    if m == 0:
+        return w
+    if m == 1:
+        return np.array([0.5, 0.5])
+    if m % 2 == 0:
+        w[0] = w[m] = 1.0 / 3.0
+        w[1:m:2] = 4.0 / 3.0
+        w[2:m:2] = 2.0 / 3.0
+        return w
+    head = m - 3
+    if head > 0:
+        w[0] = 1.0 / 3.0
+        w[1:head:2] = 4.0 / 3.0
+        w[2:head:2] = 2.0 / 3.0
+        w[head] = 1.0 / 3.0
+    w[head:] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
+    return w
+
+
+# 3-point Newton-Cotes weights for the leading subinterval [x0, x1] of three
+# equispaced nodes (exact on quadratics); used on the smooth kernel branch
+# where a panel has a single subinterval.
+_EDGE_RULE = np.array([5.0, 8.0, -1.0]) / 12.0
+
+
+def kernel_quadrature_matrix(n: int) -> np.ndarray:
+    """Matrix ``K`` with ``(K @ f_values)[i]`` the split-Simpson quadrature
+    of ``G(t_i, s) f(s)`` over s.
+
+    Row i integrates the two smooth panels [0, t_i] and [t_i, 1]
+    independently; odd panels place their 3/8 block on the kink side. The
+    one-subinterval panels at i = 1 and i = n - 1 apply the edge rule to the
+    smooth branch extension (for n >= 4; the degenerate n = 2 grid falls
+    back to the trapezoid)."""
+    ts = nodes(n)
+    h = 1.0 / n
+    # branch formulas, each smooth on the whole square
+    lower = ts[None, :] * (1.0 - ts[:, None])   # s (1 - t), exact where s <= t
+    upper = ts[:, None] * (1.0 - ts[None, :])   # t (1 - s), exact where t <= s
+    w_lower = np.zeros((n + 1, n + 1))
+    w_upper = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        if i == 1 and n >= 4:
+            w_lower[i, :3] = _EDGE_RULE
+        else:
+            w_lower[i, :i + 1] = _panel_weights(i)
+        m = n - i
+        if m == 1 and n >= 4:
+            w_upper[i, n - 2:] = _EDGE_RULE[::-1]
+        else:
+            w_upper[i, i:] = _panel_weights(m)[::-1]
+    return h * (w_lower * lower + w_upper * upper)
+
+
+class TestMatrixFreeOperator:
+    # the n = 2 trapezoid, the edge rules and the first 3/8 blocks
+    @example(half_n=1, seed=0, scale=1.0)
+    @example(half_n=2, seed=0, scale=1.0)
+    @example(half_n=3, seed=0, scale=1.0)
+    @given(st.integers(min_value=1, max_value=500), st.integers(0, 2 ** 32 - 1),
+           st.floats(min_value=1e-3, max_value=1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, half_n, seed, scale):
+        n = 2 * half_n
+        values = seeded_rng(seed).uniform(-scale, scale, n + 1)
+        problem = BVPProblem(rhs=lambda t, x, v=values: v, n=n)
+        fast = integral_operator(problem, np.zeros(n + 1))
+        dense = kernel_quadrature_matrix(n) @ values
+        dense[0] = dense[-1] = 0.0
+        assert float(np.max(np.abs(fast - dense))) <= 1e-15 * float(np.max(np.abs(values)))
+
+    def test_problem_holds_no_matrix(self):
+        problem = BVPProblem(rhs=rhs_zero, n=1000)
+        for name, value in vars(problem).items():
+            assert not (isinstance(value, np.ndarray) and value.ndim >= 2), name
+
+    def test_row_integral_at_a_size_the_dense_route_cannot_build(self):
+        n = 10 ** 5
+        computed = row_integral_quadrature(n)
+        exact = green_row_integral(nodes(n))
+        assert float(np.max(np.abs(computed - exact))) <= 1e-10
 
 
 class TestGreenKernel:
@@ -71,14 +165,14 @@ class TestRowIntegral:
 
     def test_quadrature_of_smooth_product_is_fourth_order(self):
         # independent oracle: adaptive quadrature of G(t, .) * pi^2 sin(pi .)
-        K = kernel_quadrature_matrix(100)
-        ts = nodes(100)
-        f = rhs_pi2sin(ts, ts)
+        problem = BVPProblem(rhs=rhs_pi2sin, n=100)
+        ts = problem.nodes
+        applied = integral_operator(problem, np.zeros(101))
         for i in (1, 7, 50, 93, 99):
             oracle, _ = quad(
                 lambda s, t=ts[i]: green_kernel(t, s) * np.pi ** 2 * np.sin(np.pi * s),
                 0.0, 1.0, points=[ts[i]], limit=200)
-            assert float(K[i] @ f) == pytest.approx(oracle, abs=1e-6)
+            assert float(applied[i]) == pytest.approx(oracle, abs=1e-6)
 
 
 class TestIntegralOperator:

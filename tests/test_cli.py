@@ -179,6 +179,24 @@ divergence_bound = 1e6
         assert rows[0]["iteration_index"] == "0"
         assert float(rows[-1]["gap"]) > 1e6
 
+    def test_infinite_divergence_bound_names_the_field(self, tmp_path, capsys):
+        # an unbounded orbit would otherwise overflow to inf and be reported
+        # as a non-finite iterate instead of as a config problem
+        cfg = parse_config("""\
+mode = iterate
+seed = 42
+
+[iterate]
+map = affine:2:1
+start = 1.0
+
+[picard]
+divergence_bound = inf
+""")
+        assert run(cfg, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "divergence_bound" in err and "non-finite" not in err
+
     def test_contractive_map(self, tmp_path):
         cfg = parse_config("""\
 mode = iterate

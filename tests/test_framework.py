@@ -2,6 +2,7 @@
 computed expectations, witness replay, and order-independence properties."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from picardkit import (AlphaFunction, CClassFunction, DomainError,
 from picardkit.builtins import (alpha_box, alpha_one, beta_constant,
                                 beta_reciprocal, cclass_a, cclass_b, cclass_c,
                                 example31_bundle, example31_map, zeta1)
+from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS,
+                              VerificationReport, Witness)
 from picardkit.sampling import mesh_pairs, probe_pair, random_pairs, seeded_rng
 
 
@@ -273,6 +276,15 @@ class TestReportMechanics:
         assert merged.samples == whole.samples
         assert merged.witnesses == whole.canonical().witnesses
 
+        # a declared caveat outranks pass; a falsification operand sets the mode
+        passing = self._failing_report([])
+        caveat = replace(self._failing_report(pairs[:37]), status=CAVEAT)
+        for operands in ((caveat, passing), (passing, caveat)):
+            assert merge_reports(*operands).status == CAVEAT
+        falsification = replace(passing, mode="falsification")
+        for operands in ((passing, falsification), (falsification, passing)):
+            assert merge_reports(*operands).mode == "falsification"
+
     def test_failed_report_carries_witness(self):
         report = self._failing_report([(1.0, 1.0)])
         assert not report.passed and len(report.witnesses) >= 1
@@ -293,3 +305,32 @@ def test_strictness_restated(t, s):
     # positive pair: assert it directly for the shipped gain family
     zeta = zeta1(0.5)
     assert zeta(t, s) + t < s
+
+
+_WITNESS_POOL = [Witness("probe", (float(k), 0.5), -0.1 * k, f"violation {k}")
+                 for k in range(4)]
+
+reports = st.builds(
+    VerificationReport,
+    name=st.just("probe"),
+    status=st.sampled_from([PASS, FAIL, HYPOTHESIS_UNMET, CAVEAT]),
+    witnesses=st.lists(st.sampled_from(_WITNESS_POOL), max_size=3),
+    samples=st.integers(min_value=0, max_value=50),
+    mode=st.sampled_from(["exact", "falsification"]),
+    tolerance=st.sampled_from([0.0, 1e-12, 1e-9]),
+    notes=st.lists(st.sampled_from(["a", "b", "declared caveat: c"]),
+                   max_size=2).map(tuple))
+
+
+@given(reports, reports, reports, st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_merge_is_associative_and_order_independent(a, b, c, rnd):
+    flat = merge_reports(a, b, c)
+    assert merge_reports(merge_reports(a, b), c) == flat
+    assert merge_reports(a, merge_reports(b, c)) == flat
+    shuffled = [a, b, c]
+    rnd.shuffle(shuffled)
+    assert merge_reports(*shuffled) == flat
+    precedence = [FAIL, HYPOTHESIS_UNMET, CAVEAT, PASS]
+    assert flat.status == min((a.status, b.status, c.status), key=precedence.index)
+    assert (flat.mode == "falsification") == ("falsification" in (a.mode, b.mode, c.mode))

@@ -83,6 +83,9 @@ class TestPicardIterate:
             PicardConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             PicardConfig(max_iterations=0)
+        for bound in (float("inf"), float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="divergence_bound"):
+                PicardConfig(divergence_bound=bound)
 
 
 class TestGapDiagnostics:
