@@ -7,6 +7,7 @@ the standard probe sets the verifiers use when the caller supplies none.
 from __future__ import annotations
 
 import math
+import types
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,7 +97,8 @@ def beta_constant(value: float = 0.5) -> GeraghtyBeta:
     value = float(value)
     if not 0.0 <= value < 1.0:
         raise DomainError(f"constant beta needs a value in [0, 1), got {value}")
-    return GeraghtyBeta(lambda t: value, name=f"beta_constant({value!r})")
+    return GeraghtyBeta(lambda t: np.full(np.shape(t), value),
+                        name=f"beta_constant({value!r})")
 
 
 def alpha_one() -> AlphaFunction:
@@ -104,11 +106,12 @@ def alpha_one() -> AlphaFunction:
 
 
 def alpha_box(low: float = 0.0, high: float = 1.0) -> AlphaFunction:
-    """Indicator of the box [low, high]^2: 1 when both arguments lie inside."""
+    """Indicator of the box [low, high]^2: 1 when both arguments lie inside;
+    elementwise on arrays."""
     low = float(low)
     high = float(high)
     return AlphaFunction(
-        lambda x, y: 1.0 if (low <= float(x) <= high and low <= float(y) <= high) else 0.0,
+        lambda x, y: np.where((low <= x) & (x <= high) & (low <= y) & (y <= high), 1.0, 0.0),
         name=f"alpha_box({low!r}, {high!r})")
 
 
@@ -116,18 +119,18 @@ def alpha_from_gate(problem: BVPProblem) -> AlphaFunction:
     """Weight 1 on grid-function pairs whose gate is positive at every node
     (always 1 under the default open gate)."""
     def weight(x: Point, y: Point) -> float:
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        ok = all(problem.gate_value(a, b) > 0.0 for a, b in zip(xa, ya))
-        return 1.0 if ok else 0.0
+        return 1.0 if np.all(problem.gate_values(x, y) > 0.0) else 0.0
     return AlphaFunction(weight, name="alpha_gate")
 
 
 # --------------------------------------------------------------------------
 # mappings
 
-def example31_map(x: float) -> float:
-    """Scalar map: ``x / 3`` on [0, 1], ``3 x`` elsewhere."""
+def example31_map(x: Point) -> Point:
+    """Scalar map: ``x / 3`` on [0, 1], ``3 x`` elsewhere; elementwise on
+    arrays."""
+    if getattr(x, "ndim", 0):
+        return np.where((0.0 <= x) & (x <= 1.0), x / 3.0, 3.0 * x)
     x = float(x)
     return x / 3.0 if 0.0 <= x <= 1.0 else 3.0 * x
 
@@ -169,6 +172,38 @@ def rhs_sin_plus_one(t, x):
     return np.sin(np.asarray(x, dtype=float)) + 1.0
 
 
+# numpy functions an ``expr:`` right-hand side may call
+_EXPR_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs",
+                   "minimum", "maximum", "tanh")
+_EXPR_NAMES = frozenset(("t", "x", "pi") + _EXPR_FUNCTIONS)
+
+
+def _code_names(code: types.CodeType) -> set[str]:
+    """Every global and attribute name ``code`` and its nested code use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def compile_rhs_expression(body: str) -> types.CodeType:
+    """Compile the body of an ``expr:`` right-hand side. Raises
+    :class:`DomainError` unless it is one Python expression whose names are
+    all among t, x, pi and the numpy functions in ``_EXPR_FUNCTIONS``; no
+    attribute access passes that test."""
+    try:
+        code = compile(body, "<rhs-expr>", "eval")
+    except (SyntaxError, ValueError) as exc:
+        reason = exc.msg if isinstance(exc, SyntaxError) else str(exc)
+        raise DomainError(f"expression {body!r} is not valid Python: {reason}") from exc
+    unknown = sorted(_code_names(code) - _EXPR_NAMES)
+    if unknown:
+        raise DomainError(f"expression {body!r} uses unknown name(s) "
+                          f"{', '.join(unknown)}; allowed: {', '.join(sorted(_EXPR_NAMES))}")
+    return code
+
+
 def rhs_by_name(spec: str) -> tuple[Callable, str]:
     """Resolve an rhs selector: ``zero``, ``const:c``, ``pi2sin``,
     ``sin_plus_one``, or the expression hook ``expr:<python in t, x>``."""
@@ -185,12 +220,9 @@ def rhs_by_name(spec: str) -> tuple[Callable, str]:
             raise DomainError(f"bad constant in {spec!r}") from exc
         return (lambda t, x, _c=c: np.full_like(np.asarray(t, dtype=float), _c)), spec
     if spec.startswith("expr:"):
-        body = spec.split(":", 1)[1]
-        namespace = {name: getattr(np, name) for name in
-                     ("sin", "cos", "tan", "exp", "log", "sqrt", "abs",
-                      "minimum", "maximum", "tanh")}
+        code = compile_rhs_expression(spec.split(":", 1)[1])
+        namespace = {name: getattr(np, name) for name in _EXPR_FUNCTIONS}
         namespace["pi"] = math.pi
-        code = compile(body, "<rhs-expr>", "eval")
 
         def rhs(t, x, _code=code, _ns=namespace):
             local = dict(_ns)

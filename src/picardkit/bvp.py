@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import DomainError, OracleError
-from .framework import GRID_EPS
+from .framework import GRID_EPS, evaluate_block
 from .metrics import Point, as_grid_function, nodes, sup_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 from .report import Witness, VerificationReport, make_report
@@ -157,6 +157,16 @@ class BVPProblem:
         if self.gate is None:
             return 1.0
         return float(self.gate(float(a), float(b)))
+
+    def gate_values(self, x: Point, y: Point) -> np.ndarray:
+        """Gate values ``xi(x(t_i), y(t_i))`` at every node, as one array:
+        all ones for the open gate, else through
+        :func:`~picardkit.framework.evaluate_block`."""
+        xa = np.asarray(x, dtype=float)
+        ya = np.asarray(y, dtype=float)
+        if self.gate is None:
+            return np.ones(xa.shape)
+        return evaluate_block(self.gate, self.gate_value, xa, ya)
 
     def rhs_values(self, x: np.ndarray) -> np.ndarray:
         values = np.asarray(self.rhs(self.nodes, x), dtype=float)
@@ -304,7 +314,7 @@ def gate_accepts_start(problem: BVPProblem, x0: Point) -> bool:
     admits the starting iterate."""
     xa = as_grid_function(x0)
     tx = integral_operator(problem, xa)
-    return all(problem.gate_value(a, b) >= 0.0 for a, b in zip(xa, tx))
+    return bool(np.all(problem.gate_values(xa, tx) >= 0.0))
 
 
 def check_gate_propagation(problem: BVPProblem,
@@ -318,13 +328,12 @@ def check_gate_propagation(problem: BVPProblem,
         checked += 1
         xa = as_grid_function(x)
         ya = as_grid_function(y)
-        if all(problem.gate_value(a, b) > 0.0 for a, b in zip(xa, ya)):
-            tx = integral_operator(problem, xa)
-            ty = integral_operator(problem, ya)
-            values = [problem.gate_value(a, b) for a, b in zip(tx, ty)]
-            worst = min(values)
+        if np.all(problem.gate_values(xa, ya) > 0.0):
+            values = problem.gate_values(integral_operator(problem, xa),
+                                         integral_operator(problem, ya))
+            node = int(np.argmin(values))
+            worst = float(values[node])
             if worst <= 0.0:
-                node = int(np.argmin(values))
                 witnesses.append(Witness(
                     "gate/propagation", (x, y), worst,
                     f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} at node {node}",
@@ -341,16 +350,15 @@ def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
     limit_arr = as_grid_function(limit)
     witnesses: list[Witness] = []
     checked = 0
-    consecutive_ok = all(
-        all(problem.gate_value(a, b) > 0.0 for a, b in zip(members[k], members[k + 1]))
-        for k in range(len(members) - 1))
+    consecutive_ok = all(np.all(problem.gate_values(members[k], members[k + 1]) > 0.0)
+                         for k in range(len(members) - 1))
     if consecutive_ok:
         for k, member in enumerate(members):
             checked += 1
-            values = [problem.gate_value(a, b) for a, b in zip(member, limit_arr)]
-            worst = min(values)
+            values = problem.gate_values(member, limit_arr)
+            node = int(np.argmin(values))
+            worst = float(values[node])
             if worst <= 0.0:
-                node = int(np.argmin(values))
                 witnesses.append(Witness(
                     "gate/limit", (k,), worst,
                     f"xi(x_{k}, limit) = {worst!r} at node {node} is not positive",

@@ -71,7 +71,7 @@ from .metrics import save_grid_csv, scalar_metric, sup_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 from .posets import alpha_from_order, order_by_name
 from .report import (CAVEAT, FAIL, VerificationReport, render_text,
-                     write_report_csv, CSV_HEADER)
+                     write_report_csv)
 from .sampling import (mesh_pairs, positive_mesh_pairs, random_grid_pairs,
                        random_pairs, random_positive_pairs, random_triples,
                        seeded_rng)
@@ -190,6 +190,11 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}: line {lineno}: unknown field {where}{key!r}")
         attr, kind = field
         value = _convert(raw_value, kind, lineno, key)
+        if attr == "rhs" and value.startswith("expr:"):
+            try:
+                catalog.compile_rhs_expression(value.split(":", 1)[1])
+            except DomainError as exc:
+                raise ConfigError(f"{source}: line {lineno}: field 'rhs': {exc}") from exc
         setattr(config, attr, value)
         if attr == "mode":
             saw_mode = True
@@ -281,12 +286,12 @@ def _rows_with_caveats(reports: Sequence[VerificationReport],
     for rep in reports:
         note = bundle.caveat_for(rep.name)
         if rep.status == FAIL and note is not None:
-            adjusted.append(replace(rep.canonical(), status=CAVEAT,
+            adjusted.append(replace(rep, status=CAVEAT,
                                     notes=rep.notes + (f"declared caveat: {note}",)))
         else:
             if rep.status == FAIL:
                 failures += 1
-            adjusted.append(rep.canonical())
+            adjusted.append(rep)
     return adjusted, failures
 
 
@@ -388,16 +393,8 @@ def _run_iterate(config: RunConfig, out: Path) -> int:
         ("picard", status, repr(float(trace.residual))),
     ])
     (out / "report.txt").write_text("\n".join(header) + "\n")
-    _write_rows_csv(out / "report.csv", rows)
+    write_report_csv(out / "report.csv", (), extra_rows=rows)
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
-
-
-def _write_rows_csv(path: Path, rows: Sequence[Sequence[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(list(row))
 
 
 def _run_solve(config: RunConfig, out: Path) -> int:
@@ -421,7 +418,7 @@ def _run_solve(config: RunConfig, out: Path) -> int:
         ("second-difference-residual", status, repr(float(solution.residual))),
     ])
     (out / "report.txt").write_text("\n".join(header) + "\n")
-    _write_rows_csv(out / "report.csv", rows)
+    write_report_csv(out / "report.csv", (), extra_rows=rows)
     return EXIT_OK if solution.converged else EXIT_NOT_CONVERGED
 
 

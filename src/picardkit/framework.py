@@ -20,7 +20,13 @@ The family members carry their own side conditions:
   one application of the mapping.
 
 Pointwise conditions are checked exactly on the supplied samples, up to a
-strictness epsilon. Limit-style conditions are *falsification* checks: a
+strictness epsilon. The master inequality and the two alpha checks read
+their samples in chunks (:data:`CHUNK` samples of reals, or as many grid
+functions as hold about that many node values) and evaluate each callable
+once per chunk through :func:`evaluate_block`: family callables may
+broadcast elementwise over arrays of real samples, and callables that do not
+are evaluated per sample, with the same results. Grid functions are always
+passed one at a time. Limit-style conditions are *falsification* checks: a
 pass means "no counterexample found on the supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
 checked concurrently, and the reports merged with
@@ -31,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +53,44 @@ SCALAR_EPS = 1e-12
 GRID_EPS = 1e-9
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
+
+CHUNK = 4096  # reals per block in the block verifiers
+
+
+def evaluate_block(fn: Callable, scalar: Callable, *columns,
+                   valid: Callable[[np.ndarray], np.ndarray] = np.isfinite):
+    """Values of ``scalar`` at every row of the aligned ``columns``.
+
+    When every column is an array of more than one entry, ``fn`` is first
+    called once on read-only views of the whole columns. If it returns an
+    array of their shape whose entries all pass ``valid``, that array is the
+    result: ``fn`` broadcasts elementwise. Otherwise (``fn`` is written for
+    single samples, aggregates its argument, writes into it, or gives an
+    invalid entry) ``scalar`` is called once per row, in order, on Python
+    floats, which reproduces the per-sample values and errors exactly. Array
+    columns give a float array; other columns (grid functions) give the list
+    of per-row values.
+    """
+    if not all(isinstance(column, np.ndarray) for column in columns):
+        return [scalar(*row) for row in zip(*columns)]
+    if columns[0].size > 1:
+        views = [column.view() for column in columns]
+        for view in views:
+            view.flags.writeable = False
+        try:
+            with np.errstate(all="ignore"):
+                out = fn(*views)
+                if (isinstance(out, np.ndarray) and out.shape == columns[0].shape
+                        and np.all(valid(out))):
+                    return out.astype(float, copy=False)
+        except Exception:  # a callable written for single samples
+            pass
+    return np.array([scalar(*row) for row in zip(*(c.tolist() for c in columns))],
+                    dtype=float)
+
+
+def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (values >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -62,6 +107,10 @@ class GeraghtyBeta:
         if not math.isfinite(value):
             raise DomainError(f"{self.name}({t}) is not finite")
         return value
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """``beta`` at every entry of ``t``, through :func:`evaluate_block`."""
+        return evaluate_block(self.fn, self, t)
 
 
 @dataclass(frozen=True)
@@ -84,6 +133,10 @@ class SimulationFunction:
         if not math.isfinite(value):
             raise DomainError(f"{self.name}({t}, {s}) is not finite")
         return value
+
+    def values(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """``zeta`` at every entry pair, through :func:`evaluate_block`."""
+        return evaluate_block(self.fn, self, t, s)
 
 
 @dataclass(frozen=True)
@@ -118,6 +171,12 @@ class AlphaFunction:
         if not math.isfinite(value) or value < 0.0:
             raise DomainError(f"{self.name} must be finite and nonnegative, got {value}")
         return value
+
+    def values(self, x, y) -> np.ndarray:
+        """``alpha`` at every row of the point columns ``x`` and ``y``,
+        through :func:`evaluate_block`."""
+        return np.asarray(evaluate_block(self.fn, self, x, y,
+                                         valid=_finite_nonnegative), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -325,21 +384,62 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
                        tolerance=tol, notes=notes)
 
 
+def _chunks(samples: Iterable) -> Iterator[list]:
+    """Consecutive lists of samples holding about CHUNK numbers per
+    coordinate: CHUNK samples of reals, fewer of grid functions, so the
+    images a chunk keeps stay small on either carrier."""
+    iterator = iter(samples)
+    chunk = list(islice(iterator, 1))
+    if chunk:
+        length = max(1, CHUNK // np.size(chunk[0][0]))
+        chunk += islice(iterator, length - 1)
+    while chunk:
+        yield chunk
+        chunk = list(islice(iterator, length))
+
+
+def _columns(chunk: list):
+    """The coordinates of a chunk of sample tuples, one column each: scalar
+    points as float arrays, grid functions as lists."""
+    if np.ndim(chunk[0][0]) == 0:
+        return np.array(chunk, dtype=float).T
+    return [list(column) for column in zip(*chunk)]
+
+
+def _take(column, index: np.ndarray):
+    if isinstance(column, np.ndarray):
+        return column[index]
+    return [column[i] for i in index.tolist()]
+
+
+def _inputs(sample) -> tuple:
+    """A witness's inputs: the sampled tuple itself."""
+    return sample if isinstance(sample, tuple) else tuple(sample)
+
+
+def _distances(d: Metric, first, second) -> np.ndarray:
+    return np.asarray(evaluate_block(d, d, first, second), dtype=float)
+
+
 def check_alpha_admissible(T: PointMap, alpha: AlphaFunction,
                            pairs: Iterable[tuple[Point, Point]],
                            tol: float = SCALAR_EPS) -> VerificationReport:
-    """``alpha(x, y) >= 1`` must survive one application of the mapping."""
+    """``alpha(x, y) >= 1`` must survive one application of the mapping.
+    The mapping is applied only to pairs with ``alpha(x, y) >= 1``."""
     witnesses: list[Witness] = []
     checked = 0
-    for x, y in pairs:
-        checked += 1
-        if alpha(x, y) >= 1.0 - tol:
-            value = alpha(T(x), T(y))
-            if value < 1.0 - tol:
-                witnesses.append(Witness(
-                    "alpha/admissible", (x, y), value - 1.0,
-                    f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {value!r}",
-                    lhs=value, bound=1.0))
+    for chunk in _chunks(pairs):
+        checked += len(chunk)
+        xs, ys = _columns(chunk)
+        held = np.flatnonzero(alpha.values(xs, ys) >= 1.0 - tol)
+        value = alpha.values(evaluate_block(T, T, _take(xs, held)),
+                             evaluate_block(T, T, _take(ys, held)))
+        lost = value < 1.0 - tol
+        for i, v in zip(held[lost].tolist(), value[lost].tolist()):
+            witnesses.append(Witness(
+                "alpha/admissible", _inputs(chunk[i]), v - 1.0,
+                f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {v!r}",
+                lhs=v, bound=1.0))
     return make_report("alpha-admissible", witnesses, checked, tolerance=tol)
 
 
@@ -347,18 +447,23 @@ def check_triangular_alpha(alpha: AlphaFunction,
                            triples: Iterable[tuple[Point, Point, Point]],
                            tol: float = SCALAR_EPS) -> VerificationReport:
     """``alpha(x, z) >= 1`` and ``alpha(z, y) >= 1`` must force
-    ``alpha(x, y) >= 1`` on every sampled triple."""
+    ``alpha(x, y) >= 1`` on every sampled triple. ``alpha(z, y)`` is
+    evaluated only where ``alpha(x, z) >= 1``, and ``alpha(x, y)`` only
+    where both hold."""
     witnesses: list[Witness] = []
     checked = 0
-    for x, z, y in triples:
-        checked += 1
-        if alpha(x, z) >= 1.0 - tol and alpha(z, y) >= 1.0 - tol:
-            value = alpha(x, y)
-            if value < 1.0 - tol:
-                witnesses.append(Witness(
-                    "alpha/triangular", (x, z, y), value - 1.0,
-                    f"alpha chains through z but alpha(x, y) = {value!r}",
-                    lhs=value, bound=1.0))
+    for chunk in _chunks(triples):
+        checked += len(chunk)
+        xs, zs, ys = _columns(chunk)
+        first = np.flatnonzero(alpha.values(xs, zs) >= 1.0 - tol)
+        both = first[alpha.values(_take(zs, first), _take(ys, first)) >= 1.0 - tol]
+        value = alpha.values(_take(xs, both), _take(ys, both))
+        broken = value < 1.0 - tol
+        for i, v in zip(both[broken].tolist(), value[broken].tolist()):
+            witnesses.append(Witness(
+                "alpha/triangular", _inputs(chunk[i]), v - 1.0,
+                f"alpha chains through z but alpha(x, y) = {v!r}",
+                lhs=v, bound=1.0))
     return make_report("alpha-triangular", witnesses, checked, tolerance=tol)
 
 
@@ -377,17 +482,19 @@ def verify_contraction(bundle: ContractionBundle,
     c = float(bundle.g.c_g)
     witnesses: list[Witness] = []
     checked = 0
-    for x, y in pairs:
-        checked += 1
-        tx = T(x)
-        ty = T(y)
-        m = max(d(x, y), d(x, tx), d(y, ty))
-        lhs = bundle.zeta(bundle.alpha(x, y) * d(tx, ty), bundle.beta(m) * m)
-        margin = lhs - c
-        if margin < -tol:
+    for chunk in _chunks(pairs):
+        checked += len(chunk)
+        xs, ys = _columns(chunk)
+        tx, ty = evaluate_block(T, T, xs), evaluate_block(T, T, ys)
+        m = np.maximum(np.maximum(_distances(d, xs, ys), _distances(d, xs, tx)),
+                       _distances(d, ys, ty))
+        lhs = bundle.zeta.values(bundle.alpha.values(xs, ys) * _distances(d, tx, ty),
+                                 bundle.beta.values(m) * m)
+        below = np.flatnonzero(lhs - c < -tol)
+        for i, value in zip(below.tolist(), lhs[below].tolist()):
             witnesses.append(Witness(
-                "contraction", (x, y), margin,
-                f"zeta(alpha*d(Tx, Ty), beta(M)*M) = {lhs!r} falls below c_g = {c!r}",
-                lhs=lhs, bound=c))
+                "contraction", _inputs(chunk[i]), value - c,
+                f"zeta(alpha*d(Tx, Ty), beta(M)*M) = {value!r} falls below c_g = {c!r}",
+                lhs=value, bound=c))
     return make_report("contraction", witnesses, checked, tolerance=tol,
                        notes=(f"bundle={bundle.name}",))

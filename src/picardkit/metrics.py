@@ -48,8 +48,15 @@ def as_grid_function(values: Iterable[float]) -> np.ndarray:
     return arr
 
 
-def scalar_metric(x: float, y: float) -> float:
-    """Absolute difference ``|x - y|`` between two finite reals."""
+def scalar_metric(x: Point, y: Point) -> Point:
+    """Absolute difference ``|x - y|`` between two finite reals; elementwise
+    on arrays of reals."""
+    if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):
+        xa = np.asarray(x, dtype=float)
+        ya = np.asarray(y, dtype=float)
+        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+            raise DomainError("scalar_metric needs finite inputs")
+        return np.abs(xa - ya)
     x = float(x)
     y = float(y)
     if not (math.isfinite(x) and math.isfinite(y)):

@@ -34,10 +34,14 @@ class PartialOrder:
         return bool(self.leq(x, y))
 
 
-natural_order = PartialOrder(lambda x, y: float(x) <= float(y), name="natural")
+# Both comparators are elementwise over arrays of points: reals for the
+# natural order, grid functions along the last axis for the pointwise order.
+natural_order = PartialOrder(
+    lambda x, y: np.asarray(x, dtype=float) <= np.asarray(y, dtype=float),
+    name="natural")
 
 pointwise_order = PartialOrder(
-    lambda x, y: bool(np.all(np.asarray(x, dtype=float) <= np.asarray(y, dtype=float))),
+    lambda x, y: np.all(np.asarray(x, dtype=float) <= np.asarray(y, dtype=float), axis=-1),
     name="pointwise")
 
 
@@ -53,9 +57,10 @@ def alpha_from_order(order: PartialOrder) -> AlphaFunction:
     """Indicator weight of the order: 1 where x <= y, 0 elsewhere.
 
     For any increasing mapping this weight is admissible, and its
-    triangularity follows from transitivity of the order.
+    triangularity follows from transitivity of the order. It is elementwise
+    wherever the comparator is.
     """
-    return AlphaFunction(lambda x, y: 1.0 if order(x, y) else 0.0,
+    return AlphaFunction(lambda x, y: np.where(order.leq(x, y), 1.0, 0.0),
                          name=f"indicator({order.name})")
 
 

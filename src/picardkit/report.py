@@ -3,14 +3,16 @@
 Checks never raise on a violated inequality: violations are recorded as
 witnesses carrying the offending inputs and the signed margin of the
 inequality, so any witness can be replayed standalone and must reproduce
-its margin. Witnesses are kept in a canonical order, which makes report
-merging associative and deterministic.
+its margin. The two functions that build reports, :func:`make_report` and
+:func:`merge_reports`, put witnesses in a canonical order, once; that makes
+merging associative and deterministic, and the renderers show witnesses in
+the order the report holds them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -28,6 +30,8 @@ _MAX_RENDERED_WITNESSES = 8
 
 def format_value(value) -> str:
     """Deterministic compact rendering used in witness keys and reports."""
+    if type(value) is float:  # the common case, ahead of the numpy types
+        return repr(value)
     if isinstance(value, np.ndarray):
         return (f"grid(nodes={value.size}, min={float(value.min())!r}, "
                 f"max={float(value.max())!r})")
@@ -41,7 +45,7 @@ def format_value(value) -> str:
 
 
 def format_inputs(inputs: Sequence) -> str:
-    return "(" + ", ".join(format_value(v) for v in inputs) + ")"
+    return "(" + ", ".join([format_value(v) for v in inputs]) + ")"
 
 
 @dataclass(frozen=True)
@@ -76,10 +80,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.status == PASS
-
-    def canonical(self) -> "VerificationReport":
-        ordered = sorted(self.witnesses, key=Witness.sort_key)
-        return replace(self, witnesses=ordered)
 
 
 def make_report(name: str, witnesses: Iterable[Witness], samples: int, *,
@@ -128,7 +128,6 @@ def render_text(reports: Sequence[VerificationReport],
     if lines:
         lines.append("")
     for rep in reports:
-        rep = rep.canonical()
         lines.append(f"[{rep.status.upper():>6}] {rep.name}  "
                      f"(samples={rep.samples}, mode={rep.mode})")
         for note in rep.notes:
@@ -149,10 +148,9 @@ def render_text(reports: Sequence[VerificationReport],
 
 
 def report_rows(reports: Sequence[VerificationReport]) -> list[list[str]]:
-    """One CSV row per check: first canonical witness fields, if any."""
+    """One CSV row per check: first witness fields, if any."""
     rows = []
     for rep in reports:
-        rep = rep.canonical()
         first = rep.witnesses[0] if rep.witnesses else None
         rows.append([
             rep.name,

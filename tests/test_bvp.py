@@ -352,6 +352,25 @@ class TestOperatorContraction:
 
 
 class TestGatePredicates:
+    def test_gate_values_match_per_node_gate_value(self):
+        rng = seeded_rng(8)
+        x, y = rng.uniform(-1.0, 1.0, size=(2, 21))
+        calls = []
+
+        def broadcasting(a, b):
+            calls.append(np.shape(a))
+            return 0.5 - np.abs(a - b)
+
+        gates = [broadcasting, lambda a, b: 1.0 if a <= b else -1.0, None]
+        for gate in gates:
+            problem = BVPProblem(rhs=rhs_zero, n=20, gate=gate)
+            per_node = [problem.gate_value(a, b) for a, b in zip(x, y)]
+            values = problem.gate_values(x, y)
+            assert values.shape == (21,) and values.tolist() == per_node
+        # the broadcasting gate took the node arrays in one call; the
+        # per-node reference made the other 21
+        assert calls[21:] == [(21,)] and len(calls) == 22
+
     def test_default_gate_accepts_zero_start(self):
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=40)
         assert gate_accepts_start(problem, np.zeros(41))

@@ -2,6 +2,7 @@
 modes end to end, exit-status classes, and byte-deterministic artifacts."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ class TestConfigParsing:
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("mode = verify\njust words\n")
+
+    @pytest.mark.parametrize("body", [
+        "sin(x",                 # syntax error
+        "foo(x)",                # unknown function
+        "x.__class__",           # attribute access
+        "(lambda: __import__)()",  # a name hidden in nested code
+        "",
+    ])
+    def test_malformed_rhs_expression_is_a_usage_error(self, tmp_path, capsys, body):
+        path = write_cfg(tmp_path, f"mode = solve-bvp\n\n[bvp]\nrhs = expr:{body}\n")
+        with pytest.raises(ConfigError, match=r"line 4: field 'rhs'"):
+            parse_config(path.read_text())
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "line 4" in err and "'rhs'" in err and "Traceback" not in err
 
 
 class TestVerifyMode:
@@ -233,7 +249,42 @@ class TestSolveMode:
         assert status == EXIT_NOT_CONVERGED
 
 
+# An order-reduction run with about 1450 contraction witnesses, and the
+# SHA-256 of its artifacts as the per-sample verifiers wrote them. A change
+# in witness order, or a numpy scalar repr reaching a witness, changes them.
+GOLDEN_CFG = """\
+mode = verify
+seed = 7
+
+[carrier]
+kind = interval
+low = 0.0
+high = 3.0
+
+[bundle]
+name = example31
+
+[verify]
+pair_grid = 60
+random_pairs = 50
+
+[order]
+name = natural
+"""
+GOLDEN_SHA256 = {
+    "report.csv": "7db5f36e7383690800ca1ccda0d39a18f477f57f835b99f7b22395c6b274e3ae",
+    "report.txt": "668e2db82fad87d547c6377769fd50f22321c49f0e6e2e5cd4c6de377acaf5d1",
+}
+
+
 class TestDeterminism:
+    def test_order_reduction_artifacts_match_golden_digests(self, tmp_path):
+        out = tmp_path / "golden"
+        assert run(parse_config(GOLDEN_CFG), out_dir=out) == EXIT_CHECK_FAILED
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_SHA256}
+        assert digests == GOLDEN_SHA256
+
     def _artifacts(self, directory):
         return sorted(p.name for p in directory.iterdir())
 

@@ -1,25 +1,31 @@
 """Contraction-framework verifiers: worked examples with independently
-computed expectations, witness replay, and order-independence properties."""
+computed expectations, witness replay, order-independence properties, and
+the block verifiers against per-sample reference loops."""
 
+import math
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from picardkit import (AlphaFunction, CClassFunction, DomainError,
-                       GeraghtyBeta, SimulationFunction, check_alpha_admissible,
-                       check_cclass, check_geraghty, check_simulation_pointwise,
-                       check_simulation_sequences, check_triangular_alpha,
-                       max_displacement, merge_reports, scalar_metric,
-                       verify_contraction)
-from picardkit.builtins import (alpha_box, alpha_one, beta_constant,
-                                beta_reciprocal, cclass_a, cclass_b, cclass_c,
-                                example31_bundle, example31_map, zeta1)
+from picardkit import (SCALAR_EPS, AlphaFunction, BVPProblem, CClassFunction,
+                       ContractionBundle, DomainError, GeraghtyBeta,
+                       SimulationFunction, alpha_from_order,
+                       check_alpha_admissible, check_cclass, check_geraghty,
+                       check_simulation_pointwise, check_simulation_sequences,
+                       check_triangular_alpha, max_displacement, merge_reports,
+                       natural_order, pointwise_order, scalar_metric,
+                       sup_metric, verify_contraction)
+from picardkit.builtins import (alpha_box, alpha_from_gate, alpha_one,
+                                beta_constant, beta_reciprocal, cclass_a,
+                                cclass_b, cclass_c, example31_bundle,
+                                example31_map, rhs_zero, zeta1)
+from picardkit.framework import CHUNK
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS,
-                              VerificationReport, Witness)
+                              VerificationReport, Witness, make_report)
 from picardkit.sampling import mesh_pairs, probe_pair, random_pairs, seeded_rng
 
 
@@ -237,6 +243,16 @@ class TestVerifyContraction:
         assert witness.bound == 0.0
         assert witness.margin == pytest.approx(-0.1, abs=1e-15)
 
+    def test_witness_inputs_are_the_sampled_pair(self):
+        bundle = replace(example31_bundle(), alpha=alpha_from_order(natural_order))
+        pairs = mesh_pairs(0.0, 3.0, 11)
+        report = verify_contraction(bundle, pairs, scalar_metric)
+        assert report.witnesses
+        sampled = {id(pair) for pair in pairs}
+        for witness in report.witnesses:
+            assert id(witness.inputs) in sampled
+            assert type(witness.margin) is type(witness.lhs) is float
+
     def test_pass_implies_geraghty_inequality(self):
         # with G = s - t and benchmark 0 a passing check means
         # alpha * d(Tx, Ty) < beta(M) * M + tol on every sampled pair
@@ -264,7 +280,7 @@ class TestReportMechanics:
         random.Random(11).shuffle(shuffled)
         replay = self._failing_report(shuffled)
         assert replay.status == baseline.status
-        assert replay.canonical().witnesses == baseline.canonical().witnesses
+        assert replay.witnesses == baseline.witnesses
 
     def test_merge_matches_whole(self):
         rng = seeded_rng(5)
@@ -274,7 +290,7 @@ class TestReportMechanics:
                                self._failing_report(pairs[37:]))
         assert merged.status == whole.status
         assert merged.samples == whole.samples
-        assert merged.witnesses == whole.canonical().witnesses
+        assert merged.witnesses == whole.witnesses
 
         # a declared caveat outranks pass; a falsification operand sets the mode
         passing = self._failing_report([])
@@ -334,3 +350,212 @@ def test_merge_is_associative_and_order_independent(a, b, c, rnd):
     precedence = [FAIL, HYPOTHESIS_UNMET, CAVEAT, PASS]
     assert flat.status == min((a.status, b.status, c.status), key=precedence.index)
     assert (flat.mode == "falsification") == ("falsification" in (a.mode, b.mode, c.mode))
+
+
+# ---------------------------------------------------------------------------
+# Per-sample reference oracles: the loops the block verifiers replaced. The
+# library reads samples in chunks of CHUNK and evaluates each callable once
+# per chunk; these evaluate one sample at a time.
+
+def oracle_alpha_admissible(T, alpha, pairs, tol=SCALAR_EPS):
+    witnesses = []
+    checked = 0
+    for x, y in pairs:
+        checked += 1
+        if alpha(x, y) >= 1.0 - tol:
+            value = alpha(T(x), T(y))
+            if value < 1.0 - tol:
+                witnesses.append(Witness(
+                    "alpha/admissible", (x, y), value - 1.0,
+                    f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {value!r}",
+                    lhs=value, bound=1.0))
+    return make_report("alpha-admissible", witnesses, checked, tolerance=tol)
+
+
+def oracle_triangular_alpha(alpha, triples, tol=SCALAR_EPS):
+    witnesses = []
+    checked = 0
+    for x, z, y in triples:
+        checked += 1
+        if alpha(x, z) >= 1.0 - tol and alpha(z, y) >= 1.0 - tol:
+            value = alpha(x, y)
+            if value < 1.0 - tol:
+                witnesses.append(Witness(
+                    "alpha/triangular", (x, z, y), value - 1.0,
+                    f"alpha chains through z but alpha(x, y) = {value!r}",
+                    lhs=value, bound=1.0))
+    return make_report("alpha-triangular", witnesses, checked, tolerance=tol)
+
+
+def oracle_verify_contraction(bundle, pairs, d, tol=SCALAR_EPS):
+    T = bundle.mapping
+    c = float(bundle.g.c_g)
+    witnesses = []
+    checked = 0
+    for x, y in pairs:
+        checked += 1
+        tx = T(x)
+        ty = T(y)
+        m = max(d(x, y), d(x, tx), d(y, ty))
+        lhs = bundle.zeta(bundle.alpha(x, y) * d(tx, ty), bundle.beta(m) * m)
+        margin = lhs - c
+        if margin < -tol:
+            witnesses.append(Witness(
+                "contraction", (x, y), margin,
+                f"zeta(alpha*d(Tx, Ty), beta(M)*M) = {lhs!r} falls below c_g = {c!r}",
+                lhs=lhs, bound=c))
+    return make_report("contraction", witnesses, checked, tolerance=tol,
+                       notes=(f"bundle={bundle.name}",))
+
+
+def _outcome(check, *args):
+    """The report of ``check(*args)``, or DomainError if it raised one."""
+    try:
+        return check(*args)
+    except DomainError:
+        return DomainError
+
+
+def assert_same_outcome(block, oracle):
+    """Same status, samples and witnesses (inputs by identity, margins,
+    values and details exactly), or DomainError on both paths."""
+    if oracle is DomainError or block is DomainError:
+        assert block is oracle
+        return
+    assert (block.name, block.status, block.samples, block.mode, block.notes) == \
+        (oracle.name, oracle.status, oracle.samples, oracle.mode, oracle.notes)
+    assert len(block.witnesses) == len(oracle.witnesses)
+    for got, want in zip(block.witnesses, oracle.witnesses):
+        assert (got.check, got.margin, got.lhs, got.bound, got.detail) == \
+            (want.check, want.margin, want.lhs, want.bound, want.detail)
+        assert type(got.margin) is type(got.lhs) is float
+        assert len(got.inputs) == len(want.inputs)
+        assert all(a is b for a, b in zip(got.inputs, want.inputs))
+
+
+def _check_all(bundle, pairs, triples, d):
+    assert_same_outcome(_outcome(verify_contraction, bundle, pairs, d),
+                        _outcome(oracle_verify_contraction, bundle, pairs, d))
+    assert_same_outcome(
+        _outcome(check_alpha_admissible, bundle.mapping, bundle.alpha, pairs),
+        _outcome(oracle_alpha_admissible, bundle.mapping, bundle.alpha, pairs))
+    assert_same_outcome(_outcome(check_triangular_alpha, bundle.alpha, triples),
+                        _outcome(oracle_triangular_alpha, bundle.alpha, triples))
+
+
+# sample counts around the chunk boundary
+CHUNK_SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
+
+# each example runs thousands of samples through both paths, so a failure
+# is reported as drawn: shrinking it would take minutes
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+def _halving_map(x):
+    # written for single reals: an array has no truth value
+    return x / 2.0 + 0.25 if x < 2.0 else 0.5 * x
+
+
+def _norm_gain(t):
+    # aggregates a block into one value; on a single real it is |t| / (1 + |t|)
+    r = float(np.linalg.norm(t))
+    return r / (1.0 + r)
+
+
+SCALAR_MAPS = [example31_map, _halving_map, lambda x: 3.0 * x]
+SCALAR_ALPHAS = [
+    alpha_box(0.0, 1.0), alpha_from_order(natural_order), alpha_one(),
+    AlphaFunction(lambda x, y: 1.0 if abs(x - y) <= 1.0 else 0.0, name="near"),
+    # negative where x < y: a DomainError on both paths
+    AlphaFunction(lambda x, y: x - y, name="signed-gap"),
+]
+BETAS = [
+    beta_reciprocal(), beta_constant(0.5),
+    GeraghtyBeta(_norm_gain, name="norm-gain"),
+    # infinite once M > 1: a DomainError on both paths
+    GeraghtyBeta(lambda t: np.where(t > 1.0, np.inf, 0.5), name="blow-up"),
+    GeraghtyBeta(lambda t: math.inf if t > 1.0 else 0.5, name="scalar-blow-up"),
+]
+ZETAS = [zeta1(8.0 / 9.0), zeta1(0.25),
+         SimulationFunction(lambda t, s: s - t, name="subtraction")]
+
+
+def _scalar_samples(seed, size, arity):
+    rng = seeded_rng(seed)
+    # exact branch points of the maps and weights, and random reals
+    pool = np.concatenate([np.linspace(0.0, 3.0, 31), rng.uniform(-0.5, 3.5, 200)])
+    index = rng.integers(0, pool.size, size=(size, arity))
+    return [tuple(float(pool[i]) for i in row) for row in index]
+
+
+@given(size=st.sampled_from(CHUNK_SIZES), seed=st.integers(0, 2 ** 32 - 1),
+       mapping=st.sampled_from(SCALAR_MAPS), alpha=st.sampled_from(SCALAR_ALPHAS),
+       beta=st.sampled_from(BETAS), zeta=st.sampled_from(ZETAS),
+       c_g=st.sampled_from([0.0, 0.05]), as_lists=st.booleans())
+# the named cases at chunk boundaries, whatever else is drawn: a
+# non-broadcasting alpha, an aggregating beta, a negative alpha and an
+# infinite beta
+@example(size=CHUNK, seed=1, mapping=example31_map, alpha=SCALAR_ALPHAS[3],
+         beta=BETAS[0], zeta=ZETAS[0], c_g=0.0, as_lists=False)
+@example(size=CHUNK + 1, seed=2, mapping=example31_map, alpha=SCALAR_ALPHAS[1],
+         beta=BETAS[2], zeta=ZETAS[0], c_g=0.0, as_lists=False)
+@example(size=CHUNK - 1, seed=3, mapping=_halving_map, alpha=SCALAR_ALPHAS[4],
+         beta=BETAS[1], zeta=ZETAS[1], c_g=0.0, as_lists=True)
+@example(size=CHUNK + 1, seed=4, mapping=example31_map, alpha=SCALAR_ALPHAS[0],
+         beta=BETAS[3], zeta=ZETAS[2], c_g=0.05, as_lists=False)
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+def test_block_verifiers_match_per_sample_oracle_on_reals(
+        size, seed, mapping, alpha, beta, zeta, c_g, as_lists):
+    pairs = _scalar_samples(seed, size, 2)
+    if as_lists:
+        pairs = [list(pair) for pair in pairs]
+    triples = _scalar_samples(seed + 1, size, 3)
+    bundle = ContractionBundle(mapping, alpha, beta, zeta, cclass_a(c_g), name="drawn")
+    _check_all(bundle, pairs, triples, scalar_metric)
+
+
+GRID_N = 6
+# grid pairs per chunk: CHUNK node values per coordinate
+GRID_CHUNK = CHUNK // (GRID_N + 1)
+
+
+def _gated_problem(gate):
+    return BVPProblem(rhs=rhs_zero, n=GRID_N, gate=gate)
+
+
+GRID_MAPS = [
+    lambda x: x[::-1],           # depends on node order within one function
+    lambda x: 0.5 * x + 0.1,
+]
+GRID_ALPHAS = [
+    alpha_from_order(pointwise_order), alpha_one(),
+    # a broadcasting gate and one written for single node values
+    alpha_from_gate(_gated_problem(lambda a, b: 0.8 - np.abs(a - b))),
+    alpha_from_gate(_gated_problem(lambda a, b: 1.0 if a <= b + 0.5 else -1.0)),
+]
+
+
+def _grid_samples(seed, size):
+    rng = seeded_rng(seed)
+    xs = rng.uniform(0.0, 1.0, size=(size, GRID_N + 1))
+    # shifted partners, so that the pointwise order holds on many pairs
+    ys = xs + rng.uniform(-0.3, 0.6, size=(size, 1)) \
+        + rng.uniform(-0.05, 0.05, size=(size, GRID_N + 1))
+    pairs = [(np.array(x), np.array(y)) for x, y in zip(xs, ys)]
+    functions = [f for pair in pairs for f in pair]
+    triples = [tuple(functions[3 * i:3 * i + 3]) for i in range(len(functions) // 3)]
+    return pairs, triples
+
+
+@given(size=st.sampled_from([0, 1, GRID_CHUNK - 1, GRID_CHUNK, GRID_CHUNK + 1]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       mapping=st.sampled_from(GRID_MAPS), alpha=st.sampled_from(GRID_ALPHAS),
+       beta=st.sampled_from(BETAS[:3]), zeta=st.sampled_from(ZETAS))
+@example(size=GRID_CHUNK + 1, seed=3, mapping=GRID_MAPS[0], alpha=GRID_ALPHAS[0],
+         beta=BETAS[2], zeta=ZETAS[0])
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
+def test_block_verifiers_match_per_sample_oracle_on_grid_functions(
+        size, seed, mapping, alpha, beta, zeta):
+    pairs, triples = _grid_samples(seed, size)
+    bundle = ContractionBundle(mapping, alpha, beta, zeta, cclass_a(0.0), name="grid")
+    _check_all(bundle, pairs, triples, sup_metric)
