@@ -187,11 +187,14 @@ def _code_names(code: types.CodeType) -> set[str]:
     return names
 
 
-def compile_rhs_expression(body: str) -> types.CodeType:
-    """Compile the body of an ``expr:`` right-hand side. Raises
-    :class:`DomainError` unless it is one Python expression whose names are
-    all among t, x, pi and the numpy functions in ``_EXPR_FUNCTIONS``; no
-    attribute access passes that test."""
+def compile_rhs_expression(body: str) -> Callable:
+    """Compile the body of an ``expr:`` right-hand side into ``rhs(t, x)``.
+    Raises :class:`DomainError` unless it is one Python expression whose
+    names are all among t, x, pi and the numpy functions in
+    ``_EXPR_FUNCTIONS`` (so no attribute access), and one evaluation on a
+    probe (t and x float arrays of 5 nodes in [0, 1]) gives a real scalar or
+    a real array of t's shape. Non-finite probe values pass: the solver
+    rejects them where they occur."""
     try:
         code = compile(body, "<rhs-expr>", "eval")
     except (SyntaxError, ValueError) as exc:
@@ -201,7 +204,26 @@ def compile_rhs_expression(body: str) -> types.CodeType:
     if unknown:
         raise DomainError(f"expression {body!r} uses unknown name(s) "
                           f"{', '.join(unknown)}; allowed: {', '.join(sorted(_EXPR_NAMES))}")
-    return code
+    namespace = {name: getattr(np, name) for name in _EXPR_FUNCTIONS}
+    namespace["pi"] = math.pi
+
+    def rhs(t, x):
+        local = dict(namespace)
+        local["t"] = np.asarray(t, dtype=float)
+        local["x"] = np.asarray(x, dtype=float)
+        return eval(code, {"__builtins__": {}}, local)
+
+    t = np.linspace(0.0, 1.0, 5)
+    try:
+        with np.errstate(all="ignore"):
+            value = np.asarray(rhs(t, t[::-1]))
+    except Exception as exc:  # any failure here would recur in the solver
+        raise DomainError(f"expression {body!r} fails on arrays: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    if value.dtype.kind not in "biuf" or value.shape not in ((), t.shape):
+        raise DomainError(f"expression {body!r} gives {value.dtype} of shape "
+                          f"{value.shape}, not real values of t's shape")
+    return rhs
 
 
 def rhs_by_name(spec: str) -> tuple[Callable, str]:
@@ -220,17 +242,7 @@ def rhs_by_name(spec: str) -> tuple[Callable, str]:
             raise DomainError(f"bad constant in {spec!r}") from exc
         return (lambda t, x, _c=c: np.full_like(np.asarray(t, dtype=float), _c)), spec
     if spec.startswith("expr:"):
-        code = compile_rhs_expression(spec.split(":", 1)[1])
-        namespace = {name: getattr(np, name) for name in _EXPR_FUNCTIONS}
-        namespace["pi"] = math.pi
-
-        def rhs(t, x, _code=code, _ns=namespace):
-            local = dict(_ns)
-            local["t"] = np.asarray(t, dtype=float)
-            local["x"] = np.asarray(x, dtype=float)
-            return eval(_code, {"__builtins__": {}}, local)
-
-        return rhs, spec
+        return compile_rhs_expression(spec.split(":", 1)[1]), spec
     raise DomainError(f"unknown rhs {spec!r}")
 
 

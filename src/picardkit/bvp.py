@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, OracleError
 from .framework import GRID_EPS, evaluate_block
@@ -375,6 +374,10 @@ def finite_difference_solve(problem: BVPProblem, damping: float = 0.8,
     iteration fails to converge."""
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    # scipy is imported here, not at module level: this oracle is its only
+    # user, and loading it would more than double the package's import time
+    from scipy.linalg import solve_banded
+
     n = problem.n
     h = 1.0 / n
     interior = n - 1

@@ -1,52 +1,7 @@
-"""Batch front-end: parse a run-configuration file, execute verification
-suites or solves, and write reports plus plot-ready CSV artifacts.
-
-The configuration format is a flat, line-oriented ``key = value`` file with
-``[section]`` headers and ``#`` comments::
-
-    mode = verify            # verify | iterate | solve-bvp
-    seed = 42                # unsigned 64-bit; --seed overrides
-    out = reports            # output directory; --out overrides
-
-    [carrier]                # verify mode
-    kind = interval          # interval | grid
-    low = 0.0                # sampling window for carrier elements
-    high = 3.0
-
-    [bundle]                 # verify mode
-    name = example31         # example31 | bvp
-    lambda = 0.889           # optional: replace zeta with zeta1(lambda)
-    k = 2.0                  # optional, with r: replace G with cclass_c(k, r)
-    r = 2.0
-    beta = half              # optional: reciprocal | half | <value in [0, 1)>
-
-    [verify]
-    pair_grid = 101          # per-axis pair mesh (interval carrier)
-    random_pairs = 100       # seeded random pairs
-
-    [picard]                 # iterate + solve-bvp
-    tolerance = 1e-10
-    max_iterations = 500
-    divergence_bound = 1e9
-
-    [iterate]
-    map = example31          # example31 | affine:a:b
-    start = 1.0
-
-    [bvp]                    # solve-bvp mode, and verify with kind = grid
-    rhs = pi2sin             # zero | const:c | pi2sin | sin_plus_one | expr:...
-    n = 100
-    tolerance = 1e-8
-
-    [order]                  # optional alpha override for verify
-    name = natural           # natural | pointwise
-
-Artifacts: ``report.txt`` and ``report.csv`` always; ``trace.csv`` for
-iterate and solve-bvp; ``solution.csv`` for solve-bvp. Outputs are byte
-deterministic for a fixed config and seed. Exit status 0 means every
-requested check passed and every solve converged; nonzero encodes the first
-failure class (1 check failure, 2 non-convergence, 3 usage error,
-4 carrier/bundle validation error).
+"""Batch front-end: parse a run-configuration file, run a verify suite, a
+Picard orbit or a BVP solve, and write reports plus CSV artifacts. The
+config keys, defaults, artifacts and exit statuses are in the README's
+"Command-line interface" section.
 """
 
 from __future__ import annotations

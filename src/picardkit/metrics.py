@@ -1,6 +1,7 @@
-"""Carriers and metrics for the fixed-point verifiers.
+"""Metrics and grid-function helpers for the fixed-point verifiers.
 
-Two model spaces are supported:
+The verifiers work on two carriers, whose elements the samplers in
+:mod:`picardkit.sampling` draw:
 
 * real intervals under the absolute-difference metric, and
 * continuous functions on [0, 1] represented by their values on a uniform
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
@@ -72,76 +72,6 @@ def sup_metric(x: Iterable[float], y: Iterable[float]) -> float:
     if xa.shape != ya.shape:
         raise DimensionError(f"grid sizes differ: {xa.size} vs {ya.size} nodes")
     return float(np.max(np.abs(xa - ya)))
-
-
-@dataclass(frozen=True)
-class IntervalSpace:
-    """Real-interval carrier; the upper bound may be infinite."""
-
-    lower: float = 0.0
-    upper: float = math.inf
-
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
-
-    @property
-    def metric(self) -> Metric:
-        return scalar_metric
-
-    def contains(self, x: Point) -> bool:
-        try:
-            value = float(x)
-        except (TypeError, ValueError):
-            return False
-        return math.isfinite(value) and self.lower <= value <= self.upper
-
-    def sample(self, rng: np.random.Generator, count: int,
-               low: float | None = None, high: float | None = None) -> list[float]:
-        """Draw ``count`` carrier elements uniformly from a finite window."""
-        lo = self.lower if low is None else low
-        hi = high
-        if hi is None:
-            if math.isinf(self.upper):
-                raise ValueError("sampling an unbounded interval needs an explicit high bound")
-            hi = self.upper
-        return [float(v) for v in rng.uniform(lo, hi, size=count)]
-
-
-@dataclass(frozen=True)
-class GridSpace:
-    """Grid-sampled functions on [0, 1] under the sup metric.
-
-    Every element of one space lives on the identical grid of ``n + 1``
-    nodes; mixing grids raises :class:`DimensionError`.
-    """
-
-    n: int = 100
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"grid size must be at least 1, got {self.n}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return nodes(self.n)
-
-    @property
-    def metric(self) -> Metric:
-        return sup_metric
-
-    def contains(self, x: Point) -> bool:
-        arr = np.asarray(x, dtype=float)
-        return arr.shape == (self.n + 1,) and bool(np.all(np.isfinite(arr)))
-
-    def constant(self, value: float) -> np.ndarray:
-        return np.full(self.n + 1, float(value))
-
-    def sample(self, rng: np.random.Generator, count: int,
-               low: float = 0.0, high: float = 1.0) -> list[np.ndarray]:
-        """Draw ``count`` grid functions with independent uniform node values."""
-        block = rng.uniform(low, high, size=(count, self.n + 1))
-        return [np.array(row) for row in block]
 
 
 def save_grid_csv(path: str | Path, values: Iterable[float],

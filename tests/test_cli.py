@@ -3,10 +3,16 @@ modes end to end, exit-status classes, and byte-deterministic artifacts."""
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import picardkit
 from picardkit import load_grid_csv
 from picardkit.cli import (EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_USAGE, EXIT_VALIDATION, ConfigError, main,
@@ -106,6 +112,9 @@ class TestConfigParsing:
         "x.__class__",           # attribute access
         "(lambda: __import__)()",  # a name hidden in nested code
         "",
+        "x(t)",                  # well formed, but fails on arrays
+        "sin",                   # a function, not a value
+        "t*0+[1,2]",             # does not broadcast to the grid
     ])
     def test_malformed_rhs_expression_is_a_usage_error(self, tmp_path, capsys, body):
         path = write_cfg(tmp_path, f"mode = solve-bvp\n\n[bvp]\nrhs = expr:{body}\n")
@@ -114,6 +123,16 @@ class TestConfigParsing:
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "line 4" in err and "'rhs'" in err and "Traceback" not in err
+
+    def test_benchmark_rhs_expression_parses(self):
+        body = "pi**2*sin(pi*t) + sin(x) - sin(sin(pi*t))"
+        config = parse_config(f"mode = solve-bvp\n[bvp]\nrhs = expr:{body}\n")
+        assert config.rhs == f"expr:{body}"
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_rhs_expression_is_left_to_the_solver(self, tmp_path):
+        path = write_cfg(tmp_path, "mode = solve-bvp\n[bvp]\nrhs = expr:1/x\nn = 10\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
 
 
 class TestVerifyMode:
@@ -308,6 +327,72 @@ class TestDeterminism:
         run(cfg1, out_dir=out1)
         run(cfg2, out_dir=out2)
         assert (out1 / "report.txt").read_text() != (out2 / "report.txt").read_text()
+
+
+GRID_VERIFY_CFG = """\
+mode = verify
+seed = 7
+
+[carrier]
+kind = grid
+
+[bundle]
+name = bvp
+
+[verify]
+random_pairs = 10
+
+[bvp]
+rhs = sin_plus_one
+n = 20
+"""
+
+ITERATE_CFG = "mode = iterate\n[iterate]\nmap = example31\nstart = 1.0\n"
+
+
+def _run_fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this picardkit; fail
+    the test with its stderr if it exits nonzero."""
+    env = dict(os.environ)
+    src = str(Path(picardkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+class TestColdStart:
+    """scipy is loaded only by the finite-difference oracle, so importing the
+    package and every CLI mode run on numpy and the standard library alone."""
+
+    @pytest.mark.parametrize("cfg", [None, "--list-builtins", VERIFY_CFG,
+                                     GRID_VERIFY_CFG, SOLVE_CFG, ITERATE_CFG],
+                             ids=["import", "list-builtins", "verify-interval",
+                                  "verify-grid", "solve-bvp", "iterate"])
+    def test_no_scipy_module_is_loaded(self, tmp_path, cfg):
+        call = "import picardkit"
+        if cfg is not None:
+            argv = ([cfg] if cfg == "--list-builtins" else
+                    ["--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "out")])
+            call = f"from picardkit.cli import main; assert main({argv!r}) == 0"
+        _run_fresh_python(f"""
+            import sys
+            {call}
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
+            """)
+
+    def test_finite_difference_solve_loads_scipy_on_first_call(self):
+        _run_fresh_python("""
+            import sys
+            import numpy as np
+            from picardkit import BVPProblem, finite_difference_solve
+            from picardkit.builtins import rhs_pi2sin
+            assert "scipy.linalg" not in sys.modules
+            x = finite_difference_solve(BVPProblem(rhs=rhs_pi2sin, n=40))
+            assert np.max(np.abs(x - np.sin(np.pi * np.linspace(0.0, 1.0, 41)))) <= 1e-3
+            assert "scipy.linalg" in sys.modules
+            """)
 
 
 class TestMainEntry:

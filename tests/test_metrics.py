@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picardkit import (DimensionError, DomainError, GridSpace, IntervalSpace,
-                       as_grid_function, load_grid_csv, nodes, save_grid_csv,
-                       scalar_metric, sup_metric)
+from picardkit import (DimensionError, DomainError, as_grid_function,
+                       load_grid_csv, nodes, save_grid_csv, scalar_metric,
+                       sup_metric)
+from picardkit.sampling import random_grid_pairs, random_pairs
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -87,27 +88,24 @@ class TestSupMetric:
 
 
 class TestSpaces:
-    def test_interval_contains(self):
-        space = IntervalSpace(0.0, 1.0)
-        assert space.contains(0.5)
-        assert not space.contains(1.5)
-        assert not space.contains(math.nan)
+    """The carriers have no space objects: their elements come from the
+    samplers in ``picardkit.sampling`` and are checked by the metrics."""
 
-    def test_interval_needs_bound_for_sampling(self):
-        space = IntervalSpace(0.0)
+    def test_interval_samples_stay_in_window(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            space.sample(rng, 3)
-        values = space.sample(rng, 5, high=2.0)
-        assert len(values) == 5 and all(0.0 <= v <= 2.0 for v in values)
+        values = [v for pair in random_pairs(rng, 5, 0.0, 2.0) for v in pair]
+        assert len(values) == 10 and all(0.0 <= v <= 2.0 for v in values)
+        assert all(type(v) is float for v in values)
 
-    def test_grid_space(self):
-        space = GridSpace(10)
-        assert space.contains(space.constant(0.3))
-        assert not space.contains(np.zeros(5))
+    def test_grid_samples_are_grid_functions(self):
         rng = np.random.default_rng(1)
-        fns = space.sample(rng, 4, low=0.0, high=1.0)
-        assert len(fns) == 4 and all(f.shape == (11,) for f in fns)
+        pairs = random_grid_pairs(rng, 4, 10, low=0.0, high=1.0)
+        fns = [f for pair in pairs for f in pair]
+        assert len(fns) == 8
+        for f in fns:
+            assert as_grid_function(f).shape == (11,)
+            assert 0.0 <= f.min() and f.max() <= 1.0
+        assert 0.0 < sup_metric(*pairs[0]) <= 1.0
 
     def test_grid_function_validation(self):
         with pytest.raises(DimensionError):
