@@ -12,15 +12,14 @@ from .framework import (GRID_EPS, SCALAR_EPS, AlphaFunction, CClassFunction,
                         ContractionBundle, GeraghtyBeta, SimulationFunction,
                         check_alpha_admissible, check_cclass, check_geraghty,
                         check_simulation_pointwise, check_simulation_sequences,
-                        check_triangular_alpha, max_displacement,
-                        verify_contraction)
+                        check_triangular_alpha, verify_contraction)
 from .picard import (CONVERGED, DIVERGED, MAX_ITERATIONS, IterationTrace,
                      PicardConfig, UniquenessReport, check_alpha_orbit,
                      check_ratio_bound, gaps_monotone, picard_iterate,
                      uniqueness_probe)
 from .posets import (PartialOrder, alpha_from_order, check_increasing,
                      check_initial_point, check_order_axioms, natural_order,
-                     order_by_name, pointwise_order)
+                     pointwise_order)
 from .bvp import (BVPProblem, BVPSolution, CONTRACTION_FACTOR, bvp_operator,
                   check_gate_limit, check_gate_propagation,
                   check_operator_contraction, check_rhs_displacement_bound,
@@ -44,14 +43,14 @@ __all__ = [
     "ContractionBundle", "GeraghtyBeta", "SimulationFunction",
     "check_alpha_admissible", "check_cclass", "check_geraghty",
     "check_simulation_pointwise", "check_simulation_sequences",
-    "check_triangular_alpha", "max_displacement", "verify_contraction",
+    "check_triangular_alpha", "verify_contraction",
     "CONVERGED", "DIVERGED", "MAX_ITERATIONS", "IterationTrace",
     "PicardConfig", "UniquenessReport", "check_alpha_orbit",
     "check_ratio_bound", "gaps_monotone", "picard_iterate",
     "uniqueness_probe",
     "PartialOrder", "alpha_from_order", "check_increasing",
     "check_initial_point", "check_order_axioms", "natural_order",
-    "order_by_name", "pointwise_order",
+    "pointwise_order",
     "BVPProblem", "BVPSolution", "CONTRACTION_FACTOR", "bvp_operator",
     "check_gate_limit", "check_gate_propagation",
     "check_operator_contraction", "check_rhs_displacement_bound",

@@ -1,22 +1,25 @@
 """Named builtin functions, mappings, and bundles.
 
-These are the catalog entries the batch front-end can select by name, plus
-the standard probe sets the verifiers use when the caller supplies none.
+:data:`BUILTINS` is the table of every choice a config selector field can
+name; :func:`resolve` builds the selected object, and :func:`catalog_text`
+lists the table. The module also holds the standard probe sets the
+verifiers use when the caller supplies none.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-import types
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .bvp import BVPProblem, bvp_operator
 from .errors import DomainError
-from .framework import (AlphaFunction, CClassFunction, ContractionBundle,
-                        GeraghtyBeta, SimulationFunction)
-from .metrics import Point
+from .framework import (GRID_EPS, SCALAR_EPS, AlphaFunction, CClassFunction,
+                        ContractionBundle, GeraghtyBeta, SimulationFunction)
+from .metrics import Point, scalar_metric, sup_metric
+from .posets import natural_order, pointwise_order
 from .sampling import probe_pair
 
 
@@ -141,22 +144,6 @@ def affine_map(a: float, b: float) -> Callable[[float], float]:
     return lambda x: a * float(x) + b
 
 
-def map_by_name(spec: str) -> tuple[Callable[[Point], Point], str]:
-    """Resolve a mapping selector: ``example31`` or ``affine:a:b``."""
-    if spec == "example31":
-        return example31_map, "example31"
-    if spec.startswith("affine:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"affine selector needs 'affine:a:b', got {spec!r}")
-        try:
-            a, b = float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise DomainError(f"bad affine coefficients in {spec!r}") from exc
-        return affine_map(a, b), spec
-    raise DomainError(f"unknown mapping {spec!r}")
-
-
 # --------------------------------------------------------------------------
 # right-hand sides for the boundary-value solver
 
@@ -172,35 +159,37 @@ def rhs_sin_plus_one(t, x):
     return np.sin(np.asarray(x, dtype=float)) + 1.0
 
 
+def rhs_const(c: float) -> Callable:
+    c = float(c)
+    return lambda t, x: np.full_like(np.asarray(t, dtype=float), c)
+
+
 # numpy functions an ``expr:`` right-hand side may call
 _EXPR_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs",
                    "minimum", "maximum", "tanh")
 _EXPR_NAMES = frozenset(("t", "x", "pi") + _EXPR_FUNCTIONS)
 
 
-def _code_names(code: types.CodeType) -> set[str]:
-    """Every global and attribute name ``code`` and its nested code use."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _code_names(const)
-    return names
-
-
 def compile_rhs_expression(body: str) -> Callable:
     """Compile the body of an ``expr:`` right-hand side into ``rhs(t, x)``.
     Raises :class:`DomainError` unless it is one Python expression whose
-    names are all among t, x, pi and the numpy functions in
-    ``_EXPR_FUNCTIONS`` (so no attribute access), and one evaluation on a
-    probe (t and x float arrays of 5 nodes in [0, 1]) gives a real scalar or
-    a real array of t's shape. Non-finite probe values pass: the solver
-    rejects them where they occur."""
+    names (attributes and names in nested code included) are all among t,
+    x, pi and the numpy functions in ``_EXPR_FUNCTIONS``, and one evaluation
+    on a probe (t and x float arrays of 5 nodes in [0, 1]) gives a real
+    scalar or a real array of t's shape. Integer literals become floats, so a power
+    overflows at once instead of growing a huge integer. Non-finite values
+    pass, silently: the solver rejects them where they occur."""
     try:
-        code = compile(body, "<rhs-expr>", "eval")
-    except (SyntaxError, ValueError) as exc:
+        tree = ast.parse(body, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                node.value = float(node.value)
+        code = compile(tree, "<rhs-expr>", "eval")
+    except (SyntaxError, ValueError, OverflowError) as exc:
         reason = exc.msg if isinstance(exc, SyntaxError) else str(exc)
         raise DomainError(f"expression {body!r} is not valid Python: {reason}") from exc
-    unknown = sorted(_code_names(code) - _EXPR_NAMES)
+    names = {getattr(node, "id", getattr(node, "attr", "")) for node in ast.walk(tree)}
+    unknown = sorted(names - _EXPR_NAMES - {""})
     if unknown:
         raise DomainError(f"expression {body!r} uses unknown name(s) "
                           f"{', '.join(unknown)}; allowed: {', '.join(sorted(_EXPR_NAMES))}")
@@ -211,12 +200,12 @@ def compile_rhs_expression(body: str) -> Callable:
         local = dict(namespace)
         local["t"] = np.asarray(t, dtype=float)
         local["x"] = np.asarray(x, dtype=float)
-        return eval(code, {"__builtins__": {}}, local)
+        with np.errstate(all="ignore"):
+            return eval(code, {"__builtins__": {}}, local)
 
     t = np.linspace(0.0, 1.0, 5)
     try:
-        with np.errstate(all="ignore"):
-            value = np.asarray(rhs(t, t[::-1]))
+        value = np.asarray(rhs(t, t[::-1]))
     except Exception as exc:  # any failure here would recur in the solver
         raise DomainError(f"expression {body!r} fails on arrays: "
                           f"{type(exc).__name__}: {exc}") from exc
@@ -224,26 +213,6 @@ def compile_rhs_expression(body: str) -> Callable:
         raise DomainError(f"expression {body!r} gives {value.dtype} of shape "
                           f"{value.shape}, not real values of t's shape")
     return rhs
-
-
-def rhs_by_name(spec: str) -> tuple[Callable, str]:
-    """Resolve an rhs selector: ``zero``, ``const:c``, ``pi2sin``,
-    ``sin_plus_one``, or the expression hook ``expr:<python in t, x>``."""
-    if spec == "zero":
-        return rhs_zero, "zero"
-    if spec == "pi2sin":
-        return rhs_pi2sin, "pi2sin"
-    if spec == "sin_plus_one":
-        return rhs_sin_plus_one, "sin_plus_one"
-    if spec.startswith("const:"):
-        try:
-            c = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise DomainError(f"bad constant in {spec!r}") from exc
-        return (lambda t, x, _c=c: np.full_like(np.asarray(t, dtype=float), _c)), spec
-    if spec.startswith("expr:"):
-        return compile_rhs_expression(spec.split(":", 1)[1]), spec
-    raise DomainError(f"unknown rhs {spec!r}")
 
 
 # --------------------------------------------------------------------------
@@ -280,16 +249,6 @@ def bvp_bundle(problem: BVPProblem) -> ContractionBundle:
         name="bvp_bundle")
 
 
-def bundle_by_name(name: str, problem: BVPProblem | None = None) -> ContractionBundle:
-    if name == "example31":
-        return example31_bundle()
-    if name == "bvp":
-        if problem is None:
-            raise DomainError("the bvp bundle needs a grid carrier and a problem definition")
-        return bvp_bundle(problem)
-    raise DomainError(f"unknown bundle {name!r}")
-
-
 # --------------------------------------------------------------------------
 # standard probe sets
 
@@ -318,9 +277,88 @@ def default_beta_probes(length: int = 200) -> list[np.ndarray]:
 
 
 # --------------------------------------------------------------------------
-# catalog listing
+# selector table and catalog listing
 
-_CATALOG = """\
+class Builtin(NamedTuple):
+    """One choice of a config selector field (see :func:`lookup` for the
+    selector forms); ``factory`` builds it from the argument strings, and
+    ``carrier`` is the one carrier it fits (None: either)."""
+
+    kind: str
+    selector: str
+    carrier: Optional[str]
+    factory: Callable
+    doc: str
+
+
+BUILTINS = (
+    Builtin("carrier", "interval", None, lambda: (scalar_metric, SCALAR_EPS), "reals, |x - y|"),
+    Builtin("carrier", "grid", None, lambda: (sup_metric, GRID_EPS), "grid functions, sup metric"),
+    Builtin("bundle", "example31", "interval", lambda problem: example31_bundle(),
+            "example31_bundle: example31 map, alpha_box, zeta1(8/9), beta_reciprocal, "
+            "cclass_a(0)"),
+    Builtin("bundle", "bvp", "grid", bvp_bundle,
+            "bvp_bundle: bvp operator, alpha_gate, zeta1(1/4), beta_constant(0.5), cclass_a(0)"),
+    Builtin("beta", "reciprocal", None, beta_reciprocal, "beta_reciprocal"),
+    Builtin("beta", "half", None, lambda: beta_constant(0.5), "beta_constant(0.5)"),
+    Builtin("beta", "<v>", None, beta_constant, "beta_constant(v), 0 <= v < 1"),
+    Builtin("order", "natural", "interval", lambda: natural_order, "alpha = [x <= y]"),
+    Builtin("order", "pointwise", "grid", lambda: pointwise_order, "alpha = [x <= y nodewise]"),
+    Builtin("map", "example31", None, lambda: example31_map, "x/3 on [0, 1], 3x elsewhere"),
+    Builtin("map", "affine:a:b", None, affine_map, "x -> a*x + b"),
+    Builtin("rhs", "zero", None, lambda: rhs_zero, "f = 0"),
+    Builtin("rhs", "const:c", None, rhs_const, "f = c"),
+    Builtin("rhs", "pi2sin", None, lambda: rhs_pi2sin, "f = pi^2 sin(pi t)"),
+    Builtin("rhs", "sin_plus_one", None, lambda: rhs_sin_plus_one, "f = sin(x) + 1"),
+    Builtin("rhs", "expr:body", None, compile_rhs_expression, "a Python expression in t and x"),
+)
+
+
+def _arguments(selector: str, spec: str) -> Optional[list[str]]:
+    """The argument strings ``spec`` gives the choice ``selector``, or None
+    when it names another choice."""
+    if selector.startswith("<"):
+        return [spec]
+    head, *params = selector.split(":")
+    prefix, colon, rest = spec.partition(":")
+    if prefix != head or bool(colon) != bool(params):
+        return None
+    values = rest.split(":", len(params) - 1) if params else []
+    if len(values) != len(params):
+        raise DomainError(f"{head} selector needs {selector!r}, got {spec!r}")
+    return values
+
+
+def lookup(kind: str, spec: str, carrier: Optional[str] = None) -> tuple[Builtin, list[str]]:
+    """The :data:`BUILTINS` entry of ``kind`` that ``spec`` selects, and its
+    argument strings. A selector is a name; ``head:p1:...``, selected by
+    ``head:`` and one argument per parameter; or ``<p>``, whose argument is
+    the whole spec. Raises :class:`DomainError` when no entry matches, or
+    when ``carrier`` is given and the entry fits only the other one."""
+    for entry in BUILTINS:
+        args = _arguments(entry.selector, spec) if entry.kind == kind else None
+        if args is not None:
+            break
+    else:
+        choices = ", ".join(e.selector for e in BUILTINS if e.kind == kind)
+        raise DomainError(f"unknown {kind} {spec!r} (choices: {choices})")
+    if carrier is not None and entry.carrier not in (None, carrier):
+        raise DomainError(f"the {spec} {kind} needs the {entry.carrier} carrier")
+    return entry, args
+
+
+def resolve(kind: str, spec: str, carrier: Optional[str] = None, *context):
+    """Build the choice :func:`lookup` finds from its arguments and
+    ``context`` (the BVP problem, for bundles); a rejected argument raises
+    :class:`DomainError`."""
+    entry, args = lookup(kind, spec, carrier)
+    try:
+        return entry.factory(*args, *context)
+    except ValueError as exc:
+        raise DomainError(f"{kind} {spec!r}: {exc}") from exc
+
+
+_FAMILIES = """\
 builtin catalog
 
 simulation functions
@@ -342,24 +380,19 @@ geraghty gains
 admissibility weights
   alpha_one            constant 1
   alpha_box(lo, hi)    indicator of [lo, hi]^2
-  order:natural        indicator of x <= y on reals
-  order:pointwise      indicator of nodewise <= on grid functions
   alpha_gate           gate-induced weight on grid functions
 
-mappings
-  example31            x/3 on [0, 1], 3x elsewhere
-  affine:a:b           x -> a*x + b
-  bvp operator         kernel-weighted quadrature of f(s, x(s))
-
-right-hand sides (solve-bvp)
-  zero | const:c | pi2sin | sin_plus_one | expr:<python in t, x>
-
-bundles
-  example31_bundle     example31 map, alpha_box, zeta1(8/9), beta_reciprocal, cclass_a(0)
-  bvp_bundle           bvp operator, alpha_gate, zeta1(1/4), beta_constant(0.5), cclass_a(0)
+config selectors, by field: carrier is [carrier] kind, bundle [bundle] name,
+beta [bundle] beta, order [order] name, map [iterate] map, rhs [bvp] rhs;
+[interval] or [grid] marks a choice that fits that carrier only
 """
 
 
 def catalog_text() -> str:
-    """Static text listing of every named builtin."""
-    return _CATALOG
+    """Listing of the builtin families and of every :data:`BUILTINS` choice."""
+    lines = _FAMILIES.splitlines()
+    for kind in dict.fromkeys(e.kind for e in BUILTINS):
+        lines.append(f"  {kind}")
+        lines += [f"    {e.selector:<14} {e.doc}" + (f"  [{e.carrier}]" if e.carrier else "")
+                  for e in BUILTINS if e.kind == kind]
+    return "\n".join(lines) + "\n"

@@ -18,13 +18,13 @@ import numpy as np
 from . import builtins as catalog
 from .bvp import BVPProblem, BVPSolution, check_operator_contraction, solve_bvp
 from .errors import DomainError
-from .framework import (GRID_EPS, SCALAR_EPS, ContractionBundle,
-                        check_alpha_admissible, check_cclass, check_geraghty,
+from .framework import (ContractionBundle, check_alpha_admissible,
+                        check_cclass, check_geraghty,
                         check_simulation_pointwise, check_simulation_sequences,
                         check_triangular_alpha, verify_contraction)
-from .metrics import save_grid_csv, scalar_metric, sup_metric
+from .metrics import save_grid_csv, scalar_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
-from .posets import alpha_from_order, order_by_name
+from .posets import alpha_from_order
 from .report import (CAVEAT, FAIL, VerificationReport, render_text,
                      write_report_csv)
 from .sampling import (mesh_pairs, positive_mesh_pairs, random_grid_pairs,
@@ -40,10 +40,6 @@ EXIT_VALIDATION = 4
 
 class ConfigError(ValueError):
     """Configuration problem, carrying the source line when known."""
-
-
-class ValidationError(ValueError):
-    """Consistent config that requests an impossible combination."""
 
 
 @dataclass
@@ -72,42 +68,48 @@ class RunConfig:
     order_name: Optional[str] = None
 
 
-def _convert(raw: str, kind: type, line: int, key: str):
+def _convert(raw: str, kind, where: str, key: str):
+    """``raw`` as a value of ``kind``: a type, or the kind of a selector in
+    the builtin table, resolved here so a bad choice names its line."""
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        if isinstance(kind, type):
+            return kind(raw)
+        if kind == "bundle":  # only looked up: its factory needs the problem
+            catalog.lookup(kind, raw)
+        else:
+            catalog.resolve(kind, raw)
         return raw
+    except DomainError as exc:
+        raise ConfigError(f"{where}: field {key!r}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"line {line}: field {key!r} needs a {kind.__name__}, "
+        raise ConfigError(f"{where}: field {key!r} needs a {kind.__name__}, "
                           f"got {raw!r}") from exc
 
 
-# (section, key) -> (RunConfig attribute, type)
+# (section, key) -> (RunConfig attribute, type or selector kind)
 _FIELDS = {
     ("", "mode"): ("mode", str),
     ("", "seed"): ("seed", int),
     ("", "out"): ("out", str),
-    ("carrier", "kind"): ("carrier_kind", str),
+    ("carrier", "kind"): ("carrier_kind", "carrier"),
     ("carrier", "low"): ("carrier_low", float),
     ("carrier", "high"): ("carrier_high", float),
-    ("bundle", "name"): ("bundle_name", str),
+    ("bundle", "name"): ("bundle_name", "bundle"),
     ("bundle", "lambda"): ("bundle_lambda", float),
     ("bundle", "k"): ("bundle_k", float),
     ("bundle", "r"): ("bundle_r", float),
-    ("bundle", "beta"): ("bundle_beta", str),
+    ("bundle", "beta"): ("bundle_beta", "beta"),
     ("verify", "pair_grid"): ("pair_grid", int),
     ("verify", "random_pairs"): ("random_pairs", int),
     ("picard", "tolerance"): ("tolerance", float),
     ("picard", "max_iterations"): ("max_iterations", int),
     ("picard", "divergence_bound"): ("divergence_bound", float),
-    ("iterate", "map"): ("map_spec", str),
+    ("iterate", "map"): ("map_spec", "map"),
     ("iterate", "start"): ("start", float),
-    ("bvp", "rhs"): ("rhs", str),
+    ("bvp", "rhs"): ("rhs", "rhs"),
     ("bvp", "n"): ("bvp_n", int),
     ("bvp", "tolerance"): ("bvp_tolerance", float),
-    ("order", "name"): ("order_name", str),
+    ("order", "name"): ("order_name", "order"),
 }
 
 _MODES = ("verify", "iterate", "solve-bvp")
@@ -144,13 +146,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             where = f"[{section}] " if section else ""
             raise ConfigError(f"{source}: line {lineno}: unknown field {where}{key!r}")
         attr, kind = field
-        value = _convert(raw_value, kind, lineno, key)
-        if attr == "rhs" and value.startswith("expr:"):
-            try:
-                catalog.compile_rhs_expression(value.split(":", 1)[1])
-            except DomainError as exc:
-                raise ConfigError(f"{source}: line {lineno}: field 'rhs': {exc}") from exc
-        setattr(config, attr, value)
+        setattr(config, attr, _convert(raw_value, kind, f"{source}: line {lineno}", key))
         if attr == "mode":
             saw_mode = True
     if not saw_mode:
@@ -183,40 +179,23 @@ def load_config(path: str | Path) -> RunConfig:
 # mode runners
 
 def _build_problem(config: RunConfig) -> BVPProblem:
-    rhs, rhs_name = catalog.rhs_by_name(config.rhs)
-    return BVPProblem(rhs=rhs, n=config.bvp_n, tolerance=config.bvp_tolerance,
-                      name=rhs_name)
+    return BVPProblem(rhs=catalog.resolve("rhs", config.rhs), n=config.bvp_n,
+                      tolerance=config.bvp_tolerance, name=config.rhs)
 
 
 def _build_bundle(config: RunConfig, problem: BVPProblem | None) -> ContractionBundle:
-    if config.bundle_name == "bvp" and config.carrier_kind != "grid":
-        raise ValidationError("the bvp bundle needs the grid carrier")
-    if config.bundle_name == "example31" and config.carrier_kind != "interval":
-        raise ValidationError("the example31 bundle needs the interval carrier")
-    bundle = catalog.bundle_by_name(config.bundle_name, problem)
+    carrier = config.carrier_kind
+    bundle = catalog.resolve("bundle", config.bundle_name, carrier, problem)
     if config.bundle_lambda is not None:
         bundle = replace(bundle, zeta=catalog.zeta1(config.bundle_lambda))
     if (config.bundle_k is None) != (config.bundle_r is None):
-        raise ValidationError("C-class overrides need both k and r")
+        raise DomainError("C-class overrides need both k and r")
     if config.bundle_k is not None:
         bundle = replace(bundle, g=catalog.cclass_c(config.bundle_k, config.bundle_r))
     if config.bundle_beta is not None:
-        if config.bundle_beta == "reciprocal":
-            beta = catalog.beta_reciprocal()
-        elif config.bundle_beta == "half":
-            beta = catalog.beta_constant(0.5)
-        else:
-            try:
-                beta = catalog.beta_constant(float(config.bundle_beta))
-            except ValueError as exc:
-                raise ValidationError(f"unknown beta choice {config.bundle_beta!r}") from exc
-        bundle = replace(bundle, beta=beta)
+        bundle = replace(bundle, beta=catalog.resolve("beta", config.bundle_beta))
     if config.order_name is not None:
-        order = order_by_name(config.order_name)
-        if config.carrier_kind == "grid" and order.name == "natural":
-            raise ValidationError("the natural order needs the interval carrier")
-        if config.carrier_kind == "interval" and order.name == "pointwise":
-            raise ValidationError("the pointwise order needs the grid carrier")
+        order = catalog.resolve("order", config.order_name, carrier)
         bundle = replace(bundle, alpha=alpha_from_order(order))
     return bundle
 
@@ -263,23 +242,18 @@ def _run_verify(config: RunConfig, out: Path, rng: np.random.Generator) -> int:
     beta_samples = [float(t) for t in axis] + [float(v) for v in rng.uniform(0.0, 10.0, 50)]
     probes_mode = bundle.zeta.sequence_axiom
 
+    metric, tol = catalog.resolve("carrier", config.carrier_kind)
     if config.carrier_kind == "interval":
-        metric = scalar_metric
-        tol = SCALAR_EPS
         pairs = (mesh_pairs(config.carrier_low, config.carrier_high, config.pair_grid)
                  + random_pairs(rng, config.random_pairs, config.carrier_low,
                                 config.carrier_high))
         triples = random_triples(rng, 200, config.carrier_low, config.carrier_high)
-    elif config.carrier_kind == "grid":
-        metric = sup_metric
-        tol = GRID_EPS
+    else:
         pairs = random_grid_pairs(rng, max(config.random_pairs, 10), config.bvp_n,
                                   config.carrier_low, config.carrier_high)
         functions = [p[0] for p in pairs] + [p[1] for p in pairs]
         triples = [(functions[3 * i], functions[3 * i + 1], functions[3 * i + 2])
                    for i in range(len(functions) // 3)]
-    else:
-        raise ValidationError(f"unknown carrier kind {config.carrier_kind!r}")
 
     reports = [
         check_simulation_pointwise(bundle.zeta, zeta_samples),
@@ -330,14 +304,14 @@ def _summary_rows(items: Sequence[tuple[str, str, str]]) -> list[list[str]]:
 
 
 def _run_iterate(config: RunConfig, out: Path) -> int:
-    mapping, map_name = catalog.map_by_name(config.map_spec)
+    mapping = catalog.resolve("map", config.map_spec)
     trace = picard_iterate(mapping, config.start, _picard_config(config), scalar_metric)
     write_trace_csv(out / "trace.csv", trace)
     converged = trace.termination == CONVERGED
     status = "pass" if converged else "fail"
     final_gap = trace.gaps[-1] if trace.gaps else 0.0
     header = _header_lines(config, [
-        f"map: {map_name}",
+        f"map: {config.map_spec}",
         f"start: {config.start!r}",
         f"termination: {trace.termination}",
         f"iterations: {trace.iterations}",
@@ -389,8 +363,8 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
             return _run_iterate(config, out)
         if config.mode == "solve-bvp":
             return _run_solve(config, out)
-        raise ValidationError(f"unknown mode {config.mode!r}")
-    except (ValidationError, DomainError, ValueError) as exc:
+        raise DomainError(f"unknown mode {config.mode!r}")
+    except ValueError as exc:  # DomainError included
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

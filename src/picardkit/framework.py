@@ -36,7 +36,7 @@ checked concurrently, and the reports merged with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -89,94 +89,73 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
                     dtype=float)
 
 
-def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
-    return np.isfinite(values) & (values >= 0.0)
-
-
 @dataclass(frozen=True)
-class GeraghtyBeta:
+class Family:
+    """A named member ``fn`` of one function family. A call returns a float
+    and raises :class:`DomainError` unless the value passes the family's
+    :meth:`valid` rule; :meth:`values` evaluates it on sample columns through
+    :func:`evaluate_block` under the same rule. The family's own axioms are
+    checked by the verifiers, not per call."""
+
+    fn: Callable
+    name: str = field(default="f", kw_only=True)
+    rule = "finite"
+    low = -math.inf  # the least valid value
+
+    def valid(self, values: np.ndarray) -> np.ndarray:
+        """The rule, elementwise: finite, and at least ``low``."""
+        return np.isfinite(values) & (values >= self.low)
+
+    def __call__(self, *args) -> float:
+        value = float(self.fn(*args))
+        if not (math.isfinite(value) and value >= self.low):
+            raise DomainError(f"{self.name}({', '.join(map(str, args))}) = {value!r} "
+                              f"is not {self.rule}")
+        return value
+
+    def values(self, *columns) -> np.ndarray:
+        """The member at every row of the aligned sample ``columns``."""
+        return np.asarray(evaluate_block(self.fn, self, *columns, valid=self.valid),
+                          dtype=float)
+
+
+class GeraghtyBeta(Family):
     """Gain function ``beta(t)`` for t >= 0, expected to take values in
     [0, 1). The range condition is verified by :func:`check_geraghty`, not
     enforced per call, so bundles with boundary violations still evaluate."""
 
-    fn: Callable[[float], float]
-    name: str = "beta"
 
-    def __call__(self, t: float) -> float:
-        value = float(self.fn(float(t)))
-        if not math.isfinite(value):
-            raise DomainError(f"{self.name}({t}) is not finite")
-        return value
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        """``beta`` at every entry of ``t``, through :func:`evaluate_block`."""
-        return evaluate_block(self.fn, self, t)
-
-
-@dataclass(frozen=True)
-class SimulationFunction:
+@dataclass(frozen=True, kw_only=True)
+class SimulationFunction(Family):
     """Two-argument function ``zeta(t, s)`` encoding a contraction
     inequality; ``sequence_axiom`` selects which limsup condition
     :func:`check_simulation_sequences` applies ("classic" accepts any
     equal-limit positive probes, "roldan" additionally requires t_n < s_n)."""
 
-    fn: Callable[[float, float], float]
-    name: str = "zeta"
     sequence_axiom: str = "classic"
 
     def __post_init__(self) -> None:
         if self.sequence_axiom not in ("classic", "roldan"):
             raise ValueError(f"unknown sequence axiom {self.sequence_axiom!r}")
 
-    def __call__(self, t: float, s: float) -> float:
-        value = float(self.fn(float(t), float(s)))
-        if not math.isfinite(value):
-            raise DomainError(f"{self.name}({t}, {s}) is not finite")
-        return value
 
-    def values(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """``zeta`` at every entry pair, through :func:`evaluate_block`."""
-        return evaluate_block(self.fn, self, t, s)
-
-
-@dataclass(frozen=True)
-class CClassFunction:
+@dataclass(frozen=True, kw_only=True)
+class CClassFunction(Family):
     """Function ``G(s, t)`` generalizing the subtraction ``s - t``, together
     with its benchmark constant ``c_g >= 0``."""
 
-    fn: Callable[[float, float], float]
     c_g: float = 0.0
-    name: str = "G"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.c_g) and self.c_g >= 0.0):
             raise ValueError(f"c_g must be a finite nonnegative real, got {self.c_g}")
 
-    def __call__(self, s: float, t: float) -> float:
-        value = float(self.fn(float(s), float(t)))
-        if not math.isfinite(value):
-            raise DomainError(f"{self.name}({s}, {t}) is not finite")
-        return value
 
-
-@dataclass(frozen=True)
-class AlphaFunction:
+class AlphaFunction(Family):
     """Nonnegative admissibility weight ``alpha(x, y)`` over the carrier."""
 
-    fn: Callable[[Point, Point], float]
-    name: str = "alpha"
-
-    def __call__(self, x: Point, y: Point) -> float:
-        value = float(self.fn(x, y))
-        if not math.isfinite(value) or value < 0.0:
-            raise DomainError(f"{self.name} must be finite and nonnegative, got {value}")
-        return value
-
-    def values(self, x, y) -> np.ndarray:
-        """``alpha`` at every row of the point columns ``x`` and ``y``,
-        through :func:`evaluate_block`."""
-        return np.asarray(evaluate_block(self.fn, self, x, y,
-                                         valid=_finite_nonnegative), dtype=float)
+    rule = "finite and nonnegative"
+    low = 0.0
 
 
 @dataclass(frozen=True)
@@ -201,15 +180,6 @@ class ContractionBundle:
             if name == check_name:
                 return note
         return None
-
-
-def max_displacement(T: PointMap, x: Point, y: Point, d: Metric) -> float:
-    """Displacement gauge ``max{d(x, y), d(x, Tx), d(y, Ty)}``.
-
-    Metric-level validation surfaces mapping outputs that leave the carrier
-    (wrong grid, non-finite values) as domain/dimension errors.
-    """
-    return max(d(x, y), d(x, T(x)), d(y, T(y)))
 
 
 def _tail(length: int, min_tail: int = MIN_TAIL) -> int:

@@ -15,7 +15,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DomainError
 from .framework import AlphaFunction, SCALAR_EPS
 from .metrics import Metric, Point, PointMap
 from .report import Witness, VerificationReport, make_report
@@ -43,14 +42,6 @@ natural_order = PartialOrder(
 pointwise_order = PartialOrder(
     lambda x, y: np.all(np.asarray(x, dtype=float) <= np.asarray(y, dtype=float), axis=-1),
     name="pointwise")
-
-
-def order_by_name(name: str) -> PartialOrder:
-    if name == "natural":
-        return natural_order
-    if name == "pointwise":
-        return pointwise_order
-    raise DomainError(f"unknown order {name!r} (expected 'natural' or 'pointwise')")
 
 
 def alpha_from_order(order: PartialOrder) -> AlphaFunction:

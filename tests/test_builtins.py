@@ -4,10 +4,10 @@ parsing."""
 import numpy as np
 import pytest
 
-from picardkit import DomainError
-from picardkit.builtins import (beta_constant, catalog_text, cclass_c,
+from picardkit import BVPProblem, DomainError
+from picardkit.builtins import (BUILTINS, beta_constant, catalog_text, cclass_c,
                                 default_beta_probes, default_sequence_probes,
-                                example31_map, map_by_name, rhs_by_name, zeta1)
+                                example31_map, resolve, rhs_zero, zeta1)
 
 
 class TestCatalogListing:
@@ -19,6 +19,54 @@ class TestCatalogListing:
 
     def test_contains_reference_bundle(self):
         assert "example31_bundle" in catalog_text()
+
+
+def _listed_selectors(text):
+    """(kind, selector) of every choice line in the selector part of the
+    listing: a kind header indented by 2, its choices by 4."""
+    listed, kind = [], None
+    for line in text.split("config selectors", 1)[1].splitlines():
+        if line.startswith("    "):
+            listed.append((kind, line.split()[0]))
+        elif line.startswith("  "):
+            kind = line.strip()
+    return listed
+
+
+def _sample(selector):
+    """A spec that selects ``selector``, with 0.5 for every argument."""
+    if selector.startswith("<"):
+        return "0.5"
+    head, *params = selector.split(":")
+    return ":".join([head] + ["0.5"] * len(params))
+
+
+class TestSelectorTable:
+    def test_every_entry_is_listed(self):
+        text = catalog_text()
+        for entry in BUILTINS:
+            assert f"    {entry.selector:<14} {entry.doc}" in text
+        assert sorted(_listed_selectors(text)) == sorted((e.kind, e.selector) for e in BUILTINS)
+
+    def test_every_listed_selector_resolves(self):
+        problem = BVPProblem(rhs=rhs_zero, n=10)
+        for kind, selector in _listed_selectors(catalog_text()):
+            context = (problem,) if kind == "bundle" else ()
+            assert resolve(kind, _sample(selector), None, *context) is not None
+
+    @pytest.mark.parametrize("kind, spec", [
+        ("bundle", "nope"), ("map", "affine"), ("map", "example31:1"),
+        ("rhs", "expr"), ("order", "lexicographic"), ("carrier", "cube"),
+        ("beta", "often"), ("colour", "red"),
+    ])
+    def test_names_outside_the_table_raise(self, kind, spec):
+        with pytest.raises(DomainError):
+            resolve(kind, spec)
+
+    def test_carrier_mismatch_raises(self):
+        with pytest.raises(DomainError, match="needs the interval carrier"):
+            resolve("order", "natural", "grid")
+        assert resolve("map", "example31", "grid") is example31_map
 
 
 class TestParameterValidation:
@@ -44,28 +92,28 @@ class TestSelectors:
         assert example31_map(0.9) == pytest.approx(0.3)
         assert example31_map(2.0) == 6.0
 
-    def test_map_by_name(self):
-        mapping, name = map_by_name("affine:3:0")
-        assert mapping(2.0) == 6.0 and name == "affine:3:0"
+    def test_map_selectors(self):
+        mapping = resolve("map", "affine:3:0")
+        assert mapping(2.0) == 6.0
         with pytest.raises(DomainError):
-            map_by_name("spiral")
+            resolve("map", "spiral")
         with pytest.raises(DomainError):
-            map_by_name("affine:1")
+            resolve("map", "affine:1")
 
     def test_rhs_selectors(self):
-        zero, _ = rhs_by_name("zero")
+        zero = resolve("rhs", "zero")
         assert np.array_equal(zero(np.linspace(0, 1, 5), np.zeros(5)), np.zeros(5))
-        const, _ = rhs_by_name("const:2.5")
+        const = resolve("rhs", "const:2.5")
         assert np.array_equal(const(np.zeros(3), np.zeros(3)), np.full(3, 2.5))
-        pi2sin, _ = rhs_by_name("pi2sin")
+        pi2sin = resolve("rhs", "pi2sin")
         assert pi2sin(np.array([0.5]), np.zeros(1))[0] == pytest.approx(np.pi ** 2)
         with pytest.raises(DomainError):
-            rhs_by_name("const:x")
+            resolve("rhs", "const:x")
         with pytest.raises(DomainError):
-            rhs_by_name("mystery")
+            resolve("rhs", "mystery")
 
     def test_expression_hook(self):
-        rhs, _ = rhs_by_name("expr:sin(x) + t")
+        rhs = resolve("rhs", "expr:sin(x) + t")
         t = np.array([0.0, 0.5])
         x = np.array([0.0, np.pi / 2.0])
         out = rhs(t, x)

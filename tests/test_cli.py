@@ -129,10 +129,48 @@ class TestConfigParsing:
         config = parse_config(f"mode = solve-bvp\n[bvp]\nrhs = expr:{body}\n")
         assert config.rhs == f"expr:{body}"
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_non_finite_rhs_expression_is_left_to_the_solver(self, tmp_path):
         path = write_cfg(tmp_path, "mode = solve-bvp\n[bvp]\nrhs = expr:1/x\nn = 10\n")
-        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        done = _run_python(["-m", "picardkit", "--config", str(path),
+                            "--out", str(tmp_path / "out")])
+        assert done.returncode == EXIT_VALIDATION
+        # numpy's divide-by-zero warning stays inside the rhs
+        assert done.stderr == "validation error: rhs produced non-finite values on the grid\n"
+
+    def test_huge_integer_power_fails_fast(self, tmp_path):
+        # integer literals are floats, so 9**9**9 overflows instead of
+        # computing a 370-million-digit integer
+        path = write_cfg(tmp_path, "mode = solve-bvp\n[bvp]\nrhs = expr:9**9**9 + x\n")
+        done = _run_python(["-m", "picardkit", "--config", str(path),
+                            "--out", str(tmp_path / "out")], timeout=30)
+        assert done.returncode == EXIT_USAGE
+        assert "line 3: field 'rhs'" in done.stderr and "OverflowError" in done.stderr
+
+    @pytest.mark.parametrize("section, line, status, message", [
+        # a selector no table entry matches, or whose argument is rejected:
+        # a config error naming the line and the field
+        ("[bundle]", "name = nope", EXIT_USAGE, "unknown bundle 'nope'"),
+        ("[iterate]", "map = spiral", EXIT_USAGE, "unknown map 'spiral'"),
+        ("[order]", "name = lexicographic", EXIT_USAGE, "unknown order 'lexicographic'"),
+        ("[bvp]", "rhs = const:x", EXIT_USAGE, "rhs 'const:x'"),
+        ("[bvp]", "rhs = mystery", EXIT_USAGE, "unknown rhs 'mystery'"),
+        ("[bundle]", "beta = 1.5", EXIT_USAGE,
+         "beta '1.5': constant beta needs a value in [0, 1), got 1.5"),
+        ("[carrier]", "kind = cube", EXIT_USAGE, "unknown carrier 'cube'"),
+        # valid choices that do not fit together: a validation error
+        ("[bundle]", "name = bvp", EXIT_VALIDATION, "the bvp bundle needs the grid carrier"),
+        ("[order]", "name = pointwise", EXIT_VALIDATION,
+         "the pointwise order needs the grid carrier"),
+        ("[bundle]", "k = 2.0", EXIT_VALIDATION, "C-class overrides need both k and r"),
+    ])
+    def test_selector_fields(self, tmp_path, capsys, section, line, status, message):
+        path = write_cfg(tmp_path, f"{VERIFY_CFG}{section}\n{line}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == status
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if status == EXIT_USAGE:
+            lineno, key = VERIFY_CFG.count("\n") + 2, line.split(" = ")[0]
+            assert f"line {lineno}: field '{key}'" in err
 
 
 class TestVerifyMode:
@@ -350,14 +388,20 @@ n = 20
 ITERATE_CFG = "mode = iterate\n[iterate]\nmap = example31\nstart = 1.0\n"
 
 
-def _run_fresh_python(code):
-    """Run ``code`` in a new interpreter that imports this picardkit; fail
-    the test with its stderr if it exits nonzero."""
+def _run_python(args, timeout=120):
+    """Run a new interpreter with ``args`` that imports this picardkit;
+    returns the completed process."""
     env = dict(os.environ)
     src = str(Path(picardkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def _run_fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this picardkit; fail
+    the test with its stderr if it exits nonzero."""
+    done = _run_python(["-c", textwrap.dedent(code)])
     assert done.returncode == 0, done.stderr
 
 

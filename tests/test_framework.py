@@ -16,7 +16,7 @@ from picardkit import (SCALAR_EPS, AlphaFunction, BVPProblem, CClassFunction,
                        SimulationFunction, alpha_from_order,
                        check_alpha_admissible, check_cclass, check_geraghty,
                        check_simulation_pointwise, check_simulation_sequences,
-                       check_triangular_alpha, max_displacement, merge_reports,
+                       check_triangular_alpha, merge_reports,
                        natural_order, pointwise_order, scalar_metric,
                        sup_metric, verify_contraction)
 from picardkit.builtins import (alpha_box, alpha_from_gate, alpha_one,
@@ -27,6 +27,12 @@ from picardkit.framework import CHUNK
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS,
                               VerificationReport, Witness, make_report)
 from picardkit.sampling import mesh_pairs, probe_pair, random_pairs, seeded_rng
+
+
+def max_displacement(T, x, y, d):
+    """Displacement gauge ``max{d(x, y), d(x, Tx), d(y, Ty)}``, one pair at a
+    time: the reference for the gauge the block verifier computes."""
+    return max(d(x, y), d(x, T(x)), d(y, T(y)))
 
 
 class TestMaxDisplacement:
@@ -265,6 +271,29 @@ class TestVerifyContraction:
             m = max_displacement(bundle.mapping, x, y, scalar_metric)
             lhs = bundle.alpha(x, y) * scalar_metric(bundle.mapping(x), bundle.mapping(y))
             assert lhs < bundle.beta(m) * m + 1e-9
+
+
+class TestFamilies:
+    def test_fields_after_fn_are_keyword_only(self):
+        # a positional c_g would otherwise bind name silently
+        with pytest.raises(TypeError):
+            CClassFunction(lambda s, t: s - t, 0.5)
+        with pytest.raises(TypeError):
+            SimulationFunction(lambda t, s: s - t, "zeta", "roldan")
+        g = CClassFunction(lambda s, t: s - t, c_g=0.5, name="shifted")
+        assert (g.name, g.c_g, g(2.0, 0.5)) == ("shifted", 0.5, 1.5)
+
+    def test_validity_rule_per_family(self):
+        # every family rejects non-finite values; alpha also negative ones
+        with pytest.raises(DomainError, match="is not finite"):
+            GeraghtyBeta(lambda t: math.inf)(1.0)
+        assert SimulationFunction(lambda t, s: -1.0)(0.0, 0.0) == -1.0
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            AlphaFunction(lambda x, y: -1.0)(0.0, 0.0)
+        alpha = AlphaFunction(lambda x, y: x - y)
+        valid = alpha.valid(np.array([0.0, 1.0, -1.0, np.nan]))
+        assert valid.tolist() == [True, True, False, False]
+        assert alpha.values(np.array([2.0, 3.0]), np.array([1.0, 1.0])).tolist() == [1.0, 2.0]
 
 
 class TestReportMechanics:

@@ -7,8 +7,9 @@ import pytest
 from picardkit import (alpha_from_order, check_alpha_admissible,
                        check_increasing, check_initial_point,
                        check_order_axioms, check_triangular_alpha,
-                       natural_order, nodes, order_by_name, pointwise_order,
+                       natural_order, nodes, pointwise_order,
                        scalar_metric, sup_metric)
+from picardkit.builtins import resolve
 from picardkit.errors import DomainError
 from picardkit.sampling import mesh_pairs, seeded_rng
 
@@ -29,10 +30,10 @@ class TestInducedAlpha:
         assert alpha(crossing, zero) == 0.0  # not comparable
 
     def test_order_lookup(self):
-        assert order_by_name("natural") is natural_order
-        assert order_by_name("pointwise") is pointwise_order
+        assert resolve("order", "natural") is natural_order
+        assert resolve("order", "pointwise") is pointwise_order
         with pytest.raises(DomainError):
-            order_by_name("lexicographic")
+            resolve("order", "lexicographic")
 
     def test_induced_alpha_is_triangular(self):
         # transitivity of the order transfers to the indicator implication
