@@ -1,29 +1,22 @@
 """Two-point boundary-value solver for ``-x'' = f(t, x)`` on [0, 1] with
 homogeneous Dirichlet data, via Picard iteration on the equivalent integral
-equation
-
-    x(t) = integral_0^1 G(t, s) f(s, x(s)) ds,
-
-where ``G`` is the triangular kernel ``min(t, s) * (1 - max(t, s))``. The
-kernel annihilates the boundary, so the solver's boundary values are exactly
-zero by construction.
-
-Quadrature is composite Simpson on the solution grid itself, split at the
-kernel's diagonal kink so each panel is smooth. Panels with an odd number of
-subintervals close with a 3/8 block on the kink side; the one-subinterval
-panels next to the boundary use a 3-point Newton-Cotes rule evaluated on the
-smooth kernel *branch* (the kink lives in the kernel alone, so the branch
-formula extends smoothly past the panel). Every rule is exact on linear
-integrands, so the row sums of the discrete operator reproduce the
-closed-form kernel row integral ``t(1 - t)/2`` to rounding error, whose
-maximum 1/8 is the operator's contraction constant.
+equation ``x(t) = int_0^1 G(t, s) f(s, x(s)) ds``. The triangular kernel
+``G(t, s) = min(t, s) * (1 - max(t, s))`` annihilates the boundary, so the
+solver's boundary values are exactly zero by construction.
 
 The kernel is semiseparable, ``x(t) = (1 - t) int_0^t s f + t int_t^1
-(1 - s) f``, so the whole split rule is evaluated as two prefix sums, one
-forward and one over the reversed grid, without forming the
-``(n + 1) x (n + 1)`` quadrature matrix: each operator apply takes O(n) time
-and memory, and no BLAS call is involved, so the BLAS thread count does not
-affect the solver.
+(1 - s) f``, so a quadrature on the solution grid is two prefix sums, one
+forward and one over the reversed grid: each operator apply takes O(n) time
+and memory, forms no ``(n + 1) x (n + 1)`` matrix and makes no BLAS call.
+The solver's rule is composite Simpson split at the kernel's diagonal kink
+(4th order). Panels with an odd number of subintervals close with a 3/8
+block on the kink side; the one-subinterval panels next to the boundary use
+a 3-point Newton-Cotes rule on the smooth kernel *branch*. Every rule is
+exact on linear integrands, so the row sums of the discrete operator
+reproduce the kernel row integral ``t(1 - t)/2``, whose maximum 1/8 is the
+operator's contraction constant. The finite-difference cross-check is the
+trapezoid rule on the same kernel (2nd order), which is exactly the inverse
+of the central-difference matrix.
 """
 
 from __future__ import annotations
@@ -98,20 +91,27 @@ def _split_simpson_prefix(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_quadrature(ts: np.ndarray, complement: np.ndarray,
-                       f: np.ndarray) -> np.ndarray:
-    """Split-Simpson quadrature of ``G(t_i, s) f(s)`` over s at every node.
+def _trapezoid_prefix(g: np.ndarray) -> np.ndarray:
+    """Entry i is the trapezoid quadrature (unit spacing) of ``g`` over
+    nodes ``0..i``. In :func:`_kernel_quadrature` the two half endpoint
+    weights at node i add up to the one diagonal term ``G(t_i, t_i) f_i``
+    that the forward and reversed sums would otherwise count twice."""
+    return np.cumsum(g) - 0.5 * (g[0] + g)
 
-    The kernel is semiseparable, ``x(t) = (1 - t) int_0^t s f + t int_t^1
-    (1 - s) f``, so each smooth panel [0, t_i] and [t_i, 1] is a prefix sum:
-    the lower one runs forward over ``s f``, the upper one runs the same
-    rule over the reversed ``(1 - s) f``, which puts its 3/8 blocks on the
-    kink side and its edge rule at i = n - 1. ``complement`` is ``1 - ts``.
-    O(n) time and memory.
+
+def _kernel_quadrature(ts: np.ndarray, complement: np.ndarray, f: np.ndarray,
+                       prefix: Callable = _split_simpson_prefix) -> np.ndarray:
+    """Quadrature of ``G(t_i, s) f(s)`` over s at every node by the prefix
+    rule ``prefix`` (split Simpson, or the trapezoid), in O(n) time and memory.
+
+    Each smooth panel [0, t_i] and [t_i, 1] is a prefix sum: the lower one
+    runs forward over ``s f``, the upper one runs the same rule over the
+    reversed ``(1 - s) f``, which puts split Simpson's 3/8 blocks on the kink
+    side and its edge rule at i = n - 1. ``complement`` is ``1 - ts``.
     """
     h = 1.0 / (ts.size - 1)
-    lower = _split_simpson_prefix(ts * f)
-    upper = _split_simpson_prefix((complement * f)[::-1])[::-1]
+    lower = prefix(ts * f)
+    upper = prefix((complement * f)[::-1])[::-1]
     return h * (complement * lower + ts * upper)
 
 
@@ -368,28 +368,18 @@ def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
 def finite_difference_solve(problem: BVPProblem, damping: float = 0.8,
                             tol: float = 1e-12,
                             max_iterations: int = 400) -> np.ndarray:
-    """Independent reference route: second-order central differences with a
-    damped fixed-point iteration on the nonlinear system. Used to
-    cross-check :func:`solve_bvp`; raises :class:`OracleError` when the
+    """Reference route: central differences (2nd order) with a damped
+    fixed-point iteration on the nonlinear system, to cross-check
+    :func:`solve_bvp`. On the interior nodes ``(1/h^2) tridiag(-1, 2, -1)``
+    has the exact inverse ``h G(t_i, t_j)``, so each sweep is the trapezoid
+    rule of :func:`_kernel_quadrature`. Raises :class:`OracleError` when the
     iteration fails to converge."""
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    # scipy is imported here, not at module level: this oracle is its only
-    # user, and loading it would more than double the package's import time
-    from scipy.linalg import solve_banded
-
-    n = problem.n
-    h = 1.0 / n
-    interior = n - 1
-    banded = np.zeros((3, interior))
-    banded[0, 1:] = -1.0 / (h * h)
-    banded[1, :] = 2.0 / (h * h)
-    banded[2, :-1] = -1.0 / (h * h)
-    x = np.zeros(n + 1)
+    x = np.zeros(problem.n + 1)
     for _ in range(max_iterations):
-        f_vals = problem.rhs_values(x)[1:-1]
-        solved = np.zeros(n + 1)
-        solved[1:-1] = solve_banded((1, 1), banded, f_vals)
+        solved = _kernel_quadrature(problem.nodes, problem._complement,
+                                    problem.rhs_values(x), _trapezoid_prefix)
         x_next = (1.0 - damping) * x + damping * solved
         step = float(np.max(np.abs(x_next - x)))
         x = x_next

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -230,6 +231,12 @@ def _rows_with_caveats(reports: Sequence[VerificationReport],
 
 
 def _run_verify(config: RunConfig, out: Path, rng: np.random.Generator) -> int:
+    low, high = config.carrier_low, config.carrier_high
+    for key, value in (("low", low), ("high", high)):
+        if not math.isfinite(value):
+            raise DomainError(f"[carrier] {key} must be finite, got {value!r}")
+    if low > high:
+        raise DomainError(f"[carrier] low = {low!r} exceeds high = {high!r}")
     problem = _build_problem(config) if config.carrier_kind == "grid" else None
     bundle = _build_bundle(config, problem)
 
@@ -244,13 +251,12 @@ def _run_verify(config: RunConfig, out: Path, rng: np.random.Generator) -> int:
 
     metric, tol = catalog.resolve("carrier", config.carrier_kind)
     if config.carrier_kind == "interval":
-        pairs = (mesh_pairs(config.carrier_low, config.carrier_high, config.pair_grid)
-                 + random_pairs(rng, config.random_pairs, config.carrier_low,
-                                config.carrier_high))
-        triples = random_triples(rng, 200, config.carrier_low, config.carrier_high)
+        pairs = (mesh_pairs(low, high, config.pair_grid)
+                 + random_pairs(rng, config.random_pairs, low, high))
+        triples = random_triples(rng, 200, low, high)
     else:
         pairs = random_grid_pairs(rng, max(config.random_pairs, 10), config.bvp_n,
-                                  config.carrier_low, config.carrier_high)
+                                  low, high)
         functions = [p[0] for p in pairs] + [p[1] for p in pairs]
         triples = [(functions[3 * i], functions[3 * i + 1], functions[3 * i + 2])
                    for i in range(len(functions) // 3)]
@@ -354,7 +360,11 @@ def _run_solve(config: RunConfig, out: Path) -> int:
 def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
     """Execute one configured run; returns the process exit status."""
     out = Path(out_dir if out_dir is not None else config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rng = seeded_rng(config.seed)
     try:
         if config.mode == "verify":

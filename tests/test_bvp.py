@@ -1,22 +1,23 @@
 """Boundary-value solver: the matrix-free operator against a dense reference
-matrix, kernel facts, quadrature identities, operator behavior against
-closed forms and a fine independent quadrature, the Picard solve against a
-finite-difference oracle, and the gate predicates."""
+matrix, kernel facts, quadrature identities, operator behavior and
+convergence orders against closed forms, the Picard solve against a
+finite-difference oracle, that oracle against a dense tridiagonal solve, and
+the gate predicates."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
-from picardkit import (BVPProblem, DomainError, PicardConfig,
+from picardkit import (BVPProblem, DomainError, OracleError, PicardConfig,
                        check_gate_limit, check_gate_propagation,
                        check_operator_contraction,
                        check_rhs_displacement_bound, finite_difference_solve,
                        gate_accepts_start, green_kernel, green_row_integral,
                        integral_operator, nodes, row_integral_quadrature,
                        solve_bvp, sup_metric)
-from picardkit.builtins import rhs_pi2sin, rhs_sin_plus_one, rhs_zero
+from picardkit.builtins import (resolve, rhs_pi2sin, rhs_sin_plus_one,
+                                rhs_zero)
 from picardkit.sampling import random_grid_pairs, seeded_rng
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -164,15 +165,14 @@ class TestRowIntegral:
         assert int(np.argmax(values)) == 50
 
     def test_quadrature_of_smooth_product_is_fourth_order(self):
-        # independent oracle: adaptive quadrature of G(t, .) * pi^2 sin(pi .)
-        problem = BVPProblem(rhs=rhs_pi2sin, n=100)
-        ts = problem.nodes
-        applied = integral_operator(problem, np.zeros(101))
-        for i in (1, 7, 50, 93, 99):
-            oracle, _ = quad(
-                lambda s, t=ts[i]: green_kernel(t, s) * np.pi ** 2 * np.sin(np.pi * s),
-                0.0, 1.0, points=[ts[i]], limit=200)
-            assert float(applied[i]) == pytest.approx(oracle, abs=1e-6)
+        # closed form: int_0^1 G(t, s) pi^2 sin(pi s) ds = sin(pi t); each
+        # halving of h must cut the sup error by ~16
+        errors = []
+        for n in (50, 100, 200):
+            problem = BVPProblem(rhs=rhs_pi2sin, n=n)
+            applied = integral_operator(problem, np.zeros(n + 1))
+            errors.append(float(np.max(np.abs(applied - np.sin(np.pi * problem.nodes)))))
+        assert errors[0] / errors[1] >= 15.0 and errors[1] / errors[2] >= 15.0
 
 
 class TestIntegralOperator:
@@ -295,6 +295,35 @@ class TestFiniteDifferenceOracle:
         problem = BVPProblem(rhs=rhs_zero, n=10)
         with pytest.raises(ValueError):
             finite_difference_solve(problem, damping=0.0)
+
+    @pytest.mark.parametrize("rhs", ["pi2sin", "const:2.5"])
+    def test_matches_dense_central_differences(self, rhs):
+        # the definition of the route: for an x-independent rhs the answer
+        # is the solve of (1/h^2) tridiag(-1, 2, -1) x = f on interior nodes
+        for n in range(2, 61, 2):
+            problem = BVPProblem(rhs=resolve("rhs", rhs), n=n)
+            h = 1.0 / n
+            matrix = (2.0 * np.eye(n - 1) - np.eye(n - 1, k=1)
+                      - np.eye(n - 1, k=-1)) / (h * h)
+            dense = np.zeros(n + 1)
+            dense[1:-1] = np.linalg.solve(matrix, problem.rhs_values(dense)[1:-1])
+            x = finite_difference_solve(problem)
+            assert float(np.max(np.abs(x - dense))) <= 1e-11, n
+
+    def test_second_order(self):
+        # exact solution sin(pi t): each halving of h cuts the error by ~4
+        errors = []
+        for n in (50, 100, 200):
+            problem = BVPProblem(rhs=rhs_pi2sin, n=n)
+            x = finite_difference_solve(problem)
+            errors.append(float(np.max(np.abs(x - np.sin(np.pi * problem.nodes)))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    def test_too_few_sweeps_raise(self):
+        problem = BVPProblem(rhs=rhs_sin_plus_one, n=100)
+        with pytest.raises(OracleError, match="did not reach 1e-12 within 2 sweeps"):
+            finite_difference_solve(problem, max_iterations=2)
 
 
 class TestRhsDisplacementBound:

@@ -162,6 +162,12 @@ class TestConfigParsing:
         ("[order]", "name = pointwise", EXIT_VALIDATION,
          "the pointwise order needs the grid carrier"),
         ("[bundle]", "k = 2.0", EXIT_VALIDATION, "C-class overrides need both k and r"),
+        # carrier bounds numpy cannot sample between: a validation error
+        # naming the field, on either carrier (the check precedes the split)
+        ("[carrier]", "low = nan", EXIT_VALIDATION, "[carrier] low must be finite, got nan"),
+        ("[carrier]", "high = inf", EXIT_VALIDATION, "[carrier] high must be finite, got inf"),
+        ("[carrier]", "low = 3.5", EXIT_VALIDATION,
+         "[carrier] low = 3.5 exceeds high = 3.0"),
     ])
     def test_selector_fields(self, tmp_path, capsys, section, line, status, message):
         path = write_cfg(tmp_path, f"{VERIFY_CFG}{section}\n{line}\n")
@@ -171,6 +177,15 @@ class TestConfigParsing:
         if status == EXIT_USAGE:
             lineno, key = VERIFY_CFG.count("\n") + 2, line.split(" = ")[0]
             assert f"line {lineno}: field '{key}'" in err
+
+    def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        path = write_cfg(tmp_path, SOLVE_CFG)
+        assert main(["--config", str(path), "--out", str(blocker / "sub")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {blocker / 'sub'}")
+        assert "Traceback" not in err
 
 
 class TestVerifyMode:
@@ -406,8 +421,9 @@ def _run_fresh_python(code):
 
 
 class TestColdStart:
-    """scipy is loaded only by the finite-difference oracle, so importing the
-    package and every CLI mode run on numpy and the standard library alone."""
+    """picardkit needs numpy and the standard library alone: importing the
+    package, every CLI mode and the finite-difference oracle load no scipy
+    module."""
 
     @pytest.mark.parametrize("cfg", [None, "--list-builtins", VERIFY_CFG,
                                      GRID_VERIFY_CFG, SOLVE_CFG, ITERATE_CFG],
@@ -426,16 +442,15 @@ class TestColdStart:
             assert not loaded, loaded
             """)
 
-    def test_finite_difference_solve_loads_scipy_on_first_call(self):
+    def test_finite_difference_solve_runs_without_scipy(self):
         _run_fresh_python("""
             import sys
+            sys.modules["scipy"] = None  # any scipy import now fails
             import numpy as np
             from picardkit import BVPProblem, finite_difference_solve
             from picardkit.builtins import rhs_pi2sin
-            assert "scipy.linalg" not in sys.modules
             x = finite_difference_solve(BVPProblem(rhs=rhs_pi2sin, n=40))
             assert np.max(np.abs(x - np.sin(np.pi * np.linspace(0.0, 1.0, 41)))) <= 1e-3
-            assert "scipy.linalg" in sys.modules
             """)
 
 
