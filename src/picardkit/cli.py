@@ -28,9 +28,8 @@ from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 from .posets import alpha_from_order
 from .report import (CAVEAT, FAIL, VerificationReport, render_text,
                      write_report_csv)
-from .sampling import (mesh_pairs, positive_mesh_pairs, random_grid_pairs,
-                       random_pairs, random_positive_pairs, random_triples,
-                       seeded_rng)
+from .sampling import (mesh_array, positive_mesh_pairs, random_grid_pairs,
+                       random_positive_pairs, seeded_rng, uniform_array)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -70,9 +69,15 @@ class RunConfig:
 
 
 def _convert(raw: str, kind, where: str, key: str):
-    """``raw`` as a value of ``kind``: a type, or the kind of a selector in
-    the builtin table, resolved here so a bad choice names its line."""
+    """``raw`` as a value of ``kind``: a type, ``"count"`` (a nonnegative
+    int), or the kind of a selector in the builtin table, resolved here so a
+    bad choice names its line."""
     try:
+        if kind == "count":
+            value = int(raw)
+            if value < 0:
+                raise ValueError(raw)
+            return value
         if isinstance(kind, type):
             return kind(raw)
         if kind == "bundle":  # only looked up: its factory needs the problem
@@ -83,7 +88,8 @@ def _convert(raw: str, kind, where: str, key: str):
     except DomainError as exc:
         raise ConfigError(f"{where}: field {key!r}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"{where}: field {key!r} needs a {kind.__name__}, "
+        wanted = "nonnegative int" if kind == "count" else kind.__name__
+        raise ConfigError(f"{where}: field {key!r} needs a {wanted}, "
                           f"got {raw!r}") from exc
 
 
@@ -100,8 +106,8 @@ _FIELDS = {
     ("bundle", "k"): ("bundle_k", float),
     ("bundle", "r"): ("bundle_r", float),
     ("bundle", "beta"): ("bundle_beta", "beta"),
-    ("verify", "pair_grid"): ("pair_grid", int),
-    ("verify", "random_pairs"): ("random_pairs", int),
+    ("verify", "pair_grid"): ("pair_grid", "count"),
+    ("verify", "random_pairs"): ("random_pairs", "count"),
     ("picard", "tolerance"): ("tolerance", float),
     ("picard", "max_iterations"): ("max_iterations", int),
     ("picard", "divergence_bound"): ("divergence_bound", float),
@@ -251,9 +257,9 @@ def _run_verify(config: RunConfig, out: Path, rng: np.random.Generator) -> int:
 
     metric, tol = catalog.resolve("carrier", config.carrier_kind)
     if config.carrier_kind == "interval":
-        pairs = (mesh_pairs(low, high, config.pair_grid)
-                 + random_pairs(rng, config.random_pairs, low, high))
-        triples = random_triples(rng, 200, low, high)
+        pairs = np.concatenate([mesh_array(low, high, config.pair_grid),
+                                uniform_array(rng, config.random_pairs, low, high, 2)])
+        triples = uniform_array(rng, 200, low, high, 3)
     else:
         pairs = random_grid_pairs(rng, max(config.random_pairs, 10), config.bvp_n,
                                   low, high)

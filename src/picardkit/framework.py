@@ -20,13 +20,16 @@ The family members carry their own side conditions:
   one application of the mapping.
 
 Pointwise conditions are checked exactly on the supplied samples, up to a
-strictness epsilon. The master inequality and the two alpha checks read
-their samples in chunks (:data:`CHUNK` samples of reals, or as many grid
-functions as hold about that many node values) and evaluate each callable
-once per chunk through :func:`evaluate_block`: family callables may
+strictness epsilon. The master inequality and the two alpha checks take
+their samples as an (N, k) float array, or as tuples of reals or of grid
+functions. They read them in chunks (:data:`CHUNK` samples of reals, or as
+many grid functions as hold about that many node values) and evaluate each
+callable once per chunk through :func:`evaluate_block`: family callables may
 broadcast elementwise over arrays of real samples, and callables that do not
 are evaluated per sample, with the same results. Grid functions are always
-passed one at a time. Limit-style conditions are *falsification* checks: a
+passed one at a time. Their failing rows stay columns
+(:class:`picardkit.report.FailingRows`), and a report builds a witness only
+when a caller reaches it. Limit-style conditions are *falsification* checks: a
 pass means "no counterexample found on the supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
 checked concurrently, and the reports merged with
@@ -37,14 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .metrics import Metric, Point, PointMap
-from .report import Witness, VerificationReport, make_report
+from .report import FailingRows, Witness, VerificationReport, make_report
 
 # Strict inequalities are checked as "lhs < rhs - eps"; equalities use the
 # same eps. Scalar-metric quantities resolve to 1e-12, sup-metric quantities
@@ -354,26 +356,32 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
                        tolerance=tol, notes=notes)
 
 
-def _chunks(samples: Iterable) -> Iterator[list]:
-    """Consecutive lists of samples holding about CHUNK numbers per
-    coordinate: CHUNK samples of reals, fewer of grid functions, so the
-    images a chunk keeps stay small on either carrier."""
-    iterator = iter(samples)
-    chunk = list(islice(iterator, 1))
-    if chunk:
-        length = max(1, CHUNK // np.size(chunk[0][0]))
-        chunk += islice(iterator, length - 1)
-    while chunk:
-        yield chunk
-        chunk = list(islice(iterator, length))
+def _table(samples) -> tuple[object, object]:
+    """The samples to compute on, and the rows witnesses take their inputs
+    from. An (N, k) array is both, as floats. Other samples are listed:
+    tuples of reals are computed on as one float array, tuples of grid
+    functions as they are."""
+    if isinstance(samples, np.ndarray):
+        table = np.asarray(samples, dtype=float)
+        return table, table
+    rows = list(samples)
+    if rows and np.ndim(rows[0][0]) == 0:
+        return np.array(rows, dtype=float), rows
+    return rows, rows
 
 
-def _columns(chunk: list):
-    """The coordinates of a chunk of sample tuples, one column each: scalar
-    points as float arrays, grid functions as lists."""
-    if np.ndim(chunk[0][0]) == 0:
-        return np.array(chunk, dtype=float).T
-    return [list(column) for column in zip(*chunk)]
+def _blocks(table) -> Iterator[tuple[int, list]]:
+    """(offset, columns) of consecutive chunks of the table, about CHUNK
+    numbers per coordinate each: CHUNK samples of reals (columns are float
+    array views), fewer of grid functions (columns are lists), so the images
+    a chunk keeps stay small on either carrier."""
+    if isinstance(table, np.ndarray):
+        for start in range(0, len(table), CHUNK):
+            yield start, list(table[start:start + CHUNK].T)
+        return
+    length = max(1, CHUNK // np.size(table[0][0])) if table else 1
+    for start in range(0, len(table), length):
+        yield start, [list(column) for column in zip(*table[start:start + length])]
 
 
 def _take(column, index: np.ndarray):
@@ -382,9 +390,23 @@ def _take(column, index: np.ndarray):
     return [column[i] for i in index.tolist()]
 
 
-def _inputs(sample) -> tuple:
-    """A witness's inputs: the sampled tuple itself."""
-    return sample if isinstance(sample, tuple) else tuple(sample)
+def _block_report(name: str, check: str, samples, failing: Callable,
+                  bound: float, detail: Callable[[float], str],
+                  **report_args) -> VerificationReport:
+    """Report ``name`` of a block check: ``failing(*columns)`` gives, per
+    chunk, the indices of the failing samples and their left-hand values.
+    The failing rows stay columns (margin ``lhs - bound``) until a caller
+    asks for their witnesses."""
+    table, inputs = _table(samples)
+    rows, lhs = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for start, columns in _blocks(table):
+        index, value = failing(*columns)
+        rows.append(start + index)
+        lhs.append(value)
+    rows = np.concatenate(rows)
+    witnesses = FailingRows(check, _take(inputs, rows), np.concatenate(lhs),
+                            bound, detail)
+    return make_report(name, witnesses, len(table), **report_args)
 
 
 def _distances(d: Metric, first, second) -> np.ndarray:
@@ -392,53 +414,43 @@ def _distances(d: Metric, first, second) -> np.ndarray:
 
 
 def check_alpha_admissible(T: PointMap, alpha: AlphaFunction,
-                           pairs: Iterable[tuple[Point, Point]],
+                           pairs: Iterable[tuple[Point, Point]] | np.ndarray,
                            tol: float = SCALAR_EPS) -> VerificationReport:
     """``alpha(x, y) >= 1`` must survive one application of the mapping.
     The mapping is applied only to pairs with ``alpha(x, y) >= 1``."""
-    witnesses: list[Witness] = []
-    checked = 0
-    for chunk in _chunks(pairs):
-        checked += len(chunk)
-        xs, ys = _columns(chunk)
+    def failing(xs, ys):
         held = np.flatnonzero(alpha.values(xs, ys) >= 1.0 - tol)
         value = alpha.values(evaluate_block(T, T, _take(xs, held)),
                              evaluate_block(T, T, _take(ys, held)))
         lost = value < 1.0 - tol
-        for i, v in zip(held[lost].tolist(), value[lost].tolist()):
-            witnesses.append(Witness(
-                "alpha/admissible", _inputs(chunk[i]), v - 1.0,
-                f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {v!r}",
-                lhs=v, bound=1.0))
-    return make_report("alpha-admissible", witnesses, checked, tolerance=tol)
+        return held[lost], value[lost]
+
+    return _block_report("alpha-admissible", "alpha/admissible", pairs, failing, 1.0,
+                         lambda v: f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {v!r}",
+                         tolerance=tol)
 
 
 def check_triangular_alpha(alpha: AlphaFunction,
-                           triples: Iterable[tuple[Point, Point, Point]],
+                           triples: Iterable[tuple[Point, Point, Point]] | np.ndarray,
                            tol: float = SCALAR_EPS) -> VerificationReport:
     """``alpha(x, z) >= 1`` and ``alpha(z, y) >= 1`` must force
     ``alpha(x, y) >= 1`` on every sampled triple. ``alpha(z, y)`` is
     evaluated only where ``alpha(x, z) >= 1``, and ``alpha(x, y)`` only
     where both hold."""
-    witnesses: list[Witness] = []
-    checked = 0
-    for chunk in _chunks(triples):
-        checked += len(chunk)
-        xs, zs, ys = _columns(chunk)
+    def failing(xs, zs, ys):
         first = np.flatnonzero(alpha.values(xs, zs) >= 1.0 - tol)
         both = first[alpha.values(_take(zs, first), _take(ys, first)) >= 1.0 - tol]
         value = alpha.values(_take(xs, both), _take(ys, both))
         broken = value < 1.0 - tol
-        for i, v in zip(both[broken].tolist(), value[broken].tolist()):
-            witnesses.append(Witness(
-                "alpha/triangular", _inputs(chunk[i]), v - 1.0,
-                f"alpha chains through z but alpha(x, y) = {v!r}",
-                lhs=v, bound=1.0))
-    return make_report("alpha-triangular", witnesses, checked, tolerance=tol)
+        return both[broken], value[broken]
+
+    return _block_report("alpha-triangular", "alpha/triangular", triples, failing, 1.0,
+                         lambda v: f"alpha chains through z but alpha(x, y) = {v!r}",
+                         tolerance=tol)
 
 
 def verify_contraction(bundle: ContractionBundle,
-                       pairs: Iterable[tuple[Point, Point]],
+                       pairs: Iterable[tuple[Point, Point]] | np.ndarray,
                        d: Metric, tol: float = SCALAR_EPS) -> VerificationReport:
     """Sampled check of the master inequality
 
@@ -450,21 +462,17 @@ def verify_contraction(bundle: ContractionBundle,
     """
     T = bundle.mapping
     c = float(bundle.g.c_g)
-    witnesses: list[Witness] = []
-    checked = 0
-    for chunk in _chunks(pairs):
-        checked += len(chunk)
-        xs, ys = _columns(chunk)
+
+    def failing(xs, ys):
         tx, ty = evaluate_block(T, T, xs), evaluate_block(T, T, ys)
         m = np.maximum(np.maximum(_distances(d, xs, ys), _distances(d, xs, tx)),
                        _distances(d, ys, ty))
         lhs = bundle.zeta.values(bundle.alpha.values(xs, ys) * _distances(d, tx, ty),
                                  bundle.beta.values(m) * m)
         below = np.flatnonzero(lhs - c < -tol)
-        for i, value in zip(below.tolist(), lhs[below].tolist()):
-            witnesses.append(Witness(
-                "contraction", _inputs(chunk[i]), value - c,
-                f"zeta(alpha*d(Tx, Ty), beta(M)*M) = {value!r} falls below c_g = {c!r}",
-                lhs=value, bound=c))
-    return make_report("contraction", witnesses, checked, tolerance=tol,
-                       notes=(f"bundle={bundle.name}",))
+        return below, lhs[below]
+
+    return _block_report(
+        "contraction", "contraction", pairs, failing, c,
+        lambda v: f"zeta(alpha*d(Tx, Ty), beta(M)*M) = {v!r} falls below c_g = {c!r}",
+        tolerance=tol, notes=(f"bundle={bundle.name}",))

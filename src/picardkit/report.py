@@ -3,18 +3,23 @@
 Checks never raise on a violated inequality: violations are recorded as
 witnesses carrying the offending inputs and the signed margin of the
 inequality, so any witness can be replayed standalone and must reproduce
-its margin. The two functions that build reports, :func:`make_report` and
-:func:`merge_reports`, put witnesses in a canonical order, once; that makes
-merging associative and deterministic, and the renderers show witnesses in
-the order the report holds them.
+its margin. A report's witnesses are in a canonical order, the string order
+of :meth:`Witness.sort_key`; that makes merging associative and
+deterministic, and the renderers show witnesses in the order the report
+holds them. :func:`make_report` sorts a list of witnesses once.
+:class:`FailingRows` holds the failing rows of a block check as columns and
+builds :class:`Witness` objects on demand: the renderers ask for the first
+few, and only a caller that iterates over all of them (a merge, a test)
+builds and sorts every one.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -67,11 +72,100 @@ class Witness:
         return (self.check, format_inputs(self.inputs), repr(float(self.margin)))
 
 
+def _as_tuple(sample) -> tuple:
+    return sample if isinstance(sample, tuple) else tuple(sample)
+
+
+class FailingRows(SequenceABC):
+    """The failing rows of one check, as columns: the sampled ``inputs``
+    (an (N, k) float array, or a list of the sampled rows), the left-hand
+    values ``lhs`` (margin ``lhs - bound``) and a ``detail`` formatter of
+    one left-hand value. It behaves as the list of their witnesses in
+    canonical order under ``len``, iteration, indexing, slicing and ``==``,
+    and builds each witness the first time a caller reaches it: a slice
+    ``[:k]`` or an index ``i`` builds only the first ``k`` or ``i + 1``.
+
+    A witness's inputs are the sampled row itself when ``inputs`` is a list,
+    and a tuple of Python floats when it is an array.
+    """
+
+    def __init__(self, check: str, inputs, lhs: np.ndarray, bound: float,
+                 detail: Callable[[float], str]):
+        self.check = check
+        self._inputs = inputs
+        self._lhs = np.asarray(lhs, dtype=float)
+        self._bound = bound
+        self._detail = detail
+        self._head: list[Witness] = []  # the first witnesses, in canonical order
+
+    def __len__(self) -> int:
+        return len(self._lhs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if start == 0 and step == 1:
+                return self._first(stop)
+            return self._first(len(self))[index]
+        return self._first(len(self))[index] if index < 0 else self._first(index + 1)[index]
+
+    def __iter__(self):
+        return iter(self._first(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (FailingRows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _candidates(self, k: int) -> list[int]:
+        """Rows that include the first ``k`` in canonical order. For float
+        inputs, each key begins ``"(" + repr(x) + ", "`` for the first
+        coordinate ``x`` (``")"`` in one dimension), and no repr holds a comma,
+        so the rows of the smallest such prefixes that hold ``k`` rows are
+        enough. Grouping goes by bit pattern: 0.0 and -0.0 render apart."""
+        if not isinstance(self._inputs, np.ndarray) or k >= len(self):
+            return list(range(len(self)))
+        first = np.ascontiguousarray(self._inputs[:, 0]).view(np.uint64)
+        patterns, group, counts = np.unique(first, return_inverse=True,
+                                            return_counts=True)
+        close = ", " if self._inputs.shape[1] > 1 else ")"
+        prefixes = [repr(x) + close for x in patterns.view(np.float64).tolist()]
+        held = 0
+        for g in sorted(range(len(prefixes)), key=prefixes.__getitem__):
+            held += int(counts[g])
+            if held >= k:
+                cutoff = prefixes[g]
+                break
+        chosen = np.array([prefix <= cutoff for prefix in prefixes])
+        return np.flatnonzero(chosen[group.ravel()]).tolist()
+
+    def _first(self, k: int) -> list[Witness]:
+        """The first ``k`` witnesses in canonical order, built once each."""
+        k = min(max(k, 0), len(self))
+        if k > len(self._head):
+            rows = self._candidates(k)
+            if isinstance(self._inputs, np.ndarray):
+                inputs = [tuple(row) for row in self._inputs[rows].tolist()]
+            else:
+                inputs = [_as_tuple(self._inputs[i]) for i in rows]
+            bound = self._bound
+            # a stable sort of rows in sample order, as make_report's sort
+            ranked = sorted(zip(inputs, self._lhs[rows].tolist()),
+                            key=lambda r: (format_inputs(r[0]), repr(r[1] - bound)))
+            self._head += [Witness(self.check, row, value - bound, self._detail(value),
+                                   lhs=value, bound=bound)
+                           for row, value in ranked[len(self._head):k]]
+        return self._head[:k]
+
+
 @dataclass
 class VerificationReport:
     name: str
     status: str
-    witnesses: list[Witness] = field(default_factory=list)
+    witnesses: Sequence[Witness] = field(default_factory=list)
     samples: int = 0
     mode: str = "exact"            # "exact" or "falsification"
     tolerance: float = 0.0
@@ -82,10 +176,13 @@ class VerificationReport:
         return self.status == PASS
 
 
-def make_report(name: str, witnesses: Iterable[Witness], samples: int, *,
+def make_report(name: str, witnesses: Iterable[Witness] | FailingRows, samples: int, *,
                 mode: str = "exact", tolerance: float = 0.0,
                 notes: tuple[str, ...] = ()) -> VerificationReport:
-    ordered = sorted(witnesses, key=Witness.sort_key)
+    """A report whose status is FAIL exactly when there is a witness;
+    ``witnesses`` are put in canonical order (failing rows already are)."""
+    ordered = (witnesses if isinstance(witnesses, FailingRows)
+               else sorted(witnesses, key=Witness.sort_key))
     status = FAIL if ordered else PASS
     return VerificationReport(name=name, status=status, witnesses=ordered,
                               samples=samples, mode=mode, tolerance=tolerance,

@@ -2,7 +2,10 @@
 
 All randomness flows through numpy Generators created by :func:`seeded_rng`;
 the default seed (42) keeps reports reproducible run to run. Mesh samplers
-are deterministic by construction.
+are deterministic by construction. :func:`mesh_array` and
+:func:`uniform_array` build samples as (N, k) float arrays, which the block
+verifiers take as they are; the list samplers return the same samples as
+tuples of Python floats, for callers that concatenate sample sets with ``+``.
 """
 
 from __future__ import annotations
@@ -16,23 +19,36 @@ def seeded_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def mesh_pairs(low: float, high: float, per_axis: int) -> list[tuple[float, float]]:
+def mesh_array(low: float, high: float, per_axis: int) -> np.ndarray:
     """All pairs from a uniform mesh with ``per_axis`` points per coordinate,
-    endpoints included."""
+    endpoints included, as a (per_axis**2, 2) array in row-major order."""
     axis = np.linspace(low, high, per_axis)
-    return [(float(x), float(y)) for x in axis for y in axis]
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def uniform_array(rng: np.random.Generator, count: int, low: float, high: float,
+                  width: int) -> np.ndarray:
+    """``count`` uniform samples of ``width`` coordinates, a (count, width) array."""
+    return rng.uniform(low, high, size=(count, width))
+
+
+def _tuples(block: np.ndarray) -> list[tuple]:
+    return [tuple(row) for row in block.tolist()]
+
+
+def mesh_pairs(low: float, high: float, per_axis: int) -> list[tuple[float, float]]:
+    """The rows of :func:`mesh_array` as tuples."""
+    return _tuples(mesh_array(low, high, per_axis))
 
 
 def random_pairs(rng: np.random.Generator, count: int,
                  low: float, high: float) -> list[tuple[float, float]]:
-    block = rng.uniform(low, high, size=(count, 2))
-    return [(float(a), float(b)) for a, b in block]
+    return _tuples(uniform_array(rng, count, low, high, 2))
 
 
 def random_triples(rng: np.random.Generator, count: int,
                    low: float, high: float) -> list[tuple[float, float, float]]:
-    block = rng.uniform(low, high, size=(count, 3))
-    return [(float(a), float(b), float(c)) for a, b, c in block]
+    return _tuples(uniform_array(rng, count, low, high, 3))
 
 
 def positive_mesh_pairs(per_axis: int = 100, low: float = 1e-2,

@@ -157,6 +157,9 @@ class TestConfigParsing:
         ("[bundle]", "beta = 1.5", EXIT_USAGE,
          "beta '1.5': constant beta needs a value in [0, 1), got 1.5"),
         ("[carrier]", "kind = cube", EXIT_USAGE, "unknown carrier 'cube'"),
+        # sample counts numpy cannot draw
+        ("[verify]", "pair_grid = -1", EXIT_USAGE, "needs a nonnegative int, got '-1'"),
+        ("[verify]", "random_pairs = -5", EXIT_USAGE, "needs a nonnegative int, got '-5'"),
         # valid choices that do not fit together: a validation error
         ("[bundle]", "name = bvp", EXIT_VALIDATION, "the bvp bundle needs the grid carrier"),
         ("[order]", "name = pointwise", EXIT_VALIDATION,
@@ -177,6 +180,12 @@ class TestConfigParsing:
         if status == EXIT_USAGE:
             lineno, key = VERIFY_CFG.count("\n") + 2, line.split(" = ")[0]
             assert f"line {lineno}: field '{key}'" in err
+
+    def test_negative_count_on_the_grid_carrier(self):
+        # checked when the config is read, not raised to 10 by the grid sampler
+        with pytest.raises(ConfigError, match="line 5: field 'random_pairs'"):
+            parse_config("mode = verify\n[carrier]\nkind = grid\n"
+                         "[verify]\nrandom_pairs = -5\n")
 
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"

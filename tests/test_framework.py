@@ -4,6 +4,7 @@ the block verifiers against per-sample reference loops."""
 
 import math
 import random
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -23,10 +24,13 @@ from picardkit.builtins import (alpha_box, alpha_from_gate, alpha_one,
                                 beta_constant, beta_reciprocal, cclass_a,
                                 cclass_b, cclass_c, example31_bundle,
                                 example31_map, rhs_zero, zeta1)
+from picardkit import report as report_module
 from picardkit.framework import CHUNK
-from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS,
-                              VerificationReport, Witness, make_report)
-from picardkit.sampling import mesh_pairs, probe_pair, random_pairs, seeded_rng
+from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
+                              VerificationReport, Witness, format_inputs,
+                              make_report, render_text, report_rows)
+from picardkit.sampling import (mesh_array, mesh_pairs, probe_pair, random_pairs,
+                                seeded_rng, uniform_array)
 
 
 def max_displacement(T, x, y, d):
@@ -588,3 +592,145 @@ def test_block_verifiers_match_per_sample_oracle_on_grid_functions(
     pairs, triples = _grid_samples(seed, size)
     bundle = ContractionBundle(mapping, alpha, beta, zeta, cclass_a(0.0), name="grid")
     _check_all(bundle, pairs, triples, sup_metric)
+
+
+def assert_array_path_agrees(from_array, from_list):
+    """Same outcome from (N, k) array samples as from the same samples as
+    tuples: witnesses agree field by field, inputs as tuples of floats."""
+    if from_array is DomainError or from_list is DomainError:
+        assert from_array is from_list
+        return
+    assert (from_array.name, from_array.status, from_array.samples, from_array.notes) == \
+        (from_list.name, from_list.status, from_list.samples, from_list.notes)
+    assert len(from_array.witnesses) == len(from_list.witnesses)
+    for got, want in zip(from_array.witnesses, from_list.witnesses):
+        assert (got.check, got.margin, got.lhs, got.bound, got.detail) == \
+            (want.check, want.margin, want.lhs, want.bound, want.detail)
+        assert got.inputs == want.inputs
+        assert type(got.inputs) is tuple and all(type(v) is float for v in got.inputs)
+
+
+@given(size=st.sampled_from(CHUNK_SIZES), seed=st.integers(0, 2 ** 32 - 1),
+       mapping=st.sampled_from(SCALAR_MAPS), alpha=st.sampled_from(SCALAR_ALPHAS),
+       beta=st.sampled_from(BETAS), zeta=st.sampled_from(ZETAS),
+       c_g=st.sampled_from([0.0, 0.05]))
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+def test_block_verifiers_take_sample_arrays(size, seed, mapping, alpha, beta, zeta, c_g):
+    pairs = _scalar_samples(seed, size, 2)
+    triples = _scalar_samples(seed + 1, size, 3)
+    pair_array = np.array(pairs, dtype=float).reshape(-1, 2)
+    triple_array = np.array(triples, dtype=float).reshape(-1, 3)
+    bundle = ContractionBundle(mapping, alpha, beta, zeta, cclass_a(c_g), name="drawn")
+    assert_array_path_agrees(
+        _outcome(verify_contraction, bundle, pair_array, scalar_metric),
+        _outcome(verify_contraction, bundle, pairs, scalar_metric))
+    assert_array_path_agrees(
+        _outcome(check_alpha_admissible, mapping, alpha, pair_array),
+        _outcome(check_alpha_admissible, mapping, alpha, pairs))
+    assert_array_path_agrees(_outcome(check_triangular_alpha, alpha, triple_array),
+                             _outcome(check_triangular_alpha, alpha, triples))
+
+
+# ---------------------------------------------------------------------------
+# Failing rows: the first k witnesses against building and sorting them all.
+
+# reprs that share a prefix, both zeros, and non-finite values
+_ADVERSARIAL = [0.0, -0.0, 1.5, 1.5e-05, 15.0, 15.5, 1.0, 1e-05, 0.5,
+                -1.5, math.inf, -math.inf, math.nan, 2.0 ** -1074]
+
+
+def _all_witnesses(check, inputs, lhs, bound, detail):
+    """Every witness, in sample order, sorted once: the reference order."""
+    witnesses = [Witness(check, tuple(row), value - bound, detail(value),
+                         lhs=value, bound=bound)
+                 for row, value in zip(inputs, lhs)]
+    return sorted(witnesses, key=Witness.sort_key)
+
+
+def _fingerprint(witnesses):
+    # reprs tell 0.0 from -0.0, which == does not
+    return [(w.sort_key(), repr(w.lhs), w.detail, repr(w.inputs)) for w in witnesses]
+
+
+failing_rows = st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.tuples(st.tuples(*[st.sampled_from(_ADVERSARIAL) | st.floats()] * width),
+              st.sampled_from([-0.5, -0.25, -1e-13, -2.0, -0.0])),
+    max_size=40))
+
+
+# a nan whose bit pattern differs from math.nan's but renders the same
+_OTHER_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+
+
+@given(rows=failing_rows, as_array=st.booleans(), bound=st.sampled_from([0.0, 1.0]))
+# two groups of one rendered prefix: the first k must look into both
+@example(rows=[((math.nan, 2.0), -0.5), ((_OTHER_NAN, 1.0), -0.5)], as_array=True,
+         bound=0.0)
+@settings(max_examples=300, deadline=None)
+def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
+    samples = [inputs for inputs, _ in rows]
+    lhs = np.array([bound + margin for _, margin in rows])
+    if as_array and samples:
+        samples = np.array(samples, dtype=float)
+
+    def detail(value):
+        return f"lhs = {value!r}"
+
+    expected = _all_witnesses("probe", [tuple(map(float, row)) for row in samples],
+                              lhs.tolist(), bound, detail)
+    n = len(rows)
+    for k in (0, 1, 8, n, n + 1):
+        lazy = FailingRows("probe", samples, lhs, bound, detail)
+        assert _fingerprint(lazy[:k]) == _fingerprint(expected[:k])
+    # one view asked for more and more keeps the witnesses it built
+    lazy = FailingRows("probe", samples, lhs, bound, detail)
+    head = lazy[:1]
+    assert len(lazy) == n
+    assert _fingerprint(lazy[:8]) == _fingerprint(expected[:8])
+    assert all(a is b for a, b in zip(head, lazy[:8]))
+    assert _fingerprint(list(lazy)) == _fingerprint(expected)
+    if n:
+        assert _fingerprint([lazy[0], lazy[-1], lazy[n // 2]]) == \
+            _fingerprint([expected[0], expected[-1], expected[n // 2]])
+        assert _fingerprint(lazy[1::2]) == _fingerprint(expected[1::2])
+    if not as_array:
+        assert {id(w.inputs) for w in lazy} <= {id(row) for row in samples}
+    # nan != nan, so == holds only where no input is nan
+    comparable = not any(math.isnan(v) for row in samples for v in row)
+    assert not comparable or (lazy == expected and expected == lazy)
+
+    # a merge of a lazy and a list report equals the report of the whole
+    cut = n // 2
+    head_report = make_report("probe", FailingRows("probe", samples[:cut], lhs[:cut],
+                                                   bound, detail), cut)
+    tail_report = make_report("probe", _all_witnesses(
+        "probe", [tuple(map(float, row)) for row in samples[cut:]],
+        lhs[cut:].tolist(), bound, detail), n - cut)
+    whole = make_report("probe", FailingRows("probe", samples, lhs, bound, detail), n)
+    for merged in (merge_reports(head_report, tail_report),
+                   merge_reports(tail_report, head_report)):
+        assert not comparable or merged == whole
+        assert _fingerprint(merged.witnesses) == _fingerprint(whole.witnesses)
+
+
+def test_rendering_builds_only_the_shown_witnesses(monkeypatch):
+    # the verify-interval workload: 251 000 pairs, ~99 000 failing
+    bundle = replace(example31_bundle(), alpha=alpha_from_order(natural_order))
+    pairs = np.concatenate([mesh_array(0.0, 3.0, 500),
+                            uniform_array(seeded_rng(7), 1000, 0.0, 3.0, 2)])
+    built = []
+
+    class CountedWitness(report_module.Witness):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(report_module, "Witness", CountedWitness)
+    report = verify_contraction(bundle, pairs, scalar_metric)
+    caveated = replace(report, status=CAVEAT, notes=report.notes + ("declared",))
+    text = render_text([report, caveated])
+    rows = report_rows([report, caveated])
+    assert len(report.witnesses) > 90_000 and len(built) <= 8
+    assert f"... and {len(report.witnesses) - 8} more witnesses" in text
+    assert rows[0][4] == rows[1][4] == f"contraction {format_inputs(report.witnesses[0].inputs)}"
+    assert len(built) <= 8
