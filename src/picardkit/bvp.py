@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import DomainError, OracleError
-from .framework import GRID_EPS, evaluate_block
+from .framework import GRID_EPS, BlockCheck, check_pairs, evaluate_block
 from .metrics import Point, as_grid_function, nodes, sup_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 from .report import Witness, VerificationReport, make_report
@@ -110,9 +110,11 @@ def _kernel_quadrature(ts: np.ndarray, complement: np.ndarray, f: np.ndarray,
     side and its edge rule at i = n - 1. ``complement`` is ``1 - ts``.
     """
     h = 1.0 / (ts.size - 1)
-    lower = prefix(ts * f)
-    upper = prefix((complement * f)[::-1])[::-1]
-    return h * (complement * lower + ts * upper)
+    # an overflow leaves inf or nan here, which the callers' finite checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = prefix(ts * f)
+        upper = prefix((complement * f)[::-1])[::-1]
+        return h * (complement * lower + ts * upper)
 
 
 def row_integral_quadrature(n: int) -> np.ndarray:
@@ -282,30 +284,30 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     return make_report("rhs-displacement-bound", witnesses, checked, tolerance=tol)
 
 
+def operator_contraction_check(factor: float = CONTRACTION_FACTOR,
+                               tol: float = GRID_EPS) -> BlockCheck:
+    """``d(Tx, Ty) <= factor * M`` as a pair check of
+    :func:`~picardkit.framework.check_pairs`: the bound is per pair."""
+    def failing(chunk):
+        bound = factor * chunk.gauge
+        above = np.flatnonzero(chunk.gap > bound + tol)
+        return above, chunk.gap[above], bound[above]
+
+    return BlockCheck(
+        "operator-contraction", "operator/contraction", failing, None,
+        lambda lhs, bound: f"||Tx - Ty|| = {lhs!r} exceeds {factor!r} * M = {bound!r}",
+        upper=True, tolerance=tol)
+
+
 def check_operator_contraction(problem: BVPProblem,
                                pairs: Iterable[tuple[Point, Point]],
                                tol: float = GRID_EPS,
                                factor: float = CONTRACTION_FACTOR) -> VerificationReport:
     """Check ``||Tx - Ty||_inf <= factor * max{d(x, y), d(x, Tx), d(y, Ty)}``
     on sampled grid-function pairs; the default factor 1/8 is the kernel
-    row-integral maximum."""
-    T = bvp_operator(problem)
-    witnesses: list[Witness] = []
-    checked = 0
-    for x, y in pairs:
-        checked += 1
-        tx = T(x)
-        ty = T(y)
-        lhs = sup_metric(tx, ty)
-        m = max(sup_metric(x, y), sup_metric(x, tx), sup_metric(y, ty))
-        bound = factor * m
-        margin = bound - lhs
-        if lhs > bound + tol:
-            witnesses.append(Witness(
-                "operator/contraction", (x, y), margin,
-                f"||Tx - Ty|| = {lhs!r} exceeds {factor!r} * M = {bound!r}",
-                lhs=lhs, bound=bound))
-    return make_report("operator-contraction", witnesses, checked, tolerance=tol)
+    row-integral maximum. T applies once per sampled function."""
+    return check_pairs(bvp_operator(problem), None, pairs,
+                       [operator_contraction_check(factor, tol)], sup_metric)[0]
 
 
 def gate_accepts_start(problem: BVPProblem, x0: Point) -> bool:

@@ -17,12 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import builtins as catalog
-from .bvp import BVPProblem, BVPSolution, check_operator_contraction, solve_bvp
+from .bvp import BVPProblem, BVPSolution, operator_contraction_check, solve_bvp
 from .errors import DomainError
-from .framework import (ContractionBundle, check_alpha_admissible,
-                        check_cclass, check_geraghty,
-                        check_simulation_pointwise, check_simulation_sequences,
-                        check_triangular_alpha, verify_contraction)
+from .framework import (ContractionBundle, alpha_admissible_check, check_cclass,
+                        check_geraghty, check_pairs, check_simulation_pointwise,
+                        check_simulation_sequences, check_triangular_alpha,
+                        contraction_check)
 from .metrics import save_grid_csv, scalar_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 from .posets import alpha_from_order
@@ -243,6 +243,9 @@ def _run_verify(config: RunConfig, out: Path, rng: np.random.Generator) -> int:
             raise DomainError(f"[carrier] {key} must be finite, got {value!r}")
     if low > high:
         raise DomainError(f"[carrier] low = {low!r} exceeds high = {high!r}")
+    if not math.isfinite(high - low):
+        raise DomainError(f"[carrier] low = {low!r} and high = {high!r} are too far "
+                          f"apart: high - low overflows")
     problem = _build_problem(config) if config.carrier_kind == "grid" else None
     bundle = _build_bundle(config, problem)
 
@@ -273,12 +276,13 @@ def _run_verify(config: RunConfig, out: Path, rng: np.random.Generator) -> int:
                                    catalog.default_sequence_probes(probes_mode)),
         check_cclass(bundle.g, cclass_samples),
         check_geraghty(bundle.beta, beta_samples, catalog.default_beta_probes()),
-        check_alpha_admissible(bundle.mapping, bundle.alpha, pairs),
-        check_triangular_alpha(bundle.alpha, triples),
-        verify_contraction(bundle, pairs, metric, tol=tol),
     ]
-    if problem is not None:
-        reports.append(check_operator_contraction(problem, pairs))
+    pair_checks = [alpha_admissible_check(), contraction_check(bundle, tol)]
+    if problem is not None:  # on the grid carrier the bundle maps by the problem's operator
+        pair_checks.append(operator_contraction_check())
+    admissible, *contracting = check_pairs(bundle.mapping, bundle.alpha, pairs,
+                                           pair_checks, metric)
+    reports += [admissible, check_triangular_alpha(bundle.alpha, triples), *contracting]
 
     adjusted, failures = _rows_with_caveats(reports, bundle)
     header = _header_lines(config, [f"bundle: {bundle.name}",

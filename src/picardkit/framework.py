@@ -27,7 +27,11 @@ many grid functions as hold about that many node values) and evaluate each
 callable once per chunk through :func:`evaluate_block`: family callables may
 broadcast elementwise over arrays of real samples, and callables that do not
 are evaluated per sample, with the same results. Grid functions are always
-passed one at a time. Their failing rows stay columns
+passed one at a time. The pair hypotheses (alpha-admissibility, the master
+inequality and the BVP operator's contraction) share one pass,
+:func:`check_pairs`: per chunk, the images Tx and Ty, alpha(x, y) and the
+distances are computed once for all of them, so the mapping is applied at
+most once per sampled point. Failing rows stay columns
 (:class:`picardkit.report.FailingRows`), and a report builds a witness only
 when a caller reaches it. Limit-style conditions are *falsification* checks: a
 pass means "no counterexample found on the supplied probes", never a proof.
@@ -40,7 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -358,10 +363,10 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
 
 def _table(samples) -> tuple[object, object]:
     """The samples to compute on, and the rows witnesses take their inputs
-    from. An (N, k) array is both, as floats. Other samples are listed:
-    tuples of reals are computed on as one float array, tuples of grid
-    functions as they are."""
-    if isinstance(samples, np.ndarray):
+    from. An (N, k) array is both, as floats. Other samples (an (N, k, n + 1)
+    array too) are listed: tuples of reals are computed on as one float
+    array, tuples of grid functions as they are."""
+    if isinstance(samples, np.ndarray) and samples.ndim == 2:
         table = np.asarray(samples, dtype=float)
         return table, table
     rows = list(samples)
@@ -390,27 +395,113 @@ def _take(column, index: np.ndarray):
     return [column[i] for i in index.tolist()]
 
 
-def _block_report(name: str, check: str, samples, failing: Callable,
-                  bound: float, detail: Callable[[float], str],
-                  **report_args) -> VerificationReport:
-    """Report ``name`` of a block check: ``failing(*columns)`` gives, per
-    chunk, the indices of the failing samples and their left-hand values.
-    The failing rows stay columns (margin ``lhs - bound``) until a caller
-    asks for their witnesses."""
+class BlockCheck(NamedTuple):
+    """One check of a chunked pass. ``failing(chunk)`` gives the indices of
+    a chunk's failing rows and their left-hand values, and their bounds too
+    when ``bound`` is None (per row); the rest goes to FailingRows."""
+
+    name: str
+    check: str
+    failing: Callable
+    bound: Optional[float]
+    detail: Callable[..., str]
+    upper: bool = False
+    tolerance: float = 0.0
+    notes: tuple[str, ...] = ()
+
+
+# no failing rows: indices, left-hand values, per-row bounds
+_NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
+
+
+def _block_reports(samples, checks: Sequence[BlockCheck],
+                   chunk: Callable = lambda columns: columns) -> list[VerificationReport]:
+    """The reports of ``checks`` from one pass over the samples: each
+    chunk's columns are wrapped by ``chunk`` once and read by every check."""
     table, inputs = _table(samples)
-    rows, lhs = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    # per check, the parts of its failing rows, chunk by chunk
+    found = [[_NO_ROWS[:2 if check.bound is not None else 3]] for check in checks]
     for start, columns in _blocks(table):
-        index, value = failing(*columns)
-        rows.append(start + index)
-        lhs.append(value)
-    rows = np.concatenate(rows)
-    witnesses = FailingRows(check, _take(inputs, rows), np.concatenate(lhs),
-                            bound, detail)
-    return make_report(name, witnesses, len(table), **report_args)
+        view = chunk(columns)
+        for check, parts in zip(checks, found):
+            index, *values = check.failing(view)
+            parts.append((start + index, *values))
+        del view  # free this chunk's columns before the next chunk computes its own
+    reports = []
+    for check, parts in zip(checks, found):
+        rows, lhs, *bound = map(np.concatenate, zip(*parts))
+        witnesses = FailingRows(check.check, _take(inputs, rows), lhs,
+                                bound[0] if bound else check.bound, check.detail, check.upper)
+        reports.append(make_report(check.name, witnesses, len(table),
+                                   tolerance=check.tolerance, notes=check.notes))
+    return reports
 
 
 def _distances(d: Metric, first, second) -> np.ndarray:
     return np.asarray(evaluate_block(d, d, first, second), dtype=float)
+
+
+def _pair_columns(T: PointMap, alpha: Optional[AlphaFunction], d: Optional[Metric],
+                  xs, ys) -> SimpleNamespace:
+    """The columns pair checks read, computed once per chunk: the ``weights``
+    alpha(x, y), and with a metric ``d`` the ``gauge`` M = max{d(x, y),
+    d(x, Tx), d(y, Ty)} and the ``gap`` d(Tx, Ty). ``images_at(index)`` gives
+    Tx and Ty at those rows; without ``d``, T applies to those rows only."""
+    chunk = SimpleNamespace(alpha=alpha,
+                            weights=None if alpha is None else alpha.values(xs, ys))
+    if d is None:
+        chunk.images_at = lambda index: [evaluate_block(T, T, _take(column, index))
+                                         for column in (xs, ys)]
+        return chunk
+    tx, ty = images = [evaluate_block(T, T, column) for column in (xs, ys)]
+    chunk.images_at = lambda index: [_take(column, index) for column in images]
+    chunk.gauge = np.maximum(np.maximum(_distances(d, xs, ys), _distances(d, xs, tx)),
+                             _distances(d, ys, ty))
+    chunk.gap = _distances(d, tx, ty)
+    return chunk
+
+
+def alpha_admissible_check(tol: float = SCALAR_EPS) -> BlockCheck:
+    """``alpha(x, y) >= 1`` must survive one application of the mapping;
+    only the images of pairs with ``alpha(x, y) >= 1`` are read."""
+    def failing(chunk):
+        held = np.flatnonzero(chunk.weights >= 1.0 - tol)
+        value = chunk.alpha.values(*chunk.images_at(held))
+        lost = value < 1.0 - tol
+        return held[lost], value[lost]
+
+    return BlockCheck("alpha-admissible", "alpha/admissible", failing, 1.0,
+                      lambda v: f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {v!r}",
+                      tolerance=tol)
+
+
+def contraction_check(bundle: ContractionBundle, tol: float = SCALAR_EPS) -> BlockCheck:
+    """The master inequality of :func:`verify_contraction`."""
+    c = float(bundle.g.c_g)
+
+    def failing(chunk):
+        m = chunk.gauge
+        lhs = bundle.zeta.values(chunk.weights * chunk.gap, bundle.beta.values(m) * m)
+        below = np.flatnonzero(lhs - c < -tol)
+        return below, lhs[below]
+
+    return BlockCheck(
+        "contraction", "contraction", failing, c,
+        lambda v: f"zeta(alpha*d(Tx, Ty), beta(M)*M) = {v!r} falls below c_g = {c!r}",
+        tolerance=tol, notes=(f"bundle={bundle.name}",))
+
+
+def check_pairs(T: PointMap, alpha: Optional[AlphaFunction],
+                pairs: Iterable[tuple[Point, Point]] | np.ndarray,
+                checks: Sequence[BlockCheck],
+                d: Optional[Metric] = None) -> list[VerificationReport]:
+    """The reports of the pair ``checks`` (:func:`alpha_admissible_check`,
+    :func:`contraction_check`, :func:`picardkit.bvp.operator_contraction_check`),
+    in their order, from one chunked pass over ``pairs`` under the mapping
+    ``T``, the weight ``alpha`` (None if no check reads it) and the metric
+    ``d``. The checks share each chunk's columns (:func:`_pair_columns`), so
+    T applies at most once per sampled point."""
+    return _block_reports(pairs, checks, lambda columns: _pair_columns(T, alpha, d, *columns))
 
 
 def check_alpha_admissible(T: PointMap, alpha: AlphaFunction,
@@ -418,16 +509,7 @@ def check_alpha_admissible(T: PointMap, alpha: AlphaFunction,
                            tol: float = SCALAR_EPS) -> VerificationReport:
     """``alpha(x, y) >= 1`` must survive one application of the mapping.
     The mapping is applied only to pairs with ``alpha(x, y) >= 1``."""
-    def failing(xs, ys):
-        held = np.flatnonzero(alpha.values(xs, ys) >= 1.0 - tol)
-        value = alpha.values(evaluate_block(T, T, _take(xs, held)),
-                             evaluate_block(T, T, _take(ys, held)))
-        lost = value < 1.0 - tol
-        return held[lost], value[lost]
-
-    return _block_report("alpha-admissible", "alpha/admissible", pairs, failing, 1.0,
-                         lambda v: f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {v!r}",
-                         tolerance=tol)
+    return check_pairs(T, alpha, pairs, [alpha_admissible_check(tol)])[0]
 
 
 def check_triangular_alpha(alpha: AlphaFunction,
@@ -437,16 +519,17 @@ def check_triangular_alpha(alpha: AlphaFunction,
     ``alpha(x, y) >= 1`` on every sampled triple. ``alpha(z, y)`` is
     evaluated only where ``alpha(x, z) >= 1``, and ``alpha(x, y)`` only
     where both hold."""
-    def failing(xs, zs, ys):
+    def failing(columns):
+        xs, zs, ys = columns
         first = np.flatnonzero(alpha.values(xs, zs) >= 1.0 - tol)
         both = first[alpha.values(_take(zs, first), _take(ys, first)) >= 1.0 - tol]
         value = alpha.values(_take(xs, both), _take(ys, both))
         broken = value < 1.0 - tol
         return both[broken], value[broken]
 
-    return _block_report("alpha-triangular", "alpha/triangular", triples, failing, 1.0,
-                         lambda v: f"alpha chains through z but alpha(x, y) = {v!r}",
-                         tolerance=tol)
+    return _block_reports(triples, [BlockCheck(
+        "alpha-triangular", "alpha/triangular", failing, 1.0,
+        lambda v: f"alpha chains through z but alpha(x, y) = {v!r}", tolerance=tol)])[0]
 
 
 def verify_contraction(bundle: ContractionBundle,
@@ -460,19 +543,4 @@ def verify_contraction(bundle: ContractionBundle,
     closed under the mapping on the sampled pairs; witnesses carry the pair,
     the left-hand value, the benchmark c_G, and the margin.
     """
-    T = bundle.mapping
-    c = float(bundle.g.c_g)
-
-    def failing(xs, ys):
-        tx, ty = evaluate_block(T, T, xs), evaluate_block(T, T, ys)
-        m = np.maximum(np.maximum(_distances(d, xs, ys), _distances(d, xs, tx)),
-                       _distances(d, ys, ty))
-        lhs = bundle.zeta.values(bundle.alpha.values(xs, ys) * _distances(d, tx, ty),
-                                 bundle.beta.values(m) * m)
-        below = np.flatnonzero(lhs - c < -tol)
-        return below, lhs[below]
-
-    return _block_report(
-        "contraction", "contraction", pairs, failing, c,
-        lambda v: f"zeta(alpha*d(Tx, Ty), beta(M)*M) = {v!r} falls below c_g = {c!r}",
-        tolerance=tol, notes=(f"bundle={bundle.name}",))
+    return check_pairs(bundle.mapping, bundle.alpha, pairs, [contraction_check(bundle, tol)], d)[0]

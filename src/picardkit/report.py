@@ -79,23 +79,26 @@ def _as_tuple(sample) -> tuple:
 class FailingRows(SequenceABC):
     """The failing rows of one check, as columns: the sampled ``inputs``
     (an (N, k) float array, or a list of the sampled rows), the left-hand
-    values ``lhs`` (margin ``lhs - bound``) and a ``detail`` formatter of
-    one left-hand value. It behaves as the list of their witnesses in
-    canonical order under ``len``, iteration, indexing, slicing and ``==``,
-    and builds each witness the first time a caller reaches it: a slice
-    ``[:k]`` or an index ``i`` builds only the first ``k`` or ``i + 1``.
+    values ``lhs``, the ``bound`` (a float, or an array: one per row) and a
+    ``detail`` formatter of one left-hand value (and its bound, if per row).
+    The margin is ``lhs - bound``, or ``bound - lhs`` for an ``upper`` bound.
+    It behaves as the list of their witnesses in canonical order under
+    ``len``, iteration, indexing, slicing and ``==``, and builds each
+    witness the first time a caller reaches it: a slice ``[:k]`` or an index
+    ``i`` builds only the first ``k`` or ``i + 1``.
 
     A witness's inputs are the sampled row itself when ``inputs`` is a list,
     and a tuple of Python floats when it is an array.
     """
 
-    def __init__(self, check: str, inputs, lhs: np.ndarray, bound: float,
-                 detail: Callable[[float], str]):
+    def __init__(self, check: str, inputs, lhs: np.ndarray, bound: float | np.ndarray,
+                 detail: Callable[..., str], upper: bool = False):
         self.check = check
         self._inputs = inputs
         self._lhs = np.asarray(lhs, dtype=float)
         self._bound = bound
         self._detail = detail
+        self._upper = upper
         self._head: list[Witness] = []  # the first witnesses, in canonical order
 
     def __len__(self) -> int:
@@ -151,13 +154,16 @@ class FailingRows(SequenceABC):
                 inputs = [tuple(row) for row in self._inputs[rows].tolist()]
             else:
                 inputs = [_as_tuple(self._inputs[i]) for i in rows]
-            bound = self._bound
+            per_row = isinstance(self._bound, np.ndarray)
+            bounds = self._bound[rows].tolist() if per_row else [self._bound] * len(rows)
+            found = [(row, value, bound, bound - value if self._upper else value - bound)
+                     for row, value, bound in zip(inputs, self._lhs[rows].tolist(), bounds)]
             # a stable sort of rows in sample order, as make_report's sort
-            ranked = sorted(zip(inputs, self._lhs[rows].tolist()),
-                            key=lambda r: (format_inputs(r[0]), repr(r[1] - bound)))
-            self._head += [Witness(self.check, row, value - bound, self._detail(value),
+            found.sort(key=lambda r: (format_inputs(r[0]), repr(r[3])))
+            self._head += [Witness(self.check, row, margin,
+                                   self._detail(value, bound) if per_row else self._detail(value),
                                    lhs=value, bound=bound)
-                           for row, value in ranked[len(self._head):k]]
+                           for row, value, bound, margin in found[len(self._head):k]]
         return self._head[:k]
 
 

@@ -9,13 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from picardkit import (BVPProblem, DomainError, OracleError, PicardConfig,
+from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DomainError,
+                       OracleError, PicardConfig, Witness, bvp_operator,
                        check_gate_limit, check_gate_propagation,
                        check_operator_contraction,
                        check_rhs_displacement_bound, finite_difference_solve,
                        gate_accepts_start, green_kernel, green_row_integral,
-                       integral_operator, nodes, row_integral_quadrature,
-                       solve_bvp, sup_metric)
+                       integral_operator, make_report, nodes,
+                       row_integral_quadrature, solve_bvp, sup_metric,
+                       verify_contraction)
+from picardkit.bvp import operator_contraction_check
+from picardkit.framework import check_pairs, contraction_check
 from picardkit.builtins import (resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
 from picardkit.sampling import random_grid_pairs, seeded_rng
@@ -358,7 +362,83 @@ class TestRhsDisplacementBound:
         assert report.passed and report.samples == 0
 
 
+def oracle_operator_contraction(problem, pairs, tol=GRID_EPS, factor=CONTRACTION_FACTOR):
+    """The per-pair loop the chunked pass replaced: T applied to both
+    functions of every pair, one witness at a time."""
+    T = bvp_operator(problem)
+    witnesses = []
+    checked = 0
+    for x, y in pairs:
+        checked += 1
+        tx = T(x)
+        ty = T(y)
+        lhs = sup_metric(tx, ty)
+        m = max(sup_metric(x, y), sup_metric(x, tx), sup_metric(y, ty))
+        bound = factor * m
+        margin = bound - lhs
+        if lhs > bound + tol:
+            witnesses.append(Witness(
+                "operator/contraction", (x, y), margin,
+                f"||Tx - Ty|| = {lhs!r} exceeds {factor!r} * M = {bound!r}",
+                lhs=lhs, bound=bound))
+    return make_report("operator-contraction", witnesses, checked, tolerance=tol)
+
+
+def assert_same_report(got, want):
+    """Same report fields, and witnesses equal field by field, with the
+    sampled grid functions as inputs by identity."""
+    assert (got.name, got.status, got.samples, got.mode, got.tolerance, got.notes) == \
+        (want.name, want.status, want.samples, want.mode, want.tolerance, want.notes)
+    assert len(got.witnesses) == len(want.witnesses)
+    for a, b in zip(got.witnesses, want.witnesses):
+        assert (a.check, a.margin, a.lhs, a.bound, a.detail) == \
+            (b.check, b.margin, b.lhs, b.bound, b.detail)
+        assert type(a.margin) is type(a.lhs) is type(a.bound) is float
+        assert len(a.inputs) == len(b.inputs) == 2
+        assert all(u is v for u, v in zip(a.inputs, b.inputs))
+
+
 class TestOperatorContraction:
+    @pytest.mark.parametrize("rhs, factor, fails", [
+        ("expr:10*x", CONTRACTION_FACTOR, True),   # Lipschitz 10 overwhelms 1/8
+        ("sin_plus_one", CONTRACTION_FACTOR, False),
+        ("sin_plus_one", 0.01, True),              # a factor below the operator's
+    ])
+    def test_matches_the_per_pair_oracle(self, rhs, factor, fails):
+        problem = BVPProblem(rhs=resolve("rhs", rhs), n=10)
+        pairs = random_grid_pairs(seeded_rng(5), 60, 10)
+        got = check_operator_contraction(problem, pairs, factor=factor)
+        assert_same_report(got, oracle_operator_contraction(problem, pairs, factor=factor))
+        assert got.passed is not fails
+        if fails:
+            assert 0 < len(got.witnesses) <= len(pairs)
+        # an (N, 2, n + 1) array of pairs gives the same witnesses, with
+        # copies of the sampled functions as inputs
+        stacked = check_operator_contraction(problem, np.array(pairs), factor=factor)
+        assert [(w.margin, w.lhs, w.bound, w.detail) for w in stacked.witnesses] == \
+            [(w.margin, w.lhs, w.bound, w.detail) for w in got.witnesses]
+        assert all(np.array_equal(u, v) for a, b in zip(stacked.witnesses, got.witnesses)
+                   for u, v in zip(a.inputs, b.inputs))
+
+    def test_gated_pairs_split_the_two_contraction_verdicts(self):
+        # alpha is 0 on pairs the gate closes, which the master inequality
+        # then passes; the operator contraction ignores alpha and fails them
+        problem = BVPProblem(rhs=resolve("rhs", "expr:10*x"), n=10,
+                             gate=lambda a, b: 1.0 if abs(a - b) < 1e-3 else -1.0)
+        rng = seeded_rng(9)
+        x = rng.uniform(0.0, 1.0, 11)
+        pairs = random_grid_pairs(rng, 20, 10) + [(x, x.copy()), (x, x + 1e-4)]
+        bundle = resolve("bundle", "bvp", "grid", problem)
+        assert [bundle.alpha(a, b) for a, b in pairs] == [0.0] * 20 + [1.0, 1.0]
+        contraction, operator = check_pairs(
+            bundle.mapping, bundle.alpha, pairs,
+            [contraction_check(bundle, GRID_EPS), operator_contraction_check()], sup_metric)
+        assert contraction.passed and not operator.passed
+        assert operator.witnesses and all(bundle.alpha(*w.inputs) == 0.0
+                                          for w in operator.witnesses)
+        assert contraction == verify_contraction(bundle, pairs, sup_metric, tol=GRID_EPS)
+        assert_same_report(operator, oracle_operator_contraction(problem, pairs))
+
     def test_equal_functions_trivial(self):
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=50)
         x = np.linspace(0.0, 1.0, 51)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import picardkit
+from picardkit import bvp as bvp_module
 from picardkit import load_grid_csv
 from picardkit.cli import (EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_USAGE, EXIT_VALIDATION, ConfigError, main,
@@ -137,6 +138,22 @@ class TestConfigParsing:
         # numpy's divide-by-zero warning stays inside the rhs
         assert done.stderr == "validation error: rhs produced non-finite values on the grid\n"
 
+    @pytest.mark.parametrize("cfg, message", [
+        ("mode = verify\n[carrier]\nkind = grid\nlow = 0.0\nhigh = 1.0\n"
+         "[bundle]\nname = bvp\n[bvp]\nrhs = expr:1e308*x*x\nn = 10\n",
+         "grid function contains non-finite values"),
+        ("mode = solve-bvp\n[bvp]\nrhs = expr:1e308*x*x+1e308\n",
+         "mapping produced a non-finite value at iterate 1"),
+    ], ids=["verify-grid", "solve-bvp"])
+    def test_overflowing_quadrature_is_left_to_the_finite_checks(self, tmp_path, cfg, message):
+        # the rhs values are finite, their kernel quadrature is not
+        path = write_cfg(tmp_path, cfg)
+        done = _run_python(["-m", "picardkit", "--config", str(path),
+                            "--out", str(tmp_path / "out")])
+        assert done.returncode == EXIT_VALIDATION
+        # numpy's overflow warnings stay inside the quadrature
+        assert done.stderr == f"validation error: {message}\n"
+
     def test_huge_integer_power_fails_fast(self, tmp_path):
         # integer literals are floats, so 9**9**9 overflows instead of
         # computing a 370-million-digit integer
@@ -171,6 +188,11 @@ class TestConfigParsing:
         ("[carrier]", "high = inf", EXIT_VALIDATION, "[carrier] high must be finite, got inf"),
         ("[carrier]", "low = 3.5", EXIT_VALIDATION,
          "[carrier] low = 3.5 exceeds high = 3.0"),
+        # finite bounds whose width high - low overflows
+        ("[carrier]", "low = -1e308\nhigh = 1e308", EXIT_VALIDATION,
+         "[carrier] low = -1e+308 and high = 1e+308 are too far apart"),
+        ("[carrier]", "low = -1.7976931348623157e308\nhigh = 1e300", EXIT_VALIDATION,
+         "[carrier] low = -1.7976931348623157e+308 and high = 1e+300 are too far apart"),
     ])
     def test_selector_fields(self, tmp_path, capsys, section, line, status, message):
         path = write_cfg(tmp_path, f"{VERIFY_CFG}{section}\n{line}\n")
@@ -186,6 +208,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 5: field 'random_pairs'"):
             parse_config("mode = verify\n[carrier]\nkind = grid\n"
                          "[verify]\nrandom_pairs = -5\n")
+
+    def test_carrier_width_overflow_on_the_grid_carrier(self, tmp_path, capsys):
+        cfg = GRID_VERIFY_CFG.replace("kind = grid\n", "kind = grid\nlow = -1e308\nhigh = 1e308\n")
+        assert main(["--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == ("validation error: [carrier] low = -1e+308 and high = 1e+308 are too "
+                       "far apart: high - low overflows\n")
 
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
@@ -252,6 +282,28 @@ n = 40
         assert status == EXIT_OK
         text = (out / "report.txt").read_text()
         assert "operator-contraction" in text
+
+
+    def test_verify_grid_applies_the_operator_once_per_function(self, tmp_path, monkeypatch):
+        # the verify-grid workload: 200 pairs of grid functions at n = 1000
+        calls = []
+        original = bvp_module.integral_operator
+
+        def counted(problem, x):
+            calls.append(id(x))
+            return original(problem, x)
+
+        monkeypatch.setattr(bvp_module, "integral_operator", counted)
+        cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
+        cfg = cfg.replace("n = 20", "n = 1000")
+        assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
+        # alpha-admissible, contraction and operator-contraction share the
+        # images: one apply per sampled function, none twice
+        assert len(calls) == 400 and len(set(calls)) == 400
+        rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert [row.split(",")[:3] for row in rows[-4:]] == [
+            ["alpha-admissible", "pass", "200"], ["alpha-triangular", "pass", "133"],
+            ["contraction", "pass", "200"], ["operator-contraction", "pass", "200"]]
 
 
 class TestIterateMode:

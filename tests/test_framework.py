@@ -12,20 +12,23 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from picardkit import (SCALAR_EPS, AlphaFunction, BVPProblem, CClassFunction,
+from picardkit import (GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProblem, CClassFunction,
                        ContractionBundle, DomainError, GeraghtyBeta,
                        SimulationFunction, alpha_from_order,
                        check_alpha_admissible, check_cclass, check_geraghty,
+                       check_operator_contraction,
                        check_simulation_pointwise, check_simulation_sequences,
                        check_triangular_alpha, merge_reports,
                        natural_order, pointwise_order, scalar_metric,
                        sup_metric, verify_contraction)
 from picardkit.builtins import (alpha_box, alpha_from_gate, alpha_one,
-                                beta_constant, beta_reciprocal, cclass_a,
-                                cclass_b, cclass_c, example31_bundle,
+                                beta_constant, beta_reciprocal, bvp_bundle,
+                                cclass_a, cclass_b, cclass_c, example31_bundle,
                                 example31_map, rhs_zero, zeta1)
 from picardkit import report as report_module
-from picardkit.framework import CHUNK
+from picardkit.bvp import operator_contraction_check
+from picardkit.framework import (CHUNK, alpha_admissible_check, check_pairs,
+                                 contraction_check)
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
                               VerificationReport, Witness, format_inputs,
                               make_report, render_text, report_rows)
@@ -629,6 +632,75 @@ def test_block_verifiers_take_sample_arrays(size, seed, mapping, alpha, beta, ze
         _outcome(check_alpha_admissible, mapping, alpha, pairs))
     assert_array_path_agrees(_outcome(check_triangular_alpha, alpha, triple_array),
                              _outcome(check_triangular_alpha, alpha, triples))
+
+
+# ---------------------------------------------------------------------------
+# One pass for the pair hypotheses: the reports the CLI asks for in one call
+# against the standalone checks, and the images each of them computes.
+
+def _fingerprint_report(rep):
+    """The report's fields, with witness inputs as exact nested lists (grid
+    functions compare by value, not identity)."""
+    return (rep.name, rep.status, rep.samples, rep.mode, rep.tolerance, rep.notes,
+            [(w.check, w.margin, w.lhs, w.bound, w.detail,
+              [np.asarray(v).tolist() for v in w.inputs]) for w in rep.witnesses])
+
+
+def _pair_setup(carrier, as_array):
+    if carrier == "interval":
+        # the weight "near" loses admissibility where the map triples
+        bundle = ContractionBundle(example31_map, SCALAR_ALPHAS[3], beta_constant(0.2),
+                                   zeta1(0.5), cclass_a(0.0), name="interval")
+        pairs = np.concatenate([mesh_array(0.0, 3.0, 40),
+                                uniform_array(seeded_rng(3), 300, 0.0, 3.0, 2)])
+        samples = pairs if as_array else [tuple(p) for p in pairs.tolist()]
+        return bundle, samples, scalar_metric, SCALAR_EPS, None
+    # the gate closes on some pairs, and T = 10/8 spreads others past it
+    problem = BVPProblem(rhs=lambda t, x: 10.0 * x, n=GRID_N,
+                         gate=lambda a, b: 0.3 - np.abs(a - b))
+    bundle = replace(bvp_bundle(problem), name="grid")
+    pairs, _ = _grid_samples(4, 2 * GRID_CHUNK + 3)
+    return bundle, np.array(pairs) if as_array else pairs, sup_metric, GRID_EPS, problem
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("carrier", ["interval", "grid"])
+def test_one_pass_gives_the_standalone_reports(carrier, as_array):
+    bundle, samples, d, tol, problem = _pair_setup(carrier, as_array)
+    checks = [alpha_admissible_check(), contraction_check(bundle, tol)]
+    standalone = [check_alpha_admissible(bundle.mapping, bundle.alpha, samples),
+                  verify_contraction(bundle, samples, d, tol=tol)]
+    if problem is not None:
+        checks.append(operator_contraction_check())
+        standalone.append(check_operator_contraction(problem, samples))
+    one_pass = check_pairs(bundle.mapping, bundle.alpha, samples, checks, d)
+    assert [_fingerprint_report(rep) for rep in one_pass] == \
+        [_fingerprint_report(rep) for rep in standalone]
+    # every check of the pair has witnesses to compare
+    assert all(rep.witnesses for rep in one_pass)
+    if not as_array:
+        assert one_pass == standalone
+
+
+@pytest.mark.parametrize("carrier", ["interval", "grid"])
+def test_one_pass_maps_each_sample_once(carrier):
+    bundle, samples, d, tol, _ = _pair_setup(carrier, as_array=False)
+    seen = []
+
+    def mapping(x):
+        # a grid function is mapped alone; reals arrive a column at a time
+        seen.extend([id(x)] if carrier == "grid" else np.ravel(x).tolist())
+        return bundle.mapping(x)
+
+    counted = replace(bundle, mapping=mapping)
+    check_pairs(mapping, bundle.alpha, samples,
+                [alpha_admissible_check(), contraction_check(counted, tol)], d)
+    assert len(seen) == 2 * len(samples)
+    # alone, the alpha check maps only the pairs with alpha(x, y) >= 1
+    seen.clear()
+    check_alpha_admissible(mapping, bundle.alpha, samples)
+    held = sum(bundle.alpha(x, y) >= 1.0 for x, y in samples)
+    assert 0 < held < len(samples) and len(seen) == 2 * held
 
 
 # ---------------------------------------------------------------------------
