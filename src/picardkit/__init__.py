@@ -3,7 +3,7 @@ hypotheses, Picard iteration with convergence diagnostics, and a
 Green's-kernel solver for two-point boundary-value problems."""
 
 from .errors import DimensionError, DomainError, OracleError
-from .metrics import (Point, as_grid_function, load_grid_csv, nodes,
+from .metrics import (Point, as_grid_function, load_grid_csv, nodes, rowwise,
                       save_grid_csv, scalar_metric, sup_metric)
 from .report import (FAIL, HYPOTHESIS_UNMET, PASS, VerificationReport,
                      Witness, make_report, merge_reports, render_text,
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionError", "DomainError", "OracleError",
-    "Point", "as_grid_function", "load_grid_csv", "nodes", "save_grid_csv",
-    "scalar_metric", "sup_metric",
+    "Point", "as_grid_function", "load_grid_csv", "nodes", "rowwise",
+    "save_grid_csv", "scalar_metric", "sup_metric",
     "FAIL", "HYPOTHESIS_UNMET", "PASS", "VerificationReport", "Witness",
     "make_report", "merge_reports", "render_text", "report_rows",
     "write_report_csv",

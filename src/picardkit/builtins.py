@@ -18,7 +18,7 @@ from .bvp import BVPProblem, bvp_operator
 from .errors import DomainError
 from .framework import (GRID_EPS, SCALAR_EPS, AlphaFunction, CClassFunction,
                         ContractionBundle, GeraghtyBeta, SimulationFunction)
-from .metrics import Point, scalar_metric, sup_metric
+from .metrics import Point, rowwise, scalar_metric, sup_metric
 from .posets import natural_order, pointwise_order
 from .sampling import probe_pair
 
@@ -120,10 +120,8 @@ def alpha_box(low: float = 0.0, high: float = 1.0) -> AlphaFunction:
 
 def alpha_from_gate(problem: BVPProblem) -> AlphaFunction:
     """Weight 1 on grid-function pairs whose gate is positive at every node
-    (always 1 under the default open gate)."""
-    def weight(x: Point, y: Point) -> float:
-        return 1.0 if np.all(problem.gate_values(x, y) > 0.0) else 0.0
-    return AlphaFunction(weight, name="alpha_gate")
+    (always 1 under the default open gate); row-wise on stacks."""
+    return AlphaFunction(rowwise(lambda x, y: problem.gate_weights(x, y)), name="alpha_gate")
 
 
 # --------------------------------------------------------------------------
@@ -145,14 +143,21 @@ def affine_map(a: float, b: float) -> Callable[[float], float]:
 
 
 # --------------------------------------------------------------------------
-# right-hand sides for the boundary-value solver
+# right-hand sides for the boundary-value solver; each gives the broadcast
+# shape of (t, x), so a stack of grid functions is one call
+
+def _nodewise_shape(t, x) -> tuple:
+    return np.broadcast_shapes(np.shape(t), np.shape(x))
+
 
 def rhs_zero(t, x):
-    return np.zeros_like(np.asarray(t, dtype=float))
+    return np.zeros(_nodewise_shape(t, x))
 
 
 def rhs_pi2sin(t, x):
-    return math.pi ** 2 * np.sin(math.pi * np.asarray(t, dtype=float))
+    value = math.pi ** 2 * np.sin(math.pi * np.asarray(t, dtype=float))
+    shape = _nodewise_shape(t, x)
+    return value if np.shape(value) == shape else np.broadcast_to(value, shape)
 
 
 def rhs_sin_plus_one(t, x):
@@ -161,7 +166,7 @@ def rhs_sin_plus_one(t, x):
 
 def rhs_const(c: float) -> Callable:
     c = float(c)
-    return lambda t, x: np.full_like(np.asarray(t, dtype=float), c)
+    return lambda t, x: np.full(_nodewise_shape(t, x), c)
 
 
 # numpy functions an ``expr:`` right-hand side may call
@@ -178,7 +183,8 @@ def compile_rhs_expression(body: str) -> Callable:
     on a probe (t and x float arrays of 5 nodes in [0, 1]) gives a real
     scalar or a real array of t's shape. Integer literals become floats, so a power
     overflows at once instead of growing a huge integer. Non-finite values
-    pass, silently: the solver rejects them where they occur."""
+    pass, silently: the solver rejects them where they occur. An expression
+    that indexes or uses ``@`` takes one grid function at a time."""
     try:
         tree = ast.parse(body, mode="eval")
         for node in ast.walk(tree):
@@ -195,11 +201,16 @@ def compile_rhs_expression(body: str) -> Callable:
                           f"{', '.join(unknown)}; allowed: {', '.join(sorted(_EXPR_NAMES))}")
     namespace = {name: getattr(np, name) for name in _EXPR_FUNCTIONS}
     namespace["pi"] = math.pi
+    # indexing and @ can mix the rows of a stack of grid functions
+    nodewise = not any(isinstance(node, (ast.Subscript, ast.MatMult)) for node in ast.walk(tree))
 
     def rhs(t, x):
         local = dict(namespace)
         local["t"] = np.asarray(t, dtype=float)
         local["x"] = np.asarray(x, dtype=float)
+        if local["x"].ndim > 1 and not nodewise:
+            raise DomainError(f"expression {body!r} indexes or uses @, so it takes "
+                              f"one grid function at a time")
         with np.errstate(all="ignore"):
             return eval(code, {"__builtins__": {}}, local)
 

@@ -8,6 +8,8 @@ The kernel is semiseparable, ``x(t) = (1 - t) int_0^t s f + t int_t^1
 (1 - s) f``, so a quadrature on the solution grid is two prefix sums, one
 forward and one over the reversed grid: each operator apply takes O(n) time
 and memory, forms no ``(n + 1) x (n + 1)`` matrix and makes no BLAS call.
+The sums run along the last axis, so one call applies the operator to a
+whole (k, n + 1) stack of grid functions.
 The solver's rule is composite Simpson split at the kernel's diagonal kink
 (4th order). Panels with an odd number of subintervals close with a 3/8
 block on the kink side; the one-subinterval panels next to the boundary use
@@ -27,9 +29,10 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DomainError, OracleError
-from .framework import GRID_EPS, BlockCheck, check_pairs, evaluate_block
-from .metrics import Point, as_grid_function, nodes, sup_metric
+from .errors import DimensionError, DomainError, OracleError
+from .framework import (GRID_EPS, AlphaFunction, BlockCheck, check_pairs,
+                        evaluate_block)
+from .metrics import Point, as_grid_function, nodes, rowwise, sup_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 from .report import Witness, VerificationReport, make_report
 
@@ -69,7 +72,7 @@ def green_row_integral(t):
 
 def _split_simpson_prefix(g: np.ndarray) -> np.ndarray:
     """Entry i is the split-Simpson quadrature (unit spacing) of ``g`` over
-    nodes ``0..i``, for every i at once.
+    nodes ``0..i``, for every i at once, along the last axis.
 
     Even i is a prefix sum of Simpson panels. Odd i >= 3 closes the Simpson
     prefix over ``0..i-3`` with a 3/8 block on ``[i-3, i]``, the kink side.
@@ -77,32 +80,34 @@ def _split_simpson_prefix(g: np.ndarray) -> np.ndarray:
     (exact on quadratics) on the smooth branch extension over nodes 0..2,
     except on the degenerate n = 2 grid, where it is the trapezoid.
     """
-    n = g.size - 1
-    out = np.empty(n + 1)
-    panels = (g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2]) / 3.0
-    simpson = np.concatenate(([0.0], np.cumsum(panels)))
-    out[::2] = simpson
-    out[3::2] = simpson[:-2] + (3.0 * g[:-3:2] + 9.0 * g[1:-2:2]
-                                + 9.0 * g[2:-1:2] + 3.0 * g[3::2]) / 8.0
+    n = g.shape[-1] - 1
+    out = np.empty(g.shape)
+    panels = (g[..., :-2:2] + 4.0 * g[..., 1:-1:2] + g[..., 2::2]) / 3.0
+    out[..., 0] = 0.0
+    out[..., 2::2] = np.cumsum(panels, axis=-1)
+    out[..., 3::2] = out[..., :-3:2] + (3.0 * g[..., :-3:2] + 9.0 * g[..., 1:-2:2]
+                                        + 9.0 * g[..., 2:-1:2] + 3.0 * g[..., 3::2]) / 8.0
     if n >= 4:
-        out[1] = (5.0 * g[0] + 8.0 * g[1] - g[2]) / 12.0
+        out[..., 1] = (5.0 * g[..., 0] + 8.0 * g[..., 1] - g[..., 2]) / 12.0
     else:
-        out[1] = 0.5 * (g[0] + g[1])
+        out[..., 1] = 0.5 * (g[..., 0] + g[..., 1])
     return out
 
 
 def _trapezoid_prefix(g: np.ndarray) -> np.ndarray:
     """Entry i is the trapezoid quadrature (unit spacing) of ``g`` over
-    nodes ``0..i``. In :func:`_kernel_quadrature` the two half endpoint
-    weights at node i add up to the one diagonal term ``G(t_i, t_i) f_i``
-    that the forward and reversed sums would otherwise count twice."""
-    return np.cumsum(g) - 0.5 * (g[0] + g)
+    nodes ``0..i``, along the last axis. In :func:`_kernel_quadrature` the
+    two half endpoint weights at node i add up to the one diagonal term
+    ``G(t_i, t_i) f_i`` that the forward and reversed sums would otherwise
+    count twice."""
+    return np.cumsum(g, axis=-1) - 0.5 * (g[..., :1] + g)
 
 
 def _kernel_quadrature(ts: np.ndarray, complement: np.ndarray, f: np.ndarray,
                        prefix: Callable = _split_simpson_prefix) -> np.ndarray:
     """Quadrature of ``G(t_i, s) f(s)`` over s at every node by the prefix
-    rule ``prefix`` (split Simpson, or the trapezoid), in O(n) time and memory.
+    rule ``prefix`` (split Simpson, or the trapezoid), in O(n) time and
+    memory; ``f`` is one function's node values, or a stack of them.
 
     Each smooth panel [0, t_i] and [t_i, 1] is a prefix sum: the lower one
     runs forward over ``s f``, the upper one runs the same rule over the
@@ -113,7 +118,7 @@ def _kernel_quadrature(ts: np.ndarray, complement: np.ndarray, f: np.ndarray,
     # an overflow leaves inf or nan here, which the callers' finite checks reject
     with np.errstate(over="ignore", invalid="ignore"):
         lower = prefix(ts * f)
-        upper = prefix((complement * f)[::-1])[::-1]
+        upper = prefix((complement * f)[..., ::-1])[..., ::-1]
         return h * (complement * lower + ts * upper)
 
 
@@ -130,10 +135,14 @@ class BVPProblem:
     """One Dirichlet problem ``-x'' = f(t, x)``, ``x(0) = x(1) = 0``.
 
     ``rhs(t, x)`` must accept numpy arrays of nodes and node values and
-    return finite values (scalars broadcast). ``gate`` is an optional pair
-    predicate ``xi(a, b)``; None means the always-open gate (constant 1),
-    which admits every pair. The grid size must be even to keep the split
-    Simpson panels aligned.
+    return finite values, nodewise: the value at a node depends on t and x
+    there only. A stack of grid functions arrives as a 2-d ``x`` (one
+    function per row, t broadcasting along the rows); an rhs whose result
+    does not have the stack's shape is called again one function at a time,
+    where scalars broadcast. ``gate`` is an optional pair predicate
+    ``xi(a, b)``; None means the always-open gate (constant 1), which admits
+    every pair. The grid size must be even to keep the split Simpson panels
+    aligned.
     """
 
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -160,22 +169,34 @@ class BVPProblem:
         return float(self.gate(float(a), float(b)))
 
     def gate_values(self, x: Point, y: Point) -> np.ndarray:
-        """Gate values ``xi(x(t_i), y(t_i))`` at every node, as one array:
-        all ones for the open gate, else through
-        :func:`~picardkit.framework.evaluate_block`."""
+        """Gate values ``xi(x(t_i), y(t_i))`` at every node, as one array
+        (one row per pair of rows for two stacks): all ones for the open
+        gate, else through :func:`~picardkit.framework.evaluate_block` on
+        the node values."""
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
         if self.gate is None:
             return np.ones(xa.shape)
-        return evaluate_block(self.gate, self.gate_value, xa, ya)
+        if xa.ndim < 2:
+            return evaluate_block(self.gate, self.gate_value, xa, ya)
+        if xa.shape != ya.shape:
+            raise DimensionError(f"stacks of shapes {xa.shape} and {ya.shape} do not pair")
+        values = evaluate_block(self.gate, self.gate_value, xa.ravel(), ya.ravel())
+        return values.reshape(xa.shape)
+
+    def gate_weights(self, x: Point, y: Point) -> float | np.ndarray:
+        """1 where the gate is positive at every node of the pair, else 0;
+        one weight per pair of rows for two stacks."""
+        return np.where(np.all(self.gate_values(x, y) > 0.0, axis=-1), 1.0, 0.0)
 
     def rhs_values(self, x: np.ndarray) -> np.ndarray:
+        """The rhs at the nodes of ``x``, one function or a stack."""
         values = np.asarray(self.rhs(self.nodes, x), dtype=float)
-        if values.ndim == 0:
+        if values.ndim == 0 and x.ndim == 1:
             values = np.full(self.nodes.shape, float(values))
-        if values.shape != self.nodes.shape:
+        if values.shape != x.shape:
             raise DomainError(f"rhs returned shape {values.shape}, "
-                              f"expected {self.nodes.shape}")
+                              f"expected {x.shape}")
         if not np.all(np.isfinite(values)):
             raise DomainError("rhs produced non-finite values on the grid")
         return values
@@ -183,22 +204,22 @@ class BVPProblem:
 
 def integral_operator(problem: BVPProblem, x: Point) -> np.ndarray:
     """Apply the kernel-weighted quadrature to ``f(s, x(s))``; boundary
-    nodes are exactly zero."""
-    xa = as_grid_function(x)
-    if xa.shape != problem.nodes.shape:
-        raise DomainError(f"iterate has {xa.size} nodes, problem grid has "
+    nodes are exactly zero. A stack of grid functions maps row by row."""
+    xa = as_grid_function(x, stack=True)
+    if xa.shape[-1] != problem.nodes.size:
+        raise DomainError(f"iterate has {xa.shape[-1]} nodes, problem grid has "
                           f"{problem.nodes.size}")
     out = _kernel_quadrature(problem.nodes, problem._complement,
                              problem.rhs_values(xa))
-    out[0] = 0.0
-    out[-1] = 0.0
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
     return out
 
 
 def bvp_operator(problem: BVPProblem) -> Callable[[Point], np.ndarray]:
     """The problem's integral operator as a plain mapping for the Picard
-    engine and the contraction verifiers."""
-    return lambda x: integral_operator(problem, x)
+    engine and the contraction verifiers, tagged row-wise."""
+    return rowwise(lambda x: integral_operator(problem, x))
 
 
 def second_difference_residual(problem: BVPProblem, x: Point) -> float:
@@ -322,24 +343,26 @@ def check_gate_propagation(problem: BVPProblem,
                            pairs: Iterable[tuple[Point, Point]]) -> VerificationReport:
     """Nodewise gate positivity must survive one application of the
     operator: ``xi(x(t), y(t)) > 0`` for all t implies
-    ``xi(Tx(t), Ty(t)) > 0`` for all t."""
-    witnesses: list[Witness] = []
-    checked = 0
-    for x, y in pairs:
-        checked += 1
-        xa = as_grid_function(x)
-        ya = as_grid_function(y)
-        if np.all(problem.gate_values(xa, ya) > 0.0):
-            values = problem.gate_values(integral_operator(problem, xa),
-                                         integral_operator(problem, ya))
-            node = int(np.argmin(values))
-            worst = float(values[node])
-            if worst <= 0.0:
-                witnesses.append(Witness(
-                    "gate/propagation", (x, y), worst,
-                    f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} at node {node}",
-                    lhs=worst, bound=0.0))
-    return make_report("gate-propagation", witnesses, checked)
+    ``xi(Tx(t), Ty(t)) > 0`` for all t. A pass of
+    :func:`~picardkit.framework.check_pairs`: the operator maps only the
+    pairs the gate admits, a chunk of them per call."""
+    gate = AlphaFunction(rowwise(lambda x, y: problem.gate_weights(
+        as_grid_function(x, stack=True), as_grid_function(y, stack=True))), name="gate")
+
+    def failing(chunk):
+        held = np.flatnonzero(chunk.weights > 0.0)
+        if held.size == 0:
+            return held, np.zeros(0), held
+        values = problem.gate_values(*chunk.images_at(held))
+        node = np.argmin(values, axis=-1)
+        worst = values[np.arange(held.size), node]
+        closed = worst <= 0.0
+        return held[closed], worst[closed], node[closed]
+
+    return check_pairs(bvp_operator(problem), gate, pairs, [BlockCheck(
+        "gate-propagation", "gate/propagation", failing, 0.0,
+        lambda worst, node: f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} "
+                            f"at node {node}")])[0]
 
 
 def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],

@@ -23,18 +23,21 @@ Pointwise conditions are checked exactly on the supplied samples, up to a
 strictness epsilon. The master inequality and the two alpha checks take
 their samples as an (N, k) float array, or as tuples of reals or of grid
 functions. They read them in chunks (:data:`CHUNK` samples of reals, or as
-many grid functions as hold about that many node values) and evaluate each
-callable once per chunk through :func:`evaluate_block`: family callables may
-broadcast elementwise over arrays of real samples, and callables that do not
-are evaluated per sample, with the same results. Grid functions are always
-passed one at a time. The pair hypotheses (alpha-admissibility, the master
-inequality and the BVP operator's contraction) share one pass,
-:func:`check_pairs`: per chunk, the images Tx and Ty, alpha(x, y) and the
-distances are computed once for all of them, so the mapping is applied at
-most once per sampled point. Failing rows stay columns
-(:class:`picardkit.report.FailingRows`), and a report builds a witness only
-when a caller reaches it. Limit-style conditions are *falsification* checks: a
-pass means "no counterexample found on the supplied probes", never a proof.
+many grid functions as hold about :data:`STACK_NODES` node values) and
+evaluate each callable once per chunk through :func:`evaluate_block`:
+family callables may broadcast elementwise over arrays of real samples, and
+callables that do not are evaluated per sample, with the same results. A
+chunk of grid functions is one (k, n + 1) stack per coordinate, which only
+callables tagged :func:`~picardkit.metrics.rowwise` get whole; the others
+get one function at a time. The pair hypotheses
+(alpha-admissibility, the master inequality and the BVP operator's
+contraction) share one pass, :func:`check_pairs`: per chunk, the images Tx
+and Ty, alpha(x, y) and the distances are computed once for all of them, so
+the mapping is applied at most once per sampled point. Failing rows stay
+columns (:class:`picardkit.report.FailingRows`), and a report builds a
+witness only when a caller reaches it. Limit-style conditions are
+*falsification* checks: a pass means "no counterexample found on the
+supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
 checked concurrently, and the reports merged with
 :func:`picardkit.report.merge_reports`.
@@ -50,7 +53,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .metrics import Metric, Point, PointMap
+from .metrics import Metric, Point, PointMap, as_grid_function
 from .report import FailingRows, Witness, VerificationReport, make_report
 
 # Strict inequalities are checked as "lhs < rhs - eps"; equalities use the
@@ -62,38 +65,68 @@ GRID_EPS = 1e-9
 MIN_TAIL = 25  # minimum tail length for limsup estimates
 
 CHUNK = 4096  # reals per block in the block verifiers
+STACK_NODES = 16384  # node values per coordinate in a chunk of grid functions
+
+
+def _stack(functions: list):
+    """The grid functions as one (k, n + 1) float stack, one per row, when
+    they are 1-d float arrays of one length; else the list itself."""
+    if functions and all(isinstance(f, np.ndarray) and f.ndim == 1 and f.dtype == float
+                         and f.shape == functions[0].shape for f in functions):
+        return np.stack(functions)
+    return functions
+
+
+def _one_function(row: tuple) -> tuple:
+    """A row's arguments for one call of a row-wise callable, which would
+    read a 2-d one as a stack: that is rejected as a grid function."""
+    for value in row:
+        if np.ndim(value) > 1:
+            as_grid_function(value)
+    return row
 
 
 def evaluate_block(fn: Callable, scalar: Callable, *columns,
                    valid: Callable[[np.ndarray], np.ndarray] = np.isfinite):
     """Values of ``scalar`` at every row of the aligned ``columns``.
 
-    When every column is an array of more than one entry, ``fn`` is first
-    called once on read-only views of the whole columns. If it returns an
-    array of their shape whose entries all pass ``valid``, that array is the
-    result: ``fn`` broadcasts elementwise. Otherwise (``fn`` is written for
-    single samples, aggregates its argument, writes into it, or gives an
-    invalid entry) ``scalar`` is called once per row, in order, on Python
-    floats, which reproduces the per-sample values and errors exactly. Array
-    columns give a float array; other columns (grid functions) give the list
-    of per-row values.
+    Columns of reals are 1-d arrays. When each has more than one entry,
+    ``fn`` is first called once on read-only views of the whole columns. If
+    it returns an array of their shape whose entries all pass ``valid``,
+    that array is the result: ``fn`` broadcasts elementwise. Otherwise
+    (``fn`` is written for single samples, aggregates its argument, writes
+    into it, or gives an invalid entry) ``scalar`` is called once per row,
+    in order, on Python floats, which reproduces the per-sample values and
+    errors exactly; the result is a float array.
+
+    Columns of grid functions are (k, n + 1) stacks or lists. When every
+    column is a non-empty stack and ``fn`` is tagged
+    :func:`~picardkit.metrics.rowwise`, it is called once on read-only views
+    of the stacks, and a result of shape (k,) or (k, n + 1) whose entries
+    all pass ``valid`` is taken. Otherwise ``scalar`` is called once per
+    function, on the rows; the values come back as a stack when they are
+    grid functions of one length, else as a list.
     """
-    if not all(isinstance(column, np.ndarray) for column in columns):
-        return [scalar(*row) for row in zip(*columns)]
-    if columns[0].size > 1:
-        views = [column.view() for column in columns]
-        for view in views:
-            view.flags.writeable = False
-        try:
-            with np.errstate(all="ignore"):
-                out = fn(*views)
-                if (isinstance(out, np.ndarray) and out.shape == columns[0].shape
-                        and np.all(valid(out))):
-                    return out.astype(float, copy=False)
-        except Exception:  # a callable written for single samples
-            pass
-    return np.array([scalar(*row) for row in zip(*(c.tolist() for c in columns))],
-                    dtype=float)
+    row_wise = getattr(fn, "rowwise", False)
+    if all(isinstance(column, np.ndarray) for column in columns):
+        stacked = columns[0].ndim > 1
+        if (row_wise or not stacked) and len(columns[0]) > (0 if stacked else 1):
+            shapes = (columns[0].shape, columns[0].shape[:1])  # the same for reals
+            views = [column.view() for column in columns]
+            for view in views:
+                view.flags.writeable = False
+            try:
+                with np.errstate(all="ignore"):
+                    out = fn(*views)
+                    if (isinstance(out, np.ndarray) and out.shape in shapes
+                            and np.all(valid(out))):
+                        return out.astype(float, copy=False)
+            except Exception:  # a callable written for single samples or functions
+                pass
+        if not stacked:
+            return np.array([scalar(*row) for row in zip(*(c.tolist() for c in columns))],
+                            dtype=float)
+    return _stack([scalar(*_one_function(row) if row_wise else row) for row in zip(*columns)])
 
 
 @dataclass(frozen=True)
@@ -376,17 +409,18 @@ def _table(samples) -> tuple[object, object]:
 
 
 def _blocks(table) -> Iterator[tuple[int, list]]:
-    """(offset, columns) of consecutive chunks of the table, about CHUNK
-    numbers per coordinate each: CHUNK samples of reals (columns are float
-    array views), fewer of grid functions (columns are lists), so the images
-    a chunk keeps stay small on either carrier."""
+    """(offset, columns) of consecutive chunks of the table: CHUNK samples
+    of reals (columns are float array views), or as many grid functions as
+    hold about STACK_NODES node values (columns are stacks, or lists where
+    the functions do not stack), so the images a chunk keeps stay small on
+    either carrier."""
     if isinstance(table, np.ndarray):
         for start in range(0, len(table), CHUNK):
             yield start, list(table[start:start + CHUNK].T)
         return
-    length = max(1, CHUNK // np.size(table[0][0])) if table else 1
+    length = max(1, STACK_NODES // np.size(table[0][0])) if table else 1
     for start in range(0, len(table), length):
-        yield start, [list(column) for column in zip(*table[start:start + length])]
+        yield start, [_stack(list(column)) for column in zip(*table[start:start + length])]
 
 
 def _take(column, index: np.ndarray):
@@ -397,8 +431,9 @@ def _take(column, index: np.ndarray):
 
 class BlockCheck(NamedTuple):
     """One check of a chunked pass. ``failing(chunk)`` gives the indices of
-    a chunk's failing rows and their left-hand values, and their bounds too
-    when ``bound`` is None (per row); the rest goes to FailingRows."""
+    a chunk's failing rows, their left-hand values, and any per-row columns
+    the ``detail`` formatter takes after the value: first the bounds when
+    ``bound`` is None (per row). The rest goes to FailingRows."""
 
     name: str
     check: str
@@ -411,7 +446,7 @@ class BlockCheck(NamedTuple):
 
 
 # no failing rows: indices, left-hand values, per-row bounds
-_NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
+_NO_ROWS = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
 
 
 def _block_reports(samples, checks: Sequence[BlockCheck],
@@ -420,7 +455,7 @@ def _block_reports(samples, checks: Sequence[BlockCheck],
     chunk's columns are wrapped by ``chunk`` once and read by every check."""
     table, inputs = _table(samples)
     # per check, the parts of its failing rows, chunk by chunk
-    found = [[_NO_ROWS[:2 if check.bound is not None else 3]] for check in checks]
+    found = [[] for _ in checks]
     for start, columns in _blocks(table):
         view = chunk(columns)
         for check, parts in zip(checks, found):
@@ -429,9 +464,10 @@ def _block_reports(samples, checks: Sequence[BlockCheck],
         del view  # free this chunk's columns before the next chunk computes its own
     reports = []
     for check, parts in zip(checks, found):
-        rows, lhs, *bound = map(np.concatenate, zip(*parts))
-        witnesses = FailingRows(check.check, _take(inputs, rows), lhs,
-                                bound[0] if bound else check.bound, check.detail, check.upper)
+        rows, lhs, *columns = map(np.concatenate, zip(*(parts or _NO_ROWS)))
+        bound = columns[0] if check.bound is None else check.bound
+        witnesses = FailingRows(check.check, _take(inputs, rows), lhs, bound,
+                                check.detail, check.upper, columns)
         reports.append(make_report(check.name, witnesses, len(table),
                                    tolerance=check.tolerance, notes=check.notes))
     return reports

@@ -8,6 +8,9 @@ The verifiers work on two carriers, whose elements the samplers in
   grid of ``n + 1`` nodes (both endpoints included), compared in the sup
   norm.
 
+A (k, n + 1) array is a *stack* of k grid functions, one per row (see
+:func:`rowwise`).
+
 All operations are pure and reject non-finite values up front, so every
 downstream check can assume finite distances. Values are immutable from the
 library's point of view; concurrent use on shared inputs is safe.
@@ -36,10 +39,19 @@ def nodes(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def as_grid_function(values: Iterable[float]) -> np.ndarray:
-    """Validate ``values`` as a grid function and return it as a float array."""
+def rowwise(fn: Callable) -> Callable:
+    """Tag ``fn`` as row-wise: given stacks of grid functions in place of
+    grid functions, it treats each row as one function and returns one value
+    (or one grid function) per row. Returns ``fn``."""
+    fn.rowwise = True
+    return fn
+
+
+def as_grid_function(values: Iterable[float], stack: bool = False) -> np.ndarray:
+    """Validate ``values`` as a grid function (or, with ``stack``, also as a
+    stack of them) and return it as a float array."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim not in ((1, 2) if stack else (1,)) or arr.shape[-1] < 2:
         raise DimensionError(
             f"a grid function is a 1-d array with at least 2 nodes, got shape {arr.shape}"
         )
@@ -64,14 +76,17 @@ def scalar_metric(x: Point, y: Point) -> Point:
     return abs(x - y)
 
 
-def sup_metric(x: Iterable[float], y: Iterable[float]) -> float:
+@rowwise
+def sup_metric(x: Iterable[float], y: Iterable[float]) -> float | np.ndarray:
     """Largest nodewise gap ``max_i |x(t_i) - y(t_i)|`` between two grid
-    functions sampled on the same grid."""
-    xa = as_grid_function(x)
-    ya = as_grid_function(y)
+    functions sampled on the same grid; on two stacks, the gap of each pair
+    of rows."""
+    xa = as_grid_function(x, stack=True)
+    ya = as_grid_function(y, stack=True)
     if xa.shape != ya.shape:
         raise DimensionError(f"grid sizes differ: {xa.size} vs {ya.size} nodes")
-    return float(np.max(np.abs(xa - ya)))
+    gap = np.max(np.abs(xa - ya), axis=-1)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def save_grid_csv(path: str | Path, values: Iterable[float],

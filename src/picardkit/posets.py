@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .framework import AlphaFunction, SCALAR_EPS
-from .metrics import Metric, Point, PointMap
+from .metrics import Metric, Point, PointMap, rowwise
 from .report import Witness, VerificationReport, make_report
 
 
@@ -39,8 +39,8 @@ natural_order = PartialOrder(
     lambda x, y: np.asarray(x, dtype=float) <= np.asarray(y, dtype=float),
     name="natural")
 
-pointwise_order = PartialOrder(
-    lambda x, y: np.all(np.asarray(x, dtype=float) <= np.asarray(y, dtype=float), axis=-1),
+pointwise_order = PartialOrder(rowwise(
+    lambda x, y: np.all(np.asarray(x, dtype=float) <= np.asarray(y, dtype=float), axis=-1)),
     name="pointwise")
 
 
@@ -49,9 +49,13 @@ def alpha_from_order(order: PartialOrder) -> AlphaFunction:
 
     For any increasing mapping this weight is admissible, and its
     triangularity follows from transitivity of the order. It is elementwise
-    wherever the comparator is.
+    wherever the comparator is, and row-wise on stacks of grid functions
+    where the comparator is tagged so.
     """
-    return AlphaFunction(lambda x, y: np.where(order.leq(x, y), 1.0, 0.0),
+    def weight(x: Point, y: Point) -> np.ndarray:
+        return np.where(order.leq(x, y), 1.0, 0.0)
+
+    return AlphaFunction(rowwise(weight) if getattr(order.leq, "rowwise", False) else weight,
                          name=f"indicator({order.name})")
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -80,8 +81,9 @@ class FailingRows(SequenceABC):
     """The failing rows of one check, as columns: the sampled ``inputs``
     (an (N, k) float array, or a list of the sampled rows), the left-hand
     values ``lhs``, the ``bound`` (a float, or an array: one per row) and a
-    ``detail`` formatter of one left-hand value (and its bound, if per row).
-    The margin is ``lhs - bound``, or ``bound - lhs`` for an ``upper`` bound.
+    ``detail`` formatter of one left-hand value and that row's entries of
+    ``columns`` (per-row arrays; by default the bound if it is per row, else
+    none). The margin is ``lhs - bound``, or ``bound - lhs`` for an ``upper`` bound.
     It behaves as the list of their witnesses in canonical order under
     ``len``, iteration, indexing, slicing and ``==``, and builds each
     witness the first time a caller reaches it: a slice ``[:k]`` or an index
@@ -92,13 +94,16 @@ class FailingRows(SequenceABC):
     """
 
     def __init__(self, check: str, inputs, lhs: np.ndarray, bound: float | np.ndarray,
-                 detail: Callable[..., str], upper: bool = False):
+                 detail: Callable[..., str], upper: bool = False,
+                 columns: Optional[Sequence[np.ndarray]] = None):
         self.check = check
         self._inputs = inputs
         self._lhs = np.asarray(lhs, dtype=float)
         self._bound = bound
         self._detail = detail
         self._upper = upper
+        per_row = isinstance(bound, np.ndarray)
+        self._columns = (bound,) if columns is None and per_row else tuple(columns or ())
         self._head: list[Witness] = []  # the first witnesses, in canonical order
 
     def __len__(self) -> int:
@@ -156,14 +161,16 @@ class FailingRows(SequenceABC):
                 inputs = [_as_tuple(self._inputs[i]) for i in rows]
             per_row = isinstance(self._bound, np.ndarray)
             bounds = self._bound[rows].tolist() if per_row else [self._bound] * len(rows)
-            found = [(row, value, bound, bound - value if self._upper else value - bound)
-                     for row, value, bound in zip(inputs, self._lhs[rows].tolist(), bounds)]
+            extras = (zip(*(column[rows].tolist() for column in self._columns))
+                      if self._columns else repeat(()))
+            found = [(row, value, bound, bound - value if self._upper else value - bound, extra)
+                     for row, value, bound, extra in zip(inputs, self._lhs[rows].tolist(),
+                                                         bounds, extras)]
             # a stable sort of rows in sample order, as make_report's sort
             found.sort(key=lambda r: (format_inputs(r[0]), repr(r[3])))
-            self._head += [Witness(self.check, row, margin,
-                                   self._detail(value, bound) if per_row else self._detail(value),
+            self._head += [Witness(self.check, row, margin, self._detail(value, *extra),
                                    lhs=value, bound=bound)
-                           for row, value, bound, margin in found[len(self._head):k]]
+                           for row, value, bound, margin, extra in found[len(self._head):k]]
         return self._head[:k]
 
 

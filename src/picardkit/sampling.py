@@ -69,9 +69,10 @@ def random_positive_pairs(rng: np.random.Generator, count: int,
 
 def random_grid_pairs(rng: np.random.Generator, count: int, n: int,
                       low: float = 0.0, high: float = 1.0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pairs of grid functions with independent uniform node values."""
+    """Pairs of grid functions with independent uniform node values: row
+    views of one drawn (count, 2, n + 1) block, which they share."""
     block = rng.uniform(low, high, size=(count, 2, n + 1))
-    return [(np.array(row[0]), np.array(row[1])) for row in block]
+    return [(x, y) for x, y in block]
 
 
 def probe_pair(limit: float, length: int = 200, t_offset: float = 1.0,

@@ -132,3 +132,27 @@ class TestDefaultProbes:
     def test_beta_probes_nonnegative(self):
         for seq in default_beta_probes():
             assert seq.min() >= 0.0
+
+
+class TestRhsShapes:
+    # the definitions that returned t's shape whatever x was
+    T_SHAPED = {
+        "zero": lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
+        "pi2sin": lambda t, x: np.pi ** 2 * np.sin(np.pi * np.asarray(t, dtype=float)),
+        "const:2": lambda t, x: np.full_like(np.asarray(t, dtype=float), 2.0),
+    }
+
+    @pytest.mark.parametrize("spec", list(T_SHAPED))
+    def test_broadcast_shape_of_t_and_x(self, spec):
+        rhs = resolve("rhs", spec)
+        t = np.linspace(0.0, 1.0, 7)
+        stack = np.arange(21.0).reshape(3, 7)
+        values = rhs(t, stack)
+        assert values.shape == (3, 7)
+        assert all(np.array_equal(row, rhs(t, x)) for row, x in zip(values, stack))
+        # scalar and 1-d results stay as they were
+        old = self.T_SHAPED[spec]
+        for args in [(0.25, 0.5), (t, t), (t, 0.5), (t, stack[0])]:
+            got, want = rhs(*args), old(*args)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)

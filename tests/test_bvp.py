@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DomainError,
+                       as_grid_function,
                        OracleError, PicardConfig, Witness, bvp_operator,
                        check_gate_limit, check_gate_propagation,
                        check_operator_contraction,
@@ -398,6 +399,20 @@ def assert_same_report(got, want):
         assert all(u is v for u, v in zip(a.inputs, b.inputs))
 
 
+def _shifted_pairs(rng, count, n, shift):
+    """Pairs y = x + c + noise, c in ``shift``: a gate on |x - y| near c is
+    open on most, and the 10x rhs spreads the images by about 1.25 c."""
+    xs = rng.uniform(0.0, 1.0, size=(count, n + 1))
+    ys = xs + rng.uniform(*shift, size=(count, 1)) + rng.uniform(-0.01, 0.01, (count, n + 1))
+    return [(np.array(x), np.array(y)) for x, y in zip(xs, ys)]
+
+
+# n and pair counts around a stack of STACK_NODES node values (16 functions
+# at n = 1000, 1489 at n = 10)
+STACK_COUNTS = [(1000, 0), (1000, 1), (1000, 15), (1000, 16), (1000, 17), (1000, 40),
+                (10, 1488), (10, 1490)]
+
+
 class TestOperatorContraction:
     @pytest.mark.parametrize("rhs, factor, fails", [
         ("expr:10*x", CONTRACTION_FACTOR, True),   # Lipschitz 10 overwhelms 1/8
@@ -439,6 +454,14 @@ class TestOperatorContraction:
         assert contraction == verify_contraction(bundle, pairs, sup_metric, tol=GRID_EPS)
         assert_same_report(operator, oracle_operator_contraction(problem, pairs))
 
+    @pytest.mark.parametrize("n, count", STACK_COUNTS)
+    def test_stacks_match_the_per_pair_oracle(self, n, count):
+        problem = BVPProblem(rhs=resolve("rhs", "expr:10*x"), n=n)
+        pairs = _shifted_pairs(seeded_rng(count), count, n, (-0.5, 0.5))
+        got = check_operator_contraction(problem, pairs)
+        assert_same_report(got, oracle_operator_contraction(problem, pairs))
+        assert got.passed is not (count > 0)
+
     def test_equal_functions_trivial(self):
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=50)
         x = np.linspace(0.0, 1.0, 51)
@@ -458,6 +481,61 @@ class TestOperatorContraction:
         rng = seeded_rng(42)
         pairs = random_grid_pairs(rng, 50, 100, 0.0, 1.0)
         assert check_operator_contraction(problem, pairs).passed
+
+
+def oracle_gate_propagation(problem, pairs):
+    """The per-pair loop the chunked pass replaced: both functions of every
+    gated pair mapped one at a time, one witness at a time."""
+    witnesses = []
+    checked = 0
+    for x, y in pairs:
+        checked += 1
+        xa = as_grid_function(x)
+        ya = as_grid_function(y)
+        if np.all(problem.gate_values(xa, ya) > 0.0):
+            values = problem.gate_values(integral_operator(problem, xa),
+                                         integral_operator(problem, ya))
+            node = int(np.argmin(values))
+            worst = float(values[node])
+            if worst <= 0.0:
+                witnesses.append(Witness(
+                    "gate/propagation", (x, y), worst,
+                    f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} at node {node}",
+                    lhs=worst, bound=0.0))
+    return make_report("gate-propagation", witnesses, checked)
+
+
+class TestGatePropagation:
+    GATES = {
+        "broadcasting": lambda a, b: 0.3 - np.abs(a - b),
+        "single nodes": lambda a, b: 1.0 if abs(a - b) < 0.3 else -1.0,
+        "open": None,
+    }
+
+    @pytest.mark.parametrize("gate", list(GATES))
+    @pytest.mark.parametrize("n, count", STACK_COUNTS)
+    def test_matches_the_per_pair_oracle(self, gate, n, count):
+        problem = BVPProblem(rhs=resolve("rhs", "expr:10*x"), n=n, gate=self.GATES[gate])
+        pairs = _shifted_pairs(seeded_rng(count), count, n, (0.2, 0.31))
+        got = check_gate_propagation(problem, pairs)
+        assert_same_report(got, oracle_gate_propagation(problem, pairs))
+        if gate != "open" and count >= 16:
+            assert 0 < len(got.witnesses) < count
+        # an (N, 2, n + 1) array of the pairs gives the same witnesses
+        if count:
+            stacked = check_gate_propagation(problem, np.array(pairs))
+            assert [(w.margin, w.detail) for w in stacked.witnesses] == \
+                [(w.margin, w.detail) for w in got.witnesses]
+
+    def test_non_finite_function_raises_on_a_closed_gate(self):
+        # every function is checked, as the per-pair loop checked them
+        problem = BVPProblem(rhs=rhs_zero, n=10, gate=lambda a, b: -1.0)
+        pairs = _shifted_pairs(seeded_rng(1), 20, 10, (0.0, 0.1))
+        pairs[7][1][4] = np.nan
+        with pytest.raises(DomainError, match="grid function contains non-finite values"):
+            oracle_gate_propagation(problem, pairs)
+        with pytest.raises(DomainError, match="grid function contains non-finite values"):
+            check_gate_propagation(problem, pairs)
 
 
 class TestGatePredicates:

@@ -3,6 +3,7 @@ modes end to end, exit-status classes, and byte-deterministic artifacts."""
 
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 import picardkit
 from picardkit import bvp as bvp_module
+from picardkit import cli as cli_module
 from picardkit import load_grid_csv
 from picardkit.cli import (EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_USAGE, EXIT_VALIDATION, ConfigError, main,
@@ -286,20 +288,30 @@ n = 40
 
     def test_verify_grid_applies_the_operator_once_per_function(self, tmp_path, monkeypatch):
         # the verify-grid workload: 200 pairs of grid functions at n = 1000
-        calls = []
-        original = bvp_module.integral_operator
+        drawn, calls = [], []
+        draw, original = cli_module.random_grid_pairs, bvp_module.integral_operator
+
+        def recorded(*args):
+            drawn.extend(draw(*args))
+            return drawn
 
         def counted(problem, x):
-            calls.append(id(x))
+            calls.append(np.array(x, ndmin=2))  # the functions of one call, one per row
             return original(problem, x)
 
+        monkeypatch.setattr(cli_module, "random_grid_pairs", recorded)
         monkeypatch.setattr(bvp_module, "integral_operator", counted)
         cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
         cfg = cfg.replace("n = 20", "n = 1000")
         assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
         # alpha-admissible, contraction and operator-contraction share the
-        # images: one apply per sampled function, none twice
-        assert len(calls) == 400 and len(set(calls)) == 400
+        # images: each of the 400 sampled functions is mapped once, none
+        # twice, in stacks of 16 (about 16384 node values): 13 chunks of x
+        # and y rows
+        mapped = [row.tobytes() for rows in calls for row in rows]
+        sampled = {f.tobytes() for pair in drawn for f in pair}
+        assert len(mapped) == 400 and set(mapped) == sampled and len(sampled) == 400
+        assert len(calls) <= 2 * math.ceil(200 / 16)
         rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
         assert [row.split(",")[:3] for row in rows[-4:]] == [
             ["alpha-admissible", "pass", "200"], ["alpha-triangular", "pass", "133"],
@@ -409,6 +421,31 @@ GOLDEN_SHA256 = {
     "report.txt": "668e2db82fad87d547c6377769fd50f22321c49f0e6e2e5cd4c6de377acaf5d1",
 }
 
+# A grid-carrier run whose contraction and operator-contraction checks fail,
+# and the SHA-256 of its artifacts as the one-function-per-call verifiers
+# wrote them. Stacking the grid functions must not change a byte.
+FAILING_GRID_CFG = """\
+mode = verify
+seed = 11
+
+[carrier]
+kind = grid
+
+[bundle]
+name = bvp
+
+[verify]
+random_pairs = 37
+
+[bvp]
+rhs = expr:10*x
+n = 10
+"""
+FAILING_GRID_SHA256 = {
+    "report.csv": "a17ca97946f8c0cc239dc0075e628b44bb67e2176f7c563b3974797b0a4e5441",
+    "report.txt": "273ab4fedcdf6bbb9fe12183085a7e95f196ed5808bbcabbfd513d0249cad340",
+}
+
 
 class TestDeterminism:
     def test_order_reduction_artifacts_match_golden_digests(self, tmp_path):
@@ -417,6 +454,16 @@ class TestDeterminism:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in GOLDEN_SHA256}
         assert digests == GOLDEN_SHA256
+
+    def test_failing_grid_artifacts_match_golden_digests(self, tmp_path):
+        out = tmp_path / "golden-grid"
+        assert run(parse_config(FAILING_GRID_CFG), out_dir=out) == EXIT_CHECK_FAILED
+        rows = (out / "report.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[-2:]] == [
+            ["contraction", "fail"], ["operator-contraction", "fail"]]
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in FAILING_GRID_SHA256}
+        assert digests == FAILING_GRID_SHA256
 
     def _artifacts(self, directory):
         return sorted(p.name for p in directory.iterdir())

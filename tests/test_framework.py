@@ -13,10 +13,10 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from picardkit import (GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProblem, CClassFunction,
-                       ContractionBundle, DomainError, GeraghtyBeta,
-                       SimulationFunction, alpha_from_order,
-                       check_alpha_admissible, check_cclass, check_geraghty,
-                       check_operator_contraction,
+                       ContractionBundle, DimensionError, DomainError, GeraghtyBeta,
+                       SimulationFunction, alpha_from_order, bvp_operator,
+                       check_alpha_admissible, check_cclass, check_gate_propagation,
+                       check_geraghty, check_operator_contraction,
                        check_simulation_pointwise, check_simulation_sequences,
                        check_triangular_alpha, merge_reports,
                        natural_order, pointwise_order, scalar_metric,
@@ -24,11 +24,12 @@ from picardkit import (GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProblem, CClassFu
 from picardkit.builtins import (alpha_box, alpha_from_gate, alpha_one,
                                 beta_constant, beta_reciprocal, bvp_bundle,
                                 cclass_a, cclass_b, cclass_c, example31_bundle,
-                                example31_map, rhs_zero, zeta1)
+                                example31_map, resolve, rhs_zero, zeta1)
 from picardkit import report as report_module
 from picardkit.bvp import operator_contraction_check
-from picardkit.framework import (CHUNK, alpha_admissible_check, check_pairs,
-                                 contraction_check)
+from picardkit.framework import (CHUNK, STACK_NODES, alpha_admissible_check, check_pairs,
+                                 contraction_check, evaluate_block)
+from picardkit.metrics import rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
                               VerificationReport, Witness, format_inputs,
                               make_report, render_text, report_rows)
@@ -806,3 +807,160 @@ def test_rendering_builds_only_the_shown_witnesses(monkeypatch):
     assert f"... and {len(report.witnesses) - 8} more witnesses" in text
     assert rows[0][4] == rows[1][4] == f"contraction {format_inputs(report.witnesses[0].inputs)}"
     assert len(built) <= 8
+
+
+# ---------------------------------------------------------------------------
+# Stacks of grid functions: a chunk of grid functions is one (k, n + 1)
+# stack per coordinate, and the callables tagged row-wise take it in one
+# call. Each must give, bit for bit, what it gives one function at a time.
+
+STACK_NS = [2, 4, 6, 10, 1000]
+# builtins and an expression that read x, and three right-hand sides that
+# ignore it: two builtins that broadcast to the stack, and fixed node values
+STACK_RHS = ["sin_plus_one", "expr:10*x", "zero", "const:2", "pi2sin", "fixed"]
+STACK_GATES = [None, lambda a, b: 1.2 - np.abs(a - b),
+               lambda a, b: 1.0 if a <= b + 0.9 else -1.0]  # the last for single nodes
+# stack sizes around the chunk length k, in functions
+STACK_SIZES = {"0": 0, "1": 1, "k-1": -1, "k": 0, "k+1": 1}
+
+
+def _stack_size(n, size):
+    return STACK_SIZES[size] + (STACK_NODES // (n + 1) if size.startswith("k") else 0)
+
+
+def _stack_problem(n, rhs, gate, rng):
+    if rhs != "fixed":
+        return BVPProblem(rhs=resolve("rhs", rhs), n=n, gate=STACK_GATES[gate])
+    values = rng.uniform(-1.0, 1.0, n + 1)
+    return BVPProblem(rhs=lambda t, x: values, n=n, gate=STACK_GATES[gate])
+
+
+def _stack_pairs(rng, count, n):
+    xs = rng.uniform(-0.5, 1.5, size=(count, n + 1))
+    # partners close enough for the gates and the pointwise order to vary
+    ys = xs + rng.uniform(-0.2, 0.6, size=(count, 1)) \
+        + rng.uniform(-0.3, 0.3, size=(count, n + 1))
+    return xs, ys
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+stack_draws = dict(n=st.sampled_from(STACK_NS), size=st.sampled_from(list(STACK_SIZES)),
+                   rhs=st.sampled_from(STACK_RHS), gate=st.sampled_from(range(3)),
+                   seed=st.integers(0, 2 ** 32 - 1))
+
+
+@given(**stack_draws)
+@example(n=1000, size="k+1", rhs="sin_plus_one", gate=1, seed=1)
+@example(n=2, size="k", rhs="fixed", gate=2, seed=2)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
+def test_rowwise_callables_on_a_stack_match_the_per_function_loop(n, size, rhs, gate, seed):
+    rng = seeded_rng(seed)
+    count = _stack_size(n, size)
+    problem = _stack_problem(n, rhs, gate, rng)
+    xs, ys = _stack_pairs(rng, count, n)
+    for fn, stacks in [(bvp_operator(problem), (xs,)), (sup_metric, (xs, ys)),
+                       (alpha_from_gate(problem).fn, (xs, ys)),
+                       (alpha_from_order(pointwise_order).fn, (xs, ys)),
+                       (pointwise_order.leq, (xs, ys))]:
+        assert fn.rowwise
+        one_by_one = [fn(*row) for row in zip(*stacks)]
+        calls = []
+        counted = rowwise(lambda *args, fn=fn: calls.append(1) or fn(*args))
+        got = evaluate_block(counted, fn, *stacks)
+        assert len(got) == count and len(calls) == min(count, 1)
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, one_by_one))
+        if not count:
+            continue
+        # the stack's one call gave every row, unless the rhs ignores x and
+        # gives one function's node values, which a stack does not broadcast:
+        # then the rows were mapped one at a time
+        if rhs == "fixed" and len(stacks) == 1:
+            with pytest.raises(DomainError, match="rhs returned shape"):
+                fn(*stacks)
+        else:
+            assert np.array_equal(_bits(fn(*stacks)), _bits(np.array(one_by_one)))
+
+
+@given(**stack_draws)
+@example(n=1000, size="k+1", rhs="expr:10*x", gate=1, seed=3)
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK)
+def test_block_verifiers_match_per_sample_oracle_on_stacks(n, size, rhs, gate, seed):
+    rng = seeded_rng(seed)
+    count = _stack_size(n, size)
+    bundle = bvp_bundle(_stack_problem(n, rhs, gate, rng))
+    xs, ys = _stack_pairs(rng, count, n)
+    pairs = [(np.array(x), np.array(y)) for x, y in zip(xs, ys)]
+    functions = [f for pair in pairs for f in pair]
+    triples = [tuple(functions[3 * i:3 * i + 3]) for i in range(len(functions) // 3)]
+    _check_all(bundle, pairs, triples, sup_metric)
+
+
+# The errors the verifiers raised when they passed grid functions one at a
+# time: one faulty pair among 40 at n = 6 (one stack) raises the same.
+FAULTS = {
+    "non-finite": (DomainError, "grid function contains non-finite values"),
+    "node counts": (DomainError, "iterate has 9 nodes, problem grid has 7"),
+    "2-d function": (DimensionError,
+                     "a grid function is a 1-d array with at least 2 nodes, got shape (2, 7)"),
+    "rhs shape": (DomainError, "rhs returned shape (3,), expected (7,)"),
+}
+# the same faults under a mapping that checks nothing: the metric raises
+METRIC_FAULTS = {
+    "non-finite": FAULTS["non-finite"],
+    "node counts": (DimensionError, "grid sizes differ: 7 vs 9 nodes"),
+    "2-d function": FAULTS["2-d function"],
+}
+
+
+def _faulty_problem_and_pairs(fault, gate):
+    rhs = (lambda t, x: np.zeros(3)) if fault == "rhs shape" else rhs_zero
+    problem = BVPProblem(rhs=rhs, n=GRID_N, gate=STACK_GATES[gate])
+    pairs = [(np.array(x), np.array(y)) for x, y in zip(*_stack_pairs(seeded_rng(5), 40, GRID_N))]
+    x, y = pairs[25]
+    if fault == "non-finite":
+        x[3] = np.nan
+    elif fault == "node counts":
+        y = np.linspace(0.0, 1.0, GRID_N + 3)
+    elif fault == "2-d function":
+        x = np.zeros((2, GRID_N + 1))
+    pairs[25] = (x, y)
+    return problem, pairs
+
+
+@pytest.mark.parametrize("gate", range(3))
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_faulty_stacks_raise_the_per_function_errors(fault, gate):
+    problem, pairs = _faulty_problem_and_pairs(fault, gate)
+    bundle = bvp_bundle(problem)
+    checks = [alpha_admissible_check(), contraction_check(bundle, GRID_EPS),
+              operator_contraction_check()]
+    runs = [(FAULTS[fault], lambda: check_pairs(bundle.mapping, bundle.alpha, pairs, checks,
+                                                sup_metric)),
+            (FAULTS[fault], lambda: check_operator_contraction(problem, pairs))]
+    if fault in ("non-finite", "rhs shape"):  # the pairs form an (N, 2, n + 1) array
+        runs.append((FAULTS[fault], lambda: verify_contraction(bundle, np.array(pairs),
+                                                               sup_metric)))
+    if STACK_GATES[gate] is None:  # the open gate maps every pair
+        runs.append((FAULTS[fault], lambda: check_gate_propagation(problem, pairs)))
+    if fault in METRIC_FAULTS:
+        halving = replace(bundle, mapping=lambda x: 0.5 * x)
+        runs.append((METRIC_FAULTS[fault], lambda: verify_contraction(halving, pairs, sup_metric)))
+    for (error, text), run in runs:
+        with pytest.raises(error) as raised:
+            run()
+        assert str(raised.value) == text
+
+
+@pytest.mark.parametrize("body", ["x*(x@x)", "x*(t@x)", "x - x[x >= 0.0]*0.5"])
+def test_expressions_that_mix_nodes_take_one_function_at_a_time(body):
+    # on 1-d x these give a scalar or t's shape; on a (5, 5) stack, @ and
+    # indexing would read across its rows
+    problem = BVPProblem(rhs=resolve("rhs", f"expr:{body}"), n=4)
+    T = bvp_operator(problem)
+    xs = seeded_rng(1).uniform(0.0, 1.0, size=(5, 5))
+    with pytest.raises(DomainError, match="one grid function at a time"):
+        T(xs)
+    assert np.array_equal(_bits(evaluate_block(T, T, xs)), _bits([T(x) for x in xs]))

@@ -79,6 +79,21 @@ class TestSupMetric:
         assert sup_metric(x, y) == sup_metric(y, x) >= 0.0
         assert sup_metric(x, z) <= sup_metric(x, y) + sup_metric(y, z) + 1e-9
 
+    def test_stacks_row_by_row(self):
+        # two (k, n + 1) stacks give one gap per pair of rows, bit for bit
+        rng = np.random.default_rng(4)
+        xs, ys = rng.uniform(-1.0, 1.0, size=(2, 5, 9))
+        gaps = sup_metric(xs, ys)
+        assert sup_metric.rowwise and gaps.shape == (5,)
+        assert gaps.tolist() == [sup_metric(x, y) for x, y in zip(xs, ys)]
+        with pytest.raises(DimensionError):
+            sup_metric(xs, ys[:, :-1])
+        with pytest.raises(DimensionError):
+            sup_metric(xs[None], ys[None])  # a stack of stacks
+        xs[3, 2] = np.inf
+        with pytest.raises(DomainError):
+            sup_metric(xs, ys)
+
     @given(st.integers(min_value=1, max_value=30),
            st.floats(min_value=-100, max_value=100, allow_nan=False))
     def test_constant_offset(self, n, c):
@@ -106,6 +121,18 @@ class TestSpaces:
             assert as_grid_function(f).shape == (11,)
             assert 0.0 <= f.min() and f.max() <= 1.0
         assert 0.0 < sup_metric(*pairs[0]) <= 1.0
+
+    def test_grid_pairs_are_row_views_of_one_block(self):
+        # the same draws as copying each row; the pairs share the one block
+        pairs = random_grid_pairs(np.random.default_rng(3), 3, 4, -1.0, 2.0)
+        block = np.random.default_rng(3).uniform(-1.0, 2.0, size=(3, 2, 5))
+        assert np.array_equal(np.array(pairs), block)
+        assert float(pairs[0][0][0]) == -0.7430524985691269
+        assert float(pairs[2][1][4]) == 1.1208952869668707
+        shared = pairs[0][0].base
+        assert shared is not None and shared.shape == (3, 2, 5)
+        assert all(f.base is shared and np.shares_memory(f, shared)
+                   for pair in pairs for f in pair)
 
     def test_grid_function_validation(self):
         with pytest.raises(DimensionError):
