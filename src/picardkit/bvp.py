@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import DimensionError, DomainError, OracleError
-from .framework import (GRID_EPS, AlphaFunction, BlockCheck, check_pairs,
-                        evaluate_block)
+from .framework import (GRID_EPS, AlphaFunction, BlockCheck, _block_reports, _reals, _rows,
+                        check_pairs, evaluate_block)
 from .metrics import Point, as_grid_function, nodes, rowwise, sup_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 from .report import Witness, VerificationReport, make_report
@@ -265,44 +265,42 @@ def solve_bvp(problem: BVPProblem, cfg: PicardConfig | None = None) -> BVPSoluti
 
 
 def check_rhs_displacement_bound(problem: BVPProblem,
-                                 triples: Iterable[tuple[float, float, float]],
+                                 triples: Iterable[tuple[float, float, float]] | np.ndarray,
                                  tol: float = GRID_EPS) -> VerificationReport:
     """Check ``|f(t, a) - f(t, b)| <= max{|a - b|, |a - Ta|, |b - Tb|}`` on
     sampled ``(t, a, b)`` triples admitted by the gate.
 
     ``Ta`` embeds the constant function a, applies the integral operator,
     and reads the node nearest to t. Triples with a non-positive gate value
-    are skipped (the bound is only required on gated pairs).
+    are skipped (the bound is only required on gated pairs). The operator
+    applies once, to the stack of the distinct constants of the admitted
+    triples.
     """
-    witnesses: list[Witness] = []
-    checked = 0
-    operator_cache: dict[float, np.ndarray] = {}
+    table = _reals(triples, 3)
+    t, a, b = table.T
+    outside = np.flatnonzero(~((0.0 <= t) & (t <= 1.0)))
+    if outside.size:
+        raise DomainError(f"t = {t[outside[0]]} outside [0, 1]")
+    table = table[~(problem.gate_values(a, b) <= 0.0)]
+    constants = np.unique(table[:, 1:])
+    T = bvp_operator(problem)
+    images = evaluate_block(T, T, np.repeat(constants[:, None], problem.n + 1, axis=1))
 
-    def operator_on_constant(value: float) -> np.ndarray:
-        if value not in operator_cache:
-            constant = np.full(problem.n + 1, value)
-            operator_cache[value] = integral_operator(problem, constant)
-        return operator_cache[value]
+    def rhs(t, x):
+        return evaluate_block(problem.rhs, lambda t, x: float(problem.rhs(t, x)), t, x)
 
-    for t, a, b in triples:
-        t, a, b = float(t), float(a), float(b)
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"t = {t} outside [0, 1]")
-        if problem.gate_value(a, b) <= 0.0:
-            continue
-        checked += 1
-        index = int(round(t * problem.n))
-        lhs = abs(float(problem.rhs(t, a)) - float(problem.rhs(t, b)))
-        ta = float(operator_on_constant(a)[index])
-        tb = float(operator_on_constant(b)[index])
-        bound = max(abs(a - b), abs(a - ta), abs(b - tb))
-        margin = bound - lhs
-        if lhs > bound + tol:
-            witnesses.append(Witness(
-                "rhs/displacement", (t, a, b), margin,
-                f"|f(t, a) - f(t, b)| = {lhs!r} exceeds the displacement max {bound!r}",
-                lhs=lhs, bound=bound))
-    return make_report("rhs-displacement-bound", witnesses, checked, tolerance=tol)
+    def failing(columns):
+        t, a, b = columns
+        node = np.rint(t * problem.n).astype(np.intp)  # round half to even, as round()
+        ta, tb = (images[np.searchsorted(constants, x), node] for x in (a, b))
+        lhs = np.abs(rhs(t, a) - rhs(t, b))
+        bound = np.maximum(np.maximum(np.abs(a - b), np.abs(a - ta)), np.abs(b - tb))
+        return _rows(lhs > bound + tol, lhs, bound, bound - lhs, bound)
+
+    return _block_reports(table, [BlockCheck(
+        "rhs-displacement-bound", "rhs/displacement", failing,
+        lambda lhs, bound: f"|f(t, a) - f(t, b)| = {lhs!r} exceeds the displacement max {bound!r}",
+        tolerance=tol)])[0]
 
 
 def operator_contraction_check(factor: float = CONTRACTION_FACTOR,
@@ -311,13 +309,12 @@ def operator_contraction_check(factor: float = CONTRACTION_FACTOR,
     :func:`~picardkit.framework.check_pairs`: the bound is per pair."""
     def failing(chunk):
         bound = factor * chunk.gauge
-        above = np.flatnonzero(chunk.gap > bound + tol)
-        return above, chunk.gap[above], bound[above]
+        return _rows(chunk.gap > bound + tol, chunk.gap, bound, bound - chunk.gap, bound)
 
     return BlockCheck(
-        "operator-contraction", "operator/contraction", failing, None,
+        "operator-contraction", "operator/contraction", failing,
         lambda lhs, bound: f"||Tx - Ty|| = {lhs!r} exceeds {factor!r} * M = {bound!r}",
-        upper=True, tolerance=tol)
+        tolerance=tol)
 
 
 def check_operator_contraction(problem: BVPProblem,
@@ -352,15 +349,16 @@ def check_gate_propagation(problem: BVPProblem,
     def failing(chunk):
         held = np.flatnonzero(chunk.weights > 0.0)
         if held.size == 0:
-            return held, np.zeros(0), held
+            return held, np.zeros(0), 0.0, np.zeros(0), held
         values = problem.gate_values(*chunk.images_at(held))
         node = np.argmin(values, axis=-1)
         worst = values[np.arange(held.size), node]
         closed = worst <= 0.0
-        return held[closed], worst[closed], node[closed]
+        # the margin worst - 0.0 is worst itself, bit for bit
+        return held[closed], worst[closed], 0.0, worst[closed], node[closed]
 
     return check_pairs(bvp_operator(problem), gate, pairs, [BlockCheck(
-        "gate-propagation", "gate/propagation", failing, 0.0,
+        "gate-propagation", "gate/propagation", failing,
         lambda worst, node: f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} "
                             f"at node {node}")])[0]
 

@@ -20,24 +20,25 @@ The family members carry their own side conditions:
   one application of the mapping.
 
 Pointwise conditions are checked exactly on the supplied samples, up to a
-strictness epsilon. The master inequality and the two alpha checks take
-their samples as an (N, k) float array, or as tuples of reals or of grid
-functions. They read them in chunks (:data:`CHUNK` samples of reals, or as
-many grid functions as hold about :data:`STACK_NODES` node values) and
-evaluate each callable once per chunk through :func:`evaluate_block`:
-family callables may broadcast elementwise over arrays of real samples, and
-callables that do not are evaluated per sample, with the same results. A
-chunk of grid functions is one (k, n + 1) stack per coordinate, which only
-callables tagged :func:`~picardkit.metrics.rowwise` get whole; the others
-get one function at a time. The pair hypotheses
-(alpha-admissibility, the master inequality and the BVP operator's
-contraction) share one pass, :func:`check_pairs`: per chunk, the images Tx
-and Ty, alpha(x, y) and the distances are computed once for all of them, so
-the mapping is applied at most once per sampled point. Failing rows stay
-columns (:class:`picardkit.report.FailingRows`), and a report builds a
-witness only when a caller reaches it. Limit-style conditions are
-*falsification* checks: a pass means "no counterexample found on the
-supplied probes", never a proof.
+strictness epsilon. Every sampled verifier, here and in :mod:`.picard`,
+:mod:`.posets` and :mod:`.bvp`, takes its samples as an (N, k) float array
+or as tuples of reals or of grid functions, and runs on one chunked kernel,
+:func:`_block_reports`: each of its checks (:class:`BlockCheck`) gives a
+chunk's failing rows as columns, margins included. A chunk is :data:`CHUNK`
+samples of reals, or as many grid functions as hold about
+:data:`STACK_NODES` node values, and :func:`evaluate_block` evaluates each
+callable once per chunk: family callables may broadcast elementwise over
+arrays of real samples, and callables that do not are evaluated per sample,
+with the same results. A chunk of grid functions is one (k, n + 1) stack per
+coordinate, which only callables tagged :func:`~picardkit.metrics.rowwise`
+get whole. The pair hypotheses share one pass, :func:`check_pairs`, so the
+mapping applies at most once per sampled point. The failing rows of a check
+of one clause stay columns (:class:`picardkit.report.FailingRows`) and build
+a witness only when a caller reaches it. Only the limit-style conditions
+loop, over a few probes: :func:`check_simulation_sequences`, the limit
+probes of :func:`check_geraghty` and :func:`picardkit.bvp.check_gate_limit`.
+They are *falsification* checks: a pass means "no counterexample found on
+the supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
 checked concurrently, and the reports merged with
 :func:`picardkit.report.merge_reports`.
@@ -226,8 +227,25 @@ def _tail(length: int, min_tail: int = MIN_TAIL) -> int:
     return min(length, max(length // 4, min_tail))
 
 
+def _clauses(name: str, member: Family, table: np.ndarray, tol: float,
+             clauses: Sequence[tuple[str, Callable, Callable]]) -> VerificationReport:
+    """The report of an axiom's clauses from one pass over real samples that
+    evaluates the family ``member`` once per sample. Of a clause ``(check,
+    rule, detail)``, ``rule`` reads the sample columns and the values and
+    gives where it fails, the bounds and the margins; ``detail`` formats one
+    value and its sample."""
+    def check(witness, rule, detail):
+        def failing(chunk):
+            broken, bound, margin = rule(*chunk)
+            return _rows(broken, chunk[-1], bound, margin, *chunk[:-1])
+        return BlockCheck(name, witness, failing, detail, tolerance=tol)
+
+    return _block_reports(table, [check(*clause) for clause in clauses],
+                          lambda columns: (*columns, member.values(*columns)))[0]
+
+
 def check_simulation_pointwise(zeta: SimulationFunction,
-                               samples: Iterable[tuple[float, float]],
+                               samples: Iterable[tuple[float, float]] | np.ndarray,
                                tol: float = SCALAR_EPS) -> VerificationReport:
     """Exact check of the origin value ``zeta(0, 0) = 0`` and of the strict
     bound ``zeta(t, s) < s - t`` on strictly positive samples.
@@ -236,30 +254,15 @@ def check_simulation_pointwise(zeta: SimulationFunction,
     are skipped. A useful sample set contains (0, 0) and a spread of
     strictly positive pairs.
     """
-    witnesses: list[Witness] = []
-    checked = 0
-    for pair in samples:
-        t, s = float(pair[0]), float(pair[1])
-        if t < 0.0 or s < 0.0:
-            raise DomainError(f"simulation-function samples must be nonnegative, got ({t}, {s})")
-        if t == 0.0 and s == 0.0:
-            checked += 1
-            value = zeta(0.0, 0.0)
-            margin = -abs(value)
-            if margin < -tol:
-                witnesses.append(Witness(
-                    "simulation/origin", (0.0, 0.0), margin,
-                    f"zeta(0, 0) = {value!r} is not 0", lhs=value, bound=0.0))
-        elif t > 0.0 and s > 0.0:
-            checked += 1
-            value = zeta(t, s)
-            margin = (s - t) - value
-            if not margin > tol:
-                witnesses.append(Witness(
-                    "simulation/strict", (t, s), margin,
-                    f"zeta({t!r}, {s!r}) = {value!r} is not strictly below s - t = {s - t!r}",
-                    lhs=value, bound=s - t))
-    return make_report("simulation-pointwise", witnesses, checked, tolerance=tol)
+    table = _reals(samples, 2, "simulation-function")
+    t, s = table.T
+    # adding 0.0 turns a -0.0 coordinate into the origin's 0.0
+    table = table[((t == 0.0) & (s == 0.0)) | ((t > 0.0) & (s > 0.0))] + 0.0
+    return _clauses("simulation-pointwise", zeta, table, tol, [
+        ("simulation/origin", lambda t, s, z: ((t == 0.0) & (np.abs(z) > tol), 0.0, -np.abs(z)),
+         lambda z, t, s: f"zeta(0, 0) = {z!r} is not 0"),
+        ("simulation/strict", lambda t, s, z: ((t > 0.0) & ~(s - t - z > tol), s - t, s - t - z),
+         lambda z, t, s: f"zeta({t!r}, {s!r}) = {z!r} is not strictly below s - t = {s - t!r}")])
 
 
 def check_simulation_sequences(zeta: SimulationFunction,
@@ -301,7 +304,7 @@ def check_simulation_sequences(zeta: SimulationFunction,
                        mode="falsification", tolerance=tol)
 
 
-def check_cclass(g: CClassFunction, samples: Iterable[tuple[float, float]],
+def check_cclass(g: CClassFunction, samples: Iterable[tuple[float, float]] | np.ndarray,
                  tol: float = SCALAR_EPS) -> VerificationReport:
     """Check the C-class clauses on sampled ``(s, t)`` from the closed
     positive quadrant:
@@ -314,36 +317,18 @@ def check_cclass(g: CClassFunction, samples: Iterable[tuple[float, float]],
     The zero-row clause is evaluated at s = 0 only; a useful sample set
     covers s = 0, t = 0, and the open quadrant.
     """
-    witnesses: list[Witness] = []
-    checked = 0
     c = float(g.c_g)
-    for pair in samples:
-        s, t = float(pair[0]), float(pair[1])
-        if s < 0.0 or t < 0.0:
-            raise DomainError(f"C-class samples must be nonnegative, got ({s}, {t})")
-        checked += 1
-        value = g(s, t)
-        upper_margin = s - value
-        if upper_margin < -tol:
-            witnesses.append(Witness(
-                "cclass/upper", (s, t), upper_margin,
-                f"G({s!r}, {t!r}) = {value!r} exceeds s", lhs=value, bound=s))
-        elif abs(value - s) <= tol and s > tol and t > tol:
-            witnesses.append(Witness(
-                "cclass/degenerate", (s, t), -min(s, t),
-                f"G = s at non-degenerate arguments s={s!r}, t={t!r}",
-                lhs=value, bound=s))
-        if value > c + tol and not s > t + tol:
-            witnesses.append(Witness(
-                "cclass/benchmark", (s, t), s - t,
-                f"G({s!r}, {t!r}) = {value!r} exceeds c_g = {c!r} but s <= t",
-                lhs=value, bound=c))
-        if s <= tol and value > c + tol:
-            witnesses.append(Witness(
-                "cclass/zero-row", (s, t), c - value,
-                f"G({s!r}, {t!r}) = {value!r} exceeds c_g = {c!r} on the s = 0 row",
-                lhs=value, bound=c))
-    return make_report("cclass", witnesses, checked, tolerance=tol)
+    return _clauses("cclass", g, _reals(samples, 2, "C-class"), tol, [
+        ("cclass/upper", lambda s, t, v: (s - v < -tol, s, s - v),
+         lambda v, s, t: f"G({s!r}, {t!r}) = {v!r} exceeds s"),
+        ("cclass/degenerate",
+         lambda s, t, v: (~(s - v < -tol) & (np.abs(v - s) <= tol) & (s > tol) & (t > tol),
+                          s, -np.minimum(s, t)),
+         lambda v, s, t: f"G = s at non-degenerate arguments s={s!r}, t={t!r}"),
+        ("cclass/benchmark", lambda s, t, v: ((v > c + tol) & ~(s > t + tol), c, s - t),
+         lambda v, s, t: f"G({s!r}, {t!r}) = {v!r} exceeds c_g = {c!r} but s <= t"),
+        ("cclass/zero-row", lambda s, t, v: ((s <= tol) & (v > c + tol), c, c - v),
+         lambda v, s, t: f"G({s!r}, {t!r}) = {v!r} exceeds c_g = {c!r} on the s = 0 row")])
 
 
 def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
@@ -356,22 +341,13 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
     (tail values within ``limit_tol`` of 1) along a probe whose arguments
     stay at least ``separation`` away from 0.
     """
+    ranged = _clauses("geraghty", beta, _reals(samples, 1, "beta"), tol, [(
+        "geraghty/range",
+        lambda t, b: ((b < -tol) | ~(1.0 - b > tol), np.where(b < -tol, 0.0, 1.0),
+                      np.where(b < -tol, b, 1.0 - b)),
+        lambda b, t: f"beta({t!r}) = {b!r} is "
+                     + ("below 0" if b < -tol else "not strictly below 1"))])
     witnesses: list[Witness] = []
-    checked = 0
-    for raw in samples:
-        t = float(raw)
-        if t < 0.0:
-            raise DomainError(f"beta samples must be nonnegative, got {t}")
-        checked += 1
-        value = beta(t)
-        if value < -tol:
-            witnesses.append(Witness(
-                "geraghty/range", (t,), value,
-                f"beta({t!r}) = {value!r} is below 0", lhs=value, bound=0.0))
-        elif not (1.0 - value) > tol:
-            witnesses.append(Witness(
-                "geraghty/range", (t,), 1.0 - value,
-                f"beta({t!r}) = {value!r} is not strictly below 1", lhs=value, bound=1.0))
     probes = list(probe_sequences)
     for index, seq in enumerate(probes):
         arr = np.asarray(seq, dtype=float)
@@ -389,17 +365,33 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
                 f"arguments stay above {tail_min_t!r}",
                 lhs=tail_min_beta, bound=1.0))
     notes = ("range clause is exact; limit clause is falsification-only",) if probes else ()
-    return make_report("geraghty", witnesses, checked + len(probes),
+    return make_report("geraghty", [*ranged.witnesses, *witnesses],
+                       ranged.samples + len(probes),
                        mode="falsification" if probes else "exact",
                        tolerance=tol, notes=notes)
 
 
+def _reals(samples, width: int, nonnegative: str = "") -> np.ndarray:
+    """Samples of reals as an (N, width) float array, converted in one call.
+    With ``nonnegative`` (what they sample), the first sample with a
+    negative coordinate raises :class:`DomainError`."""
+    table = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples),
+                       dtype=float)
+    table = table.reshape(len(table), width)
+    if nonnegative and np.any(table < 0.0):
+        row = table[np.any(table < 0.0, axis=1)][0].tolist()
+        raise DomainError(f"{nonnegative} samples must be nonnegative, "
+                          f"got {row[0] if width == 1 else tuple(row)}")
+    return table
+
+
 def _table(samples) -> tuple[object, object]:
     """The samples to compute on, and the rows witnesses take their inputs
-    from. An (N, k) array is both, as floats. Other samples (an (N, k, n + 1)
-    array too) are listed: tuples of reals are computed on as one float
-    array, tuples of grid functions as they are."""
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
+    from. An (N, k) array of reals is both, as floats. Other samples (an
+    (N, k, n + 1) array, or an object array of grid functions, too) are
+    listed: tuples of reals are computed on as one float array, tuples of
+    grid functions as they are."""
+    if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.dtype != object:
         table = np.asarray(samples, dtype=float)
         return table, table
     rows = list(samples)
@@ -430,47 +422,52 @@ def _take(column, index: np.ndarray):
 
 
 class BlockCheck(NamedTuple):
-    """One check of a chunked pass. ``failing(chunk)`` gives the indices of
-    a chunk's failing rows, their left-hand values, and any per-row columns
-    the ``detail`` formatter takes after the value: first the bounds when
-    ``bound`` is None (per row). The rest goes to FailingRows."""
+    """One check of a chunked pass. ``failing(chunk)`` gives a chunk's
+    failing rows as columns: their indices, left-hand values, bounds and
+    signed margins (one value may stand for every row), then the columns
+    ``detail`` takes after the left-hand value. The checks of a pass that
+    share a report ``name`` are the clauses of one check; ``check`` names
+    the witnesses."""
 
     name: str
     check: str
     failing: Callable
-    bound: Optional[float]
     detail: Callable[..., str]
-    upper: bool = False
     tolerance: float = 0.0
     notes: tuple[str, ...] = ()
 
 
-# no failing rows: indices, left-hand values, per-row bounds
-_NO_ROWS = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+def _rows(failing: np.ndarray, *columns) -> tuple:
+    """The indices where ``failing`` holds, then each column at them (a
+    single value stays as it is): what ``BlockCheck.failing`` gives."""
+    index = np.flatnonzero(failing)
+    return (index, *(column[index] if np.ndim(column) else column for column in columns))
 
 
 def _block_reports(samples, checks: Sequence[BlockCheck],
                    chunk: Callable = lambda columns: columns) -> list[VerificationReport]:
-    """The reports of ``checks`` from one pass over the samples: each
-    chunk's columns are wrapped by ``chunk`` once and read by every check."""
+    """The reports of ``checks`` from one pass over the samples, one per
+    report name in order: each chunk's columns are wrapped by ``chunk`` once
+    and read by every check."""
     table, inputs = _table(samples)
-    # per check, the parts of its failing rows, chunk by chunk
+    # per check, the columns of its failing rows, chunk by chunk
     found = [[] for _ in checks]
     for start, columns in _blocks(table):
         view = chunk(columns)
         for check, parts in zip(checks, found):
             index, *values = check.failing(view)
-            parts.append((start + index, *values))
+            parts.append([start + index, *(np.broadcast_to(v, index.shape) for v in values)])
         del view  # free this chunk's columns before the next chunk computes its own
-    reports = []
+    clauses: dict[str, list] = {}
     for check, parts in zip(checks, found):
-        rows, lhs, *columns = map(np.concatenate, zip(*(parts or _NO_ROWS)))
-        bound = columns[0] if check.bound is None else check.bound
-        witnesses = FailingRows(check.check, _take(inputs, rows), lhs, bound,
-                                check.detail, check.upper, columns)
-        reports.append(make_report(check.name, witnesses, len(table),
-                                   tolerance=check.tolerance, notes=check.notes))
-    return reports
+        rows, lhs, bound, margin, *columns = (map(np.concatenate, zip(*parts)) if parts
+                                              else [np.zeros(0, np.intp)] * 4)
+        clauses.setdefault(check.name, [check]).append(FailingRows(
+            check.check, _take(inputs, rows), lhs, bound, margin, check.detail, columns))
+    # a report of several clauses lists their witnesses, for make_report to sort
+    return [make_report(name, parts[0] if len(parts) == 1 else [w for p in parts for w in p],
+                        len(table), tolerance=check.tolerance, notes=check.notes)
+            for name, (check, *parts) in clauses.items()]
 
 
 def _distances(d: Metric, first, second) -> np.ndarray:
@@ -504,9 +501,9 @@ def alpha_admissible_check(tol: float = SCALAR_EPS) -> BlockCheck:
         held = np.flatnonzero(chunk.weights >= 1.0 - tol)
         value = chunk.alpha.values(*chunk.images_at(held))
         lost = value < 1.0 - tol
-        return held[lost], value[lost]
+        return held[lost], value[lost], 1.0, value[lost] - 1.0
 
-    return BlockCheck("alpha-admissible", "alpha/admissible", failing, 1.0,
+    return BlockCheck("alpha-admissible", "alpha/admissible", failing,
                       lambda v: f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {v!r}",
                       tolerance=tol)
 
@@ -518,11 +515,10 @@ def contraction_check(bundle: ContractionBundle, tol: float = SCALAR_EPS) -> Blo
     def failing(chunk):
         m = chunk.gauge
         lhs = bundle.zeta.values(chunk.weights * chunk.gap, bundle.beta.values(m) * m)
-        below = np.flatnonzero(lhs - c < -tol)
-        return below, lhs[below]
+        return _rows(lhs - c < -tol, lhs, c, lhs - c)
 
     return BlockCheck(
-        "contraction", "contraction", failing, c,
+        "contraction", "contraction", failing,
         lambda v: f"zeta(alpha*d(Tx, Ty), beta(M)*M) = {v!r} falls below c_g = {c!r}",
         tolerance=tol, notes=(f"bundle={bundle.name}",))
 
@@ -548,23 +544,28 @@ def check_alpha_admissible(T: PointMap, alpha: AlphaFunction,
     return check_pairs(T, alpha, pairs, [alpha_admissible_check(tol)])[0]
 
 
-def check_triangular_alpha(alpha: AlphaFunction,
-                           triples: Iterable[tuple[Point, Point, Point]] | np.ndarray,
-                           tol: float = SCALAR_EPS) -> VerificationReport:
-    """``alpha(x, z) >= 1`` and ``alpha(z, y) >= 1`` must force
-    ``alpha(x, y) >= 1`` on every sampled triple. ``alpha(z, y)`` is
-    evaluated only where ``alpha(x, z) >= 1``, and ``alpha(x, y)`` only
-    where both hold."""
+def _chained(alpha: AlphaFunction, tol: float) -> Callable:
+    """``failing`` of "alpha(a, b) >= 1 and alpha(b, c) >= 1 force
+    alpha(a, c) >= 1" on triples (a, b, c), each alpha evaluated only where
+    the ones before it hold."""
     def failing(columns):
         xs, zs, ys = columns
         first = np.flatnonzero(alpha.values(xs, zs) >= 1.0 - tol)
         both = first[alpha.values(_take(zs, first), _take(ys, first)) >= 1.0 - tol]
         value = alpha.values(_take(xs, both), _take(ys, both))
         broken = value < 1.0 - tol
-        return both[broken], value[broken]
+        return both[broken], value[broken], 1.0, value[broken] - 1.0
 
+    return failing
+
+
+def check_triangular_alpha(alpha: AlphaFunction,
+                           triples: Iterable[tuple[Point, Point, Point]] | np.ndarray,
+                           tol: float = SCALAR_EPS) -> VerificationReport:
+    """``alpha(x, z) >= 1`` and ``alpha(z, y) >= 1`` must force
+    ``alpha(x, y) >= 1`` on every sampled triple (x, z, y)."""
     return _block_reports(triples, [BlockCheck(
-        "alpha-triangular", "alpha/triangular", failing, 1.0,
+        "alpha-triangular", "alpha/triangular", _chained(alpha, tol),
         lambda v: f"alpha chains through z but alpha(x, y) = {v!r}", tolerance=tol)])[0]
 
 

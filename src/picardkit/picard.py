@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .framework import GeraghtyBeta, AlphaFunction, SCALAR_EPS
+from .framework import (SCALAR_EPS, AlphaFunction, BlockCheck, GeraghtyBeta, _block_reports,
+                        _rows, _stack, _take)
 from .metrics import Metric, Point, PointMap
-from .report import Witness, VerificationReport, make_report, HYPOTHESIS_UNMET
+from .report import HYPOTHESIS_UNMET, VerificationReport
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -138,26 +140,25 @@ def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta,
     """Each defined ratio ``gaps[i+1] / gaps[i]`` must stay below
     ``beta(gaps[i]) + tol``, the per-step gain a Geraghty-type contraction
     predicts for its own orbit."""
-    witnesses: list[Witness] = []
-    checked = 0
-    for i, ratio in enumerate(trace.ratios):
-        if ratio is None:
-            continue
-        checked += 1
-        bound = beta(trace.gaps[i])
-        margin = bound - ratio
-        if ratio > bound + tol:
-            witnesses.append(Witness(
-                "picard/ratio", (i, trace.gaps[i]), margin,
-                f"gap ratio {ratio!r} exceeds beta(gap) = {bound!r} at step {i}",
-                lhs=ratio, bound=bound))
-    return make_report("ratio-bound", witnesses, checked, tolerance=tol)
+    ratios = np.array(trace.ratios, dtype=float)  # an omitted ratio reads nan
+    steps = np.flatnonzero(np.not_equal(np.array(trace.ratios, dtype=object), None)).tolist()
+
+    def failing(columns):
+        step = columns[0].astype(np.intp)
+        ratio = ratios[step]
+        bound = beta.values(columns[1])
+        return _rows(ratio > bound + tol, ratio, bound, bound - ratio, bound, step)
+
+    return _block_reports(list(zip(steps, map(trace.gaps.__getitem__, steps))), [BlockCheck(
+        "ratio-bound", "picard/ratio", failing,
+        lambda ratio, bound, step: f"gap ratio {ratio!r} exceeds beta(gap) = {bound!r} "
+                                   f"at step {step}", tolerance=tol)])[0]
 
 
 def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
                       tol: float = SCALAR_EPS) -> VerificationReport:
     """Check ``alpha(x_n, x_m) >= 1`` for all 0 <= n < m <= n_max along the
-    Picard orbit of ``x0``.
+    Picard orbit of ``x0``, in one pass over the index pairs (n, m).
 
     The orbit-propagation statement assumes ``alpha(x0, T(x0)) >= 1``; when
     that hypothesis fails the report status is "hypothesis-unmet", which is
@@ -179,18 +180,16 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
             name="alpha-orbit", status=HYPOTHESIS_UNMET, witnesses=[], samples=0,
             tolerance=tol,
             notes=(f"hypothesis unmet: alpha(x0, T(x0)) = {start_value!r} < 1",))
-    witnesses: list[Witness] = []
-    checked = 0
-    for n in range(len(orbit)):
-        for m in range(n + 1, len(orbit)):
-            checked += 1
-            value = alpha(orbit[n], orbit[m])
-            if value < 1.0 - tol:
-                witnesses.append(Witness(
-                    "alpha/orbit", (n, m), value - 1.0,
-                    f"alpha(x_{n}, x_{m}) = {value!r} falls below 1",
-                    lhs=value, bound=1.0))
-    return make_report("alpha-orbit", witnesses, checked, tolerance=tol)
+    points = np.array(orbit, dtype=float) if np.ndim(x0) == 0 else _stack(orbit)
+
+    def failing(columns):
+        n, m = (column.astype(np.intp) for column in columns)
+        value = alpha.values(_take(points, n), _take(points, m))
+        return _rows(value < 1.0 - tol, value, 1.0, value - 1.0, n, m)
+
+    return _block_reports(list(combinations(range(len(orbit)), 2)), [BlockCheck(
+        "alpha-orbit", "alpha/orbit", failing,
+        lambda value, n, m: f"alpha(x_{n}, x_{m}) = {value!r} falls below 1", tolerance=tol)])[0]
 
 
 @dataclass

@@ -11,13 +11,16 @@ functions compare by values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .framework import AlphaFunction, SCALAR_EPS
+from .errors import DimensionError
+from .framework import (SCALAR_EPS, AlphaFunction, BlockCheck, _block_reports, _chained,
+                        _distances, _rows, _take, alpha_admissible_check, check_pairs)
 from .metrics import Metric, Point, PointMap, rowwise
-from .report import Witness, VerificationReport, make_report
+from .report import VerificationReport, make_report
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,18 @@ natural_order = PartialOrder(
     lambda x, y: np.asarray(x, dtype=float) <= np.asarray(y, dtype=float),
     name="natural")
 
-pointwise_order = PartialOrder(rowwise(
-    lambda x, y: np.all(np.asarray(x, dtype=float) <= np.asarray(y, dtype=float), axis=-1)),
-    name="pointwise")
+
+@rowwise
+def _pointwise_leq(x: Point, y: Point):
+    """x <= y at every node; grid functions on different grids do not compare."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.shape != ya.shape:
+        raise DimensionError(f"grid sizes differ: {xa.shape[-1]} vs {ya.shape[-1]} nodes")
+    return np.all(xa <= ya, axis=-1)
+
+
+pointwise_order = PartialOrder(_pointwise_leq, name="pointwise")
 
 
 def alpha_from_order(order: PartialOrder) -> AlphaFunction:
@@ -60,17 +72,14 @@ def alpha_from_order(order: PartialOrder) -> AlphaFunction:
 
 
 def check_increasing(T: PointMap, order: PartialOrder,
-                     pairs: Iterable[tuple[Point, Point]]) -> VerificationReport:
-    """``x <= y`` must imply ``Tx <= Ty`` on every sampled pair."""
-    witnesses: list[Witness] = []
-    checked = 0
-    for x, y in pairs:
-        checked += 1
-        if order(x, y) and not order(T(x), T(y)):
-            witnesses.append(Witness(
-                "order/increasing", (x, y), -1.0,
-                "x <= y but Tx <= Ty fails", lhs=0.0, bound=1.0))
-    return make_report("increasing", witnesses, checked)
+                     pairs: Iterable[tuple[Point, Point]] | np.ndarray) -> VerificationReport:
+    """``x <= y`` must imply ``Tx <= Ty`` on every sampled pair: the
+    alpha-admissibility of the order's indicator weight, so T maps only the
+    ordered pairs."""
+    increasing = alpha_admissible_check(0.0)._replace(
+        name="increasing", check="order/increasing",
+        detail=lambda value: "x <= y but Tx <= Ty fails")
+    return check_pairs(T, alpha_from_order(order), pairs, [increasing])[0]
 
 
 def check_initial_point(T: PointMap, order: PartialOrder, x1: Point) -> bool:
@@ -84,29 +93,28 @@ def check_order_axioms(order: PartialOrder, elements: Iterable[Point], d: Metric
     """Reflexivity, metric antisymmetry, and transitivity of the comparator
     on a finite element sample (cubic in the sample size; keep it small)."""
     items = list(elements)
-    witnesses: list[Witness] = []
-    checked = 0
-    for x in items:
-        checked += 1
-        if not order(x, x):
-            witnesses.append(Witness(
-                "order/reflexive", (x,), -1.0, "leq(x, x) fails", lhs=0.0, bound=1.0))
-    for x in items:
-        for y in items:
-            checked += 1
-            if order(x, y) and order(y, x):
-                gap = d(x, y)
-                if gap > tol:
-                    witnesses.append(Witness(
-                        "order/antisymmetric", (x, y), tol - gap,
-                        f"x <= y and y <= x but d(x, y) = {gap!r} > eps",
-                        lhs=gap, bound=tol))
-    for x in items:
-        for y in items:
-            for z in items:
-                checked += 1
-                if order(x, y) and order(y, z) and not order(x, z):
-                    witnesses.append(Witness(
-                        "order/transitive", (x, y, z), -1.0,
-                        "x <= y <= z but x <= z fails", lhs=0.0, bound=1.0))
-    return make_report("order-axioms", witnesses, checked, tolerance=tol)
+    alpha = alpha_from_order(order)
+
+    def reflexive(columns):
+        value = alpha.values(columns[0], columns[0])
+        return _rows(value < 1.0, value, 1.0, value - 1.0)
+
+    def antisymmetric(columns):
+        xs, ys = columns
+        first = np.flatnonzero(alpha.values(xs, ys) >= 1.0)
+        both = first[alpha.values(_take(ys, first), _take(xs, first)) >= 1.0]
+        gap = _distances(d, _take(xs, both), _take(ys, both))
+        far = gap > tol
+        return both[far], gap[far], tol, tol - gap[far]
+
+    clauses = [
+        BlockCheck("order-axioms", "order/reflexive", reflexive, lambda _: "leq(x, x) fails"),
+        BlockCheck("order-axioms", "order/antisymmetric", antisymmetric,
+                   lambda gap: f"x <= y and y <= x but d(x, y) = {gap!r} > eps"),
+        BlockCheck("order-axioms", "order/transitive", _chained(alpha, 0.0),
+                   lambda _: "x <= y <= z but x <= z fails")]
+    # one pass per clause, over the element 1-, 2- and 3-tuples
+    reports = [_block_reports(list(product(items, repeat=arity)), [clause])[0]
+               for arity, clause in enumerate(clauses, start=1)]
+    return make_report("order-axioms", [w for rep in reports for w in rep.witnesses],
+                       sum(rep.samples for rep in reports), tolerance=tol)

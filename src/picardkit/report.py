@@ -79,11 +79,10 @@ def _as_tuple(sample) -> tuple:
 
 class FailingRows(SequenceABC):
     """The failing rows of one check, as columns: the sampled ``inputs``
-    (an (N, k) float array, or a list of the sampled rows), the left-hand
-    values ``lhs``, the ``bound`` (a float, or an array: one per row) and a
-    ``detail`` formatter of one left-hand value and that row's entries of
-    ``columns`` (per-row arrays; by default the bound if it is per row, else
-    none). The margin is ``lhs - bound``, or ``bound - lhs`` for an ``upper`` bound.
+    (an (N, k) float array, or a list of the sampled rows) and per row the
+    left-hand value ``lhs``, the ``bound`` and the signed ``margin`` (the
+    check's own, not always ``lhs - bound``). A witness's detail is
+    ``detail`` of its left-hand value and its entries of ``columns``.
     It behaves as the list of their witnesses in canonical order under
     ``len``, iteration, indexing, slicing and ``==``, and builds each
     witness the first time a caller reaches it: a slice ``[:k]`` or an index
@@ -93,21 +92,18 @@ class FailingRows(SequenceABC):
     and a tuple of Python floats when it is an array.
     """
 
-    def __init__(self, check: str, inputs, lhs: np.ndarray, bound: float | np.ndarray,
-                 detail: Callable[..., str], upper: bool = False,
-                 columns: Optional[Sequence[np.ndarray]] = None):
+    def __init__(self, check: str, inputs, lhs: np.ndarray, bound: np.ndarray,
+                 margin: np.ndarray, detail: Callable[..., str],
+                 columns: Sequence[np.ndarray] = ()):
         self.check = check
         self._inputs = inputs
-        self._lhs = np.asarray(lhs, dtype=float)
-        self._bound = bound
+        self._values = [np.asarray(column, dtype=float) for column in (lhs, bound, margin)]
         self._detail = detail
-        self._upper = upper
-        per_row = isinstance(bound, np.ndarray)
-        self._columns = (bound,) if columns is None and per_row else tuple(columns or ())
+        self._columns = tuple(columns)
         self._head: list[Witness] = []  # the first witnesses, in canonical order
 
     def __len__(self) -> int:
-        return len(self._lhs)
+        return len(self._values[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -137,8 +133,7 @@ class FailingRows(SequenceABC):
         if not isinstance(self._inputs, np.ndarray) or k >= len(self):
             return list(range(len(self)))
         first = np.ascontiguousarray(self._inputs[:, 0]).view(np.uint64)
-        patterns, group, counts = np.unique(first, return_inverse=True,
-                                            return_counts=True)
+        patterns, counts = np.unique(first, return_counts=True)
         close = ", " if self._inputs.shape[1] > 1 else ")"
         prefixes = [repr(x) + close for x in patterns.view(np.float64).tolist()]
         held = 0
@@ -147,8 +142,8 @@ class FailingRows(SequenceABC):
             if held >= k:
                 cutoff = prefixes[g]
                 break
-        chosen = np.array([prefix <= cutoff for prefix in prefixes])
-        return np.flatnonzero(chosen[group.ravel()]).tolist()
+        chosen = patterns[[prefix <= cutoff for prefix in prefixes]]
+        return np.flatnonzero(np.isin(first, chosen)).tolist()
 
     def _first(self, k: int) -> list[Witness]:
         """The first ``k`` witnesses in canonical order, built once each."""
@@ -159,13 +154,10 @@ class FailingRows(SequenceABC):
                 inputs = [tuple(row) for row in self._inputs[rows].tolist()]
             else:
                 inputs = [_as_tuple(self._inputs[i]) for i in rows]
-            per_row = isinstance(self._bound, np.ndarray)
-            bounds = self._bound[rows].tolist() if per_row else [self._bound] * len(rows)
             extras = (zip(*(column[rows].tolist() for column in self._columns))
                       if self._columns else repeat(()))
-            found = [(row, value, bound, bound - value if self._upper else value - bound, extra)
-                     for row, value, bound, extra in zip(inputs, self._lhs[rows].tolist(),
-                                                         bounds, extras)]
+            found = list(zip(inputs, *(values[rows].tolist() for values in self._values),
+                             extras))
             # a stable sort of rows in sample order, as make_report's sort
             found.sort(key=lambda r: (format_inputs(r[0]), repr(r[3])))
             self._head += [Witness(self.check, row, margin, self._detail(value, *extra),

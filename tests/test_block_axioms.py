@@ -1,0 +1,584 @@
+"""The axiom verifiers on the one chunked kernel against the per-sample
+loops they replaced.
+
+Each oracle below is the loop the library ran before its verifier became
+a pass of ``framework._block_reports``. The properties compare the two
+reports field by field: name, status, samples, mode, tolerance and notes,
+then every witness in order, with its check name, detail, formatted inputs
+and input types, and lhs, bound and margin bit for bit. Sample counts sit at
+and around the chunk size, and some inputs raise DomainError on both paths.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from picardkit import (AlphaFunction, BVPProblem, CClassFunction,
+                       DomainError, GeraghtyBeta, HYPOTHESIS_UNMET, IterationTrace,
+                       PartialOrder, SimulationFunction, alpha_from_order,
+                       check_alpha_orbit, check_cclass, check_geraghty, check_increasing,
+                       check_order_axioms, check_ratio_bound, check_rhs_displacement_bound,
+                       check_simulation_pointwise, integral_operator,
+                       natural_order, pointwise_order, scalar_metric, sup_metric)
+from picardkit import framework
+from picardkit.builtins import (alpha_box, alpha_one, beta_constant, beta_reciprocal,
+                                cclass_a, cclass_c, compile_rhs_expression,
+                                default_beta_probes, example31_map, rhs_const,
+                                rhs_pi2sin, rhs_sin_plus_one, zeta1)
+from picardkit.framework import CHUNK, GRID_EPS, MIN_TAIL, SCALAR_EPS, _tail
+from picardkit.picard import RATIO_EPS, _validate_iterate
+from picardkit.report import Witness, format_inputs, make_report, VerificationReport
+from picardkit.sampling import seeded_rng
+
+
+# ---------------------------------------------------------------------------
+# Per-sample reference oracles: the loops the block verifiers replaced.
+
+def oracle_simulation_pointwise(zeta, samples, tol=SCALAR_EPS):
+    witnesses = []
+    checked = 0
+    for pair in samples:
+        t, s = float(pair[0]), float(pair[1])
+        if t < 0.0 or s < 0.0:
+            raise DomainError(f"simulation-function samples must be nonnegative, got ({t}, {s})")
+        if t == 0.0 and s == 0.0:
+            checked += 1
+            value = zeta(0.0, 0.0)
+            margin = -abs(value)
+            if margin < -tol:
+                witnesses.append(Witness(
+                    "simulation/origin", (0.0, 0.0), margin,
+                    f"zeta(0, 0) = {value!r} is not 0", lhs=value, bound=0.0))
+        elif t > 0.0 and s > 0.0:
+            checked += 1
+            value = zeta(t, s)
+            margin = (s - t) - value
+            if not margin > tol:
+                witnesses.append(Witness(
+                    "simulation/strict", (t, s), margin,
+                    f"zeta({t!r}, {s!r}) = {value!r} is not strictly below s - t = {s - t!r}",
+                    lhs=value, bound=s - t))
+    return make_report("simulation-pointwise", witnesses, checked, tolerance=tol)
+
+
+def oracle_cclass(g, samples, tol=SCALAR_EPS):
+    witnesses = []
+    checked = 0
+    c = float(g.c_g)
+    for pair in samples:
+        s, t = float(pair[0]), float(pair[1])
+        if s < 0.0 or t < 0.0:
+            raise DomainError(f"C-class samples must be nonnegative, got ({s}, {t})")
+        checked += 1
+        value = g(s, t)
+        upper_margin = s - value
+        if upper_margin < -tol:
+            witnesses.append(Witness(
+                "cclass/upper", (s, t), upper_margin,
+                f"G({s!r}, {t!r}) = {value!r} exceeds s", lhs=value, bound=s))
+        elif abs(value - s) <= tol and s > tol and t > tol:
+            witnesses.append(Witness(
+                "cclass/degenerate", (s, t), -min(s, t),
+                f"G = s at non-degenerate arguments s={s!r}, t={t!r}",
+                lhs=value, bound=s))
+        if value > c + tol and not s > t + tol:
+            witnesses.append(Witness(
+                "cclass/benchmark", (s, t), s - t,
+                f"G({s!r}, {t!r}) = {value!r} exceeds c_g = {c!r} but s <= t",
+                lhs=value, bound=c))
+        if s <= tol and value > c + tol:
+            witnesses.append(Witness(
+                "cclass/zero-row", (s, t), c - value,
+                f"G({s!r}, {t!r}) = {value!r} exceeds c_g = {c!r} on the s = 0 row",
+                lhs=value, bound=c))
+    return make_report("cclass", witnesses, checked, tolerance=tol)
+
+
+def oracle_geraghty(beta, samples, probe_sequences=(), tol=SCALAR_EPS, limit_tol=1e-9,
+                    separation=1e-6, min_tail=MIN_TAIL):
+    witnesses = []
+    checked = 0
+    for raw in samples:
+        t = float(raw)
+        if t < 0.0:
+            raise DomainError(f"beta samples must be nonnegative, got {t}")
+        checked += 1
+        value = beta(t)
+        if value < -tol:
+            witnesses.append(Witness(
+                "geraghty/range", (t,), value,
+                f"beta({t!r}) = {value!r} is below 0", lhs=value, bound=0.0))
+        elif not (1.0 - value) > tol:
+            witnesses.append(Witness(
+                "geraghty/range", (t,), 1.0 - value,
+                f"beta({t!r}) = {value!r} is not strictly below 1", lhs=value, bound=1.0))
+    probes = list(probe_sequences)
+    for index, seq in enumerate(probes):
+        arr = np.asarray(seq, dtype=float)
+        if arr.size == 0 or not np.all(np.isfinite(arr)) or float(arr.min()) < 0.0:
+            raise DomainError(f"beta probe {index} must be non-empty, finite and nonnegative")
+        k = _tail(arr.size, min_tail)
+        tail = arr[-k:]
+        tail_beta = np.array([beta(float(u)) for u in tail])
+        tail_min_t = float(tail.min())
+        tail_min_beta = float(tail_beta.min())
+        if tail_min_beta >= 1.0 - limit_tol and tail_min_t >= separation:
+            witnesses.append(Witness(
+                "geraghty/limit", (index, tail_min_t), -tail_min_t,
+                f"beta tends to 1 (tail min beta = {tail_min_beta!r}) while the "
+                f"arguments stay above {tail_min_t!r}",
+                lhs=tail_min_beta, bound=1.0))
+    notes = ("range clause is exact; limit clause is falsification-only",) if probes else ()
+    return make_report("geraghty", witnesses, checked + len(probes),
+                       mode="falsification" if probes else "exact",
+                       tolerance=tol, notes=notes)
+
+
+def oracle_ratio_bound(trace, beta, tol=SCALAR_EPS):
+    witnesses = []
+    checked = 0
+    for i, ratio in enumerate(trace.ratios):
+        if ratio is None:
+            continue
+        checked += 1
+        bound = beta(trace.gaps[i])
+        margin = bound - ratio
+        if ratio > bound + tol:
+            witnesses.append(Witness(
+                "picard/ratio", (i, trace.gaps[i]), margin,
+                f"gap ratio {ratio!r} exceeds beta(gap) = {bound!r} at step {i}",
+                lhs=ratio, bound=bound))
+    return make_report("ratio-bound", witnesses, checked, tolerance=tol)
+
+
+def oracle_alpha_orbit(T, alpha, x0, n_max, tol=SCALAR_EPS):
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    orbit = [x0]
+    for k in range(n_max):
+        nxt = T(orbit[-1])
+        _validate_iterate(nxt, k + 1, None)
+        orbit.append(nxt)
+    start_value = alpha(orbit[0], orbit[1])
+    if start_value < 1.0 - tol:
+        return VerificationReport(
+            name="alpha-orbit", status=HYPOTHESIS_UNMET, witnesses=[], samples=0,
+            tolerance=tol,
+            notes=(f"hypothesis unmet: alpha(x0, T(x0)) = {start_value!r} < 1",))
+    witnesses = []
+    checked = 0
+    for n in range(len(orbit)):
+        for m in range(n + 1, len(orbit)):
+            checked += 1
+            value = alpha(orbit[n], orbit[m])
+            if value < 1.0 - tol:
+                witnesses.append(Witness(
+                    "alpha/orbit", (n, m), value - 1.0,
+                    f"alpha(x_{n}, x_{m}) = {value!r} falls below 1",
+                    lhs=value, bound=1.0))
+    return make_report("alpha-orbit", witnesses, checked, tolerance=tol)
+
+
+def oracle_increasing(T, order, pairs):
+    witnesses = []
+    checked = 0
+    for x, y in pairs:
+        checked += 1
+        if order(x, y) and not order(T(x), T(y)):
+            witnesses.append(Witness(
+                "order/increasing", (x, y), -1.0,
+                "x <= y but Tx <= Ty fails", lhs=0.0, bound=1.0))
+    return make_report("increasing", witnesses, checked)
+
+
+def oracle_order_axioms(order, elements, d, tol=SCALAR_EPS):
+    items = list(elements)
+    witnesses = []
+    checked = 0
+    for x in items:
+        checked += 1
+        if not order(x, x):
+            witnesses.append(Witness(
+                "order/reflexive", (x,), -1.0, "leq(x, x) fails", lhs=0.0, bound=1.0))
+    for x in items:
+        for y in items:
+            checked += 1
+            if order(x, y) and order(y, x):
+                gap = d(x, y)
+                if gap > tol:
+                    witnesses.append(Witness(
+                        "order/antisymmetric", (x, y), tol - gap,
+                        f"x <= y and y <= x but d(x, y) = {gap!r} > eps",
+                        lhs=gap, bound=tol))
+    for x in items:
+        for y in items:
+            for z in items:
+                checked += 1
+                if order(x, y) and order(y, z) and not order(x, z):
+                    witnesses.append(Witness(
+                        "order/transitive", (x, y, z), -1.0,
+                        "x <= y <= z but x <= z fails", lhs=0.0, bound=1.0))
+    return make_report("order-axioms", witnesses, checked, tolerance=tol)
+
+
+def oracle_rhs_displacement_bound(problem, triples, tol=GRID_EPS):
+    witnesses = []
+    checked = 0
+    operator_cache = {}
+
+    def operator_on_constant(value):
+        if value not in operator_cache:
+            constant = np.full(problem.n + 1, value)
+            operator_cache[value] = integral_operator(problem, constant)
+        return operator_cache[value]
+
+    for t, a, b in triples:
+        t, a, b = float(t), float(a), float(b)
+        if not 0.0 <= t <= 1.0:
+            raise DomainError(f"t = {t} outside [0, 1]")
+        if problem.gate_value(a, b) <= 0.0:
+            continue
+        checked += 1
+        index = int(round(t * problem.n))
+        lhs = abs(float(problem.rhs(t, a)) - float(problem.rhs(t, b)))
+        ta = float(operator_on_constant(a)[index])
+        tb = float(operator_on_constant(b)[index])
+        bound = max(abs(a - b), abs(a - ta), abs(b - tb))
+        margin = bound - lhs
+        if lhs > bound + tol:
+            witnesses.append(Witness(
+                "rhs/displacement", (t, a, b), margin,
+                f"|f(t, a) - f(t, b)| = {lhs!r} exceeds the displacement max {bound!r}",
+                lhs=lhs, bound=bound))
+    return make_report("rhs-displacement-bound", witnesses, checked, tolerance=tol)
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+
+def _outcome(check, *args):
+    """The report of ``check(*args)``, or DomainError if it raised one."""
+    try:
+        return check(*args)
+    except DomainError:
+        return DomainError
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def assert_same_report(block, oracle):
+    """The same report field by field, or DomainError on both paths."""
+    if oracle is DomainError or block is DomainError:
+        assert block is oracle
+        return
+    assert (block.name, block.status, block.samples, block.mode, block.tolerance,
+            block.notes) == (oracle.name, oracle.status, oracle.samples, oracle.mode,
+                             oracle.tolerance, oracle.notes)
+    assert len(block.witnesses) == len(oracle.witnesses)
+    for got, want in zip(block.witnesses, oracle.witnesses):
+        assert (got.check, got.detail, format_inputs(got.inputs)) == \
+            (want.check, want.detail, format_inputs(want.inputs))
+        assert [type(v) for v in got.inputs] == [type(v) for v in want.inputs]
+        assert type(got.margin) is type(got.lhs) is type(got.bound) is float
+        for field in ("lhs", "bound", "margin"):
+            assert _bits(getattr(got, field)) == _bits(float(getattr(want, field))), field
+
+
+# sample counts around the chunk boundary
+SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
+# a sample set that raises a DomainError one draw in four
+rarely = st.sampled_from([False, False, False, True])
+
+# both zeros, exact ties, non-finite values and reals from the unit scale up
+_REALS = [0.0, -0.0, 1e-13, 1e-5, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, math.nan]
+
+
+def _real_pairs(seed, size, negative=False):
+    """``size`` pairs of Python floats: pool values and uniform reals in
+    [0, 4], one negative coordinate if ``negative``."""
+    rng = seeded_rng(seed)
+    pool = np.concatenate([_REALS, rng.uniform(0.0, 4.0, 40)])
+    rows = pool[rng.integers(0, pool.size, size=(size, 2))]
+    if negative and size:
+        rows[rng.integers(0, size), rng.integers(0, 2)] = -0.5
+    return [tuple(row) for row in rows.tolist()]
+
+
+def _scalar_only(fn):
+    # written for single samples: math functions reject arrays
+    return lambda *args: fn(*(float(a) for a in args))
+
+
+ZETAS = [
+    zeta1(0.5),
+    SimulationFunction(lambda t, s: s - t, name="subtraction"),
+    SimulationFunction(lambda t, s: 0.5 * s - t + 1e-9, name="shifted"),
+    SimulationFunction(_scalar_only(lambda t, s: math.sqrt(s) - t - 1.0), name="scalar"),
+    # infinite above s = 3: a DomainError on both paths
+    SimulationFunction(lambda t, s: np.where(s > 3.0, np.inf, 0.5 * s - t), name="blow-up"),
+]
+
+
+@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+       zeta=st.sampled_from(ZETAS), negative=rarely, as_array=st.booleans())
+@example(size=CHUNK + 1, seed=1, zeta=ZETAS[1], negative=False, as_array=False)
+@example(size=CHUNK, seed=2, zeta=ZETAS[2], negative=False, as_array=True)
+@settings(max_examples=25, deadline=None)
+def test_simulation_pointwise_matches_the_per_sample_loop(size, seed, zeta, negative, as_array):
+    samples = _real_pairs(seed, size, negative)
+    given_samples = np.array(samples).reshape(-1, 2) if as_array else samples
+    assert_same_report(_outcome(check_simulation_pointwise, zeta, given_samples),
+                       _outcome(oracle_simulation_pointwise, zeta, samples))
+
+
+def test_simulation_pointwise_reads_minus_zero_as_the_origin():
+    zeta = SimulationFunction(lambda t, s: s - t + 1.0, name="lifted")
+    samples = [(-0.0, 0.0), (0.0, -0.0), (1.0, 0.0)]
+    block = check_simulation_pointwise(zeta, samples)
+    assert block.samples == 2  # the one-zero sample is not counted
+    assert [w.inputs for w in block.witnesses] == [(0.0, 0.0)] * 2
+    assert_same_report(block, oracle_simulation_pointwise(zeta, samples))
+
+
+CCLASS = [
+    cclass_a(0.0), cclass_a(0.5), cclass_c(1.0, 2.0),
+    CClassFunction(lambda s, t: s + t, name="sum"),
+    CClassFunction(lambda s, t: s + 0.0 * t, name="identity"),
+    CClassFunction(lambda s, t: t, c_g=0.25, name="swap"),
+    CClassFunction(_scalar_only(lambda s, t: s / (1.0 + math.exp(-t))), name="scalar"),
+    # infinite past t = 3: a DomainError on both paths, as any G at a nan sample
+    CClassFunction(lambda s, t: np.where(t > 3.0, np.inf, s - t), name="blow-up"),
+]
+
+
+@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+       g=st.sampled_from(CCLASS), negative=rarely, finite=st.sampled_from([True, True, False]))
+@example(size=CHUNK + 1, seed=3, g=CCLASS[5], negative=False, finite=True)
+@example(size=CHUNK - 1, seed=4, g=CCLASS[4], negative=False, finite=True)
+@settings(max_examples=25, deadline=None)
+def test_cclass_matches_the_per_sample_loop(size, seed, g, negative, finite):
+    samples = _real_pairs(seed, size, negative)
+    if finite:  # a nan sample makes any of these G non-finite
+        samples = [(0.0 if math.isnan(s) else s, 1.0 if math.isnan(t) else t)
+                   for s, t in samples]
+    assert_same_report(_outcome(check_cclass, g, samples), _outcome(oracle_cclass, g, samples))
+
+
+BETAS = [
+    beta_reciprocal(), beta_constant(0.5),
+    GeraghtyBeta(lambda t: 1.0 - t, name="descending"),  # negative past t = 1
+    GeraghtyBeta(_scalar_only(lambda t: math.exp(-t)), name="scalar"),
+    GeraghtyBeta(lambda t: np.where(t > 3.0, np.inf, 0.5), name="blow-up"),
+]
+PROBES = [(), default_beta_probes(), [np.full(40, 2.0), [0.5, math.nan]]]
+
+
+@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+       beta=st.sampled_from(BETAS), probes=st.sampled_from(PROBES), negative=rarely)
+@example(size=CHUNK, seed=5, beta=BETAS[2], probes=PROBES[1], negative=False)
+@settings(max_examples=25, deadline=None)
+def test_geraghty_matches_the_per_sample_loop(size, seed, beta, probes, negative):
+    samples = [t for t, _ in _real_pairs(seed, size, negative) if not math.isnan(t)]
+    assert_same_report(_outcome(check_geraghty, beta, samples, probes),
+                       _outcome(oracle_geraghty, beta, samples, probes))
+
+
+def _trace(seed, size, as_ints):
+    """A trace with ``size`` defined ratios among omitted ones."""
+    rng = seeded_rng(seed)
+    omitted = size // 5
+    gaps = rng.uniform(0.0, 1.0, size + omitted + 1)
+    # a gap below the ratio floor omits the ratio that divides by it
+    gaps[rng.choice(size + omitted, omitted, replace=False)] = 1e-14
+    gaps = gaps.tolist()
+    if as_ints:
+        gaps = [int(10 * g) + 1 if g > 1e-14 else 0 for g in gaps]
+    ratios = [gaps[i + 1] / gaps[i] if gaps[i] > RATIO_EPS else None
+              for i in range(len(gaps) - 1)]
+    return IterationTrace(iterates=[], gaps=gaps, ratios=ratios, termination="max_iterations",
+                          residual=0.0)
+
+
+@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+       beta=st.sampled_from(BETAS), as_ints=st.booleans())
+@example(size=CHUNK + 1, seed=6, beta=BETAS[1], as_ints=False)
+@settings(max_examples=25, deadline=None)
+def test_ratio_bound_matches_the_per_step_loop(size, seed, beta, as_ints):
+    trace = _trace(seed, size, as_ints)
+    assert_same_report(_outcome(check_ratio_bound, trace, beta),
+                       _outcome(oracle_ratio_bound, trace, beta))
+
+
+def _halving_map(x):
+    return x / 2.0 + 0.25 if x < 2.0 else 0.5 * x
+
+
+SCALAR_MAPS = [example31_map, _halving_map, lambda x: 3.0 * x, lambda x: 1.0 - x,
+               lambda x: x + 0.3]
+SCALAR_ALPHAS = [
+    alpha_box(0.0, 1.0), alpha_one(), alpha_from_order(natural_order),
+    AlphaFunction(lambda x, y: 1.0 if abs(x - y) <= 1.0 else 0.0, name="near"),
+    # negative where x < y: a DomainError on both paths
+    AlphaFunction(lambda x, y: x - y + 1.0, name="signed-gap"),
+]
+
+
+def _with_chunk(shift, size, check, *args):
+    """``check(*args)`` with the chunk size at ``size + shift`` (at the
+    library's CHUNK if ``shift`` is None)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if shift is not None:
+            patch.setattr(framework, "CHUNK", max(size + shift, 1))
+        return _outcome(check, *args)
+
+
+# orbit lengths whose index-pair counts (1, 3, 45 and 4095 = CHUNK - 1) the
+# drawn shift puts at, just below or just above a chunk size; an orbit has at
+# least one pair, so the size 0 does not occur
+@given(length=st.sampled_from([2, 3, 10, 91]), shift=st.sampled_from([-1, 0, 1, None]),
+       mapping=st.sampled_from(SCALAR_MAPS), alpha=st.sampled_from(SCALAR_ALPHAS),
+       x0=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.5, -0.25]))
+@example(length=91, shift=None, mapping=_halving_map, alpha=SCALAR_ALPHAS[0], x0=0.2)
+@example(length=91, shift=None, mapping=SCALAR_MAPS[3], alpha=SCALAR_ALPHAS[2], x0=0.2)
+@example(length=10, shift=0, mapping=SCALAR_MAPS[2], alpha=SCALAR_ALPHAS[0], x0=0.2)
+@example(length=10, shift=1, mapping=SCALAR_MAPS[2], alpha=SCALAR_ALPHAS[3], x0=0.2)
+@example(length=10, shift=-1, mapping=SCALAR_MAPS[3], alpha=SCALAR_ALPHAS[4], x0=0.2)
+@settings(max_examples=60, deadline=None)
+def test_alpha_orbit_matches_the_pair_loop(length, shift, mapping, alpha, x0):
+    block = _with_chunk(shift, length * (length - 1) // 2,
+                        check_alpha_orbit, mapping, alpha, x0, length - 1)
+    assert_same_report(block, _outcome(oracle_alpha_orbit, mapping, alpha, x0, length - 1))
+
+
+def test_alpha_orbit_on_grid_functions():
+    c = np.linspace(0.0, 1.0, 9) ** 2
+    order = alpha_from_order(pointwise_order)
+    # an ascending orbit, one that oscillates about c / 2, and one that starts down
+    for T, x0, status in ((lambda x: 0.5 * (x + c), np.zeros(9), "pass"),
+                          (lambda x: c - x, np.zeros(9), "fail"),
+                          (lambda x: 0.5 * x, np.ones(9), HYPOTHESIS_UNMET)):
+        block = check_alpha_orbit(T, order, x0, 6)
+        assert block.status == status
+        assert_same_report(block, oracle_alpha_orbit(T, order, x0, 6))
+
+
+def test_alpha_orbit_keeps_int_indices():
+    report = check_alpha_orbit(lambda x: 3.0 * x, alpha_box(0.0, 1.0), 0.2, 5)
+    assert (1, 2) in {w.inputs for w in report.witnesses}
+    assert all(type(i) is int for w in report.witnesses for i in w.inputs)
+    assert report.witnesses[0].detail.startswith("alpha(x_0, x_2) = 0.0")
+
+
+ORDERS = [natural_order, PartialOrder(lambda x, y: abs(x - y) <= 1.0, name="near"),
+          PartialOrder(lambda x, y: True, name="always"),
+          PartialOrder(_scalar_only(lambda x, y: x <= y + 0.5), name="scalar")]
+
+
+def _bad_above(limit):
+    def T(x):
+        if np.any(np.asarray(x) > limit):
+            raise DomainError("left the carrier")
+        return 0.5 * x + 0.2
+    return T
+
+
+@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+       mapping=st.sampled_from(SCALAR_MAPS + [_bad_above(3.5)]),
+       order=st.sampled_from(ORDERS))
+@settings(max_examples=25, deadline=None)
+def test_increasing_matches_the_per_pair_loop(size, seed, mapping, order):
+    pairs = [(x, y) for x, y in _real_pairs(seed, size) if not (math.isnan(x) or math.isnan(y))]
+    assert_same_report(_outcome(check_increasing, mapping, order, pairs),
+                       _outcome(oracle_increasing, mapping, order, pairs))
+
+
+def test_increasing_on_grid_functions():
+    rng = seeded_rng(9)
+    xs = rng.uniform(0.0, 1.0, (40, 7))
+    pairs = [(x, x + shift) for x, shift in zip(xs, rng.uniform(-0.2, 0.4, (40, 1)))]
+    for T in (lambda x: 0.5 * x + 0.1, lambda x: x[::-1], lambda x: 1.0 - x):
+        block = check_increasing(T, pointwise_order, pairs)
+        assert_same_report(block, oracle_increasing(T, pointwise_order, pairs))
+        # the witnesses carry the sampled functions themselves
+        assert {id(w.inputs[0]) for w in block.witnesses} <= {id(x) for x, _ in pairs}
+    assert not block.passed  # a decreasing map breaks the order
+
+
+# element counts n whose n, n**2 and n**3 tuples meet the drawn chunk size
+@given(n=st.sampled_from([0, 1, 2, 5, 16]), shift=st.sampled_from([-1, 0, 1, None]),
+       arity=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       order=st.sampled_from(ORDERS), finite=st.sampled_from([True, True, False]))
+@example(n=16, shift=None, arity=3, seed=7, order=ORDERS[1], finite=True)
+@settings(max_examples=40, deadline=None)
+def test_order_axioms_match_the_tuple_loops(n, shift, arity, seed, order, finite):
+    rng = seeded_rng(seed)
+    elements = rng.choice([0.0, 0.25, 0.5, 1.0, 1.25, 2.5, 3.0, math.inf], n).tolist()
+    if finite:  # d(inf, inf) raises a DomainError
+        elements = [min(x, 5.0) for x in elements]
+    block = _with_chunk(shift, n ** arity, check_order_axioms, order, elements, scalar_metric)
+    assert_same_report(block, _outcome(oracle_order_axioms, order, elements, scalar_metric))
+    if block is not DomainError:
+        assert block.samples == n + n ** 2 + n ** 3
+
+
+def test_order_axioms_keep_the_elements_as_inputs():
+    elements = [0, 1, 2]  # ints stay ints in the witnesses
+    near = PartialOrder(lambda x, y: abs(x - y) <= 1.0, name="near")
+    block = check_order_axioms(near, elements, scalar_metric)
+    assert_same_report(block, oracle_order_axioms(near, elements, scalar_metric))
+    assert {w.check for w in block.witnesses} == {"order/antisymmetric", "order/transitive"}
+    fns = [np.zeros(6), np.ones(6), np.linspace(0, 1, 6), np.linspace(1, 0, 6)]
+    block = check_order_axioms(pointwise_order, fns, sup_metric)
+    assert_same_report(block, oracle_order_axioms(pointwise_order, fns, sup_metric))
+    assert block.passed
+
+
+RHS = [lambda t, x: 2.0 * np.asarray(x, dtype=float), rhs_sin_plus_one, rhs_const(2.0),
+       rhs_pi2sin, compile_rhs_expression("10*x*t"),
+       # infinite past x = 1.5: the operator on such a constant raises a DomainError
+       lambda t, x: np.where(np.asarray(x) > 1.5, np.inf, np.sin(3.0 * np.asarray(x)) * t)]
+GATES = [None, lambda a, b: 1.2 - np.abs(a - b),
+         _scalar_only(lambda a, b: 1.0 if a <= b + 0.5 else -1.0), lambda a, b: -1.0]
+# t*n lands halfway between nodes at n = 4: round() goes to the even node
+_TIMES = [0.0, 0.125, 0.375, 0.5, 0.625, 0.875, 1.0]
+
+
+def _triples(seed, size, fault):
+    rng = seeded_rng(seed)
+    ts = np.concatenate([_TIMES, rng.uniform(0.0, 1.0, 10)])
+    values = np.concatenate([[0.0, -0.0, 0.5, 1.0, -1.0, 2.0], rng.uniform(-2.0, 2.0, 20)])
+    rows = np.stack([ts[rng.integers(0, ts.size, size)],
+                     values[rng.integers(0, values.size, size)],
+                     values[rng.integers(0, values.size, size)]], axis=-1)
+    if fault and size:  # a time off [0, 1], or a value the operator rejects
+        rows[rng.integers(0, size), {"t": 0, "nan": 1}[fault]] = \
+            1.5 if fault == "t" else math.nan
+    return [tuple(row) for row in rows.tolist()]
+
+
+@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+       rhs=st.sampled_from(RHS), gate=st.sampled_from(GATES),
+       fault=st.sampled_from([None, None, "t", "nan"]))
+@example(size=CHUNK + 1, seed=8, rhs=RHS[0], gate=GATES[1], fault=None)
+@example(size=CHUNK, seed=9, rhs=RHS[2], gate=GATES[2], fault=None)
+@settings(max_examples=25, deadline=None)
+def test_rhs_displacement_matches_the_per_triple_loop(size, seed, rhs, gate, fault):
+    problem = BVPProblem(rhs=rhs, n=4, gate=gate)
+    triples = _triples(seed, size, fault)
+    assert_same_report(_outcome(check_rhs_displacement_bound, problem, triples),
+                       _outcome(oracle_rhs_displacement_bound, problem, triples))
+
+
+def test_rhs_displacement_counts_only_gated_triples():
+    problem = BVPProblem(rhs=lambda t, x: 2.0 * np.asarray(x, float), n=4,
+                         gate=lambda a, b: 1.0 if a > b else -1.0)
+    triples = [(0.125, 1.0, 0.0), (0.375, 0.0, 1.0), (0.625, 2.0, 1.0)]
+    block = check_rhs_displacement_bound(problem, triples)
+    assert block.samples == 2
+    assert_same_report(block, oracle_rhs_displacement_bound(problem, triples))

@@ -19,7 +19,8 @@ from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DomainError,
                        integral_operator, make_report, nodes,
                        row_integral_quadrature, solve_bvp, sup_metric,
                        verify_contraction)
-from picardkit.bvp import operator_contraction_check
+from picardkit.bvp import (_kernel_quadrature, _split_simpson_prefix, _trapezoid_prefix,
+                           operator_contraction_check)
 from picardkit.framework import check_pairs, contraction_check
 from picardkit.builtins import (resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
@@ -215,6 +216,24 @@ class TestIntegralOperator:
         problem = BVPProblem(rhs=lambda t, x, v=values: v, n=100)
         out = integral_operator(problem, np.zeros(101))
         assert float(out.min()) >= 0.0
+
+    @pytest.mark.parametrize("prefix", [_split_simpson_prefix, _trapezoid_prefix],
+                             ids=["split-simpson", "trapezoid"])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 20, 100, 1000, 2000])
+    def test_weights_are_nonnegative_with_largest_row_sum_one_eighth(self, n, prefix):
+        # the operator applied to the unit vectors, a block of the identity
+        # stack at a time: entry (j, i) of the result is the weight of node j
+        # in row i, so the sup-norm Lipschitz constant is the largest row sum
+        ts = nodes(n)
+        row_sums = np.zeros(n + 1)
+        for start in range(0, n + 1, 256):
+            count = min(256, n + 1 - start)
+            units = np.zeros((count, n + 1))
+            units[np.arange(count), start + np.arange(count)] = 1.0
+            weights = _kernel_quadrature(ts, 1.0 - ts, units, prefix)
+            assert float(weights.min()) >= 0.0
+            row_sums += weights.sum(axis=0)
+        assert abs(float(row_sums.max()) - CONTRACTION_FACTOR) <= 3e-17
 
     def test_non_finite_rhs_rejected(self):
         problem = BVPProblem(rhs=lambda t, x: np.where(t > 0.5, np.inf, 1.0), n=10)

@@ -1,21 +1,29 @@
 """Batch front-end: config parsing with line-numbered errors, the three run
 modes end to end, exit-status classes, and byte-deterministic artifacts."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import picardkit
 from picardkit import bvp as bvp_module
 from picardkit import cli as cli_module
+from picardkit import framework as framework_module
 from picardkit import load_grid_csv
 from picardkit.cli import (EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_USAGE, EXIT_VALIDATION, ConfigError, main,
@@ -585,3 +593,121 @@ class TestMainEntry:
         assert status == EXIT_OK
         assert (out / "solution.csv").exists()
         assert "seed: 7" in (out / "report.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# Robustness: the shipped bundles stay on the vector path, and edge-value
+# configs keep the exit-status contract.
+
+# the benchmark's verify workloads at seed 7
+VERIFY_INTERVAL_CFG = """\
+mode = verify
+seed = 7
+[carrier]
+kind = interval
+low = 0.0
+high = 3.0
+[bundle]
+name = example31
+[verify]
+pair_grid = 500
+random_pairs = 1000
+[order]
+name = natural
+"""
+VERIFY_GRID_CFG = """\
+mode = verify
+seed = 7
+[carrier]
+kind = grid
+low = 0.0
+high = 1.0
+[bundle]
+name = bvp
+[verify]
+random_pairs = 200
+[bvp]
+rhs = sin_plus_one
+n = 1000
+"""
+
+
+@pytest.mark.parametrize("cfg, status", [(VERIFY_INTERVAL_CFG, EXIT_CHECK_FAILED),
+                                         (VERIFY_GRID_CFG, EXIT_OK)],
+                         ids=["verify-interval", "verify-grid"])
+def test_shipped_bundles_never_fall_back_to_one_sample_at_a_time(tmp_path, monkeypatch,
+                                                                 cfg, status):
+    # evaluate_block calls its per-sample callable only where the call on the
+    # whole chunk fails; every check of a verify run goes through it
+    calls, fallbacks = [], []
+    original = framework_module.evaluate_block
+
+    def spied(fn, scalar, *columns, **kwargs):
+        def per_sample(*args):
+            fallbacks.append(fn)
+            return scalar(*args)
+
+        calls.append(fn)
+        return original(fn, per_sample, *columns, **kwargs)
+
+    monkeypatch.setattr(framework_module, "evaluate_block", spied)
+    monkeypatch.setattr(bvp_module, "evaluate_block", spied)
+    assert run(parse_config(cfg), out_dir=tmp_path / "out") == status
+    assert len(calls) > 20 and fallbacks == []
+
+
+_BASE_CFGS = {
+    "verify-interval": "[carrier]\nkind = interval\n[bundle]\nname = example31\n"
+                       "[verify]\npair_grid = 6\nrandom_pairs = 5\n",
+    "verify-grid": "[carrier]\nkind = grid\n[bundle]\nname = bvp\n"
+                   "[verify]\nrandom_pairs = 4\n[bvp]\nrhs = sin_plus_one\nn = 6\n",
+    "iterate": "[iterate]\nmap = affine:0.5:1\nstart = 0.0\n",
+    "solve-bvp": "[bvp]\nrhs = sin_plus_one\nn = 10\n",
+}
+# edge values by (section, key); an expr: body may be a comprehension, a
+# lambda, a conditional, a complex, a tuple, an f-string, a subscript or an
+# overflow
+_EDGE_VALUES = {
+    ("carrier", "low"): ["1.0", "-1e308", "nan"],
+    ("carrier", "high"): ["1.0", "1e308", "inf"],
+    ("bundle", "lambda"): ["nan", "0.5"],
+    ("bundle", "k"): ["nan", "2.0"],
+    ("bundle", "r"): ["3.0", "inf"],
+    ("bundle", "beta"): ["nan", "0.5", "reciprocal"],
+    ("verify", "pair_grid"): ["0", "-1"],
+    ("verify", "random_pairs"): ["0"],
+    ("picard", "tolerance"): ["nan", "inf", "0.0"],
+    ("picard", "max_iterations"): ["0", "-1", "3"],
+    ("picard", "divergence_bound"): ["nan", "10.0"],
+    ("iterate", "map"): ["affine:nan:0", "example31", "affine:2:1"],
+    ("iterate", "start"): ["nan", "1e308", "-inf"],
+    ("bvp", "rhs"): ["const:nan", "expr:[x for x in t]", "expr:(lambda y: y)(x)",
+                     "expr:x if t else 0", "expr:1j*x", "expr:(x, t)", "expr:f'{x}'",
+                     "expr:x[::-1]", "expr:exp(1e3*x)", "expr:1e308*x*x+1e308"],
+    ("bvp", "n"): ["3", "0", "-2", "4"],
+    ("bvp", "tolerance"): ["nan", "inf"],
+}
+edge_lines = st.sampled_from(sorted(_EDGE_VALUES)).flatmap(
+    lambda field: st.sampled_from(_EDGE_VALUES[field]).map(lambda value: (*field, value)))
+
+
+@given(mode=st.sampled_from(sorted(_BASE_CFGS)),
+       seed=st.sampled_from(["7", "7", "7", "7", "-1", "1.5"]),
+       edges=st.lists(edge_lines, max_size=3))
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+def test_edge_value_configs_keep_the_exit_contract(mode, seed, edges):
+    kind = mode.split("-")[0] if mode.startswith("verify") else mode
+    text = f"mode = {kind}\nseed = {seed}\n{_BASE_CFGS[mode]}" + "".join(
+        f"[{section}]\n{key} = {value}\n" for section, key, value in edges)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "run.cfg"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            status = main(["--config", str(path), "--out", str(Path(directory) / "out")])
+    assert status in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED, EXIT_USAGE,
+                      EXIT_VALIDATION), text
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert [str(w.message) for w in caught] == [], text

@@ -749,14 +749,18 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
     def detail(value):
         return f"lhs = {value!r}"
 
+    def failing(samples, lhs):
+        # the margin is a column of its own: here lhs - bound, as in the reference
+        return FailingRows("probe", samples, lhs, np.full(len(lhs), bound), lhs - bound, detail)
+
     expected = _all_witnesses("probe", [tuple(map(float, row)) for row in samples],
                               lhs.tolist(), bound, detail)
     n = len(rows)
     for k in (0, 1, 8, n, n + 1):
-        lazy = FailingRows("probe", samples, lhs, bound, detail)
+        lazy = failing(samples, lhs)
         assert _fingerprint(lazy[:k]) == _fingerprint(expected[:k])
     # one view asked for more and more keeps the witnesses it built
-    lazy = FailingRows("probe", samples, lhs, bound, detail)
+    lazy = failing(samples, lhs)
     head = lazy[:1]
     assert len(lazy) == n
     assert _fingerprint(lazy[:8]) == _fingerprint(expected[:8])
@@ -774,12 +778,11 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
 
     # a merge of a lazy and a list report equals the report of the whole
     cut = n // 2
-    head_report = make_report("probe", FailingRows("probe", samples[:cut], lhs[:cut],
-                                                   bound, detail), cut)
+    head_report = make_report("probe", failing(samples[:cut], lhs[:cut]), cut)
     tail_report = make_report("probe", _all_witnesses(
         "probe", [tuple(map(float, row)) for row in samples[cut:]],
         lhs[cut:].tolist(), bound, detail), n - cut)
-    whole = make_report("probe", FailingRows("probe", samples, lhs, bound, detail), n)
+    whole = make_report("probe", failing(samples, lhs), n)
     for merged in (merge_reports(head_report, tail_report),
                    merge_reports(tail_report, head_report)):
         assert not comparable or merged == whole
@@ -952,6 +955,16 @@ def test_faulty_stacks_raise_the_per_function_errors(fault, gate):
         with pytest.raises(error) as raised:
             run()
         assert str(raised.value) == text
+
+
+def test_object_array_of_grid_pairs_raises_the_metric_error():
+    # np.array makes pairs whose node counts differ a 2-d object array
+    problem, pairs = _faulty_problem_and_pairs("node counts", 0)
+    pairs = np.array(pairs, dtype=object)
+    assert pairs.shape == (40, 2)
+    halving = replace(bvp_bundle(problem), mapping=lambda x: 0.5 * x)
+    with pytest.raises(DimensionError, match="grid sizes differ: 7 vs 9 nodes"):
+        verify_contraction(halving, pairs, sup_metric)
 
 
 @pytest.mark.parametrize("body", ["x*(x@x)", "x*(t@x)", "x - x[x >= 0.0]*0.5"])

@@ -10,7 +10,7 @@ from picardkit import (alpha_from_order, check_alpha_admissible,
                        natural_order, nodes, pointwise_order,
                        scalar_metric, sup_metric)
 from picardkit.builtins import resolve
-from picardkit.errors import DomainError
+from picardkit.errors import DimensionError, DomainError
 from picardkit.sampling import mesh_pairs, seeded_rng
 
 
@@ -36,6 +36,12 @@ class TestInducedAlpha:
         stack = np.array([np.zeros(11), np.ones(11), np.linspace(-0.5, 0.5, 11)])
         weights = alpha_from_order(pointwise_order).fn(stack, stack[[1, 0, 0]])
         assert weights.tolist() == [1.0, 0.0, 0.0]
+
+    def test_pointwise_order_rejects_different_grids(self):
+        triples = [(np.zeros(5), np.ones(5), np.full(5, 2.0)),
+                   (np.zeros(9), np.ones(7), np.full(9, 2.0))]
+        with pytest.raises(DimensionError, match="grid sizes differ: 9 vs 7 nodes"):
+            check_triangular_alpha(alpha_from_order(pointwise_order), triples)
 
     def test_order_lookup(self):
         assert resolve("order", "natural") is natural_order
@@ -90,6 +96,11 @@ class TestOrderAxioms:
     def test_pointwise_order_axioms(self):
         fns = [np.zeros(6), np.ones(6), np.linspace(0, 1, 6)]
         assert check_order_axioms(pointwise_order, fns, sup_metric).passed
+
+    def test_pointwise_order_axioms_reject_different_grids(self):
+        fns = [np.zeros(6), np.ones(4)]
+        with pytest.raises(DimensionError, match="grid sizes differ: 6 vs 4 nodes"):
+            check_order_axioms(pointwise_order, fns, sup_metric)
 
     def test_intransitive_comparator_caught(self):
         from picardkit import PartialOrder
