@@ -14,8 +14,7 @@ from picardkit import (CClassFunction, SimulationFunction,
                        render_text, scalar_metric, verify_contraction)
 from picardkit.builtins import (alpha_box, default_beta_probes,
                                 default_sequence_probes, example31_bundle)
-from picardkit.sampling import (mesh_pairs, positive_mesh_pairs, random_pairs,
-                                random_positive_pairs, seeded_rng)
+from picardkit.sampling import mesh_array, seeded_rng, uniform_array
 
 rng = seeded_rng(42)
 bundle = example31_bundle()
@@ -25,13 +24,15 @@ print(f"mapping: x/3 on [0, 1], 3x elsewhere; zeta = {bundle.zeta.name}; "
       f"beta = {bundle.beta.name}; G = {bundle.g.name} (c_g = {bundle.g.c_g})")
 print()
 
-# axiom checks on seeded samples
-zeta_samples = [(0.0, 0.0)] + positive_mesh_pairs(40) + random_positive_pairs(rng, 100)
-pairs = mesh_pairs(0.0, 1.0, 51) + random_pairs(rng, 100, 0.0, 3.0)
+# axiom checks on seeded samples: (N, 2) arrays, joined with np.concatenate
+zeta_samples = np.concatenate([[(0.0, 0.0)], mesh_array(1e-2, 10.0, 40),
+                               uniform_array(rng, 100, 1e-3, 10.0, 2)])
+pairs = np.concatenate([mesh_array(0.0, 1.0, 51), uniform_array(rng, 100, 0.0, 3.0, 2)])
 reports = [
     check_simulation_pointwise(bundle.zeta, zeta_samples),
     check_simulation_sequences(bundle.zeta, default_sequence_probes()),
-    check_cclass(bundle.g, positive_mesh_pairs(30) + [(0.0, 1.0), (0.0, 0.0)]),
+    check_cclass(bundle.g, np.concatenate([mesh_array(1e-2, 10.0, 30),
+                                           [(0.0, 1.0), (0.0, 0.0)]])),
     check_geraghty(bundle.beta, np.linspace(0.0, 10.0, 41), default_beta_probes()),
     check_alpha_admissible(bundle.mapping, bundle.alpha, pairs),
     verify_contraction(bundle, pairs, scalar_metric),

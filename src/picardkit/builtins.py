@@ -14,11 +14,11 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bvp import BVPProblem, bvp_operator
+from .bvp import BVPProblem, alpha_from_gate, bvp_operator
 from .errors import DomainError
 from .framework import (GRID_EPS, SCALAR_EPS, AlphaFunction, CClassFunction,
                         ContractionBundle, GeraghtyBeta, SimulationFunction)
-from .metrics import Point, rowwise, scalar_metric, sup_metric
+from .metrics import Point, scalar_metric, sup_metric
 from .posets import natural_order, pointwise_order
 from .sampling import probe_pair
 
@@ -118,12 +118,6 @@ def alpha_box(low: float = 0.0, high: float = 1.0) -> AlphaFunction:
         name=f"alpha_box({low!r}, {high!r})")
 
 
-def alpha_from_gate(problem: BVPProblem) -> AlphaFunction:
-    """Weight 1 on grid-function pairs whose gate is positive at every node
-    (always 1 under the default open gate); row-wise on stacks."""
-    return AlphaFunction(rowwise(lambda x, y: problem.gate_weights(x, y)), name="alpha_gate")
-
-
 # --------------------------------------------------------------------------
 # mappings
 
@@ -182,9 +176,10 @@ def compile_rhs_expression(body: str) -> Callable:
     x, pi and the numpy functions in ``_EXPR_FUNCTIONS``, and one evaluation
     on a probe (t and x float arrays of 5 nodes in [0, 1]) gives a real
     scalar or a real array of t's shape. Integer literals become floats, so a power
-    overflows at once instead of growing a huge integer. Non-finite values
+    overflows at once instead of growing a huge integer, and no index is an
+    integer: an expression that subscripts is rejected. Non-finite values
     pass, silently: the solver rejects them where they occur. An expression
-    that indexes or uses ``@`` takes one grid function at a time."""
+    that uses ``@`` takes one grid function at a time."""
     try:
         tree = ast.parse(body, mode="eval")
         for node in ast.walk(tree):
@@ -199,17 +194,20 @@ def compile_rhs_expression(body: str) -> Callable:
     if unknown:
         raise DomainError(f"expression {body!r} uses unknown name(s) "
                           f"{', '.join(unknown)}; allowed: {', '.join(sorted(_EXPR_NAMES))}")
+    if any(isinstance(node, ast.Subscript) for node in ast.walk(tree)):
+        raise DomainError(f"expression {body!r} subscripts, which an expr: body cannot: "
+                          f"its integer literals are floats, and an index reads across nodes")
     namespace = {name: getattr(np, name) for name in _EXPR_FUNCTIONS}
     namespace["pi"] = math.pi
-    # indexing and @ can mix the rows of a stack of grid functions
-    nodewise = not any(isinstance(node, (ast.Subscript, ast.MatMult)) for node in ast.walk(tree))
+    # @ can mix the rows of a stack of grid functions
+    nodewise = not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
 
     def rhs(t, x):
         local = dict(namespace)
         local["t"] = np.asarray(t, dtype=float)
         local["x"] = np.asarray(x, dtype=float)
         if local["x"].ndim > 1 and not nodewise:
-            raise DomainError(f"expression {body!r} indexes or uses @, so it takes "
+            raise DomainError(f"expression {body!r} uses @, so it takes "
                               f"one grid function at a time")
         with np.errstate(all="ignore"):
             return eval(code, {"__builtins__": {}}, local)

@@ -155,11 +155,11 @@ class BVPProblem:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError(f"grid size must be at least 2, got {self.n}")
+            raise DomainError(f"grid size must be at least 2, got {self.n}")
         if self.n % 2 != 0:
-            raise ValueError(f"grid size must be even, got {self.n}")
+            raise DomainError(f"grid size must be even, got {self.n}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
         self.nodes = nodes(self.n)
         self._complement = 1.0 - self.nodes
 
@@ -336,6 +336,15 @@ def gate_accepts_start(problem: BVPProblem, x0: Point) -> bool:
     return bool(np.all(problem.gate_values(xa, tx) >= 0.0))
 
 
+def alpha_from_gate(problem: BVPProblem) -> AlphaFunction:
+    """Weight 1 on grid-function pairs whose gate is positive at every node
+    (always 1 under the default open gate), else 0; row-wise on stacks.
+    Each function is validated first, so a non-finite one raises
+    :class:`DomainError` whatever the gate."""
+    return AlphaFunction(rowwise(lambda x, y: problem.gate_weights(
+        as_grid_function(x, stack=True), as_grid_function(y, stack=True))), name="alpha_gate")
+
+
 def check_gate_propagation(problem: BVPProblem,
                            pairs: Iterable[tuple[Point, Point]]) -> VerificationReport:
     """Nodewise gate positivity must survive one application of the
@@ -343,9 +352,6 @@ def check_gate_propagation(problem: BVPProblem,
     ``xi(Tx(t), Ty(t)) > 0`` for all t. A pass of
     :func:`~picardkit.framework.check_pairs`: the operator maps only the
     pairs the gate admits, a chunk of them per call."""
-    gate = AlphaFunction(rowwise(lambda x, y: problem.gate_weights(
-        as_grid_function(x, stack=True), as_grid_function(y, stack=True))), name="gate")
-
     def failing(chunk):
         held = np.flatnonzero(chunk.weights > 0.0)
         if held.size == 0:
@@ -357,7 +363,7 @@ def check_gate_propagation(problem: BVPProblem,
         # the margin worst - 0.0 is worst itself, bit for bit
         return held[closed], worst[closed], 0.0, worst[closed], node[closed]
 
-    return check_pairs(bvp_operator(problem), gate, pairs, [BlockCheck(
+    return check_pairs(bvp_operator(problem), alpha_from_gate(problem), pairs, [BlockCheck(
         "gate-propagation", "gate/propagation", failing,
         lambda worst, node: f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} "
                             f"at node {node}")])[0]

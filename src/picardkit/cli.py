@@ -10,15 +10,15 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import builtins as catalog
 from .bvp import BVPProblem, BVPSolution, operator_contraction_check, solve_bvp
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .framework import (ContractionBundle, alpha_admissible_check, check_cclass,
                         check_geraghty, check_pairs, check_simulation_pointwise,
                         check_simulation_sequences, check_triangular_alpha,
@@ -28,8 +28,7 @@ from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 from .posets import alpha_from_order
 from .report import (CAVEAT, FAIL, VerificationReport, render_text,
                      write_report_csv)
-from .sampling import (mesh_array, positive_mesh_pairs, random_grid_pairs,
-                       random_positive_pairs, seeded_rng, uniform_array)
+from .sampling import mesh_array, random_grid_pairs, seeded_rng, uniform_array
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,32 +39,6 @@ EXIT_VALIDATION = 4
 
 class ConfigError(ValueError):
     """Configuration problem, carrying the source line when known."""
-
-
-@dataclass
-class RunConfig:
-    mode: str = ""
-    seed: int = 42
-    out: str = "reports"
-    carrier_kind: str = "interval"
-    carrier_low: float = 0.0
-    carrier_high: float = 3.0
-    bundle_name: str = "example31"
-    bundle_lambda: Optional[float] = None
-    bundle_k: Optional[float] = None
-    bundle_r: Optional[float] = None
-    bundle_beta: Optional[str] = None
-    pair_grid: int = 101
-    random_pairs: int = 100
-    tolerance: float = 1e-10
-    max_iterations: int = 500
-    divergence_bound: float = 1e9
-    map_spec: str = "example31"
-    start: float = 1.0
-    rhs: str = "pi2sin"
-    bvp_n: int = 100
-    bvp_tolerance: float = 1e-8
-    order_name: Optional[str] = None
 
 
 def _convert(raw: str, kind, where: str, key: str):
@@ -93,34 +66,36 @@ def _convert(raw: str, kind, where: str, key: str):
                           f"got {raw!r}") from exc
 
 
-# (section, key) -> (RunConfig attribute, type or selector kind)
-_FIELDS = {
-    ("", "mode"): ("mode", str),
-    ("", "seed"): ("seed", int),
-    ("", "out"): ("out", str),
-    ("carrier", "kind"): ("carrier_kind", "carrier"),
-    ("carrier", "low"): ("carrier_low", float),
-    ("carrier", "high"): ("carrier_high", float),
-    ("bundle", "name"): ("bundle_name", "bundle"),
-    ("bundle", "lambda"): ("bundle_lambda", float),
-    ("bundle", "k"): ("bundle_k", float),
-    ("bundle", "r"): ("bundle_r", float),
-    ("bundle", "beta"): ("bundle_beta", "beta"),
-    ("verify", "pair_grid"): ("pair_grid", "count"),
-    ("verify", "random_pairs"): ("random_pairs", "count"),
-    ("picard", "tolerance"): ("tolerance", float),
-    ("picard", "max_iterations"): ("max_iterations", int),
-    ("picard", "divergence_bound"): ("divergence_bound", float),
-    ("iterate", "map"): ("map_spec", "map"),
-    ("iterate", "start"): ("start", float),
-    ("bvp", "rhs"): ("rhs", "rhs"),
-    ("bvp", "n"): ("bvp_n", int),
-    ("bvp", "tolerance"): ("bvp_tolerance", float),
-    ("order", "name"): ("order_name", "order"),
-}
+# section, key, RunConfig attribute, type or selector kind, default
+_FIELDS = (
+    ("", "mode", "mode", str, None),  # required
+    ("", "seed", "seed", int, 42),
+    ("", "out", "out", str, "reports"),
+    ("carrier", "kind", "carrier_kind", "carrier", "interval"),
+    ("carrier", "low", "carrier_low", float, 0.0),
+    ("carrier", "high", "carrier_high", float, 3.0),
+    ("bundle", "name", "bundle_name", "bundle", "example31"),
+    ("bundle", "lambda", "bundle_lambda", float, None),
+    ("bundle", "k", "bundle_k", float, None),
+    ("bundle", "r", "bundle_r", float, None),
+    ("bundle", "beta", "bundle_beta", "beta", None),
+    ("verify", "pair_grid", "pair_grid", "count", 101),
+    ("verify", "random_pairs", "random_pairs", "count", 100),
+    ("picard", "tolerance", "tolerance", float, 1e-10),
+    ("picard", "max_iterations", "max_iterations", int, 500),
+    ("picard", "divergence_bound", "divergence_bound", float, 1e9),
+    ("iterate", "map", "map_spec", "map", "example31"),
+    ("iterate", "start", "start", float, 1.0),
+    ("bvp", "rhs", "rhs", "rhs", "pi2sin"),
+    ("bvp", "n", "bvp_n", int, 100),
+    ("bvp", "tolerance", "bvp_tolerance", float, 1e-8),
+    ("order", "name", "order_name", "order", None),
+)
 
-_MODES = ("verify", "iterate", "solve-bvp")
-
+RunConfig = make_dataclass("RunConfig", [
+    (attr, kind if isinstance(kind, type) else int if kind == "count" else str, default)
+    for _, _, attr, kind, default in _FIELDS], namespace={"__module__": __name__})
+_KINDS = {(section, key): (attr, kind) for section, key, attr, kind, _ in _FIELDS}
 
 # sections that must be spelled out per mode; everything else has defaults
 _REQUIRED_SECTIONS = {
@@ -133,7 +108,6 @@ _REQUIRED_SECTIONS = {
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     config = RunConfig()
     section = ""
-    saw_mode = False
     seen_sections: set[str] = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -141,25 +115,23 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in {s for s, _ in _FIELDS if s}:
+            if section not in {s for s, _ in _KINDS if s}:
                 raise ConfigError(f"{source}: line {lineno}: unknown section [{section}]")
             seen_sections.add(section)
             continue
         if "=" not in line:
             raise ConfigError(f"{source}: line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        field = _FIELDS.get((section, key))
+        field = _KINDS.get((section, key))
         if field is None:
             where = f"[{section}] " if section else ""
             raise ConfigError(f"{source}: line {lineno}: unknown field {where}{key!r}")
         attr, kind = field
         setattr(config, attr, _convert(raw_value, kind, f"{source}: line {lineno}", key))
-        if attr == "mode":
-            saw_mode = True
-    if not saw_mode:
+    if config.mode is None:
         raise ConfigError(f"{source}: missing required field 'mode'")
-    if config.mode not in _MODES:
-        raise ConfigError(f"{source}: mode must be one of {', '.join(_MODES)}, "
+    if config.mode not in _REQUIRED_SECTIONS:
+        raise ConfigError(f"{source}: mode must be one of {', '.join(_REQUIRED_SECTIONS)}, "
                           f"got {config.mode!r}")
     if not 0 <= config.seed < 2 ** 64:
         raise ConfigError(f"{source}: seed must be an unsigned 64-bit integer")
@@ -222,10 +194,11 @@ def _rows_with_caveats(reports: Sequence[VerificationReport],
     """Apply declared bundle caveats: a failing check the bundle vouches for
     is reported with status 'caveat' (witnesses preserved) and does not
     count toward the exit status."""
+    caveats = dict(bundle.caveats)
     adjusted = []
     failures = 0
     for rep in reports:
-        note = bundle.caveat_for(rep.name)
+        note = caveats.get(rep.name)
         if rep.status == FAIL and note is not None:
             adjusted.append(replace(rep, status=CAVEAT,
                                     notes=rep.notes + (f"declared caveat: {note}",)))
@@ -249,13 +222,15 @@ def _run_verify(config: RunConfig, out: Path, rng: np.random.Generator) -> int:
     problem = _build_problem(config) if config.carrier_kind == "grid" else None
     bundle = _build_bundle(config, problem)
 
-    zeta_samples = ([(0.0, 0.0)]
-                    + positive_mesh_pairs(per_axis=40)
-                    + random_positive_pairs(rng, 100))
+    # the origin, then positive pairs well above the strictness epsilon
+    zeta_samples = np.concatenate([np.zeros((1, 2)), mesh_array(1e-2, 10.0, 40),
+                                   uniform_array(rng, 100, 1e-3, 10.0, 2)])
     axis = np.linspace(0.0, 10.0, 41)
-    cclass_samples = ([(float(s), float(t)) for s in axis for t in axis[::8]]
-                      + random_positive_pairs(rng, 100))
-    beta_samples = [float(t) for t in axis] + [float(v) for v in rng.uniform(0.0, 10.0, 50)]
+    coarse = axis[::8]  # (s, t) for s in axis for t in coarse
+    cclass_samples = np.concatenate([
+        np.column_stack([np.repeat(axis, coarse.size), np.tile(coarse, axis.size)]),
+        uniform_array(rng, 100, 1e-3, 10.0, 2)])
+    beta_samples = np.concatenate([axis, rng.uniform(0.0, 10.0, 50)])
     probes_mode = bundle.zeta.sequence_axiom
 
     metric, tol = catalog.resolve("carrier", config.carrier_kind)
@@ -314,57 +289,43 @@ def _picard_config(config: RunConfig) -> PicardConfig:
                         divergence_bound=config.divergence_bound)
 
 
-def _summary_rows(items: Sequence[tuple[str, str, str]]) -> list[list[str]]:
-    return [[name, status, "", "", "", "", "", value, ""]
-            for name, status, value in items]
+def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
+                 before: Sequence[str], after: Sequence[str],
+                 rows: Sequence[tuple[str, str]] = ()) -> int:
+    """Write an orbit's trace.csv, its report.txt (the header lines
+    ``before``, the termination and the iteration count, then ``after``) and
+    its report.csv (the ``picard`` row, then ``rows`` of (name, value)),
+    every row with the orbit's status; returns the exit status."""
+    write_trace_csv(out / "trace.csv", trace)
+    converged = trace.termination == CONVERGED
+    status = "pass" if converged else "fail"
+    header = _header_lines(config, [*before, f"termination: {trace.termination}",
+                                    f"iterations: {trace.iterations}", *after])
+    (out / "report.txt").write_text("\n".join(header) + "\n")
+    rows = [("picard", repr(float(trace.residual))), *rows]
+    write_report_csv(out / "report.csv", (), extra_rows=[
+        [name, status, "", "", "", "", "", value, ""] for name, value in rows])
+    return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 def _run_iterate(config: RunConfig, out: Path) -> int:
     mapping = catalog.resolve("map", config.map_spec)
     trace = picard_iterate(mapping, config.start, _picard_config(config), scalar_metric)
-    write_trace_csv(out / "trace.csv", trace)
-    converged = trace.termination == CONVERGED
-    status = "pass" if converged else "fail"
     final_gap = trace.gaps[-1] if trace.gaps else 0.0
-    header = _header_lines(config, [
-        f"map: {config.map_spec}",
-        f"start: {config.start!r}",
-        f"termination: {trace.termination}",
-        f"iterations: {trace.iterations}",
-        f"final gap: {final_gap!r}",
-        f"residual: {trace.residual!r}",
-    ])
-    rows = _summary_rows([
-        ("picard", status, repr(float(trace.residual))),
-    ])
-    (out / "report.txt").write_text("\n".join(header) + "\n")
-    write_report_csv(out / "report.csv", (), extra_rows=rows)
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+    return _write_orbit(config, out, trace,
+                        [f"map: {config.map_spec}", f"start: {config.start!r}"],
+                        [f"final gap: {final_gap!r}", f"residual: {trace.residual!r}"])
 
 
 def _run_solve(config: RunConfig, out: Path) -> int:
     problem = _build_problem(config)
     solution: BVPSolution = solve_bvp(problem, _picard_config(config))
     save_grid_csv(out / "solution.csv", solution.values)
-    write_trace_csv(out / "trace.csv", solution.trace)
-    status = "pass" if solution.converged else "fail"
     estimate = solution.contraction_estimate
-    header = _header_lines(config, [
-        f"rhs: {problem.name}",
-        f"n: {problem.n}",
-        f"termination: {solution.trace.termination}",
-        f"iterations: {solution.trace.iterations}",
+    return _write_orbit(config, out, solution.trace, [f"rhs: {problem.name}", f"n: {problem.n}"], [
         f"second-difference residual: {solution.residual!r}",
-        f"observed contraction estimate: "
-        f"{'' if estimate is None else repr(float(estimate))}",
-    ])
-    rows = _summary_rows([
-        ("picard", status, repr(float(solution.trace.residual))),
-        ("second-difference-residual", status, repr(float(solution.residual))),
-    ])
-    (out / "report.txt").write_text("\n".join(header) + "\n")
-    write_report_csv(out / "report.csv", (), extra_rows=rows)
-    return EXIT_OK if solution.converged else EXIT_NOT_CONVERGED
+        f"observed contraction estimate: {'' if estimate is None else repr(float(estimate))}",
+    ], [("second-difference-residual", repr(float(solution.residual)))])
 
 
 def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
@@ -384,7 +345,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
         if config.mode == "solve-bvp":
             return _run_solve(config, out)
         raise DomainError(f"unknown mode {config.mode!r}")
-    except ValueError as exc:  # DomainError included
+    except (DomainError, DimensionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

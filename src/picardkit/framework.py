@@ -35,8 +35,9 @@ get whole. The pair hypotheses share one pass, :func:`check_pairs`, so the
 mapping applies at most once per sampled point. The failing rows of a check
 of one clause stay columns (:class:`picardkit.report.FailingRows`) and build
 a witness only when a caller reaches it. Only the limit-style conditions
-loop, over a few probes: :func:`check_simulation_sequences`, the limit
-probes of :func:`check_geraghty` and :func:`picardkit.bvp.check_gate_limit`.
+loop, over a few probes: :func:`check_simulation_sequences` and the limit
+probes of :func:`check_geraghty`, with one :meth:`Family.values` call per
+probe, and :func:`picardkit.bvp.check_gate_limit`.
 They are *falsification* checks: a pass means "no counterexample found on
 the supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
@@ -53,7 +54,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .metrics import Metric, Point, PointMap, as_grid_function
 from .report import FailingRows, Witness, VerificationReport, make_report
 
@@ -189,7 +190,7 @@ class CClassFunction(Family):
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.c_g) and self.c_g >= 0.0):
-            raise ValueError(f"c_g must be a finite nonnegative real, got {self.c_g}")
+            raise DomainError(f"c_g must be a finite nonnegative real, got {self.c_g}")
 
 
 class AlphaFunction(Family):
@@ -215,12 +216,6 @@ class ContractionBundle:
     g: CClassFunction
     name: str = "bundle"
     caveats: tuple[tuple[str, str], ...] = ()
-
-    def caveat_for(self, check_name: str) -> str | None:
-        for name, note in self.caveats:
-            if name == check_name:
-                return note
-        return None
 
 
 def _tail(length: int, min_tail: int = MIN_TAIL) -> int:
@@ -291,7 +286,7 @@ def check_simulation_sequences(zeta: SimulationFunction,
             raise DomainError(f"probe pair {index} must satisfy t_n < s_n elementwise (roldan mode)")
         k = _tail(tn.size, min_tail)
         tails_t, tails_s = tn[-k:], sn[-k:]
-        values = [zeta(float(a), float(b)) for a, b in zip(tails_t, tails_s)]
+        values = zeta.values(tails_t, tails_s)
         best = int(np.argmax(values))
         estimate = float(values[best])
         if estimate >= -tol:
@@ -355,7 +350,7 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
             raise DomainError(f"beta probe {index} must be non-empty, finite and nonnegative")
         k = _tail(arr.size, min_tail)
         tail = arr[-k:]
-        tail_beta = np.array([beta(float(u)) for u in tail])
+        tail_beta = beta.values(tail)
         tail_min_t = float(tail.min())
         tail_min_beta = float(tail_beta.min())
         if tail_min_beta >= 1.0 - limit_tol and tail_min_t >= separation:
@@ -372,12 +367,17 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
 
 
 def _reals(samples, width: int, nonnegative: str = "") -> np.ndarray:
-    """Samples of reals as an (N, width) float array, converted in one call.
+    """Samples of reals as an (N, width) float array, converted in one call;
+    ragged rows, or rows of another width, raise :class:`DimensionError`.
     With ``nonnegative`` (what they sample), the first sample with a
     negative coordinate raises :class:`DomainError`."""
-    table = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples),
-                       dtype=float)
-    table = table.reshape(len(table), width)
+    try:
+        table = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples),
+                           dtype=float)
+        table = table.reshape(len(table), width)
+    except ValueError as exc:
+        raise DimensionError(f"{nonnegative or 'the'} samples must be rows of "
+                             f"{width} real{'s' if width > 1 else ''}") from exc
     if nonnegative and np.any(table < 0.0):
         row = table[np.any(table < 0.0, axis=1)][0].tolist()
         raise DomainError(f"{nonnegative} samples must be nonnegative, "

@@ -89,18 +89,15 @@ def sup_metric(x: Iterable[float], y: Iterable[float]) -> float | np.ndarray:
     return float(gap) if gap.ndim == 0 else gap
 
 
-def save_grid_csv(path: str | Path, values: Iterable[float],
-                  grid: Iterable[float] | None = None) -> None:
-    """Write a grid function as ``t,value`` rows with one header line."""
+def save_grid_csv(path: str | Path, values: Iterable[float]) -> None:
+    """Write a grid function as ``t,value`` rows, at its uniform nodes, with
+    one header line."""
     arr = as_grid_function(values)
-    ts = nodes(arr.size - 1) if grid is None else np.asarray(grid, dtype=float)
-    if ts.shape != arr.shape:
-        raise DimensionError("grid and values must have the same length")
+    table = np.column_stack([nodes(arr.size - 1), arr])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t, v in zip(ts, arr):
-            writer.writerow([repr(float(t)), repr(float(v))])
+        fh.write("t,value\n")
+        for start in range(0, len(table), 1024):  # one string per block bounds the memory
+            fh.write("".join(f"{t!r},{v!r}\n" for t, v in table[start:start + 1024].tolist()))
 
 
 def load_grid_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -39,12 +39,12 @@ class PicardConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+            raise DomainError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if not (math.isfinite(self.divergence_bound) and self.divergence_bound > 0.0):
-            raise ValueError(f"divergence_bound must be finite and positive, "
-                             f"got {self.divergence_bound}")
+            raise DomainError(f"divergence_bound must be finite and positive, "
+                              f"got {self.divergence_bound}")
 
 
 @dataclass

@@ -2,10 +2,10 @@
 
 All randomness flows through numpy Generators created by :func:`seeded_rng`;
 the default seed (42) keeps reports reproducible run to run. Mesh samplers
-are deterministic by construction. :func:`mesh_array` and
-:func:`uniform_array` build samples as (N, k) float arrays, which the block
-verifiers take as they are; the list samplers return the same samples as
-tuples of Python floats, for callers that concatenate sample sets with ``+``.
+are deterministic by construction. Samples of reals are (N, k) float
+arrays, built by :func:`mesh_array` and :func:`uniform_array`, which the
+block verifiers take as they are; join sample sets with ``np.concatenate``.
+Grid functions come in pairs from :func:`random_grid_pairs`.
 """
 
 from __future__ import annotations
@@ -30,41 +30,6 @@ def uniform_array(rng: np.random.Generator, count: int, low: float, high: float,
                   width: int) -> np.ndarray:
     """``count`` uniform samples of ``width`` coordinates, a (count, width) array."""
     return rng.uniform(low, high, size=(count, width))
-
-
-def _tuples(block: np.ndarray) -> list[tuple]:
-    return [tuple(row) for row in block.tolist()]
-
-
-def mesh_pairs(low: float, high: float, per_axis: int) -> list[tuple[float, float]]:
-    """The rows of :func:`mesh_array` as tuples."""
-    return _tuples(mesh_array(low, high, per_axis))
-
-
-def random_pairs(rng: np.random.Generator, count: int,
-                 low: float, high: float) -> list[tuple[float, float]]:
-    return _tuples(uniform_array(rng, count, low, high, 2))
-
-
-def random_triples(rng: np.random.Generator, count: int,
-                   low: float, high: float) -> list[tuple[float, float, float]]:
-    return _tuples(uniform_array(rng, count, low, high, 3))
-
-
-def positive_mesh_pairs(per_axis: int = 100, low: float = 1e-2,
-                        high: float = 10.0) -> list[tuple[float, float]]:
-    """Strictly positive mesh pairs; ``low`` stays well above the strictness
-    epsilon so margins of legitimate strict inequalities remain resolvable."""
-    if low <= 0:
-        raise ValueError("low must be strictly positive")
-    return mesh_pairs(low, high, per_axis)
-
-
-def random_positive_pairs(rng: np.random.Generator, count: int,
-                          low: float = 1e-3, high: float = 10.0) -> list[tuple[float, float]]:
-    if low <= 0:
-        raise ValueError("low must be strictly positive")
-    return random_pairs(rng, count, low, high)
 
 
 def random_grid_pairs(rng: np.random.Generator, count: int, n: int,

@@ -24,7 +24,7 @@ from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
                                 rhs_sin_plus_one, zeta1, zeta2, zeta3)
 from picardkit.cli import parse_config, run
 from picardkit.posets import alpha_from_order, natural_order
-from picardkit.sampling import mesh_pairs, random_pairs, random_positive_pairs, seeded_rng
+from picardkit.sampling import mesh_array, seeded_rng, uniform_array
 
 SEED = 42
 
@@ -39,7 +39,8 @@ def test_criterion_1_reference_contraction_grid():
     101 x 101 pair mesh over [0, 1]^2 plus 100 seeded random pairs from
     [0, 3]^2, with zero counterexamples, in under 5 seconds."""
     bundle = example31_bundle()
-    pairs = mesh_pairs(0.0, 1.0, 101) + random_pairs(seeded_rng(SEED), 100, 0.0, 3.0)
+    pairs = np.concatenate([mesh_array(0.0, 1.0, 101),
+                            uniform_array(seeded_rng(SEED), 100, 0.0, 3.0, 2)])
     started = time.perf_counter()
     report = verify_contraction(bundle, pairs, scalar_metric)
     elapsed = time.perf_counter() - started
@@ -146,7 +147,7 @@ def test_criterion_6_falsification_suite():
     each yield at least one witness; and every witness replays to its
     reported margin within 1e-12."""
     rng = seeded_rng(SEED)
-    pairs = random_positive_pairs(rng, 10_000)
+    pairs = uniform_array(rng, 10_000, 1e-3, 10.0, 2)
     families = [zeta1(), zeta2(), zeta3()]
     family_reports = [check_simulation_pointwise(z, pairs) for z in families]
     families_ok = all(r.passed for r in family_reports)
@@ -155,14 +156,14 @@ def test_criterion_6_falsification_suite():
     zeta_report = check_simulation_pointwise(broken_zeta, pairs[:100])
 
     broken_g = CClassFunction(lambda s, t: s + t, c_g=0.0, name="addition")
-    g_report = check_cclass(broken_g, [(1.0, 1.0)] + pairs[:100])
+    g_report = check_cclass(broken_g, np.concatenate([[(1.0, 1.0)], pairs[:100]]))
 
     beta_report = check_geraghty(beta_reciprocal(), [0.0, 0.5, 10.0])
 
     tripling = lambda x: 3.0 * x
     box = alpha_box(0.0, 1.0)
-    alpha_report = check_alpha_admissible(tripling, box, [(0.5, 0.5)]
-                                          + mesh_pairs(0.0, 1.0, 11))
+    alpha_report = check_alpha_admissible(tripling, box, np.concatenate(
+        [[(0.5, 0.5)], mesh_array(0.0, 1.0, 11)]))
 
     broken_reports = [zeta_report, g_report, beta_report, alpha_report]
     broken_ok = all(len(r.witnesses) >= 1 for r in broken_reports)
@@ -212,7 +213,7 @@ def _order_pipeline(seed: int = SEED):
     the fitting and the quarter-gain bundle on the same seeded pairs, plus a
     five-start uniqueness probe."""
     rng = seeded_rng(seed)
-    pairs = mesh_pairs(0.0, 1.0, 21) + random_pairs(rng, 100, 0.0, 1.0)
+    pairs = np.concatenate([mesh_array(0.0, 1.0, 21), uniform_array(rng, 100, 0.0, 1.0, 2)])
     fitting = verify_contraction(FITTING_BUNDLE, pairs, scalar_metric)
     quarter_gain = verify_contraction(QUARTER_GAIN_BUNDLE, pairs, scalar_metric)
     starts = [float(v) for v in rng.uniform(0.0, 1.0, 5)]
@@ -344,7 +345,7 @@ def _produce_artifacts(root: Path) -> list[Path]:
         run(parse_config(cfg), out_dir=root / name)
 
     rng = seeded_rng(SEED)
-    pairs = random_positive_pairs(rng, 2_000)
+    pairs = uniform_array(rng, 2_000, 1e-3, 10.0, 2)
     reports = [check_simulation_pointwise(z, pairs)
                for z in (zeta1(), zeta2(), zeta3())]
     reports.append(check_simulation_pointwise(

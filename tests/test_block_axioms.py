@@ -22,17 +22,19 @@ from picardkit import (AlphaFunction, BVPProblem, CClassFunction,
                        PartialOrder, SimulationFunction, alpha_from_order,
                        check_alpha_orbit, check_cclass, check_geraghty, check_increasing,
                        check_order_axioms, check_ratio_bound, check_rhs_displacement_bound,
-                       check_simulation_pointwise, integral_operator,
+                       check_simulation_pointwise, check_simulation_sequences,
+                       integral_operator,
                        natural_order, pointwise_order, scalar_metric, sup_metric)
 from picardkit import framework
 from picardkit.builtins import (alpha_box, alpha_one, beta_constant, beta_reciprocal,
                                 cclass_a, cclass_c, compile_rhs_expression,
-                                default_beta_probes, example31_map, rhs_const,
+                                default_beta_probes, default_sequence_probes,
+                                example31_map, rhs_const,
                                 rhs_pi2sin, rhs_sin_plus_one, zeta1)
 from picardkit.framework import CHUNK, GRID_EPS, MIN_TAIL, SCALAR_EPS, _tail
 from picardkit.picard import RATIO_EPS, _validate_iterate
 from picardkit.report import Witness, format_inputs, make_report, VerificationReport
-from picardkit.sampling import seeded_rng
+from picardkit.sampling import probe_pair, seeded_rng
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,35 @@ def oracle_cclass(g, samples, tol=SCALAR_EPS):
                 f"G({s!r}, {t!r}) = {value!r} exceeds c_g = {c!r} on the s = 0 row",
                 lhs=value, bound=c))
     return make_report("cclass", witnesses, checked, tolerance=tol)
+
+
+def oracle_simulation_sequences(zeta, sequence_pairs, tol=SCALAR_EPS, min_tail=MIN_TAIL):
+    pairs = list(sequence_pairs)
+    witnesses = []
+    for index, (t_seq, s_seq) in enumerate(pairs):
+        tn = np.asarray(t_seq, dtype=float)
+        sn = np.asarray(s_seq, dtype=float)
+        if tn.size == 0 or tn.size != sn.size:
+            raise DomainError(f"probe pair {index} must be two non-empty sequences of equal length")
+        if not (np.all(np.isfinite(tn)) and np.all(np.isfinite(sn))):
+            raise DomainError(f"probe pair {index} contains non-finite terms")
+        if float(tn.min()) <= 0.0 or float(sn.min()) <= 0.0:
+            raise DomainError(f"probe pair {index} must be strictly positive")
+        if zeta.sequence_axiom == "roldan" and not np.all(tn < sn):
+            raise DomainError(f"probe pair {index} must satisfy t_n < s_n elementwise (roldan mode)")
+        k = _tail(tn.size, min_tail)
+        tails_t, tails_s = tn[-k:], sn[-k:]
+        values = [zeta(float(a), float(b)) for a, b in zip(tails_t, tails_s)]
+        best = int(np.argmax(values))
+        estimate = float(values[best])
+        if estimate >= -tol:
+            witnesses.append(Witness(
+                "simulation/limit", (index, float(tails_t[best]), float(tails_s[best])),
+                -estimate,
+                f"tail limsup estimate {estimate!r} over {k} terms is not negative",
+                lhs=estimate, bound=0.0))
+    return make_report("simulation-limits", witnesses, len(pairs),
+                       mode="falsification", tolerance=tol)
 
 
 def oracle_geraghty(beta, samples, probe_sequences=(), tol=SCALAR_EPS, limit_tol=1e-9,
@@ -387,6 +418,66 @@ def test_geraghty_matches_the_per_sample_loop(size, seed, beta, probes, negative
     samples = [t for t, _ in _real_pairs(seed, size, negative) if not math.isnan(t)]
     assert_same_report(_outcome(check_geraghty, beta, samples, probes),
                        _outcome(oracle_geraghty, beta, samples, probes))
+
+
+def _message(check, *args):
+    """The report of ``check(*args)``, or the message of the DomainError it
+    raised."""
+    try:
+        return check(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(block, oracle):
+    """The same report, or the same DomainError message on both paths."""
+    if isinstance(block, str) or isinstance(oracle, str):
+        assert block == oracle
+    else:
+        assert_same_report(block, oracle)
+
+
+# probe pairs: both defaults, equal constant sequences (a zero limsup for
+# s - t) and sequences above s = 3, where the blow-up zeta is infinite
+SEQUENCE_PROBES = [
+    default_sequence_probes("classic"), default_sequence_probes("roldan"),
+    [(np.full(40, 2.0), np.full(40, 2.0)), probe_pair(1.0, 7)],
+    [probe_pair(3.0, 120, t_offset=-0.5, s_offset=0.5, start=2)],
+]
+
+
+@pytest.mark.parametrize("probes", range(len(SEQUENCE_PROBES)))
+@pytest.mark.parametrize("zeta", ZETAS + [SimulationFunction(
+    lambda t, s: s - t, name="roldan-subtraction", sequence_axiom="roldan")],
+    ids=lambda zeta: zeta.name)
+def test_simulation_sequences_match_the_per_term_loop(zeta, probes):
+    pairs = SEQUENCE_PROBES[probes]
+    assert_same_outcome(_message(check_simulation_sequences, zeta, pairs),
+                        _message(oracle_simulation_sequences, zeta, pairs))
+
+
+@pytest.mark.parametrize("beta", BETAS, ids=lambda beta: beta.name)
+@pytest.mark.parametrize("probes", range(len(PROBES)))
+def test_geraghty_limit_probes_match_the_per_term_loop(beta, probes):
+    # the blow-up beta is infinite on the tail of np.full(40, 4.0)
+    samples = [0.0, 0.5, 2.0]
+    for seqs in (PROBES[probes], [np.full(40, 4.0)]):
+        assert_same_outcome(_message(check_geraghty, beta, samples, seqs),
+                            _message(oracle_geraghty, beta, samples, seqs))
+
+
+def test_limit_probes_evaluate_each_tail_in_one_call():
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(np.shape(args[0])) or fn(*args)
+
+    zeta = SimulationFunction(counted(lambda t, s: 0.5 * s - t), name="counted")
+    check_simulation_sequences(zeta, default_sequence_probes())
+    beta = GeraghtyBeta(counted(lambda t: 1.0 / (1.0 + t)), name="counted")
+    check_geraghty(beta, [], default_beta_probes())
+    # 200-term probes: a tail of 50 terms each, 3 probes per check
+    assert calls == [(50,)] * 6
 
 
 def _trace(seed, size, as_ints):

@@ -20,9 +20,9 @@ from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DomainError,
                        row_integral_quadrature, solve_bvp, sup_metric,
                        verify_contraction)
 from picardkit.bvp import (_kernel_quadrature, _split_simpson_prefix, _trapezoid_prefix,
-                           operator_contraction_check)
+                           alpha_from_gate, operator_contraction_check)
 from picardkit.framework import check_pairs, contraction_check
-from picardkit.builtins import (resolve, rhs_pi2sin, rhs_sin_plus_one,
+from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
 from picardkit.sampling import random_grid_pairs, seeded_rng
 
@@ -555,6 +555,19 @@ class TestGatePropagation:
             oracle_gate_propagation(problem, pairs)
         with pytest.raises(DomainError, match="grid function contains non-finite values"):
             check_gate_propagation(problem, pairs)
+
+    def test_bundle_weight_validates_as_the_propagation_check_does(self):
+        # one gate weight: the bvp bundle's alpha rejects a non-finite
+        # function under the open gate too
+        problem = BVPProblem(rhs=rhs_zero, n=10)
+        x = np.zeros(11)
+        y = x.copy()
+        y[4] = np.nan
+        assert bvp_bundle(problem).alpha.fn.rowwise
+        for alpha in (bvp_bundle(problem).alpha, alpha_from_gate(problem)):
+            assert alpha(x, x) == 1.0
+            with pytest.raises(DomainError, match="grid function contains non-finite values"):
+                alpha(x, y)
 
 
 class TestGatePredicates:

@@ -126,6 +126,8 @@ class TestConfigParsing:
         "x(t)",                  # well formed, but fails on arrays
         "sin",                   # a function, not a value
         "t*0+[1,2]",             # does not broadcast to the grid
+        "x[::-1]",               # subscripts: -1 is a float
+        "x - x[x >= 0.0]*0.5",   # subscripts, though a mask works on arrays
     ])
     def test_malformed_rhs_expression_is_a_usage_error(self, tmp_path, capsys, body):
         path = write_cfg(tmp_path, f"mode = solve-bvp\n\n[bvp]\nrhs = expr:{body}\n")
@@ -262,6 +264,19 @@ class TestVerifyMode:
             rows = list(csv.DictReader(fh))
         assert any(row["status"] == "fail" for row in rows)
 
+    def test_cclass_override_replaces_g_and_its_benchmark(self, tmp_path):
+        # cclass_c(2, 3) has c_g = 3 / (1 + 2) = 1, the bound of the
+        # contraction witnesses; the default cclass_a(0) has c_g = 0
+        out = tmp_path / "out"
+        status = run(parse_config(VERIFY_CFG + "\n[bundle]\nk = 2.0\nr = 3.0\n"), out_dir=out)
+        assert status == EXIT_CHECK_FAILED
+        with open(out / "report.csv", newline="") as fh:
+            rows = {row[0]: row for row in csv.reader(fh)}
+        assert rows["cclass"] == ["cclass", "pass", "346", "exact", "", "", "", "", ""]
+        assert rows["contraction"] == ["contraction", "fail", "1741", "exact",
+                                       "contraction (0.0, 0.0)", "0.0", "1.0", "-1.0",
+                                       "bundle=example31_bundle"]
+
     def test_bundle_carrier_mismatch(self, tmp_path):
         cfg_text = VERIFY_CFG.replace("name = example31", "name = bvp")
         status = run(parse_config(cfg_text), out_dir=tmp_path / "out")
@@ -393,6 +408,37 @@ class TestSolveMode:
         assert status == EXIT_OK
         ts, values = load_grid_csv(out / "solution.csv")
         assert float(np.max(np.abs(values - np.sin(np.pi * ts)))) <= 5e-4
+
+    def test_scalar_expression_writes_what_the_constant_writes(self, tmp_path):
+        # expr:2 gives one scalar, which the rhs spreads over the grid
+        written = {}
+        for rhs in ("expr:2", "const:2"):
+            out = tmp_path / rhs.replace(":", "-")
+            cfg_text = SOLVE_CFG.replace("rhs = pi2sin", f"rhs = {rhs}")
+            assert run(parse_config(cfg_text), out_dir=out) == EXIT_OK
+            written[rhs] = [(out / name).read_bytes() for name in ("solution.csv", "trace.csv")]
+        assert written["expr:2"] == written["const:2"]
+
+    def test_a_bare_value_error_is_not_a_validation_error(self, tmp_path, monkeypatch):
+        # only DomainError and DimensionError are validation errors (exit 4)
+        def broken(problem, cfg):
+            raise ValueError("a programming error")
+
+        monkeypatch.setattr(cli_module, "solve_bvp", broken)
+        with pytest.raises(ValueError, match="a programming error"):
+            run(parse_config(SOLVE_CFG), out_dir=tmp_path / "out")
+
+    @pytest.mark.parametrize("line, message", [
+        ("n = 3", "grid size must be even, got 3"),
+        ("tolerance = 0.0", "tolerance must be positive, got 0.0"),
+        ("max_iterations = 0", "max_iterations must be at least 1, got 0"),
+    ])
+    def test_rejected_problem_and_picard_values_are_validation_errors(
+            self, tmp_path, capsys, line, message):
+        section = "[bvp]" if line.startswith("n ") else "[picard]"
+        path = write_cfg(tmp_path, SOLVE_CFG + f"\n{section}\n{line}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
     def test_exhausted_iterations(self, tmp_path):
         cfg_text = SOLVE_CFG.replace("rhs = pi2sin", "rhs = sin_plus_one")
@@ -568,6 +614,31 @@ class TestColdStart:
             x = finite_difference_solve(BVPProblem(rhs=rhs_pi2sin, n=40))
             assert np.max(np.abs(x - np.sin(np.pi * np.linspace(0.0, 1.0, 41)))) <= 1e-3
             """)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# fields the README's config block shows with a value that is not the
+# default: the required mode, and the optional bundle and order overrides
+_SHOWN_NOT_DEFAULT = {("", "mode"), ("bundle", "lambda"), ("bundle", "k"), ("bundle", "r"),
+                      ("bundle", "beta"), ("order", "name")}
+
+
+def test_readme_config_block_shows_the_config_table():
+    block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    shown, section = [], ""
+    for raw_line in block.splitlines():
+        line = raw_line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            shown.append((section, line.split("=", 1)[0].strip()))
+    fields = {(section, key): (attr, default)
+              for section, key, attr, _, default in cli_module._FIELDS}
+    assert sorted(shown) == sorted(fields)
+    config = parse_config(block)
+    for field, (attr, default) in fields.items():
+        if field not in _SHOWN_NOT_DEFAULT:
+            assert getattr(config, attr) == default, field
 
 
 class TestMainEntry:

@@ -17,6 +17,7 @@ from picardkit import (GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProblem, CClassFu
                        SimulationFunction, alpha_from_order, bvp_operator,
                        check_alpha_admissible, check_cclass, check_gate_propagation,
                        check_geraghty, check_operator_contraction,
+                       check_rhs_displacement_bound,
                        check_simulation_pointwise, check_simulation_sequences,
                        check_triangular_alpha, merge_reports,
                        natural_order, pointwise_order, scalar_metric,
@@ -33,8 +34,7 @@ from picardkit.metrics import rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
                               VerificationReport, Witness, format_inputs,
                               make_report, render_text, report_rows)
-from picardkit.sampling import (mesh_array, mesh_pairs, probe_pair, random_pairs,
-                                seeded_rng, uniform_array)
+from picardkit.sampling import mesh_array, probe_pair, seeded_rng, uniform_array
 
 
 def max_displacement(T, x, y, d):
@@ -79,7 +79,7 @@ class TestSimulationPointwise:
     def test_example31_gain_on_mesh(self):
         # (8/9) s - t stays below s - t by s/9 > 0 on the open square
         zeta = zeta1(8.0 / 9.0)
-        pairs = mesh_pairs(0.01, 1.0, 100)
+        pairs = mesh_array(0.01, 1.0, 100)
         report = check_simulation_pointwise(zeta, pairs)
         assert report.passed and report.samples == 10_000
 
@@ -132,7 +132,7 @@ class TestSimulationSequences:
 
 class TestCClass:
     def test_subtraction_passes(self):
-        samples = mesh_pairs(0.0, 3.0, 20)
+        samples = mesh_array(0.0, 3.0, 20)
         assert check_cclass(cclass_a(0.0), samples).passed
 
     def test_addition_fails_upper_bound(self):
@@ -147,11 +147,12 @@ class TestCClass:
         # G(s, t) = s / (1 + 2 t) with benchmark 2 / 3
         g = cclass_c(k=2.0, r=2.0)
         assert g.c_g == pytest.approx(2.0 / 3.0)
-        samples = mesh_pairs(0.01, 5.0, 40) + [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)]
+        samples = np.concatenate([mesh_array(0.01, 5.0, 40),
+                                  [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)]])
         assert check_cclass(g, samples).passed
 
     def test_rational_offset_family_passes(self):
-        samples = mesh_pairs(0.0, 4.0, 25)
+        samples = mesh_array(0.0, 4.0, 25)
         assert check_cclass(cclass_b(), samples).passed
 
     def test_benchmark_clause_catches_violation(self):
@@ -195,12 +196,12 @@ class TestGeraghty:
 
 class TestAlphaChecks:
     def test_box_indicator_admissible_for_shrink_map(self):
-        pairs = mesh_pairs(0.0, 3.0, 31)
+        pairs = mesh_array(0.0, 3.0, 31)
         report = check_alpha_admissible(example31_map, alpha_box(0.0, 1.0), pairs)
         assert report.passed
 
     def test_constant_weight_always_admissible(self):
-        pairs = mesh_pairs(-2.0, 2.0, 11)
+        pairs = mesh_array(-2.0, 2.0, 11)
         assert check_alpha_admissible(lambda x: 3.0 * x, alpha_one(), pairs).passed
 
     def test_tripling_map_breaks_box_indicator(self):
@@ -228,14 +229,14 @@ class TestAlphaChecks:
 class TestVerifyContraction:
     def test_reference_bundle_on_unit_square(self):
         bundle = example31_bundle()
-        pairs = mesh_pairs(0.0, 1.0, 51)
+        pairs = mesh_array(0.0, 1.0, 51)
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.passed
 
     def test_reference_bundle_outside_box_vacuous(self):
         # alpha = 0 there, so the left side is zeta(0, beta(M) M) >= 0
         bundle = example31_bundle()
-        pairs = mesh_pairs(1.5, 4.0, 21)
+        pairs = mesh_array(1.5, 4.0, 21)
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.passed
 
@@ -259,7 +260,8 @@ class TestVerifyContraction:
 
     def test_witness_inputs_are_the_sampled_pair(self):
         bundle = replace(example31_bundle(), alpha=alpha_from_order(natural_order))
-        pairs = mesh_pairs(0.0, 3.0, 11)
+        # a list of tuples: witnesses take the sampled tuple itself
+        pairs = [tuple(row) for row in mesh_array(0.0, 3.0, 11).tolist()]
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.witnesses
         sampled = {id(pair) for pair in pairs}
@@ -272,10 +274,10 @@ class TestVerifyContraction:
         # alpha * d(Tx, Ty) < beta(M) * M + tol on every sampled pair
         bundle = example31_bundle()
         rng = seeded_rng(7)
-        pairs = mesh_pairs(0.0, 1.0, 21) + random_pairs(rng, 100, 0.0, 1.0)
+        pairs = np.concatenate([mesh_array(0.0, 1.0, 21), uniform_array(rng, 100, 0.0, 1.0, 2)])
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.passed
-        for x, y in pairs:
+        for x, y in pairs.tolist():
             m = max_displacement(bundle.mapping, x, y, scalar_metric)
             lhs = bundle.alpha(x, y) * scalar_metric(bundle.mapping(x), bundle.mapping(y))
             assert lhs < bundle.beta(m) * m + 1e-9
@@ -967,10 +969,38 @@ def test_object_array_of_grid_pairs_raises_the_metric_error():
         verify_contraction(halving, pairs, sup_metric)
 
 
-@pytest.mark.parametrize("body", ["x*(x@x)", "x*(t@x)", "x - x[x >= 0.0]*0.5"])
+@pytest.mark.parametrize("check, samples, message", [
+    (check_cclass, [(1.0, 2.0, 3.0)], "C-class samples must be rows of 2 reals"),
+    (check_cclass, [(1.0, 2.0), (1.0,)], "C-class samples must be rows of 2 reals"),
+    (check_simulation_pointwise, np.ones((3, 3)), "simulation-function samples must be rows of 2"),
+    (check_geraghty, [(1.0, 2.0)], "beta samples must be rows of 1 real$"),
+    (check_geraghty, [0.5, (1.0, 2.0)], "beta samples must be rows of 1 real$"),
+], ids=["3-wide", "ragged", "3-wide array", "2-wide beta", "ragged beta"])
+def test_samples_of_another_width_raise_a_dimension_error(check, samples, message):
+    member = {check_cclass: cclass_a(), check_simulation_pointwise: zeta1(),
+              check_geraghty: beta_reciprocal()}[check]
+    with pytest.raises(DimensionError, match=message):
+        check(member, samples)
+
+
+def test_rhs_triples_of_another_width_raise_a_dimension_error():
+    problem = BVPProblem(rhs=rhs_zero, n=4)
+    with pytest.raises(DimensionError, match="the samples must be rows of 3 reals"):
+        check_rhs_displacement_bound(problem, [(0.5, 1.0)])
+
+
+@pytest.mark.parametrize("body", ["x - x[x >= 0.0]*0.5", "x[::-1]", "x[0]", "x[:]"])
+def test_expressions_that_subscript_are_rejected_when_compiled(body):
+    # integer literals are floats, so no literal index works; a mask or a
+    # slice works on one function but reads across the rows of a stack
+    with pytest.raises(DomainError, match=r"subscripts, which an expr: body cannot"):
+        resolve("rhs", f"expr:{body}")
+
+
+@pytest.mark.parametrize("body", ["x*(x@x)", "x*(t@x)"])
 def test_expressions_that_mix_nodes_take_one_function_at_a_time(body):
-    # on 1-d x these give a scalar or t's shape; on a (5, 5) stack, @ and
-    # indexing would read across its rows
+    # on 1-d x these give a scalar or t's shape; on a (5, 5) stack, @ would
+    # read across its rows
     problem = BVPProblem(rhs=resolve("rhs", f"expr:{body}"), n=4)
     T = bvp_operator(problem)
     xs = seeded_rng(1).uniform(0.0, 1.0, size=(5, 5))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from picardkit import (DimensionError, DomainError, as_grid_function,
                        load_grid_csv, nodes, save_grid_csv, scalar_metric,
                        sup_metric)
-from picardkit.sampling import random_grid_pairs, random_pairs
+from picardkit.sampling import random_grid_pairs, uniform_array
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -108,9 +108,9 @@ class TestSpaces:
 
     def test_interval_samples_stay_in_window(self):
         rng = np.random.default_rng(0)
-        values = [v for pair in random_pairs(rng, 5, 0.0, 2.0) for v in pair]
-        assert len(values) == 10 and all(0.0 <= v <= 2.0 for v in values)
-        assert all(type(v) is float for v in values)
+        samples = uniform_array(rng, 5, 0.0, 2.0, 2)
+        assert samples.shape == (5, 2) and samples.dtype == float
+        assert np.all((0.0 <= samples) & (samples <= 2.0))
 
     def test_grid_samples_are_grid_functions(self):
         rng = np.random.default_rng(1)

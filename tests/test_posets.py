@@ -11,7 +11,7 @@ from picardkit import (alpha_from_order, check_alpha_admissible,
                        scalar_metric, sup_metric)
 from picardkit.builtins import resolve
 from picardkit.errors import DimensionError, DomainError
-from picardkit.sampling import mesh_pairs, seeded_rng
+from picardkit.sampling import mesh_array, seeded_rng
 
 
 class TestInducedAlpha:
@@ -58,17 +58,17 @@ class TestInducedAlpha:
 
     def test_induced_alpha_admissible_for_increasing_map(self):
         alpha = alpha_from_order(natural_order)
-        pairs = mesh_pairs(0.0, 1.0, 21)
+        pairs = mesh_array(0.0, 1.0, 21)
         assert check_alpha_admissible(lambda x: x / 3.0, alpha, pairs).passed
 
 
 class TestIncreasing:
     def test_shrink_map(self):
-        pairs = mesh_pairs(0.0, 1.0, 15)
+        pairs = mesh_array(0.0, 1.0, 15)
         assert check_increasing(lambda x: x / 3.0, natural_order, pairs).passed
 
     def test_constant_map(self):
-        pairs = mesh_pairs(0.0, 1.0, 15)
+        pairs = mesh_array(0.0, 1.0, 15)
         assert check_increasing(lambda x: 0.4, natural_order, pairs).passed
 
     def test_reflection_fails_at_endpoints(self):
