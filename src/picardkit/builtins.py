@@ -180,27 +180,29 @@ def compile_rhs_expression(body: str) -> Callable:
     integer: an expression that subscripts is rejected. Non-finite values
     pass, silently: the solver rejects them where they occur. An expression
     that uses ``@`` takes one grid function at a time."""
+    names, kinds = set(), set()  # read in the one walk that floats the ints
     try:
         tree = ast.parse(body, mode="eval")
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and type(node.value) is int:
                 node.value = float(node.value)
+            names.add(getattr(node, "id", getattr(node, "attr", "")))
+            kinds.add(type(node))
         code = compile(tree, "<rhs-expr>", "eval")
     except (SyntaxError, ValueError, OverflowError) as exc:
         reason = exc.msg if isinstance(exc, SyntaxError) else str(exc)
         raise DomainError(f"expression {body!r} is not valid Python: {reason}") from exc
-    names = {getattr(node, "id", getattr(node, "attr", "")) for node in ast.walk(tree)}
     unknown = sorted(names - _EXPR_NAMES - {""})
     if unknown:
         raise DomainError(f"expression {body!r} uses unknown name(s) "
                           f"{', '.join(unknown)}; allowed: {', '.join(sorted(_EXPR_NAMES))}")
-    if any(isinstance(node, ast.Subscript) for node in ast.walk(tree)):
+    if ast.Subscript in kinds:
         raise DomainError(f"expression {body!r} subscripts, which an expr: body cannot: "
                           f"its integer literals are floats, and an index reads across nodes")
     namespace = {name: getattr(np, name) for name in _EXPR_FUNCTIONS}
     namespace["pi"] = math.pi
     # @ can mix the rows of a stack of grid functions
-    nodewise = not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+    nodewise = ast.MatMult not in kinds
 
     def rhs(t, x):
         local = dict(namespace)

@@ -209,7 +209,9 @@ def _rows_with_caveats(reports: Sequence[VerificationReport],
     return adjusted, failures
 
 
-def _run_verify(config: RunConfig, out: Path, rng: np.random.Generator) -> int:
+def _run_verify(config: RunConfig, out: Path) -> int:
+    # the only mode that draws samples: the others never import numpy.random
+    rng = seeded_rng(config.seed)
     low, high = config.carrier_low, config.carrier_high
     for key, value in (("low", low), ("high", high)):
         if not math.isfinite(value):
@@ -336,10 +338,9 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
     except OSError as exc:
         print(f"config error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rng = seeded_rng(config.seed)
     try:
         if config.mode == "verify":
-            return _run_verify(config, out, rng)
+            return _run_verify(config, out)
         if config.mode == "iterate":
             return _run_iterate(config, out)
         if config.mode == "solve-bvp":

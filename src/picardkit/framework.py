@@ -25,19 +25,21 @@ strictness epsilon. Every sampled verifier, here and in :mod:`.picard`,
 or as tuples of reals or of grid functions, and runs on one chunked kernel,
 :func:`_block_reports`: each of its checks (:class:`BlockCheck`) gives a
 chunk's failing rows as columns, margins included. A chunk is :data:`CHUNK`
-samples of reals, or as many grid functions as hold about
-:data:`STACK_NODES` node values, and :func:`evaluate_block` evaluates each
-callable once per chunk: family callables may broadcast elementwise over
-arrays of real samples, and callables that do not are evaluated per sample,
-with the same results. A chunk of grid functions is one (k, n + 1) stack per
-coordinate, which only callables tagged :func:`~picardkit.metrics.rowwise`
-get whole. The pair hypotheses share one pass, :func:`check_pairs`, so the
-mapping applies at most once per sampled point. The failing rows of a check
-of one clause stay columns (:class:`picardkit.report.FailingRows`) and build
-a witness only when a caller reaches it. Only the limit-style conditions
-loop, over a few probes: :func:`check_simulation_sequences` and the limit
-probes of :func:`check_geraghty`, with one :meth:`Family.values` call per
-probe, and :func:`picardkit.bvp.check_gate_limit`.
+samples of reals (16000, so that a float column of a chunk stays just under
+128 KiB, glibc's default threshold for serving an allocation with mmap), or
+as many grid functions as hold about :data:`STACK_NODES` node values, and
+:func:`evaluate_block` evaluates each callable once per chunk: family
+callables may broadcast elementwise over arrays of real samples, and
+callables that do not are evaluated per sample, with the same results. A
+chunk of grid functions is one (k, n + 1) stack per coordinate, which only
+callables tagged :func:`~picardkit.metrics.rowwise` get whole. The pair
+hypotheses share one pass, :func:`check_pairs`, so the mapping applies at
+most once per sampled point. The failing rows of a check of one clause stay
+columns (:class:`picardkit.report.FailingRows`) and build a witness only
+when a caller reaches it. Only the limit-style conditions loop, over a few
+probes: :func:`check_simulation_sequences` and the limit probes of
+:func:`check_geraghty`, with one :meth:`Family.values` call per probe, and
+:func:`picardkit.bvp.check_gate_limit`.
 They are *falsification* checks: a pass means "no counterexample found on
 the supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
@@ -66,7 +68,10 @@ GRID_EPS = 1e-9
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
 
-CHUNK = 4096  # reals per block in the block verifiers
+# reals per block in the block verifiers: a float64 column of a block, and
+# each temporary made from it, stays below 128 KiB (16384 values), glibc's
+# default threshold for serving an allocation with mmap
+CHUNK = 16000
 STACK_NODES = 16384  # node values per coordinate in a chunk of grid functions
 
 
@@ -178,7 +183,7 @@ class SimulationFunction(Family):
 
     def __post_init__(self) -> None:
         if self.sequence_axiom not in ("classic", "roldan"):
-            raise ValueError(f"unknown sequence axiom {self.sequence_axiom!r}")
+            raise DomainError(f"unknown sequence axiom {self.sequence_axiom!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -366,16 +371,35 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
                        tolerance=tol, notes=notes)
 
 
+def _non_real(rows) -> list:
+    """The first entry of the rows (reals or sequences of them) that is no
+    real and no sequence, as a one-item list; an empty list if there is none."""
+    sequence = (list, tuple, np.ndarray)
+    for row in rows:
+        for value in row if isinstance(row, sequence) else (row,):
+            try:
+                if not isinstance(value, sequence):
+                    np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                return [value]
+    return []
+
+
 def _reals(samples, width: int, nonnegative: str = "") -> np.ndarray:
-    """Samples of reals as an (N, width) float array, converted in one call;
-    ragged rows, or rows of another width, raise :class:`DimensionError`.
-    With ``nonnegative`` (what they sample), the first sample with a
-    negative coordinate raises :class:`DomainError`."""
+    """Samples of reals as an (N, width) float array, converted in one call.
+    An entry that is not a real raises :class:`DomainError` naming it;
+    otherwise ragged rows, or rows of another width, raise
+    :class:`DimensionError`. With ``nonnegative`` (what they sample), the
+    first sample with a negative coordinate raises :class:`DomainError`."""
+    rows = samples if isinstance(samples, np.ndarray) else list(samples)
     try:
-        table = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples),
-                           dtype=float)
+        table = np.asarray(rows, dtype=float)
         table = table.reshape(len(table), width)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
+        bad = _non_real(rows)
+        if bad:
+            raise DomainError(f"{nonnegative or 'the'} samples must be reals, "
+                              f"got {bad[0]!r}") from exc
         raise DimensionError(f"{nonnegative or 'the'} samples must be rows of "
                              f"{width} real{'s' if width > 1 else ''}") from exc
     if nonnegative and np.any(table < 0.0):

@@ -6,11 +6,14 @@ a pass of ``framework._block_reports``. The properties compare the two
 reports field by field: name, status, samples, mode, tolerance and notes,
 then every witness in order, with its check name, detail, formatted inputs
 and input types, and lhs, bound and margin bit for bit. Sample counts sit at
-and around the chunk size, and some inputs raise DomainError on both paths.
+and around the chunk size: drawn ones around a small chunk size patched in,
+and one example per verifier around the library's own; some inputs raise
+DomainError on both paths.
 """
 
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -321,8 +324,21 @@ def assert_same_report(block, oracle):
             assert _bits(getattr(got, field)) == _bits(float(getattr(want, field))), field
 
 
-# sample counts around the chunk boundary
-SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
+# sample counts around a chunk boundary, drawn under a small chunk size so
+# that the per-sample oracles stay cheap
+SMALL_CHUNK = 100
+SIZES = [0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]
+small_chunk = st.just(SMALL_CHUNK)
+
+
+@contextmanager
+def chunk_size(chunk):
+    """The library's real-sample chunk size set to ``chunk`` for the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(framework, "CHUNK", chunk)
+        yield
+
+
 # a sample set that raises a DomainError one draw in four
 rarely = st.sampled_from([False, False, False, True])
 
@@ -330,11 +346,11 @@ rarely = st.sampled_from([False, False, False, True])
 _REALS = [0.0, -0.0, 1e-13, 1e-5, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, math.nan]
 
 
-def _real_pairs(seed, size, negative=False):
-    """``size`` pairs of Python floats: pool values and uniform reals in
-    [0, 4], one negative coordinate if ``negative``."""
+def _real_pairs(seed, size, negative=False, finite=False):
+    """``size`` pairs of Python floats: pool values (but nan if ``finite``)
+    and uniform reals in [0, 4], one negative coordinate if ``negative``."""
     rng = seeded_rng(seed)
-    pool = np.concatenate([_REALS, rng.uniform(0.0, 4.0, 40)])
+    pool = np.concatenate([_REALS[:-1] if finite else _REALS, rng.uniform(0.0, 4.0, 40)])
     rows = pool[rng.integers(0, pool.size, size=(size, 2))]
     if negative and size:
         rows[rng.integers(0, size), rng.integers(0, 2)] = -0.5
@@ -356,16 +372,19 @@ ZETAS = [
 ]
 
 
-@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+@given(size=st.sampled_from(SIZES), chunk=small_chunk, seed=st.integers(0, 2 ** 32 - 1),
        zeta=st.sampled_from(ZETAS), negative=rarely, as_array=st.booleans())
-@example(size=CHUNK + 1, seed=1, zeta=ZETAS[1], negative=False, as_array=False)
-@example(size=CHUNK, seed=2, zeta=ZETAS[2], negative=False, as_array=True)
+@example(size=CHUNK + 1, chunk=CHUNK, seed=1, zeta=ZETAS[1], negative=False, as_array=False)
+@example(size=SMALL_CHUNK, chunk=SMALL_CHUNK, seed=2, zeta=ZETAS[2], negative=False,
+         as_array=True)
 @settings(max_examples=25, deadline=None)
-def test_simulation_pointwise_matches_the_per_sample_loop(size, seed, zeta, negative, as_array):
+def test_simulation_pointwise_matches_the_per_sample_loop(size, chunk, seed, zeta, negative,
+                                                          as_array):
     samples = _real_pairs(seed, size, negative)
     given_samples = np.array(samples).reshape(-1, 2) if as_array else samples
-    assert_same_report(_outcome(check_simulation_pointwise, zeta, given_samples),
-                       _outcome(oracle_simulation_pointwise, zeta, samples))
+    with chunk_size(chunk):
+        block = _outcome(check_simulation_pointwise, zeta, given_samples)
+    assert_same_report(block, _outcome(oracle_simulation_pointwise, zeta, samples))
 
 
 def test_simulation_pointwise_reads_minus_zero_as_the_origin():
@@ -388,17 +407,20 @@ CCLASS = [
 ]
 
 
-@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+@given(size=st.sampled_from(SIZES), chunk=small_chunk, seed=st.integers(0, 2 ** 32 - 1),
        g=st.sampled_from(CCLASS), negative=rarely, finite=st.sampled_from([True, True, False]))
-@example(size=CHUNK + 1, seed=3, g=CCLASS[5], negative=False, finite=True)
-@example(size=CHUNK - 1, seed=4, g=CCLASS[4], negative=False, finite=True)
+@example(size=CHUNK + 1, chunk=CHUNK, seed=3, g=CCLASS[5], negative=False, finite=True)
+@example(size=SMALL_CHUNK - 1, chunk=SMALL_CHUNK, seed=4, g=CCLASS[4], negative=False,
+         finite=True)
 @settings(max_examples=25, deadline=None)
-def test_cclass_matches_the_per_sample_loop(size, seed, g, negative, finite):
+def test_cclass_matches_the_per_sample_loop(size, chunk, seed, g, negative, finite):
     samples = _real_pairs(seed, size, negative)
     if finite:  # a nan sample makes any of these G non-finite
         samples = [(0.0 if math.isnan(s) else s, 1.0 if math.isnan(t) else t)
                    for s, t in samples]
-    assert_same_report(_outcome(check_cclass, g, samples), _outcome(oracle_cclass, g, samples))
+    with chunk_size(chunk):
+        block = _outcome(check_cclass, g, samples)
+    assert_same_report(block, _outcome(oracle_cclass, g, samples))
 
 
 BETAS = [
@@ -410,14 +432,15 @@ BETAS = [
 PROBES = [(), default_beta_probes(), [np.full(40, 2.0), [0.5, math.nan]]]
 
 
-@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+@given(size=st.sampled_from(SIZES), chunk=small_chunk, seed=st.integers(0, 2 ** 32 - 1),
        beta=st.sampled_from(BETAS), probes=st.sampled_from(PROBES), negative=rarely)
-@example(size=CHUNK, seed=5, beta=BETAS[2], probes=PROBES[1], negative=False)
+@example(size=CHUNK, chunk=CHUNK, seed=5, beta=BETAS[2], probes=PROBES[1], negative=False)
 @settings(max_examples=25, deadline=None)
-def test_geraghty_matches_the_per_sample_loop(size, seed, beta, probes, negative):
-    samples = [t for t, _ in _real_pairs(seed, size, negative) if not math.isnan(t)]
-    assert_same_report(_outcome(check_geraghty, beta, samples, probes),
-                       _outcome(oracle_geraghty, beta, samples, probes))
+def test_geraghty_matches_the_per_sample_loop(size, chunk, seed, beta, probes, negative):
+    samples = [t for t, _ in _real_pairs(seed, size, negative, finite=True)]
+    with chunk_size(chunk):
+        block = _outcome(check_geraghty, beta, samples, probes)
+    assert_same_report(block, _outcome(oracle_geraghty, beta, samples, probes))
 
 
 def _message(check, *args):
@@ -496,14 +519,15 @@ def _trace(seed, size, as_ints):
                           residual=0.0)
 
 
-@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+@given(size=st.sampled_from(SIZES), chunk=small_chunk, seed=st.integers(0, 2 ** 32 - 1),
        beta=st.sampled_from(BETAS), as_ints=st.booleans())
-@example(size=CHUNK + 1, seed=6, beta=BETAS[1], as_ints=False)
+@example(size=CHUNK + 1, chunk=CHUNK, seed=6, beta=BETAS[1], as_ints=False)
 @settings(max_examples=25, deadline=None)
-def test_ratio_bound_matches_the_per_step_loop(size, seed, beta, as_ints):
+def test_ratio_bound_matches_the_per_step_loop(size, chunk, seed, beta, as_ints):
     trace = _trace(seed, size, as_ints)
-    assert_same_report(_outcome(check_ratio_bound, trace, beta),
-                       _outcome(oracle_ratio_bound, trace, beta))
+    with chunk_size(chunk):
+        block = _outcome(check_ratio_bound, trace, beta)
+    assert_same_report(block, _outcome(oracle_ratio_bound, trace, beta))
 
 
 def _halving_map(x):
@@ -523,19 +547,18 @@ SCALAR_ALPHAS = [
 def _with_chunk(shift, size, check, *args):
     """``check(*args)`` with the chunk size at ``size + shift`` (at the
     library's CHUNK if ``shift`` is None)."""
-    with pytest.MonkeyPatch.context() as patch:
-        if shift is not None:
-            patch.setattr(framework, "CHUNK", max(size + shift, 1))
+    with chunk_size(CHUNK if shift is None else max(size + shift, 1)):
         return _outcome(check, *args)
 
 
-# orbit lengths whose index-pair counts (1, 3, 45 and 4095 = CHUNK - 1) the
-# drawn shift puts at, just below or just above a chunk size; an orbit has at
-# least one pair, so the size 0 does not occur
+# orbit lengths whose index-pair counts (1, 3, 45 and 4095) the drawn shift
+# puts at, just below or just above a chunk size; an orbit has at least one
+# pair, so the size 0 does not occur. Under the library's CHUNK (shift None)
+# these fit in one chunk, and the orbit of length 180 (16110 pairs) spans two.
 @given(length=st.sampled_from([2, 3, 10, 91]), shift=st.sampled_from([-1, 0, 1, None]),
        mapping=st.sampled_from(SCALAR_MAPS), alpha=st.sampled_from(SCALAR_ALPHAS),
        x0=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.5, -0.25]))
-@example(length=91, shift=None, mapping=_halving_map, alpha=SCALAR_ALPHAS[0], x0=0.2)
+@example(length=180, shift=None, mapping=_halving_map, alpha=SCALAR_ALPHAS[0], x0=0.2)
 @example(length=91, shift=None, mapping=SCALAR_MAPS[3], alpha=SCALAR_ALPHAS[2], x0=0.2)
 @example(length=10, shift=0, mapping=SCALAR_MAPS[2], alpha=SCALAR_ALPHAS[0], x0=0.2)
 @example(length=10, shift=1, mapping=SCALAR_MAPS[2], alpha=SCALAR_ALPHAS[3], x0=0.2)
@@ -579,14 +602,16 @@ def _bad_above(limit):
     return T
 
 
-@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+@given(size=st.sampled_from(SIZES), chunk=small_chunk, seed=st.integers(0, 2 ** 32 - 1),
        mapping=st.sampled_from(SCALAR_MAPS + [_bad_above(3.5)]),
        order=st.sampled_from(ORDERS))
+@example(size=CHUNK - 1, chunk=CHUNK, seed=10, mapping=_halving_map, order=ORDERS[1])
 @settings(max_examples=25, deadline=None)
-def test_increasing_matches_the_per_pair_loop(size, seed, mapping, order):
-    pairs = [(x, y) for x, y in _real_pairs(seed, size) if not (math.isnan(x) or math.isnan(y))]
-    assert_same_report(_outcome(check_increasing, mapping, order, pairs),
-                       _outcome(oracle_increasing, mapping, order, pairs))
+def test_increasing_matches_the_per_pair_loop(size, chunk, seed, mapping, order):
+    pairs = _real_pairs(seed, size, finite=True)
+    with chunk_size(chunk):
+        block = _outcome(check_increasing, mapping, order, pairs)
+    assert_same_report(block, _outcome(oracle_increasing, mapping, order, pairs))
 
 
 def test_increasing_on_grid_functions():
@@ -605,7 +630,8 @@ def test_increasing_on_grid_functions():
 @given(n=st.sampled_from([0, 1, 2, 5, 16]), shift=st.sampled_from([-1, 0, 1, None]),
        arity=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
        order=st.sampled_from(ORDERS), finite=st.sampled_from([True, True, False]))
-@example(n=16, shift=None, arity=3, seed=7, order=ORDERS[1], finite=True)
+# 26**3 = 17576 triples span two of the library's chunks
+@example(n=26, shift=None, arity=3, seed=7, order=ORDERS[1], finite=True)
 @settings(max_examples=40, deadline=None)
 def test_order_axioms_match_the_tuple_loops(n, shift, arity, seed, order, finite):
     rng = seeded_rng(seed)
@@ -653,17 +679,18 @@ def _triples(seed, size, fault):
     return [tuple(row) for row in rows.tolist()]
 
 
-@given(size=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 32 - 1),
+@given(size=st.sampled_from(SIZES), chunk=small_chunk, seed=st.integers(0, 2 ** 32 - 1),
        rhs=st.sampled_from(RHS), gate=st.sampled_from(GATES),
        fault=st.sampled_from([None, None, "t", "nan"]))
-@example(size=CHUNK + 1, seed=8, rhs=RHS[0], gate=GATES[1], fault=None)
-@example(size=CHUNK, seed=9, rhs=RHS[2], gate=GATES[2], fault=None)
+@example(size=CHUNK + 1, chunk=CHUNK, seed=8, rhs=RHS[0], gate=GATES[1], fault=None)
+@example(size=SMALL_CHUNK, chunk=SMALL_CHUNK, seed=9, rhs=RHS[2], gate=GATES[2], fault=None)
 @settings(max_examples=25, deadline=None)
-def test_rhs_displacement_matches_the_per_triple_loop(size, seed, rhs, gate, fault):
+def test_rhs_displacement_matches_the_per_triple_loop(size, chunk, seed, rhs, gate, fault):
     problem = BVPProblem(rhs=rhs, n=4, gate=gate)
     triples = _triples(seed, size, fault)
-    assert_same_report(_outcome(check_rhs_displacement_bound, problem, triples),
-                       _outcome(oracle_rhs_displacement_bound, problem, triples))
+    with chunk_size(chunk):
+        block = _outcome(check_rhs_displacement_bound, problem, triples)
+    assert_same_report(block, _outcome(oracle_rhs_displacement_bound, problem, triples))
 
 
 def test_rhs_displacement_counts_only_gated_triples():

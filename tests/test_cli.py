@@ -585,7 +585,7 @@ def _run_fresh_python(code):
 class TestColdStart:
     """picardkit needs numpy and the standard library alone: importing the
     package, every CLI mode and the finite-difference oracle load no scipy
-    module."""
+    module. Only the runs that draw samples import numpy.random."""
 
     @pytest.mark.parametrize("cfg", [None, "--list-builtins", VERIFY_CFG,
                                      GRID_VERIFY_CFG, SOLVE_CFG, ITERATE_CFG],
@@ -602,6 +602,23 @@ class TestColdStart:
             {call}
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
             assert not loaded, loaded
+            """)
+
+    @pytest.mark.parametrize("cfg, draws", [(SOLVE_CFG, False), (ITERATE_CFG, False),
+                                            (VERIFY_CFG, True), (GRID_VERIFY_CFG, True)],
+                             ids=["solve-bvp", "iterate", "verify-interval", "verify-grid"])
+    def test_numpy_random_is_loaded_only_by_runs_that_draw(self, tmp_path, cfg, draws):
+        # what python -m picardkit runs, in this interpreter
+        argv = ["picardkit", "--config", str(write_cfg(tmp_path, cfg)),
+                "--out", str(tmp_path / "out")]
+        _run_fresh_python(f"""
+            import runpy, sys
+            sys.argv = {argv!r}
+            try:
+                runpy.run_module("picardkit", run_name="__main__")
+            except SystemExit as done:
+                assert done.code == 0, done.code
+            assert ("numpy.random" in sys.modules) is {draws!r}
             """)
 
     def test_finite_difference_solve_runs_without_scipy(self):

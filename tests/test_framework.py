@@ -5,6 +5,7 @@ the block verifiers against per-sample reference loops."""
 import math
 import random
 import struct
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from picardkit.builtins import (alpha_box, alpha_from_gate, alpha_one,
                                 beta_constant, beta_reciprocal, bvp_bundle,
                                 cclass_a, cclass_b, cclass_c, example31_bundle,
                                 example31_map, resolve, rhs_zero, zeta1)
+from picardkit import framework
 from picardkit import report as report_module
 from picardkit.bvp import operator_contraction_check
 from picardkit.framework import (CHUNK, STACK_NODES, alpha_admissible_check, check_pairs,
@@ -482,8 +484,32 @@ def _check_all(bundle, pairs, triples, d):
                         _outcome(oracle_triangular_alpha, bundle.alpha, triples))
 
 
-# sample counts around the chunk boundary
-CHUNK_SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
+# sample counts around a chunk boundary, drawn under a small chunk size so
+# that the per-sample oracles stay cheap; an @example at the library's own
+# CHUNK keeps its real boundary covered
+SMALL_CHUNK = 100
+CHUNK_SIZES = [0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]
+
+
+@contextmanager
+def chunk_sizes(chunk=None, stack_nodes=None):
+    """The library's real-sample chunk and grid-stack sizes set to the ones
+    given for the block, counting the chunks it runs: yields the list that
+    gets one entry per chunk."""
+    blocks = framework._blocks
+    ran = []
+
+    def counted(table):
+        for offset, columns in blocks(table):
+            ran.append(offset)
+            yield offset, columns
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (("CHUNK", chunk), ("STACK_NODES", stack_nodes)):
+            if value is not None:
+                patch.setattr(framework, name, value)
+        patch.setattr(framework, "_blocks", counted)
+        yield ran
 
 # each example runs thousands of samples through both paths, so a failure
 # is reported as drawn: shrinking it would take minutes
@@ -527,35 +553,38 @@ def _scalar_samples(seed, size, arity):
     return [tuple(float(pool[i]) for i in row) for row in index]
 
 
-@given(size=st.sampled_from(CHUNK_SIZES), seed=st.integers(0, 2 ** 32 - 1),
+@given(size=st.sampled_from(CHUNK_SIZES), chunk=st.just(SMALL_CHUNK),
+       seed=st.integers(0, 2 ** 32 - 1),
        mapping=st.sampled_from(SCALAR_MAPS), alpha=st.sampled_from(SCALAR_ALPHAS),
        beta=st.sampled_from(BETAS), zeta=st.sampled_from(ZETAS),
        c_g=st.sampled_from([0.0, 0.05]), as_lists=st.booleans())
 # the named cases at chunk boundaries, whatever else is drawn: a
-# non-broadcasting alpha, an aggregating beta, a negative alpha and an
-# infinite beta
-@example(size=CHUNK, seed=1, mapping=example31_map, alpha=SCALAR_ALPHAS[3],
+# non-broadcasting alpha (at the library's CHUNK), an aggregating beta, a
+# negative alpha and an infinite beta
+@example(size=CHUNK, chunk=CHUNK, seed=1, mapping=example31_map, alpha=SCALAR_ALPHAS[3],
          beta=BETAS[0], zeta=ZETAS[0], c_g=0.0, as_lists=False)
-@example(size=CHUNK + 1, seed=2, mapping=example31_map, alpha=SCALAR_ALPHAS[1],
-         beta=BETAS[2], zeta=ZETAS[0], c_g=0.0, as_lists=False)
-@example(size=CHUNK - 1, seed=3, mapping=_halving_map, alpha=SCALAR_ALPHAS[4],
-         beta=BETAS[1], zeta=ZETAS[1], c_g=0.0, as_lists=True)
-@example(size=CHUNK + 1, seed=4, mapping=example31_map, alpha=SCALAR_ALPHAS[0],
-         beta=BETAS[3], zeta=ZETAS[2], c_g=0.05, as_lists=False)
+@example(size=SMALL_CHUNK + 1, chunk=SMALL_CHUNK, seed=2, mapping=example31_map,
+         alpha=SCALAR_ALPHAS[1], beta=BETAS[2], zeta=ZETAS[0], c_g=0.0, as_lists=False)
+@example(size=SMALL_CHUNK - 1, chunk=SMALL_CHUNK, seed=3, mapping=_halving_map,
+         alpha=SCALAR_ALPHAS[4], beta=BETAS[1], zeta=ZETAS[1], c_g=0.0, as_lists=True)
+@example(size=SMALL_CHUNK + 1, chunk=SMALL_CHUNK, seed=4, mapping=example31_map,
+         alpha=SCALAR_ALPHAS[0], beta=BETAS[3], zeta=ZETAS[2], c_g=0.05, as_lists=False)
 @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
 def test_block_verifiers_match_per_sample_oracle_on_reals(
-        size, seed, mapping, alpha, beta, zeta, c_g, as_lists):
+        size, chunk, seed, mapping, alpha, beta, zeta, c_g, as_lists):
     pairs = _scalar_samples(seed, size, 2)
     if as_lists:
         pairs = [list(pair) for pair in pairs]
     triples = _scalar_samples(seed + 1, size, 3)
     bundle = ContractionBundle(mapping, alpha, beta, zeta, cclass_a(c_g), name="drawn")
-    _check_all(bundle, pairs, triples, scalar_metric)
+    with chunk_sizes(chunk):
+        _check_all(bundle, pairs, triples, scalar_metric)
 
 
 GRID_N = 6
-# grid pairs per chunk: CHUNK node values per coordinate
-GRID_CHUNK = CHUNK // (GRID_N + 1)
+# grid pairs per chunk under a small STACK_NODES patched in: 14 functions
+SMALL_STACK_NODES = 100
+GRID_CHUNK = SMALL_STACK_NODES // (GRID_N + 1)
 
 
 def _gated_problem(gate):
@@ -597,7 +626,11 @@ def test_block_verifiers_match_per_sample_oracle_on_grid_functions(
         size, seed, mapping, alpha, beta, zeta):
     pairs, triples = _grid_samples(seed, size)
     bundle = ContractionBundle(mapping, alpha, beta, zeta, cclass_a(0.0), name="grid")
-    _check_all(bundle, pairs, triples, sup_metric)
+    with chunk_sizes(stack_nodes=SMALL_STACK_NODES) as ran:
+        _check_all(bundle, pairs, triples, sup_metric)
+    # the pairs filled a chunk and began another
+    if size > GRID_CHUNK:
+        assert GRID_CHUNK in ran
 
 
 def assert_array_path_agrees(from_array, from_list):
@@ -616,25 +649,29 @@ def assert_array_path_agrees(from_array, from_list):
         assert type(got.inputs) is tuple and all(type(v) is float for v in got.inputs)
 
 
-@given(size=st.sampled_from(CHUNK_SIZES), seed=st.integers(0, 2 ** 32 - 1),
+@given(size=st.sampled_from(CHUNK_SIZES), chunk=st.just(SMALL_CHUNK),
+       seed=st.integers(0, 2 ** 32 - 1),
        mapping=st.sampled_from(SCALAR_MAPS), alpha=st.sampled_from(SCALAR_ALPHAS),
        beta=st.sampled_from(BETAS), zeta=st.sampled_from(ZETAS),
        c_g=st.sampled_from([0.0, 0.05]))
+@example(size=CHUNK + 1, chunk=CHUNK, seed=5, mapping=_halving_map, alpha=SCALAR_ALPHAS[3],
+         beta=BETAS[2], zeta=ZETAS[1], c_g=0.0)
 @settings(max_examples=20, deadline=None, phases=NO_SHRINK)
-def test_block_verifiers_take_sample_arrays(size, seed, mapping, alpha, beta, zeta, c_g):
+def test_block_verifiers_take_sample_arrays(size, chunk, seed, mapping, alpha, beta, zeta, c_g):
     pairs = _scalar_samples(seed, size, 2)
     triples = _scalar_samples(seed + 1, size, 3)
     pair_array = np.array(pairs, dtype=float).reshape(-1, 2)
     triple_array = np.array(triples, dtype=float).reshape(-1, 3)
     bundle = ContractionBundle(mapping, alpha, beta, zeta, cclass_a(c_g), name="drawn")
-    assert_array_path_agrees(
-        _outcome(verify_contraction, bundle, pair_array, scalar_metric),
-        _outcome(verify_contraction, bundle, pairs, scalar_metric))
-    assert_array_path_agrees(
-        _outcome(check_alpha_admissible, mapping, alpha, pair_array),
-        _outcome(check_alpha_admissible, mapping, alpha, pairs))
-    assert_array_path_agrees(_outcome(check_triangular_alpha, alpha, triple_array),
-                             _outcome(check_triangular_alpha, alpha, triples))
+    with chunk_sizes(chunk):
+        assert_array_path_agrees(
+            _outcome(verify_contraction, bundle, pair_array, scalar_metric),
+            _outcome(verify_contraction, bundle, pairs, scalar_metric))
+        assert_array_path_agrees(
+            _outcome(check_alpha_admissible, mapping, alpha, pair_array),
+            _outcome(check_alpha_admissible, mapping, alpha, pairs))
+        assert_array_path_agrees(_outcome(check_triangular_alpha, alpha, triple_array),
+                                 _outcome(check_triangular_alpha, alpha, triples))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +699,7 @@ def _pair_setup(carrier, as_array):
     problem = BVPProblem(rhs=lambda t, x: 10.0 * x, n=GRID_N,
                          gate=lambda a, b: 0.3 - np.abs(a - b))
     bundle = replace(bvp_bundle(problem), name="grid")
-    pairs, _ = _grid_samples(4, 2 * GRID_CHUNK + 3)
+    pairs, _ = _grid_samples(4, 1173)
     return bundle, np.array(pairs) if as_array else pairs, sup_metric, GRID_EPS, problem
 
 
@@ -981,6 +1018,31 @@ def test_samples_of_another_width_raise_a_dimension_error(check, samples, messag
               check_geraghty: beta_reciprocal()}[check]
     with pytest.raises(DimensionError, match=message):
         check(member, samples)
+
+
+@pytest.mark.parametrize("check, samples, message", [
+    (check_cclass, ["a"], "C-class samples must be reals, got 'a'"),
+    (check_cclass, [(1.0, 2.0), (1.0, "x")], "C-class samples must be reals, got 'x'"),
+    (check_simulation_pointwise, [(1.0, 1j)], "simulation-function samples must be reals, got 1j"),
+    (check_geraghty, [0.5, {}], "beta samples must be reals, got {}"),
+], ids=["string", "string in a row", "complex", "dict"])
+def test_samples_that_are_not_reals_raise_a_domain_error_naming_them(check, samples, message):
+    member = {check_cclass: cclass_a(), check_simulation_pointwise: zeta1(),
+              check_geraghty: beta_reciprocal()}[check]
+    with pytest.raises(DomainError) as raised:
+        check(member, samples)
+    assert str(raised.value) == message
+
+
+def test_a_non_real_in_rhs_triples_raises_a_domain_error():
+    problem = BVPProblem(rhs=rhs_zero, n=4)
+    with pytest.raises(DomainError, match="the samples must be reals, got 'half'"):
+        check_rhs_displacement_bound(problem, [(0.5, 1.0, 0.0), ("half", 1.0, 0.0)])
+
+
+def test_unknown_sequence_axiom_raises_a_domain_error():
+    with pytest.raises(DomainError, match="unknown sequence axiom 'strict'"):
+        SimulationFunction(lambda t, s: s - t, sequence_axiom="strict")
 
 
 def test_rhs_triples_of_another_width_raise_a_dimension_error():
