@@ -36,7 +36,8 @@ callables tagged :func:`~picardkit.metrics.rowwise` get whole. The pair
 hypotheses share one pass, :func:`check_pairs`, so the mapping applies at
 most once per sampled point. The failing rows of a check of one clause stay
 columns (:class:`picardkit.report.FailingRows`) and build a witness only
-when a caller reaches it. Only the limit-style conditions loop, over a few
+when a caller reaches it; a report gives its witnesses worst first, the most
+negative margin first. Only the limit-style conditions loop, over a few
 probes: :func:`check_simulation_sequences` and the limit probes of
 :func:`check_geraghty`, with one :meth:`Family.values` call per probe, and
 :func:`picardkit.bvp.check_gate_limit`.

@@ -35,7 +35,7 @@ PointMap = Callable[[Point], Point]
 def nodes(n: int) -> np.ndarray:
     """Uniform grid over [0, 1] with ``n + 1`` nodes, spacing ``1 / n``."""
     if n < 1:
-        raise ValueError(f"grid size must be at least 1, got {n}")
+        raise DomainError(f"grid size must be at least 1, got {n}")
     return np.linspace(0.0, 1.0, n + 1)
 
 

@@ -168,7 +168,7 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
     accordingly.
     """
     if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
     orbit: list[Point] = [x0]
     for k in range(n_max):
         nxt = T(orbit[-1])

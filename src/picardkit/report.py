@@ -3,14 +3,13 @@
 Checks never raise on a violated inequality: violations are recorded as
 witnesses carrying the offending inputs and the signed margin of the
 inequality, so any witness can be replayed standalone and must reproduce
-its margin. A report's witnesses are in a canonical order, the string order
-of :meth:`Witness.sort_key`; that makes merging associative and
-deterministic, and the renderers show witnesses in the order the report
-holds them. :func:`make_report` sorts a list of witnesses once.
-:class:`FailingRows` holds the failing rows of a block check as columns and
-builds :class:`Witness` objects on demand: the renderers ask for the first
-few, and only a caller that iterates over all of them (a merge, a test)
-builds and sorts every one.
+its margin. A report holds its witnesses worst first, in the order of
+:meth:`Witness.sort_key`; that makes merging associative and deterministic,
+and the renderers show them in that order. :func:`make_report` sorts a list
+of witnesses once. :class:`FailingRows` holds the failing rows of a block
+check as columns and builds :class:`Witness` objects on demand: the
+renderers ask for the first few, and only a caller that iterates over all
+of them (a merge, a test) builds and sorts every one.
 """
 
 from __future__ import annotations
@@ -54,6 +53,13 @@ def format_inputs(inputs: Sequence) -> str:
     return "(" + ", ".join([format_value(v) for v in inputs]) + ")"
 
 
+def _total_order(values) -> np.ndarray:
+    """The float64 values as int64 keys in the IEEE-754 total order: -0.0
+    before 0.0, and a nan at the end its sign bit names."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return bits ^ ((bits >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
+
+
 @dataclass(frozen=True)
 class Witness:
     """One counterexample: the inputs, the violated inequality rendered as
@@ -69,12 +75,17 @@ class Witness:
     def render(self) -> str:
         return f"{self.check} at {format_inputs(self.inputs)}: {self.detail}"
 
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.check, format_inputs(self.inputs), repr(float(self.margin)))
+    def sort_key(self) -> tuple[int, str, tuple[int, ...]]:
+        """The witness order: the margin, most negative first, then the
+        check name, then the numbers in the inputs (a grid function gives
+        its node values in order), numbers compared in the IEEE-754 total order."""
+        return _order(self.check, self.inputs, self.margin)
 
 
-def _as_tuple(sample) -> tuple:
-    return sample if isinstance(sample, tuple) else tuple(sample)
+def _order(check: str, inputs: Sequence, margin: float) -> tuple[int, str, tuple[int, ...]]:
+    """:meth:`Witness.sort_key` of a witness not built yet."""
+    keys = _total_order(np.concatenate([np.ravel(v) for v in (margin, *inputs)])).tolist()
+    return keys[0], check, tuple(keys[1:])
 
 
 class FailingRows(SequenceABC):
@@ -83,7 +94,7 @@ class FailingRows(SequenceABC):
     left-hand value ``lhs``, the ``bound`` and the signed ``margin`` (the
     check's own, not always ``lhs - bound``). A witness's detail is
     ``detail`` of its left-hand value and its entries of ``columns``.
-    It behaves as the list of their witnesses in canonical order under
+    It behaves as the list of their witnesses, worst first, under
     ``len``, iteration, indexing, slicing and ``==``, and builds each
     witness the first time a caller reaches it: a slice ``[:k]`` or an index
     ``i`` builds only the first ``k`` or ``i + 1``.
@@ -100,7 +111,7 @@ class FailingRows(SequenceABC):
         self._values = [np.asarray(column, dtype=float) for column in (lhs, bound, margin)]
         self._detail = detail
         self._columns = tuple(columns)
-        self._head: list[Witness] = []  # the first witnesses, in canonical order
+        self._head: list[Witness] = []  # the first witnesses, in order
 
     def __len__(self) -> int:
         return len(self._values[0])
@@ -124,45 +135,32 @@ class FailingRows(SequenceABC):
     def __repr__(self) -> str:
         return repr(list(self))
 
-    def _candidates(self, k: int) -> list[int]:
-        """Rows that include the first ``k`` in canonical order. For float
-        inputs, each key begins ``"(" + repr(x) + ", "`` for the first
-        coordinate ``x`` (``")"`` in one dimension), and no repr holds a comma,
-        so the rows of the smallest such prefixes that hold ``k`` rows are
-        enough. Grouping goes by bit pattern: 0.0 and -0.0 render apart."""
-        if not isinstance(self._inputs, np.ndarray) or k >= len(self):
-            return list(range(len(self)))
-        first = np.ascontiguousarray(self._inputs[:, 0]).view(np.uint64)
-        patterns, counts = np.unique(first, return_counts=True)
-        close = ", " if self._inputs.shape[1] > 1 else ")"
-        prefixes = [repr(x) + close for x in patterns.view(np.float64).tolist()]
-        held = 0
-        for g in sorted(range(len(prefixes)), key=prefixes.__getitem__):
-            held += int(counts[g])
-            if held >= k:
-                cutoff = prefixes[g]
-                break
-        chosen = patterns[[prefix <= cutoff for prefix in prefixes]]
-        return np.flatnonzero(np.isin(first, chosen)).tolist()
-
     def _first(self, k: int) -> list[Witness]:
-        """The first ``k`` witnesses in canonical order, built once each."""
+        """The first ``k`` witnesses, built once each. Only the rows that
+        can be among them are put in order."""
         k = min(max(k, 0), len(self))
         if k > len(self._head):
-            rows = self._candidates(k)
+            margins = self._values[2]
+            # numpy's order puts every nan last, so the rows kept are the
+            # nans and those at most the k-th margin: the first k and more
+            rows = np.flatnonzero(~(margins > np.partition(margins, k - 1)[k - 1]))
             if isinstance(self._inputs, np.ndarray):
+                # Witness.sort_key on whole columns: every row has this check
+                numbers = _total_order(self._inputs[rows]).T[::-1]
+                rows = rows[np.lexsort((*numbers, _total_order(margins[rows])))]
+                rows = rows[len(self._head):k]
                 inputs = [tuple(row) for row in self._inputs[rows].tolist()]
             else:
-                inputs = [_as_tuple(self._inputs[i]) for i in rows]
+                rows = np.array(sorted(rows.tolist(), key=lambda i: _order(
+                    self.check, self._inputs[i], margins[i]))[len(self._head):k])
+                inputs = [tuple(self._inputs[i]) for i in rows.tolist()]  # a tuple stays itself
             extras = (zip(*(column[rows].tolist() for column in self._columns))
                       if self._columns else repeat(()))
-            found = list(zip(inputs, *(values[rows].tolist() for values in self._values),
-                             extras))
-            # a stable sort of rows in sample order, as make_report's sort
-            found.sort(key=lambda r: (format_inputs(r[0]), repr(r[3])))
             self._head += [Witness(self.check, row, margin, self._detail(value, *extra),
                                    lhs=value, bound=bound)
-                           for row, value, bound, margin, extra in found[len(self._head):k]]
+                           for row, value, bound, margin, extra in zip(
+                               inputs, *(values[rows].tolist() for values in self._values),
+                               extras)]
         return self._head[:k]
 
 
@@ -185,7 +183,7 @@ def make_report(name: str, witnesses: Iterable[Witness] | FailingRows, samples: 
                 mode: str = "exact", tolerance: float = 0.0,
                 notes: tuple[str, ...] = ()) -> VerificationReport:
     """A report whose status is FAIL exactly when there is a witness;
-    ``witnesses`` are put in canonical order (failing rows already are)."""
+    ``witnesses`` are put in order, worst first (failing rows already are)."""
     ordered = (witnesses if isinstance(witnesses, FailingRows)
                else sorted(witnesses, key=Witness.sort_key))
     status = FAIL if ordered else PASS
@@ -202,7 +200,7 @@ def merge_reports(first: VerificationReport, *rest: VerificationReport) -> Verif
     """Combine reports of the same check over partitioned sample sets.
 
     The merge is associative and order-independent: witnesses are re-sorted
-    canonically, notes are kept once each in sorted order, statuses combine
+    worst first, notes are kept once each in sorted order, statuses combine
     as fail > hypothesis-unmet > caveat > pass, and the merged mode is
     "falsification" when any operand's is.
     """

@@ -191,7 +191,7 @@ def oracle_ratio_bound(trace, beta, tol=SCALAR_EPS):
 
 def oracle_alpha_orbit(T, alpha, x0, n_max, tol=SCALAR_EPS):
     if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
     orbit = [x0]
     for k in range(n_max):
         nxt = T(orbit[-1])

@@ -7,6 +7,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -448,9 +449,10 @@ class TestSolveMode:
         assert status == EXIT_NOT_CONVERGED
 
 
-# An order-reduction run with about 1450 contraction witnesses, and the
-# SHA-256 of its artifacts as the per-sample verifiers wrote them. A change
-# in witness order, or a numpy scalar repr reaching a witness, changes them.
+# An order-reduction run with 1450 contraction witnesses, the first of them
+# (the most negative margin) and the SHA-256 of its artifacts. The reports
+# show the most negative margins first; a change in witness order, or a
+# numpy scalar repr reaching a witness, changes the digests.
 GOLDEN_CFG = """\
 mode = verify
 seed = 7
@@ -470,14 +472,16 @@ random_pairs = 50
 [order]
 name = natural
 """
+GOLDEN_FIRST = ("contraction (0.0, 3.0)", "-8.238095238095237")
 GOLDEN_SHA256 = {
-    "report.csv": "7db5f36e7383690800ca1ccda0d39a18f477f57f835b99f7b22395c6b274e3ae",
-    "report.txt": "668e2db82fad87d547c6377769fd50f22321c49f0e6e2e5cd4c6de377acaf5d1",
+    "report.csv": "459802999898112b545d2336d4f1552c9dfd370d642cd7b5efb7cbfba6b8cdb4",
+    "report.txt": "4786cb692f86d47ba3990474d443c036f3052549524a92d3d476814f20c2ed8c",
 }
 
 # A grid-carrier run whose contraction and operator-contraction checks fail,
-# and the SHA-256 of its artifacts as the one-function-per-call verifiers
-# wrote them. Stacking the grid functions must not change a byte.
+# its first contraction witness and the SHA-256 of its artifacts as the
+# one-function-per-call verifiers wrote them. Stacking the grid functions
+# must not change a byte.
 FAILING_GRID_CFG = """\
 mode = verify
 seed = 11
@@ -495,16 +499,42 @@ random_pairs = 37
 rhs = expr:10*x
 n = 10
 """
+FAILING_GRID_FIRST = (
+    "contraction (grid(nodes=11, min=0.23574452155768388, max=2.988493733111469), "
+    "grid(nodes=11, min=0.089061671362059, max=2.770204813550651))", "-1.339134724984873")
 FAILING_GRID_SHA256 = {
-    "report.csv": "a17ca97946f8c0cc239dc0075e628b44bb67e2176f7c563b3974797b0a4e5441",
-    "report.txt": "273ab4fedcdf6bbb9fe12183085a7e95f196ed5808bbcabbfd513d0249cad340",
+    "report.csv": "a27eb44536c866870fd6512e2bfe734a21708a0cc8ac7596d02faa0bb5e92d71",
+    "report.txt": "b70a3dd949b1e1c93681ed3d94ffd75e421f03198ee111d7e5d144fa11ba3316",
 }
+
+
+def contraction_row(out):
+    """The ``contraction`` row of a run's report.csv, by column name."""
+    with open(out / "report.csv", newline="") as fh:
+        return next(row for row in csv.DictReader(fh) if row["check"] == "contraction")
+
+
+def example31_margin(x, y):
+    """The margin of the master inequality for the example31 bundle under the
+    natural order, in closed form: zeta(alpha*d(Tx, Ty), beta(M)*M) - c_G
+    with T = x/3 on [0, 1] else 3x, alpha = [x <= y], beta(t) = 1/(1 + t),
+    zeta(t, s) = (8/9) s - t and c_G = 0."""
+    def T(v):
+        return v / 3.0 if 0.0 <= v <= 1.0 else 3.0 * v
+
+    tx, ty = T(x), T(y)
+    m = max(abs(x - y), abs(x - tx), abs(y - ty))
+    alpha = 1.0 if x <= y else 0.0
+    s = (1.0 / (1.0 + m)) * m
+    return (8.0 / 9.0) * s - alpha * abs(tx - ty)
 
 
 class TestDeterminism:
     def test_order_reduction_artifacts_match_golden_digests(self, tmp_path):
         out = tmp_path / "golden"
         assert run(parse_config(GOLDEN_CFG), out_dir=out) == EXIT_CHECK_FAILED
+        row = contraction_row(out)
+        assert (row["witness"], row["margin"]) == GOLDEN_FIRST
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in GOLDEN_SHA256}
         assert digests == GOLDEN_SHA256
@@ -515,9 +545,22 @@ class TestDeterminism:
         rows = (out / "report.csv").read_text().splitlines()
         assert [row.split(",")[:2] for row in rows[-2:]] == [
             ["contraction", "fail"], ["operator-contraction", "fail"]]
+        row = contraction_row(out)
+        assert (row["witness"], row["margin"]) == FAILING_GRID_FIRST
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in FAILING_GRID_SHA256}
         assert digests == FAILING_GRID_SHA256
+
+    def test_first_contraction_witness_replays_and_is_the_worst(self, tmp_path):
+        out = tmp_path / "golden"
+        assert run(parse_config(GOLDEN_CFG), out_dir=out) == EXIT_CHECK_FAILED
+        row = contraction_row(out)
+        x, y = map(float, re.fullmatch(r"contraction \(([^,]+), ([^)]+)\)",
+                                       row["witness"]).groups())
+        margin = float(row["margin"])
+        assert abs(example31_margin(x, y) - margin) <= 1e-12
+        listed = re.findall(r"\[margin=([^\]]+)\]", (out / "report.txt").read_text())
+        assert len(listed) > 8 and margin <= min(map(float, listed))
 
     def _artifacts(self, directory):
         return sorted(p.name for p in directory.iterdir())

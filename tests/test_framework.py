@@ -17,7 +17,7 @@ from picardkit import (GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProblem, CClassFu
                        ContractionBundle, DimensionError, DomainError, GeraghtyBeta,
                        SimulationFunction, alpha_from_order, bvp_operator,
                        check_alpha_admissible, check_cclass, check_gate_propagation,
-                       check_geraghty, check_operator_contraction,
+                       check_geraghty, check_increasing, check_operator_contraction,
                        check_rhs_displacement_bound,
                        check_simulation_pointwise, check_simulation_sequences,
                        check_triangular_alpha, merge_reports,
@@ -708,12 +708,20 @@ def _pair_setup(carrier, as_array):
 def test_one_pass_gives_the_standalone_reports(carrier, as_array):
     bundle, samples, d, tol, problem = _pair_setup(carrier, as_array)
     checks = [alpha_admissible_check(), contraction_check(bundle, tol)]
-    standalone = [check_alpha_admissible(bundle.mapping, bundle.alpha, samples),
-                  verify_contraction(bundle, samples, d, tol=tol)]
     if problem is not None:
         checks.append(operator_contraction_check())
-        standalone.append(check_operator_contraction(problem, samples))
-    one_pass = check_pairs(bundle.mapping, bundle.alpha, samples, checks, d)
+    with chunk_sizes(SMALL_CHUNK, SMALL_STACK_NODES) as ran:
+        one_pass = check_pairs(bundle.mapping, bundle.alpha, samples, checks, d)
+        # several chunks: each check's failing rows are concatenated across them
+        assert len(ran) >= 2
+        standalone = [check_alpha_admissible(bundle.mapping, bundle.alpha, samples),
+                      verify_contraction(bundle, samples, d, tol=tol)]
+        if problem is not None:
+            standalone.append(check_operator_contraction(problem, samples))
+    # the first witnesses, read before any caller lists them all
+    assert [_fingerprint_report(replace(rep, witnesses=rep.witnesses[:8])) for rep in one_pass] \
+        == [_fingerprint_report(replace(rep, witnesses=list(rep.witnesses)[:8]))
+            for rep in standalone]
     assert [_fingerprint_report(rep) for rep in one_pass] == \
         [_fingerprint_report(rep) for rep in standalone]
     # every check of the pair has witnesses to compare
@@ -733,12 +741,14 @@ def test_one_pass_maps_each_sample_once(carrier):
         return bundle.mapping(x)
 
     counted = replace(bundle, mapping=mapping)
-    check_pairs(mapping, bundle.alpha, samples,
-                [alpha_admissible_check(), contraction_check(counted, tol)], d)
-    assert len(seen) == 2 * len(samples)
-    # alone, the alpha check maps only the pairs with alpha(x, y) >= 1
-    seen.clear()
-    check_alpha_admissible(mapping, bundle.alpha, samples)
+    with chunk_sizes(SMALL_CHUNK, SMALL_STACK_NODES) as ran:
+        check_pairs(mapping, bundle.alpha, samples,
+                    [alpha_admissible_check(), contraction_check(counted, tol)], d)
+        assert len(ran) >= 2
+        assert len(seen) == 2 * len(samples)
+        # alone, the alpha check maps only the pairs with alpha(x, y) >= 1
+        seen.clear()
+        check_alpha_admissible(mapping, bundle.alpha, samples)
     held = sum(bundle.alpha(x, y) >= 1.0 for x, y in samples)
     assert 0 < held < len(samples) and len(seen) == 2 * held
 
@@ -766,7 +776,7 @@ def _fingerprint(witnesses):
 
 failing_rows = st.integers(1, 3).flatmap(lambda width: st.lists(
     st.tuples(st.tuples(*[st.sampled_from(_ADVERSARIAL) | st.floats()] * width),
-              st.sampled_from([-0.5, -0.25, -1e-13, -2.0, -0.0])),
+              st.sampled_from([-0.5, -0.25, -1e-13, -2.0, -0.0, 0.0])),
     max_size=40))
 
 
@@ -775,7 +785,7 @@ _OTHER_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
 
 
 @given(rows=failing_rows, as_array=st.booleans(), bound=st.sampled_from([0.0, 1.0]))
-# two groups of one rendered prefix: the first k must look into both
+# two nans of different bit patterns: numpy's sort and Python's must order them alike
 @example(rows=[((math.nan, 2.0), -0.5), ((_OTHER_NAN, 1.0), -0.5)], as_array=True,
          bound=0.0)
 @settings(max_examples=300, deadline=None)
@@ -849,6 +859,31 @@ def test_rendering_builds_only_the_shown_witnesses(monkeypatch):
     assert f"... and {len(report.witnesses) - 8} more witnesses" in text
     assert rows[0][4] == rows[1][4] == f"contraction {format_inputs(report.witnesses[0].inputs)}"
     assert len(built) <= 8
+
+
+def test_an_all_tied_check_formats_only_the_shown_rows(monkeypatch):
+    # x < y on 124 750 pairs of the mesh, and T = -x reverses each: one
+    # margin, -1.0, throughout, so the inputs alone order the witnesses
+    built, formatted = [], []
+
+    class CountedWitness(report_module.Witness):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    def counted_format(inputs):
+        formatted.append(1)
+        return format_inputs(inputs)
+
+    monkeypatch.setattr(report_module, "Witness", CountedWitness)
+    monkeypatch.setattr(report_module, "format_inputs", counted_format)
+    report = check_increasing(lambda x: -x, natural_order, mesh_array(0.0, 3.0, 500))
+    text = render_text([report])
+    assert len(report.witnesses) == 124_750
+    assert f"... and {124_750 - 8} more witnesses" in text
+    assert len(built) <= 8 and len(formatted) == 8
+    assert report.witnesses[0].inputs == (0.0, 0.006012024048096192)
+    assert {w.margin for w in report.witnesses[:8]} == {-1.0}
 
 
 # ---------------------------------------------------------------------------

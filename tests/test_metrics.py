@@ -58,6 +58,10 @@ class TestSupMetric:
         ts = nodes(100)
         assert sup_metric(np.sin(np.pi * ts), np.zeros(101)) == pytest.approx(1.0, abs=1e-3)
 
+    def test_empty_grid_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="grid size must be at least 1, got 0"):
+            nodes(0)
+
     def test_mismatched_grids(self):
         with pytest.raises(DimensionError):
             sup_metric(np.zeros(11), np.zeros(12))

@@ -141,7 +141,9 @@ class TestGapDiagnostics:
         assert check_ratio_bound(trace, beta_constant(0.5)).passed
         tight = check_ratio_bound(trace, beta_constant(0.25))
         assert not tight.passed
-        assert tight.witnesses[0].inputs[0] == 0  # first offending step
+        # step 0 offends, and the witness of the least margin comes first
+        assert 0 in [w.inputs[0] for w in tight.witnesses]
+        assert tight.witnesses[0].margin == min(w.margin for w in tight.witnesses)
 
 
 class TestAlphaOrbit:
@@ -160,6 +162,10 @@ class TestAlphaOrbit:
         report = check_alpha_orbit(lambda x: 3.0 * x, alpha_box(0.0, 1.0), 0.2, 5)
         assert not report.passed
         assert (1, 2) in {w.inputs for w in report.witnesses}
+
+    def test_empty_orbit_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="n_max must be at least 1, got 0"):
+            check_alpha_orbit(example31_map, alpha_one(), 1.0, 0)
 
     def test_unmet_hypothesis_is_not_a_failure(self):
         # from 0.5 the first step already leaves the box, so the orbit
