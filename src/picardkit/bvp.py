@@ -29,10 +29,10 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, OracleError
+from .errors import DomainError, OracleError
 from .framework import (GRID_EPS, AlphaFunction, BlockCheck, _block_reports, _reals, _rows,
                         check_pairs, evaluate_block)
-from .metrics import Point, as_grid_function, nodes, rowwise, sup_metric
+from .metrics import Point, as_grid_function, grid_pair, nodes, rowwise, sup_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 from .report import Witness, VerificationReport, make_report
 
@@ -169,18 +169,13 @@ class BVPProblem:
         return float(self.gate(float(a), float(b)))
 
     def gate_values(self, x: Point, y: Point) -> np.ndarray:
-        """Gate values ``xi(x(t_i), y(t_i))`` at every node, as one array
-        (one row per pair of rows for two stacks): all ones for the open
-        gate, else through :func:`~picardkit.framework.evaluate_block` on
-        the node values."""
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
+        """Gate values ``xi(x(t_i), y(t_i))`` at every node of a
+        :func:`~picardkit.metrics.grid_pair`, as one array (one row per pair
+        of rows for two stacks): all ones for the open gate, else through
+        :func:`~picardkit.framework.evaluate_block` on the node values."""
+        xa, ya = grid_pair(x, y)
         if self.gate is None:
             return np.ones(xa.shape)
-        if xa.ndim < 2:
-            return evaluate_block(self.gate, self.gate_value, xa, ya)
-        if xa.shape != ya.shape:
-            raise DimensionError(f"stacks of shapes {xa.shape} and {ya.shape} do not pair")
         values = evaluate_block(self.gate, self.gate_value, xa.ravel(), ya.ravel())
         return values.reshape(xa.shape)
 

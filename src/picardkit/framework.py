@@ -24,17 +24,18 @@ strictness epsilon. Every sampled verifier, here and in :mod:`.picard`,
 :mod:`.posets` and :mod:`.bvp`, takes its samples as an (N, k) float array
 or as tuples of reals or of grid functions, and runs on one chunked kernel,
 :func:`_block_reports`: each of its checks (:class:`BlockCheck`) gives a
-chunk's failing rows as columns, margins included. A chunk is :data:`CHUNK`
-samples of reals (16000, so that a float column of a chunk stays just under
-128 KiB, glibc's default threshold for serving an allocation with mmap), or
-as many grid functions as hold about :data:`STACK_NODES` node values, and
-:func:`evaluate_block` evaluates each callable once per chunk: family
-callables may broadcast elementwise over arrays of real samples, and
-callables that do not are evaluated per sample, with the same results. A
-chunk of grid functions is one (k, n + 1) stack per coordinate, which only
-callables tagged :func:`~picardkit.metrics.rowwise` get whole. The pair
-hypotheses share one pass, :func:`check_pairs`, so the mapping applies at
-most once per sampled point. The failing rows of a check of one clause stay
+chunk's failing rows as columns, margins included. A chunk is up to
+:data:`CHUNK` float values per column (16000, so that a float column of a
+chunk stays just under 128 KiB, glibc's default threshold for serving an
+allocation with mmap): 16000 samples of reals, or ``CHUNK // (n + 1)`` grid
+functions of n + 1 nodes (at least one), and :func:`evaluate_block`
+evaluates each callable once per chunk: family callables may broadcast
+elementwise over arrays of real samples, and callables that do not are
+evaluated per sample, with the same results. A chunk of grid functions is
+one (k, n + 1) stack per coordinate, which only callables tagged
+:func:`~picardkit.metrics.rowwise` get whole. The pair hypotheses share one
+pass, :func:`check_pairs`, so the mapping applies at most once per sampled
+point. The failing rows of a check of one clause stay
 columns (:class:`picardkit.report.FailingRows`) and build a witness only
 when a caller reaches it; a report gives its witnesses worst first, the most
 negative margin first. Only the limit-style conditions loop, over a few
@@ -69,11 +70,11 @@ GRID_EPS = 1e-9
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
 
-# reals per block in the block verifiers: a float64 column of a block, and
-# each temporary made from it, stays below 128 KiB (16384 values), glibc's
-# default threshold for serving an allocation with mmap
+# float values per column of a block in the block verifiers, on either
+# carrier: a float64 column of a block, and each temporary made from it,
+# stays below 128 KiB (16384 values), glibc's default threshold for serving
+# an allocation with mmap
 CHUNK = 16000
-STACK_NODES = 16384  # node values per coordinate in a chunk of grid functions
 
 
 def _stack(functions: list):
@@ -98,14 +99,15 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
                    valid: Callable[[np.ndarray], np.ndarray] = np.isfinite):
     """Values of ``scalar`` at every row of the aligned ``columns``.
 
-    Columns of reals are 1-d arrays. When each has more than one entry,
-    ``fn`` is first called once on read-only views of the whole columns. If
-    it returns an array of their shape whose entries all pass ``valid``,
-    that array is the result: ``fn`` broadcasts elementwise. Otherwise
-    (``fn`` is written for single samples, aggregates its argument, writes
-    into it, or gives an invalid entry) ``scalar`` is called once per row,
-    in order, on Python floats, which reproduces the per-sample values and
-    errors exactly; the result is a float array.
+    Columns of different lengths raise :class:`DimensionError`. Columns of
+    reals are 1-d arrays. When each has more than one entry, ``fn`` is first
+    called once on read-only views of the whole columns. If it returns an
+    array of their shape whose entries all pass ``valid``, that array is the
+    result: ``fn`` broadcasts elementwise. Otherwise (``fn`` is written for
+    single samples, aggregates its argument, writes into it, or gives an
+    invalid entry) ``scalar`` is called once per row, in order, on Python
+    floats, which reproduces the per-sample values and errors exactly; the
+    result is a float array.
 
     Columns of grid functions are (k, n + 1) stacks or lists. When every
     column is a non-empty stack and ``fn`` is tagged
@@ -115,6 +117,9 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
     function, on the rows; the values come back as a stack when they are
     grid functions of one length, else as a list.
     """
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise DimensionError(f"columns of lengths {', '.join(map(str, lengths))} do not align")
     row_wise = getattr(fn, "rowwise", False)
     if all(isinstance(column, np.ndarray) for column in columns):
         stacked = columns[0].ndim > 1
@@ -426,18 +431,16 @@ def _table(samples) -> tuple[object, object]:
 
 
 def _blocks(table) -> Iterator[tuple[int, list]]:
-    """(offset, columns) of consecutive chunks of the table: CHUNK samples
-    of reals (columns are float array views), or as many grid functions as
-    hold about STACK_NODES node values (columns are stacks, or lists where
-    the functions do not stack), so the images a chunk keeps stay small on
-    either carrier."""
-    if isinstance(table, np.ndarray):
-        for start in range(0, len(table), CHUNK):
-            yield start, list(table[start:start + CHUNK].T)
-        return
-    length = max(1, STACK_NODES // np.size(table[0][0])) if table else 1
+    """(offset, columns) of consecutive chunks of the table, each up to
+    CHUNK float values per column: CHUNK samples of reals (columns are float
+    array views), or CHUNK // (n + 1) grid functions of n + 1 nodes, at least
+    one (columns are stacks, or lists where the functions do not stack), so
+    the images a chunk keeps stay small on either carrier."""
+    length = max(1, CHUNK // np.size(table[0][0])) if len(table) else CHUNK
     for start in range(0, len(table), length):
-        yield start, [_stack(list(column)) for column in zip(*table[start:start + length])]
+        block = table[start:start + length]
+        yield start, (list(block.T) if isinstance(block, np.ndarray)
+                      else [_stack(list(column)) for column in zip(*block)])
 
 
 def _take(column, index: np.ndarray):

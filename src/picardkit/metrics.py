@@ -76,15 +76,25 @@ def scalar_metric(x: Point, y: Point) -> Point:
     return abs(x - y)
 
 
+def grid_pair(x: Point, y: Point) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float arrays that pair node for node: two grid
+    functions on one grid, or two stacks of as many of them. Raises
+    :class:`DimensionError` otherwise."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.shape[-1:] != ya.shape[-1:]:
+        raise DimensionError(f"grid sizes differ: {xa.shape[-1]} vs {ya.shape[-1]} nodes")
+    if xa.shape != ya.shape:
+        raise DimensionError(f"stacks of shapes {xa.shape} and {ya.shape} do not pair")
+    return xa, ya
+
+
 @rowwise
 def sup_metric(x: Iterable[float], y: Iterable[float]) -> float | np.ndarray:
     """Largest nodewise gap ``max_i |x(t_i) - y(t_i)|`` between two grid
     functions sampled on the same grid; on two stacks, the gap of each pair
     of rows."""
-    xa = as_grid_function(x, stack=True)
-    ya = as_grid_function(y, stack=True)
-    if xa.shape != ya.shape:
-        raise DimensionError(f"grid sizes differ: {xa.size} vs {ya.size} nodes")
+    xa, ya = grid_pair(as_grid_function(x, stack=True), as_grid_function(y, stack=True))
     gap = np.max(np.abs(xa - ya), axis=-1)
     return float(gap) if gap.ndim == 0 else gap
 

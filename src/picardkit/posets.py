@@ -16,10 +16,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DimensionError
 from .framework import (SCALAR_EPS, AlphaFunction, BlockCheck, _block_reports, _chained,
                         _distances, _rows, _take, alpha_admissible_check, check_pairs)
-from .metrics import Metric, Point, PointMap, rowwise
+from .metrics import Metric, Point, PointMap, grid_pair, rowwise
 from .report import VerificationReport, make_report
 
 
@@ -46,10 +45,7 @@ natural_order = PartialOrder(
 @rowwise
 def _pointwise_leq(x: Point, y: Point):
     """x <= y at every node; grid functions on different grids do not compare."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise DimensionError(f"grid sizes differ: {xa.shape[-1]} vs {ya.shape[-1]} nodes")
+    xa, ya = grid_pair(x, y)
     return np.all(xa <= ya, axis=-1)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DomainError,
+from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DimensionError, DomainError,
                        as_grid_function,
                        OracleError, PicardConfig, Witness, bvp_operator,
                        check_gate_limit, check_gate_propagation,
@@ -21,7 +21,7 @@ from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DomainError,
                        verify_contraction)
 from picardkit.bvp import (_kernel_quadrature, _split_simpson_prefix, _trapezoid_prefix,
                            alpha_from_gate, operator_contraction_check)
-from picardkit.framework import check_pairs, contraction_check
+from picardkit.framework import CHUNK, check_pairs, contraction_check
 from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
 from picardkit.sampling import random_grid_pairs, seeded_rng
@@ -426,10 +426,10 @@ def _shifted_pairs(rng, count, n, shift):
     return [(np.array(x), np.array(y)) for x, y in zip(xs, ys)]
 
 
-# n and pair counts around a stack of STACK_NODES node values (16 functions
-# at n = 1000, 1489 at n = 10)
-STACK_COUNTS = [(1000, 0), (1000, 1), (1000, 15), (1000, 16), (1000, 17), (1000, 40),
-                (10, 1488), (10, 1490)]
+# n and pair counts around a chunk of CHUNK // (n + 1) grid functions (15
+# at n = 1000, 1454 at n = 10)
+STACK_COUNTS = [(1000, 0), (1000, 1), *((1000, CHUNK // 1001 + i) for i in (-1, 0, 1)),
+                (1000, 40), (10, CHUNK // 11 - 1), (10, CHUNK // 11 + 1)]
 
 
 class TestOperatorContraction:
@@ -590,6 +590,19 @@ class TestGatePredicates:
         # per-node reference made the other 21
         assert calls[21:] == [(21,)] and len(calls) == 22
 
+    @pytest.mark.parametrize("gate", [None, lambda a, b: 0.5 - np.abs(a - b)],
+                             ids=["open", "broadcasting"])
+    def test_gate_values_need_functions_that_pair(self, gate):
+        # the two must pair node for node whatever the gate, the open one too
+        problem = BVPProblem(rhs=rhs_zero, n=6, gate=gate)
+        for x, y, message in [
+                (np.zeros(7), np.zeros(9), "grid sizes differ: 7 vs 9 nodes"),
+                (np.zeros((2, 7)), np.zeros((3, 7)),
+                 "stacks of shapes (2, 7) and (3, 7) do not pair")]:
+            with pytest.raises(DimensionError) as raised:
+                problem.gate_values(x, y)
+            assert str(raised.value) == message
+
     def test_default_gate_accepts_zero_start(self):
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=40)
         assert gate_accepts_start(problem, np.zeros(41))
@@ -620,3 +633,11 @@ class TestGatePredicates:
         limit = np.zeros(21)
         report = check_gate_limit(problem, members, limit)
         assert not report.passed
+
+    def test_gate_limit_on_another_grid_raises(self):
+        # members on 9 nodes and the limit on 7 do not pair: an error, not a verdict
+        problem = BVPProblem(rhs=rhs_zero, n=6, gate=lambda a, b: 1.0 - np.abs(a - b))
+        members = [np.full(9, 1.0 / (k + 1.0)) for k in range(2)]
+        with pytest.raises(DimensionError) as raised:
+            check_gate_limit(problem, members, np.zeros(7))
+        assert str(raised.value) == "grid sizes differ: 9 vs 7 nodes"

@@ -311,31 +311,15 @@ n = 40
 
 
     def test_verify_grid_applies_the_operator_once_per_function(self, tmp_path, monkeypatch):
-        # the verify-grid workload: 200 pairs of grid functions at n = 1000
-        drawn, calls = [], []
-        draw, original = cli_module.random_grid_pairs, bvp_module.integral_operator
-
-        def recorded(*args):
-            drawn.extend(draw(*args))
-            return drawn
-
-        def counted(problem, x):
-            calls.append(np.array(x, ndmin=2))  # the functions of one call, one per row
-            return original(problem, x)
-
-        monkeypatch.setattr(cli_module, "random_grid_pairs", recorded)
-        monkeypatch.setattr(bvp_module, "integral_operator", counted)
-        cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
-        cfg = cfg.replace("n = 20", "n = 1000")
-        assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
+        drawn, calls = _verify_grid_calls(tmp_path, monkeypatch)
         # alpha-admissible, contraction and operator-contraction share the
         # images: each of the 400 sampled functions is mapped once, none
-        # twice, in stacks of 16 (about 16384 node values): 13 chunks of x
-        # and y rows
+        # twice, in stacks of CHUNK // 1001 = 15 (at most CHUNK node values):
+        # 14 chunks of x and y rows
         mapped = [row.tobytes() for rows in calls for row in rows]
         sampled = {f.tobytes() for pair in drawn for f in pair}
         assert len(mapped) == 400 and set(mapped) == sampled and len(sampled) == 400
-        assert len(calls) <= 2 * math.ceil(200 / 16)
+        assert len(calls) <= 2 * math.ceil(200 / (framework_module.CHUNK // 1001))
         rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
         assert [row.split(",")[:3] for row in rows[-4:]] == [
             ["alpha-admissible", "pass", "200"], ["alpha-triangular", "pass", "133"],
@@ -605,6 +589,45 @@ rhs = sin_plus_one
 n = 20
 """
 
+
+@pytest.mark.parametrize("cfg_text", [SOLVE_CFG, GRID_VERIFY_CFG], ids=["solve", "verify"])
+def test_bvp_tolerance_is_validated_but_read_by_no_run(tmp_path, capsys, cfg_text):
+    # a solve stops at [picard] tolerance, and verify never solves
+    written = []
+    for tolerance in ("1e-2", "1e-12"):
+        out = tmp_path / tolerance
+        text = cfg_text + f"\n[bvp]\ntolerance = {tolerance}\n"
+        assert run(parse_config(text), out_dir=out) == EXIT_OK
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1] and len(written[0]) >= 2
+    path = write_cfg(tmp_path, cfg_text + "\n[bvp]\ntolerance = -1\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: tolerance must be positive, got -1.0\n"
+
+
+def _verify_grid_calls(tmp_path, monkeypatch):
+    """The verify-grid workload (200 pairs of grid functions at n = 1000) run
+    with its draws and operator calls recorded: the drawn pairs, and per
+    call the functions it mapped, one per row."""
+    drawn, calls = [], []
+    draw, original = cli_module.random_grid_pairs, bvp_module.integral_operator
+
+    def recorded(*args):
+        drawn.extend(draw(*args))
+        return drawn
+
+    def counted(problem, x):
+        calls.append(np.array(x, ndmin=2))
+        return original(problem, x)
+
+    monkeypatch.setattr(cli_module, "random_grid_pairs", recorded)
+    monkeypatch.setattr(bvp_module, "integral_operator", counted)
+    cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
+    cfg = cfg.replace("n = 20", "n = 1000")
+    assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
+    return drawn, calls
+
+
 ITERATE_CFG = "mode = iterate\n[iterate]\nmap = example31\nstart = 1.0\n"
 
 
@@ -699,6 +722,15 @@ def test_readme_config_block_shows_the_config_table():
     for field, (attr, default) in fields.items():
         if field not in _SHOWN_NOT_DEFAULT:
             assert getattr(config, attr) == default, field
+
+
+def test_readme_states_the_chunk_size_and_the_operator_calls(tmp_path, monkeypatch):
+    text = " ".join(README.read_text().split())
+    chunk = framework_module.CHUNK
+    assert re.search(r"in chunks of (\d+) float values per column", text)[1] == str(chunk)
+    assert re.search(r"so (\d+) functions at n = 1000", text)[1] == str(chunk // 1001)
+    _, calls = _verify_grid_calls(tmp_path, monkeypatch)
+    assert re.search(r"n = 1000 make (\d+) operator calls", text)[1] == str(len(calls))
 
 
 class TestMainEntry:

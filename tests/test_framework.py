@@ -30,7 +30,7 @@ from picardkit.builtins import (alpha_box, alpha_from_gate, alpha_one,
 from picardkit import framework
 from picardkit import report as report_module
 from picardkit.bvp import operator_contraction_check
-from picardkit.framework import (CHUNK, STACK_NODES, alpha_admissible_check, check_pairs,
+from picardkit.framework import (CHUNK, alpha_admissible_check, check_pairs,
                                  contraction_check, evaluate_block)
 from picardkit.metrics import rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
@@ -492,8 +492,8 @@ CHUNK_SIZES = [0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]
 
 
 @contextmanager
-def chunk_sizes(chunk=None, stack_nodes=None):
-    """The library's real-sample chunk and grid-stack sizes set to the ones
+def chunk_sizes(chunk):
+    """The library's chunk size (float values per column) set to the one
     given for the block, counting the chunks it runs: yields the list that
     gets one entry per chunk."""
     blocks = framework._blocks
@@ -505,9 +505,7 @@ def chunk_sizes(chunk=None, stack_nodes=None):
             yield offset, columns
 
     with pytest.MonkeyPatch.context() as patch:
-        for name, value in (("CHUNK", chunk), ("STACK_NODES", stack_nodes)):
-            if value is not None:
-                patch.setattr(framework, name, value)
+        patch.setattr(framework, "CHUNK", chunk)
         patch.setattr(framework, "_blocks", counted)
         yield ran
 
@@ -582,9 +580,8 @@ def test_block_verifiers_match_per_sample_oracle_on_reals(
 
 
 GRID_N = 6
-# grid pairs per chunk under a small STACK_NODES patched in: 14 functions
-SMALL_STACK_NODES = 100
-GRID_CHUNK = SMALL_STACK_NODES // (GRID_N + 1)
+# grid pairs per chunk under SMALL_CHUNK patched in: 14 functions
+GRID_CHUNK = SMALL_CHUNK // (GRID_N + 1)
 
 
 def _gated_problem(gate):
@@ -626,7 +623,7 @@ def test_block_verifiers_match_per_sample_oracle_on_grid_functions(
         size, seed, mapping, alpha, beta, zeta):
     pairs, triples = _grid_samples(seed, size)
     bundle = ContractionBundle(mapping, alpha, beta, zeta, cclass_a(0.0), name="grid")
-    with chunk_sizes(stack_nodes=SMALL_STACK_NODES) as ran:
+    with chunk_sizes(SMALL_CHUNK) as ran:
         _check_all(bundle, pairs, triples, sup_metric)
     # the pairs filled a chunk and began another
     if size > GRID_CHUNK:
@@ -710,7 +707,7 @@ def test_one_pass_gives_the_standalone_reports(carrier, as_array):
     checks = [alpha_admissible_check(), contraction_check(bundle, tol)]
     if problem is not None:
         checks.append(operator_contraction_check())
-    with chunk_sizes(SMALL_CHUNK, SMALL_STACK_NODES) as ran:
+    with chunk_sizes(SMALL_CHUNK) as ran:
         one_pass = check_pairs(bundle.mapping, bundle.alpha, samples, checks, d)
         # several chunks: each check's failing rows are concatenated across them
         assert len(ran) >= 2
@@ -741,7 +738,7 @@ def test_one_pass_maps_each_sample_once(carrier):
         return bundle.mapping(x)
 
     counted = replace(bundle, mapping=mapping)
-    with chunk_sizes(SMALL_CHUNK, SMALL_STACK_NODES) as ran:
+    with chunk_sizes(SMALL_CHUNK) as ran:
         check_pairs(mapping, bundle.alpha, samples,
                     [alpha_admissible_check(), contraction_check(counted, tol)], d)
         assert len(ran) >= 2
@@ -761,11 +758,10 @@ _ADVERSARIAL = [0.0, -0.0, 1.5, 1.5e-05, 15.0, 15.5, 1.0, 1e-05, 0.5,
                 -1.5, math.inf, -math.inf, math.nan, 2.0 ** -1074]
 
 
-def _all_witnesses(check, inputs, lhs, bound, detail):
+def _all_witnesses(check, inputs, lhs, bound, margins, detail):
     """Every witness, in sample order, sorted once: the reference order."""
-    witnesses = [Witness(check, tuple(row), value - bound, detail(value),
-                         lhs=value, bound=bound)
-                 for row, value in zip(inputs, lhs)]
+    witnesses = [Witness(check, tuple(row), margin, detail(value), lhs=value, bound=bound)
+                 for row, value, margin in zip(inputs, lhs, margins)]
     return sorted(witnesses, key=Witness.sort_key)
 
 
@@ -788,28 +784,32 @@ _OTHER_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
 # two nans of different bit patterns: numpy's sort and Python's must order them alike
 @example(rows=[((math.nan, 2.0), -0.5), ((_OTHER_NAN, 1.0), -0.5)], as_array=True,
          bound=0.0)
+# margins of -0.0 and 0.0 alike, so the first k end inside a tie the total order splits
+@example(rows=[((float(i),), -0.0 if i % 2 else 0.0) for i in range(12)], as_array=True,
+         bound=1.0)
 @settings(max_examples=300, deadline=None)
 def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
     samples = [inputs for inputs, _ in rows]
-    lhs = np.array([bound + margin for _, margin in rows])
+    # the drawn margins are the margin column, so a drawn -0.0 keeps its sign
+    margins = np.array([margin for _, margin in rows], dtype=float)
+    lhs = bound + margins
     if as_array and samples:
         samples = np.array(samples, dtype=float)
 
     def detail(value):
         return f"lhs = {value!r}"
 
-    def failing(samples, lhs):
-        # the margin is a column of its own: here lhs - bound, as in the reference
-        return FailingRows("probe", samples, lhs, np.full(len(lhs), bound), lhs - bound, detail)
+    def failing(samples, lhs, margins):
+        return FailingRows("probe", samples, lhs, np.full(len(lhs), bound), margins, detail)
 
     expected = _all_witnesses("probe", [tuple(map(float, row)) for row in samples],
-                              lhs.tolist(), bound, detail)
+                              lhs.tolist(), bound, margins.tolist(), detail)
     n = len(rows)
     for k in (0, 1, 8, n, n + 1):
-        lazy = failing(samples, lhs)
+        lazy = failing(samples, lhs, margins)
         assert _fingerprint(lazy[:k]) == _fingerprint(expected[:k])
     # one view asked for more and more keeps the witnesses it built
-    lazy = failing(samples, lhs)
+    lazy = failing(samples, lhs, margins)
     head = lazy[:1]
     assert len(lazy) == n
     assert _fingerprint(lazy[:8]) == _fingerprint(expected[:8])
@@ -827,11 +827,11 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
 
     # a merge of a lazy and a list report equals the report of the whole
     cut = n // 2
-    head_report = make_report("probe", failing(samples[:cut], lhs[:cut]), cut)
+    head_report = make_report("probe", failing(samples[:cut], lhs[:cut], margins[:cut]), cut)
     tail_report = make_report("probe", _all_witnesses(
         "probe", [tuple(map(float, row)) for row in samples[cut:]],
-        lhs[cut:].tolist(), bound, detail), n - cut)
-    whole = make_report("probe", failing(samples, lhs), n)
+        lhs[cut:].tolist(), bound, margins[cut:].tolist(), detail), n - cut)
+    whole = make_report("probe", failing(samples, lhs, margins), n)
     for merged in (merge_reports(head_report, tail_report),
                    merge_reports(tail_report, head_report)):
         assert not comparable or merged == whole
@@ -902,7 +902,7 @@ STACK_SIZES = {"0": 0, "1": 1, "k-1": -1, "k": 0, "k+1": 1}
 
 
 def _stack_size(n, size):
-    return STACK_SIZES[size] + (STACK_NODES // (n + 1) if size.startswith("k") else 0)
+    return STACK_SIZES[size] + (CHUNK // (n + 1) if size.startswith("k") else 0)
 
 
 def _stack_problem(n, rhs, gate, rng):
@@ -984,6 +984,9 @@ FAULTS = {
                      "a grid function is a 1-d array with at least 2 nodes, got shape (2, 7)"),
     "rhs shape": (DomainError, "rhs returned shape (3,), expected (7,)"),
 }
+# the same faults where the bvp bundle's gate weight reads the pair first: it
+# pairs the two functions node for node before T maps either
+WEIGHT_FAULTS = {**FAULTS, "node counts": (DimensionError, "grid sizes differ: 7 vs 9 nodes")}
 # the same faults under a mapping that checks nothing: the metric raises
 METRIC_FAULTS = {
     "non-finite": FAULTS["non-finite"],
@@ -1014,14 +1017,14 @@ def test_faulty_stacks_raise_the_per_function_errors(fault, gate):
     bundle = bvp_bundle(problem)
     checks = [alpha_admissible_check(), contraction_check(bundle, GRID_EPS),
               operator_contraction_check()]
-    runs = [(FAULTS[fault], lambda: check_pairs(bundle.mapping, bundle.alpha, pairs, checks,
-                                                sup_metric)),
+    runs = [(WEIGHT_FAULTS[fault], lambda: check_pairs(bundle.mapping, bundle.alpha, pairs,
+                                                       checks, sup_metric)),
             (FAULTS[fault], lambda: check_operator_contraction(problem, pairs))]
     if fault in ("non-finite", "rhs shape"):  # the pairs form an (N, 2, n + 1) array
         runs.append((FAULTS[fault], lambda: verify_contraction(bundle, np.array(pairs),
                                                                sup_metric)))
     if STACK_GATES[gate] is None:  # the open gate maps every pair
-        runs.append((FAULTS[fault], lambda: check_gate_propagation(problem, pairs)))
+        runs.append((WEIGHT_FAULTS[fault], lambda: check_gate_propagation(problem, pairs)))
     if fault in METRIC_FAULTS:
         halving = replace(bundle, mapping=lambda x: 0.5 * x)
         runs.append((METRIC_FAULTS[fault], lambda: verify_contraction(halving, pairs, sup_metric)))
@@ -1029,6 +1032,17 @@ def test_faulty_stacks_raise_the_per_function_errors(fault, gate):
         with pytest.raises(error) as raised:
             run()
         assert str(raised.value) == text
+
+
+@pytest.mark.parametrize("member", [zeta1(0.5), alpha_box()], ids=["zeta1", "alpha_box"])
+def test_columns_of_different_lengths_raise_a_dimension_error(member):
+    # a member that broadcasts fails to on them, and its per-row values
+    # would stop at the shorter column
+    with pytest.raises(DimensionError) as raised:
+        member.values(np.ones(3), np.ones(2))
+    assert str(raised.value) == "columns of lengths 3, 2 do not align"
+    with pytest.raises(DimensionError, match="columns of lengths 2, 1 do not align"):
+        evaluate_block(sup_metric, sup_metric, np.zeros((2, 7)), [np.zeros(7)])
 
 
 def test_object_array_of_grid_pairs_raises_the_metric_error():

@@ -98,6 +98,12 @@ class TestSupMetric:
         with pytest.raises(DomainError):
             sup_metric(xs, ys)
 
+    def test_stacks_of_different_row_counts_do_not_pair(self):
+        # the node counts agree: the message names the shapes, not 18 vs 27 nodes
+        with pytest.raises(DimensionError) as raised:
+            sup_metric(np.zeros((2, 9)), np.zeros((3, 9)))
+        assert str(raised.value) == "stacks of shapes (2, 9) and (3, 9) do not pair"
+
     @given(st.integers(min_value=1, max_value=30),
            st.floats(min_value=-100, max_value=100, allow_nan=False))
     def test_constant_offset(self, n, c):

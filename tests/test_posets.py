@@ -43,6 +43,12 @@ class TestInducedAlpha:
         with pytest.raises(DimensionError, match="grid sizes differ: 9 vs 7 nodes"):
             check_triangular_alpha(alpha_from_order(pointwise_order), triples)
 
+    def test_pointwise_order_rejects_stacks_of_different_row_counts(self):
+        # the node counts agree: the message names the shapes, not 9 vs 9 nodes
+        with pytest.raises(DimensionError) as raised:
+            pointwise_order.leq(np.zeros((2, 9)), np.zeros((3, 9)))
+        assert str(raised.value) == "stacks of shapes (2, 9) and (3, 9) do not pair"
+
     def test_order_lookup(self):
         assert resolve("order", "natural") is natural_order
         assert resolve("order", "pointwise") is pointwise_order
