@@ -3,24 +3,27 @@
 :data:`BUILTINS` is the table of every choice a config selector field can
 name; :func:`resolve` builds the selected object, and :func:`catalog_text`
 lists the table. The module also holds the standard probe sets the
-verifiers use when the caller supplies none.
+verifiers use when the caller supplies none. A factory imports the
+modules its object comes from when it is called, so the table itself
+loads none of them.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from typing import Callable, NamedTuple, Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bvp import BVPProblem, alpha_from_gate, bvp_operator
 from .errors import DomainError
-from .framework import (GRID_EPS, SCALAR_EPS, AlphaFunction, CClassFunction,
-                        ContractionBundle, GeraghtyBeta, SimulationFunction)
-from .metrics import Point, scalar_metric, sup_metric
-from .posets import natural_order, pointwise_order
-from .sampling import probe_pair
+
+if TYPE_CHECKING:
+    from .bvp import BVPProblem
+    from .framework import (AlphaFunction, CClassFunction, ContractionBundle, GeraghtyBeta,
+                            SimulationFunction)
+    from .metrics import Point
 
 
 # --------------------------------------------------------------------------
@@ -28,6 +31,8 @@ from .sampling import probe_pair
 
 def zeta1(lam: float = 0.5) -> SimulationFunction:
     """``zeta(t, s) = lam * s - t`` with 0 < lam < 1."""
+    from .framework import SimulationFunction
+
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise DomainError(f"zeta1 needs lam in (0, 1), got {lam}")
@@ -37,6 +42,8 @@ def zeta1(lam: float = 0.5) -> SimulationFunction:
 def zeta2(phi: Optional[Callable[[float], float]] = None) -> SimulationFunction:
     """``zeta(t, s) = s * phi(s) - t`` for a gain ``phi`` into [0, 1);
     defaults to ``phi(s) = 1 / (1 + s)``."""
+    from .framework import SimulationFunction
+
     gain = phi if phi is not None else (lambda s: 1.0 / (1.0 + s))
     return SimulationFunction(lambda t, s: s * gain(s) - t, name="zeta2")
 
@@ -44,6 +51,8 @@ def zeta2(phi: Optional[Callable[[float], float]] = None) -> SimulationFunction:
 def zeta3(psi: Optional[Callable[[float], float]] = None) -> SimulationFunction:
     """``zeta(t, s) = s - psi(s) - t`` for a continuous ``psi >= 0``
     vanishing only at 0; defaults to ``psi(s) = s / (1 + s)``."""
+    from .framework import SimulationFunction
+
     offset = psi if psi is not None else (lambda s: s / (1.0 + s))
     return SimulationFunction(lambda t, s: s - offset(s) - t, name="zeta3")
 
@@ -64,12 +73,16 @@ def zeta_bvp() -> SimulationFunction:
 
 def cclass_a(r: float = 0.0) -> CClassFunction:
     """``G(s, t) = s - t`` with benchmark ``c_g = r >= 0``."""
+    from .framework import CClassFunction
+
     r = float(r)
     return CClassFunction(lambda s, t: s - t, c_g=r, name=f"cclass_a({r!r})")
 
 
 def cclass_b() -> CClassFunction:
     """``G(s, t) = s - (2 + t) t / (1 + t)`` with benchmark 0."""
+    from .framework import CClassFunction
+
     return CClassFunction(lambda s, t: s - (2.0 + t) * t / (1.0 + t),
                           c_g=0.0, name="cclass_b")
 
@@ -77,6 +90,8 @@ def cclass_b() -> CClassFunction:
 def cclass_c(k: float = 1.0, r: float = 2.0) -> CClassFunction:
     """``G(s, t) = s / (1 + k t)`` for k >= 1 with benchmark ``r / (1 + k)``
     for r >= 2."""
+    from .framework import CClassFunction
+
     k = float(k)
     r = float(r)
     if k < 1.0:
@@ -93,10 +108,14 @@ def cclass_c(k: float = 1.0, r: float = 2.0) -> CClassFunction:
 def beta_reciprocal() -> GeraghtyBeta:
     """``beta(t) = 1 / (1 + t)``. Note beta(0) = 1 touches the top of the
     Geraghty range; the range check reports it."""
+    from .framework import GeraghtyBeta
+
     return GeraghtyBeta(lambda t: 1.0 / (1.0 + t), name="beta_reciprocal")
 
 
 def beta_constant(value: float = 0.5) -> GeraghtyBeta:
+    from .framework import GeraghtyBeta
+
     value = float(value)
     if not 0.0 <= value < 1.0:
         raise DomainError(f"constant beta needs a value in [0, 1), got {value}")
@@ -105,12 +124,16 @@ def beta_constant(value: float = 0.5) -> GeraghtyBeta:
 
 
 def alpha_one() -> AlphaFunction:
+    from .framework import AlphaFunction
+
     return AlphaFunction(lambda x, y: 1.0, name="alpha_one")
 
 
 def alpha_box(low: float = 0.0, high: float = 1.0) -> AlphaFunction:
     """Indicator of the box [low, high]^2: 1 when both arguments lie inside;
     elementwise on arrays."""
+    from .framework import AlphaFunction
+
     low = float(low)
     high = float(high)
     return AlphaFunction(
@@ -235,6 +258,8 @@ def example31_bundle() -> ContractionBundle:
     0. Carries a declared caveat: beta(0) = 1 violates the open Geraghty
     range while the contraction inequality itself is unaffected (the
     left-hand side is zeta(0, 0) = 0 there)."""
+    from .framework import ContractionBundle
+
     return ContractionBundle(
         mapping=example31_map,
         alpha=alpha_box(0.0, 1.0),
@@ -251,6 +276,9 @@ def example31_bundle() -> ContractionBundle:
 def bvp_bundle(problem: BVPProblem) -> ContractionBundle:
     """Grid-function bundle for the boundary-value operator: gate-induced
     weight, zeta1(1/4), constant gain 1/2, subtraction with benchmark 0."""
+    from .bvp import alpha_from_gate, bvp_operator
+    from .framework import ContractionBundle
+
     return ContractionBundle(
         mapping=bvp_operator(problem),
         alpha=alpha_from_gate(problem),
@@ -267,6 +295,8 @@ def default_sequence_probes(mode: str = "classic",
                             length: int = 200) -> list[tuple[np.ndarray, np.ndarray]]:
     """Equal-limit positive probe pairs for the limsup check. The roldan
     variant keeps t_n strictly below s_n."""
+    from .sampling import probe_pair
+
     if mode == "roldan":
         return [
             probe_pair(1.0, length, t_offset=-1.0, s_offset=1.0, start=2),
@@ -290,6 +320,16 @@ def default_beta_probes(length: int = 200) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 # selector table and catalog listing
 
+def _imported(module: str, *names: str) -> Callable:
+    """A factory of the ``names`` of the picardkit module ``module`` (one
+    name, or a tuple of several), imported when it is called."""
+    def factory():
+        found = [getattr(import_module(f".{module}", __package__), name) for name in names]
+        return found[0] if len(found) == 1 else tuple(found)
+
+    return factory
+
+
 class Builtin(NamedTuple):
     """One choice of a config selector field (see :func:`lookup` for the
     selector forms); ``factory`` builds it from the argument strings, and
@@ -303,8 +343,10 @@ class Builtin(NamedTuple):
 
 
 BUILTINS = (
-    Builtin("carrier", "interval", None, lambda: (scalar_metric, SCALAR_EPS), "reals, |x - y|"),
-    Builtin("carrier", "grid", None, lambda: (sup_metric, GRID_EPS), "grid functions, sup metric"),
+    Builtin("carrier", "interval", None, _imported("metrics", "scalar_metric", "SCALAR_EPS"),
+            "reals, |x - y|"),
+    Builtin("carrier", "grid", None, _imported("metrics", "sup_metric", "GRID_EPS"),
+            "grid functions, sup metric"),
     Builtin("bundle", "example31", "interval", lambda problem: example31_bundle(),
             "example31_bundle: example31 map, alpha_box, zeta1(8/9), beta_reciprocal, "
             "cclass_a(0)"),
@@ -313,8 +355,10 @@ BUILTINS = (
     Builtin("beta", "reciprocal", None, beta_reciprocal, "beta_reciprocal"),
     Builtin("beta", "half", None, lambda: beta_constant(0.5), "beta_constant(0.5)"),
     Builtin("beta", "<v>", None, beta_constant, "beta_constant(v), 0 <= v < 1"),
-    Builtin("order", "natural", "interval", lambda: natural_order, "alpha = [x <= y]"),
-    Builtin("order", "pointwise", "grid", lambda: pointwise_order, "alpha = [x <= y nodewise]"),
+    Builtin("order", "natural", "interval", _imported("posets", "natural_order"),
+            "alpha = [x <= y]"),
+    Builtin("order", "pointwise", "grid", _imported("posets", "pointwise_order"),
+            "alpha = [x <= y nodewise]"),
     Builtin("map", "example31", None, lambda: example31_map, "x/3 on [0, 1], 3x elsewhere"),
     Builtin("map", "affine:a:b", None, affine_map, "x -> a*x + b"),
     Builtin("rhs", "zero", None, lambda: rhs_zero, "f = 0"),

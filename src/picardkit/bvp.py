@@ -25,16 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import DomainError, OracleError
-from .framework import (GRID_EPS, AlphaFunction, BlockCheck, _block_reports, _reals, _rows,
-                        check_pairs, evaluate_block)
-from .metrics import Point, as_grid_function, grid_pair, nodes, rowwise, sup_metric
+from .metrics import GRID_EPS, Point, as_grid_function, grid_pair, nodes, rowwise, sup_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
-from .report import Witness, VerificationReport, make_report
+
+if TYPE_CHECKING:  # the checks import the check kernel when called
+    from .framework import AlphaFunction, BlockCheck
+    from .report import VerificationReport
 
 CONTRACTION_FACTOR = 0.125  # sup_t of the kernel row integral t(1 - t)/2
 
@@ -176,6 +177,8 @@ class BVPProblem:
         xa, ya = grid_pair(x, y)
         if self.gate is None:
             return np.ones(xa.shape)
+        from .framework import evaluate_block
+
         values = evaluate_block(self.gate, self.gate_value, xa.ravel(), ya.ravel())
         return values.reshape(xa.shape)
 
@@ -271,6 +274,8 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     applies once, to the stack of the distinct constants of the admitted
     triples.
     """
+    from .framework import BlockCheck, _block_reports, _reals, _rows, evaluate_block
+
     table = _reals(triples, 3)
     t, a, b = table.T
     outside = np.flatnonzero(~((0.0 <= t) & (t <= 1.0)))
@@ -302,6 +307,8 @@ def operator_contraction_check(factor: float = CONTRACTION_FACTOR,
                                tol: float = GRID_EPS) -> BlockCheck:
     """``d(Tx, Ty) <= factor * M`` as a pair check of
     :func:`~picardkit.framework.check_pairs`: the bound is per pair."""
+    from .framework import BlockCheck, _rows
+
     def failing(chunk):
         bound = factor * chunk.gauge
         return _rows(chunk.gap > bound + tol, chunk.gap, bound, bound - chunk.gap, bound)
@@ -319,16 +326,10 @@ def check_operator_contraction(problem: BVPProblem,
     """Check ``||Tx - Ty||_inf <= factor * max{d(x, y), d(x, Tx), d(y, Ty)}``
     on sampled grid-function pairs; the default factor 1/8 is the kernel
     row-integral maximum. T applies once per sampled function."""
+    from .framework import check_pairs
+
     return check_pairs(bvp_operator(problem), None, pairs,
                        [operator_contraction_check(factor, tol)], sup_metric)[0]
-
-
-def gate_accepts_start(problem: BVPProblem, x0: Point) -> bool:
-    """True when ``xi(x0(t), (T x0)(t)) >= 0`` at every node: the gate
-    admits the starting iterate."""
-    xa = as_grid_function(x0)
-    tx = integral_operator(problem, xa)
-    return bool(np.all(problem.gate_values(xa, tx) >= 0.0))
 
 
 def alpha_from_gate(problem: BVPProblem) -> AlphaFunction:
@@ -336,6 +337,8 @@ def alpha_from_gate(problem: BVPProblem) -> AlphaFunction:
     (always 1 under the default open gate), else 0; row-wise on stacks.
     Each function is validated first, so a non-finite one raises
     :class:`DomainError` whatever the gate."""
+    from .framework import AlphaFunction
+
     return AlphaFunction(rowwise(lambda x, y: problem.gate_weights(
         as_grid_function(x, stack=True), as_grid_function(y, stack=True))), name="alpha_gate")
 
@@ -347,6 +350,8 @@ def check_gate_propagation(problem: BVPProblem,
     ``xi(Tx(t), Ty(t)) > 0`` for all t. A pass of
     :func:`~picardkit.framework.check_pairs`: the operator maps only the
     pairs the gate admits, a chunk of them per call."""
+    from .framework import BlockCheck, check_pairs
+
     def failing(chunk):
         held = np.flatnonzero(chunk.weights > 0.0)
         if held.size == 0:
@@ -369,6 +374,8 @@ def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
     """Falsification check of the gate's limit condition: when consecutive
     sequence members pass the gate nodewise and the sequence approaches
     ``limit``, each member paired with the limit must pass as well."""
+    from .report import Witness, make_report
+
     members = [as_grid_function(x) for x in sequence]
     limit_arr = as_grid_function(limit)
     witnesses: list[Witness] = []

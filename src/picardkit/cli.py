@@ -1,7 +1,7 @@
 """Batch front-end: parse a run-configuration file, run a verify suite, a
 Picard orbit or a BVP solve, and write reports plus CSV artifacts. The
 config keys, defaults, artifacts and exit statuses are in the README's
-"Command-line interface" section.
+"Command-line interface" section. Each runner imports the layers it runs.
 """
 
 from __future__ import annotations
@@ -12,23 +12,18 @@ import math
 import sys
 from dataclasses import make_dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import builtins as catalog
-from .bvp import BVPProblem, BVPSolution, operator_contraction_check, solve_bvp
 from .errors import DimensionError, DomainError
-from .framework import (ContractionBundle, alpha_admissible_check, check_cclass,
-                        check_geraghty, check_pairs, check_simulation_pointwise,
-                        check_simulation_sequences, check_triangular_alpha,
-                        contraction_check)
-from .metrics import save_grid_csv, scalar_metric
-from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
-from .posets import alpha_from_order
-from .report import (CAVEAT, FAIL, VerificationReport, render_text,
-                     write_report_csv)
-from .sampling import mesh_array, random_grid_pairs, seeded_rng, uniform_array
+
+if TYPE_CHECKING:
+    from .bvp import BVPProblem
+    from .framework import ContractionBundle
+    from .picard import IterationTrace, PicardConfig
+    from .report import VerificationReport
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,8 +38,10 @@ class ConfigError(ValueError):
 
 def _convert(raw: str, kind, where: str, key: str):
     """``raw`` as a value of ``kind``: a type, ``"count"`` (a nonnegative
-    int), or the kind of a selector in the builtin table, resolved here so a
-    bad choice names its line."""
+    int), or the kind of a selector in the builtin table, looked up here so
+    a bad choice names its line. A choice with arguments is also built here,
+    so a rejected argument names it too; one without (a bundle's factory
+    needs the problem) imports nothing yet."""
     try:
         if kind == "count":
             value = int(raw)
@@ -53,9 +50,7 @@ def _convert(raw: str, kind, where: str, key: str):
             return value
         if isinstance(kind, type):
             return kind(raw)
-        if kind == "bundle":  # only looked up: its factory needs the problem
-            catalog.lookup(kind, raw)
-        else:
+        if catalog.lookup(kind, raw)[1]:
             catalog.resolve(kind, raw)
         return raw
     except DomainError as exc:
@@ -158,6 +153,8 @@ def load_config(path: str | Path) -> RunConfig:
 # mode runners
 
 def _build_problem(config: RunConfig) -> BVPProblem:
+    from .bvp import BVPProblem
+
     return BVPProblem(rhs=catalog.resolve("rhs", config.rhs), n=config.bvp_n,
                       tolerance=config.bvp_tolerance, name=config.rhs)
 
@@ -174,6 +171,8 @@ def _build_bundle(config: RunConfig, problem: BVPProblem | None) -> ContractionB
     if config.bundle_beta is not None:
         bundle = replace(bundle, beta=catalog.resolve("beta", config.bundle_beta))
     if config.order_name is not None:
+        from .posets import alpha_from_order
+
         order = catalog.resolve("order", config.order_name, carrier)
         bundle = replace(bundle, alpha=alpha_from_order(order))
     return bundle
@@ -194,6 +193,8 @@ def _rows_with_caveats(reports: Sequence[VerificationReport],
     """Apply declared bundle caveats: a failing check the bundle vouches for
     is reported with status 'caveat' (witnesses preserved) and does not
     count toward the exit status."""
+    from .report import CAVEAT, FAIL
+
     caveats = dict(bundle.caveats)
     adjusted = []
     failures = 0
@@ -210,6 +211,14 @@ def _rows_with_caveats(reports: Sequence[VerificationReport],
 
 
 def _run_verify(config: RunConfig, out: Path) -> int:
+    from .framework import (alpha_admissible_check, check_cclass, check_geraghty, check_pairs,
+                            check_simulation_pointwise, check_simulation_sequences,
+                            check_triangular_alpha, contraction_check)
+    from .report import render_text, write_report_csv
+    from .sampling import mesh_array, random_grid_pairs, seeded_rng, uniform_array
+    if config.carrier_kind == "grid":  # bvp compiled after numpy.random peaks 0.4 MB higher
+        from .bvp import operator_contraction_check
+
     # the only mode that draws samples: the others never import numpy.random
     rng = seeded_rng(config.seed)
     low, high = config.carrier_low, config.carrier_high
@@ -286,6 +295,8 @@ def write_trace_csv(path: str | Path, trace: IterationTrace) -> None:
 
 
 def _picard_config(config: RunConfig) -> PicardConfig:
+    from .picard import PicardConfig
+
     return PicardConfig(tolerance=config.tolerance,
                         max_iterations=config.max_iterations,
                         divergence_bound=config.divergence_bound)
@@ -298,6 +309,9 @@ def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
     ``before``, the termination and the iteration count, then ``after``) and
     its report.csv (the ``picard`` row, then ``rows`` of (name, value)),
     every row with the orbit's status; returns the exit status."""
+    from .picard import CONVERGED
+    from .report import write_report_csv
+
     write_trace_csv(out / "trace.csv", trace)
     converged = trace.termination == CONVERGED
     status = "pass" if converged else "fail"
@@ -311,6 +325,9 @@ def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
 
 
 def _run_iterate(config: RunConfig, out: Path) -> int:
+    from .metrics import scalar_metric
+    from .picard import picard_iterate
+
     mapping = catalog.resolve("map", config.map_spec)
     trace = picard_iterate(mapping, config.start, _picard_config(config), scalar_metric)
     final_gap = trace.gaps[-1] if trace.gaps else 0.0
@@ -320,8 +337,11 @@ def _run_iterate(config: RunConfig, out: Path) -> int:
 
 
 def _run_solve(config: RunConfig, out: Path) -> int:
+    from .bvp import solve_bvp
+    from .metrics import save_grid_csv
+
     problem = _build_problem(config)
-    solution: BVPSolution = solve_bvp(problem, _picard_config(config))
+    solution = solve_bvp(problem, _picard_config(config))
     save_grid_csv(out / "solution.csv", solution.values)
     estimate = solution.contraction_estimate
     return _write_orbit(config, out, solution.trace, [f"rhs: {problem.name}", f"n: {problem.n}"], [

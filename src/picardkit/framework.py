@@ -59,14 +59,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .metrics import Metric, Point, PointMap, as_grid_function
+from .metrics import GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, as_grid_function
 from .report import FailingRows, Witness, VerificationReport, make_report
-
-# Strict inequalities are checked as "lhs < rhs - eps"; equalities use the
-# same eps. Scalar-metric quantities resolve to 1e-12, sup-metric quantities
-# to 1e-9 (quadrature noise).
-SCALAR_EPS = 1e-12
-GRID_EPS = 1e-9
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
 

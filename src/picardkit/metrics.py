@@ -18,7 +18,6 @@ library's point of view; concurrent use on shared inputs is safe.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 from typing import Callable, Iterable, Union
@@ -30,6 +29,12 @@ from .errors import DimensionError, DomainError
 Point = Union[float, np.ndarray]
 Metric = Callable[[Point, Point], float]
 PointMap = Callable[[Point], Point]
+
+# Strict inequalities are checked as "lhs < rhs - eps"; equalities use the
+# same eps. Scalar-metric quantities resolve to 1e-12, sup-metric quantities
+# to 1e-9 (quadrature noise).
+SCALAR_EPS = 1e-12
+GRID_EPS = 1e-9
 
 
 def nodes(n: int) -> np.ndarray:
@@ -83,6 +88,9 @@ def grid_pair(x: Point, y: Point) -> tuple[np.ndarray, np.ndarray]:
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape[-1:] != ya.shape[-1:]:
+        if not (xa.ndim and ya.ndim):
+            raise DimensionError(f"a real does not pair with a grid function: "
+                                 f"shapes {xa.shape} and {ya.shape}")
         raise DimensionError(f"grid sizes differ: {xa.shape[-1]} vs {ya.shape[-1]} nodes")
     if xa.shape != ya.shape:
         raise DimensionError(f"stacks of shapes {xa.shape} and {ya.shape} do not pair")
@@ -109,19 +117,3 @@ def save_grid_csv(path: str | Path, values: Iterable[float]) -> None:
         for start in range(0, len(table), 1024):  # one string per block bounds the memory
             fh.write("".join(f"{t!r},{v!r}\n" for t, v in table[start:start + 1024].tolist()))
 
-
-def load_grid_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a ``t,value`` CSV written by :func:`save_grid_csv`."""
-    ts: list[float] = []
-    vs: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t", "value"]:
-            raise ValueError(f"{path}: expected a 't,value' header line")
-        for row in reader:
-            if not row:
-                continue
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
-    return np.asarray(ts), np.asarray(vs)

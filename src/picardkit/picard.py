@@ -13,15 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .framework import (SCALAR_EPS, AlphaFunction, BlockCheck, GeraghtyBeta, _block_reports,
-                        _rows, _stack, _take)
-from .metrics import Metric, Point, PointMap
+from .metrics import SCALAR_EPS, Metric, Point, PointMap
 from .report import HYPOTHESIS_UNMET, VerificationReport
+
+if TYPE_CHECKING:  # the checks import the check kernel when called
+    from .framework import AlphaFunction, GeraghtyBeta
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -140,6 +141,8 @@ def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta,
     """Each defined ratio ``gaps[i+1] / gaps[i]`` must stay below
     ``beta(gaps[i]) + tol``, the per-step gain a Geraghty-type contraction
     predicts for its own orbit."""
+    from .framework import BlockCheck, _block_reports, _rows
+
     ratios = np.array(trace.ratios, dtype=float)  # an omitted ratio reads nan
     steps = np.flatnonzero(np.not_equal(np.array(trace.ratios, dtype=object), None)).tolist()
 
@@ -167,6 +170,8 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
     candidate limit as the last orbit entry by choosing ``n_max``
     accordingly.
     """
+    from .framework import BlockCheck, _block_reports, _rows, _stack, _take
+
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     orbit: list[Point] = [x0]

@@ -146,8 +146,20 @@ class FailingRows(SequenceABC):
             rows = np.flatnonzero(~(margins > np.partition(margins, k - 1)[k - 1]))
             if isinstance(self._inputs, np.ndarray):
                 # Witness.sort_key on whole columns: every row has this check
+                keys = _total_order(margins[rows])
+                if rows.size > k:  # rows tie at the k-th margin, or are nan
+                    # the tied rows that fill the first k are the least by
+                    # their first input, so the tied rows past them on that
+                    # input are dropped before the sort
+                    kth = np.partition(keys, k - 1)[k - 1]
+                    tied = keys == kth
+                    first = _total_order(self._inputs[rows[tied], 0])
+                    need = k - np.count_nonzero(keys < kth)
+                    tied[tied] = first <= np.partition(first, need - 1)[need - 1]
+                    kept = (keys < kth) | tied
+                    rows, keys = rows[kept], keys[kept]
                 numbers = _total_order(self._inputs[rows]).T[::-1]
-                rows = rows[np.lexsort((*numbers, _total_order(margins[rows])))]
+                rows = rows[np.lexsort((*numbers, keys))]
                 rows = rows[len(self._head):k]
                 inputs = [tuple(row) for row in self._inputs[rows].tolist()]
             else:

@@ -15,7 +15,7 @@ from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DimensionError,
                        check_gate_limit, check_gate_propagation,
                        check_operator_contraction,
                        check_rhs_displacement_bound, finite_difference_solve,
-                       gate_accepts_start, green_kernel, green_row_integral,
+                       green_kernel, green_row_integral,
                        integral_operator, make_report, nodes,
                        row_integral_quadrature, solve_bvp, sup_metric,
                        verify_contraction)
@@ -25,6 +25,8 @@ from picardkit.framework import CHUNK, check_pairs, contraction_check
 from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
 from picardkit.sampling import random_grid_pairs, seeded_rng
+
+from helpers import gate_accepts_start
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

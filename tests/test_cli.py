@@ -4,6 +4,7 @@ modes end to end, exit-status classes, and byte-deterministic artifacts."""
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import math
 import os
@@ -25,10 +26,12 @@ import picardkit
 from picardkit import bvp as bvp_module
 from picardkit import cli as cli_module
 from picardkit import framework as framework_module
-from picardkit import load_grid_csv
+from picardkit import sampling as sampling_module
 from picardkit.cli import (EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_USAGE, EXIT_VALIDATION, ConfigError, main,
                            parse_config, run)
+
+from helpers import load_grid_csv
 
 VERIFY_CFG = """\
 mode = verify
@@ -409,7 +412,7 @@ class TestSolveMode:
         def broken(problem, cfg):
             raise ValueError("a programming error")
 
-        monkeypatch.setattr(cli_module, "solve_bvp", broken)
+        monkeypatch.setattr(bvp_module, "solve_bvp", broken)
         with pytest.raises(ValueError, match="a programming error"):
             run(parse_config(SOLVE_CFG), out_dir=tmp_path / "out")
 
@@ -610,7 +613,7 @@ def _verify_grid_calls(tmp_path, monkeypatch):
     with its draws and operator calls recorded: the drawn pairs, and per
     call the functions it mapped, one per row."""
     drawn, calls = [], []
-    draw, original = cli_module.random_grid_pairs, bvp_module.integral_operator
+    draw, original = sampling_module.random_grid_pairs, bvp_module.integral_operator
 
     def recorded(*args):
         drawn.extend(draw(*args))
@@ -620,7 +623,7 @@ def _verify_grid_calls(tmp_path, monkeypatch):
         calls.append(np.array(x, ndmin=2))
         return original(problem, x)
 
-    monkeypatch.setattr(cli_module, "random_grid_pairs", recorded)
+    monkeypatch.setattr(sampling_module, "random_grid_pairs", recorded)
     monkeypatch.setattr(bvp_module, "integral_operator", counted)
     cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
     cfg = cfg.replace("n = 20", "n = 1000")
@@ -651,7 +654,8 @@ def _run_fresh_python(code):
 class TestColdStart:
     """picardkit needs numpy and the standard library alone: importing the
     package, every CLI mode and the finite-difference oracle load no scipy
-    module. Only the runs that draw samples import numpy.random."""
+    module. Only the runs that draw samples import numpy.random. The package
+    namespace is lazy, and each mode loads only the modules it runs."""
 
     @pytest.mark.parametrize("cfg", [None, "--list-builtins", VERIFY_CFG,
                                      GRID_VERIFY_CFG, SOLVE_CFG, ITERATE_CFG],
@@ -685,6 +689,67 @@ class TestColdStart:
             except SystemExit as done:
                 assert done.code == 0, done.code
             assert ("numpy.random" in sys.modules) is {draws!r}
+            """)
+
+    @pytest.mark.parametrize("cfg, loaded", [
+        (None, set()),
+        ("--list-builtins", {"builtins", "errors"}),
+        (VERIFY_CFG, {"builtins", "errors", "framework", "metrics", "report", "sampling"}),
+        (VERIFY_CFG + "\n[order]\nname = natural\n",
+         {"builtins", "errors", "framework", "metrics", "posets", "report", "sampling"}),
+        (GRID_VERIFY_CFG,
+         {"builtins", "bvp", "errors", "framework", "metrics", "picard", "report", "sampling"}),
+        (SOLVE_CFG, {"builtins", "bvp", "errors", "metrics", "picard", "report"}),
+        (ITERATE_CFG, {"builtins", "errors", "metrics", "picard", "report"}),
+    ], ids=["import", "list-builtins", "verify-interval", "verify-interval-order",
+            "verify-grid", "solve-bvp", "iterate"])
+    def test_each_mode_loads_only_the_modules_it_runs(self, tmp_path, cfg, loaded):
+        # what python -m picardkit runs, in this interpreter; the front-end
+        # itself (cli, __main__) is left out of the module set
+        run = "import picardkit"
+        if cfg is not None:
+            argv = ["picardkit", *([cfg] if cfg == "--list-builtins" else
+                                   ["--config", str(write_cfg(tmp_path, cfg)),
+                                    "--out", str(tmp_path / "out")])]
+            run = (f"sys.argv = {argv!r}\n"
+                   "try:\n"
+                   "    runpy.run_module('picardkit', run_name='__main__')\n"
+                   "except SystemExit as done:\n"
+                   "    assert done.code in (0, 1), done.code")  # 1: a check failed
+        _run_fresh_python("\n".join([
+            "import runpy, sys",
+            run,
+            "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('picardkit.')}",
+            f"assert loaded - {{'cli', '__main__'}} == {loaded!r}, sorted(loaded)",
+            f"assert ('numpy' in sys.modules) is {cfg is not None!r}"]))
+
+    def test_the_lazy_namespace_resolves_every_public_name(self):
+        for module, names in picardkit._MODULES.items():
+            for name in names:
+                owner = importlib.import_module(f"picardkit.{module}")
+                expected = owner if name == module else getattr(owner, name)
+                assert getattr(picardkit, name) is expected, name
+        listed = dir(picardkit)
+        assert set(picardkit._MODULE_OF) <= set(listed) and listed == sorted(listed)
+        # the names the package bound eagerly before it became lazy, spot-checked
+        assert {"solve_bvp", "verify_contraction", "GRID_EPS", "SCALAR_EPS", "Witness",
+                "builtins", "sampling", "__version__"} <= set(listed)
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        # so that a submodule outside the table still imports by name
+        _run_fresh_python("""
+            import sys
+            import picardkit
+            try:
+                picardkit.no_such_name
+            except AttributeError as exc:
+                assert "no_such_name" in str(exc), exc
+            else:
+                raise AssertionError("no AttributeError")
+            assert not hasattr(picardkit, "cli")
+            from picardkit import cli
+            assert sys.modules["picardkit.cli"] is cli is picardkit.cli
+            assert picardkit.solve_bvp is sys.modules["picardkit.bvp"].solve_bvp
             """)
 
     def test_finite_difference_solve_runs_without_scipy(self):
@@ -814,7 +879,6 @@ def test_shipped_bundles_never_fall_back_to_one_sample_at_a_time(tmp_path, monke
         return original(fn, per_sample, *columns, **kwargs)
 
     monkeypatch.setattr(framework_module, "evaluate_block", spied)
-    monkeypatch.setattr(bvp_module, "evaluate_block", spied)
     assert run(parse_config(cfg), out_dir=tmp_path / "out") == status
     assert len(calls) > 20 and fallbacks == []
 

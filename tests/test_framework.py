@@ -23,13 +23,13 @@ from picardkit import (GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProblem, CClassFu
                        check_triangular_alpha, merge_reports,
                        natural_order, pointwise_order, scalar_metric,
                        sup_metric, verify_contraction)
-from picardkit.builtins import (alpha_box, alpha_from_gate, alpha_one,
+from picardkit.builtins import (alpha_box, alpha_one,
                                 beta_constant, beta_reciprocal, bvp_bundle,
                                 cclass_a, cclass_b, cclass_c, example31_bundle,
                                 example31_map, resolve, rhs_zero, zeta1)
 from picardkit import framework
 from picardkit import report as report_module
-from picardkit.bvp import operator_contraction_check
+from picardkit.bvp import alpha_from_gate, operator_contraction_check
 from picardkit.framework import (CHUNK, alpha_admissible_check, check_pairs,
                                  contraction_check, evaluate_block)
 from picardkit.metrics import rowwise
@@ -787,6 +787,12 @@ _OTHER_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
 # margins of -0.0 and 0.0 alike, so the first k end inside a tie the total order splits
 @example(rows=[((float(i),), -0.0 if i % 2 else 0.0) for i in range(12)], as_array=True,
          bound=1.0)
+# every margin tied, and first inputs of -0.0 and 0.0 alike, so the first k end
+# inside a tie of the first inputs that the total order splits
+@example(rows=[((-0.0 if i % 3 else 0.0, float(-i)), -0.5) for i in range(12)], as_array=True,
+         bound=0.0)
+@example(rows=[((0.0 if i % 3 else -0.0, float(i % 4)), -0.0 if i % 2 else 0.0)
+               for i in range(12)], as_array=True, bound=1.0)
 @settings(max_examples=300, deadline=None)
 def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
     samples = [inputs for inputs, _ in rows]

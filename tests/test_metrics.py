@@ -9,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardkit import (DimensionError, DomainError, as_grid_function,
-                       load_grid_csv, nodes, save_grid_csv, scalar_metric,
+                       nodes, save_grid_csv, scalar_metric,
                        sup_metric)
+from picardkit.builtins import rhs_zero
+from picardkit.bvp import BVPProblem
+from picardkit.metrics import grid_pair
+from picardkit.posets import pointwise_order
 from picardkit.sampling import random_grid_pairs, uniform_array
+
+from helpers import load_grid_csv
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -65,6 +71,16 @@ class TestSupMetric:
     def test_mismatched_grids(self):
         with pytest.raises(DimensionError):
             sup_metric(np.zeros(11), np.zeros(12))
+
+    @pytest.mark.parametrize("pair", [
+        lambda: grid_pair(np.zeros(7), 0.5),
+        lambda: grid_pair(0.5, np.zeros(7)),
+        lambda: pointwise_order.leq(0.5, np.zeros(7)),
+        lambda: BVPProblem(rhs=rhs_zero, n=6, gate=np.minimum).gate_values(0.5, np.zeros(7)),
+    ], ids=["grid-real", "real-grid", "pointwise-order", "gate-values"])
+    def test_a_real_does_not_pair_with_a_grid_function(self, pair):
+        with pytest.raises(DimensionError, match="a real does not pair with a grid function"):
+            pair()
 
     def test_rejects_non_finite(self):
         bad = np.zeros(5)
