@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # the public names, by the module that defines them; a module that lists its
 # own name gives the submodule itself
 _MODULES = {
-    "errors": ("DimensionError", "DomainError", "OracleError"),
+    "errors": ("DimensionError", "DomainError"),
     "metrics": ("GRID_EPS", "SCALAR_EPS", "Point", "as_grid_function", "nodes", "rowwise",
                 "save_grid_csv", "scalar_metric", "sup_metric"),
     "report": ("FAIL", "HYPOTHESIS_UNMET", "PASS", "VerificationReport", "Witness",
@@ -28,13 +28,14 @@ _MODULES = {
                "check_order_axioms", "natural_order", "pointwise_order"),
     "bvp": ("BVPProblem", "BVPSolution", "CONTRACTION_FACTOR", "bvp_operator",
             "check_gate_limit", "check_gate_propagation", "check_operator_contraction",
-            "check_rhs_displacement_bound", "finite_difference_solve", "green_kernel",
-            "green_row_integral", "integral_operator", "row_integral_quadrature",
-            "second_difference_residual", "solve_bvp"),
+            "check_rhs_displacement_bound", "green_kernel", "green_row_integral",
+            "integral_operator", "row_integral_quadrature", "second_difference_residual",
+            "solve_bvp"),
     "builtins": ("builtins",),
     "sampling": ("sampling",),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = tuple(_MODULE_OF)  # so ``from picardkit import *`` binds the table
 
 
 def __getattr__(name: str):

@@ -2,10 +2,10 @@
 
 :data:`BUILTINS` is the table of every choice a config selector field can
 name; :func:`resolve` builds the selected object, and :func:`catalog_text`
-lists the table. The module also holds the standard probe sets the
-verifiers use when the caller supplies none. A factory imports the
-modules its object comes from when it is called, so the table itself
-loads none of them.
+lists the table and the factory :data:`FAMILIES`. The module also holds the
+standard probe sets the verifiers use when the caller supplies none. A
+factory imports the modules its object comes from when it is called, so the
+tables themselves load none of them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 # simulation functions
 
 def zeta1(lam: float = 0.5) -> SimulationFunction:
-    """``zeta(t, s) = lam * s - t`` with 0 < lam < 1."""
+    """zeta(t, s) = lam*s - t, for 0 < lam < 1."""
     from .framework import SimulationFunction
 
     lam = float(lam)
@@ -40,8 +40,7 @@ def zeta1(lam: float = 0.5) -> SimulationFunction:
 
 
 def zeta2(phi: Optional[Callable[[float], float]] = None) -> SimulationFunction:
-    """``zeta(t, s) = s * phi(s) - t`` for a gain ``phi`` into [0, 1);
-    defaults to ``phi(s) = 1 / (1 + s)``."""
+    """zeta(t, s) = s*phi(s) - t, for phi into [0, 1); default phi(s) = 1/(1+s)."""
     from .framework import SimulationFunction
 
     gain = phi if phi is not None else (lambda s: 1.0 / (1.0 + s))
@@ -49,30 +48,20 @@ def zeta2(phi: Optional[Callable[[float], float]] = None) -> SimulationFunction:
 
 
 def zeta3(psi: Optional[Callable[[float], float]] = None) -> SimulationFunction:
-    """``zeta(t, s) = s - psi(s) - t`` for a continuous ``psi >= 0``
-    vanishing only at 0; defaults to ``psi(s) = s / (1 + s)``."""
+    """zeta(t, s) = s - psi(s) - t, for psi >= 0; default psi(s) = s/(1+s).
+
+    ``psi`` must be continuous and vanish only at 0."""
     from .framework import SimulationFunction
 
     offset = psi if psi is not None else (lambda s: s / (1.0 + s))
     return SimulationFunction(lambda t, s: s - offset(s) - t, name="zeta3")
 
 
-def zeta_example31() -> SimulationFunction:
-    """The ``(8/9) s - t`` member of the zeta1 family."""
-    return zeta1(8.0 / 9.0)
-
-
-def zeta_bvp() -> SimulationFunction:
-    """The ``(1/4) s - t`` member of the zeta1 family, matched to the
-    boundary-value operator's 1/8 contraction constant."""
-    return zeta1(0.25)
-
-
 # --------------------------------------------------------------------------
 # C-class functions
 
 def cclass_a(r: float = 0.0) -> CClassFunction:
-    """``G(s, t) = s - t`` with benchmark ``c_g = r >= 0``."""
+    """G(s, t) = s - t, with benchmark c_g = r >= 0."""
     from .framework import CClassFunction
 
     r = float(r)
@@ -80,7 +69,7 @@ def cclass_a(r: float = 0.0) -> CClassFunction:
 
 
 def cclass_b() -> CClassFunction:
-    """``G(s, t) = s - (2 + t) t / (1 + t)`` with benchmark 0."""
+    """G(s, t) = s - (2+t)t/(1+t), with benchmark c_g = 0."""
     from .framework import CClassFunction
 
     return CClassFunction(lambda s, t: s - (2.0 + t) * t / (1.0 + t),
@@ -88,8 +77,7 @@ def cclass_b() -> CClassFunction:
 
 
 def cclass_c(k: float = 1.0, r: float = 2.0) -> CClassFunction:
-    """``G(s, t) = s / (1 + k t)`` for k >= 1 with benchmark ``r / (1 + k)``
-    for r >= 2."""
+    """G(s, t) = s/(1 + k*t), with benchmark c_g = r/(1+k), for k >= 1, r >= 2."""
     from .framework import CClassFunction
 
     k = float(k)
@@ -106,14 +94,14 @@ def cclass_c(k: float = 1.0, r: float = 2.0) -> CClassFunction:
 # Geraghty gains and admissibility weights
 
 def beta_reciprocal() -> GeraghtyBeta:
-    """``beta(t) = 1 / (1 + t)``. Note beta(0) = 1 touches the top of the
-    Geraghty range; the range check reports it."""
+    """beta(t) = 1/(1+t); beta(0) = 1 touches the top of the Geraghty range."""
     from .framework import GeraghtyBeta
 
     return GeraghtyBeta(lambda t: 1.0 / (1.0 + t), name="beta_reciprocal")
 
 
 def beta_constant(value: float = 0.5) -> GeraghtyBeta:
+    """beta(t) = value, for 0 <= value < 1."""
     from .framework import GeraghtyBeta
 
     value = float(value)
@@ -124,14 +112,14 @@ def beta_constant(value: float = 0.5) -> GeraghtyBeta:
 
 
 def alpha_one() -> AlphaFunction:
+    """alpha(x, y) = 1."""
     from .framework import AlphaFunction
 
     return AlphaFunction(lambda x, y: 1.0, name="alpha_one")
 
 
 def alpha_box(low: float = 0.0, high: float = 1.0) -> AlphaFunction:
-    """Indicator of the box [low, high]^2: 1 when both arguments lie inside;
-    elementwise on arrays."""
+    """alpha(x, y) = 1 on [low, high]^2, else 0; elementwise on arrays."""
     from .framework import AlphaFunction
 
     low = float(low)
@@ -253,18 +241,20 @@ def compile_rhs_expression(body: str) -> Callable:
 # bundles
 
 def example31_bundle() -> ContractionBundle:
-    """Scalar reference bundle: the piecewise x/3-or-3x map, the unit-box
-    weight, zeta1(8/9), the reciprocal gain, and subtraction with benchmark
-    0. Carries a declared caveat: beta(0) = 1 violates the open Geraghty
-    range while the contraction inequality itself is unaffected (the
-    left-hand side is zeta(0, 0) = 0 there)."""
+    """The scalar reference bundle, on the reals.
+
+    The piecewise x/3-or-3x map, the unit-box weight, zeta1(8/9), the
+    reciprocal gain, and subtraction with benchmark 0. Carries a declared
+    caveat: beta(0) = 1 violates the open Geraghty range while the
+    contraction inequality itself is unaffected (the left-hand side is
+    zeta(0, 0) = 0 there)."""
     from .framework import ContractionBundle
 
     return ContractionBundle(
         mapping=example31_map,
         alpha=alpha_box(0.0, 1.0),
         beta=beta_reciprocal(),
-        zeta=zeta_example31(),
+        zeta=zeta1(8.0 / 9.0),
         g=cclass_a(0.0),
         name="example31_bundle",
         caveats=(("geraghty",
@@ -274,8 +264,10 @@ def example31_bundle() -> ContractionBundle:
 
 
 def bvp_bundle(problem: BVPProblem) -> ContractionBundle:
-    """Grid-function bundle for the boundary-value operator: gate-induced
-    weight, zeta1(1/4), constant gain 1/2, subtraction with benchmark 0."""
+    """The bundle of the boundary-value operator, on grid functions.
+
+    The gate-induced weight alpha_gate, zeta1(1/4), constant gain 1/2,
+    subtraction with benchmark 0."""
     from .bvp import alpha_from_gate, bvp_operator
     from .framework import ContractionBundle
 
@@ -283,7 +275,7 @@ def bvp_bundle(problem: BVPProblem) -> ContractionBundle:
         mapping=bvp_operator(problem),
         alpha=alpha_from_gate(problem),
         beta=beta_constant(0.5),
-        zeta=zeta_bvp(),
+        zeta=zeta1(0.25),
         g=cclass_a(0.0),
         name="bvp_bundle")
 
@@ -413,39 +405,28 @@ def resolve(kind: str, spec: str, carrier: Optional[str] = None, *context):
         raise DomainError(f"{kind} {spec!r}: {exc}") from exc
 
 
-_FAMILIES = """\
-builtin catalog
-
-simulation functions
-  zeta1(lambda)        zeta(t, s) = lambda*s - t          0 < lambda < 1
-  zeta2(phi)           zeta(t, s) = s*phi(s) - t          default phi(s) = 1/(1+s)
-  zeta3(psi)           zeta(t, s) = s - psi(s) - t        default psi(s) = s/(1+s)
-  zeta_example31       zeta1 with lambda = 8/9
-  zeta_bvp             zeta1 with lambda = 1/4
-
-c-class functions
-  cclass_a(r): s - t, c_g = r                             r >= 0
-  cclass_b: s - (2+t)t/(1+t), c_g = 0
-  cclass_c(k, r): s/(1 + k*t), c_g = r/(1+k)              k >= 1, r >= 2
-
-geraghty gains
-  beta_reciprocal      beta(t) = 1/(1+t)
-  beta_constant(v)     beta(t) = v                        0 <= v < 1
-
-admissibility weights
-  alpha_one            constant 1
-  alpha_box(lo, hi)    indicator of [lo, hi]^2
-  alpha_gate           gate-induced weight on grid functions
-
-config selectors, by field: carrier is [carrier] kind, bundle [bundle] name,
-beta [bundle] beta, order [order] name, map [iterate] map, rhs [bvp] rhs;
-[interval] or [grid] marks a choice that fits that carrier only
-"""
-
+# the families the catalog lists, by the kind of object they build
+FAMILIES = (
+    ("simulation functions", (zeta1, zeta2, zeta3)),
+    ("c-class functions", (cclass_a, cclass_b, cclass_c)),
+    ("geraghty gains", (beta_reciprocal, beta_constant)),
+    ("admissibility weights", (alpha_one, alpha_box)),
+    ("bundles", (example31_bundle, bvp_bundle)),
+)
 
 def catalog_text() -> str:
-    """Listing of the builtin families and of every :data:`BUILTINS` choice."""
-    lines = _FAMILIES.splitlines()
+    """Listing of the :data:`FAMILIES`, each factory with its parameters and
+    the first line of its docstring, and of every :data:`BUILTINS` choice."""
+    lines = ["builtin catalog"]
+    for heading, factories in FAMILIES:
+        lines += ["", heading]
+        for f in factories:
+            call = f"{f.__name__}({', '.join(f.__code__.co_varnames[:f.__code__.co_argcount])})"
+            summary = (f.__doc__ or "").partition("\n")[0]
+            lines.append(f"  {call:<21} {summary}")
+    lines += ["", "config selectors, by field: carrier is [carrier] kind, bundle [bundle] name,",
+              "beta [bundle] beta, order [order] name, map [iterate] map, rhs [bvp] rhs;",
+              "[interval] or [grid] marks a choice that fits that carrier only"]
     for kind in dict.fromkeys(e.kind for e in BUILTINS):
         lines.append(f"  {kind}")
         lines += [f"    {e.selector:<14} {e.doc}" + (f"  [{e.carrier}]" if e.carrier else "")

@@ -16,9 +16,7 @@ block on the kink side; the one-subinterval panels next to the boundary use
 a 3-point Newton-Cotes rule on the smooth kernel *branch*. Every rule is
 exact on linear integrands, so the row sums of the discrete operator
 reproduce the kernel row integral ``t(1 - t)/2``, whose maximum 1/8 is the
-operator's contraction constant. The finite-difference cross-check is the
-trapezoid rule on the same kernel (2nd order), which is exactly the inverse
-of the central-difference matrix.
+operator's contraction constant.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DomainError, OracleError
+from .errors import DomainError
 from .metrics import GRID_EPS, Point, as_grid_function, grid_pair, nodes, rowwise, sup_metric
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
 
@@ -95,20 +93,10 @@ def _split_simpson_prefix(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trapezoid_prefix(g: np.ndarray) -> np.ndarray:
-    """Entry i is the trapezoid quadrature (unit spacing) of ``g`` over
-    nodes ``0..i``, along the last axis. In :func:`_kernel_quadrature` the
-    two half endpoint weights at node i add up to the one diagonal term
-    ``G(t_i, t_i) f_i`` that the forward and reversed sums would otherwise
-    count twice."""
-    return np.cumsum(g, axis=-1) - 0.5 * (g[..., :1] + g)
-
-
-def _kernel_quadrature(ts: np.ndarray, complement: np.ndarray, f: np.ndarray,
-                       prefix: Callable = _split_simpson_prefix) -> np.ndarray:
-    """Quadrature of ``G(t_i, s) f(s)`` over s at every node by the prefix
-    rule ``prefix`` (split Simpson, or the trapezoid), in O(n) time and
-    memory; ``f`` is one function's node values, or a stack of them.
+def _kernel_quadrature(ts: np.ndarray, complement: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Split-Simpson quadrature of ``G(t_i, s) f(s)`` over s at every node,
+    in O(n) time and memory; ``f`` is one function's node values, or a stack
+    of them.
 
     Each smooth panel [0, t_i] and [t_i, 1] is a prefix sum: the lower one
     runs forward over ``s f``, the upper one runs the same rule over the
@@ -118,8 +106,8 @@ def _kernel_quadrature(ts: np.ndarray, complement: np.ndarray, f: np.ndarray,
     h = 1.0 / (ts.size - 1)
     # an overflow leaves inf or nan here, which the callers' finite checks reject
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = prefix(ts * f)
-        upper = prefix((complement * f)[..., ::-1])[..., ::-1]
+        lower = _split_simpson_prefix(ts * f)
+        upper = _split_simpson_prefix((complement * f)[..., ::-1])[..., ::-1]
         return h * (complement * lower + ts * upper)
 
 
@@ -395,26 +383,3 @@ def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
                     lhs=worst, bound=0.0))
     return make_report("gate-limit", witnesses, checked, mode="falsification")
 
-
-def finite_difference_solve(problem: BVPProblem, damping: float = 0.8,
-                            tol: float = 1e-12,
-                            max_iterations: int = 400) -> np.ndarray:
-    """Reference route: central differences (2nd order) with a damped
-    fixed-point iteration on the nonlinear system, to cross-check
-    :func:`solve_bvp`. On the interior nodes ``(1/h^2) tridiag(-1, 2, -1)``
-    has the exact inverse ``h G(t_i, t_j)``, so each sweep is the trapezoid
-    rule of :func:`_kernel_quadrature`. Raises :class:`OracleError` when the
-    iteration fails to converge."""
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    x = np.zeros(problem.n + 1)
-    for _ in range(max_iterations):
-        solved = _kernel_quadrature(problem.nodes, problem._complement,
-                                    problem.rhs_values(x), _trapezoid_prefix)
-        x_next = (1.0 - damping) * x + damping * solved
-        step = float(np.max(np.abs(x_next - x)))
-        x = x_next
-        if step <= tol:
-            return x
-    raise OracleError(f"finite-difference iteration did not reach {tol} "
-                      f"within {max_iterations} sweeps")

@@ -9,7 +9,3 @@ class DomainError(ValueError):
 class DimensionError(ValueError):
     """Two grid functions do not share a grid."""
 
-
-class OracleError(RuntimeError):
-    """A reference oracle failed to produce a value (test infrastructure
-    signal, not a statement about the primary solver)."""

@@ -1,12 +1,13 @@
 """Helpers that only the tests use: reading a grid function back from the
-CSV ``save_grid_csv`` writes, and the gate's start predicate."""
+CSV ``save_grid_csv`` writes, the gate's start predicate, and the
+finite-difference reference oracle for the boundary-value solver."""
 
 import csv
 from pathlib import Path
 
 import numpy as np
 
-from picardkit import BVPProblem, Point, as_grid_function, integral_operator
+from picardkit import BVPProblem, Point, as_grid_function, green_kernel, integral_operator
 
 
 def load_grid_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -32,3 +33,41 @@ def gate_accepts_start(problem: BVPProblem, x0: Point) -> bool:
     xa = as_grid_function(x0)
     tx = integral_operator(problem, xa)
     return bool(np.all(problem.gate_values(xa, tx) >= 0.0))
+
+
+class OracleError(RuntimeError):
+    """The reference oracle failed to produce a value (a signal of the test
+    infrastructure, not a statement about the solver)."""
+
+
+def trapezoid_weights(n: int) -> np.ndarray:
+    """The dense trapezoid quadrature of the kernel on the n-grid: entry
+    (i, j) is ``h G(t_i, t_j)``, the weight of node j in row i. The endpoint
+    weights ``h/2`` meet the kernel's zeros at s = 0 and s = 1, so every
+    weight is ``h`` times the kernel."""
+    ts = np.linspace(0.0, 1.0, n + 1)
+    return green_kernel(ts[:, None], ts[None, :]) / n
+
+
+def finite_difference_solve(problem: BVPProblem, damping: float = 0.8,
+                            tol: float = 1e-12,
+                            max_iterations: int = 400) -> np.ndarray:
+    """Reference route: central differences (2nd order) with a damped
+    fixed-point iteration on the nonlinear system, to cross-check
+    :func:`picardkit.solve_bvp`. On the interior nodes
+    ``(1/h^2) tridiag(-1, 2, -1)`` has the exact inverse ``h G(t_i, t_j)``,
+    so each sweep applies :func:`trapezoid_weights` as a dense matrix; it
+    shares no quadrature code with the solver. Raises :class:`OracleError`
+    when the iteration fails to converge."""
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    weights = trapezoid_weights(problem.n)
+    x = np.zeros(problem.n + 1)
+    for _ in range(max_iterations):
+        x_next = (1.0 - damping) * x + damping * (weights @ problem.rhs_values(x))
+        step = float(np.max(np.abs(x_next - x)))
+        x = x_next
+        if step <= tol:
+            return x
+    raise OracleError(f"finite-difference iteration did not reach {tol} "
+                      f"within {max_iterations} sweeps")

@@ -14,7 +14,7 @@ import numpy as np
 from picardkit import (BVPProblem, CClassFunction, ContractionBundle,
                        PicardConfig, SimulationFunction,
                        check_alpha_admissible, check_cclass, check_geraghty,
-                       check_simulation_pointwise, finite_difference_solve,
+                       check_simulation_pointwise,
                        green_row_integral, nodes, picard_iterate,
                        row_integral_quadrature, scalar_metric, solve_bvp,
                        uniqueness_probe, verify_contraction,
@@ -25,6 +25,8 @@ from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
 from picardkit.cli import parse_config, run
 from picardkit.posets import alpha_from_order, natural_order
 from picardkit.sampling import mesh_array, seeded_rng, uniform_array
+
+from helpers import finite_difference_solve
 
 SEED = 42
 

@@ -1,8 +1,8 @@
 """Boundary-value solver: the matrix-free operator against a dense reference
 matrix, kernel facts, quadrature identities, operator behavior and
-convergence orders against closed forms, the Picard solve against a
-finite-difference oracle, that oracle against a dense tridiagonal solve, and
-the gate predicates."""
+convergence orders against closed forms, the Picard solve against the
+finite-difference oracle of ``helpers``, that oracle against a dense
+tridiagonal solve, and the gate predicates."""
 
 import numpy as np
 import pytest
@@ -11,22 +11,22 @@ from hypothesis import strategies as st
 
 from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DimensionError, DomainError,
                        as_grid_function,
-                       OracleError, PicardConfig, Witness, bvp_operator,
+                       PicardConfig, Witness, bvp_operator,
                        check_gate_limit, check_gate_propagation,
                        check_operator_contraction,
-                       check_rhs_displacement_bound, finite_difference_solve,
+                       check_rhs_displacement_bound,
                        green_kernel, green_row_integral,
                        integral_operator, make_report, nodes,
                        row_integral_quadrature, solve_bvp, sup_metric,
                        verify_contraction)
-from picardkit.bvp import (_kernel_quadrature, _split_simpson_prefix, _trapezoid_prefix,
-                           alpha_from_gate, operator_contraction_check)
+from picardkit import bvp as bvp_module
+from picardkit.bvp import _kernel_quadrature, alpha_from_gate, operator_contraction_check
 from picardkit.framework import CHUNK, check_pairs, contraction_check
 from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
 from picardkit.sampling import random_grid_pairs, seeded_rng
 
-from helpers import gate_accepts_start
+from helpers import OracleError, finite_difference_solve, gate_accepts_start, trapezoid_weights
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -93,6 +93,18 @@ def kernel_quadrature_matrix(n: int) -> np.ndarray:
         else:
             w_upper[i, i:] = _panel_weights(m)[::-1]
     return h * (w_lower * lower + w_upper * upper)
+
+
+def _split_simpson_columns(n: int):
+    """The library operator applied to the unit vectors, a block of the
+    identity stack at a time: entry (j, i) of a block is the weight of node j
+    in row i."""
+    ts = nodes(n)
+    for start in range(0, n + 1, 256):
+        count = min(256, n + 1 - start)
+        units = np.zeros((count, n + 1))
+        units[np.arange(count), start + np.arange(count)] = 1.0
+        yield _kernel_quadrature(ts, 1.0 - ts, units)
 
 
 class TestMatrixFreeOperator:
@@ -219,20 +231,15 @@ class TestIntegralOperator:
         out = integral_operator(problem, np.zeros(101))
         assert float(out.min()) >= 0.0
 
-    @pytest.mark.parametrize("prefix", [_split_simpson_prefix, _trapezoid_prefix],
+    @pytest.mark.parametrize("columns", [_split_simpson_columns,
+                                         lambda n: [trapezoid_weights(n).T]],
                              ids=["split-simpson", "trapezoid"])
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 20, 100, 1000, 2000])
-    def test_weights_are_nonnegative_with_largest_row_sum_one_eighth(self, n, prefix):
-        # the operator applied to the unit vectors, a block of the identity
-        # stack at a time: entry (j, i) of the result is the weight of node j
-        # in row i, so the sup-norm Lipschitz constant is the largest row sum
-        ts = nodes(n)
+    def test_weights_are_nonnegative_with_largest_row_sum_one_eighth(self, n, columns):
+        # the solver's rule and the oracle's dense trapezoid matrix: the
+        # sup-norm Lipschitz constant is the largest row sum
         row_sums = np.zeros(n + 1)
-        for start in range(0, n + 1, 256):
-            count = min(256, n + 1 - start)
-            units = np.zeros((count, n + 1))
-            units[np.arange(count), start + np.arange(count)] = 1.0
-            weights = _kernel_quadrature(ts, 1.0 - ts, units, prefix)
+        for weights in columns(n):
             assert float(weights.min()) >= 0.0
             row_sums += weights.sum(axis=0)
         assert abs(float(row_sums.max()) - CONTRACTION_FACTOR) <= 3e-17
@@ -350,6 +357,18 @@ class TestFiniteDifferenceOracle:
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=100)
         with pytest.raises(OracleError, match="did not reach 1e-12 within 2 sweeps"):
             finite_difference_solve(problem, max_iterations=2)
+
+    def test_shares_no_quadrature_with_the_solver(self, monkeypatch):
+        # the oracle checks the solver's quadrature, so it must not run it
+        def unavailable(*args):
+            raise AssertionError("the oracle called the solver's quadrature")
+
+        problem = BVPProblem(rhs=rhs_sin_plus_one, n=100, tolerance=1e-10)
+        solution = solve_bvp(problem, PicardConfig(tolerance=1e-10, max_iterations=100))
+        monkeypatch.setattr(bvp_module, "_kernel_quadrature", unavailable)
+        monkeypatch.setattr(bvp_module, "_split_simpson_prefix", unavailable)
+        oracle = finite_difference_solve(problem)
+        assert float(np.max(np.abs(solution.values - oracle))) <= 1e-3
 
 
 class TestRhsDisplacementBound:

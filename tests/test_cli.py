@@ -653,9 +653,10 @@ def _run_fresh_python(code):
 
 class TestColdStart:
     """picardkit needs numpy and the standard library alone: importing the
-    package, every CLI mode and the finite-difference oracle load no scipy
-    module. Only the runs that draw samples import numpy.random. The package
-    namespace is lazy, and each mode loads only the modules it runs."""
+    package and every CLI mode load no scipy module, and neither does the
+    tests' finite-difference oracle. Only the runs that draw samples import
+    numpy.random. The package namespace is lazy, and each mode loads only
+    the modules it runs."""
 
     @pytest.mark.parametrize("cfg", [None, "--list-builtins", VERIFY_CFG,
                                      GRID_VERIFY_CFG, SOLVE_CFG, ITERATE_CFG],
@@ -752,13 +753,24 @@ class TestColdStart:
             assert picardkit.solve_bvp is sys.modules["picardkit.bvp"].solve_bvp
             """)
 
-    def test_finite_difference_solve_runs_without_scipy(self):
+    def test_the_star_import_binds_exactly_the_name_table(self):
         _run_fresh_python("""
+            import picardkit
+            namespace = {}
+            exec("from picardkit import *", namespace)
+            del namespace["__builtins__"]
+            assert sorted(namespace) == sorted(picardkit._MODULE_OF), sorted(namespace)
+            """)
+
+    def test_finite_difference_solve_runs_without_scipy(self):
+        _run_fresh_python(f"""
             import sys
             sys.modules["scipy"] = None  # any scipy import now fails
+            sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
             import numpy as np
-            from picardkit import BVPProblem, finite_difference_solve
+            from picardkit import BVPProblem
             from picardkit.builtins import rhs_pi2sin
+            from helpers import finite_difference_solve
             x = finite_difference_solve(BVPProblem(rhs=rhs_pi2sin, n=40))
             assert np.max(np.abs(x - np.sin(np.pi * np.linspace(0.0, 1.0, 41)))) <= 1e-3
             """)
@@ -802,7 +814,7 @@ class TestMainEntry:
     def test_list_builtins(self, capsys):
         assert main(["--list-builtins"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "zeta1(lambda)" in out and "example31_bundle" in out
+        assert "zeta1(lam)" in out and "example31_bundle()" in out
 
     def test_config_required(self, capsys):
         assert main([]) == EXIT_USAGE
