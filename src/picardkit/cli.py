@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import make_dataclass, replace
 from pathlib import Path
@@ -215,7 +216,8 @@ def _run_verify(config: RunConfig, out: Path) -> int:
                             check_simulation_pointwise, check_simulation_sequences,
                             check_triangular_alpha, contraction_check)
     from .report import render_text, write_report_csv
-    from .sampling import mesh_array, random_grid_pairs, seeded_rng, uniform_array
+    from .sampling import (Mesh, SampleStream, mesh_array, random_grid_pairs, seeded_rng,
+                           uniform_array)
     if config.carrier_kind == "grid":  # bvp compiled after numpy.random peaks 0.4 MB higher
         from .bvp import operator_contraction_check
 
@@ -246,8 +248,9 @@ def _run_verify(config: RunConfig, out: Path) -> int:
 
     metric, tol = catalog.resolve("carrier", config.carrier_kind)
     if config.carrier_kind == "interval":
-        pairs = np.concatenate([mesh_array(low, high, config.pair_grid),
-                                uniform_array(rng, config.random_pairs, low, high, 2)])
+        # made a chunk at a time: the pass never holds the pair mesh whole
+        pairs = SampleStream(Mesh(low, high, config.pair_grid),
+                             uniform_array(rng, config.random_pairs, low, high, 2))
         triples = uniform_array(rng, 200, low, high, 3)
     else:
         pairs = random_grid_pairs(rng, max(config.random_pairs, 10), config.bvp_n,
@@ -384,7 +387,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_builtins:
-        print(catalog.catalog_text())
+        try:
+            print(catalog.catalog_text(), flush=True)
+        except BrokenPipeError:
+            # the reader left early (``| head``): what it read stands, and
+            # stdout goes to /dev/null so that the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     if args.config is None:
         parser.print_usage(sys.stderr)

@@ -23,11 +23,16 @@ Pointwise conditions are checked exactly on the supplied samples, up to a
 strictness epsilon. Every sampled verifier, here and in :mod:`.picard`,
 :mod:`.posets` and :mod:`.bvp`, takes its samples as an (N, k) float array
 or as tuples of reals or of grid functions, and runs on one chunked kernel,
-:func:`_block_reports`: each of its checks (:class:`BlockCheck`) gives a
-chunk's failing rows as columns, margins included. A chunk is up to
-:data:`CHUNK` float values per column (16000, so that a float column of a
-chunk stays just under 128 KiB, glibc's default threshold for serving an
-allocation with mmap): 16000 samples of reals, or ``CHUNK // (n + 1)`` grid
+:func:`_block_reports`. The pair and triple verifiers also take a
+:class:`~picardkit.sampling.SampleStream` in place of the array, and make
+its rows a chunk at a time, so a pass over a large pair mesh never holds
+it whole. Each check of the kernel (:class:`BlockCheck`) gives a chunk's
+failing rows as columns, margins included; their inputs are taken from
+the chunk, and the kernel writes each failing row once, straight into the
+check's final columns. A chunk is up to :data:`CHUNK` float values per
+column (16000, so that a float column of a chunk stays just under 128 KiB,
+glibc's default threshold for serving an allocation with mmap): 16000
+samples of reals, or ``CHUNK // (n + 1)`` grid
 functions of n + 1 nodes (at least one), and :func:`evaluate_block`
 evaluates each callable once per chunk: family callables may broadcast
 elementwise over arrays of real samples, and callables that do not are
@@ -61,6 +66,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .metrics import GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, as_grid_function
 from .report import FailingRows, Witness, VerificationReport, make_report
+from .sampling import SampleStream
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
 
@@ -411,10 +417,13 @@ def _reals(samples, width: int, nonnegative: str = "") -> np.ndarray:
 
 def _table(samples) -> tuple[object, object]:
     """The samples to compute on, and the rows witnesses take their inputs
-    from. An (N, k) array of reals is both, as floats. Other samples (an
-    (N, k, n + 1) array, or an object array of grid functions, too) are
-    listed: tuples of reals are computed on as one float array, tuples of
-    grid functions as they are."""
+    from. An (N, k) array of reals is both, as floats, and so is a
+    :class:`~picardkit.sampling.SampleStream`, which makes its rows a chunk
+    at a time. Other samples (an (N, k, n + 1) array, or an object array of
+    grid functions, too) are listed: tuples of reals are computed on as one
+    float array, tuples of grid functions as they are."""
+    if isinstance(samples, SampleStream):
+        return samples, samples
     if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.dtype != object:
         table = np.asarray(samples, dtype=float)
         return table, table
@@ -424,17 +433,19 @@ def _table(samples) -> tuple[object, object]:
     return rows, rows
 
 
-def _blocks(table) -> Iterator[tuple[int, list]]:
-    """(offset, columns) of consecutive chunks of the table, each up to
-    CHUNK float values per column: CHUNK samples of reals (columns are float
-    array views), or CHUNK // (n + 1) grid functions of n + 1 nodes, at least
-    one (columns are stacks, or lists where the functions do not stack), so
-    the images a chunk keeps stay small on either carrier."""
-    length = max(1, CHUNK // np.size(table[0][0])) if len(table) else CHUNK
+def _blocks(table, inputs) -> Iterator[tuple[list, object]]:
+    """(columns, rows) of consecutive chunks of the table, each up
+    to CHUNK float values per column: CHUNK samples of reals (columns are
+    float array views), or CHUNK // (n + 1) grid functions of n + 1 nodes,
+    at least one (columns are stacks, or lists where the functions do not
+    stack), so the images a chunk keeps stay small on either carrier.
+    ``rows`` are the chunk's own rows of ``inputs``."""
+    length = max(1, CHUNK // np.size(table[0][0])) if isinstance(table, list) and table else CHUNK
     for start in range(0, len(table), length):
         block = table[start:start + length]
-        yield start, (list(block.T) if isinstance(block, np.ndarray)
-                      else [_stack(list(column)) for column in zip(*block)])
+        columns = (list(block.T) if isinstance(block, np.ndarray)
+                   else [_stack(list(column)) for column in zip(*block)])
+        yield columns, block if inputs is table else inputs[start:start + length]
 
 
 def _take(column, index: np.ndarray):
@@ -445,11 +456,11 @@ def _take(column, index: np.ndarray):
 
 class BlockCheck(NamedTuple):
     """One check of a chunked pass. ``failing(chunk)`` gives a chunk's
-    failing rows as columns: their indices, left-hand values, bounds and
-    signed margins (one value may stand for every row), then the columns
-    ``detail`` takes after the left-hand value. The checks of a pass that
-    share a report ``name`` are the clauses of one check; ``check`` names
-    the witnesses."""
+    failing rows as columns: their indices in the chunk, left-hand values,
+    bounds and signed margins (one value may stand for every row), then the
+    columns ``detail`` takes after the left-hand value. The checks of a pass
+    that share a report ``name`` are the clauses of one check; ``check``
+    names the witnesses."""
 
     name: str
     check: str
@@ -466,26 +477,69 @@ def _rows(failing: np.ndarray, *columns) -> tuple:
     return (index, *(column[index] if np.ndim(column) else column for column in columns))
 
 
+class _Failing:
+    """One check's failing rows, written chunk by chunk straight into their
+    final columns: the sampled ``inputs`` (an (N, k) float array, or a list
+    of the sampled rows) and the ``values`` its ``failing`` gives. An array
+    column has a row for every sample, and only the pages written become
+    resident; one value that stands for every row of every chunk stays
+    that one value."""
+
+    def __init__(self, size: int):
+        self.size, self.count = size, 0
+        self.inputs, self.values = [], []
+
+    def add(self, rows, index: np.ndarray, *values) -> None:
+        """Write the chunk's failing rows: ``index`` into the chunk's
+        ``rows``, and the values at them."""
+        start, end = self.count, self.count + index.size
+        if start == end:
+            return
+        if not start:  # the first failing rows
+            self.values = [None] * len(values)
+            if isinstance(rows, np.ndarray):
+                self.inputs = np.empty((self.size, rows.shape[1]))
+        for i, value in enumerate(values):
+            kept = self.values[i]
+            if np.ndim(value) == 0 and (kept is None or kept is value):
+                self.values[i] = value
+                continue
+            if kept is None:
+                self.values[i] = np.empty(self.size, np.result_type(value))
+            elif np.ndim(kept) == 0:  # rows before this chunk share the value kept
+                self.values[i] = np.empty(self.size, np.result_type(kept, value))
+                self.values[i][:start] = kept
+            self.values[i][start:end] = value
+        if isinstance(self.inputs, list):
+            self.inputs += _take(rows, index)
+        else:
+            self.inputs[start:end] = rows[index]
+        self.count = end
+
+    def rows(self, check: BlockCheck) -> FailingRows:
+        """The rows written, as the check's :class:`FailingRows`."""
+        lhs, bound, margin, *columns = ([v[:self.count] if np.ndim(v) else v for v in self.values]
+                                        or [np.zeros(0)] * 3)
+        inputs = self.inputs if isinstance(self.inputs, list) else self.inputs[:self.count]
+        return FailingRows(check.check, inputs, lhs, bound, margin, check.detail, columns)
+
+
 def _block_reports(samples, checks: Sequence[BlockCheck],
                    chunk: Callable = lambda columns: columns) -> list[VerificationReport]:
     """The reports of ``checks`` from one pass over the samples, one per
     report name in order: each chunk's columns are wrapped by ``chunk`` once
-    and read by every check."""
+    and read by every check, and each check's failing rows, inputs
+    included, are taken from the chunk, so a stream is never held whole."""
     table, inputs = _table(samples)
-    # per check, the columns of its failing rows, chunk by chunk
-    found = [[] for _ in checks]
-    for start, columns in _blocks(table):
+    found = [_Failing(len(table)) for _ in checks]
+    for columns, rows in _blocks(table, inputs):
         view = chunk(columns)
-        for check, parts in zip(checks, found):
-            index, *values = check.failing(view)
-            parts.append([start + index, *(np.broadcast_to(v, index.shape) for v in values)])
+        for check, into in zip(checks, found):
+            into.add(rows, *check.failing(view))
         del view  # free this chunk's columns before the next chunk computes its own
     clauses: dict[str, list] = {}
-    for check, parts in zip(checks, found):
-        rows, lhs, bound, margin, *columns = (map(np.concatenate, zip(*parts)) if parts
-                                              else [np.zeros(0, np.intp)] * 4)
-        clauses.setdefault(check.name, [check]).append(FailingRows(
-            check.check, _take(inputs, rows), lhs, bound, margin, check.detail, columns))
+    for check, into in zip(checks, found):
+        clauses.setdefault(check.name, [check]).append(into.rows(check))
     # a report of several clauses lists their witnesses, for make_report to sort
     return [make_report(name, parts[0] if len(parts) == 1 else [w for p in parts for w in p],
                         len(table), tolerance=check.tolerance, notes=check.notes)

@@ -93,7 +93,9 @@ class FailingRows(SequenceABC):
     (an (N, k) float array, or a list of the sampled rows) and per row the
     left-hand value ``lhs``, the ``bound`` and the signed ``margin`` (the
     check's own, not always ``lhs - bound``). A witness's detail is
-    ``detail`` of its left-hand value and its entries of ``columns``.
+    ``detail`` of its left-hand value and its entries of ``columns``. A
+    single value of ``bound``, ``margin`` or a column stands for every row,
+    and is stored once.
     It behaves as the list of their witnesses, worst first, under
     ``len``, iteration, indexing, slicing and ``==``, and builds each
     witness the first time a caller reaches it: a slice ``[:k]`` or an index
@@ -108,9 +110,11 @@ class FailingRows(SequenceABC):
                  columns: Sequence[np.ndarray] = ()):
         self.check = check
         self._inputs = inputs
-        self._values = [np.asarray(column, dtype=float) for column in (lhs, bound, margin)]
+        # a bound, margin or detail column may be one value for every row
+        self._values = [np.broadcast_to(np.asarray(column, dtype=float), np.shape(lhs))
+                        for column in (lhs, bound, margin)]
         self._detail = detail
-        self._columns = tuple(columns)
+        self._columns = tuple(np.broadcast_to(column, np.shape(lhs)) for column in columns)
         self._head: list[Witness] = []  # the first witnesses, in order
 
     def __len__(self) -> int:

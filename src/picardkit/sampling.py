@@ -4,13 +4,18 @@ All randomness flows through numpy Generators created by :func:`seeded_rng`;
 the default seed (42) keeps reports reproducible run to run. Mesh samplers
 are deterministic by construction. Samples of reals are (N, k) float
 arrays, built by :func:`mesh_array` and :func:`uniform_array`, which the
-block verifiers take as they are; join sample sets with ``np.concatenate``.
-Grid functions come in pairs from :func:`random_grid_pairs`.
+block verifiers take as they are. A :class:`SampleStream` joins sample sets
+without building the joined table: it makes the rows a verifier's chunk
+asks for, a :class:`Mesh` a block of rows at a time, so a verify pass over
+a large mesh holds one chunk of it, never the whole. Grid functions come in
+pairs from :func:`random_grid_pairs`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DimensionError
 
 DEFAULT_SEED = 42
 
@@ -19,11 +24,56 @@ def seeded_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def mesh_array(low: float, high: float, per_axis: int) -> np.ndarray:
+class Mesh:
     """All pairs from a uniform mesh with ``per_axis`` points per coordinate,
-    endpoints included, as a (per_axis**2, 2) array in row-major order."""
-    axis = np.linspace(low, high, per_axis)
-    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    endpoints included, in row-major order: row k is ``(axis[k // per_axis],
+    axis[k % per_axis])`` of ``axis = linspace(low, high, per_axis)``.
+    ``len`` is the number of rows, and a slice ``[start:stop]`` makes those
+    rows as a new (k, 2) array, so the mesh is never held whole."""
+
+    def __init__(self, low: float, high: float, per_axis: int):
+        self.axis = np.linspace(low, high, per_axis)
+
+    def __len__(self) -> int:
+        return self.axis.size ** 2
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        k = np.arange(*rows.indices(len(self)))
+        return self.axis[np.stack(np.divmod(k, self.axis.size), axis=1)]
+
+
+def mesh_array(low: float, high: float, per_axis: int) -> np.ndarray:
+    """The rows of ``Mesh(low, high, per_axis)`` as one (per_axis**2, 2) array."""
+    return Mesh(low, high, per_axis)[:]
+
+
+class SampleStream:
+    """Samples of reals as one (N, k) table that is never built: the rows of
+    ``parts`` in order, each part a :class:`Mesh` or an (n, k) array of
+    reals, all of one width k. ``len`` is N, and a slice ``[start:stop]``
+    makes those rows as a float array, a view where they lie in one array.
+    The pair and triple verifiers take a stream in place of an (N, k)
+    array and make it one chunk at a time."""
+
+    def __init__(self, *parts):
+        self.parts = [part if isinstance(part, Mesh) else np.asarray(part, dtype=float)
+                      for part in parts]
+        widths = {part[0:0].shape for part in self.parts}
+        if len(widths) != 1 or len(widths.pop()) != 2:
+            raise DimensionError("the parts of a sample stream must be (n, k) "
+                                 "tables of reals of one width k")
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(len(self))
+        blocks = []
+        for part in self.parts:
+            blocks.append(part[max(start, 0):max(stop, 0)])
+            start, stop = start - len(part), stop - len(part)
+        filled = [block for block in blocks if len(block)]
+        return filled[0] if len(filled) == 1 else np.concatenate(blocks)
 
 
 def uniform_array(rng: np.random.Generator, count: int, low: float, high: float,

@@ -634,13 +634,18 @@ def _verify_grid_calls(tmp_path, monkeypatch):
 ITERATE_CFG = "mode = iterate\n[iterate]\nmap = example31\nstart = 1.0\n"
 
 
-def _run_python(args, timeout=120):
-    """Run a new interpreter with ``args`` that imports this picardkit;
-    returns the completed process."""
+def _python_env():
+    """The environment of a new interpreter that imports this picardkit."""
     env = dict(os.environ)
     src = str(Path(picardkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    return env
+
+
+def _run_python(args, timeout=120):
+    """Run a new interpreter with ``args`` that imports this picardkit;
+    returns the completed process."""
+    return subprocess.run([sys.executable, *args], env=_python_env(), capture_output=True,
                           text=True, timeout=timeout)
 
 
@@ -816,6 +821,19 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "zeta1(lam)" in out and "example31_bundle()" in out
 
+    def test_list_builtins_to_a_closed_pipe_ends_without_a_traceback(self):
+        # the reader of stdout is gone before the first write, as when
+        # ``| head`` has read its fill: the listing exits 0, silently
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "picardkit", "--list-builtins"],
+                                  env=_python_env(), stdout=write, stderr=subprocess.PIPE,
+                                  timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+
     def test_config_required(self, capsys):
         assert main([]) == EXIT_USAGE
 
@@ -893,6 +911,27 @@ def test_shipped_bundles_never_fall_back_to_one_sample_at_a_time(tmp_path, monke
     monkeypatch.setattr(framework_module, "evaluate_block", spied)
     assert run(parse_config(cfg), out_dir=tmp_path / "out") == status
     assert len(calls) > 20 and fallbacks == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_verify_memory_does_not_grow_with_a_copy_of_the_pairs(tmp_path):
+    # 4 * 10**6 pairs, about 1.6 * 10**6 of them failing: the pass makes the
+    # mesh a chunk at a time and writes each failing row once. Building the
+    # joined pair table and copying the failing rows peaked at 207 MB.
+    cfg = write_cfg(tmp_path, VERIFY_INTERVAL_CFG.replace("pair_grid = 500", "pair_grid = 2000"))
+    # a process's ru_maxrss starts at the peak of the one it was spawned
+    # from, so the run is spawned from a new interpreter, not from pytest
+    spawn = ("import os, subprocess, sys\n"
+             "child = subprocess.Popen(sys.argv[1:])\n"
+             "_, status, usage = os.wait4(child.pid, 0)\n"
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    done = _run_python(["-c", spawn, sys.executable, "-m", "picardkit", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")])
+    status, peak_kib = map(int, done.stdout.split())
+    assert status == EXIT_CHECK_FAILED, done.stderr
+    rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    assert rows[-1].startswith("contraction,fail,4001000,")
+    assert peak_kib < 140 * 1024
 
 
 _BASE_CFGS = {

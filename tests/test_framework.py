@@ -36,7 +36,8 @@ from picardkit.metrics import rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
                               VerificationReport, Witness, format_inputs,
                               make_report, render_text, report_rows)
-from picardkit.sampling import mesh_array, probe_pair, seeded_rng, uniform_array
+from picardkit.sampling import (Mesh, SampleStream, mesh_array, probe_pair, seeded_rng,
+                               uniform_array)
 
 
 def max_displacement(T, x, y, d):
@@ -495,14 +496,16 @@ CHUNK_SIZES = [0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]
 def chunk_sizes(chunk):
     """The library's chunk size (float values per column) set to the one
     given for the block, counting the chunks it runs: yields the list that
-    gets one entry per chunk."""
+    gets one entry per chunk, the offset of its first row."""
     blocks = framework._blocks
     ran = []
 
-    def counted(table):
-        for offset, columns in blocks(table):
+    def counted(*args):
+        offset = 0
+        for columns, rows in blocks(*args):
             ran.append(offset)
-            yield offset, columns
+            offset += len(rows)
+            yield columns, rows
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(framework, "CHUNK", chunk)
@@ -709,7 +712,7 @@ def test_one_pass_gives_the_standalone_reports(carrier, as_array):
         checks.append(operator_contraction_check())
     with chunk_sizes(SMALL_CHUNK) as ran:
         one_pass = check_pairs(bundle.mapping, bundle.alpha, samples, checks, d)
-        # several chunks: each check's failing rows are concatenated across them
+        # several chunks: each check's failing rows are written across them
         assert len(ran) >= 2
         standalone = [check_alpha_admissible(bundle.mapping, bundle.alpha, samples),
                       verify_contraction(bundle, samples, d, tol=tol)]
@@ -748,6 +751,69 @@ def test_one_pass_maps_each_sample_once(carrier):
         check_alpha_admissible(mapping, bundle.alpha, samples)
     held = sum(bundle.alpha(x, y) >= 1.0 for x, y in samples)
     assert 0 < held < len(samples) and len(seen) == 2 * held
+
+
+# ---------------------------------------------------------------------------
+# A sample stream: the pair mesh and the random pairs made a chunk at a time
+# give the reports of the joined table.
+
+def _stream_and_table(per_axis, count):
+    random = uniform_array(seeded_rng(per_axis + count), count, 0.0, 3.0, 2)
+    return (SampleStream(Mesh(0.0, 3.0, per_axis), random),
+            np.concatenate([mesh_array(0.0, 3.0, per_axis), random]))
+
+
+def _meshgrid_rows(low, high, per_axis):
+    axis = np.linspace(low, high, per_axis)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("per_axis", [0, 1, 3, 7, 40])
+def test_the_mesh_and_a_stream_make_the_rows_of_the_joined_table(per_axis):
+    assert mesh_array(0.0, 3.0, per_axis).tobytes() == _meshgrid_rows(0.0, 3.0, per_axis).tobytes()
+    stream, table = _stream_and_table(per_axis, 5)
+    assert len(stream) == len(table) == per_axis ** 2 + 5
+    # every slice between the ends, the seam and their neighbours
+    ends = sorted({max(k + step, 0) for k in (0, per_axis ** 2, len(table))
+                   for step in (-1, 0, 1)})
+    for start in ends:
+        for stop in ends:
+            assert stream[start:stop].tobytes() == table[start:stop].tobytes()
+    with pytest.raises(DimensionError):
+        SampleStream(Mesh(0.0, 3.0, per_axis), np.zeros((2, 3)))
+
+
+# (points per mesh axis, random pairs): the sample counts of CHUNK_SIZES,
+# seams between the mesh and the random rows inside a chunk, and seams on
+# a chunk boundary (10**2 and 20**2 mesh rows)
+STREAMS = [(0, 0), (1, 0), (0, 1), (9, SMALL_CHUNK - 1 - 81), (10, 0), (10, 1),
+           (7, 30), (20, 37)]
+
+
+@pytest.mark.parametrize("per_axis, count", STREAMS)
+def test_a_streamed_mesh_gives_the_reports_of_the_joined_table(per_axis, count):
+    bundle, *_ = _pair_setup("interval", as_array=True)
+    checks = [alpha_admissible_check(), contraction_check(bundle, SCALAR_EPS)]
+    stream, table = _stream_and_table(per_axis, count)
+    with chunk_sizes(SMALL_CHUNK) as ran:
+        streamed = check_pairs(bundle.mapping, bundle.alpha, stream, checks, scalar_metric)
+        joined = check_pairs(bundle.mapping, bundle.alpha, table, checks, scalar_metric)
+    seam = per_axis ** 2
+    assert ran[:len(ran) // 2] == ran[len(ran) // 2:]
+    assert seam % SMALL_CHUNK or not count or seam in ran
+    assert [_fingerprint_report(rep) for rep in streamed] == \
+        [_fingerprint_report(rep) for rep in joined]
+    assert [rep.samples for rep in streamed] == [len(table)] * 2
+    if len(table) >= SMALL_CHUNK:
+        assert all(rep.witnesses for rep in streamed)
+
+
+def test_a_bound_that_one_value_stands_for_is_stored_once():
+    bundle, pairs, *_ = _pair_setup("interval", as_array=True)
+    report = verify_contraction(bundle, pairs, scalar_metric)
+    bound = report.witnesses._values[1]
+    assert len(report.witnesses) > 100 and bound.strides == (0,)
+    assert {w.bound for w in report.witnesses} == {bundle.g.c_g}
 
 
 # ---------------------------------------------------------------------------
