@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import math
 import os
 import sys
 from dataclasses import make_dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 import numpy as np
 
@@ -372,10 +373,23 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
     except (DomainError, DimensionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:  # the runners' only I/O is writing their artifacts
+        where = out if exc.filename is None else exc.filename
+        print(f"config error: cannot write {where}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, except that a bad command line exits with the usage status:
+    argparse's own 2 is the status of a solve that did not converge."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="picardkit",
         description="Verify contraction hypotheses, run Picard orbits, and "
                     "solve two-point boundary-value problems.")
@@ -411,5 +425,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     return run(config, out_dir=args.out)
 
 
+def entry() -> NoReturn:
+    """The process entry of ``python -m picardkit`` and the ``picardkit``
+    script: ``main`` on ``sys.argv``, then exit with its status. The
+    collector is frozen first, so the collection that interpreter shutdown
+    runs over every object still alive (about 22 000 with numpy, 30 ms) is
+    skipped; the objects die with the process. ``main`` leaves the collector
+    alone for callers that go on running."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

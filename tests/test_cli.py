@@ -3,16 +3,19 @@ modes end to end, exit-status classes, and byte-deterministic artifacts."""
 
 import contextlib
 import csv
+import gc
 import hashlib
 import importlib
 import io
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
 import textwrap
+import tomllib
 import warnings
 from datetime import timedelta
 from pathlib import Path
@@ -989,3 +992,101 @@ def test_edge_value_configs_keep_the_exit_contract(mode, seed, edges):
                       EXIT_VALIDATION), text
     assert "Traceback" not in out.getvalue() + err.getvalue()
     assert [str(w.message) for w in caught] == [], text
+
+
+# ---------------------------------------------------------------------------
+# The process entry: python -m picardkit and the console script freeze the
+# collector before exit; cli.main in-process does not. Skipping the exit
+# collection is safe because every artifact is closed when the run returns.
+
+_MODE_CFGS = {"verify-interval": VERIFY_CFG, "verify-grid": GRID_VERIFY_CFG,
+              "iterate": ITERATE_CFG, "solve-bvp": SOLVE_CFG}
+_DIVERGENT_CFG = "mode = iterate\n[iterate]\nmap = affine:3:0\n[picard]\ndivergence_bound = 1e6\n"
+
+
+def _mode_argv(tmp_path, cfg):
+    return ["--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "out")]
+
+
+def test_console_script_is_the_entry_of_python_m(monkeypatch):
+    pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text())
+    module, name = pyproject["project"]["scripts"]["picardkit"].split(":")
+    target = getattr(importlib.import_module(module), name)
+    assert target is cli_module.entry
+    calls = []
+    monkeypatch.setattr(cli_module, "entry", lambda: calls.append("entry"))
+    runpy.run_module("picardkit", run_name="__main__")
+    assert calls == ["entry"]
+
+
+@pytest.mark.parametrize("cfg, argv, status", [
+    (SOLVE_CFG, [], EXIT_OK),
+    (VERIFY_INTERVAL_CFG, [], EXIT_CHECK_FAILED),
+    (_DIVERGENT_CFG, [], EXIT_NOT_CONVERGED),
+    (SOLVE_CFG, ["--bogus"], EXIT_USAGE),
+    (SOLVE_CFG.replace("n = 100", "n = 3"), [], EXIT_VALIDATION),
+], ids=["ok", "check-failed", "not-converged", "usage", "validation"])
+def test_process_entry_freezes_the_collector_and_keeps_the_status(tmp_path, cfg, argv, status):
+    # what python -m picardkit runs, in a new interpreter
+    argv = ["picardkit", *_mode_argv(tmp_path, cfg), *argv]
+    _run_fresh_python(f"""
+        import gc, runpy, sys
+        sys.argv = {argv!r}
+        assert gc.get_freeze_count() == 0
+        try:
+            runpy.run_module("picardkit", run_name="__main__")
+        except SystemExit as done:
+            assert done.code == {status!r}, done.code
+        assert gc.get_freeze_count() > 0
+        """)
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_CFGS))
+def test_an_in_process_run_closes_its_files_and_leaves_the_collector(tmp_path, monkeypatch,
+                                                                     mode):
+    # a file left for the collector to close warns when it is collected; the
+    # warning, raised as an error in a finalizer, reaches the unraisable hook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    frozen = gc.get_freeze_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(_mode_argv(tmp_path, _MODE_CFGS[mode])) == EXIT_OK
+        gc.collect()
+    assert [repr(u.exc_value) for u in unraisable] == []
+    assert len(list((tmp_path / "out").iterdir())) >= 2
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--seed", "x", "--config", "a"], "argument --seed: invalid int value: 'x'"),
+], ids=["unknown-option", "bad-value"])
+def test_a_bad_command_line_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: picardkit") and err.endswith(f"picardkit: error: {message}\n")
+
+
+def test_help_exits_zero_with_its_text(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: picardkit") and "--list-builtins" in out
+
+
+@pytest.mark.parametrize("mode, artifact", [
+    ("verify-interval", "report.txt"), ("verify-grid", "report.csv"), ("iterate", "trace.csv"),
+    ("iterate", "report.txt"), ("solve-bvp", "solution.csv"), ("solve-bvp", "report.csv"),
+])
+def test_an_artifact_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, mode, artifact):
+    blocker = tmp_path / "out" / artifact
+    blocker.mkdir(parents=True)
+    assert main(_mode_argv(tmp_path, _MODE_CFGS[mode])) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {blocker}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
