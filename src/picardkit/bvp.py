@@ -143,6 +143,8 @@ class BVPProblem:
     _complement: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise DomainError(f"grid size n must be an int, got {self.n!r}")
         if self.n < 2:
             raise DomainError(f"grid size must be at least 2, got {self.n}")
         if self.n % 2 != 0:
@@ -262,9 +264,9 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     applies once, to the stack of the distinct constants of the admitted
     triples.
     """
-    from .framework import BlockCheck, _block_reports, _reals, _rows, evaluate_block
+    from .framework import BlockCheck, _block_reports, _rows, _table, evaluate_block
 
-    table = _reals(triples, 3)
+    table = _table(triples, 3)
     t, a, b = table.T
     outside = np.flatnonzero(~((0.0 <= t) & (t <= 1.0)))
     if outside.size:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import math
 import os
@@ -198,18 +199,10 @@ def _rows_with_caveats(reports: Sequence[VerificationReport],
     from .report import CAVEAT, FAIL
 
     caveats = dict(bundle.caveats)
-    adjusted = []
-    failures = 0
-    for rep in reports:
-        note = caveats.get(rep.name)
-        if rep.status == FAIL and note is not None:
-            adjusted.append(replace(rep, status=CAVEAT,
-                                    notes=rep.notes + (f"declared caveat: {note}",)))
-        else:
-            if rep.status == FAIL:
-                failures += 1
-            adjusted.append(rep)
-    return adjusted, failures
+    adjusted = [replace(rep, status=CAVEAT,
+                        notes=(*rep.notes, f"declared caveat: {caveats[rep.name]}"))
+                if rep.status == FAIL and rep.name in caveats else rep for rep in reports]
+    return adjusted, sum(rep.status == FAIL for rep in adjusted)
 
 
 def _run_verify(config: RunConfig, out: Path) -> int:
@@ -256,9 +249,10 @@ def _run_verify(config: RunConfig, out: Path) -> int:
     else:
         pairs = random_grid_pairs(rng, max(config.random_pairs, 10), config.bvp_n,
                                   low, high)
-        functions = [p[0] for p in pairs] + [p[1] for p in pairs]
-        triples = [(functions[3 * i], functions[3 * i + 1], functions[3 * i + 2])
-                   for i in range(len(functions) // 3)]
+        # the drawn functions in order, x_0, y_0, x_1, ..., three at a time: a
+        # view of the block, as a copy would raise the run's peak memory
+        m = 2 * len(pairs) // 3
+        triples = pairs.reshape(-1, config.bvp_n + 1)[:3 * m].reshape(m, 3, config.bvp_n + 1)
 
     reports = [
         check_simulation_pointwise(bundle.zeta, zeta_samples),
@@ -289,13 +283,9 @@ def write_trace_csv(path: str | Path, trace: IterationTrace) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration_index", "gap", "ratio", "residual"])
         writer.writerow([0, "", "", ""])
-        for i in range(1, len(trace.gaps) + 1):
-            gap = repr(float(trace.gaps[i - 1]))
-            ratio = ""
-            if i >= 2 and trace.ratios[i - 2] is not None:
-                ratio = repr(float(trace.ratios[i - 2]))
-            residual = repr(float(trace.residual)) if i == len(trace.gaps) else ""
-            writer.writerow([i, gap, ratio, residual])
+        for i, (gap, ratio) in enumerate(zip(trace.gaps, [None, *trace.ratios]), start=1):
+            writer.writerow([i, repr(float(gap)), "" if ratio is None else repr(float(ratio)),
+                             repr(float(trace.residual)) if i == len(trace.gaps) else ""])
 
 
 def _picard_config(config: RunConfig) -> PicardConfig:
@@ -354,29 +344,56 @@ def _run_solve(config: RunConfig, out: Path) -> int:
     ], [("second-difference-residual", repr(float(solution.residual)))])
 
 
+_RUNNERS = {"verify": _run_verify, "iterate": _run_iterate, "solve-bvp": _run_solve}
+
+
+def _size_fields(config: RunConfig) -> str:
+    """The size fields the run reads, as ``[section] key = value``."""
+    read = {"verify": ("random_pairs", "bvp_n" if config.carrier_kind == "grid" else "pair_grid"),
+            "solve-bvp": ("bvp_n",)}.get(config.mode, ())
+    return ", ".join(f"[{section}] {key} = {getattr(config, attr)}"
+                     for section, key, attr, *_ in _FIELDS if attr in read)
+
+
 def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
-    """Execute one configured run; returns the process exit status."""
+    """Execute one configured run; returns the process exit status. The run
+    writes its artifacts into a new directory inside the output directory,
+    and they are renamed into place once the last write has succeeded, so a
+    run that fails leaves the output directory as the last run that
+    succeeded left it."""
     out = Path(out_dir if out_dir is not None else config.out)
+    staging = out / f".partial-{os.getpid()}"
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        staging.mkdir(parents=True)
     except OSError as exc:
         print(f"config error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if config.mode == "verify":
-            return _run_verify(config, out)
-        if config.mode == "iterate":
-            return _run_iterate(config, out)
-        if config.mode == "solve-bvp":
-            return _run_solve(config, out)
-        raise DomainError(f"unknown mode {config.mode!r}")
+        if config.mode not in _RUNNERS:
+            raise DomainError(f"unknown mode {config.mode!r}")
+        status = _RUNNERS[config.mode](config, staging)
+        written = sorted(path.name for path in staging.iterdir())
+        for name in written:  # the one target a rename cannot replace, refused before any rename
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+        for name in written:
+            (staging / name).replace(out / name)
+        return status
     except (DomainError, DimensionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"validation error: too large to allocate at {_size_fields(config)}: {exc}",
+              file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # the runners' only I/O is writing their artifacts
         where = out if exc.filename is None else exc.filename
         print(f"config error: cannot write {where}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        for path in staging.iterdir():
+            path.unlink()
+        staging.rmdir()
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -21,32 +21,35 @@ The family members carry their own side conditions:
 
 Pointwise conditions are checked exactly on the supplied samples, up to a
 strictness epsilon. Every sampled verifier, here and in :mod:`.picard`,
-:mod:`.posets` and :mod:`.bvp`, takes its samples as an (N, k) float array
-or as tuples of reals or of grid functions, and runs on one chunked kernel,
-:func:`_block_reports`. The pair and triple verifiers also take a
-:class:`~picardkit.sampling.SampleStream` in place of the array, and make
-its rows a chunk at a time, so a pass over a large pair mesh never holds
-it whole. Each check of the kernel (:class:`BlockCheck`) gives a chunk's
-failing rows as columns, margins included; their inputs are taken from
-the chunk, and the kernel writes each failing row once, straight into the
-check's final columns. A chunk is up to :data:`CHUNK` float values per
-column (16000, so that a float column of a chunk stays just under 128 KiB,
-glibc's default threshold for serving an allocation with mmap): 16000
-samples of reals, or ``CHUNK // (n + 1)`` grid
-functions of n + 1 nodes (at least one), and :func:`evaluate_block`
-evaluates each callable once per chunk: family callables may broadcast
-elementwise over arrays of real samples, and callables that do not are
-evaluated per sample, with the same results. A chunk of grid functions is
-one (k, n + 1) stack per coordinate, which only callables tagged
-:func:`~picardkit.metrics.rowwise` get whole. The pair hypotheses share one
-pass, :func:`check_pairs`, so the mapping applies at most once per sampled
-point. The failing rows of a check of one clause stay
-columns (:class:`picardkit.report.FailingRows`) and build a witness only
-when a caller reaches it; a report gives its witnesses worst first, the most
-negative margin first. Only the limit-style conditions loop, over a few
-probes: :func:`check_simulation_sequences` and the limit probes of
-:func:`check_geraghty`, with one :meth:`Family.values` call per probe, and
-:func:`picardkit.bvp.check_gate_limit`.
+:mod:`.posets` and :mod:`.bvp`, takes its samples through one gate,
+:func:`_table`, and runs on one chunked kernel, :func:`_block_reports`. The
+gate gives one of three tables: an (N, k) float array of reals, an
+(N, k, n + 1) float array of grid functions (k functions of n + 1 nodes
+per row), or a :class:`~picardkit.sampling.SampleStream` of reals, which
+makes its rows a chunk at a time, so a pass over a large pair mesh never
+holds it whole. Rows given as tuples are stacked once, at the gate; a bad
+shape raises :class:`DimensionError`, and a value that is not a real
+raises :class:`DomainError`. Each check of the kernel (:class:`BlockCheck`)
+gives a chunk's failing rows as columns, margins included; their inputs
+are taken from the chunk, and the kernel writes each failing row once,
+straight into the check's final columns. A chunk is up to :data:`CHUNK`
+float values per column (16000, so that a float column of a chunk stays
+just under 128 KiB, glibc's default threshold for serving an allocation
+with mmap): 16000 samples of reals, or ``CHUNK // (n + 1)`` grid functions
+of n + 1 nodes (at least one). A column of a chunk is a view of the table:
+a 1-d array of reals, or a (k, n + 1) stack of grid functions, which only
+callables tagged :func:`~picardkit.metrics.rowwise` get whole.
+:func:`evaluate_block` evaluates each callable once per chunk: family
+callables may broadcast elementwise over arrays of real samples, and
+callables that do not are evaluated per sample, with the same results.
+The pair hypotheses share one pass, :func:`check_pairs`, so the mapping
+applies at most once per sampled point. The failing rows of a check of one
+clause stay columns (:class:`picardkit.report.FailingRows`) and build a
+witness only when a caller reaches it; a report gives its witnesses worst
+first, the most negative margin first. Only the limit-style conditions
+loop, over a few probes: :func:`check_simulation_sequences` and the limit
+probes of :func:`check_geraghty`, with one :meth:`Family.values` call per
+probe, and :func:`picardkit.bvp.check_gate_limit`.
 They are *falsification* checks: a pass means "no counterexample found on
 the supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
@@ -57,6 +60,7 @@ checked concurrently, and the reports merged with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -77,15 +81,6 @@ MIN_TAIL = 25  # minimum tail length for limsup estimates
 CHUNK = 16000
 
 
-def _stack(functions: list):
-    """The grid functions as one (k, n + 1) float stack, one per row, when
-    they are 1-d float arrays of one length; else the list itself."""
-    if functions and all(isinstance(f, np.ndarray) and f.ndim == 1 and f.dtype == float
-                         and f.shape == functions[0].shape for f in functions):
-        return np.stack(functions)
-    return functions
-
-
 def _one_function(row: tuple) -> tuple:
     """A row's arguments for one call of a row-wise callable, which would
     read a 2-d one as a stack: that is rejected as a grid function."""
@@ -96,50 +91,45 @@ def _one_function(row: tuple) -> tuple:
 
 
 def evaluate_block(fn: Callable, scalar: Callable, *columns,
-                   valid: Callable[[np.ndarray], np.ndarray] = np.isfinite):
-    """Values of ``scalar`` at every row of the aligned ``columns``.
+                   valid: Callable[[np.ndarray], np.ndarray] = np.isfinite) -> np.ndarray:
+    """Values of ``scalar`` at every row of the aligned ``columns`` (1-d
+    arrays of reals, or (k, n + 1) stacks of grid functions), as one float
+    array; columns of different lengths raise :class:`DimensionError`.
 
-    Columns of different lengths raise :class:`DimensionError`. Columns of
-    reals are 1-d arrays. When each has more than one entry, ``fn`` is first
-    called once on read-only views of the whole columns. If it returns an
-    array of their shape whose entries all pass ``valid``, that array is the
-    result: ``fn`` broadcasts elementwise. Otherwise (``fn`` is written for
-    single samples, aggregates its argument, writes into it, or gives an
-    invalid entry) ``scalar`` is called once per row, in order, on Python
-    floats, which reproduces the per-sample values and errors exactly; the
-    result is a float array.
-
-    Columns of grid functions are (k, n + 1) stacks or lists. When every
-    column is a non-empty stack and ``fn`` is tagged
-    :func:`~picardkit.metrics.rowwise`, it is called once on read-only views
-    of the stacks, and a result of shape (k,) or (k, n + 1) whose entries
-    all pass ``valid`` is taken. Otherwise ``scalar`` is called once per
-    function, on the rows; the values come back as a stack when they are
-    grid functions of one length, else as a list.
+    ``fn`` is first called once on read-only views of the whole columns
+    when each column of reals has more than one entry, or when the stacks
+    are not empty and ``fn`` is tagged :func:`~picardkit.metrics.rowwise`.
+    A result of the columns' shape (or of shape (k,)) whose entries all pass
+    ``valid`` is taken. Otherwise (``fn`` is written for single samples,
+    aggregates or writes its argument, or gives an invalid entry)
+    ``scalar`` is called once per row, in order, on Python floats or on one
+    grid function of each stack, which reproduces the per-sample values and
+    errors exactly; values that do not stack raise :class:`DimensionError`.
     """
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
         raise DimensionError(f"columns of lengths {', '.join(map(str, lengths))} do not align")
     row_wise = getattr(fn, "rowwise", False)
-    if all(isinstance(column, np.ndarray) for column in columns):
-        stacked = columns[0].ndim > 1
-        if (row_wise or not stacked) and len(columns[0]) > (0 if stacked else 1):
-            shapes = (columns[0].shape, columns[0].shape[:1])  # the same for reals
-            views = [column.view() for column in columns]
-            for view in views:
-                view.flags.writeable = False
-            try:
-                with np.errstate(all="ignore"):
-                    out = fn(*views)
-                    if (isinstance(out, np.ndarray) and out.shape in shapes
-                            and np.all(valid(out))):
-                        return out.astype(float, copy=False)
-            except Exception:  # a callable written for single samples or functions
-                pass
-        if not stacked:
-            return np.array([scalar(*row) for row in zip(*(c.tolist() for c in columns))],
-                            dtype=float)
-    return _stack([scalar(*_one_function(row) if row_wise else row) for row in zip(*columns)])
+    stacked = columns[0].ndim > 1
+    if (row_wise or not stacked) and lengths[0] > (0 if stacked else 1):
+        shapes = (columns[0].shape, columns[0].shape[:1])  # the same for reals
+        views = [column.view() for column in columns]
+        for view in views:
+            view.flags.writeable = False
+        try:
+            with np.errstate(all="ignore"):
+                out = fn(*views)
+                if isinstance(out, np.ndarray) and out.shape in shapes and np.all(valid(out)):
+                    return out.astype(float, copy=False)
+        except Exception:  # a callable written for single samples or functions
+            pass
+    rows = zip(*(column.tolist() if column.ndim == 1 else column for column in columns))
+    values = [scalar(*_one_function(row) if row_wise else row) for row in rows]
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError("the per-sample values do not stack into one array of "
+                             "reals or of grid functions on one grid") from exc
 
 
 @dataclass(frozen=True)
@@ -160,7 +150,11 @@ class Family:
         return np.isfinite(values) & (values >= self.low)
 
     def __call__(self, *args) -> float:
-        value = float(self.fn(*args))
+        value = self.fn(*args)
+        if np.ndim(value):  # the member met grid functions it takes for reals, say
+            raise DimensionError(f"{self.name} gives a value of shape {np.shape(value)}, "
+                                 f"not one real")
+        value = float(value)
         if not (math.isfinite(value) and value >= self.low):
             raise DomainError(f"{self.name}({', '.join(map(str, args))}) = {value!r} "
                               f"is not {self.rule}")
@@ -168,8 +162,7 @@ class Family:
 
     def values(self, *columns) -> np.ndarray:
         """The member at every row of the aligned sample ``columns``."""
-        return np.asarray(evaluate_block(self.fn, self, *columns, valid=self.valid),
-                          dtype=float)
+        return evaluate_block(self.fn, self, *columns, valid=self.valid)
 
 
 class GeraghtyBeta(Family):
@@ -260,7 +253,7 @@ def check_simulation_pointwise(zeta: SimulationFunction,
     are skipped. A useful sample set contains (0, 0) and a spread of
     strictly positive pairs.
     """
-    table = _reals(samples, 2, "simulation-function")
+    table = _table(samples, 2, "simulation-function")
     t, s = table.T
     # adding 0.0 turns a -0.0 coordinate into the origin's 0.0
     table = table[((t == 0.0) & (s == 0.0)) | ((t > 0.0) & (s > 0.0))] + 0.0
@@ -285,8 +278,7 @@ def check_simulation_sequences(zeta: SimulationFunction,
     pairs = list(sequence_pairs)
     witnesses: list[Witness] = []
     for index, (t_seq, s_seq) in enumerate(pairs):
-        tn = np.asarray(t_seq, dtype=float)
-        sn = np.asarray(s_seq, dtype=float)
+        tn, sn = (_table(seq, 1)[:, 0] for seq in (t_seq, s_seq))
         if tn.size == 0 or tn.size != sn.size:
             raise DomainError(f"probe pair {index} must be two non-empty sequences of equal length")
         if not (np.all(np.isfinite(tn)) and np.all(np.isfinite(sn))):
@@ -324,7 +316,7 @@ def check_cclass(g: CClassFunction, samples: Iterable[tuple[float, float]] | np.
     covers s = 0, t = 0, and the open quadrant.
     """
     c = float(g.c_g)
-    return _clauses("cclass", g, _reals(samples, 2, "C-class"), tol, [
+    return _clauses("cclass", g, _table(samples, 2, "C-class"), tol, [
         ("cclass/upper", lambda s, t, v: (s - v < -tol, s, s - v),
          lambda v, s, t: f"G({s!r}, {t!r}) = {v!r} exceeds s"),
         ("cclass/degenerate",
@@ -347,7 +339,7 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
     (tail values within ``limit_tol`` of 1) along a probe whose arguments
     stay at least ``separation`` away from 0.
     """
-    ranged = _clauses("geraghty", beta, _reals(samples, 1, "beta"), tol, [(
+    ranged = _clauses("geraghty", beta, _table(samples, 1, "beta"), tol, [(
         "geraghty/range",
         lambda t, b: ((b < -tol) | ~(1.0 - b > tol), np.where(b < -tol, 0.0, 1.0),
                       np.where(b < -tol, b, 1.0 - b)),
@@ -356,7 +348,7 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
     witnesses: list[Witness] = []
     probes = list(probe_sequences)
     for index, seq in enumerate(probes):
-        arr = np.asarray(seq, dtype=float)
+        arr = _table(seq, 1)[:, 0]
         if arr.size == 0 or not np.all(np.isfinite(arr)) or float(arr.min()) < 0.0:
             raise DomainError(f"beta probe {index} must be non-empty, finite and nonnegative")
         k = _tail(arr.size, min_tail)
@@ -377,37 +369,29 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
                        tolerance=tol, notes=notes)
 
 
-def _non_real(rows) -> list:
-    """The first entry of the rows (reals or sequences of them) that is no
-    real and no sequence, as a one-item list; an empty list if there is none."""
-    sequence = (list, tuple, np.ndarray)
-    for row in rows:
-        for value in row if isinstance(row, sequence) else (row,):
-            try:
-                if not isinstance(value, sequence):
-                    np.asarray(value, dtype=float)
-            except (TypeError, ValueError):
-                return [value]
-    return []
-
-
-def _reals(samples, width: int, nonnegative: str = "") -> np.ndarray:
-    """Samples of reals as an (N, width) float array, converted in one call.
-    An entry that is not a real raises :class:`DomainError` naming it;
-    otherwise ragged rows, or rows of another width, raise
-    :class:`DimensionError`. With ``nonnegative`` (what they sample), the
-    first sample with a negative coordinate raises :class:`DomainError`."""
-    rows = samples if isinstance(samples, np.ndarray) else list(samples)
-    try:
-        table = np.asarray(rows, dtype=float)
-        table = table.reshape(len(table), width)
-    except (TypeError, ValueError) as exc:
-        bad = _non_real(rows)
-        if bad:
-            raise DomainError(f"{nonnegative or 'the'} samples must be reals, "
-                              f"got {bad[0]!r}") from exc
-        raise DimensionError(f"{nonnegative or 'the'} samples must be rows of "
-                             f"{width} real{'s' if width > 1 else ''}") from exc
+def _table(samples, width: int, nonnegative: str = "", grids: bool = False):
+    """The samples as the kernel's table: an (N, width) float array of
+    reals, with ``grids`` also an (N, width, n + 1) one of grid functions,
+    or a :class:`~picardkit.sampling.SampleStream` of that width. Rows given
+    as tuples are stacked here, once, and a list of reals is a table of
+    width 1. A value that is not a real raises :class:`DomainError`, and any
+    other shape :class:`DimensionError`. With ``nonnegative`` (what they
+    sample), a sample with a negative coordinate raises :class:`DomainError`."""
+    what = nonnegative or "the"
+    wanted = (f"{what} samples must be rows of {width} real{'s' if width > 1 else ''}"
+              + (f" or of {width} grid functions on one grid" if grids else ""))
+    if not np.iterable(samples):
+        raise DimensionError(wanted)
+    table = samples
+    if not isinstance(samples, SampleStream):
+        table = _stacked(samples if isinstance(samples, np.ndarray) else list(samples),
+                         what, grids, wanted)
+        if table.ndim == 1 and (width == 1 or not table.size):  # reals, or no rows
+            table = table.reshape(-1, width)
+    shape = table[:0].shape
+    if not (shape[1:] == (width,)
+            or grids and len(shape) == 3 and shape[1] == width and shape[2] >= 2):
+        raise DimensionError(wanted)
     if nonnegative and np.any(table < 0.0):
         row = table[np.any(table < 0.0, axis=1)][0].tolist()
         raise DomainError(f"{nonnegative} samples must be nonnegative, "
@@ -415,43 +399,39 @@ def _reals(samples, width: int, nonnegative: str = "") -> np.ndarray:
     return table
 
 
-def _table(samples) -> tuple[object, object]:
-    """The samples to compute on, and the rows witnesses take their inputs
-    from. An (N, k) array of reals is both, as floats, and so is a
-    :class:`~picardkit.sampling.SampleStream`, which makes its rows a chunk
-    at a time. Other samples (an (N, k, n + 1) array, or an object array of
-    grid functions, too) are listed: tuples of reals are computed on as one
-    float array, tuples of grid functions as they are."""
-    if isinstance(samples, SampleStream):
-        return samples, samples
-    if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.dtype != object:
-        table = np.asarray(samples, dtype=float)
-        return table, table
-    rows = list(samples)
-    if rows and np.ndim(rows[0][0]) == 0:
-        return np.array(rows, dtype=float), rows
-    return rows, rows
+def _stacked(rows, what: str, grids: bool, wanted: str) -> np.ndarray:
+    """The rows of :func:`_table` as one float array, or the error that
+    names the first value that is not a real, else (with ``grids``) the
+    first grid function that is none or differs in node count from the
+    first."""
+    try:
+        table = np.asarray(rows)
+        if table.dtype.kind != "c":
+            return table.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    sequence = (list, tuple, np.ndarray)
+    values = [value for row in rows for value in (row if isinstance(row, sequence) else (row,))]
+    bad = [value for value in values if not isinstance(value, (*sequence, numbers.Real))]
+    if bad:
+        raise DomainError(f"{what} samples must be reals, got {bad[0]!r}")
+    nodes = [as_grid_function(value).size for value in values
+             if grids and isinstance(value, sequence)]
+    differ = [size for size in nodes if size != nodes[0]]
+    raise DimensionError(f"grid sizes differ: {nodes[0]} vs {differ[0]} nodes" if differ
+                         else wanted)
 
 
-def _blocks(table, inputs) -> Iterator[tuple[list, object]]:
-    """(columns, rows) of consecutive chunks of the table, each up
-    to CHUNK float values per column: CHUNK samples of reals (columns are
-    float array views), or CHUNK // (n + 1) grid functions of n + 1 nodes,
-    at least one (columns are stacks, or lists where the functions do not
-    stack), so the images a chunk keeps stay small on either carrier.
-    ``rows`` are the chunk's own rows of ``inputs``."""
-    length = max(1, CHUNK // np.size(table[0][0])) if isinstance(table, list) and table else CHUNK
+def _blocks(table) -> Iterator[tuple[list, object]]:
+    """(columns, rows) of consecutive chunks of the table, each up to CHUNK
+    float values per column: CHUNK samples of reals, or CHUNK // (n + 1)
+    grid functions of n + 1 nodes, at least one, so the images a chunk keeps
+    stay small on either carrier. ``rows`` is the chunk of the table, and
+    its columns are views of it: 1-d arrays of reals, or (k, n + 1) stacks."""
+    length = max(1, CHUNK // math.prod(table[:0].shape[2:]))
     for start in range(0, len(table), length):
-        block = table[start:start + length]
-        columns = (list(block.T) if isinstance(block, np.ndarray)
-                   else [_stack(list(column)) for column in zip(*block)])
-        yield columns, block if inputs is table else inputs[start:start + length]
-
-
-def _take(column, index: np.ndarray):
-    if isinstance(column, np.ndarray):
-        return column[index]
-    return [column[i] for i in index.tolist()]
+        rows = table[start:start + length]
+        yield list(np.moveaxis(rows, 1, 0)), rows
 
 
 class BlockCheck(NamedTuple):
@@ -479,17 +459,16 @@ def _rows(failing: np.ndarray, *columns) -> tuple:
 
 class _Failing:
     """One check's failing rows, written chunk by chunk straight into their
-    final columns: the sampled ``inputs`` (an (N, k) float array, or a list
-    of the sampled rows) and the ``values`` its ``failing`` gives. An array
-    column has a row for every sample, and only the pages written become
-    resident; one value that stands for every row of every chunk stays
-    that one value."""
+    final columns: the sampled ``inputs`` (rows of the table, in its dtype)
+    and the ``values`` its ``failing`` gives. A column has a row for every sample,
+    and only the pages written become resident; one value that stands for
+    every row of every chunk stays that one value."""
 
     def __init__(self, size: int):
         self.size, self.count = size, 0
-        self.inputs, self.values = [], []
+        self.inputs, self.values = np.empty(0), []
 
-    def add(self, rows, index: np.ndarray, *values) -> None:
+    def add(self, rows: np.ndarray, index: np.ndarray, *values) -> None:
         """Write the chunk's failing rows: ``index`` into the chunk's
         ``rows``, and the values at them."""
         start, end = self.count, self.count + index.size
@@ -497,8 +476,7 @@ class _Failing:
             return
         if not start:  # the first failing rows
             self.values = [None] * len(values)
-            if isinstance(rows, np.ndarray):
-                self.inputs = np.empty((self.size, rows.shape[1]))
+            self.inputs = np.empty((self.size, *rows.shape[1:]), rows.dtype)
         for i, value in enumerate(values):
             kept = self.values[i]
             if np.ndim(value) == 0 and (kept is None or kept is value):
@@ -510,29 +488,26 @@ class _Failing:
                 self.values[i] = np.empty(self.size, np.result_type(kept, value))
                 self.values[i][:start] = kept
             self.values[i][start:end] = value
-        if isinstance(self.inputs, list):
-            self.inputs += _take(rows, index)
-        else:
-            self.inputs[start:end] = rows[index]
+        self.inputs[start:end] = rows[index]
         self.count = end
 
     def rows(self, check: BlockCheck) -> FailingRows:
         """The rows written, as the check's :class:`FailingRows`."""
         lhs, bound, margin, *columns = ([v[:self.count] if np.ndim(v) else v for v in self.values]
                                         or [np.zeros(0)] * 3)
-        inputs = self.inputs if isinstance(self.inputs, list) else self.inputs[:self.count]
-        return FailingRows(check.check, inputs, lhs, bound, margin, check.detail, columns)
+        return FailingRows(check.check, self.inputs[:self.count], lhs, bound, margin,
+                           check.detail, columns)
 
 
-def _block_reports(samples, checks: Sequence[BlockCheck],
+def _block_reports(table, checks: Sequence[BlockCheck],
                    chunk: Callable = lambda columns: columns) -> list[VerificationReport]:
-    """The reports of ``checks`` from one pass over the samples, one per
-    report name in order: each chunk's columns are wrapped by ``chunk`` once
-    and read by every check, and each check's failing rows, inputs
-    included, are taken from the chunk, so a stream is never held whole."""
-    table, inputs = _table(samples)
+    """The reports of ``checks`` from one pass over a table of
+    :func:`_table`, one per report name in order: each chunk's columns are
+    wrapped by ``chunk`` once and read by every check, and each check's
+    failing rows, inputs included, are taken from the chunk, so a stream is
+    never held whole."""
     found = [_Failing(len(table)) for _ in checks]
-    for columns, rows in _blocks(table, inputs):
+    for columns, rows in _blocks(table):
         view = chunk(columns)
         for check, into in zip(checks, found):
             into.add(rows, *check.failing(view))
@@ -546,10 +521,6 @@ def _block_reports(samples, checks: Sequence[BlockCheck],
             for name, (check, *parts) in clauses.items()]
 
 
-def _distances(d: Metric, first, second) -> np.ndarray:
-    return np.asarray(evaluate_block(d, d, first, second), dtype=float)
-
-
 def _pair_columns(T: PointMap, alpha: Optional[AlphaFunction], d: Optional[Metric],
                   xs, ys) -> SimpleNamespace:
     """The columns pair checks read, computed once per chunk: the ``weights``
@@ -559,14 +530,15 @@ def _pair_columns(T: PointMap, alpha: Optional[AlphaFunction], d: Optional[Metri
     chunk = SimpleNamespace(alpha=alpha,
                             weights=None if alpha is None else alpha.values(xs, ys))
     if d is None:
-        chunk.images_at = lambda index: [evaluate_block(T, T, _take(column, index))
+        chunk.images_at = lambda index: [evaluate_block(T, T, column[index])
                                          for column in (xs, ys)]
         return chunk
     tx, ty = images = [evaluate_block(T, T, column) for column in (xs, ys)]
-    chunk.images_at = lambda index: [_take(column, index) for column in images]
-    chunk.gauge = np.maximum(np.maximum(_distances(d, xs, ys), _distances(d, xs, tx)),
-                             _distances(d, ys, ty))
-    chunk.gap = _distances(d, tx, ty)
+    chunk.images_at = lambda index: [column[index] for column in images]
+    chunk.gauge = np.maximum(np.maximum(evaluate_block(d, d, xs, ys),
+                                        evaluate_block(d, d, xs, tx)),
+                             evaluate_block(d, d, ys, ty))
+    chunk.gap = evaluate_block(d, d, tx, ty)
     return chunk
 
 
@@ -609,7 +581,8 @@ def check_pairs(T: PointMap, alpha: Optional[AlphaFunction],
     ``T``, the weight ``alpha`` (None if no check reads it) and the metric
     ``d``. The checks share each chunk's columns (:func:`_pair_columns`), so
     T applies at most once per sampled point."""
-    return _block_reports(pairs, checks, lambda columns: _pair_columns(T, alpha, d, *columns))
+    return _block_reports(_table(pairs, 2, grids=True), checks,
+                          lambda columns: _pair_columns(T, alpha, d, *columns))
 
 
 def check_alpha_admissible(T: PointMap, alpha: AlphaFunction,
@@ -627,8 +600,8 @@ def _chained(alpha: AlphaFunction, tol: float) -> Callable:
     def failing(columns):
         xs, zs, ys = columns
         first = np.flatnonzero(alpha.values(xs, zs) >= 1.0 - tol)
-        both = first[alpha.values(_take(zs, first), _take(ys, first)) >= 1.0 - tol]
-        value = alpha.values(_take(xs, both), _take(ys, both))
+        both = first[alpha.values(zs[first], ys[first]) >= 1.0 - tol]
+        value = alpha.values(xs[both], ys[both])
         broken = value < 1.0 - tol
         return both[broken], value[broken], 1.0, value[broken] - 1.0
 
@@ -640,7 +613,7 @@ def check_triangular_alpha(alpha: AlphaFunction,
                            tol: float = SCALAR_EPS) -> VerificationReport:
     """``alpha(x, z) >= 1`` and ``alpha(z, y) >= 1`` must force
     ``alpha(x, y) >= 1`` on every sampled triple (x, z, y)."""
-    return _block_reports(triples, [BlockCheck(
+    return _block_reports(_table(triples, 3, grids=True), [BlockCheck(
         "alpha-triangular", "alpha/triangular", _chained(alpha, tol),
         lambda v: f"alpha chains through z but alpha(x, y) = {v!r}", tolerance=tol)])[0]
 

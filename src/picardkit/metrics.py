@@ -18,7 +18,6 @@ library's point of view; concurrent use on shared inputs is safe.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
@@ -55,7 +54,10 @@ def rowwise(fn: Callable) -> Callable:
 def as_grid_function(values: Iterable[float], stack: bool = False) -> np.ndarray:
     """Validate ``values`` as a grid function (or, with ``stack``, also as a
     stack of them) and return it as a float array."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("a grid function's node values must be reals") from exc
     if arr.ndim not in ((1, 2) if stack else (1,)) or arr.shape[-1] < 2:
         raise DimensionError(
             f"a grid function is a 1-d array with at least 2 nodes, got shape {arr.shape}"
@@ -68,17 +70,12 @@ def as_grid_function(values: Iterable[float], stack: bool = False) -> np.ndarray
 def scalar_metric(x: Point, y: Point) -> Point:
     """Absolute difference ``|x - y|`` between two finite reals; elementwise
     on arrays of reals."""
-    if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
-            raise DomainError("scalar_metric needs finite inputs")
-        return np.abs(xa - ya)
-    x = float(x)
-    y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"scalar_metric needs finite inputs, got ({x}, {y})")
-    return abs(x - y)
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+        raise DomainError("scalar_metric needs finite inputs")
+    gap = np.abs(xa - ya)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def grid_pair(x: Point, y: Point) -> tuple[np.ndarray, np.ndarray]:

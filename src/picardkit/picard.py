@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
@@ -41,6 +40,8 @@ class PicardConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
+        if not isinstance(self.max_iterations, (int, np.integer)):
+            raise DomainError(f"max_iterations must be an int, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise DomainError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if not (math.isfinite(self.divergence_bound) and self.divergence_bound > 0.0):
@@ -141,7 +142,7 @@ def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta,
     """Each defined ratio ``gaps[i+1] / gaps[i]`` must stay below
     ``beta(gaps[i]) + tol``, the per-step gain a Geraghty-type contraction
     predicts for its own orbit."""
-    from .framework import BlockCheck, _block_reports, _rows
+    from .framework import BlockCheck, _block_reports, _rows, _table
 
     ratios = np.array(trace.ratios, dtype=float)  # an omitted ratio reads nan
     steps = np.flatnonzero(np.not_equal(np.array(trace.ratios, dtype=object), None)).tolist()
@@ -152,7 +153,8 @@ def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta,
         bound = beta.values(columns[1])
         return _rows(ratio > bound + tol, ratio, bound, bound - ratio, bound, step)
 
-    return _block_reports(list(zip(steps, map(trace.gaps.__getitem__, steps))), [BlockCheck(
+    table = _table(list(zip(steps, map(trace.gaps.__getitem__, steps))), 2)
+    return _block_reports(table, [BlockCheck(
         "ratio-bound", "picard/ratio", failing,
         lambda ratio, bound, step: f"gap ratio {ratio!r} exceeds beta(gap) = {bound!r} "
                                    f"at step {step}", tolerance=tol)])[0]
@@ -170,7 +172,7 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
     candidate limit as the last orbit entry by choosing ``n_max``
     accordingly.
     """
-    from .framework import BlockCheck, _block_reports, _rows, _stack, _take
+    from .framework import BlockCheck, _block_reports, _rows, _table
 
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
@@ -185,14 +187,15 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
             name="alpha-orbit", status=HYPOTHESIS_UNMET, witnesses=[], samples=0,
             tolerance=tol,
             notes=(f"hypothesis unmet: alpha(x0, T(x0)) = {start_value!r} < 1",))
-    points = np.array(orbit, dtype=float) if np.ndim(x0) == 0 else _stack(orbit)
+    points = _table([(x,) for x in orbit], 1, grids=True)[:, 0]
 
     def failing(columns):
-        n, m = (column.astype(np.intp) for column in columns)
-        value = alpha.values(_take(points, n), _take(points, m))
+        n, m = columns
+        value = alpha.values(points[n], points[m])
         return _rows(value < 1.0 - tol, value, 1.0, value - 1.0, n, m)
 
-    return _block_reports(list(combinations(range(len(orbit)), 2)), [BlockCheck(
+    # the index pairs in the order of combinations(range(len(orbit)), 2), as ints
+    return _block_reports(np.column_stack(np.triu_indices(len(orbit), 1)), [BlockCheck(
         "alpha-orbit", "alpha/orbit", failing,
         lambda value, n, m: f"alpha(x_{n}, x_{m}) = {value!r} falls below 1", tolerance=tol)])[0]
 

@@ -16,8 +16,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import DimensionError
 from .framework import (SCALAR_EPS, AlphaFunction, BlockCheck, _block_reports, _chained,
-                        _distances, _rows, _take, alpha_admissible_check, check_pairs)
+                        _rows, _table, alpha_admissible_check, check_pairs, evaluate_block)
 from .metrics import Metric, Point, PointMap, grid_pair, rowwise
 from .report import VerificationReport, make_report
 
@@ -32,7 +33,11 @@ class PartialOrder:
     name: str = "order"
 
     def __call__(self, x: Point, y: Point) -> bool:
-        return bool(self.leq(x, y))
+        value = self.leq(x, y)
+        if np.ndim(value):  # points the comparator takes for arrays of them
+            raise DimensionError(f"the {self.name} order compares two points, "
+                                 f"got values of shape {np.shape(value)}")
+        return bool(value)
 
 
 # Both comparators are elementwise over arrays of points: reals for the
@@ -80,7 +85,9 @@ def check_increasing(T: PointMap, order: PartialOrder,
 
 def check_initial_point(T: PointMap, order: PartialOrder, x1: Point) -> bool:
     """True when ``x1 <= T(x1)``: the starting hypothesis of the monotone
-    fixed-point theorems."""
+    fixed-point theorems. ``x1`` passes the samples' gate, as a real or a
+    grid function."""
+    x1 = _table([(x1,)], 1, grids=True)[0, 0]
     return order(x1, T(x1))
 
 
@@ -98,8 +105,8 @@ def check_order_axioms(order: PartialOrder, elements: Iterable[Point], d: Metric
     def antisymmetric(columns):
         xs, ys = columns
         first = np.flatnonzero(alpha.values(xs, ys) >= 1.0)
-        both = first[alpha.values(_take(ys, first), _take(xs, first)) >= 1.0]
-        gap = _distances(d, _take(xs, both), _take(ys, both))
+        both = first[alpha.values(ys[first], xs[first]) >= 1.0]
+        gap = evaluate_block(d, d, xs[both], ys[both])
         far = gap > tol
         return both[far], gap[far], tol, tol - gap[far]
 
@@ -110,7 +117,8 @@ def check_order_axioms(order: PartialOrder, elements: Iterable[Point], d: Metric
         BlockCheck("order-axioms", "order/transitive", _chained(alpha, 0.0),
                    lambda _: "x <= y <= z but x <= z fails")]
     # one pass per clause, over the element 1-, 2- and 3-tuples
-    reports = [_block_reports(list(product(items, repeat=arity)), [clause])[0]
+    reports = [_block_reports(_table(list(product(items, repeat=arity)), arity, grids=True),
+                              [clause])[0]
                for arity, clause in enumerate(clauses, start=1)]
     return make_report("order-axioms", [w for rep in reports for w in rep.witnesses],
                        sum(rep.samples for rep in reports), tolerance=tol)

@@ -79,20 +79,17 @@ class Witness:
         """The witness order: the margin, most negative first, then the
         check name, then the numbers in the inputs (a grid function gives
         its node values in order), numbers compared in the IEEE-754 total order."""
-        return _order(self.check, self.inputs, self.margin)
-
-
-def _order(check: str, inputs: Sequence, margin: float) -> tuple[int, str, tuple[int, ...]]:
-    """:meth:`Witness.sort_key` of a witness not built yet."""
-    keys = _total_order(np.concatenate([np.ravel(v) for v in (margin, *inputs)])).tolist()
-    return keys[0], check, tuple(keys[1:])
+        keys = _total_order(np.concatenate([np.ravel(v) for v in (self.margin, *self.inputs)]))
+        keys = keys.tolist()
+        return keys[0], self.check, tuple(keys[1:])
 
 
 class FailingRows(SequenceABC):
     """The failing rows of one check, as columns: the sampled ``inputs``
-    (an (N, k) float array, or a list of the sampled rows) and per row the
-    left-hand value ``lhs``, the ``bound`` and the signed ``margin`` (the
-    check's own, not always ``lhs - bound``). A witness's detail is
+    (an (N, k) float array of reals, or an (N, k, n + 1) one of grid
+    functions) and per row the left-hand value ``lhs``, the ``bound`` and
+    the signed ``margin`` (the check's own, not always ``lhs - bound``).
+    A witness's detail is
     ``detail`` of its left-hand value and its entries of ``columns``. A
     single value of ``bound``, ``margin`` or a column stands for every row,
     and is stored once.
@@ -101,8 +98,8 @@ class FailingRows(SequenceABC):
     witness the first time a caller reaches it: a slice ``[:k]`` or an index
     ``i`` builds only the first ``k`` or ``i + 1``.
 
-    A witness's inputs are the sampled row itself when ``inputs`` is a list,
-    and a tuple of Python floats when it is an array.
+    A witness's inputs are its row as a tuple: of Python numbers, or of the
+    row's grid functions.
     """
 
     def __init__(self, check: str, inputs, lhs: np.ndarray, bound: np.ndarray,
@@ -148,28 +145,26 @@ class FailingRows(SequenceABC):
             # numpy's order puts every nan last, so the rows kept are the
             # nans and those at most the k-th margin: the first k and more
             rows = np.flatnonzero(~(margins > np.partition(margins, k - 1)[k - 1]))
-            if isinstance(self._inputs, np.ndarray):
-                # Witness.sort_key on whole columns: every row has this check
-                keys = _total_order(margins[rows])
-                if rows.size > k:  # rows tie at the k-th margin, or are nan
-                    # the tied rows that fill the first k are the least by
-                    # their first input, so the tied rows past them on that
-                    # input are dropped before the sort
-                    kth = np.partition(keys, k - 1)[k - 1]
-                    tied = keys == kth
-                    first = _total_order(self._inputs[rows[tied], 0])
-                    need = k - np.count_nonzero(keys < kth)
-                    tied[tied] = first <= np.partition(first, need - 1)[need - 1]
-                    kept = (keys < kth) | tied
-                    rows, keys = rows[kept], keys[kept]
-                numbers = _total_order(self._inputs[rows]).T[::-1]
-                rows = rows[np.lexsort((*numbers, keys))]
-                rows = rows[len(self._head):k]
-                inputs = [tuple(row) for row in self._inputs[rows].tolist()]
-            else:
-                rows = np.array(sorted(rows.tolist(), key=lambda i: _order(
-                    self.check, self._inputs[i], margins[i]))[len(self._head):k])
-                inputs = [tuple(self._inputs[i]) for i in rows.tolist()]  # a tuple stays itself
+            # Witness.sort_key on whole columns: every row has this check, and
+            # a row's numbers are its inputs flattened, a grid function's
+            # node values in order
+            numbers = self._inputs.reshape(len(self._inputs), -1)
+            keys = _total_order(margins[rows])
+            if rows.size > k:  # rows tie at the k-th margin, or are nan
+                # the tied rows that fill the first k are the least by their
+                # first number, so the tied rows past them on that number are
+                # dropped before the sort
+                kth = np.partition(keys, k - 1)[k - 1]
+                tied = keys == kth
+                first = _total_order(numbers[rows[tied], 0])
+                need = k - np.count_nonzero(keys < kth)
+                tied[tied] = first <= np.partition(first, need - 1)[need - 1]
+                kept = (keys < kth) | tied
+                rows, keys = rows[kept], keys[kept]
+            rows = rows[np.lexsort((*_total_order(numbers[rows]).T[::-1], keys))]
+            rows = rows[len(self._head):k]
+            chosen = self._inputs[rows]
+            inputs = [tuple(row) for row in (chosen.tolist() if chosen.ndim == 2 else chosen)]
             extras = (zip(*(column[rows].tolist() for column in self._columns))
                       if self._columns else repeat(()))
             self._head += [Witness(self.check, row, margin, self._detail(value, *extra),

@@ -2,13 +2,15 @@
 
 All randomness flows through numpy Generators created by :func:`seeded_rng`;
 the default seed (42) keeps reports reproducible run to run. Mesh samplers
-are deterministic by construction. Samples of reals are (N, k) float
-arrays, built by :func:`mesh_array` and :func:`uniform_array`, which the
-block verifiers take as they are. A :class:`SampleStream` joins sample sets
-without building the joined table: it makes the rows a verifier's chunk
-asks for, a :class:`Mesh` a block of rows at a time, so a verify pass over
-a large mesh holds one chunk of it, never the whole. Grid functions come in
-pairs from :func:`random_grid_pairs`.
+are deterministic by construction. Every sampler gives a table the block
+verifiers take as it is. Samples of reals are (N, k) float arrays, built
+by :func:`mesh_array` and :func:`uniform_array`. A :class:`SampleStream`
+joins sample sets without building the joined table: it makes the rows a
+verifier's chunk asks for, a :class:`Mesh` a block of rows at a time, so a
+verify pass over a large mesh holds one chunk of it, never the whole. Pairs
+of grid functions are one (N, 2, n + 1) float array from
+:func:`random_grid_pairs`, and a reshaped view of it groups the same
+functions in triples.
 """
 
 from __future__ import annotations
@@ -83,11 +85,11 @@ def uniform_array(rng: np.random.Generator, count: int, low: float, high: float,
 
 
 def random_grid_pairs(rng: np.random.Generator, count: int, n: int,
-                      low: float = 0.0, high: float = 1.0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pairs of grid functions with independent uniform node values: row
-    views of one drawn (count, 2, n + 1) block, which they share."""
-    block = rng.uniform(low, high, size=(count, 2, n + 1))
-    return [(x, y) for x, y in block]
+                      low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    """``count`` pairs of grid functions of n + 1 nodes with independent
+    uniform node values, as the one drawn (count, 2, n + 1) block: row i is
+    the pair i."""
+    return rng.uniform(low, high, size=(count, 2, n + 1))
 
 
 def probe_pair(limit: float, length: int = 200, t_offset: float = 1.0,

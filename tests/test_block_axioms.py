@@ -183,7 +183,8 @@ def oracle_ratio_bound(trace, beta, tol=SCALAR_EPS):
         margin = bound - ratio
         if ratio > bound + tol:
             witnesses.append(Witness(
-                "picard/ratio", (i, trace.gaps[i]), margin,
+                # the gate makes the (step, gap) rows one float table
+                "picard/ratio", (float(i), float(trace.gaps[i])), margin,
                 f"gap ratio {ratio!r} exceeds beta(gap) = {bound!r} at step {i}",
                 lhs=ratio, bound=bound))
     return make_report("ratio-bound", witnesses, checked, tolerance=tol)
@@ -621,8 +622,9 @@ def test_increasing_on_grid_functions():
     for T in (lambda x: 0.5 * x + 0.1, lambda x: x[::-1], lambda x: 1.0 - x):
         block = check_increasing(T, pointwise_order, pairs)
         assert_same_report(block, oracle_increasing(T, pointwise_order, pairs))
-        # the witnesses carry the sampled functions themselves
-        assert {id(w.inputs[0]) for w in block.witnesses} <= {id(x) for x, _ in pairs}
+        # the witnesses carry the sampled functions' node values
+        assert {w.inputs[0].tobytes() for w in block.witnesses} <= \
+            {x.tobytes() for x, _ in pairs}
     assert not block.passed  # a decreasing map breaks the order
 
 
@@ -645,10 +647,10 @@ def test_order_axioms_match_the_tuple_loops(n, shift, arity, seed, order, finite
 
 
 def test_order_axioms_keep_the_elements_as_inputs():
-    elements = [0, 1, 2]  # ints stay ints in the witnesses
+    elements = [0, 1, 2]  # ints are stacked as floats at the gate
     near = PartialOrder(lambda x, y: abs(x - y) <= 1.0, name="near")
     block = check_order_axioms(near, elements, scalar_metric)
-    assert_same_report(block, oracle_order_axioms(near, elements, scalar_metric))
+    assert_same_report(block, oracle_order_axioms(near, [0.0, 1.0, 2.0], scalar_metric))
     assert {w.check for w in block.witnesses} == {"order/antisymmetric", "order/transitive"}
     fns = [np.zeros(6), np.ones(6), np.linspace(0, 1, 6), np.linspace(1, 0, 6)]
     block = check_order_axioms(pointwise_order, fns, sup_metric)

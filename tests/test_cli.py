@@ -619,8 +619,8 @@ def _verify_grid_calls(tmp_path, monkeypatch):
     draw, original = sampling_module.random_grid_pairs, bvp_module.integral_operator
 
     def recorded(*args):
-        drawn.extend(draw(*args))
-        return drawn
+        drawn.append(draw(*args))
+        return drawn[-1]
 
     def counted(problem, x):
         calls.append(np.array(x, ndmin=2))
@@ -631,10 +631,82 @@ def _verify_grid_calls(tmp_path, monkeypatch):
     cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
     cfg = cfg.replace("n = 20", "n = 1000")
     assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
-    return drawn, calls
+    return drawn[0], calls
+
+
+def test_verify_grid_pairs_and_triples_are_views_of_the_drawn_block(tmp_path, monkeypatch):
+    # a copy of the drawn (200, 2, 1001) block would raise the run's peak memory
+    seen = {}
+    draw = sampling_module.random_grid_pairs
+
+    def recorded(*args):
+        seen["block"] = draw(*args)
+        return seen["block"]
+
+    def spied(name, fn, position):
+        def call(*args, **kwargs):
+            seen[name] = args[position]
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(sampling_module, "random_grid_pairs", recorded)
+    monkeypatch.setattr(framework_module, "check_pairs",
+                        spied("pairs", framework_module.check_pairs, 2))
+    monkeypatch.setattr(framework_module, "check_triangular_alpha",
+                        spied("triples", framework_module.check_triangular_alpha, 1))
+    cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
+    cfg = cfg.replace("n = 20", "n = 1000")
+    assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
+    block, pairs, triples = seen["block"], seen["pairs"], seen["triples"]
+    assert pairs is block and block.shape == (200, 2, 1001)
+    # the drawn functions in order, three at a time
+    assert triples.shape == (133, 3, 1001) and np.shares_memory(triples, block)
+    assert np.array_equal(triples.reshape(-1, 1001), block.reshape(-1, 1001)[:399])
+    # the gate takes both as they are
+    assert framework_module._table(pairs, 2, grids=True) is pairs
+    assert framework_module._table(triples, 3, grids=True) is triples
 
 
 ITERATE_CFG = "mode = iterate\n[iterate]\nmap = example31\nstart = 1.0\n"
+
+
+def _listing(out):
+    return {p.name: p.read_bytes() if p.is_file() else "directory" for p in out.iterdir()}
+
+
+def test_a_failed_run_leaves_the_last_run_that_succeeded_whole(tmp_path):
+    # every artifact is written under a temporary name and renamed into
+    # place after the last write: a trace.csv that cannot be replaced
+    # leaves the first run's report, and no temporary
+    out = tmp_path / "out"
+    assert main(["--config", str(write_cfg(tmp_path, ITERATE_CFG)), "--out", str(out)]) == EXIT_OK
+    (out / "trace.csv").unlink()
+    (out / "trace.csv").mkdir()
+    before = _listing(out)
+    second = write_cfg(tmp_path, ITERATE_CFG.replace("start = 1.0", "start = 2.0"), "second.cfg")
+    assert main(["--config", str(second), "--out", str(out)]) == EXIT_USAGE
+    assert _listing(out) == before
+    assert sorted(before) == ["report.csv", "report.txt", "trace.csv"]
+    assert b"start: 1.0" in before["report.txt"]
+
+
+@pytest.mark.parametrize("mode, lines, fields", [
+    ("solve-bvp", "[bvp]\nn = 1000000000000\n", "[bvp] n = 1000000000000"),
+    ("verify-grid", "[bvp]\nn = 100000000000\n",
+     "[verify] random_pairs = 4, [bvp] n = 100000000000"),
+    ("verify-interval", "[verify]\nrandom_pairs = 1000000000000\n",
+     "[verify] pair_grid = 6, [verify] random_pairs = 1000000000000"),
+])
+def test_a_size_too_large_to_allocate_is_a_validation_error(tmp_path, capsys, mode, lines, fields):
+    # numpy refuses the allocation before it makes it, so these runs are cheap
+    kind = mode.split("-")[0] if mode.startswith("verify") else mode
+    path = write_cfg(tmp_path, f"mode = {kind}\n{_BASE_CFGS[mode]}{lines}")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: too large to allocate at {fields}: ")
+    assert "Unable to allocate" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def _python_env():
@@ -956,7 +1028,7 @@ _EDGE_VALUES = {
     ("bundle", "r"): ["3.0", "inf"],
     ("bundle", "beta"): ["nan", "0.5", "reciprocal"],
     ("verify", "pair_grid"): ["0", "-1"],
-    ("verify", "random_pairs"): ["0"],
+    ("verify", "random_pairs"): ["0", "1000000000000"],
     ("picard", "tolerance"): ["nan", "inf", "0.0"],
     ("picard", "max_iterations"): ["0", "-1", "3"],
     ("picard", "divergence_bound"): ["nan", "10.0"],
@@ -965,7 +1037,8 @@ _EDGE_VALUES = {
     ("bvp", "rhs"): ["const:nan", "expr:[x for x in t]", "expr:(lambda y: y)(x)",
                      "expr:x if t else 0", "expr:1j*x", "expr:(x, t)", "expr:f'{x}'",
                      "expr:x[::-1]", "expr:exp(1e3*x)", "expr:1e308*x*x+1e308"],
-    ("bvp", "n"): ["3", "0", "-2", "4"],
+    # the last two ask for node arrays of 7.3 TiB and 745 GiB, which cannot be allocated
+    ("bvp", "n"): ["3", "0", "-2", "4", "1000000000000", "100000000000"],
     ("bvp", "tolerance"): ["nan", "inf"],
 }
 edge_lines = st.sampled_from(sorted(_EDGE_VALUES)).flatmap(

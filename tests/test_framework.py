@@ -13,12 +13,15 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from picardkit import (GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProblem, CClassFunction,
-                       ContractionBundle, DimensionError, DomainError, GeraghtyBeta,
-                       SimulationFunction, alpha_from_order, bvp_operator,
-                       check_alpha_admissible, check_cclass, check_gate_propagation,
-                       check_geraghty, check_increasing, check_operator_contraction,
-                       check_rhs_displacement_bound,
+import picardkit
+from picardkit import (CONVERGED, GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProblem,
+                       CClassFunction, ContractionBundle, DimensionError, DomainError,
+                       GeraghtyBeta, IterationTrace, PicardConfig, SimulationFunction,
+                       alpha_from_order, bvp_operator, check_alpha_admissible,
+                       check_alpha_orbit, check_cclass, check_gate_limit,
+                       check_gate_propagation, check_geraghty, check_increasing,
+                       check_initial_point, check_operator_contraction, check_order_axioms,
+                       check_ratio_bound, check_rhs_displacement_bound,
                        check_simulation_pointwise, check_simulation_sequences,
                        check_triangular_alpha, merge_reports,
                        natural_order, pointwise_order, scalar_metric,
@@ -26,7 +29,7 @@ from picardkit import (GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProblem, CClassFu
 from picardkit.builtins import (alpha_box, alpha_one,
                                 beta_constant, beta_reciprocal, bvp_bundle,
                                 cclass_a, cclass_b, cclass_c, example31_bundle,
-                                example31_map, resolve, rhs_zero, zeta1)
+                                example31_map, resolve, rhs_sin_plus_one, rhs_zero, zeta1)
 from picardkit import framework
 from picardkit import report as report_module
 from picardkit.bvp import alpha_from_gate, operator_contraction_check
@@ -263,13 +266,14 @@ class TestVerifyContraction:
 
     def test_witness_inputs_are_the_sampled_pair(self):
         bundle = replace(example31_bundle(), alpha=alpha_from_order(natural_order))
-        # a list of tuples: witnesses take the sampled tuple itself
+        # a list of tuples, stacked at the gate: witnesses take a sampled pair's values
         pairs = [tuple(row) for row in mesh_array(0.0, 3.0, 11).tolist()]
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.witnesses
-        sampled = {id(pair) for pair in pairs}
+        sampled = set(pairs)
         for witness in report.witnesses:
-            assert id(witness.inputs) in sampled
+            assert witness.inputs in sampled
+            assert all(type(value) is float for value in witness.inputs)
             assert type(witness.margin) is type(witness.lhs) is float
 
     def test_pass_implies_geraghty_inequality(self):
@@ -459,8 +463,8 @@ def _outcome(check, *args):
 
 
 def assert_same_outcome(block, oracle):
-    """Same status, samples and witnesses (inputs by identity, margins,
-    values and details exactly), or DomainError on both paths."""
+    """Same status, samples and witnesses (inputs, margins, values and
+    details exactly, inputs bit for bit), or DomainError on both paths."""
     if oracle is DomainError or block is DomainError:
         assert block is oracle
         return
@@ -472,7 +476,8 @@ def assert_same_outcome(block, oracle):
             (want.check, want.margin, want.lhs, want.bound, want.detail)
         assert type(got.margin) is type(got.lhs) is float
         assert len(got.inputs) == len(want.inputs)
-        assert all(a is b for a, b in zip(got.inputs, want.inputs))
+        assert all(type(a) is type(b) and _bits(a).tobytes() == _bits(b).tobytes()
+                   for a, b in zip(got.inputs, want.inputs))
 
 
 def _check_all(bundle, pairs, triples, d):
@@ -726,7 +731,7 @@ def test_one_pass_gives_the_standalone_reports(carrier, as_array):
         [_fingerprint_report(rep) for rep in standalone]
     # every check of the pair has witnesses to compare
     assert all(rep.witnesses for rep in one_pass)
-    if not as_array:
+    if carrier == "interval":  # witnesses of grid functions compare by value only
         assert one_pass == standalone
 
 
@@ -865,8 +870,11 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
     # the drawn margins are the margin column, so a drawn -0.0 keeps its sign
     margins = np.array([margin for _, margin in rows], dtype=float)
     lhs = bound + margins
-    if as_array and samples:
-        samples = np.array(samples, dtype=float)
+    # FailingRows takes the rows as one float array: a row-major one, as the
+    # kernel writes, or a column-major one, which it flattens by a copy
+    samples = np.array(samples, dtype=float).reshape(len(rows), -1) if rows else np.empty((0, 1))
+    if not as_array:
+        samples = np.asfortranarray(samples)
 
     def detail(value):
         return f"lhs = {value!r}"
@@ -891,8 +899,6 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
         assert _fingerprint([lazy[0], lazy[-1], lazy[n // 2]]) == \
             _fingerprint([expected[0], expected[-1], expected[n // 2]])
         assert _fingerprint(lazy[1::2]) == _fingerprint(expected[1::2])
-    if not as_array:
-        assert {id(w.inputs) for w in lazy} <= {id(row) for row in samples}
     # nan != nan, so == holds only where no input is nan
     comparable = not any(math.isnan(v) for row in samples for v in row)
     assert not comparable or (lazy == expected and expected == lazy)
@@ -1051,7 +1057,8 @@ def test_block_verifiers_match_per_sample_oracle_on_stacks(n, size, rhs, gate, s
 # time: one faulty pair among 40 at n = 6 (one stack) raises the same.
 FAULTS = {
     "non-finite": (DomainError, "grid function contains non-finite values"),
-    "node counts": (DomainError, "iterate has 9 nodes, problem grid has 7"),
+    # pairs that do not stack into one table are refused at the gate
+    "node counts": (DimensionError, "grid sizes differ: 7 vs 9 nodes"),
     "2-d function": (DimensionError,
                      "a grid function is a 1-d array with at least 2 nodes, got shape (2, 7)"),
     "rhs shape": (DomainError, "rhs returned shape (3,), expected (7,)"),
@@ -1190,3 +1197,145 @@ def test_expressions_that_mix_nodes_take_one_function_at_a_time(body):
     with pytest.raises(DomainError, match="one grid function at a time"):
         T(xs)
     assert np.array_equal(_bits(evaluate_block(T, T, xs)), _bits([T(x) for x in xs]))
+
+
+# ---------------------------------------------------------------------------
+# The sample gate: every check_* name of the package's name table (and the
+# master check) takes its samples through framework._table. Malformed samples
+# raise the library's two errors only, and well-formed ones give the same
+# report as a list of tuples and as one array.
+
+GATE_N = 6
+GATE_PROBLEM = BVPProblem(rhs=rhs_sin_plus_one, n=GATE_N)
+GATE_T = bvp_operator(GATE_PROBLEM)
+
+
+def _points(samples):
+    """A check of one point per row takes each row's single entry; a row of
+    another width stays a malformed point."""
+    return [row[0] if len(row) == 1 else row for row in samples]
+
+
+def _ratio_trace(samples):
+    gaps = _points(samples)
+    return IterationTrace([], gaps, [0.5] * max(len(gaps) - 1, 0), CONVERGED, 0.0)
+
+
+# name: (row width, carrier of well-formed rows, the call on the samples)
+GATE_CHECKS = {
+    "check_alpha_admissible": (2, "real", lambda s: check_alpha_admissible(
+        example31_map, alpha_box(), s)),
+    "check_alpha_orbit": (1, "grid", lambda s: [check_alpha_orbit(
+        GATE_T, alpha_from_gate(GATE_PROBLEM), x, 3) for x in _points(s)]),
+    "check_cclass": (2, "real", lambda s: check_cclass(cclass_a(), s)),
+    "check_gate_limit": (1, "grid", lambda s: check_gate_limit(
+        GATE_PROBLEM, _points(s), np.full(GATE_N + 1, 0.5))),
+    "check_gate_propagation": (2, "grid", lambda s: check_gate_propagation(GATE_PROBLEM, s)),
+    "check_geraghty": (1, "real", lambda s: check_geraghty(beta_reciprocal(), s, [_points(s)])),
+    "check_increasing": (2, "grid", lambda s: check_increasing(GATE_T, pointwise_order, s)),
+    "check_initial_point": (1, "real", lambda s: [check_initial_point(
+        example31_map, natural_order, x) for x in _points(s)]),
+    "check_operator_contraction": (2, "grid", lambda s: check_operator_contraction(
+        GATE_PROBLEM, s)),
+    "check_order_axioms": (1, "grid", lambda s: check_order_axioms(
+        pointwise_order, _points(s), sup_metric)),
+    "check_ratio_bound": (1, "real", lambda s: check_ratio_bound(
+        _ratio_trace(s), beta_reciprocal())),
+    "check_rhs_displacement_bound": (3, "real", lambda s: check_rhs_displacement_bound(
+        GATE_PROBLEM, s)),
+    "check_simulation_pointwise": (2, "real", lambda s: check_simulation_pointwise(zeta1(), s)),
+    "check_simulation_sequences": (1, "real", lambda s: check_simulation_sequences(
+        zeta1(), [(_points(s), _points(s))])),
+    "check_triangular_alpha": (3, "grid", lambda s: check_triangular_alpha(
+        alpha_from_order(pointwise_order), s)),
+    "verify_contraction": (2, "real", lambda s: verify_contraction(
+        example31_bundle(), s, scalar_metric)),
+}
+MALFORMED = ["wrong width", "ragged", "non-real", "empty", "node counts", "other carrier"]
+
+
+def test_the_gate_checks_cover_every_check_name():
+    assert set(GATE_CHECKS) == {name for name in picardkit.__all__
+                                if name.startswith("check_")} | {"verify_contraction"}
+
+
+def _gate_rows(width, carrier, size, seed):
+    """``size`` well-formed rows of ``width`` reals in (0, 1), or of as many
+    constant grid functions of GATE_N + 1 nodes."""
+    values = seeded_rng(seed).uniform(0.05, 0.95, (size, width))
+    return [tuple(np.full(GATE_N + 1, v) if carrier == "grid" else v for v in row)
+            for row in values.tolist()]
+
+
+def _malformed(rows, kind, at, bad):
+    """The rows broken as ``kind`` says, at row ``at``."""
+    rows = [list(row) for row in rows]
+    if kind == "wrong width":
+        rows = [row + row[:1] for row in rows]
+    elif kind == "ragged":
+        rows[at] = rows[at][:-1] if len(rows[at]) > 1 else rows[at] * 2
+    elif kind == "non-real":
+        rows[at][0] = bad
+    elif kind == "node counts":  # among reals, a grid function is a bad shape too
+        rows[at][0] = np.full(GATE_N + 3, 0.5)
+    elif kind == "other carrier":  # grid functions for reals, reals for grid functions
+        rows = [[np.full(GATE_N + 1, v) if np.ndim(v) == 0 else float(v[0]) for v in row]
+                for row in rows]
+    return [] if kind == "empty" else [tuple(row) for row in rows]
+
+
+def _gate_fingerprint(outcome):
+    if isinstance(outcome, VerificationReport):
+        return _fingerprint_report(outcome)
+    if isinstance(outcome, list):
+        return [_gate_fingerprint(item) for item in outcome]
+    return outcome
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+@pytest.mark.parametrize("name", sorted(GATE_CHECKS))
+@given(size=st.integers(1, 5), at=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1),
+       bad=st.sampled_from(["a", 1j, {}, None, "1.5x"]))
+@settings(max_examples=10, deadline=None)
+def test_malformed_samples_raise_only_the_library_errors(name, kind, size, at, seed, bad):
+    width, carrier, call = GATE_CHECKS[name]
+    samples = _malformed(_gate_rows(width, carrier, size, seed), kind, at % size, bad)
+    try:
+        call(samples)
+    except (DomainError, DimensionError):
+        pass
+
+
+@given(name=st.sampled_from(sorted(GATE_CHECKS)), size=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_well_formed_lists_and_arrays_give_equal_reports(name, size, seed):
+    width, carrier, call = GATE_CHECKS[name]
+    rows = _gate_rows(width, carrier, size, seed)
+    outcomes = []
+    for samples in (rows, np.array(rows)):
+        try:
+            outcomes.append(_gate_fingerprint(call(samples)))
+        except (DomainError, DimensionError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: verify_contraction(example31_bundle(), np.ones((3, 1)), scalar_metric),
+     DimensionError, "the samples must be rows of 2 reals or of 2 grid functions on one grid"),
+    (lambda: check_triangular_alpha(alpha_one(), np.ones((3, 2))),
+     DimensionError, "the samples must be rows of 3 reals or of 3 grid functions on one grid"),
+    (lambda: check_gate_propagation(BVPProblem(rhs=rhs_zero, n=6), [np.zeros(7)]),
+     DimensionError, "the samples must be rows of 2 reals or of 2 grid functions on one grid"),
+    (lambda: verify_contraction(example31_bundle(), [1.0, 2.0], scalar_metric),
+     DimensionError, "the samples must be rows of 2 reals or of 2 grid functions on one grid"),
+    (lambda: BVPProblem(rhs=rhs_zero, n=4.0), DomainError, "grid size n must be an int, got 4.0"),
+    (lambda: PicardConfig(max_iterations=2.5), DomainError,
+     "max_iterations must be an int, got 2.5"),
+], ids=["one column", "two columns for triples", "a bare grid function", "a list of reals",
+        "a float grid size", "a float iteration budget"])
+def test_calls_that_ended_in_bare_errors_raise_the_library_errors(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

@@ -40,7 +40,8 @@ class TestInducedAlpha:
     def test_pointwise_order_rejects_different_grids(self):
         triples = [(np.zeros(5), np.ones(5), np.full(5, 2.0)),
                    (np.zeros(9), np.ones(7), np.full(9, 2.0))]
-        with pytest.raises(DimensionError, match="grid sizes differ: 9 vs 7 nodes"):
+        # the gate names the first node count and the first that differs from it
+        with pytest.raises(DimensionError, match="grid sizes differ: 5 vs 9 nodes"):
             check_triangular_alpha(alpha_from_order(pointwise_order), triples)
 
     def test_pointwise_order_rejects_stacks_of_different_row_counts(self):
