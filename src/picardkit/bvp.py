@@ -21,7 +21,6 @@ operator's contraction constant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -29,7 +28,8 @@ import numpy as np
 
 from .errors import DomainError
 from .metrics import GRID_EPS, Point, as_grid_function, grid_pair, nodes, rowwise, sup_metric
-from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate
+from .picard import (CONVERGED, IterationTrace, PicardConfig, picard_iterate, _require_int,
+                     _require_positive)
 
 if TYPE_CHECKING:  # the checks import the check kernel when called
     from .framework import AlphaFunction, BlockCheck
@@ -143,14 +143,12 @@ class BVPProblem:
     _complement: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)):
-            raise DomainError(f"grid size n must be an int, got {self.n!r}")
+        _require_int("grid size n", self.n)
         if self.n < 2:
             raise DomainError(f"grid size must be at least 2, got {self.n}")
         if self.n % 2 != 0:
             raise DomainError(f"grid size must be even, got {self.n}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
+        _require_positive("tolerance", self.tolerance)
         self.nodes = nodes(self.n)
         self._complement = 1.0 - self.nodes
 
@@ -264,7 +262,7 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     applies once, to the stack of the distinct constants of the admitted
     triples.
     """
-    from .framework import BlockCheck, _block_reports, _rows, _table, evaluate_block
+    from .framework import BlockCheck, _block_reports, _table, evaluate_block
 
     table = _table(triples, 3)
     t, a, b = table.T
@@ -279,16 +277,16 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     def rhs(t, x):
         return evaluate_block(problem.rhs, lambda t, x: float(problem.rhs(t, x)), t, x)
 
-    def failing(columns):
+    def clause(columns):
         t, a, b = columns
         node = np.rint(t * problem.n).astype(np.intp)  # round half to even, as round()
         ta, tb = (images[np.searchsorted(constants, x), node] for x in (a, b))
         lhs = np.abs(rhs(t, a) - rhs(t, b))
         bound = np.maximum(np.maximum(np.abs(a - b), np.abs(a - ta)), np.abs(b - tb))
-        return _rows(lhs > bound + tol, lhs, bound, bound - lhs, bound)
+        return None, lhs, bound, bound - lhs, bound
 
     return _block_reports(table, [BlockCheck(
-        "rhs-displacement-bound", "rhs/displacement", failing,
+        "rhs-displacement-bound", "rhs/displacement", clause,
         lambda lhs, bound: f"|f(t, a) - f(t, b)| = {lhs!r} exceeds the displacement max {bound!r}",
         tolerance=tol)])[0]
 
@@ -297,14 +295,14 @@ def operator_contraction_check(factor: float = CONTRACTION_FACTOR,
                                tol: float = GRID_EPS) -> BlockCheck:
     """``d(Tx, Ty) <= factor * M`` as a pair check of
     :func:`~picardkit.framework.check_pairs`: the bound is per pair."""
-    from .framework import BlockCheck, _rows
+    from .framework import BlockCheck
 
-    def failing(chunk):
+    def clause(chunk):
         bound = factor * chunk.gauge
-        return _rows(chunk.gap > bound + tol, chunk.gap, bound, bound - chunk.gap, bound)
+        return None, chunk.gap, bound, bound - chunk.gap, bound
 
     return BlockCheck(
-        "operator-contraction", "operator/contraction", failing,
+        "operator-contraction", "operator/contraction", clause,
         lambda lhs, bound: f"||Tx - Ty|| = {lhs!r} exceeds {factor!r} * M = {bound!r}",
         tolerance=tol)
 
@@ -342,21 +340,20 @@ def check_gate_propagation(problem: BVPProblem,
     pairs the gate admits, a chunk of them per call."""
     from .framework import BlockCheck, check_pairs
 
-    def failing(chunk):
+    def clause(chunk):
         held = np.flatnonzero(chunk.weights > 0.0)
         if held.size == 0:
             return held, np.zeros(0), 0.0, np.zeros(0), held
         values = problem.gate_values(*chunk.images_at(held))
         node = np.argmin(values, axis=-1)
         worst = values[np.arange(held.size), node]
-        closed = worst <= 0.0
         # the margin worst - 0.0 is worst itself, bit for bit
-        return held[closed], worst[closed], 0.0, worst[closed], node[closed]
+        return held, worst, 0.0, worst, node
 
     return check_pairs(bvp_operator(problem), alpha_from_gate(problem), pairs, [BlockCheck(
-        "gate-propagation", "gate/propagation", failing,
+        "gate-propagation", "gate/propagation", clause,
         lambda worst, node: f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} "
-                            f"at node {node}")])[0]
+                            f"at node {node}", strict=True)])[0]
 
 
 def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
@@ -364,6 +361,7 @@ def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
     """Falsification check of the gate's limit condition: when consecutive
     sequence members pass the gate nodewise and the sequence approaches
     ``limit``, each member paired with the limit must pass as well."""
+    from .framework import _breaks
     from .report import Witness, make_report
 
     members = [as_grid_function(x) for x in sequence]
@@ -378,7 +376,7 @@ def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
             values = problem.gate_values(member, limit_arr)
             node = int(np.argmin(values))
             worst = float(values[node])
-            if worst <= 0.0:
+            if _breaks(worst, 0.0, strict=True):
                 witnesses.append(Witness(
                     "gate/limit", (k,), worst,
                     f"xi(x_{k}, limit) = {worst!r} at node {node} is not positive",

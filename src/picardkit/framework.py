@@ -29,10 +29,11 @@ per row), or a :class:`~picardkit.sampling.SampleStream` of reals, which
 makes its rows a chunk at a time, so a pass over a large pair mesh never
 holds it whole. Rows given as tuples are stacked once, at the gate; a bad
 shape raises :class:`DimensionError`, and a value that is not a real
-raises :class:`DomainError`. Each check of the kernel (:class:`BlockCheck`)
-gives a chunk's failing rows as columns, margins included; their inputs
-are taken from the chunk, and the kernel writes each failing row once,
-straight into the check's final columns. A chunk is up to :data:`CHUNK`
+raises :class:`DomainError`. Each clause of the kernel (:class:`BlockCheck`)
+gives the rows of a chunk it applies to with their margins, and one kernel
+function decides which fail, by one rule (:func:`_breaks`); it writes each
+failing row once, its inputs taken from the chunk, straight into the
+check's :class:`~picardkit.report.FailingRows`. A chunk is up to :data:`CHUNK`
 float values per column (16000, so that a float column of a chunk stays
 just under 128 KiB, glibc's default threshold for serving an allocation
 with mmap): 16000 samples of reals, or ``CHUNK // (n + 1)`` grid functions
@@ -44,12 +45,14 @@ callables may broadcast elementwise over arrays of real samples, and
 callables that do not are evaluated per sample, with the same results.
 The pair hypotheses share one pass, :func:`check_pairs`, so the mapping
 applies at most once per sampled point. The failing rows of a check of one
-clause stay columns (:class:`picardkit.report.FailingRows`) and build a
-witness only when a caller reaches it; a report gives its witnesses worst
-first, the most negative margin first. Only the limit-style conditions
-loop, over a few probes: :func:`check_simulation_sequences` and the limit
-probes of :func:`check_geraghty`, with one :meth:`Family.values` call per
-probe, and :func:`picardkit.bvp.check_gate_limit`.
+clause stay columns and build a witness only when a caller reaches it; a
+report gives its witnesses worst first, the most negative margin first.
+Only the limit-style conditions loop, over a few probes:
+:func:`check_simulation_sequences` and the limit probes of
+:func:`check_geraghty`, with one :meth:`Family.values` call per probe, and
+:func:`picardkit.bvp.check_gate_limit`. The first and the last decide by
+the strict rule too; the limit probe of :func:`check_geraghty` is the one
+verdict not decided by its margin.
 They are *falsification* checks: a pass means "no counterexample found on
 the supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
@@ -227,17 +230,19 @@ def _tail(length: int, min_tail: int = MIN_TAIL) -> int:
 
 
 def _clauses(name: str, member: Family, table: np.ndarray, tol: float,
-             clauses: Sequence[tuple[str, Callable, Callable]]) -> VerificationReport:
+             clauses: Sequence[tuple]) -> VerificationReport:
     """The report of an axiom's clauses from one pass over real samples that
     evaluates the family ``member`` once per sample. Of a clause ``(check,
-    rule, detail)``, ``rule`` reads the sample columns and the values and
-    gives where it fails, the bounds and the margins; ``detail`` formats one
-    value and its sample."""
-    def check(witness, rule, detail):
-        def failing(chunk):
-            broken, bound, margin = rule(*chunk)
-            return _rows(broken, chunk[-1], bound, margin, *chunk[:-1])
-        return BlockCheck(name, witness, failing, detail, tolerance=tol)
+    rule, detail[, strict])``, ``rule`` reads the sample columns and the
+    values and gives where the clause applies (None for every row), the
+    bounds and the margins; ``detail`` formats one value and its sample."""
+    def check(witness, rule, detail, strict=False):
+        def clause(chunk):
+            applies, bound, margin = rule(*chunk)
+            index = None if applies is None else np.flatnonzero(applies)
+            return index, *(column if index is None or not np.ndim(column) else column[index]
+                            for column in (chunk[-1], bound, margin, *chunk[:-1]))
+        return BlockCheck(name, witness, clause, detail, tolerance=tol, strict=strict)
 
     return _block_reports(table, [check(*clause) for clause in clauses],
                           lambda columns: (*columns, member.values(*columns)))[0]
@@ -258,10 +263,11 @@ def check_simulation_pointwise(zeta: SimulationFunction,
     # adding 0.0 turns a -0.0 coordinate into the origin's 0.0
     table = table[((t == 0.0) & (s == 0.0)) | ((t > 0.0) & (s > 0.0))] + 0.0
     return _clauses("simulation-pointwise", zeta, table, tol, [
-        ("simulation/origin", lambda t, s, z: ((t == 0.0) & (np.abs(z) > tol), 0.0, -np.abs(z)),
+        ("simulation/origin", lambda t, s, z: (t == 0.0, 0.0, -np.abs(z)),
          lambda z, t, s: f"zeta(0, 0) = {z!r} is not 0"),
-        ("simulation/strict", lambda t, s, z: ((t > 0.0) & ~(s - t - z > tol), s - t, s - t - z),
-         lambda z, t, s: f"zeta({t!r}, {s!r}) = {z!r} is not strictly below s - t = {s - t!r}")])
+        ("simulation/strict", lambda t, s, z: (t > 0.0, s - t, s - t - z),
+         lambda z, t, s: f"zeta({t!r}, {s!r}) = {z!r} is not strictly below s - t = {s - t!r}",
+         True)])
 
 
 def check_simulation_sequences(zeta: SimulationFunction,
@@ -292,7 +298,7 @@ def check_simulation_sequences(zeta: SimulationFunction,
         values = zeta.values(tails_t, tails_s)
         best = int(np.argmax(values))
         estimate = float(values[best])
-        if estimate >= -tol:
+        if _breaks(-estimate, tol, strict=True):
             witnesses.append(Witness(
                 "simulation/limit", (index, float(tails_t[best]), float(tails_s[best])),
                 -estimate,
@@ -317,15 +323,14 @@ def check_cclass(g: CClassFunction, samples: Iterable[tuple[float, float]] | np.
     """
     c = float(g.c_g)
     return _clauses("cclass", g, _table(samples, 2, "C-class"), tol, [
-        ("cclass/upper", lambda s, t, v: (s - v < -tol, s, s - v),
+        ("cclass/upper", lambda s, t, v: (None, s, s - v),
          lambda v, s, t: f"G({s!r}, {t!r}) = {v!r} exceeds s"),
-        ("cclass/degenerate",
-         lambda s, t, v: (~(s - v < -tol) & (np.abs(v - s) <= tol) & (s > tol) & (t > tol),
-                          s, -np.minimum(s, t)),
+        # G = s within tol breaks the clause unless s or t is within tol of 0
+        ("cclass/degenerate", lambda s, t, v: (np.abs(v - s) <= tol, s, -np.minimum(s, t)),
          lambda v, s, t: f"G = s at non-degenerate arguments s={s!r}, t={t!r}"),
-        ("cclass/benchmark", lambda s, t, v: ((v > c + tol) & ~(s > t + tol), c, s - t),
-         lambda v, s, t: f"G({s!r}, {t!r}) = {v!r} exceeds c_g = {c!r} but s <= t"),
-        ("cclass/zero-row", lambda s, t, v: ((s <= tol) & (v > c + tol), c, c - v),
+        ("cclass/benchmark", lambda s, t, v: (_breaks(c - v, tol), c, s - t),
+         lambda v, s, t: f"G({s!r}, {t!r}) = {v!r} exceeds c_g = {c!r} but s <= t", True),
+        ("cclass/zero-row", lambda s, t, v: (s <= tol, c, c - v),
          lambda v, s, t: f"G({s!r}, {t!r}) = {v!r} exceeds c_g = {c!r} on the s = 0 row")])
 
 
@@ -337,14 +342,16 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
     """Range check ``beta(t) in [0, 1)`` on the samples, plus falsification
     probes of the limit property: a witness is reported when beta tends to 1
     (tail values within ``limit_tol`` of 1) along a probe whose arguments
-    stay at least ``separation`` away from 0.
+    stay at least ``separation`` away from 0: the one verdict of the library
+    not decided by its margin (minus the tail's least argument).
     """
     ranged = _clauses("geraghty", beta, _table(samples, 1, "beta"), tol, [(
         "geraghty/range",
-        lambda t, b: ((b < -tol) | ~(1.0 - b > tol), np.where(b < -tol, 0.0, 1.0),
-                      np.where(b < -tol, b, 1.0 - b)),
+        # the margin from 0 where that breaks the rule, else the margin from 1
+        lambda t, b: (None, np.where(_breaks(b, tol), 0.0, 1.0),
+                      np.where(_breaks(b, tol), b, 1.0 - b)),
         lambda b, t: f"beta({t!r}) = {b!r} is "
-                     + ("below 0" if b < -tol else "not strictly below 1"))])
+                     + ("below 0" if _breaks(b, tol) else "not strictly below 1"), True)])
     witnesses: list[Witness] = []
     probes = list(probe_sequences)
     for index, seq in enumerate(probes):
@@ -435,68 +442,37 @@ def _blocks(table) -> Iterator[tuple[list, object]]:
 
 
 class BlockCheck(NamedTuple):
-    """One check of a chunked pass. ``failing(chunk)`` gives a chunk's
-    failing rows as columns: their indices in the chunk, left-hand values,
-    bounds and signed margins (one value may stand for every row), then the
-    columns ``detail`` takes after the left-hand value. The checks of a pass
-    that share a report ``name`` are the clauses of one check; ``check``
-    names the witnesses."""
+    """One clause of a chunked pass. ``clause(chunk)`` gives the rows of the
+    chunk it applies to, as their indices (None for every row), then at
+    those rows their left-hand values, bounds and signed margins (one value
+    may stand for every row) and the columns ``detail`` takes after the
+    left-hand value; the kernel decides which fail, by :func:`_breaks`
+    under ``tolerance`` and ``strict``. The checks of a pass that share a
+    report ``name`` are the clauses of one check; ``check`` names the
+    witnesses."""
 
     name: str
     check: str
-    failing: Callable
+    clause: Callable
     detail: Callable[..., str]
     tolerance: float = 0.0
+    strict: bool = False
     notes: tuple[str, ...] = ()
 
 
-def _rows(failing: np.ndarray, *columns) -> tuple:
-    """The indices where ``failing`` holds, then each column at them (a
-    single value stays as it is): what ``BlockCheck.failing`` gives."""
-    index = np.flatnonzero(failing)
-    return (index, *(column[index] if np.ndim(column) else column for column in columns))
+def _breaks(margin, tolerance: float, strict: bool = False):
+    """The one verdict rule, elementwise: a margin breaks its clause below
+    ``-tolerance``, or, if strict, when not above ``tolerance`` (so a nan
+    margin breaks a strict clause and no other)."""
+    return np.logical_not(margin > tolerance) if strict else margin < -tolerance
 
 
-class _Failing:
-    """One check's failing rows, written chunk by chunk straight into their
-    final columns: the sampled ``inputs`` (rows of the table, in its dtype)
-    and the ``values`` its ``failing`` gives. A column has a row for every sample,
-    and only the pages written become resident; one value that stands for
-    every row of every chunk stays that one value."""
-
-    def __init__(self, size: int):
-        self.size, self.count = size, 0
-        self.inputs, self.values = np.empty(0), []
-
-    def add(self, rows: np.ndarray, index: np.ndarray, *values) -> None:
-        """Write the chunk's failing rows: ``index`` into the chunk's
-        ``rows``, and the values at them."""
-        start, end = self.count, self.count + index.size
-        if start == end:
-            return
-        if not start:  # the first failing rows
-            self.values = [None] * len(values)
-            self.inputs = np.empty((self.size, *rows.shape[1:]), rows.dtype)
-        for i, value in enumerate(values):
-            kept = self.values[i]
-            if np.ndim(value) == 0 and (kept is None or kept is value):
-                self.values[i] = value
-                continue
-            if kept is None:
-                self.values[i] = np.empty(self.size, np.result_type(value))
-            elif np.ndim(kept) == 0:  # rows before this chunk share the value kept
-                self.values[i] = np.empty(self.size, np.result_type(kept, value))
-                self.values[i][:start] = kept
-            self.values[i][start:end] = value
-        self.inputs[start:end] = rows[index]
-        self.count = end
-
-    def rows(self, check: BlockCheck) -> FailingRows:
-        """The rows written, as the check's :class:`FailingRows`."""
-        lhs, bound, margin, *columns = ([v[:self.count] if np.ndim(v) else v for v in self.values]
-                                        or [np.zeros(0)] * 3)
-        return FailingRows(check.check, self.inputs[:self.count], lhs, bound, margin,
-                           check.detail, columns)
+def _write_failing(check: BlockCheck, view, rows: np.ndarray, into: FailingRows) -> None:
+    """Write the rows of a chunk that break the clause ``into`` its store."""
+    index, *values = check.clause(view)
+    broken = np.flatnonzero(_breaks(values[2], check.tolerance, check.strict))
+    into.add(rows, broken if index is None else index[broken],
+             *(value[broken] if np.ndim(value) else value for value in values))
 
 
 def _block_reports(table, checks: Sequence[BlockCheck],
@@ -506,15 +482,15 @@ def _block_reports(table, checks: Sequence[BlockCheck],
     wrapped by ``chunk`` once and read by every check, and each check's
     failing rows, inputs included, are taken from the chunk, so a stream is
     never held whole."""
-    found = [_Failing(len(table)) for _ in checks]
+    found = [FailingRows(check.check, check.detail, len(table)) for check in checks]
     for columns, rows in _blocks(table):
         view = chunk(columns)
         for check, into in zip(checks, found):
-            into.add(rows, *check.failing(view))
+            _write_failing(check, view, rows, into)
         del view  # free this chunk's columns before the next chunk computes its own
     clauses: dict[str, list] = {}
     for check, into in zip(checks, found):
-        clauses.setdefault(check.name, [check]).append(into.rows(check))
+        clauses.setdefault(check.name, [check]).append(into)
     # a report of several clauses lists their witnesses, for make_report to sort
     return [make_report(name, parts[0] if len(parts) == 1 else [w for p in parts for w in p],
                         len(table), tolerance=check.tolerance, notes=check.notes)
@@ -545,13 +521,12 @@ def _pair_columns(T: PointMap, alpha: Optional[AlphaFunction], d: Optional[Metri
 def alpha_admissible_check(tol: float = SCALAR_EPS) -> BlockCheck:
     """``alpha(x, y) >= 1`` must survive one application of the mapping;
     only the images of pairs with ``alpha(x, y) >= 1`` are read."""
-    def failing(chunk):
-        held = np.flatnonzero(chunk.weights >= 1.0 - tol)
+    def clause(chunk):
+        held = np.flatnonzero(~_breaks(chunk.weights - 1.0, tol))
         value = chunk.alpha.values(*chunk.images_at(held))
-        lost = value < 1.0 - tol
-        return held[lost], value[lost], 1.0, value[lost] - 1.0
+        return held, value, 1.0, value - 1.0
 
-    return BlockCheck("alpha-admissible", "alpha/admissible", failing,
+    return BlockCheck("alpha-admissible", "alpha/admissible", clause,
                       lambda v: f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {v!r}",
                       tolerance=tol)
 
@@ -560,13 +535,13 @@ def contraction_check(bundle: ContractionBundle, tol: float = SCALAR_EPS) -> Blo
     """The master inequality of :func:`verify_contraction`."""
     c = float(bundle.g.c_g)
 
-    def failing(chunk):
+    def clause(chunk):
         m = chunk.gauge
         lhs = bundle.zeta.values(chunk.weights * chunk.gap, bundle.beta.values(m) * m)
-        return _rows(lhs - c < -tol, lhs, c, lhs - c)
+        return None, lhs, c, lhs - c
 
     return BlockCheck(
-        "contraction", "contraction", failing,
+        "contraction", "contraction", clause,
         lambda v: f"zeta(alpha*d(Tx, Ty), beta(M)*M) = {v!r} falls below c_g = {c!r}",
         tolerance=tol, notes=(f"bundle={bundle.name}",))
 
@@ -594,18 +569,17 @@ def check_alpha_admissible(T: PointMap, alpha: AlphaFunction,
 
 
 def _chained(alpha: AlphaFunction, tol: float) -> Callable:
-    """``failing`` of "alpha(a, b) >= 1 and alpha(b, c) >= 1 force
+    """The clause "alpha(a, b) >= 1 and alpha(b, c) >= 1 force
     alpha(a, c) >= 1" on triples (a, b, c), each alpha evaluated only where
     the ones before it hold."""
-    def failing(columns):
+    def clause(columns):
         xs, zs, ys = columns
-        first = np.flatnonzero(alpha.values(xs, zs) >= 1.0 - tol)
-        both = first[alpha.values(zs[first], ys[first]) >= 1.0 - tol]
+        first = np.flatnonzero(~_breaks(alpha.values(xs, zs) - 1.0, tol))
+        both = first[~_breaks(alpha.values(zs[first], ys[first]) - 1.0, tol)]
         value = alpha.values(xs[both], ys[both])
-        broken = value < 1.0 - tol
-        return both[broken], value[broken], 1.0, value[broken] - 1.0
+        return both, value, 1.0, value - 1.0
 
-    return failing
+    return clause
 
 
 def check_triangular_alpha(alpha: AlphaFunction,

@@ -29,9 +29,9 @@ Point = Union[float, np.ndarray]
 Metric = Callable[[Point, Point], float]
 PointMap = Callable[[Point], Point]
 
-# Strict inequalities are checked as "lhs < rhs - eps"; equalities use the
-# same eps. Scalar-metric quantities resolve to 1e-12, sup-metric quantities
-# to 1e-9 (quadrature noise).
+# A margin fails below -eps, or for a strict inequality when not above eps;
+# equalities use the same eps. Scalar-metric quantities resolve to 1e-12,
+# sup-metric quantities to 1e-9 (quadrature noise).
 SCALAR_EPS = 1e-12
 GRID_EPS = 1e-9
 
@@ -70,8 +70,10 @@ def as_grid_function(values: Iterable[float], stack: bool = False) -> np.ndarray
 def scalar_metric(x: Point, y: Point) -> Point:
     """Absolute difference ``|x - y|`` between two finite reals; elementwise
     on arrays of reals."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    try:
+        xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"scalar_metric needs reals, got {x!r} and {y!r}") from exc
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise DomainError("scalar_metric needs finite inputs")
     gap = np.abs(xa - ya)

@@ -11,6 +11,7 @@ deterministic: identical inputs produce identical traces bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -31,6 +32,16 @@ DIVERGED = "diverged"
 RATIO_EPS = SCALAR_EPS
 
 
+def _require_positive(name: str, value, rule: str = "positive") -> None:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+
+
+def _require_int(name: str, value) -> None:  # a bool is no int here
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PicardConfig:
     tolerance: float = 1e-10
@@ -38,15 +49,11 @@ class PicardConfig:
     divergence_bound: float = 1e9
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if not isinstance(self.max_iterations, (int, np.integer)):
-            raise DomainError(f"max_iterations must be an int, got {self.max_iterations!r}")
+        _require_positive("tolerance", self.tolerance)
+        _require_int("max_iterations", self.max_iterations)
         if self.max_iterations < 1:
             raise DomainError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not (math.isfinite(self.divergence_bound) and self.divergence_bound > 0.0):
-            raise DomainError(f"divergence_bound must be finite and positive, "
-                              f"got {self.divergence_bound}")
+        _require_positive("divergence_bound", self.divergence_bound, "finite and positive")
 
 
 @dataclass
@@ -77,7 +84,10 @@ class IterationTrace:
 
 
 def _validate_iterate(value: Point, index: int, carrier) -> None:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"iterate {index} is not a real or grid function: {value!r}") from exc
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"mapping produced a non-finite value at iterate {index}")
     if carrier is not None and not carrier(value):
@@ -142,20 +152,20 @@ def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta,
     """Each defined ratio ``gaps[i+1] / gaps[i]`` must stay below
     ``beta(gaps[i]) + tol``, the per-step gain a Geraghty-type contraction
     predicts for its own orbit."""
-    from .framework import BlockCheck, _block_reports, _rows, _table
+    from .framework import BlockCheck, _block_reports, _table
 
     ratios = np.array(trace.ratios, dtype=float)  # an omitted ratio reads nan
     steps = np.flatnonzero(np.not_equal(np.array(trace.ratios, dtype=object), None)).tolist()
 
-    def failing(columns):
+    def clause(columns):
         step = columns[0].astype(np.intp)
         ratio = ratios[step]
         bound = beta.values(columns[1])
-        return _rows(ratio > bound + tol, ratio, bound, bound - ratio, bound, step)
+        return None, ratio, bound, bound - ratio, bound, step
 
     table = _table(list(zip(steps, map(trace.gaps.__getitem__, steps))), 2)
     return _block_reports(table, [BlockCheck(
-        "ratio-bound", "picard/ratio", failing,
+        "ratio-bound", "picard/ratio", clause,
         lambda ratio, bound, step: f"gap ratio {ratio!r} exceeds beta(gap) = {bound!r} "
                                    f"at step {step}", tolerance=tol)])[0]
 
@@ -172,7 +182,7 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
     candidate limit as the last orbit entry by choosing ``n_max``
     accordingly.
     """
-    from .framework import BlockCheck, _block_reports, _rows, _table
+    from .framework import BlockCheck, _block_reports, _breaks, _table
 
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
@@ -182,21 +192,21 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
         _validate_iterate(nxt, k + 1, None)
         orbit.append(nxt)
     start_value = alpha(orbit[0], orbit[1])
-    if start_value < 1.0 - tol:
+    if _breaks(start_value - 1.0, tol):
         return VerificationReport(
             name="alpha-orbit", status=HYPOTHESIS_UNMET, witnesses=[], samples=0,
             tolerance=tol,
             notes=(f"hypothesis unmet: alpha(x0, T(x0)) = {start_value!r} < 1",))
     points = _table([(x,) for x in orbit], 1, grids=True)[:, 0]
 
-    def failing(columns):
+    def clause(columns):
         n, m = columns
         value = alpha.values(points[n], points[m])
-        return _rows(value < 1.0 - tol, value, 1.0, value - 1.0, n, m)
+        return None, value, 1.0, value - 1.0, n, m
 
     # the index pairs in the order of combinations(range(len(orbit)), 2), as ints
     return _block_reports(np.column_stack(np.triu_indices(len(orbit), 1)), [BlockCheck(
-        "alpha-orbit", "alpha/orbit", failing,
+        "alpha-orbit", "alpha/orbit", clause,
         lambda value, n, m: f"alpha(x_{n}, x_{m}) = {value!r} falls below 1", tolerance=tol)])[0]
 
 

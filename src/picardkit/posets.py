@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .framework import (SCALAR_EPS, AlphaFunction, BlockCheck, _block_reports, _chained,
-                        _rows, _table, alpha_admissible_check, check_pairs, evaluate_block)
+                        _table, alpha_admissible_check, check_pairs, evaluate_block)
 from .metrics import Metric, Point, PointMap, grid_pair, rowwise
 from .report import VerificationReport, make_report
 
@@ -100,15 +100,14 @@ def check_order_axioms(order: PartialOrder, elements: Iterable[Point], d: Metric
 
     def reflexive(columns):
         value = alpha.values(columns[0], columns[0])
-        return _rows(value < 1.0, value, 1.0, value - 1.0)
+        return None, value, 1.0, value - 1.0
 
     def antisymmetric(columns):
         xs, ys = columns
         first = np.flatnonzero(alpha.values(xs, ys) >= 1.0)
         both = first[alpha.values(ys[first], xs[first]) >= 1.0]
         gap = evaluate_block(d, d, xs[both], ys[both])
-        far = gap > tol
-        return both[far], gap[far], tol, tol - gap[far]
+        return both, gap, tol, tol - gap  # tol is the bound: the clause's own tolerance is 0
 
     clauses = [
         BlockCheck("order-axioms", "order/reflexive", reflexive, lambda _: "leq(x, x) fails"),

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -85,37 +84,56 @@ class Witness:
 
 
 class FailingRows(SequenceABC):
-    """The failing rows of one check, as columns: the sampled ``inputs``
-    (an (N, k) float array of reals, or an (N, k, n + 1) one of grid
-    functions) and per row the left-hand value ``lhs``, the ``bound`` and
-    the signed ``margin`` (the check's own, not always ``lhs - bound``).
-    A witness's detail is
-    ``detail`` of its left-hand value and its entries of ``columns``. A
-    single value of ``bound``, ``margin`` or a column stands for every row,
-    and is stored once.
-    It behaves as the list of their witnesses, worst first, under
-    ``len``, iteration, indexing, slicing and ``==``, and builds each
-    witness the first time a caller reaches it: a slice ``[:k]`` or an index
-    ``i`` builds only the first ``k`` or ``i + 1``.
+    """The failing rows of one check, written chunk by chunk by :meth:`add`
+    straight into their final columns: the sampled inputs (an (N, k) float
+    array of reals, or an (N, k, n + 1) one of grid functions) and per row
+    the left-hand value, the bound, the signed margin (the check's own, not
+    always lhs - bound) and the columns that ``detail`` takes after the
+    left-hand value. A column has a row for each of the ``size`` samples, of
+    which only the pages written become resident, or is one value stored once.
+    It behaves as the list of their witnesses, worst first, under ``len``,
+    iteration, indexing, slicing and ``==``, and builds each witness the
+    first time a caller reaches it: ``[:k]`` or ``[i]`` builds the first
+    ``k`` or ``i + 1``.
 
     A witness's inputs are its row as a tuple: of Python numbers, or of the
     row's grid functions.
     """
 
-    def __init__(self, check: str, inputs, lhs: np.ndarray, bound: np.ndarray,
-                 margin: np.ndarray, detail: Callable[..., str],
-                 columns: Sequence[np.ndarray] = ()):
-        self.check = check
-        self._inputs = inputs
-        # a bound, margin or detail column may be one value for every row
-        self._values = [np.broadcast_to(np.asarray(column, dtype=float), np.shape(lhs))
-                        for column in (lhs, bound, margin)]
-        self._detail = detail
-        self._columns = tuple(np.broadcast_to(column, np.shape(lhs)) for column in columns)
+    def __init__(self, check: str, detail: Callable[..., str], size: int):
+        self.check, self._detail, self._size, self._count = check, detail, size, 0
+        self._inputs, self._values = np.empty(0), [np.zeros(0)] * 3
         self._head: list[Witness] = []  # the first witnesses, in order
 
+    def add(self, rows: np.ndarray, index: np.ndarray, *values) -> None:
+        """Write the failing rows ``index`` of the chunk ``rows`` and their values."""
+        start, end = self._count, self._count + index.size
+        if start == end:
+            return
+        if not start:  # the first failing rows
+            self._values = [None] * len(values)
+            self._inputs = np.empty((self._size, *rows.shape[1:]), rows.dtype)
+        for i, value in enumerate(values):
+            kept = self._values[i]
+            if np.ndim(value) == 0 and (kept is None or kept is value):
+                self._values[i] = value
+                continue
+            if kept is None:
+                self._values[i] = np.empty(self._size, np.result_type(value))
+            elif np.ndim(kept) == 0:  # rows before these share the value kept
+                self._values[i] = np.empty(self._size, np.result_type(kept, value))
+                self._values[i][:start] = kept
+            self._values[i][start:end] = value
+        self._inputs[start:end] = rows[index]
+        self._count = end
+
+    def column(self, i: int) -> np.ndarray:
+        """Column ``i`` (lhs, bound, margin, details); one value broadcasts, stride 0."""
+        value = self._values[i]
+        return value[:self._count] if np.ndim(value) else np.broadcast_to(value, self._count)
+
     def __len__(self) -> int:
-        return len(self._values[0])
+        return self._count
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -141,14 +159,14 @@ class FailingRows(SequenceABC):
         can be among them are put in order."""
         k = min(max(k, 0), len(self))
         if k > len(self._head):
-            margins = self._values[2]
+            lhs, bounds, margins = (self.column(i).astype(float, copy=False) for i in range(3))
             # numpy's order puts every nan last, so the rows kept are the
             # nans and those at most the k-th margin: the first k and more
             rows = np.flatnonzero(~(margins > np.partition(margins, k - 1)[k - 1]))
             # Witness.sort_key on whole columns: every row has this check, and
             # a row's numbers are its inputs flattened, a grid function's
             # node values in order
-            numbers = self._inputs.reshape(len(self._inputs), -1)
+            numbers = self._inputs[:self._count].reshape(self._count, -1)
             keys = _total_order(margins[rows])
             if rows.size > k:  # rows tie at the k-th margin, or are nan
                 # the tied rows that fill the first k are the least by their
@@ -165,13 +183,11 @@ class FailingRows(SequenceABC):
             rows = rows[len(self._head):k]
             chosen = self._inputs[rows]
             inputs = [tuple(row) for row in (chosen.tolist() if chosen.ndim == 2 else chosen)]
-            extras = (zip(*(column[rows].tolist() for column in self._columns))
-                      if self._columns else repeat(()))
+            columns = (lhs, bounds, margins, *map(self.column, range(3, len(self._values))))
             self._head += [Witness(self.check, row, margin, self._detail(value, *extra),
                                    lhs=value, bound=bound)
-                           for row, value, bound, margin, extra in zip(
-                               inputs, *(values[rows].tolist() for values in self._values),
-                               extras)]
+                           for row, (value, bound, margin, *extra) in zip(
+                               inputs, zip(*(column[rows].tolist() for column in columns)))]
         return self._head[:k]
 
 

@@ -41,7 +41,35 @@ from picardkit.sampling import probe_pair, seeded_rng
 
 
 # ---------------------------------------------------------------------------
-# Per-sample reference oracles: the loops the block verifiers replaced.
+# The verdict rule, restated: a row breaks its clause when its margin is
+# below -tol, or, for a strict clause, when it is not above tol, so a nan
+# margin breaks a strict clause and no other. Every oracle below decides each
+# row it checks through ``breaks``, which ``deciding`` records.
+
+_decided = None  # a list of (check, margin, broken) while ``deciding`` records
+
+
+def breaks(check, margin, tol, strict=False):
+    broken = not margin > tol if strict else margin < -tol
+    if _decided is not None:
+        _decided.append((check, margin, broken))
+    return broken
+
+
+@contextmanager
+def deciding():
+    """Record every row the oracles decide in the block."""
+    global _decided
+    _decided = []
+    try:
+        yield _decided
+    finally:
+        _decided = None
+
+
+# ---------------------------------------------------------------------------
+# Per-sample reference oracles: the loops the block verifiers replaced, each
+# deciding a row on its own margin.
 
 def oracle_simulation_pointwise(zeta, samples, tol=SCALAR_EPS):
     witnesses = []
@@ -54,7 +82,7 @@ def oracle_simulation_pointwise(zeta, samples, tol=SCALAR_EPS):
             checked += 1
             value = zeta(0.0, 0.0)
             margin = -abs(value)
-            if margin < -tol:
+            if breaks("simulation/origin", margin, tol):
                 witnesses.append(Witness(
                     "simulation/origin", (0.0, 0.0), margin,
                     f"zeta(0, 0) = {value!r} is not 0", lhs=value, bound=0.0))
@@ -62,7 +90,7 @@ def oracle_simulation_pointwise(zeta, samples, tol=SCALAR_EPS):
             checked += 1
             value = zeta(t, s)
             margin = (s - t) - value
-            if not margin > tol:
+            if breaks("simulation/strict", margin, tol, strict=True):
                 witnesses.append(Witness(
                     "simulation/strict", (t, s), margin,
                     f"zeta({t!r}, {s!r}) = {value!r} is not strictly below s - t = {s - t!r}",
@@ -81,21 +109,21 @@ def oracle_cclass(g, samples, tol=SCALAR_EPS):
         checked += 1
         value = g(s, t)
         upper_margin = s - value
-        if upper_margin < -tol:
+        if breaks("cclass/upper", upper_margin, tol):
             witnesses.append(Witness(
                 "cclass/upper", (s, t), upper_margin,
                 f"G({s!r}, {t!r}) = {value!r} exceeds s", lhs=value, bound=s))
-        elif abs(value - s) <= tol and s > tol and t > tol:
+        elif abs(value - s) <= tol and breaks("cclass/degenerate", -min(s, t), tol):
             witnesses.append(Witness(
                 "cclass/degenerate", (s, t), -min(s, t),
                 f"G = s at non-degenerate arguments s={s!r}, t={t!r}",
                 lhs=value, bound=s))
-        if value > c + tol and not s > t + tol:
+        if c - value < -tol and breaks("cclass/benchmark", s - t, tol, strict=True):
             witnesses.append(Witness(
                 "cclass/benchmark", (s, t), s - t,
                 f"G({s!r}, {t!r}) = {value!r} exceeds c_g = {c!r} but s <= t",
                 lhs=value, bound=c))
-        if s <= tol and value > c + tol:
+        if s <= tol and breaks("cclass/zero-row", c - value, tol):
             witnesses.append(Witness(
                 "cclass/zero-row", (s, t), c - value,
                 f"G({s!r}, {t!r}) = {value!r} exceeds c_g = {c!r} on the s = 0 row",
@@ -122,7 +150,7 @@ def oracle_simulation_sequences(zeta, sequence_pairs, tol=SCALAR_EPS, min_tail=M
         values = [zeta(float(a), float(b)) for a, b in zip(tails_t, tails_s)]
         best = int(np.argmax(values))
         estimate = float(values[best])
-        if estimate >= -tol:
+        if breaks("simulation/limit", -estimate, tol, strict=True):
             witnesses.append(Witness(
                 "simulation/limit", (index, float(tails_t[best]), float(tails_s[best])),
                 -estimate,
@@ -142,14 +170,13 @@ def oracle_geraghty(beta, samples, probe_sequences=(), tol=SCALAR_EPS, limit_tol
             raise DomainError(f"beta samples must be nonnegative, got {t}")
         checked += 1
         value = beta(t)
-        if value < -tol:
+        # the margin from 0 below -tol, else the margin from 1
+        margin, bound, text = ((value, 0.0, "below 0") if value < -tol
+                               else (1.0 - value, 1.0, "not strictly below 1"))
+        if breaks("geraghty/range", margin, tol, strict=True):
             witnesses.append(Witness(
-                "geraghty/range", (t,), value,
-                f"beta({t!r}) = {value!r} is below 0", lhs=value, bound=0.0))
-        elif not (1.0 - value) > tol:
-            witnesses.append(Witness(
-                "geraghty/range", (t,), 1.0 - value,
-                f"beta({t!r}) = {value!r} is not strictly below 1", lhs=value, bound=1.0))
+                "geraghty/range", (t,), margin,
+                f"beta({t!r}) = {value!r} is {text}", lhs=value, bound=bound))
     probes = list(probe_sequences)
     for index, seq in enumerate(probes):
         arr = np.asarray(seq, dtype=float)
@@ -181,7 +208,7 @@ def oracle_ratio_bound(trace, beta, tol=SCALAR_EPS):
         checked += 1
         bound = beta(trace.gaps[i])
         margin = bound - ratio
-        if ratio > bound + tol:
+        if breaks("picard/ratio", margin, tol):
             witnesses.append(Witness(
                 # the gate makes the (step, gap) rows one float table
                 "picard/ratio", (float(i), float(trace.gaps[i])), margin,
@@ -199,7 +226,7 @@ def oracle_alpha_orbit(T, alpha, x0, n_max, tol=SCALAR_EPS):
         _validate_iterate(nxt, k + 1, None)
         orbit.append(nxt)
     start_value = alpha(orbit[0], orbit[1])
-    if start_value < 1.0 - tol:
+    if start_value - 1.0 < -tol:
         return VerificationReport(
             name="alpha-orbit", status=HYPOTHESIS_UNMET, witnesses=[], samples=0,
             tolerance=tol,
@@ -210,7 +237,7 @@ def oracle_alpha_orbit(T, alpha, x0, n_max, tol=SCALAR_EPS):
         for m in range(n + 1, len(orbit)):
             checked += 1
             value = alpha(orbit[n], orbit[m])
-            if value < 1.0 - tol:
+            if breaks("alpha/orbit", value - 1.0, tol):
                 witnesses.append(Witness(
                     "alpha/orbit", (n, m), value - 1.0,
                     f"alpha(x_{n}, x_{m}) = {value!r} falls below 1",
@@ -223,7 +250,7 @@ def oracle_increasing(T, order, pairs):
     checked = 0
     for x, y in pairs:
         checked += 1
-        if order(x, y) and not order(T(x), T(y)):
+        if order(x, y) and breaks("order/increasing", float(order(T(x), T(y))) - 1.0, 0.0):
             witnesses.append(Witness(
                 "order/increasing", (x, y), -1.0,
                 "x <= y but Tx <= Ty fails", lhs=0.0, bound=1.0))
@@ -236,7 +263,7 @@ def oracle_order_axioms(order, elements, d, tol=SCALAR_EPS):
     checked = 0
     for x in items:
         checked += 1
-        if not order(x, x):
+        if breaks("order/reflexive", float(order(x, x)) - 1.0, 0.0):
             witnesses.append(Witness(
                 "order/reflexive", (x,), -1.0, "leq(x, x) fails", lhs=0.0, bound=1.0))
     for x in items:
@@ -244,7 +271,7 @@ def oracle_order_axioms(order, elements, d, tol=SCALAR_EPS):
             checked += 1
             if order(x, y) and order(y, x):
                 gap = d(x, y)
-                if gap > tol:
+                if breaks("order/antisymmetric", tol - gap, 0.0):
                     witnesses.append(Witness(
                         "order/antisymmetric", (x, y), tol - gap,
                         f"x <= y and y <= x but d(x, y) = {gap!r} > eps",
@@ -253,7 +280,8 @@ def oracle_order_axioms(order, elements, d, tol=SCALAR_EPS):
         for y in items:
             for z in items:
                 checked += 1
-                if order(x, y) and order(y, z) and not order(x, z):
+                if order(x, y) and order(y, z) and \
+                        breaks("order/transitive", float(order(x, z)) - 1.0, 0.0):
                     witnesses.append(Witness(
                         "order/transitive", (x, y, z), -1.0,
                         "x <= y <= z but x <= z fails", lhs=0.0, bound=1.0))
@@ -284,7 +312,7 @@ def oracle_rhs_displacement_bound(problem, triples, tol=GRID_EPS):
         tb = float(operator_on_constant(b)[index])
         bound = max(abs(a - b), abs(a - ta), abs(b - tb))
         margin = bound - lhs
-        if lhs > bound + tol:
+        if breaks("rhs/displacement", margin, tol):
             witnesses.append(Witness(
                 "rhs/displacement", (t, a, b), margin,
                 f"|f(t, a) - f(t, b)| = {lhs!r} exceeds the displacement max {bound!r}",
@@ -408,14 +436,22 @@ CCLASS = [
 ]
 
 
-@given(size=st.sampled_from(SIZES), chunk=small_chunk, seed=st.integers(0, 2 ** 32 - 1),
-       g=st.sampled_from(CCLASS), negative=rarely, finite=st.sampled_from([True, True, False]))
-@example(size=CHUNK + 1, chunk=CHUNK, seed=3, g=CCLASS[5], negative=False, finite=True)
-@example(size=SMALL_CHUNK - 1, chunk=SMALL_CHUNK, seed=4, g=CCLASS[4], negative=False,
-         finite=True)
+# s - t a hair above tol where G exceeds c_g, and G a hair above c_g + tol
+# on the s = 0 row: rows that the rule reads on their margins otherwise than
+# ``s > t + tol`` and ``G > c_g + tol`` read them
+BENCHMARK_EDGE = CClassFunction(lambda s, t: 0.0 * s + 1.0, name="one")
+ZERO_ROW_EDGE = CClassFunction(lambda s, t: 0.0 * s + 1.000000000001, c_g=1.0, name="above-one")
+real_pairs = st.builds(_real_pairs, st.integers(0, 2 ** 32 - 1), st.sampled_from(SIZES), rarely)
+
+
+@given(samples=real_pairs, chunk=small_chunk, g=st.sampled_from(CCLASS),
+       finite=st.sampled_from([True, True, False]))
+@example(samples=_real_pairs(3, CHUNK + 1), chunk=CHUNK, g=CCLASS[5], finite=True)
+@example(samples=_real_pairs(4, SMALL_CHUNK - 1), chunk=SMALL_CHUNK, g=CCLASS[4], finite=True)
+@example(samples=[(1.000000000001, 1.0)], chunk=SMALL_CHUNK, g=BENCHMARK_EDGE, finite=True)
+@example(samples=[(0.0, 1.0)], chunk=SMALL_CHUNK, g=ZERO_ROW_EDGE, finite=True)
 @settings(max_examples=25, deadline=None)
-def test_cclass_matches_the_per_sample_loop(size, chunk, seed, g, negative, finite):
-    samples = _real_pairs(seed, size, negative)
+def test_cclass_matches_the_per_sample_loop(samples, chunk, g, finite):
     if finite:  # a nan sample makes any of these G non-finite
         samples = [(0.0 if math.isnan(s) else s, 1.0 if math.isnan(t) else t)
                    for s, t in samples]
@@ -520,15 +556,29 @@ def _trace(seed, size, as_ints):
                           residual=0.0)
 
 
-@given(size=st.sampled_from(SIZES), chunk=small_chunk, seed=st.integers(0, 2 ** 32 - 1),
-       beta=st.sampled_from(BETAS), as_ints=st.booleans())
-@example(size=CHUNK + 1, chunk=CHUNK, seed=6, beta=BETAS[1], as_ints=False)
+# one ratio whose margin b - x = -1.0000889e-12 is below -tol, where
+# x > b + tol does not hold: b + tol rounds up to x
+RATIO_EDGE = 1.0872499829318458
+EDGE_TRACE = IterationTrace([0.0], [1.0, RATIO_EDGE], [RATIO_EDGE], "converged", 0.0)
+EDGE_BETA = GeraghtyBeta(lambda t: np.full(np.shape(t), 1.0872499829308457), name="edge")
+
+
+@given(trace=st.builds(_trace, st.integers(0, 2 ** 32 - 1), st.sampled_from(SIZES),
+                       st.booleans()),
+       chunk=small_chunk, beta=st.sampled_from(BETAS))
+@example(trace=_trace(6, CHUNK + 1, False), chunk=CHUNK, beta=BETAS[1])
+@example(trace=EDGE_TRACE, chunk=SMALL_CHUNK, beta=EDGE_BETA)
 @settings(max_examples=25, deadline=None)
-def test_ratio_bound_matches_the_per_step_loop(size, chunk, seed, beta, as_ints):
-    trace = _trace(seed, size, as_ints)
+def test_ratio_bound_matches_the_per_step_loop(trace, chunk, beta):
     with chunk_size(chunk):
         block = _outcome(check_ratio_bound, trace, beta)
     assert_same_report(block, _outcome(oracle_ratio_bound, trace, beta))
+
+
+def test_a_ratio_a_hair_past_its_bound_fails():
+    report = check_ratio_bound(EDGE_TRACE, EDGE_BETA)
+    assert report.status == "fail"
+    assert report.witnesses[0].margin == 1.0872499829308457 - RATIO_EDGE < -SCALAR_EPS
 
 
 def _halving_map(x):
@@ -543,6 +593,11 @@ SCALAR_ALPHAS = [
     # negative where x < y: a DomainError on both paths
     AlphaFunction(lambda x, y: x - y + 1.0, name="signed-gap"),
 ]
+# the least alpha whose margin alpha - 1 is not below -tol, and the one below it
+_ALPHA_HELD = 1.0 - SCALAR_EPS
+ALPHA_EDGE = AlphaFunction(lambda x, y: np.where(
+    np.abs(x - y) > 1.0, np.nextafter(_ALPHA_HELD, 0.0),
+    np.where(np.abs(x - y) > 0.5, _ALPHA_HELD, 1.0)), name="edge")
 
 
 def _with_chunk(shift, size, check, *args):
@@ -564,6 +619,8 @@ def _with_chunk(shift, size, check, *args):
 @example(length=10, shift=0, mapping=SCALAR_MAPS[2], alpha=SCALAR_ALPHAS[0], x0=0.2)
 @example(length=10, shift=1, mapping=SCALAR_MAPS[2], alpha=SCALAR_ALPHAS[3], x0=0.2)
 @example(length=10, shift=-1, mapping=SCALAR_MAPS[3], alpha=SCALAR_ALPHAS[4], x0=0.2)
+# orbit points 0.3 apart: alpha is 1 at the start, then at the tolerance
+@example(length=10, shift=None, mapping=SCALAR_MAPS[4], alpha=ALPHA_EDGE, x0=0.0)
 @settings(max_examples=60, deadline=None)
 def test_alpha_orbit_matches_the_pair_loop(length, shift, mapping, alpha, x0):
     block = _with_chunk(shift, length * (length - 1) // 2,
@@ -681,15 +738,21 @@ def _triples(seed, size, fault):
     return [tuple(row) for row in rows.tolist()]
 
 
-@given(size=st.sampled_from(SIZES), chunk=small_chunk, seed=st.integers(0, 2 ** 32 - 1),
-       rhs=st.sampled_from(RHS), gate=st.sampled_from(GATES),
-       fault=st.sampled_from([None, None, "t", "nan"]))
-@example(size=CHUNK + 1, chunk=CHUNK, seed=8, rhs=RHS[0], gate=GATES[1], fault=None)
-@example(size=SMALL_CHUNK, chunk=SMALL_CHUNK, seed=9, rhs=RHS[2], gate=GATES[2], fault=None)
+# at (0.5, 0, 1) the bound is |a - b| = 1 and |f(t, a) - f(t, b)| is the
+# factor, whose margin 1 - factor is below -tol where factor > 1 + tol is not
+def RHS_EDGE(t, x):
+    return 1.000000001 * np.asarray(x, dtype=float)
+
+
+@given(triples=st.builds(_triples, st.integers(0, 2 ** 32 - 1), st.sampled_from(SIZES),
+                         st.sampled_from([None, None, "t", "nan"])),
+       chunk=small_chunk, rhs=st.sampled_from(RHS), gate=st.sampled_from(GATES))
+@example(triples=_triples(8, CHUNK + 1, None), chunk=CHUNK, rhs=RHS[0], gate=GATES[1])
+@example(triples=_triples(9, SMALL_CHUNK, None), chunk=SMALL_CHUNK, rhs=RHS[2], gate=GATES[2])
+@example(triples=[(0.5, 0.0, 1.0)], chunk=SMALL_CHUNK, rhs=RHS_EDGE, gate=None)
 @settings(max_examples=25, deadline=None)
-def test_rhs_displacement_matches_the_per_triple_loop(size, chunk, seed, rhs, gate, fault):
+def test_rhs_displacement_matches_the_per_triple_loop(triples, chunk, rhs, gate):
     problem = BVPProblem(rhs=rhs, n=4, gate=gate)
-    triples = _triples(seed, size, fault)
     with chunk_size(chunk):
         block = _outcome(check_rhs_displacement_bound, problem, triples)
     assert_same_report(block, _outcome(oracle_rhs_displacement_bound, problem, triples))
@@ -702,3 +765,91 @@ def test_rhs_displacement_counts_only_gated_triples():
     block = check_rhs_displacement_bound(problem, triples)
     assert block.samples == 2
     assert_same_report(block, oracle_rhs_displacement_bound(problem, triples))
+
+
+# ---------------------------------------------------------------------------
+# The verdict rule itself, on every oracle-backed verifier: the witnesses are
+# exactly the rows whose margin breaks their clause's rule.
+
+STRICT = {"simulation/strict", "simulation/limit", "geraghty/range", "cclass/benchmark"}
+
+
+def _orbit_case(seed, size):
+    mapping, alpha = SCALAR_MAPS[seed % 5], SCALAR_ALPHAS[seed // 5 % 5]
+    return check_alpha_orbit, oracle_alpha_orbit, (mapping, alpha, 0.2, 1 + size % 20)
+
+
+def _order_case(seed, size):
+    elements = seeded_rng(seed).choice([0.0, 0.25, 0.5, 1.0, 1.25, 2.5, 3.0], size % 7)
+    return check_order_axioms, oracle_order_axioms, (ORDERS[seed % 4], elements.tolist(),
+                                                     scalar_metric)
+
+
+def _rhs_case(seed, size):
+    problem = BVPProblem(rhs=RHS[seed % 6], n=4, gate=GATES[seed % 4])
+    return check_rhs_displacement_bound, oracle_rhs_displacement_bound, \
+        (problem, _triples(seed, size, None))
+
+
+# name: (seed, size) -> (verifier, its oracle, their arguments)
+RULE_CASES = {
+    "simulation-pointwise": lambda seed, size: (
+        check_simulation_pointwise, oracle_simulation_pointwise,
+        (ZETAS[seed % 5], _real_pairs(seed, size))),
+    "simulation-limits": lambda seed, size: (
+        check_simulation_sequences, oracle_simulation_sequences,
+        (ZETAS[seed % 5], SEQUENCE_PROBES[seed % 4])),
+    "cclass": lambda seed, size: (
+        check_cclass, oracle_cclass, (CCLASS[seed % 8], _real_pairs(seed, size, finite=True))),
+    "geraghty": lambda seed, size: (
+        check_geraghty, oracle_geraghty,
+        (BETAS[seed % 5], [t for t, _ in _real_pairs(seed, size, finite=True)])),
+    "ratio-bound": lambda seed, size: (
+        check_ratio_bound, oracle_ratio_bound, (_trace(seed, size, False), BETAS[seed % 5])),
+    "alpha-orbit": _orbit_case,
+    "increasing": lambda seed, size: (
+        check_increasing, oracle_increasing,
+        (SCALAR_MAPS[seed % 5], ORDERS[seed % 4], _real_pairs(seed, size, finite=True))),
+    "order-axioms": _order_case,
+    "rhs-displacement": _rhs_case,
+    # the boundary rows of the properties above
+    "edge: benchmark": lambda seed, size: (
+        check_cclass, oracle_cclass, (BENCHMARK_EDGE, [(1.000000000001, 1.0)])),
+    "edge: zero-row": lambda seed, size: (
+        check_cclass, oracle_cclass, (ZERO_ROW_EDGE, [(0.0, 1.0)])),
+    "edge: ratio": lambda seed, size: (
+        check_ratio_bound, oracle_ratio_bound, (EDGE_TRACE, EDGE_BETA)),
+    "edge: orbit": lambda seed, size: (
+        check_alpha_orbit, oracle_alpha_orbit, (SCALAR_MAPS[4], ALPHA_EDGE, 0.0, 9)),
+    "edge: displacement": lambda seed, size: (
+        check_rhs_displacement_bound, oracle_rhs_displacement_bound,
+        (BVPProblem(rhs=RHS_EDGE, n=4), [(0.5, 0.0, 1.0)])),
+}
+
+
+@given(case=st.sampled_from(sorted(RULE_CASES)), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.sampled_from(SIZES))
+@example(case="edge: benchmark", seed=0, size=0)
+@example(case="edge: zero-row", seed=0, size=0)
+@example(case="edge: ratio", seed=0, size=0)
+@example(case="edge: orbit", seed=0, size=0)
+@example(case="edge: displacement", seed=0, size=0)
+@settings(max_examples=60, deadline=None)
+def test_the_witnesses_are_the_rows_that_break_the_rule(case, seed, size):
+    check, oracle, args = RULE_CASES[case](seed, size)
+    with chunk_size(SMALL_CHUNK):
+        block = _outcome(check, *args)
+    with deciding() as decided:
+        want = _outcome(oracle, *args)
+    if block is DomainError or want is DomainError:
+        assert block is want
+        return
+    # every witness breaks its clause's rule on its own margin ...
+    for w in block.witnesses:
+        tol = 0.0 if w.check.startswith("order/") else block.tolerance
+        assert breaks(w.check, w.margin, tol, w.check in STRICT), w
+    # ... and is one of the rows the oracle found to break it, so a passing
+    # report has no such row
+    broken = sorted((check, _bits(margin)) for check, margin, broke in decided if broke)
+    assert sorted((w.check, _bits(w.margin)) for w in block.witnesses) == broken
+    assert not block.passed or not broken

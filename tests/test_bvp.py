@@ -417,7 +417,7 @@ def oracle_operator_contraction(problem, pairs, tol=GRID_EPS, factor=CONTRACTION
         m = max(sup_metric(x, y), sup_metric(x, tx), sup_metric(y, ty))
         bound = factor * m
         margin = bound - lhs
-        if lhs > bound + tol:
+        if margin < -tol:
             witnesses.append(Witness(
                 "operator/contraction", (x, y), margin,
                 f"||Tx - Ty|| = {lhs!r} exceeds {factor!r} * M = {bound!r}",
@@ -538,7 +538,7 @@ def oracle_gate_propagation(problem, pairs):
                                          integral_operator(problem, ya))
             node = int(np.argmin(values))
             worst = float(values[node])
-            if worst <= 0.0:
+            if not worst > 0.0:  # the strict rule: a nan fails
                 witnesses.append(Witness(
                     "gate/propagation", (x, y), worst,
                     f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} at node {node}",
@@ -567,6 +567,19 @@ class TestGatePropagation:
             stacked = check_gate_propagation(problem, np.array(pairs))
             assert [(w.margin, w.detail) for w in stacked.witnesses] == \
                 [(w.margin, w.detail) for w in got.witnesses]
+
+    def test_a_nan_gate_value_is_not_positive(self):
+        # the strict rule fails a nan margin: a gate that reads nan on the
+        # images is closed there, as gate_weights reads it on the pairs
+        problem = BVPProblem(rhs=resolve("rhs", "const:8"), n=6,
+                             gate=lambda a, b: 1.0 if max(abs(a), abs(b)) < 0.1 else np.nan)
+        zero = np.zeros(7)
+        propagation = check_gate_propagation(problem, [(zero, zero)])
+        limit = check_gate_limit(problem, [zero, zero], integral_operator(problem, zero))
+        want = oracle_gate_propagation(problem, [(zero, zero)])
+        assert [w.detail for w in propagation.witnesses] == [w.detail for w in want.witnesses]
+        for report in (propagation, limit):
+            assert report.status == "fail" and np.isnan(report.witnesses[0].margin)
 
     def test_non_finite_function_raises_on_a_closed_gate(self):
         # every function is checked, as the per-pair loop checked them

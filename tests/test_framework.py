@@ -24,7 +24,7 @@ from picardkit import (CONVERGED, GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProble
                        check_ratio_bound, check_rhs_displacement_bound,
                        check_simulation_pointwise, check_simulation_sequences,
                        check_triangular_alpha, merge_reports,
-                       natural_order, pointwise_order, scalar_metric,
+                       natural_order, picard_iterate, pointwise_order, scalar_metric,
                        sup_metric, verify_contraction)
 from picardkit.builtins import (alpha_box, alpha_one,
                                 beta_constant, beta_reciprocal, bvp_bundle,
@@ -408,9 +408,9 @@ def oracle_alpha_admissible(T, alpha, pairs, tol=SCALAR_EPS):
     checked = 0
     for x, y in pairs:
         checked += 1
-        if alpha(x, y) >= 1.0 - tol:
+        if alpha(x, y) - 1.0 >= -tol:
             value = alpha(T(x), T(y))
-            if value < 1.0 - tol:
+            if value - 1.0 < -tol:
                 witnesses.append(Witness(
                     "alpha/admissible", (x, y), value - 1.0,
                     f"alpha(x, y) >= 1 but alpha(Tx, Ty) = {value!r}",
@@ -423,14 +423,32 @@ def oracle_triangular_alpha(alpha, triples, tol=SCALAR_EPS):
     checked = 0
     for x, z, y in triples:
         checked += 1
-        if alpha(x, z) >= 1.0 - tol and alpha(z, y) >= 1.0 - tol:
+        if alpha(x, z) - 1.0 >= -tol and alpha(z, y) - 1.0 >= -tol:
             value = alpha(x, y)
-            if value < 1.0 - tol:
+            if value - 1.0 < -tol:
                 witnesses.append(Witness(
                     "alpha/triangular", (x, z, y), value - 1.0,
                     f"alpha chains through z but alpha(x, y) = {value!r}",
                     lhs=value, bound=1.0))
     return make_report("alpha-triangular", witnesses, checked, tolerance=tol)
+
+
+@pytest.mark.parametrize("tol", [SCALAR_EPS, 1e-10, GRID_EPS])
+def test_a_weight_at_the_tolerance_meets_the_hypothesis_and_the_conclusion_alike(tol):
+    # the least weight whose margin alpha - 1 is not below -tol: as a
+    # hypothesis it holds, so as a conclusion it must hold too
+    held = 1.0 - tol
+    while held - 1.0 < -tol:
+        held = np.nextafter(held, 2.0)
+    while np.nextafter(held, 0.0) - 1.0 >= -tol:
+        held = np.nextafter(held, 0.0)
+    for value, kept in ((held, True), (np.nextafter(held, 0.0), False)):
+        alpha = AlphaFunction(lambda x, y, v=value: 0.0 * np.asarray(x) + v, name="flat")
+        pairs = np.array([[0.0, 1.0], [0.5, 2.0]])
+        assert check_alpha_admissible(lambda x: x, alpha, pairs, tol).passed
+        assert check_triangular_alpha(alpha, np.array([[0.0, 0.5, 1.0]]), tol).passed
+        orbit = check_alpha_orbit(lambda x: x + 0.5, alpha, 0.0, 3, tol)
+        assert orbit.status == (PASS if kept else HYPOTHESIS_UNMET)
 
 
 def oracle_verify_contraction(bundle, pairs, d, tol=SCALAR_EPS):
@@ -816,7 +834,7 @@ def test_a_streamed_mesh_gives_the_reports_of_the_joined_table(per_axis, count):
 def test_a_bound_that_one_value_stands_for_is_stored_once():
     bundle, pairs, *_ = _pair_setup("interval", as_array=True)
     report = verify_contraction(bundle, pairs, scalar_metric)
-    bound = report.witnesses._values[1]
+    bound = report.witnesses.column(1)
     assert len(report.witnesses) > 100 and bound.strides == (0,)
     assert {w.bound for w in report.witnesses} == {bundle.g.c_g}
 
@@ -870,8 +888,8 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
     # the drawn margins are the margin column, so a drawn -0.0 keeps its sign
     margins = np.array([margin for _, margin in rows], dtype=float)
     lhs = bound + margins
-    # FailingRows takes the rows as one float array: a row-major one, as the
-    # kernel writes, or a column-major one, which it flattens by a copy
+    # FailingRows copies the rows it is given into its own inputs: from a
+    # row-major float array, as the kernel gives, or a column-major one
     samples = np.array(samples, dtype=float).reshape(len(rows), -1) if rows else np.empty((0, 1))
     if not as_array:
         samples = np.asfortranarray(samples)
@@ -880,7 +898,9 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
         return f"lhs = {value!r}"
 
     def failing(samples, lhs, margins):
-        return FailingRows("probe", samples, lhs, np.full(len(lhs), bound), margins, detail)
+        rows = FailingRows("probe", detail, len(lhs))
+        rows.add(samples, np.arange(len(lhs)), lhs, np.full(len(lhs), bound), margins)
+        return rows
 
     expected = _all_witnesses("probe", [tuple(map(float, row)) for row in samples],
                               lhs.tolist(), bound, margins.tolist(), detail)
@@ -1333,8 +1353,20 @@ def test_well_formed_lists_and_arrays_give_equal_reports(name, size, seed):
     (lambda: BVPProblem(rhs=rhs_zero, n=4.0), DomainError, "grid size n must be an int, got 4.0"),
     (lambda: PicardConfig(max_iterations=2.5), DomainError,
      "max_iterations must be an int, got 2.5"),
+    (lambda: PicardConfig(max_iterations=True), DomainError,
+     "max_iterations must be an int, got True"),
+    (lambda: PicardConfig(tolerance="a"), DomainError, "tolerance must be positive, got 'a'"),
+    (lambda: PicardConfig(divergence_bound="a"), DomainError,
+     "divergence_bound must be finite and positive, got 'a'"),
+    (lambda: BVPProblem(rhs_zero, tolerance="a"), DomainError,
+     "tolerance must be positive, got 'a'"),
+    (lambda: picard_iterate(example31_map, "a", PicardConfig(), scalar_metric), DomainError,
+     "iterate 0 is not a real or grid function: 'a'"),
+    (lambda: scalar_metric("a", 0.0), DomainError, "scalar_metric needs reals, got 'a' and 0.0"),
 ], ids=["one column", "two columns for triples", "a bare grid function", "a list of reals",
-        "a float grid size", "a float iteration budget"])
+        "a float grid size", "a float iteration budget", "a bool iteration budget",
+        "a str tolerance", "a str divergence bound", "a str grid tolerance", "a str start",
+        "a str point"])
 def test_calls_that_ended_in_bare_errors_raise_the_library_errors(call, error, message):
     with pytest.raises(error) as raised:
         call()
