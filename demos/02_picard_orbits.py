@@ -16,9 +16,11 @@ trace = picard_iterate(example31_map, 1.0, cfg, scalar_metric)
 print(f"termination: {trace.termination} after {trace.iterations} steps, "
       f"residual {trace.residual:.3e}")
 print(f"{'step':>4} {'iterate':>14} {'gap':>12} {'ratio':>8}")
+x = 1.0  # the trace keeps only the last iterate, so the table walks the orbit again
 for k in range(min(8, trace.iterations)):
-    ratio = f"{trace.ratios[k - 1]:.6f}" if k >= 1 and trace.ratios[k - 1] else ""
-    print(f"{k + 1:>4} {trace.iterates[k + 1]:>14.3e} {trace.gaps[k]:>12.3e} {ratio:>8}")
+    x = example31_map(x)
+    ratio = "" if k == 0 or trace.ratios[k - 1] is None else f"{trace.ratios[k - 1]:.6f}"
+    print(f"{k + 1:>4} {x:>14.3e} {trace.gaps[k]:>12.3e} {ratio:>8}")
 print("...")
 print()
 

@@ -189,8 +189,9 @@ def compile_rhs_expression(body: str) -> Callable:
     scalar or a real array of t's shape. Integer literals become floats, so a power
     overflows at once instead of growing a huge integer, and no index is an
     integer: an expression that subscripts is rejected. Non-finite values
-    pass, silently: the solver rejects them where they occur. An expression
-    that uses ``@`` takes one grid function at a time."""
+    pass, silently: the solver rejects them where they occur. The expression
+    gets read-only t and x. An expression that uses ``@`` takes one grid
+    function at a time."""
     names, kinds = set(), set()  # read in the one walk that floats the ints
     try:
         tree = ast.parse(body, mode="eval")
@@ -217,8 +218,9 @@ def compile_rhs_expression(body: str) -> Callable:
 
     def rhs(t, x):
         local = dict(namespace)
-        local["t"] = np.asarray(t, dtype=float)
-        local["x"] = np.asarray(x, dtype=float)
+        for name, value in (("t", t), ("x", x)):  # read-only: a ufunc's out= cannot write them
+            local[name] = np.asarray(value, dtype=float).view()
+            local[name].flags.writeable = False
         if local["x"].ndim > 1 and not nodewise:
             raise DomainError(f"expression {body!r} uses @, so it takes "
                               f"one grid function at a time")

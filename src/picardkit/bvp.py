@@ -195,6 +195,8 @@ def integral_operator(problem: BVPProblem, x: Point) -> np.ndarray:
     if xa.shape[-1] != problem.nodes.size:
         raise DomainError(f"iterate has {xa.shape[-1]} nodes, problem grid has "
                           f"{problem.nodes.size}")
+    if not xa.size:  # an empty stack, which an rhs that takes one function at a time cannot take
+        return np.zeros(xa.shape)
     out = _kernel_quadrature(problem.nodes, problem._complement,
                              problem.rhs_values(xa))
     out[..., 0] = 0.0
@@ -242,7 +244,7 @@ def solve_bvp(problem: BVPProblem, cfg: PicardConfig | None = None) -> BVPSoluti
         cfg = PicardConfig(tolerance=problem.tolerance, max_iterations=200)
     x0 = np.zeros(problem.n + 1)
     trace = picard_iterate(bvp_operator(problem), x0, cfg, sup_metric)
-    values = np.asarray(trace.final, dtype=float)
+    values = trace.final
     defined = trace.defined_ratios()
     estimate = max(defined) if defined else None
     residual = second_difference_residual(problem, values)
@@ -342,8 +344,6 @@ def check_gate_propagation(problem: BVPProblem,
 
     def clause(chunk):
         held = np.flatnonzero(chunk.weights > 0.0)
-        if held.size == 0:
-            return held, np.zeros(0), 0.0, np.zeros(0), held
         values = problem.gate_values(*chunk.images_at(held))
         node = np.argmin(values, axis=-1)
         worst = values[np.arange(held.size), node]

@@ -13,6 +13,7 @@ import gc
 import math
 import os
 import sys
+import tempfile
 from dataclasses import make_dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn, Sequence
@@ -362,9 +363,9 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
     run that fails leaves the output directory as the last run that
     succeeded left it."""
     out = Path(out_dir if out_dir is not None else config.out)
-    staging = out / f".partial-{os.getpid()}"
-    try:
-        staging.mkdir(parents=True)
+    try:  # a directory of its own, whatever a killed run left behind
+        out.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
     except OSError as exc:
         print(f"config error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -100,8 +100,8 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
     array; columns of different lengths raise :class:`DimensionError`.
 
     ``fn`` is first called once on read-only views of the whole columns
-    when each column of reals has more than one entry, or when the stacks
-    are not empty and ``fn`` is tagged :func:`~picardkit.metrics.rowwise`.
+    when each column of reals has more than one entry, or on stacks (empty
+    ones too) when ``fn`` is tagged :func:`~picardkit.metrics.rowwise`.
     A result of the columns' shape (or of shape (k,)) whose entries all pass
     ``valid`` is taken. Otherwise (``fn`` is written for single samples,
     aggregates or writes its argument, or gives an invalid entry)
@@ -114,7 +114,7 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
         raise DimensionError(f"columns of lengths {', '.join(map(str, lengths))} do not align")
     row_wise = getattr(fn, "rowwise", False)
     stacked = columns[0].ndim > 1
-    if (row_wise or not stacked) and lengths[0] > (0 if stacked else 1):
+    if row_wise if stacked else lengths[0] > 1:
         shapes = (columns[0].shape, columns[0].shape[:1])  # the same for reals
         views = [column.view() for column in columns]
         for view in views:

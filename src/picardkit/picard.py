@@ -58,14 +58,16 @@ class PicardConfig:
 
 @dataclass
 class IterationTrace:
-    """Full record of one Picard orbit.
+    """Record of one Picard orbit: the last iterate ``final``, the gaps
+    ``d(x_k, x_{k+1})``, their ratios and the termination. The earlier
+    iterates are not kept.
 
     ``ratios[i]`` is ``gaps[i+1] / gaps[i]`` and is None when the
     denominator gap sits below the ratio floor (avoids 0/0 artifacts at
-    exact fixed points). ``residual`` is ``d(x_final, T(x_final))``.
+    exact fixed points). ``residual`` is ``d(final, T(final))``.
     """
 
-    iterates: list[Point]
+    final: Point
     gaps: list[float]
     ratios: list[Optional[float]]
     termination: str
@@ -74,10 +76,6 @@ class IterationTrace:
     @property
     def iterations(self) -> int:
         return len(self.gaps)
-
-    @property
-    def final(self) -> Point:
-        return self.iterates[-1]
 
     def defined_ratios(self) -> list[float]:
         return [r for r in self.ratios if r is not None]
@@ -106,7 +104,6 @@ def picard_iterate(T: PointMap, x0: Point, cfg: PicardConfig, d: Metric,
     """
     _validate_iterate(x0, 0, carrier)
     x = x0
-    iterates: list[Point] = [x0]
     gaps: list[float] = []
     termination = MAX_ITERATIONS
     residual: float | None = None
@@ -114,7 +111,6 @@ def picard_iterate(T: PointMap, x0: Point, cfg: PicardConfig, d: Metric,
         x_next = T(x)
         _validate_iterate(x_next, k + 1, carrier)
         gap = d(x, x_next)
-        iterates.append(x_next)
         gaps.append(gap)
         x = x_next
         if gap > cfg.divergence_bound:
@@ -135,8 +131,8 @@ def picard_iterate(T: PointMap, x0: Point, cfg: PicardConfig, d: Metric,
         gaps[i + 1] / gaps[i] if gaps[i] > RATIO_EPS else None
         for i in range(len(gaps) - 1)
     ]
-    return IterationTrace(iterates=iterates, gaps=gaps, ratios=ratios,
-                          termination=termination, residual=residual)
+    return IterationTrace(final=x, gaps=gaps, ratios=ratios, termination=termination,
+                          residual=residual)
 
 
 def gaps_monotone(trace: IterationTrace, tol: float = SCALAR_EPS) -> bool:
@@ -240,7 +236,7 @@ def uniqueness_probe(T: PointMap, starts: Iterable[Point], cfg: PicardConfig,
         try:
             trace = picard_iterate(T, x0, cfg, d, carrier=carrier)
         except DomainError as exc:
-            report.traces.append(IterationTrace([x0], [], [], "domain-error", math.inf))
+            report.traces.append(IterationTrace(x0, [], [], "domain-error", math.inf))
             report.failed_starts.append((index, f"domain-error: {exc}"))
             continue
         report.traces.append(trace)

@@ -552,14 +552,14 @@ def _trace(seed, size, as_ints):
         gaps = [int(10 * g) + 1 if g > 1e-14 else 0 for g in gaps]
     ratios = [gaps[i + 1] / gaps[i] if gaps[i] > RATIO_EPS else None
               for i in range(len(gaps) - 1)]
-    return IterationTrace(iterates=[], gaps=gaps, ratios=ratios, termination="max_iterations",
+    return IterationTrace(final=0.0, gaps=gaps, ratios=ratios, termination="max_iterations",
                           residual=0.0)
 
 
 # one ratio whose margin b - x = -1.0000889e-12 is below -tol, where
 # x > b + tol does not hold: b + tol rounds up to x
 RATIO_EDGE = 1.0872499829318458
-EDGE_TRACE = IterationTrace([0.0], [1.0, RATIO_EDGE], [RATIO_EDGE], "converged", 0.0)
+EDGE_TRACE = IterationTrace(0.0, [1.0, RATIO_EDGE], [RATIO_EDGE], "converged", 0.0)
 EDGE_BETA = GeraghtyBeta(lambda t: np.full(np.shape(t), 1.0872499829308457), name="edge")
 
 

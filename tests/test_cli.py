@@ -135,6 +135,9 @@ class TestConfigParsing:
         "t*0+[1,2]",             # does not broadcast to the grid
         "x[::-1]",               # subscripts: -1 is a float
         "x - x[x >= 0.0]*0.5",   # subscripts, though a mask works on arrays
+        "sin(x, x)+1",           # writes x: the rhs gets read-only views
+        "sin(x, out=x)+1",
+        "exp(t, t)*0 + sin(x) + 1",  # writes t, the problem's nodes
     ])
     def test_malformed_rhs_expression_is_a_usage_error(self, tmp_path, capsys, body):
         path = write_cfg(tmp_path, f"mode = solve-bvp\n\n[bvp]\nrhs = expr:{body}\n")
@@ -688,6 +691,17 @@ def test_a_failed_run_leaves_the_last_run_that_succeeded_whole(tmp_path):
     assert _listing(out) == before
     assert sorted(before) == ["report.csv", "report.txt", "trace.csv"]
     assert b"start: 1.0" in before["report.txt"]
+
+
+def test_a_staging_directory_left_by_a_killed_run_does_not_block_the_next(tmp_path):
+    # a run killed before its cleanup leaves its staging directory; a later
+    # run with the same process id stages into a directory of its own
+    out = tmp_path / "out"
+    leftover = out / f".partial-{os.getpid()}"
+    leftover.mkdir(parents=True)
+    assert run(parse_config(ITERATE_CFG), out_dir=out) == EXIT_OK
+    assert sorted(_listing(out)) == [leftover.name, "report.csv", "report.txt", "trace.csv"]
+    assert b"start: 1.0" in (out / "report.txt").read_bytes()
 
 
 @pytest.mark.parametrize("mode, lines, fields", [

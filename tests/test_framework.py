@@ -1045,7 +1045,7 @@ def test_rowwise_callables_on_a_stack_match_the_per_function_loop(n, size, rhs, 
         calls = []
         counted = rowwise(lambda *args, fn=fn: calls.append(1) or fn(*args))
         got = evaluate_block(counted, fn, *stacks)
-        assert len(got) == count and len(calls) == min(count, 1)
+        assert len(got) == count and len(calls) == 1  # one call per stack, the empty one too
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, one_by_one))
         if not count:
             continue
@@ -1217,6 +1217,12 @@ def test_expressions_that_mix_nodes_take_one_function_at_a_time(body):
     with pytest.raises(DomainError, match="one grid function at a time"):
         T(xs)
     assert np.array_equal(_bits(evaluate_block(T, T, xs)), _bits([T(x) for x in xs]))
+    assert T(xs[:0]).shape == (0, 5)  # an empty stack maps without calling the rhs
+
+
+def test_a_rowwise_callable_keeps_the_node_axis_of_an_empty_stack():
+    empty = np.empty((0, 7))
+    assert evaluate_block(rowwise(lambda x: x), lambda x: x, empty).shape == (0, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -1238,7 +1244,7 @@ def _points(samples):
 
 def _ratio_trace(samples):
     gaps = _points(samples)
-    return IterationTrace([], gaps, [0.5] * max(len(gaps) - 1, 0), CONVERGED, 0.0)
+    return IterationTrace(0.0, gaps, [0.5] * max(len(gaps) - 1, 0), CONVERGED, 0.0)
 
 
 # name: (row width, carrier of well-formed rows, the call on the samples)

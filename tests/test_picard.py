@@ -1,6 +1,9 @@
 """Picard engine: convergence behavior on reference maps, trace contracts,
 diagnostic checks, and the multi-start uniqueness probe."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from picardkit import (CONVERGED, DIVERGED, DomainError, HYPOTHESIS_UNMET,
                        IterationTrace, PicardConfig, check_alpha_orbit,
                        check_ratio_bound, gaps_monotone, picard_iterate,
-                       scalar_metric, uniqueness_probe)
+                       scalar_metric, sup_metric, uniqueness_probe)
 from picardkit.builtins import (alpha_box, alpha_one, beta_constant,
                                 beta_reciprocal, example31_map)
 
@@ -57,7 +60,10 @@ class TestPicardIterate:
     def test_trace_shape_invariants(self):
         trace = picard_iterate(shrink, 1.0, PicardConfig(tolerance=1e-6),
                                scalar_metric)
-        assert len(trace.gaps) == len(trace.iterates) - 1
+        x = 1.0  # one gap per step from the start to the final iterate
+        for _ in trace.gaps:
+            x = shrink(x)
+        assert trace.final == x
         assert len(trace.ratios) == max(len(trace.gaps) - 1, 0)
 
     def test_deterministic_bit_for_bit(self):
@@ -65,7 +71,7 @@ class TestPicardIterate:
                                scalar_metric)
         second = picard_iterate(shrink, 1.0, PicardConfig(tolerance=1e-10),
                                 scalar_metric)
-        assert first.iterates == second.iterates
+        assert first.final == second.final
         assert first.gaps == second.gaps
         assert first.ratios == second.ratios
         assert first.residual == second.residual
@@ -76,7 +82,26 @@ class TestPicardIterate:
     def test_trace_length_never_exceeds_budget(self, budget, x0):
         cfg = PicardConfig(tolerance=1e-15, max_iterations=budget)
         trace = picard_iterate(lambda x: 0.9 * x + 0.01, x0, cfg, scalar_metric)
-        assert len(trace.iterates) <= budget + 1
+        assert len(trace.gaps) <= budget
+
+    def test_memory_does_not_grow_with_the_iterations(self):
+        # the orbit of x/2 from ones never meets the tolerance, so each run
+        # takes all of its budget; a trace that kept its iterates would hold
+        # one array more per step
+        x0 = np.ones(10**5)
+
+        def peak(budget):
+            tracemalloc.start()
+            try:
+                trace = picard_iterate(lambda x: 0.5 * x, x0,
+                                       PicardConfig(tolerance=1e-300, max_iterations=budget),
+                                       sup_metric)
+                assert trace.iterations == budget
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40) <= peak(4) + 2 * x0.nbytes
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -99,7 +124,7 @@ class TestGapDiagnostics:
         assert gaps_monotone(trace)
 
     def test_synthetic_violation(self):
-        trace = IterationTrace(iterates=[0.0, 0.1, 0.4], gaps=[0.1, 0.3],
+        trace = IterationTrace(final=0.4, gaps=[0.1, 0.3],
                                ratios=[3.0], termination="max_iterations",
                                residual=0.3)
         assert not gaps_monotone(trace)
