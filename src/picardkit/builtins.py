@@ -259,7 +259,7 @@ def example31_bundle() -> ContractionBundle:
         zeta=zeta1(8.0 / 9.0),
         g=cclass_a(0.0),
         name="example31_bundle",
-        caveats=(("geraghty",
+        caveats=(("geraghty", "geraghty/range",
                   "beta(0) = 1 touches the top of the Geraghty range; the "
                   "contraction verdict is unaffected because the inequality "
                   "reads zeta(0, 0) = 0 >= 0 there. Both facts are reported."),))

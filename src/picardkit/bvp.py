@@ -27,9 +27,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .metrics import GRID_EPS, Point, as_grid_function, grid_pair, nodes, rowwise, sup_metric
-from .picard import (CONVERGED, IterationTrace, PicardConfig, picard_iterate, _require_int,
-                     _require_positive)
+from .metrics import (GRID_EPS, Point, _require_int, as_grid_function, grid_pair, nodes, rowwise,
+                      sup_metric)
+from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate, _require_positive
 
 if TYPE_CHECKING:  # the checks import the check kernel when called
     from .framework import AlphaFunction, BlockCheck
@@ -223,10 +223,20 @@ def second_difference_residual(problem: BVPProblem, x: Point) -> float:
 
 @dataclass
 class BVPSolution:
-    values: np.ndarray
+    """A solve's trace and the second-difference residual of its values;
+    the values, the contraction estimate (the largest defined gap ratio, or
+    None) and the verdict are read from the trace."""
+
     trace: IterationTrace
-    contraction_estimate: Optional[float]
     residual: float
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.trace.final
+
+    @property
+    def contraction_estimate(self) -> Optional[float]:
+        return max(self.trace.defined_ratios(), default=None)
 
     @property
     def converged(self) -> bool:
@@ -237,19 +247,14 @@ def solve_bvp(problem: BVPProblem, cfg: PicardConfig | None = None) -> BVPSoluti
     """Picard-iterate the integral operator from the zero function.
 
     The zero start lies in the carrier and is admitted by the default gate.
-    On any termination the solution record carries the trace, the observed
-    maximum gap ratio, and the second-difference residual.
+    On any termination the solution record carries the trace and the
+    second-difference residual.
     """
     if cfg is None:
         cfg = PicardConfig(tolerance=problem.tolerance, max_iterations=200)
     x0 = np.zeros(problem.n + 1)
     trace = picard_iterate(bvp_operator(problem), x0, cfg, sup_metric)
-    values = trace.final
-    defined = trace.defined_ratios()
-    estimate = max(defined) if defined else None
-    residual = second_difference_residual(problem, values)
-    return BVPSolution(values=values, trace=trace,
-                       contraction_estimate=estimate, residual=residual)
+    return BVPSolution(trace, second_difference_residual(problem, trace.final))
 
 
 def check_rhs_displacement_bound(problem: BVPProblem,
@@ -360,26 +365,25 @@ def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
                      limit: Point) -> VerificationReport:
     """Falsification check of the gate's limit condition: when consecutive
     sequence members pass the gate nodewise and the sequence approaches
-    ``limit``, each member paired with the limit must pass as well."""
-    from .framework import _breaks
+    ``limit``, each member paired with the limit must pass as well. The
+    pairs (member, limit) are one table, so the gate is called on two
+    stacks: the consecutive members, then the members and the limit."""
+    from .framework import _breaks, _table
     from .report import Witness, make_report
 
-    members = [as_grid_function(x) for x in sequence]
-    limit_arr = as_grid_function(limit)
-    witnesses: list[Witness] = []
-    checked = 0
-    consecutive_ok = all(np.all(problem.gate_values(members[k], members[k + 1]) > 0.0)
-                         for k in range(len(members) - 1))
-    if consecutive_ok:
-        for k, member in enumerate(members):
-            checked += 1
-            values = problem.gate_values(member, limit_arr)
-            node = int(np.argmin(values))
-            worst = float(values[node])
-            if _breaks(worst, 0.0, strict=True):
-                witnesses.append(Witness(
-                    "gate/limit", (k,), worst,
-                    f"xi(x_{k}, limit) = {worst!r} at node {node} is not positive",
-                    lhs=worst, bound=0.0))
-    return make_report("gate-limit", witnesses, checked, mode="falsification")
-
+    limit = as_grid_function(limit)
+    table = _table([(x, limit) for x in sequence], 2, grids=True)
+    if not np.all(np.isfinite(table)):  # the table admits them
+        raise DomainError("grid function contains non-finite values")
+    members = table[:, 0]
+    if not (len(table) and np.all(problem.gate_values(members[:-1], members[1:]) > 0.0)):
+        return make_report("gate-limit", [], 0, mode="falsification")
+    values = problem.gate_values(members, table[:, 1])
+    node = np.argmin(values, axis=-1)
+    worst = values[np.arange(len(table)), node]
+    failing = np.flatnonzero(_breaks(worst, 0.0, strict=True))
+    return make_report("gate-limit", [
+        Witness("gate/limit", (k,), w, f"xi(x_{k}, limit) = {w!r} at node {n} is not positive",
+                lhs=w, bound=0.0)
+        for k, w, n in zip(failing.tolist(), worst[failing].tolist(), node[failing].tolist())],
+        len(table), mode="falsification")

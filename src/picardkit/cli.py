@@ -194,15 +194,18 @@ def _header_lines(config: RunConfig, extra: Sequence[str] = ()) -> list[str]:
 
 def _rows_with_caveats(reports: Sequence[VerificationReport],
                        bundle: ContractionBundle) -> tuple[list[VerificationReport], int]:
-    """Apply declared bundle caveats: a failing check the bundle vouches for
-    is reported with status 'caveat' (witnesses preserved) and does not
-    count toward the exit status."""
+    """Apply declared bundle caveats: a failing check the bundle names, all
+    of whose witnesses are of the clause it vouches for, is reported with
+    status 'caveat' (witnesses preserved) and does not count toward the
+    exit status. No other check's witnesses are read."""
     from .report import CAVEAT, FAIL
 
-    caveats = dict(bundle.caveats)
+    caveats = {name: (clause, note) for name, clause, note in bundle.caveats}
     adjusted = [replace(rep, status=CAVEAT,
-                        notes=(*rep.notes, f"declared caveat: {caveats[rep.name]}"))
-                if rep.status == FAIL and rep.name in caveats else rep for rep in reports]
+                        notes=(*rep.notes, f"declared caveat: {caveats[rep.name][1]}"))
+                if rep.status == FAIL and rep.name in caveats
+                and all(w.check == caveats[rep.name][0] for w in rep.witnesses) else rep
+                for rep in reports]
     return adjusted, sum(rep.status == FAIL for rep in adjusted)
 
 

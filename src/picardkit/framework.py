@@ -47,14 +47,14 @@ The pair hypotheses share one pass, :func:`check_pairs`, so the mapping
 applies at most once per sampled point. The failing rows of a check of one
 clause stay columns and build a witness only when a caller reaches it; a
 report gives its witnesses worst first, the most negative margin first.
-Only the limit-style conditions loop, over a few probes:
+Only two limit-style conditions loop, over a few probes, each probe's tail
+(at least one term) in one :meth:`Family.values` call:
 :func:`check_simulation_sequences` and the limit probes of
-:func:`check_geraghty`, with one :meth:`Family.values` call per probe, and
-:func:`picardkit.bvp.check_gate_limit`. The first and the last decide by
-the strict rule too; the limit probe of :func:`check_geraghty` is the one
-verdict not decided by its margin.
-They are *falsification* checks: a pass means "no counterexample found on
-the supplied probes", never a proof.
+:func:`check_geraghty`. :func:`picardkit.bvp.check_gate_limit` calls the
+gate on two stacks. The first and the last decide by the strict rule too;
+the limit probe of :func:`check_geraghty` is the one verdict not decided
+by its margin. These are *falsification* checks: a pass means "no
+counterexample found on the supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
 checked concurrently, and the reports merged with
 :func:`picardkit.report.merge_reports`.
@@ -71,17 +71,14 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .metrics import GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, as_grid_function
+from .metrics import (GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, _require_int,
+                      as_grid_function)
 from .report import FailingRows, Witness, VerificationReport, make_report
 from .sampling import SampleStream
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
 
-# float values per column of a block in the block verifiers, on either
-# carrier: a float64 column of a block, and each temporary made from it,
-# stays below 128 KiB (16384 values), glibc's default threshold for serving
-# an allocation with mmap
-CHUNK = 16000
+CHUNK = 16000  # float values per column of a chunk: see above
 
 
 def _one_function(row: tuple) -> tuple:
@@ -211,9 +208,9 @@ class AlphaFunction(Family):
 class ContractionBundle:
     """One contraction hypothesis: the mapping plus its function family.
 
-    ``caveats`` lists (check name, note) pairs for known benign boundary
-    violations; the batch front-end reports these as caveats instead of
-    failures while still showing the witness.
+    ``caveats`` lists (check name, clause, note) triples for known benign
+    boundary violations: the batch front-end reports a failing check as a
+    caveat, witnesses shown, when every witness is of its declared clause.
     """
 
     mapping: PointMap
@@ -222,7 +219,7 @@ class ContractionBundle:
     zeta: SimulationFunction
     g: CClassFunction
     name: str = "bundle"
-    caveats: tuple[tuple[str, str], ...] = ()
+    caveats: tuple[tuple[str, str, str], ...] = ()
 
 
 def _tail(length: int, min_tail: int = MIN_TAIL) -> int:
@@ -281,6 +278,7 @@ def check_simulation_sequences(zeta: SimulationFunction,
     each probe (at least ``min_tail`` terms); supply longer probes for
     sharper estimates. A pass refutes nothing beyond the supplied probes.
     """
+    _require_int("min_tail", min_tail, least=1)
     pairs = list(sequence_pairs)
     witnesses: list[Witness] = []
     for index, (t_seq, s_seq) in enumerate(pairs):
@@ -345,6 +343,7 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
     stay at least ``separation`` away from 0: the one verdict of the library
     not decided by its margin (minus the tail's least argument).
     """
+    _require_int("min_tail", min_tail, least=1)
     ranged = _clauses("geraghty", beta, _table(samples, 1, "beta"), tol, [(
         "geraghty/range",
         # the margin from 0 where that breaks the rule, else the margin from 1
@@ -430,11 +429,10 @@ def _stacked(rows, what: str, grids: bool, wanted: str) -> np.ndarray:
 
 
 def _blocks(table) -> Iterator[tuple[list, object]]:
-    """(columns, rows) of consecutive chunks of the table, each up to CHUNK
-    float values per column: CHUNK samples of reals, or CHUNK // (n + 1)
-    grid functions of n + 1 nodes, at least one, so the images a chunk keeps
-    stay small on either carrier. ``rows`` is the chunk of the table, and
-    its columns are views of it: 1-d arrays of reals, or (k, n + 1) stacks."""
+    """(columns, rows) of consecutive chunks of the table, each of at least
+    one row and up to CHUNK float values per column. ``rows`` is the chunk
+    of the table, and its columns are views of it: 1-d arrays of reals, or
+    (k, n + 1) stacks."""
     length = max(1, CHUNK // math.prod(table[:0].shape[2:]))
     for start in range(0, len(table), length):
         rows = table[start:start + length]

@@ -36,10 +36,16 @@ SCALAR_EPS = 1e-12
 GRID_EPS = 1e-9
 
 
+def _require_int(name: str, value, least: int | None = None) -> None:  # a bool is no int here
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+
+
 def nodes(n: int) -> np.ndarray:
     """Uniform grid over [0, 1] with ``n + 1`` nodes, spacing ``1 / n``."""
-    if n < 1:
-        raise DomainError(f"grid size must be at least 1, got {n}")
+    _require_int("grid size", n, least=1)
     return np.linspace(0.0, 1.0, n + 1)
 
 

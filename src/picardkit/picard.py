@@ -1,7 +1,7 @@
 """Picard iteration engine with convergence diagnostics.
 
-Runs the orbit ``x_{k+1} = T(x_k)``, records the successive gaps
-``d(x_k, x_{k+1})`` and their ratios, and terminates on one of three
+Runs the orbit ``x_{k+1} = T(x_k)``, records the last iterate and the
+successive gaps ``d(x_k, x_{k+1})``, and terminates on one of three
 conditions: the gap and the fixed-point residual both fall below the
 tolerance ("converged"), the gap exceeds the divergence bound ("diverged"),
 or the iteration budget runs out ("max_iterations"). The engine is
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .metrics import SCALAR_EPS, Metric, Point, PointMap
+from .metrics import SCALAR_EPS, Metric, Point, PointMap, _require_int
 from .report import HYPOTHESIS_UNMET, VerificationReport
 
 if TYPE_CHECKING:  # the checks import the check kernel when called
@@ -37,11 +37,6 @@ def _require_positive(name: str, value, rule: str = "positive") -> None:
         raise DomainError(f"{name} must be {rule}, got {value!r}")
 
 
-def _require_int(name: str, value) -> None:  # a bool is no int here
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an int, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PicardConfig:
     tolerance: float = 1e-10
@@ -50,32 +45,30 @@ class PicardConfig:
 
     def __post_init__(self) -> None:
         _require_positive("tolerance", self.tolerance)
-        _require_int("max_iterations", self.max_iterations)
-        if self.max_iterations < 1:
-            raise DomainError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        _require_int("max_iterations", self.max_iterations, least=1)
         _require_positive("divergence_bound", self.divergence_bound, "finite and positive")
 
 
 @dataclass
 class IterationTrace:
-    """Record of one Picard orbit: the last iterate ``final``, the gaps
-    ``d(x_k, x_{k+1})``, their ratios and the termination. The earlier
-    iterates are not kept.
-
-    ``ratios[i]`` is ``gaps[i+1] / gaps[i]`` and is None when the
-    denominator gap sits below the ratio floor (avoids 0/0 artifacts at
-    exact fixed points). ``residual`` is ``d(final, T(final))``.
-    """
+    """Record of one Picard orbit: the last iterate ``final`` (the earlier
+    ones are not kept), the gaps ``d(x_k, x_{k+1})``, the termination and
+    ``residual = d(final, T(final))``. The ratios follow from the gaps:
+    ``ratios[i]`` is ``gaps[i+1] / gaps[i]``, or None when ``gaps[i]`` is
+    not above the ratio floor (no 0/0 artifacts at exact fixed points)."""
 
     final: Point
     gaps: list[float]
-    ratios: list[Optional[float]]
     termination: str
     residual: float
 
     @property
     def iterations(self) -> int:
         return len(self.gaps)
+
+    @property
+    def ratios(self) -> list[Optional[float]]:
+        return [b / a if a > RATIO_EPS else None for a, b in zip(self.gaps, self.gaps[1:])]
 
     def defined_ratios(self) -> list[float]:
         return [r for r in self.ratios if r is not None]
@@ -127,19 +120,12 @@ def picard_iterate(T: PointMap, x0: Point, cfg: PicardConfig, d: Metric,
             residual = d(x, T(x))
         except (DomainError, ValueError, OverflowError):
             residual = math.inf
-    ratios: list[Optional[float]] = [
-        gaps[i + 1] / gaps[i] if gaps[i] > RATIO_EPS else None
-        for i in range(len(gaps) - 1)
-    ]
-    return IterationTrace(final=x, gaps=gaps, ratios=ratios, termination=termination,
-                          residual=residual)
+    return IterationTrace(final=x, gaps=gaps, termination=termination, residual=residual)
 
 
 def gaps_monotone(trace: IterationTrace, tol: float = SCALAR_EPS) -> bool:
-    """True when the successive gaps are non-increasing within tolerance.
-
-    Vacuously true for traces with fewer than two gaps.
-    """
+    """True when the successive gaps are non-increasing within tolerance;
+    vacuously true for traces with fewer than two gaps."""
     return all(b <= a + tol for a, b in zip(trace.gaps, trace.gaps[1:]))
 
 
@@ -150,16 +136,17 @@ def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta,
     predicts for its own orbit."""
     from .framework import BlockCheck, _block_reports, _table
 
-    ratios = np.array(trace.ratios, dtype=float)  # an omitted ratio reads nan
-    steps = np.flatnonzero(np.not_equal(np.array(trace.ratios, dtype=object), None)).tolist()
+    gaps = _table(trace.gaps, 1)[:, 0]
+    steps = np.flatnonzero(gaps[:-1] > RATIO_EPS)  # the steps whose ratio is defined
 
     def clause(columns):
         step = columns[0].astype(np.intp)
-        ratio = ratios[step]
+        with np.errstate(over="ignore", invalid="ignore"):  # as a division of Python floats
+            ratio = gaps[step + 1] / columns[1]
         bound = beta.values(columns[1])
         return None, ratio, bound, bound - ratio, bound, step
 
-    table = _table(list(zip(steps, map(trace.gaps.__getitem__, steps))), 2)
+    table = np.column_stack([steps, gaps[steps]])
     return _block_reports(table, [BlockCheck(
         "ratio-bound", "picard/ratio", clause,
         lambda ratio, bound, step: f"gap ratio {ratio!r} exceeds beta(gap) = {bound!r} "
@@ -180,8 +167,7 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
     """
     from .framework import BlockCheck, _block_reports, _breaks, _table
 
-    if n_max < 1:
-        raise DomainError(f"n_max must be at least 1, got {n_max}")
+    _require_int("n_max", n_max, least=1)
     orbit: list[Point] = [x0]
     for k in range(n_max):
         nxt = T(orbit[-1])
@@ -216,9 +202,12 @@ class UniquenessReport:
 
     starts: list[Point]
     traces: list[IterationTrace]
-    limits: list[Point] = field(default_factory=list)
     distinct_limits: list[Point] = field(default_factory=list)
     failed_starts: list[tuple[int, str]] = field(default_factory=list)
+
+    @property
+    def limits(self) -> list[Point]:
+        return [trace.final for trace in self.traces if trace.termination == CONVERGED]
 
     @property
     def consistent_with_uniqueness(self) -> bool:
@@ -236,15 +225,13 @@ def uniqueness_probe(T: PointMap, starts: Iterable[Point], cfg: PicardConfig,
         try:
             trace = picard_iterate(T, x0, cfg, d, carrier=carrier)
         except DomainError as exc:
-            report.traces.append(IterationTrace(x0, [], [], "domain-error", math.inf))
+            report.traces.append(IterationTrace(x0, [], "domain-error", math.inf))
             report.failed_starts.append((index, f"domain-error: {exc}"))
             continue
         report.traces.append(trace)
         if trace.termination != CONVERGED:
             report.failed_starts.append((index, trace.termination))
             continue
-        limit = trace.final
-        report.limits.append(limit)
-        if not any(d(limit, seen) <= threshold for seen in report.distinct_limits):
-            report.distinct_limits.append(limit)
+        if not any(d(trace.final, seen) <= threshold for seen in report.distinct_limits):
+            report.distinct_limits.append(trace.final)
     return report

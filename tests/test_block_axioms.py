@@ -35,7 +35,7 @@ from picardkit.builtins import (alpha_box, alpha_one, beta_constant, beta_recipr
                                 example31_map, rhs_const,
                                 rhs_pi2sin, rhs_sin_plus_one, zeta1)
 from picardkit.framework import CHUNK, GRID_EPS, MIN_TAIL, SCALAR_EPS, _tail
-from picardkit.picard import RATIO_EPS, _validate_iterate
+from picardkit.picard import _validate_iterate
 from picardkit.report import Witness, format_inputs, make_report, VerificationReport
 from picardkit.sampling import probe_pair, seeded_rng
 
@@ -550,16 +550,13 @@ def _trace(seed, size, as_ints):
     gaps = gaps.tolist()
     if as_ints:
         gaps = [int(10 * g) + 1 if g > 1e-14 else 0 for g in gaps]
-    ratios = [gaps[i + 1] / gaps[i] if gaps[i] > RATIO_EPS else None
-              for i in range(len(gaps) - 1)]
-    return IterationTrace(final=0.0, gaps=gaps, ratios=ratios, termination="max_iterations",
-                          residual=0.0)
+    return IterationTrace(final=0.0, gaps=gaps, termination="max_iterations", residual=0.0)
 
 
 # one ratio whose margin b - x = -1.0000889e-12 is below -tol, where
 # x > b + tol does not hold: b + tol rounds up to x
 RATIO_EDGE = 1.0872499829318458
-EDGE_TRACE = IterationTrace(0.0, [1.0, RATIO_EDGE], [RATIO_EDGE], "converged", 0.0)
+EDGE_TRACE = IterationTrace(0.0, [1.0, RATIO_EDGE], "converged", 0.0)
 EDGE_BETA = GeraghtyBeta(lambda t: np.full(np.shape(t), 1.0872499829308457), name="edge")
 
 

@@ -284,6 +284,14 @@ class TestSolve:
         assert solution.contraction_estimate is not None
         assert solution.contraction_estimate <= 0.125 + 1e-6
 
+    def test_the_solution_reads_its_values_and_estimate_from_the_trace(self):
+        problem = BVPProblem(rhs=rhs_sin_plus_one, n=20, tolerance=1e-10)
+        solution = solve_bvp(problem)
+        assert solution.values is solution.trace.final
+        assert solution.contraction_estimate == max(solution.trace.ratios)
+        # the zero rhs stops after one gap of 0: no ratio, so no estimate
+        assert solve_bvp(BVPProblem(rhs=rhs_zero, n=20)).contraction_estimate is None
+
     def test_residual_bound_concrete(self):
         # second differences recover -x'' to O(h^2): for n = 100 and the
         # sine source the truncation constant is pi^4 h^2 / 12 ~ 8.2e-4
@@ -676,6 +684,41 @@ class TestGatePredicates:
         limit = np.zeros(21)
         report = check_gate_limit(problem, members, limit)
         assert not report.passed
+
+    def test_gate_limit_evaluates_the_gate_once_per_stack(self):
+        # once on the 5 consecutive pairs and once on the 6 member/limit
+        # pairs, 7 nodes each: the gate broadcasts, so 2 calls, not 2 * 6 - 1
+        calls = []
+
+        def gate(a, b):
+            calls.append(np.shape(a))
+            return 1.0 + np.minimum(a, b)
+
+        problem = BVPProblem(rhs=rhs_zero, n=6, gate=gate)
+        members = [np.full(7, 1.0 / (k + 1.0)) for k in range(6)]
+        report = check_gate_limit(problem, members, np.zeros(7))
+        assert report.passed and report.samples == 6
+        assert calls == [(35,), (42,)]
+
+    @pytest.mark.parametrize("members, limit", [
+        ([np.zeros(7), np.full(7, np.nan)], np.zeros(7)),
+        ([np.zeros(7), np.zeros(7)], np.full(7, np.inf)),
+        ([], np.full(7, np.nan))], ids=["member", "limit", "limit of no members"])
+    def test_gate_limit_refuses_a_non_finite_function(self, members, limit):
+        problem = BVPProblem(rhs=rhs_zero, n=6)
+        with pytest.raises(DomainError) as raised:
+            check_gate_limit(problem, members, limit)
+        assert str(raised.value) == "grid function contains non-finite values"
+
+    def test_gate_limit_on_another_grid_raises_whatever_the_gate(self):
+        # the consecutive members fail the gate, which decides nothing
+        # about a limit that does not pair with them
+        problem = BVPProblem(rhs=rhs_zero, n=6, gate=lambda a, b: -1.0)
+        members = [np.zeros(7), np.zeros(7)]
+        assert check_gate_limit(problem, members, np.zeros(7)).samples == 0
+        with pytest.raises(DimensionError) as raised:
+            check_gate_limit(problem, members, np.zeros(9))
+        assert str(raised.value) == "grid sizes differ: 7 vs 9 nodes"
 
     def test_gate_limit_on_another_grid_raises(self):
         # members on 9 nodes and the limit on 7 do not pair: an error, not a verdict

@@ -239,6 +239,22 @@ class TestConfigParsing:
         assert err == ("validation error: [carrier] low = -1e+308 and high = 1e+308 are too "
                        "far apart: high - low overflows\n")
 
+    def test_an_unknown_mode_is_a_validation_error(self, tmp_path, capsys):
+        # parse_config refuses it first; a config built in code reaches run
+        config = parse_config(SOLVE_CFG)
+        config.mode = "bogus"
+        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: unknown mode 'bogus'\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_a_seed_past_64_bits_on_the_command_line_is_a_usage_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SOLVE_CFG)
+        argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--seed", str(2 ** 64)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: --seed must be an unsigned 64-bit integer\n")
+        assert not (tmp_path / "out").exists()
+
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")
@@ -262,6 +278,42 @@ class TestVerifyMode:
             rows = list(csv.DictReader(fh))
         assert all(row["status"] != "fail" for row in rows)
         assert any(row["status"] == "caveat" for row in rows)
+
+    @pytest.mark.parametrize("beta, status, code", [
+        (None, "caveat", EXIT_OK), ("reciprocal", "caveat", EXIT_OK),
+        ("0.9999999999", "fail", EXIT_CHECK_FAILED)])
+    def test_a_caveat_covers_only_the_clause_it_declares(self, tmp_path, beta, status, code):
+        # a gain near 1 fails the limit clause, which the bundle does not
+        # declare: only its range clause at beta(0) = 1 is a caveat
+        extra = "" if beta is None else f"beta = {beta}\n"
+        cfg_text = VERIFY_CFG.replace("name = example31\n", f"name = example31\n{extra}")
+        cfg = parse_config(cfg_text.replace("pair_grid = 41\nrandom_pairs = 60",
+                                            "pair_grid = 20\nrandom_pairs = 10"))
+        cfg.seed = 3
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == code
+        with open(out / "report.csv", newline="") as fh:
+            row = next(row for row in csv.DictReader(fh) if row["check"] == "geraghty")
+        assert row["status"] == status
+        witnesses = re.findall(r"witness (geraghty/\w+)", (out / "report.txt").read_text())
+        assert set(witnesses) == ({"geraghty/limit"} if beta and beta[0] == "0"
+                                  else {"geraghty/range"})
+        note = ("declared caveat: beta(0) = 1 touches the top of the Geraghty range; the "
+                "contraction verdict is unaffected because the inequality reads "
+                "zeta(0, 0) = 0 >= 0 there. Both facts are reported.")
+        assert (note in row["notes"]) == (status == "caveat")
+
+    def test_caveats_read_the_witnesses_of_the_checks_they_name_only(self):
+        class Unread(list):  # stands for a failing check's many rows
+            def __iter__(self):
+                raise AssertionError("the witnesses were read")
+
+        from picardkit.builtins import example31_bundle
+        from picardkit.report import VerificationReport
+
+        report = VerificationReport("contraction", "fail", Unread([None]), 1)
+        adjusted, failures = cli_module._rows_with_caveats([report], example31_bundle())
+        assert adjusted == [report] and failures == 1
 
     def test_broken_gain_fails(self, tmp_path):
         cfg_text = VERIFY_CFG + "\n[bundle]\nbeta = 0.2\nlambda = 0.5\n"
@@ -500,6 +552,38 @@ FAILING_GRID_SHA256 = {
     "report.txt": "b70a3dd949b1e1c93681ed3d94ffd75e421f03198ee111d7e5d144fa11ba3316",
 }
 
+# A solve and an orbit whose trace carries defined ratios, and the SHA-256
+# of their artifacts: the trace's ratio column and the solve's contraction
+# estimate are read from the gaps, and must not move.
+SOLVE_GOLDEN_CFG = """\
+mode = solve-bvp
+
+[bvp]
+rhs = sin_plus_one
+n = 100
+
+[picard]
+tolerance = 1e-10
+"""
+SOLVE_SHA256 = {
+    "report.csv": "f130abc2132942fc03fc6d53f7c351ccff62bf084a458905e42946a3b2a55381",
+    "report.txt": "0fb357e7ce5811d9ccbd124f33ef88586e85f80f1b589fb750d372da2b75f35d",
+    "solution.csv": "2cb30a392d81590f381a12ef9a397a0abcebccbc9a59bc64736f1d4fe6af9123",
+    "trace.csv": "b5e88983553a88200977cf73f5d1426f2e4bafd40fb61306ea7eceb09c6f0f17",
+}
+ITERATE_GOLDEN_CFG = """\
+mode = iterate
+
+[iterate]
+map = affine:0.5:0.25
+start = 1.0
+"""
+ITERATE_SHA256 = {
+    "report.csv": "c165769c916190db00ed18bbbe8cce5b27490042ddbe8ab3cb239ec2b7667c4a",
+    "report.txt": "9717968d54e123a8772660092dbb67e4d2b5949c49228f300523b2aa182b1302",
+    "trace.csv": "7ae70d4d7541b9ed89f529f6ae4cbb44752728dcab32d026265a892bfdb6e4be",
+}
+
 
 def contraction_row(out):
     """The ``contraction`` row of a run's report.csv, by column name."""
@@ -543,6 +627,19 @@ class TestDeterminism:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in FAILING_GRID_SHA256}
         assert digests == FAILING_GRID_SHA256
+
+    @pytest.mark.parametrize("cfg_text, digests, iterations", [
+        (SOLVE_GOLDEN_CFG, SOLVE_SHA256, 11), (ITERATE_GOLDEN_CFG, ITERATE_SHA256, 33)],
+        ids=["solve", "iterate"])
+    def test_orbit_artifacts_match_golden_digests(self, tmp_path, cfg_text, digests, iterations):
+        out = tmp_path / "golden-orbit"
+        assert run(parse_config(cfg_text), out_dir=out) == EXIT_OK
+        assert self._artifacts(out) == sorted(digests)
+        assert f"iterations: {iterations}\n" in (out / "report.txt").read_text()
+        with open(out / "trace.csv", newline="") as fh:
+            assert sum(bool(row["ratio"]) for row in csv.DictReader(fh)) == iterations - 1
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in digests} == digests
 
     def test_first_contraction_witness_replays_and_is_the_worst(self, tmp_path):
         out = tmp_path / "golden"

@@ -135,6 +135,38 @@ class TestSimulationSequences:
         with pytest.raises(DomainError):
             check_simulation_sequences(zeta, [probe_pair(1.0, 50)])  # t_n == s_n
 
+    def test_a_non_finite_term_is_refused(self):
+        with pytest.raises(DomainError) as raised:
+            check_simulation_sequences(zeta1(0.5), [([1.0, np.nan], [1.0, 1.0])])
+        assert str(raised.value) == "probe pair 0 contains non-finite terms"
+
+
+def test_a_short_probe_reads_a_tail_of_at_least_one_term():
+    # a quarter of 3 terms is none: the tail is min_tail = 1 term, the last
+    zeta = SimulationFunction(lambda t, s: s - t)
+    report = check_simulation_sequences(zeta, [([1.0, 2.0, 1.0], [3.0, 2.5, 1.0])], min_tail=1)
+    assert [w.detail for w in report.witnesses] == [
+        "tail limsup estimate 0.0 over 1 terms is not negative"]
+    beta = GeraghtyBeta(lambda t: np.where(t > 1.5, 1.0, 0.5))
+    report = check_geraghty(beta, [], [[2.0, 1.0, 2.0]], min_tail=1)
+    assert report.status == FAIL and report.witnesses[0].inputs == (0, 2.0)
+
+
+@pytest.mark.parametrize("min_tail, message", [
+    (0, "min_tail must be at least 1, got 0"), (-2, "min_tail must be at least 1, got -2"),
+    (2.5, "min_tail must be an int, got 2.5"), (True, "min_tail must be an int, got True")])
+@pytest.mark.parametrize("check", ["sequences", "geraghty"])
+def test_min_tail_is_an_int_of_at_least_one(check, min_tail, message):
+    # a tail of 0 terms read the whole probe: seq[-0:] is seq
+    with pytest.raises(DomainError) as raised:
+        if check == "sequences":
+            check_simulation_sequences(SimulationFunction(lambda t, s: s - t),
+                                       [([1.0, 2.0, 1.0], [3.0, 2.5, 1.0])], min_tail=min_tail)
+        else:
+            check_geraghty(GeraghtyBeta(lambda t: np.where(t > 1.5, 1.0, 0.5)), [],
+                           [[2.0, 1.0, 2.0]], min_tail=min_tail)
+    assert str(raised.value) == message
+
 
 class TestCClass:
     def test_subtraction_passes(self):
@@ -314,6 +346,22 @@ class TestFamilies:
 
 
 class TestReportMechanics:
+    def test_reports_of_two_checks_do_not_merge(self):
+        with pytest.raises(ValueError) as raised:
+            merge_reports(make_report("a", [], 1), make_report("b", [], 1))
+        assert str(raised.value) == "cannot merge reports 'a' and 'b'"
+
+    def test_a_column_of_one_value_takes_an_array_later(self):
+        rows = FailingRows("c", lambda lhs: f"{lhs} > 0.5", 4)
+        table = np.arange(8.0).reshape(4, 2)
+        rows.add(table, np.array([0]), 1.0, 0.5, -1.0)
+        rows.add(table, np.array([2, 3]), np.array([3.0, 4.0]), 0.5, np.array([-2.0, -3.0]))
+        assert rows.column(0).tolist() == [1.0, 3.0, 4.0]
+        assert rows.column(1).tolist() == [0.5] * 3
+        assert [(w.inputs, w.margin, w.detail) for w in rows] == [
+            ((6.0, 7.0), -3.0, "4.0 > 0.5"), ((4.0, 5.0), -2.0, "3.0 > 0.5"),
+            ((0.0, 1.0), -1.0, "1.0 > 0.5")]
+
     def _failing_report(self, pairs):
         zeta = SimulationFunction(lambda t, s: s - t, name="subtraction")
         return check_simulation_pointwise(zeta, pairs)
@@ -1188,6 +1236,26 @@ def test_a_non_real_in_rhs_triples_raises_a_domain_error():
         check_rhs_displacement_bound(problem, [(0.5, 1.0, 0.0), ("half", 1.0, 0.0)])
 
 
+@pytest.mark.parametrize("c_g", [-0.5, math.nan, math.inf])
+def test_a_benchmark_constant_that_is_not_a_finite_nonnegative_real_is_refused(c_g):
+    with pytest.raises(DomainError) as raised:
+        CClassFunction(lambda s, t: s - t, c_g=c_g)
+    assert str(raised.value) == f"c_g must be a finite nonnegative real, got {c_g}"
+
+
+def test_samples_that_are_not_iterable_raise_a_dimension_error():
+    with pytest.raises(DimensionError) as raised:
+        check_cclass(cclass_a(), 5.0)
+    assert str(raised.value) == "C-class samples must be rows of 2 reals"
+
+
+def test_per_sample_values_that_do_not_stack_raise_a_dimension_error():
+    # one value per sample is wanted: these are lists of 1 and 2 entries
+    with pytest.raises(DimensionError) as raised:
+        evaluate_block(lambda x: 1 / 0, lambda x: [x] * int(x), np.array([1.0, 2.0]))
+    assert str(raised.value).startswith("the per-sample values do not stack")
+
+
 def test_unknown_sequence_axiom_raises_a_domain_error():
     with pytest.raises(DomainError, match="unknown sequence axiom 'strict'"):
         SimulationFunction(lambda t, s: s - t, sequence_axiom="strict")
@@ -1244,7 +1312,7 @@ def _points(samples):
 
 def _ratio_trace(samples):
     gaps = _points(samples)
-    return IterationTrace(0.0, gaps, [0.5] * max(len(gaps) - 1, 0), CONVERGED, 0.0)
+    return IterationTrace(0.0, gaps, CONVERGED, 0.0)
 
 
 # name: (row width, carrier of well-formed rows, the call on the samples)

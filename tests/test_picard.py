@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picardkit import (CONVERGED, DIVERGED, DomainError, HYPOTHESIS_UNMET,
+from picardkit import (CONVERGED, DIVERGED, MAX_ITERATIONS, DomainError, HYPOTHESIS_UNMET,
                        IterationTrace, PicardConfig, check_alpha_orbit,
                        check_ratio_bound, gaps_monotone, picard_iterate,
                        scalar_metric, sup_metric, uniqueness_probe)
@@ -123,9 +123,28 @@ class TestGapDiagnostics:
         trace = picard_iterate(lambda x: x, 0.2, PicardConfig(), scalar_metric)
         assert gaps_monotone(trace)
 
+    def test_ratios_follow_from_the_gaps(self):
+        # a gap not above the ratio floor omits the ratio that divides by it
+        trace = IterationTrace(final=0.0, gaps=[2.0, 1.0, 1e-14, 1.0, 0.25],
+                               termination="max_iterations", residual=0.0)
+        assert trace.ratios == [0.5, 1e-14, None, 0.25]
+        assert trace.defined_ratios() == [0.5, 1e-14, 0.25]
+
+    def test_a_residual_that_raises_is_infinite(self):
+        # the budget runs out, and the map refuses the last iterate
+        def halve_three_times(x):
+            if x < 0.2:
+                raise DomainError("outside the domain")
+            return x / 2.0
+
+        trace = picard_iterate(halve_three_times, 1.0, PicardConfig(max_iterations=3),
+                               scalar_metric)
+        assert (trace.termination, trace.final, trace.gaps) == (
+            MAX_ITERATIONS, 0.125, [0.5, 0.25, 0.125])
+        assert trace.residual == np.inf
+
     def test_synthetic_violation(self):
-        trace = IterationTrace(final=0.4, gaps=[0.1, 0.3],
-                               ratios=[3.0], termination="max_iterations",
+        trace = IterationTrace(final=0.4, gaps=[0.1, 0.3], termination="max_iterations",
                                residual=0.3)
         assert not gaps_monotone(trace)
 
@@ -169,6 +188,16 @@ class TestGapDiagnostics:
         # step 0 offends, and the witness of the least margin comes first
         assert 0 in [w.inputs[0] for w in tight.witnesses]
         assert tight.witnesses[0].margin == min(w.margin for w in tight.witnesses)
+
+    def test_a_ratio_past_the_float_range_reads_inf(self):
+        # a gap of 1e-11, then one of 1e300: the ratio overflows to inf, as a
+        # division of Python floats does, and no numpy warning is raised
+        trace = picard_iterate(lambda x: 1e-11 if x == 0.0 else 1e300, 0.0, PicardConfig(),
+                               scalar_metric)
+        assert (trace.termination, trace.ratios) == (DIVERGED, [np.inf])
+        report = check_ratio_bound(trace, beta_reciprocal())
+        assert [w.detail for w in report.witnesses] == [
+            "gap ratio inf exceeds beta(gap) = 0.99999999999 at step 0"]
 
 
 class TestAlphaOrbit:
@@ -220,6 +249,17 @@ class TestUniquenessProbe:
                                  PicardConfig(tolerance=1e-10), scalar_metric)
         assert probe.consistent_with_uniqueness
         assert probe.distinct_limits[0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_a_start_that_raises_is_a_failed_start(self):
+        probe = uniqueness_probe(shrink, [0.3, np.inf], PicardConfig(tolerance=1e-10),
+                                 scalar_metric)
+        assert probe.failed_starts == [
+            (1, "domain-error: mapping produced a non-finite value at iterate 0")]
+        failed = probe.traces[1]
+        assert (failed.final, failed.gaps, failed.termination) == (np.inf, [], "domain-error")
+        assert failed.residual == np.inf and failed.ratios == []
+        # the limits are the last iterates of the starts that converged
+        assert probe.limits == [probe.traces[0].final] == probe.distinct_limits
 
     def test_diverging_start_reported_individually(self):
         def mixed(x):
