@@ -1,3 +1,31 @@
-from .cli import entry
+"""The process entry of ``python -m picardkit`` and the ``picardkit`` script:
+``cli.main`` with the collector off from before numpy is imported, then the
+``atexit`` callbacks, a flush of stdout and stderr, and ``os._exit``, which
+skips the interpreter's teardown (``main`` has closed every artifact). A
+flush that fails is left to that teardown, which reports it."""
 
-entry()
+import atexit
+import gc
+import os
+import sys
+
+
+def entry():
+    gc.disable()
+    from .cli import main
+
+    try:
+        status = main()
+    except SystemExit as done:  # argparse's --help and its usage errors
+        status = done.code or 0
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(status)
+    os._exit(status)
+
+
+if __name__ == "__main__":
+    entry()

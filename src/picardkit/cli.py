@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
-import gc
 import math
 import os
 import sys
@@ -183,13 +182,7 @@ def _build_bundle(config: RunConfig, problem: BVPProblem | None) -> ContractionB
 
 
 def _header_lines(config: RunConfig, extra: Sequence[str] = ()) -> list[str]:
-    lines = [
-        "picardkit run report",
-        f"mode: {config.mode}",
-        f"seed: {config.seed}",
-    ]
-    lines.extend(extra)
-    return lines
+    return ["picardkit run report", f"mode: {config.mode}", f"seed: {config.seed}", *extra]
 
 
 def _rows_with_caveats(reports: Sequence[VerificationReport],
@@ -285,8 +278,7 @@ def write_trace_csv(path: str | Path, trace: IterationTrace) -> None:
     final row only; omitted ratios stay blank)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration_index", "gap", "ratio", "residual"])
-        writer.writerow([0, "", "", ""])
+        writer.writerows([["iteration_index", "gap", "ratio", "residual"], [0, "", "", ""]])
         for i, (gap, ratio) in enumerate(zip(trace.gaps, [None, *trace.ratios]), start=1):
             writer.writerow([i, repr(float(gap)), "" if ratio is None else repr(float(ratio)),
                              repr(float(trace.residual)) if i == len(trace.gaps) else ""])
@@ -295,9 +287,7 @@ def write_trace_csv(path: str | Path, trace: IterationTrace) -> None:
 def _picard_config(config: RunConfig) -> PicardConfig:
     from .picard import PicardConfig
 
-    return PicardConfig(tolerance=config.tolerance,
-                        max_iterations=config.max_iterations,
-                        divergence_bound=config.divergence_bound)
+    return PicardConfig(config.tolerance, config.max_iterations, config.divergence_bound)
 
 
 def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
@@ -307,8 +297,8 @@ def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
     ``before``, the termination and the iteration count, then ``after``) and
     its report.csv (the ``picard`` row, then ``rows`` of (name, value)),
     every row with the orbit's status; returns the exit status."""
+    from .metrics import save_report_csv
     from .picard import CONVERGED
-    from .report import write_report_csv
 
     write_trace_csv(out / "trace.csv", trace)
     converged = trace.termination == CONVERGED
@@ -317,8 +307,8 @@ def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
                                     f"iterations: {trace.iterations}", *after])
     (out / "report.txt").write_text("\n".join(header) + "\n")
     rows = [("picard", repr(float(trace.residual))), *rows]
-    write_report_csv(out / "report.csv", (), extra_rows=[
-        [name, status, "", "", "", "", "", value, ""] for name, value in rows])
+    save_report_csv(out / "report.csv", [[name, status, "", "", "", "", "", value, ""]
+                                         for name, value in rows])
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
@@ -410,10 +400,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _ArgumentParser(
-        prog="picardkit",
-        description="Verify contraction hypotheses, run Picard orbits, and "
-                    "solve two-point boundary-value problems.")
+    parser = _ArgumentParser(prog="picardkit", description="Verify contraction hypotheses, "
+                             "run Picard orbits, and solve two-point boundary-value problems.")
     parser.add_argument("--config", type=Path, help="run configuration file")
     parser.add_argument("--out", help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, help="random seed (overrides the config)")
@@ -445,20 +433,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     return run(config, out_dir=args.out)
 
-
-def entry() -> NoReturn:
-    """The process entry of ``python -m picardkit`` and the ``picardkit``
-    script: ``main`` on ``sys.argv``, then exit with its status. The
-    collector is frozen first, so the collection that interpreter shutdown
-    runs over every object still alive (about 22 000 with numpy, 30 ms) is
-    skipped; the objects die with the process. ``main`` leaves the collector
-    alone for callers that go on running."""
-    try:
-        code = main()
-    finally:
-        gc.freeze()
-    sys.exit(code)
-
-
-if __name__ == "__main__":
-    entry()

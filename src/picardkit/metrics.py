@@ -18,8 +18,9 @@ library's point of view; concurrent use on shared inputs is safe.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -122,3 +123,11 @@ def save_grid_csv(path: str | Path, values: Iterable[float]) -> None:
         for start in range(0, len(table), 1024):  # one string per block bounds the memory
             fh.write("".join(f"{t!r},{v!r}\n" for t, v in table[start:start + 1024].tolist()))
 
+
+CSV_HEADER = ["check", "status", "samples", "mode", "witness", "lhs", "bound", "margin", "notes"]
+
+
+def save_report_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """Write a run's report.csv: the header, then ``rows``, one per check."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([CSV_HEADER, *rows])

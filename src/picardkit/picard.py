@@ -5,7 +5,9 @@ successive gaps ``d(x_k, x_{k+1})``, and terminates on one of three
 conditions: the gap and the fixed-point residual both fall below the
 tolerance ("converged"), the gap exceeds the divergence bound ("diverged"),
 or the iteration budget runs out ("max_iterations"). The engine is
-deterministic: identical inputs produce identical traces bit for bit.
+deterministic: identical inputs produce identical traces bit for bit. The
+checks import :mod:`.framework` and :mod:`.report` when called, so an
+orbit run loads neither.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import numpy as np
 
 from .errors import DomainError
 from .metrics import SCALAR_EPS, Metric, Point, PointMap, _require_int
-from .report import HYPOTHESIS_UNMET, VerificationReport
 
-if TYPE_CHECKING:  # the checks import the check kernel when called
+if TYPE_CHECKING:  # the checks import the check kernel and the reports when called
     from .framework import AlphaFunction, GeraghtyBeta
+    from .report import VerificationReport
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -166,6 +168,7 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
     accordingly.
     """
     from .framework import BlockCheck, _block_reports, _breaks, _table
+    from .report import HYPOTHESIS_UNMET, VerificationReport
 
     _require_int("n_max", n_max, least=1)
     orbit: list[Point] = [x0]

@@ -9,12 +9,13 @@ and the renderers show them in that order. :func:`make_report` sorts a list
 of witnesses once. :class:`FailingRows` holds the failing rows of a block
 check as columns and builds :class:`Witness` objects on demand: the
 renderers ask for the first few, and only a caller that iterates over all
-of them (a merge, a test) builds and sorts every one.
+of them (a merge, a test) builds and sorts every one. Only the verifiers
+load this module: every report.csv, an orbit's too, is written by
+:func:`picardkit.metrics.save_report_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,12 +23,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .metrics import save_report_csv
+
 PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_UNMET = "hypothesis-unmet"
 CAVEAT = "caveat"
-
-CSV_HEADER = ["check", "status", "samples", "mode", "witness", "lhs", "bound", "margin", "notes"]
 
 _MAX_RENDERED_WITNESSES = 8
 
@@ -265,12 +266,9 @@ def render_text(reports: Sequence[VerificationReport],
         hidden = len(rep.witnesses) - len(shown)
         if hidden > 0:
             lines.append(f"         ... and {hidden} more witnesses")
-    counts: dict[str, int] = {}
-    for rep in reports:
-        counts[rep.status] = counts.get(rep.status, 0) + 1
-    summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-    lines.append("")
-    lines.append(f"summary: {len(reports)} checks ({summary})")
+    statuses = [rep.status for rep in reports]
+    summary = ", ".join(f"{statuses.count(s)} {s}" for s in sorted(set(statuses)))
+    lines += ["", f"summary: {len(reports)} checks ({summary})"]
     return "\n".join(lines) + "\n"
 
 
@@ -280,10 +278,7 @@ def report_rows(reports: Sequence[VerificationReport]) -> list[list[str]]:
     for rep in reports:
         first = rep.witnesses[0] if rep.witnesses else None
         rows.append([
-            rep.name,
-            rep.status,
-            str(rep.samples),
-            rep.mode,
+            rep.name, rep.status, str(rep.samples), rep.mode,
             f"{first.check} {format_inputs(first.inputs)}" if first else "",
             format_value(first.lhs) if first is not None and first.lhs is not None else "",
             format_value(first.bound) if first is not None and first.bound is not None else "",
@@ -295,10 +290,4 @@ def report_rows(reports: Sequence[VerificationReport]) -> list[list[str]]:
 
 def write_report_csv(path: str | Path, reports: Sequence[VerificationReport],
                      extra_rows: Sequence[Sequence[str]] = ()) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in report_rows(reports):
-            writer.writerow(row)
-        for row in extra_rows:
-            writer.writerow(list(row))
+    save_report_csv(path, [*report_rows(reports), *extra_rows])

@@ -10,7 +10,6 @@ import io
 import math
 import os
 import re
-import runpy
 import subprocess
 import sys
 import tempfile
@@ -821,8 +820,11 @@ def test_a_size_too_large_to_allocate_is_a_validation_error(tmp_path, capsys, mo
 
 
 def _python_env():
-    """The environment of a new interpreter that imports this picardkit."""
+    """The environment of a new interpreter that imports this picardkit.
+    Its stdout into a pipe is block-buffered: a PYTHONUNBUFFERED in the
+    environment would hide a flush that the process entry failed to make."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     src = str(Path(picardkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
@@ -840,6 +842,27 @@ def _run_fresh_python(code):
     the test with its stderr if it exits nonzero."""
     done = _run_python(["-c", textwrap.dedent(code)])
     assert done.returncode == 0, done.stderr
+
+
+def _run_entry(argv, status, then=""):
+    """Run what ``python -m picardkit`` runs on ``argv`` in a new
+    interpreter, then the lines ``then``. The child's ``os._exit`` records
+    the status and raises SystemExit in its place, so the lines after the
+    entry still run; the entry must have ended there, with ``status``."""
+    _run_fresh_python("\n".join([
+        "import os, runpy, sys",
+        "exits = []",
+        "def _exit(status):",
+        "    exits.append(status)",
+        "    raise SystemExit(status)",
+        "os._exit = _exit",
+        f"sys.argv = {['picardkit', *argv]!r}",
+        "try:",
+        "    runpy.run_module('picardkit', run_name='__main__')",
+        "except SystemExit:",
+        "    pass",
+        f"assert exits == [{status!r}], exits",
+        then]))
 
 
 class TestColdStart:
@@ -870,50 +893,32 @@ class TestColdStart:
                                             (VERIFY_CFG, True), (GRID_VERIFY_CFG, True)],
                              ids=["solve-bvp", "iterate", "verify-interval", "verify-grid"])
     def test_numpy_random_is_loaded_only_by_runs_that_draw(self, tmp_path, cfg, draws):
-        # what python -m picardkit runs, in this interpreter
-        argv = ["picardkit", "--config", str(write_cfg(tmp_path, cfg)),
-                "--out", str(tmp_path / "out")]
-        _run_fresh_python(f"""
-            import runpy, sys
-            sys.argv = {argv!r}
-            try:
-                runpy.run_module("picardkit", run_name="__main__")
-            except SystemExit as done:
-                assert done.code == 0, done.code
-            assert ("numpy.random" in sys.modules) is {draws!r}
-            """)
+        _run_entry(_mode_argv(tmp_path, cfg), EXIT_OK,
+                   f"assert ('numpy.random' in sys.modules) is {draws!r}")
 
-    @pytest.mark.parametrize("cfg, loaded", [
-        (None, set()),
-        ("--list-builtins", {"builtins", "errors"}),
-        (VERIFY_CFG, {"builtins", "errors", "framework", "metrics", "report", "sampling"}),
-        (VERIFY_CFG + "\n[order]\nname = natural\n",
+    @pytest.mark.parametrize("cfg, status, loaded", [
+        (None, None, set()),
+        ("--list-builtins", EXIT_OK, {"builtins", "errors"}),
+        (VERIFY_CFG, EXIT_OK, {"builtins", "errors", "framework", "metrics", "report", "sampling"}),
+        (VERIFY_CFG + "\n[order]\nname = natural\n", EXIT_CHECK_FAILED,
          {"builtins", "errors", "framework", "metrics", "posets", "report", "sampling"}),
-        (GRID_VERIFY_CFG,
+        (GRID_VERIFY_CFG, EXIT_OK,
          {"builtins", "bvp", "errors", "framework", "metrics", "picard", "report", "sampling"}),
-        (SOLVE_CFG, {"builtins", "bvp", "errors", "metrics", "picard", "report"}),
-        (ITERATE_CFG, {"builtins", "errors", "metrics", "picard", "report"}),
+        (SOLVE_CFG, EXIT_OK, {"builtins", "bvp", "errors", "metrics", "picard"}),
+        (ITERATE_CFG, EXIT_OK, {"builtins", "errors", "metrics", "picard"}),
     ], ids=["import", "list-builtins", "verify-interval", "verify-interval-order",
             "verify-grid", "solve-bvp", "iterate"])
-    def test_each_mode_loads_only_the_modules_it_runs(self, tmp_path, cfg, loaded):
-        # what python -m picardkit runs, in this interpreter; the front-end
-        # itself (cli, __main__) is left out of the module set
-        run = "import picardkit"
-        if cfg is not None:
-            argv = ["picardkit", *([cfg] if cfg == "--list-builtins" else
-                                   ["--config", str(write_cfg(tmp_path, cfg)),
-                                    "--out", str(tmp_path / "out")])]
-            run = (f"sys.argv = {argv!r}\n"
-                   "try:\n"
-                   "    runpy.run_module('picardkit', run_name='__main__')\n"
-                   "except SystemExit as done:\n"
-                   "    assert done.code in (0, 1), done.code")  # 1: a check failed
-        _run_fresh_python("\n".join([
-            "import runpy, sys",
-            run,
+    def test_each_mode_loads_only_the_modules_it_runs(self, tmp_path, cfg, status, loaded):
+        # the front-end itself (cli, __main__) is left out of the module set
+        check = "\n".join([
             "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('picardkit.')}",
             f"assert loaded - {{'cli', '__main__'}} == {loaded!r}, sorted(loaded)",
-            f"assert ('numpy' in sys.modules) is {cfg is not None!r}"]))
+            f"assert ('numpy' in sys.modules) is {cfg is not None!r}"])
+        if cfg is None:
+            _run_fresh_python("import sys\nimport picardkit\n" + check)
+        else:
+            _run_entry([cfg] if cfg == "--list-builtins" else _mode_argv(tmp_path, cfg),
+                       status, check)
 
     def test_the_lazy_namespace_resolves_every_public_name(self):
         for module, names in picardkit._MODULES.items():
@@ -1179,28 +1184,40 @@ def test_edge_value_configs_keep_the_exit_contract(mode, seed, edges):
 
 
 # ---------------------------------------------------------------------------
-# The process entry: python -m picardkit and the console script freeze the
-# collector before exit; cli.main in-process does not. Skipping the exit
-# collection is safe because every artifact is closed when the run returns.
+# The process entry: python -m picardkit and the console script run with the
+# collector off and end in os._exit once the atexit callbacks have run and
+# the output is flushed; cli.main in-process leaves the collector alone.
+# Skipping interpreter teardown is safe because every artifact is closed
+# when the run returns.
 
 _MODE_CFGS = {"verify-interval": VERIFY_CFG, "verify-grid": GRID_VERIFY_CFG,
               "iterate": ITERATE_CFG, "solve-bvp": SOLVE_CFG}
 _DIVERGENT_CFG = "mode = iterate\n[iterate]\nmap = affine:3:0\n[picard]\ndivergence_bound = 1e6\n"
+_REFUSED_CFG = SOLVE_CFG.replace("n = 100", "n = 3")  # exits 4: the grid size must be even
 
 
 def _mode_argv(tmp_path, cfg):
     return ["--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "out")]
 
 
-def test_console_script_is_the_entry_of_python_m(monkeypatch):
+def test_console_script_is_the_entry_of_python_m(tmp_path):
+    # the wrapper an installer writes around the script's entry point;
+    # importing the entry's module imports no cli, and so no numpy
     pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text())
     module, name = pyproject["project"]["scripts"]["picardkit"].split(":")
-    target = getattr(importlib.import_module(module), name)
-    assert target is cli_module.entry
-    calls = []
-    monkeypatch.setattr(cli_module, "entry", lambda: calls.append("entry"))
-    runpy.run_module("picardkit", run_name="__main__")
-    assert calls == ["entry"]
+    assert (module, name) == ("picardkit.__main__", "entry")
+    script = (f"import sys\nfrom {module} import {name}\n"
+              "assert 'picardkit.cli' not in sys.modules\n"
+              f"sys.argv[0] = 'picardkit'\nsys.exit({name}())\n")
+    for argv, status in ((["--help"], EXIT_OK), (["--bogus"], EXIT_USAGE),
+                         (_mode_argv(tmp_path, _DIVERGENT_CFG), EXIT_NOT_CONVERGED)):
+        by_script = _run_python(["-c", script, *argv])
+        outputs = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*")}
+        by_module = _run_python(["-m", "picardkit", *argv])
+        assert by_script.returncode == status, by_script.stderr
+        assert ((by_script.returncode, by_script.stdout, by_script.stderr)
+                == (by_module.returncode, by_module.stdout, by_module.stderr))
+        assert outputs == {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*")}
 
 
 @pytest.mark.parametrize("cfg, argv, status", [
@@ -1208,21 +1225,79 @@ def test_console_script_is_the_entry_of_python_m(monkeypatch):
     (VERIFY_INTERVAL_CFG, [], EXIT_CHECK_FAILED),
     (_DIVERGENT_CFG, [], EXIT_NOT_CONVERGED),
     (SOLVE_CFG, ["--bogus"], EXIT_USAGE),
-    (SOLVE_CFG.replace("n = 100", "n = 3"), [], EXIT_VALIDATION),
+    (_REFUSED_CFG, [], EXIT_VALIDATION),
 ], ids=["ok", "check-failed", "not-converged", "usage", "validation"])
-def test_process_entry_freezes_the_collector_and_keeps_the_status(tmp_path, cfg, argv, status):
-    # what python -m picardkit runs, in a new interpreter
+def test_process_entry_keeps_the_status_with_the_collector_off(tmp_path, cfg, argv, status):
+    _run_entry([*_mode_argv(tmp_path, cfg), *argv], status,
+               "import gc\nassert not gc.isenabled() and gc.get_freeze_count() == 0")
+
+
+_ORBIT = ["report.csv", "report.txt", "trace.csv"]
+
+
+@pytest.mark.parametrize("cfg, argv, status, artifacts", [
+    (VERIFY_CFG, [], EXIT_OK, ["report.csv", "report.txt"]),
+    (GRID_VERIFY_CFG, [], EXIT_OK, ["report.csv", "report.txt"]),
+    (ITERATE_CFG, [], EXIT_OK, _ORBIT),
+    (SOLVE_CFG, [], EXIT_OK, ["report.csv", "report.txt", "solution.csv", "trace.csv"]),
+    (VERIFY_CFG + "\n[order]\nname = natural\n", [], EXIT_CHECK_FAILED,
+     ["report.csv", "report.txt"]),
+    (_DIVERGENT_CFG, [], EXIT_NOT_CONVERGED, _ORBIT),
+    (SOLVE_CFG, ["--bogus"], EXIT_USAGE, None),  # refused before the output directory is made
+    (_REFUSED_CFG, [], EXIT_VALIDATION, []),
+], ids=["verify-interval", "verify-grid", "iterate", "solve-bvp", "check-failed",
+        "not-converged", "usage", "validation"])
+def test_the_process_collects_nothing_and_exits_with_the_status(tmp_path, cfg, argv, status,
+                                                                artifacts):
+    # the real os._exit: an atexit hook registered before the entry prints
+    # the collections a gc hook saw once the entry began importing cli
     argv = ["picardkit", *_mode_argv(tmp_path, cfg), *argv]
-    _run_fresh_python(f"""
-        import gc, runpy, sys
+    done = _run_python(["-c", textwrap.dedent(f"""
+        import atexit, gc, runpy, sys
+        collections = []
+        gc.callbacks.append(lambda phase, info: phase == "start" and "picardkit.cli" in
+                            sys.modules and collections.append(info["generation"]))
+        atexit.register(lambda: print("collections:", collections))
         sys.argv = {argv!r}
-        assert gc.get_freeze_count() == 0
-        try:
-            runpy.run_module("picardkit", run_name="__main__")
-        except SystemExit as done:
-            assert done.code == {status!r}, done.code
-        assert gc.get_freeze_count() > 0
-        """)
+        runpy.run_module("picardkit", run_name="__main__")
+        print("the entry returned")
+        """)])
+    assert (done.returncode, done.stdout) == (status, "collections: []\n"), done.stderr
+    out = tmp_path / "out"
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == artifacts
+
+
+def test_a_flush_that_fails_is_left_to_the_interpreter_exit():
+    # --help into a pipe whose reader is gone: the entry's flush fails, and
+    # the interpreter's exit reports it as it would without the entry
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "picardkit", "--help"], env=_python_env(),
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 120 and "BrokenPipeError" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_the_entry_flushes_what_a_run_writes_to_a_pipe(tmp_path, monkeypatch, capsys):
+    # stdout into a pipe is block-buffered, and os._exit drops what is
+    # still in the buffer; argparse prints --help without a flush
+    monkeypatch.setenv("COLUMNS", "80")  # one help layout in both processes
+    listing = _run_python(["-m", "picardkit", "--list-builtins"])
+    assert ((listing.returncode, listing.stdout, listing.stderr)
+            == (EXIT_OK, cli_module.catalog.catalog_text() + "\n", ""))
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    shown = _run_python(["-m", "picardkit", "--help"])
+    assert (shown.returncode, shown.stdout, shown.stderr) == (EXIT_OK, capsys.readouterr().out, "")
+    argv = _mode_argv(tmp_path, _REFUSED_CFG)
+    refused = _run_python(["-m", "picardkit", *argv])
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert (refused.returncode, refused.stdout, refused.stderr) == (EXIT_VALIDATION, "", err)
 
 
 @pytest.mark.parametrize("mode", sorted(_MODE_CFGS))
