@@ -14,7 +14,7 @@ from picardkit import (CClassFunction, SimulationFunction,
                        render_text, scalar_metric, verify_contraction)
 from picardkit.builtins import (alpha_box, default_beta_probes,
                                 default_sequence_probes, example31_bundle)
-from picardkit.sampling import mesh_array, seeded_rng, uniform_array
+from picardkit.sampling import Draw, Mesh, SampleStream, seeded_rng
 
 rng = seeded_rng(42)
 bundle = example31_bundle()
@@ -25,13 +25,15 @@ print(f"mapping: x/3 on [0, 1], 3x elsewhere; zeta = {bundle.zeta.name}; "
 print()
 
 # axiom checks on seeded samples: (N, 2) arrays, joined with np.concatenate
-zeta_samples = np.concatenate([[(0.0, 0.0)], mesh_array(1e-2, 10.0, 40),
-                               uniform_array(rng, 100, 1e-3, 10.0, 2)])
-pairs = np.concatenate([mesh_array(0.0, 1.0, 51), uniform_array(rng, 100, 0.0, 3.0, 2)])
+zeta_samples = np.concatenate([[(0.0, 0.0)], Mesh(1e-2, 10.0, 40)[:],
+                               rng.uniform(1e-3, 10.0, (100, 2))])
+# the pair checks take a stream: the mesh, then 100 seeded draws, made a
+# chunk at a time and never joined into one table
+pairs = SampleStream(Mesh(0.0, 1.0, 51), Draw(rng, 100, (2,), 0.0, 3.0))
 reports = [
     check_simulation_pointwise(bundle.zeta, zeta_samples),
     check_simulation_sequences(bundle.zeta, default_sequence_probes()),
-    check_cclass(bundle.g, np.concatenate([mesh_array(1e-2, 10.0, 30),
+    check_cclass(bundle.g, np.concatenate([Mesh(1e-2, 10.0, 30)[:],
                                            [(0.0, 1.0), (0.0, 0.0)]])),
     check_geraghty(bundle.beta, np.linspace(0.0, 10.0, 41), default_beta_probes()),
     check_alpha_admissible(bundle.mapping, bundle.alpha, pairs),

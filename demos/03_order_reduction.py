@@ -13,7 +13,7 @@ from picardkit import (alpha_from_order, check_alpha_admissible,
                        check_increasing, check_initial_point,
                        check_order_axioms, check_triangular_alpha,
                        natural_order, nodes, pointwise_order, scalar_metric)
-from picardkit.sampling import mesh_array, seeded_rng, uniform_array
+from picardkit.sampling import Draw, Mesh, seeded_rng
 
 rng = seeded_rng(42)
 halving = lambda x: x / 2.0 + 0.25
@@ -24,13 +24,13 @@ axioms = check_order_axioms(natural_order, [0.0, 0.25, 0.5, 0.75, 1.0],
 print("order axioms on a sample:", axioms.status)
 
 alpha = alpha_from_order(natural_order)
-pairs = mesh_array(0.0, 1.0, 21)
+pairs = Mesh(0.0, 1.0, 21)[:]
 print("x/2 + 1/4 is increasing:", check_increasing(halving, natural_order, pairs).status)
 print("x1 = 0 satisfies x1 <= T x1:", check_initial_point(halving, natural_order, 0.0))
 print("induced weight admissible:",
       check_alpha_admissible(halving, alpha, pairs).status)
 print("induced weight triangular:",
-      check_triangular_alpha(alpha, uniform_array(rng, 200, 0.0, 1.0, 3)).status)
+      check_triangular_alpha(alpha, Draw(rng, 200, (3,), 0.0, 1.0)).status)
 print()
 
 print("== the orbit is an ascending chain ==")

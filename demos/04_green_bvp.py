@@ -17,7 +17,7 @@ from picardkit import (BVPProblem, PicardConfig, check_operator_contraction,
                        row_integral_quadrature, save_grid_csv, solve_bvp)
 from picardkit.builtins import rhs_pi2sin, rhs_sin_plus_one
 from picardkit.cli import write_trace_csv
-from picardkit.sampling import random_grid_pairs, seeded_rng
+from picardkit.sampling import Draw, seeded_rng
 
 print("== kernel facts ==")
 ts = nodes(100)
@@ -59,7 +59,8 @@ triples = [(float(round(t * 100) / 100), float(a), float(b))
            for t, a, b in rng.uniform(0.0, 1.0, (60, 3))]
 print("rhs displacement bound:",
       check_rhs_displacement_bound(nonlinear, triples).status)
-pairs = random_grid_pairs(rng, 40, 100, 0.0, 1.0)
+# 40 pairs of grid functions, drawn a chunk at a time by the check
+pairs = Draw(rng, 40, (2, 101), 0.0, 1.0)
 print("operator eighth-contraction on random pairs:",
       check_operator_contraction(nonlinear, pairs).status)
 

@@ -2,7 +2,8 @@
 ``cli.main`` with the collector off from before numpy is imported, then the
 ``atexit`` callbacks, a flush of stdout and stderr, and ``os._exit``, which
 skips the interpreter's teardown (``main`` has closed every artifact). A
-flush that fails is left to that teardown, which reports it."""
+stdout flush that fails keeps the exit contract (:func:`cli.write_stdout`);
+a stderr flush that fails is left to that teardown, which reports it."""
 
 import atexit
 import gc
@@ -12,15 +13,15 @@ import sys
 
 def entry():
     gc.disable()
-    from .cli import main
+    from .cli import main, write_stdout
 
     try:
         status = main()
     except SystemExit as done:  # argparse's --help and its usage errors
         status = done.code or 0
     atexit._run_exitfuncs()
+    status = write_stdout() or status
     try:
-        sys.stdout.flush()
         sys.stderr.flush()
     except (OSError, ValueError):
         sys.exit(status)

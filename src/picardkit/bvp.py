@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .metrics import (GRID_EPS, Point, _require_int, as_grid_function, grid_pair, nodes, rowwise,
-                      sup_metric)
+from .metrics import (GRID_EPS, Point, _real_or_array, _require_int, as_grid_function,
+                      grid_pair, nodes, rowwise, sup_metric)
 from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate, _require_positive
 
 if TYPE_CHECKING:  # the checks import the check kernel when called
@@ -51,10 +51,7 @@ def green_kernel(t, s):
     broadcast together; arguments must lie in [0, 1]."""
     ta = _check_unit_interval("t", t)
     sa = _check_unit_interval("s", s)
-    out = np.minimum(ta, sa) * (1.0 - np.maximum(ta, sa))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _real_or_array(np.minimum(ta, sa) * (1.0 - np.maximum(ta, sa)))
 
 
 def green_row_integral(t):
@@ -63,10 +60,7 @@ def green_row_integral(t):
     Its maximum over [0, 1] is 1/8, attained at t = 1/2.
     """
     ta = _check_unit_interval("t", t)
-    out = -0.5 * ta * ta + 0.5 * ta
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _real_or_array(-0.5 * ta * ta + 0.5 * ta)
 
 
 def _split_simpson_prefix(g: np.ndarray) -> np.ndarray:

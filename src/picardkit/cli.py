@@ -7,10 +7,12 @@ config keys, defaults, artifacts and exit statuses are in the README's
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import errno
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import make_dataclass, replace
@@ -207,8 +209,7 @@ def _run_verify(config: RunConfig, out: Path) -> int:
                             check_simulation_pointwise, check_simulation_sequences,
                             check_triangular_alpha, contraction_check)
     from .report import render_text, write_report_csv
-    from .sampling import (Mesh, SampleStream, mesh_array, random_grid_pairs, seeded_rng,
-                           uniform_array)
+    from .sampling import Draw, Mesh, SampleStream, seeded_rng
     if config.carrier_kind == "grid":  # bvp compiled after numpy.random peaks 0.4 MB higher
         from .bvp import operator_contraction_check
 
@@ -227,29 +228,27 @@ def _run_verify(config: RunConfig, out: Path) -> int:
     bundle = _build_bundle(config, problem)
 
     # the origin, then positive pairs well above the strictness epsilon
-    zeta_samples = np.concatenate([np.zeros((1, 2)), mesh_array(1e-2, 10.0, 40),
-                                   uniform_array(rng, 100, 1e-3, 10.0, 2)])
+    zeta_samples = np.concatenate([np.zeros((1, 2)), Mesh(1e-2, 10.0, 40)[:],
+                                   rng.uniform(1e-3, 10.0, (100, 2))])
     axis = np.linspace(0.0, 10.0, 41)
     coarse = axis[::8]  # (s, t) for s in axis for t in coarse
     cclass_samples = np.concatenate([
         np.column_stack([np.repeat(axis, coarse.size), np.tile(coarse, axis.size)]),
-        uniform_array(rng, 100, 1e-3, 10.0, 2)])
+        rng.uniform(1e-3, 10.0, (100, 2))])
     beta_samples = np.concatenate([axis, rng.uniform(0.0, 10.0, 50)])
     probes_mode = bundle.zeta.sequence_axiom
 
     metric, tol = catalog.resolve("carrier", config.carrier_kind)
+    # made a chunk at a time: the pass never holds a pair or triple table whole
     if config.carrier_kind == "interval":
-        # made a chunk at a time: the pass never holds the pair mesh whole
         pairs = SampleStream(Mesh(low, high, config.pair_grid),
-                             uniform_array(rng, config.random_pairs, low, high, 2))
-        triples = uniform_array(rng, 200, low, high, 3)
+                             Draw(rng, config.random_pairs, (2,), low, high))
+        triples = Draw(rng, 200, (3,), low, high)
     else:
-        pairs = random_grid_pairs(rng, max(config.random_pairs, 10), config.bvp_n,
-                                  low, high)
-        # the drawn functions in order, x_0, y_0, x_1, ..., three at a time: a
-        # view of the block, as a copy would raise the run's peak memory
-        m = 2 * len(pairs) // 3
-        triples = pairs.reshape(-1, config.bvp_n + 1)[:3 * m].reshape(m, 3, config.bvp_n + 1)
+        count, nodes = max(config.random_pairs, 10), config.bvp_n + 1
+        # the pairs' functions in order, x_0, y_0, x_1, ..., three at a time
+        triples = Draw(copy.deepcopy(rng), 2 * count // 3, (3, nodes), low, high)
+        pairs = Draw(rng, count, (2, nodes), low, high)
 
     reports = [
         check_simulation_pointwise(bundle.zeta, zeta_samples),
@@ -385,9 +384,22 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
         print(f"config error: cannot write {where}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        for path in staging.iterdir():
-            path.unlink()
-        staging.rmdir()
+        shutil.rmtree(staging)
+
+
+def write_stdout(text: str = "") -> int:
+    """Write ``text`` to stdout and flush it; returns the exit status of the
+    write: EXIT_OK, also when the reader has left early (``| head``: what it
+    read stands), else EXIT_USAGE after one line on stderr. After an error
+    stdout goes to /dev/null, so that no later flush can fail."""
+    try:
+        print(text, end="", flush=True)  # writes nothing if the process has no stdout
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"config error: cannot write stdout: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -410,13 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_builtins:
-        try:
-            print(catalog.catalog_text(), flush=True)
-        except BrokenPipeError:
-            # the reader left early (``| head``): what it read stands, and
-            # stdout goes to /dev/null so that the flush at exit cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return write_stdout(catalog.catalog_text() + "\n")
     if args.config is None:
         parser.print_usage(sys.stderr)
         print("picardkit: a --config file is required unless --list-builtins is given",

@@ -25,9 +25,10 @@ strictness epsilon. Every sampled verifier, here and in :mod:`.picard`,
 :func:`_table`, and runs on one chunked kernel, :func:`_block_reports`. The
 gate gives one of three tables: an (N, k) float array of reals, an
 (N, k, n + 1) float array of grid functions (k functions of n + 1 nodes
-per row), or a :class:`~picardkit.sampling.SampleStream` of reals, which
-makes its rows a chunk at a time, so a pass over a large pair mesh never
-holds it whole. Rows given as tuples are stacked once, at the gate; a bad
+per row), or a row source of :mod:`~picardkit.sampling` of either (a
+seeded ``Draw``, or a ``SampleStream`` joining ``Mesh``es, ``Draw``s and
+arrays), which makes its rows a chunk at a time, so a pass never holds
+its samples whole. Rows given as tuples are stacked once, at the gate; a bad
 shape raises :class:`DimensionError`, and a value that is not a real
 raises :class:`DomainError`. Each clause of the kernel (:class:`BlockCheck`)
 gives the rows of a chunk it applies to with their margins, and one kernel
@@ -37,7 +38,7 @@ check's :class:`~picardkit.report.FailingRows`. A chunk is up to :data:`CHUNK`
 float values per column (16000, so that a float column of a chunk stays
 just under 128 KiB, glibc's default threshold for serving an allocation
 with mmap): 16000 samples of reals, or ``CHUNK // (n + 1)`` grid functions
-of n + 1 nodes (at least one). A column of a chunk is a view of the table:
+of n + 1 nodes (at least one). A column of a chunk is a view of its rows:
 a 1-d array of reals, or a (k, n + 1) stack of grid functions, which only
 callables tagged :func:`~picardkit.metrics.rowwise` get whole.
 :func:`evaluate_block` evaluates each callable once per chunk: family
@@ -51,10 +52,9 @@ Only two limit-style conditions loop, over a few probes, each probe's tail
 (at least one term) in one :meth:`Family.values` call:
 :func:`check_simulation_sequences` and the limit probes of
 :func:`check_geraghty`. :func:`picardkit.bvp.check_gate_limit` calls the
-gate on two stacks. The first and the last decide by the strict rule too;
-the limit probe of :func:`check_geraghty` is the one verdict not decided
-by its margin. These are *falsification* checks: a pass means "no
-counterexample found on the supplied probes", never a proof.
+gate on two stacks. All three decide by the strict rule too. These are
+*falsification* checks: a pass means "no counterexample found on the
+supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
 checked concurrently, and the reports merged with
 :func:`picardkit.report.merge_reports`.
@@ -74,7 +74,7 @@ from .errors import DimensionError, DomainError
 from .metrics import (GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, _require_int,
                       as_grid_function)
 from .report import FailingRows, Witness, VerificationReport, make_report
-from .sampling import SampleStream
+from .sampling import Draw, SampleStream
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
 
@@ -340,8 +340,9 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
     """Range check ``beta(t) in [0, 1)`` on the samples, plus falsification
     probes of the limit property: a witness is reported when beta tends to 1
     (tail values within ``limit_tol`` of 1) along a probe whose arguments
-    stay at least ``separation`` away from 0: the one verdict of the library
-    not decided by its margin (minus the tail's least argument).
+    stay at least ``separation`` away from 0, decided by the strict rule on
+    the margin minus the tail's least argument under the tolerance
+    ``-separation``.
     """
     _require_int("min_tail", min_tail, least=1)
     ranged = _clauses("geraghty", beta, _table(samples, 1, "beta"), tol, [(
@@ -362,7 +363,7 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
         tail_beta = beta.values(tail)
         tail_min_t = float(tail.min())
         tail_min_beta = float(tail_beta.min())
-        if tail_min_beta >= 1.0 - limit_tol and tail_min_t >= separation:
+        if tail_min_beta >= 1.0 - limit_tol and _breaks(-tail_min_t, -separation, strict=True):
             witnesses.append(Witness(
                 "geraghty/limit", (index, tail_min_t), -tail_min_t,
                 f"beta tends to 1 (tail min beta = {tail_min_beta!r}) while the "
@@ -378,7 +379,9 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
 def _table(samples, width: int, nonnegative: str = "", grids: bool = False):
     """The samples as the kernel's table: an (N, width) float array of
     reals, with ``grids`` also an (N, width, n + 1) one of grid functions,
-    or a :class:`~picardkit.sampling.SampleStream` of that width. Rows given
+    or a :class:`~picardkit.sampling.Draw` or
+    :class:`~picardkit.sampling.SampleStream` of those rows, taken as it
+    is. Rows given
     as tuples are stacked here, once, and a list of reals is a table of
     width 1. A value that is not a real raises :class:`DomainError`, and any
     other shape :class:`DimensionError`. With ``nonnegative`` (what they
@@ -389,7 +392,7 @@ def _table(samples, width: int, nonnegative: str = "", grids: bool = False):
     if not np.iterable(samples):
         raise DimensionError(wanted)
     table = samples
-    if not isinstance(samples, SampleStream):
+    if not isinstance(samples, (Draw, SampleStream)):
         table = _stacked(samples if isinstance(samples, np.ndarray) else list(samples),
                          what, grids, wanted)
         if table.ndim == 1 and (width == 1 or not table.size):  # reals, or no rows
@@ -480,7 +483,7 @@ def _block_reports(table, checks: Sequence[BlockCheck],
     wrapped by ``chunk`` once and read by every check, and each check's
     failing rows, inputs included, are taken from the chunk, so a stream is
     never held whole."""
-    found = [FailingRows(check.check, check.detail, len(table)) for check in checks]
+    found = [FailingRows(check.check, check.detail, table) for check in checks]
     for columns, rows in _blocks(table):
         view = chunk(columns)
         for check, into in zip(checks, found):

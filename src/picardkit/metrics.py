@@ -50,6 +50,11 @@ def nodes(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
+def _real_or_array(values: np.ndarray) -> float | np.ndarray:
+    """A 0-d result of a pointwise formula as a Python float, any other as it is."""
+    return float(values) if values.ndim == 0 else values
+
+
 def rowwise(fn: Callable) -> Callable:
     """Tag ``fn`` as row-wise: given stacks of grid functions in place of
     grid functions, it treats each row as one function and returns one value
@@ -83,8 +88,7 @@ def scalar_metric(x: Point, y: Point) -> Point:
         raise DomainError(f"scalar_metric needs reals, got {x!r} and {y!r}") from exc
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise DomainError("scalar_metric needs finite inputs")
-    gap = np.abs(xa - ya)
-    return float(gap) if gap.ndim == 0 else gap
+    return _real_or_array(np.abs(xa - ya))
 
 
 def grid_pair(x: Point, y: Point) -> tuple[np.ndarray, np.ndarray]:
@@ -109,8 +113,7 @@ def sup_metric(x: Iterable[float], y: Iterable[float]) -> float | np.ndarray:
     functions sampled on the same grid; on two stacks, the gap of each pair
     of rows."""
     xa, ya = grid_pair(as_grid_function(x, stack=True), as_grid_function(y, stack=True))
-    gap = np.max(np.abs(xa - ya), axis=-1)
-    return float(gap) if gap.ndim == 0 else gap
+    return _real_or_array(np.max(np.abs(xa - ya), axis=-1))
 
 
 def save_grid_csv(path: str | Path, values: Iterable[float]) -> None:

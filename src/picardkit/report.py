@@ -34,18 +34,16 @@ _MAX_RENDERED_WITNESSES = 8
 
 
 def format_value(value) -> str:
-    """Deterministic compact rendering used in witness keys and reports."""
+    """Deterministic compact rendering used in witness keys and reports: a
+    grid function by its node count and range, anything else by its repr,
+    a numpy bool, integer or float as the Python one (``.item()``)."""
     if type(value) is float:  # the common case, ahead of the numpy types
         return repr(value)
     if isinstance(value, np.ndarray):
         return (f"grid(nodes={value.size}, min={float(value.min())!r}, "
                 f"max={float(value.max())!r})")
-    if isinstance(value, (bool, np.bool_)):
-        return repr(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return repr(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+    if isinstance(value, (np.bool_, np.integer, np.floating)):
+        value = value.item()
     return repr(value)
 
 
@@ -86,12 +84,14 @@ class Witness:
 
 class FailingRows(SequenceABC):
     """The failing rows of one check, written chunk by chunk by :meth:`add`
-    straight into their final columns: the sampled inputs (an (N, k) float
-    array of reals, or an (N, k, n + 1) one of grid functions) and per row
-    the left-hand value, the bound, the signed margin (the check's own, not
-    always lhs - bound) and the columns that ``detail`` takes after the
-    left-hand value. A column has a row for each of the ``size`` samples, of
-    which only the pages written become resident, or is one value stored once.
+    straight into their final columns: the sampled inputs (an array of the
+    shape and dtype of the sampled ``table``, which may be a row source of
+    :mod:`~picardkit.sampling`: (N, k) for reals, (N, k, n + 1) for grid
+    functions) and per row the left-hand value, the bound, the signed margin
+    (the check's own, not always lhs - bound) and the columns that ``detail``
+    takes after the left-hand value. A column has a row for each of the N
+    samples, of which only the pages written become resident, or is one
+    value stored once.
     It behaves as the list of their witnesses, worst first, under ``len``,
     iteration, indexing, slicing and ``==``, and builds each witness the
     first time a caller reaches it: ``[:k]`` or ``[i]`` builds the first
@@ -101,9 +101,12 @@ class FailingRows(SequenceABC):
     row's grid functions.
     """
 
-    def __init__(self, check: str, detail: Callable[..., str], size: int):
-        self.check, self._detail, self._size, self._count = check, detail, size, 0
-        self._inputs, self._values = np.empty(0), [np.zeros(0)] * 3
+    def __init__(self, check: str, detail: Callable[..., str], table):
+        self.check, self._detail, self._count = check, detail, 0
+        # sized before the pass, so that a size too large to allocate fails first
+        none = table[:0]
+        self._inputs = np.empty((len(table), *none.shape[1:]), none.dtype)
+        self._values = [np.zeros(0)] * 3
         self._head: list[Witness] = []  # the first witnesses, in order
 
     def add(self, rows: np.ndarray, index: np.ndarray, *values) -> None:
@@ -113,16 +116,15 @@ class FailingRows(SequenceABC):
             return
         if not start:  # the first failing rows
             self._values = [None] * len(values)
-            self._inputs = np.empty((self._size, *rows.shape[1:]), rows.dtype)
         for i, value in enumerate(values):
             kept = self._values[i]
             if np.ndim(value) == 0 and (kept is None or kept is value):
                 self._values[i] = value
                 continue
             if kept is None:
-                self._values[i] = np.empty(self._size, np.result_type(value))
+                self._values[i] = np.empty(len(self._inputs), np.result_type(value))
             elif np.ndim(kept) == 0:  # rows before these share the value kept
-                self._values[i] = np.empty(self._size, np.result_type(kept, value))
+                self._values[i] = np.empty(len(self._inputs), np.result_type(kept, value))
                 self._values[i][:start] = kept
             self._values[i][start:end] = value
         self._inputs[start:end] = rows[index]

@@ -24,7 +24,7 @@ from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
                                 rhs_sin_plus_one, zeta1, zeta2, zeta3)
 from picardkit.cli import parse_config, run
 from picardkit.posets import alpha_from_order, natural_order
-from picardkit.sampling import mesh_array, seeded_rng, uniform_array
+from picardkit.sampling import Mesh, seeded_rng
 
 from helpers import finite_difference_solve
 
@@ -41,8 +41,8 @@ def test_criterion_1_reference_contraction_grid():
     101 x 101 pair mesh over [0, 1]^2 plus 100 seeded random pairs from
     [0, 3]^2, with zero counterexamples, in under 5 seconds."""
     bundle = example31_bundle()
-    pairs = np.concatenate([mesh_array(0.0, 1.0, 101),
-                            uniform_array(seeded_rng(SEED), 100, 0.0, 3.0, 2)])
+    pairs = np.concatenate([Mesh(0.0, 1.0, 101)[:],
+                            seeded_rng(SEED).uniform(0.0, 3.0, (100, 2))])
     started = time.perf_counter()
     report = verify_contraction(bundle, pairs, scalar_metric)
     elapsed = time.perf_counter() - started
@@ -149,7 +149,7 @@ def test_criterion_6_falsification_suite():
     each yield at least one witness; and every witness replays to its
     reported margin within 1e-12."""
     rng = seeded_rng(SEED)
-    pairs = uniform_array(rng, 10_000, 1e-3, 10.0, 2)
+    pairs = rng.uniform(1e-3, 10.0, (10_000, 2))
     families = [zeta1(), zeta2(), zeta3()]
     family_reports = [check_simulation_pointwise(z, pairs) for z in families]
     families_ok = all(r.passed for r in family_reports)
@@ -165,7 +165,7 @@ def test_criterion_6_falsification_suite():
     tripling = lambda x: 3.0 * x
     box = alpha_box(0.0, 1.0)
     alpha_report = check_alpha_admissible(tripling, box, np.concatenate(
-        [[(0.5, 0.5)], mesh_array(0.0, 1.0, 11)]))
+        [[(0.5, 0.5)], Mesh(0.0, 1.0, 11)[:]]))
 
     broken_reports = [zeta_report, g_report, beta_report, alpha_report]
     broken_ok = all(len(r.witnesses) >= 1 for r in broken_reports)
@@ -215,7 +215,7 @@ def _order_pipeline(seed: int = SEED):
     the fitting and the quarter-gain bundle on the same seeded pairs, plus a
     five-start uniqueness probe."""
     rng = seeded_rng(seed)
-    pairs = np.concatenate([mesh_array(0.0, 1.0, 21), uniform_array(rng, 100, 0.0, 1.0, 2)])
+    pairs = np.concatenate([Mesh(0.0, 1.0, 21)[:], rng.uniform(0.0, 1.0, (100, 2))])
     fitting = verify_contraction(FITTING_BUNDLE, pairs, scalar_metric)
     quarter_gain = verify_contraction(QUARTER_GAIN_BUNDLE, pairs, scalar_metric)
     starts = [float(v) for v in rng.uniform(0.0, 1.0, 5)]
@@ -347,7 +347,7 @@ def _produce_artifacts(root: Path) -> list[Path]:
         run(parse_config(cfg), out_dir=root / name)
 
     rng = seeded_rng(SEED)
-    pairs = uniform_array(rng, 2_000, 1e-3, 10.0, 2)
+    pairs = rng.uniform(1e-3, 10.0, (2_000, 2))
     reports = [check_simulation_pointwise(z, pairs)
                for z in (zeta1(), zeta2(), zeta3())]
     reports.append(check_simulation_pointwise(

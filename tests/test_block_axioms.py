@@ -187,7 +187,8 @@ def oracle_geraghty(beta, samples, probe_sequences=(), tol=SCALAR_EPS, limit_tol
         tail_beta = np.array([beta(float(u)) for u in tail])
         tail_min_t = float(tail.min())
         tail_min_beta = float(tail_beta.min())
-        if tail_min_beta >= 1.0 - limit_tol and tail_min_t >= separation:
+        if tail_min_beta >= 1.0 - limit_tol and breaks("geraghty/limit", -tail_min_t,
+                                                       -separation, strict=True):
             witnesses.append(Witness(
                 "geraghty/limit", (index, tail_min_t), -tail_min_t,
                 f"beta tends to 1 (tail min beta = {tail_min_beta!r}) while the "
@@ -558,6 +559,8 @@ def _trace(seed, size, as_ints):
 RATIO_EDGE = 1.0872499829318458
 EDGE_TRACE = IterationTrace(0.0, [1.0, RATIO_EDGE], "converged", 0.0)
 EDGE_BETA = GeraghtyBeta(lambda t: np.full(np.shape(t), 1.0872499829308457), name="edge")
+# within the default limit_tol (1e-9) of 1, and below 1 by more than SCALAR_EPS
+LIMIT_EDGE = GeraghtyBeta(lambda t: np.full(np.shape(t), 1.0 - 5e-10), name="near-one")
 
 
 @given(trace=st.builds(_trace, st.integers(0, 2 ** 32 - 1), st.sampled_from(SIZES),
@@ -768,7 +771,11 @@ def test_rhs_displacement_counts_only_gated_triples():
 # The verdict rule itself, on every oracle-backed verifier: the witnesses are
 # exactly the rows whose margin breaks their clause's rule.
 
-STRICT = {"simulation/strict", "simulation/limit", "geraghty/range", "cclass/benchmark"}
+STRICT = {"simulation/strict", "simulation/limit", "geraghty/range", "geraghty/limit",
+          "cclass/benchmark"}
+# a limit probe breaks its rule where its least tail argument is at least the
+# separation: its margin is minus that argument, under the tolerance -separation
+TOLERANCES = {"geraghty/limit": -1e-6}
 
 
 def _orbit_case(seed, size):
@@ -821,6 +828,10 @@ RULE_CASES = {
     "edge: displacement": lambda seed, size: (
         check_rhs_displacement_bound, oracle_rhs_displacement_bound,
         (BVPProblem(rhs=RHS_EDGE, n=4), [(0.5, 0.0, 1.0)])),
+    # tails whose least argument is the separation and the floats either side
+    "edge: limit": lambda seed, size: (
+        check_geraghty, oracle_geraghty,
+        (LIMIT_EDGE, [0.5], [np.full(30, t) for t in (1e-6, *np.nextafter(1e-6, [0.0, 1.0]))])),
 }
 
 
@@ -831,6 +842,7 @@ RULE_CASES = {
 @example(case="edge: ratio", seed=0, size=0)
 @example(case="edge: orbit", seed=0, size=0)
 @example(case="edge: displacement", seed=0, size=0)
+@example(case="edge: limit", seed=0, size=0)
 @settings(max_examples=60, deadline=None)
 def test_the_witnesses_are_the_rows_that_break_the_rule(case, seed, size):
     check, oracle, args = RULE_CASES[case](seed, size)
@@ -843,7 +855,7 @@ def test_the_witnesses_are_the_rows_that_break_the_rule(case, seed, size):
         return
     # every witness breaks its clause's rule on its own margin ...
     for w in block.witnesses:
-        tol = 0.0 if w.check.startswith("order/") else block.tolerance
+        tol = 0.0 if w.check.startswith("order/") else TOLERANCES.get(w.check, block.tolerance)
         assert breaks(w.check, w.margin, tol, w.check in STRICT), w
     # ... and is one of the rows the oracle found to break it, so a passing
     # report has no such row

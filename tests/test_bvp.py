@@ -24,7 +24,7 @@ from picardkit.bvp import _kernel_quadrature, alpha_from_gate, operator_contract
 from picardkit.framework import CHUNK, check_pairs, contraction_check
 from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
-from picardkit.sampling import random_grid_pairs, seeded_rng
+from picardkit.sampling import seeded_rng
 
 from helpers import OracleError, finite_difference_solve, gate_accepts_start, trapezoid_weights
 
@@ -218,7 +218,7 @@ class TestIntegralOperator:
     def test_boundary_exactness(self):
         rng = seeded_rng(4)
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=30)
-        for x, _ in random_grid_pairs(rng, 5, 30):
+        for x, _ in rng.uniform(0.0, 1.0, (5, 2, 31)):
             out = integral_operator(problem, x)
             assert out[0] == 0.0 and out[-1] == 0.0
 
@@ -470,7 +470,7 @@ class TestOperatorContraction:
     ])
     def test_matches_the_per_pair_oracle(self, rhs, factor, fails):
         problem = BVPProblem(rhs=resolve("rhs", rhs), n=10)
-        pairs = random_grid_pairs(seeded_rng(5), 60, 10)
+        pairs = seeded_rng(5).uniform(0.0, 1.0, (60, 2, 11))
         got = check_operator_contraction(problem, pairs, factor=factor)
         assert_same_report(got, oracle_operator_contraction(problem, pairs, factor=factor))
         assert got.passed is not fails
@@ -491,7 +491,7 @@ class TestOperatorContraction:
                              gate=lambda a, b: 1.0 if abs(a - b) < 1e-3 else -1.0)
         rng = seeded_rng(9)
         x = rng.uniform(0.0, 1.0, 11)
-        pairs = np.concatenate([random_grid_pairs(rng, 20, 10), [(x, x.copy()), (x, x + 1e-4)]])
+        pairs = np.concatenate([rng.uniform(0.0, 1.0, (20, 2, 11)), [(x, x.copy()), (x, x + 1e-4)]])
         bundle = resolve("bundle", "bvp", "grid", problem)
         assert [bundle.alpha(a, b) for a, b in pairs] == [0.0] * 20 + [1.0, 1.0]
         contraction, operator = check_pairs(
@@ -528,7 +528,7 @@ class TestOperatorContraction:
     def test_random_pairs_bounded(self):
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=100)
         rng = seeded_rng(42)
-        pairs = random_grid_pairs(rng, 50, 100, 0.0, 1.0)
+        pairs = rng.uniform(0.0, 1.0, (50, 2, 101))
         assert check_operator_contraction(problem, pairs).passed
 
 
@@ -661,7 +661,7 @@ class TestGatePredicates:
     def test_default_gate_propagates(self):
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=40)
         rng = seeded_rng(3)
-        pairs = random_grid_pairs(rng, 5, 40)
+        pairs = rng.uniform(0.0, 1.0, (5, 2, 41))
         assert check_gate_propagation(problem, pairs).passed
 
     def test_restrictive_gate_rejects_start(self):

@@ -710,37 +710,51 @@ def test_bvp_tolerance_is_validated_but_read_by_no_run(tmp_path, capsys, cfg_tex
     assert capsys.readouterr().err == "validation error: tolerance must be positive, got -1.0\n"
 
 
+def _recorded_draws(monkeypatch):
+    """The draws a run makes, each with the row counts of the slices made
+    of it, recorded as the run makes them."""
+    draws = []
+
+    class Recorded(sampling_module.Draw):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.sliced = []
+            draws.append(self)
+
+        def __getitem__(self, rows):
+            block = super().__getitem__(rows)
+            self.sliced.append(len(block))
+            return block
+
+    monkeypatch.setattr(sampling_module, "Draw", Recorded)
+    return draws
+
+
 def _verify_grid_calls(tmp_path, monkeypatch):
     """The verify-grid workload (200 pairs of grid functions at n = 1000) run
-    with its draws and operator calls recorded: the drawn pairs, and per
-    call the functions it mapped, one per row."""
-    drawn, calls = [], []
-    draw, original = sampling_module.random_grid_pairs, bvp_module.integral_operator
-
-    def recorded(*args):
-        drawn.append(draw(*args))
-        return drawn[-1]
+    with its draws and operator calls recorded: the drawn pairs, made whole
+    from their draw after the run, and per call the functions it mapped, one
+    per row."""
+    draws, calls = _recorded_draws(monkeypatch), []
+    original = bvp_module.integral_operator
 
     def counted(problem, x):
         calls.append(np.array(x, ndmin=2))
         return original(problem, x)
 
-    monkeypatch.setattr(sampling_module, "random_grid_pairs", recorded)
     monkeypatch.setattr(bvp_module, "integral_operator", counted)
     cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
     cfg = cfg.replace("n = 20", "n = 1000")
     assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
-    return drawn[0], calls
+    pairs, = [draw for draw in draws if draw.shape == (2, 1001)]
+    return pairs[:], calls
 
 
-def test_verify_grid_pairs_and_triples_are_views_of_the_drawn_block(tmp_path, monkeypatch):
-    # a copy of the drawn (200, 2, 1001) block would raise the run's peak memory
+def test_verify_grid_pairs_and_triples_are_draws_the_kernel_slices(tmp_path, monkeypatch):
+    # the drawn (200, 2, 1001) block is never made whole: the kernel makes
+    # the pairs and the triples a chunk at a time from one saved state
     seen = {}
-    draw = sampling_module.random_grid_pairs
-
-    def recorded(*args):
-        seen["block"] = draw(*args)
-        return seen["block"]
+    draws = _recorded_draws(monkeypatch)
 
     def spied(name, fn, position):
         def call(*args, **kwargs):
@@ -748,7 +762,6 @@ def test_verify_grid_pairs_and_triples_are_views_of_the_drawn_block(tmp_path, mo
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(sampling_module, "random_grid_pairs", recorded)
     monkeypatch.setattr(framework_module, "check_pairs",
                         spied("pairs", framework_module.check_pairs, 2))
     monkeypatch.setattr(framework_module, "check_triangular_alpha",
@@ -756,11 +769,17 @@ def test_verify_grid_pairs_and_triples_are_views_of_the_drawn_block(tmp_path, mo
     cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
     cfg = cfg.replace("n = 20", "n = 1000")
     assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
-    block, pairs, triples = seen["block"], seen["pairs"], seen["triples"]
-    assert pairs is block and block.shape == (200, 2, 1001)
+    sliced = {id(draw): draw.sliced[:] for draw in draws}
+    pairs, triples = seen["pairs"], seen["triples"]
+    assert len(draws) == 2 and pairs in draws and triples in draws
+    assert (len(pairs), pairs.shape) == (200, (2, 1001))
     # the drawn functions in order, three at a time
-    assert triples.shape == (133, 3, 1001) and np.shares_memory(triples, block)
-    assert np.array_equal(triples.reshape(-1, 1001), block.reshape(-1, 1001)[:399])
+    assert (len(triples), triples.shape) == (133, (3, 1001))
+    assert np.array_equal(triples[:].reshape(-1, 1001), pairs[:].reshape(-1, 1001)[:399])
+    # the run made each one chunk of at most 15 rows at a time, never whole
+    for draw in (pairs, triples):
+        assert max(sliced[id(draw)]) == framework_module.CHUNK // 1001
+        assert sum(sliced[id(draw)]) == len(draw)
     # the gate takes both as they are
     assert framework_module._table(pairs, 2, grids=True) is pairs
     assert framework_module._table(triples, 3, grids=True) is triples
@@ -806,6 +825,8 @@ def test_a_staging_directory_left_by_a_killed_run_does_not_block_the_next(tmp_pa
      "[verify] random_pairs = 4, [bvp] n = 100000000000"),
     ("verify-interval", "[verify]\nrandom_pairs = 1000000000000\n",
      "[verify] pair_grid = 6, [verify] random_pairs = 1000000000000"),
+    ("verify-grid", "[verify]\nrandom_pairs = 1000000000000\n[bvp]\nn = 1000\n",
+     "[verify] random_pairs = 1000000000000, [bvp] n = 1000"),
 ])
 def test_a_size_too_large_to_allocate_is_a_validation_error(tmp_path, capsys, mode, lines, fields):
     # numpy refuses the allocation before it makes it, so these runs are cheap
@@ -1267,18 +1288,39 @@ def test_the_process_collects_nothing_and_exits_with_the_status(tmp_path, cfg, a
     assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == artifacts
 
 
-def test_a_flush_that_fails_is_left_to_the_interpreter_exit():
-    # --help into a pipe whose reader is gone: the entry's flush fails, and
-    # the interpreter's exit reports it as it would without the entry
-    read, write = os.pipe()
-    os.close(read)
+@pytest.mark.parametrize("argv", [["--help"], ["--list-builtins"]])
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_a_stdout_write_error_keeps_the_exit_contract(argv, target):
+    # the entry's flush fails: into a pipe whose reader is gone, what was
+    # read stands and the process exits 0, as ``| head`` does; any other
+    # write error is one line on stderr and the usage status
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this system")
+    read, write = os.pipe() if target == "closed pipe" else (None, os.open(target, os.O_WRONLY))
+    if read is not None:
+        os.close(read)
     try:
-        done = subprocess.run([sys.executable, "-m", "picardkit", "--help"], env=_python_env(),
+        done = subprocess.run([sys.executable, "-m", "picardkit", *argv], env=_python_env(),
                               stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         os.close(write)
-    assert done.returncode == 120 and "BrokenPipeError" in done.stderr
-    assert "Traceback" not in done.stderr
+    if target == "closed pipe":
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    else:
+        assert (done.returncode, done.stderr) == (
+            EXIT_USAGE, "config error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("cfg, status", [(ITERATE_CFG, EXIT_OK), (_DIVERGENT_CFG, EXIT_NOT_CONVERGED)],
+                         ids=["converged", "not-converged"])
+def test_a_process_started_without_stdout_keeps_its_status(tmp_path, cfg, status):
+    # stdout closed before the interpreter starts (``>&-``): there is no
+    # sys.stdout, and the entry's flush of it must not end the run
+    done = subprocess.run([sys.executable, "-m", "picardkit", *_mode_argv(tmp_path, cfg)],
+                          env=_python_env(), stderr=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (status, "")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == _ORBIT
 
 
 def test_the_entry_flushes_what_a_run_writes_to_a_pipe(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 computed expectations, witness replay, order-independence properties, and
 the block verifiers against per-sample reference loops."""
 
+import copy
 import math
 import random
 import struct
@@ -39,8 +40,7 @@ from picardkit.metrics import rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
                               VerificationReport, Witness, format_inputs,
                               make_report, render_text, report_rows)
-from picardkit.sampling import (Mesh, SampleStream, mesh_array, probe_pair, seeded_rng,
-                               uniform_array)
+from picardkit.sampling import Draw, Mesh, SampleStream, probe_pair, seeded_rng
 
 
 def max_displacement(T, x, y, d):
@@ -85,7 +85,7 @@ class TestSimulationPointwise:
     def test_example31_gain_on_mesh(self):
         # (8/9) s - t stays below s - t by s/9 > 0 on the open square
         zeta = zeta1(8.0 / 9.0)
-        pairs = mesh_array(0.01, 1.0, 100)
+        pairs = Mesh(0.01, 1.0, 100)[:]
         report = check_simulation_pointwise(zeta, pairs)
         assert report.passed and report.samples == 10_000
 
@@ -170,7 +170,7 @@ def test_min_tail_is_an_int_of_at_least_one(check, min_tail, message):
 
 class TestCClass:
     def test_subtraction_passes(self):
-        samples = mesh_array(0.0, 3.0, 20)
+        samples = Mesh(0.0, 3.0, 20)[:]
         assert check_cclass(cclass_a(0.0), samples).passed
 
     def test_addition_fails_upper_bound(self):
@@ -185,12 +185,12 @@ class TestCClass:
         # G(s, t) = s / (1 + 2 t) with benchmark 2 / 3
         g = cclass_c(k=2.0, r=2.0)
         assert g.c_g == pytest.approx(2.0 / 3.0)
-        samples = np.concatenate([mesh_array(0.01, 5.0, 40),
+        samples = np.concatenate([Mesh(0.01, 5.0, 40)[:],
                                   [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)]])
         assert check_cclass(g, samples).passed
 
     def test_rational_offset_family_passes(self):
-        samples = mesh_array(0.0, 4.0, 25)
+        samples = Mesh(0.0, 4.0, 25)[:]
         assert check_cclass(cclass_b(), samples).passed
 
     def test_benchmark_clause_catches_violation(self):
@@ -234,12 +234,12 @@ class TestGeraghty:
 
 class TestAlphaChecks:
     def test_box_indicator_admissible_for_shrink_map(self):
-        pairs = mesh_array(0.0, 3.0, 31)
+        pairs = Mesh(0.0, 3.0, 31)[:]
         report = check_alpha_admissible(example31_map, alpha_box(0.0, 1.0), pairs)
         assert report.passed
 
     def test_constant_weight_always_admissible(self):
-        pairs = mesh_array(-2.0, 2.0, 11)
+        pairs = Mesh(-2.0, 2.0, 11)[:]
         assert check_alpha_admissible(lambda x: 3.0 * x, alpha_one(), pairs).passed
 
     def test_tripling_map_breaks_box_indicator(self):
@@ -267,14 +267,14 @@ class TestAlphaChecks:
 class TestVerifyContraction:
     def test_reference_bundle_on_unit_square(self):
         bundle = example31_bundle()
-        pairs = mesh_array(0.0, 1.0, 51)
+        pairs = Mesh(0.0, 1.0, 51)[:]
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.passed
 
     def test_reference_bundle_outside_box_vacuous(self):
         # alpha = 0 there, so the left side is zeta(0, beta(M) M) >= 0
         bundle = example31_bundle()
-        pairs = mesh_array(1.5, 4.0, 21)
+        pairs = Mesh(1.5, 4.0, 21)[:]
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.passed
 
@@ -299,7 +299,7 @@ class TestVerifyContraction:
     def test_witness_inputs_are_the_sampled_pair(self):
         bundle = replace(example31_bundle(), alpha=alpha_from_order(natural_order))
         # a list of tuples, stacked at the gate: witnesses take a sampled pair's values
-        pairs = [tuple(row) for row in mesh_array(0.0, 3.0, 11).tolist()]
+        pairs = [tuple(row) for row in Mesh(0.0, 3.0, 11)[:].tolist()]
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.witnesses
         sampled = set(pairs)
@@ -313,7 +313,7 @@ class TestVerifyContraction:
         # alpha * d(Tx, Ty) < beta(M) * M + tol on every sampled pair
         bundle = example31_bundle()
         rng = seeded_rng(7)
-        pairs = np.concatenate([mesh_array(0.0, 1.0, 21), uniform_array(rng, 100, 0.0, 1.0, 2)])
+        pairs = np.concatenate([Mesh(0.0, 1.0, 21)[:], rng.uniform(0.0, 1.0, (100, 2))])
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.passed
         for x, y in pairs.tolist():
@@ -352,8 +352,8 @@ class TestReportMechanics:
         assert str(raised.value) == "cannot merge reports 'a' and 'b'"
 
     def test_a_column_of_one_value_takes_an_array_later(self):
-        rows = FailingRows("c", lambda lhs: f"{lhs} > 0.5", 4)
         table = np.arange(8.0).reshape(4, 2)
+        rows = FailingRows("c", lambda lhs: f"{lhs} > 0.5", table)
         rows.add(table, np.array([0]), 1.0, 0.5, -1.0)
         rows.add(table, np.array([2, 3]), np.array([3.0, 4.0]), 0.5, np.array([-2.0, -3.0]))
         assert rows.column(0).tolist() == [1.0, 3.0, 4.0]
@@ -762,8 +762,8 @@ def _pair_setup(carrier, as_array):
         # the weight "near" loses admissibility where the map triples
         bundle = ContractionBundle(example31_map, SCALAR_ALPHAS[3], beta_constant(0.2),
                                    zeta1(0.5), cclass_a(0.0), name="interval")
-        pairs = np.concatenate([mesh_array(0.0, 3.0, 40),
-                                uniform_array(seeded_rng(3), 300, 0.0, 3.0, 2)])
+        pairs = np.concatenate([Mesh(0.0, 3.0, 40)[:],
+                                seeded_rng(3).uniform(0.0, 3.0, (300, 2))])
         samples = pairs if as_array else [tuple(p) for p in pairs.tolist()]
         return bundle, samples, scalar_metric, SCALAR_EPS, None
     # the gate closes on some pairs, and T = 10/8 spreads others past it
@@ -829,9 +829,9 @@ def test_one_pass_maps_each_sample_once(carrier):
 # give the reports of the joined table.
 
 def _stream_and_table(per_axis, count):
-    random = uniform_array(seeded_rng(per_axis + count), count, 0.0, 3.0, 2)
+    random = seeded_rng(per_axis + count).uniform(0.0, 3.0, (count, 2))
     return (SampleStream(Mesh(0.0, 3.0, per_axis), random),
-            np.concatenate([mesh_array(0.0, 3.0, per_axis), random]))
+            np.concatenate([Mesh(0.0, 3.0, per_axis)[:], random]))
 
 
 def _meshgrid_rows(low, high, per_axis):
@@ -841,7 +841,7 @@ def _meshgrid_rows(low, high, per_axis):
 
 @pytest.mark.parametrize("per_axis", [0, 1, 3, 7, 40])
 def test_the_mesh_and_a_stream_make_the_rows_of_the_joined_table(per_axis):
-    assert mesh_array(0.0, 3.0, per_axis).tobytes() == _meshgrid_rows(0.0, 3.0, per_axis).tobytes()
+    assert Mesh(0.0, 3.0, per_axis)[:].tobytes() == _meshgrid_rows(0.0, 3.0, per_axis).tobytes()
     stream, table = _stream_and_table(per_axis, 5)
     assert len(stream) == len(table) == per_axis ** 2 + 5
     # every slice between the ends, the seam and their neighbours
@@ -852,6 +852,50 @@ def test_the_mesh_and_a_stream_make_the_rows_of_the_joined_table(per_axis):
             assert stream[start:stop].tobytes() == table[start:stop].tobytes()
     with pytest.raises(DimensionError):
         SampleStream(Mesh(0.0, 3.0, per_axis), np.zeros((2, 3)))
+
+
+@given(rows=st.integers(0, 12), shape=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       regroup=st.integers(1, 4), bounds=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+       seed=st.integers(0, 2 ** 64 - 1), cut=st.tuples(*[st.integers(-14, 14)] * 2))
+@settings(max_examples=200, deadline=None)
+def test_a_draw_makes_the_rows_of_the_one_shot_block(rows, shape, regroup, bounds, seed, cut):
+    low, high = sorted(bounds)
+    caller, reference = seeded_rng(seed), seeded_rng(seed)
+    block = reference.uniform(low, high, (rows, *shape))
+    start = copy.deepcopy(caller)
+    draw = Draw(caller, rows, shape, low, high)
+    # the caller's generator is past the block: its next draws are as before
+    assert caller.uniform(size=5).tobytes() == reference.uniform(size=5).tobytes()
+    assert (len(draw), draw.shape) == (rows, tuple(shape))
+    for rows_cut in (slice(*cut), slice(None), slice(cut[0], None)):
+        made = draw[rows_cut]
+        assert made.shape == block[rows_cut].shape
+        assert made.tobytes() == block[rows_cut].tobytes()
+    # the same saved state read with another first axis: the block's rows of
+    # shape[1:] in order, regrouped, as the CLI makes triples of drawn pairs
+    values = block.reshape(-1, *shape[1:])
+    grouped = Draw(start, len(values) // regroup, (regroup, *shape[1:]), low, high)
+    kept = len(grouped) * regroup
+    assert grouped[:].tobytes() == values[:kept].tobytes()
+    assert grouped[slice(*cut)].tobytes() == \
+        values[:kept].reshape(len(grouped), regroup, *shape[1:])[slice(*cut)].tobytes()
+
+
+def test_a_stream_of_grid_functions_gives_the_reports_of_the_joined_table():
+    bundle, pairs, d, tol, _ = _pair_setup("grid", as_array=True)
+    drawn = Draw(seeded_rng(4), 9, pairs.shape[1:], -1.0, 1.0)
+    stream, table = SampleStream(pairs, drawn), np.concatenate([pairs, drawn[:]])
+    assert framework._table(stream, 2, grids=True) is stream
+    assert stream[len(pairs) - 2:].tobytes() == table[len(pairs) - 2:].tobytes()
+    checks = [alpha_admissible_check(), contraction_check(bundle, tol),
+              operator_contraction_check()]
+    with chunk_sizes(SMALL_CHUNK):
+        streamed = check_pairs(bundle.mapping, bundle.alpha, stream, checks, d)
+        whole = check_pairs(bundle.mapping, bundle.alpha, table, checks, d)
+    assert [_fingerprint_report(rep) for rep in streamed] == \
+        [_fingerprint_report(rep) for rep in whole]
+    with pytest.raises(DimensionError):  # parts of another row shape
+        SampleStream(pairs, Draw(seeded_rng(4), 2, (2, 5)))
 
 
 # (points per mesh axis, random pairs): the sample counts of CHUNK_SIZES,
@@ -946,7 +990,7 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
         return f"lhs = {value!r}"
 
     def failing(samples, lhs, margins):
-        rows = FailingRows("probe", detail, len(lhs))
+        rows = FailingRows("probe", detail, samples)
         rows.add(samples, np.arange(len(lhs)), lhs, np.full(len(lhs), bound), margins)
         return rows
 
@@ -987,8 +1031,8 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
 def test_rendering_builds_only_the_shown_witnesses(monkeypatch):
     # the verify-interval workload: 251 000 pairs, ~99 000 failing
     bundle = replace(example31_bundle(), alpha=alpha_from_order(natural_order))
-    pairs = np.concatenate([mesh_array(0.0, 3.0, 500),
-                            uniform_array(seeded_rng(7), 1000, 0.0, 3.0, 2)])
+    pairs = np.concatenate([Mesh(0.0, 3.0, 500)[:],
+                            seeded_rng(7).uniform(0.0, 3.0, (1000, 2))])
     built = []
 
     class CountedWitness(report_module.Witness):
@@ -1023,7 +1067,7 @@ def test_an_all_tied_check_formats_only_the_shown_rows(monkeypatch):
 
     monkeypatch.setattr(report_module, "Witness", CountedWitness)
     monkeypatch.setattr(report_module, "format_inputs", counted_format)
-    report = check_increasing(lambda x: -x, natural_order, mesh_array(0.0, 3.0, 500))
+    report = check_increasing(lambda x: -x, natural_order, Mesh(0.0, 3.0, 500)[:])
     text = render_text([report])
     assert len(report.witnesses) == 124_750
     assert f"... and {124_750 - 8} more witnesses" in text

@@ -15,7 +15,7 @@ from picardkit.builtins import rhs_zero
 from picardkit.bvp import BVPProblem
 from picardkit.metrics import grid_pair
 from picardkit.posets import pointwise_order
-from picardkit.sampling import random_grid_pairs, uniform_array
+from picardkit.sampling import Draw
 
 from helpers import load_grid_csv
 
@@ -134,13 +134,13 @@ class TestSpaces:
 
     def test_interval_samples_stay_in_window(self):
         rng = np.random.default_rng(0)
-        samples = uniform_array(rng, 5, 0.0, 2.0, 2)
+        samples = Draw(rng, 5, (2,), 0.0, 2.0)[:]
         assert samples.shape == (5, 2) and samples.dtype == float
         assert np.all((0.0 <= samples) & (samples <= 2.0))
 
     def test_grid_samples_are_grid_functions(self):
         rng = np.random.default_rng(1)
-        pairs = random_grid_pairs(rng, 4, 10, low=0.0, high=1.0)
+        pairs = Draw(rng, 4, (2, 11), 0.0, 1.0)[:]
         fns = [f for pair in pairs for f in pair]
         assert len(fns) == 8
         for f in fns:
@@ -149,8 +149,8 @@ class TestSpaces:
         assert 0.0 < sup_metric(*pairs[0]) <= 1.0
 
     def test_grid_pairs_are_row_views_of_one_block(self):
-        # the same draws as copying each row; the pairs share the one block
-        pairs = random_grid_pairs(np.random.default_rng(3), 3, 4, -1.0, 2.0)
+        # the same draws as the one-shot block; a slice's pairs share one block
+        pairs = Draw(np.random.default_rng(3), 3, (2, 5), -1.0, 2.0)[:]
         block = np.random.default_rng(3).uniform(-1.0, 2.0, size=(3, 2, 5))
         assert np.array_equal(np.array(pairs), block)
         assert float(pairs[0][0][0]) == -0.7430524985691269

@@ -154,7 +154,7 @@ class TestGapDiagnostics:
         # every orbit: assert it on the observed traces
         from picardkit import ContractionBundle, verify_contraction
         from picardkit.builtins import cclass_a, zeta1
-        from picardkit.sampling import mesh_array, seeded_rng
+        from picardkit.sampling import Mesh, seeded_rng
 
         bundle = ContractionBundle(
             mapping=lambda x: x / 2.0,
@@ -163,7 +163,7 @@ class TestGapDiagnostics:
             zeta=zeta1(0.8),
             g=cclass_a(0.0),
             name="halving")
-        pairs = mesh_array(-1.0, 1.0, 41)
+        pairs = Mesh(-1.0, 1.0, 41)[:]
         assert verify_contraction(bundle, pairs, scalar_metric).passed
         rng = seeded_rng(8)
         for start in rng.uniform(-1.0, 1.0, 10):
