@@ -2,18 +2,17 @@
 ``cli.main`` with the collector off from before numpy is imported, then the
 ``atexit`` callbacks, a flush of stdout and stderr, and ``os._exit``, which
 skips the interpreter's teardown (``main`` has closed every artifact). A
-stdout flush that fails keeps the exit contract (:func:`cli.write_stdout`);
-a stderr flush that fails is left to that teardown, which reports it."""
+failed write keeps the exit contract (:func:`cli.write_stdout`,
+:func:`cli.write_stderr`), and so does a missing stdout or stderr."""
 
 import atexit
 import gc
 import os
-import sys
 
 
 def entry():
     gc.disable()
-    from .cli import main, write_stdout
+    from .cli import main, write_stderr, write_stdout
 
     try:
         status = main()
@@ -21,10 +20,7 @@ def entry():
         status = done.code or 0
     atexit._run_exitfuncs()
     status = write_stdout() or status
-    try:
-        sys.stderr.flush()
-    except (OSError, ValueError):
-        sys.exit(status)
+    write_stderr()
     os._exit(status)
 
 

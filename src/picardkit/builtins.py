@@ -82,10 +82,10 @@ def cclass_c(k: float = 1.0, r: float = 2.0) -> CClassFunction:
 
     k = float(k)
     r = float(r)
-    if k < 1.0:
-        raise DomainError(f"cclass_c needs k >= 1, got {k}")
-    if r < 2.0:
-        raise DomainError(f"cclass_c needs r >= 2, got {r}")
+    if not 1.0 <= k < math.inf:
+        raise DomainError(f"cclass_c needs a finite k >= 1, got {k}")
+    if not 2.0 <= r < math.inf:
+        raise DomainError(f"cclass_c needs a finite r >= 2, got {r}")
     return CClassFunction(lambda s, t: s / (1.0 + k * t), c_g=r / (1.0 + k),
                           name=f"cclass_c({k!r}, {r!r})")
 

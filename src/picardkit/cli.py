@@ -359,7 +359,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
     except OSError as exc:
-        print(f"config error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        write_stderr(f"config error: cannot create output directory {out}: {exc}")
         return EXIT_USAGE
     try:
         if config.mode not in _RUNNERS:
@@ -373,33 +373,44 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
             (staging / name).replace(out / name)
         return status
     except (DomainError, DimensionError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        write_stderr(f"validation error: {exc}")
         return EXIT_VALIDATION
     except MemoryError as exc:
-        print(f"validation error: too large to allocate at {_size_fields(config)}: {exc}",
-              file=sys.stderr)
+        write_stderr(f"validation error: too large to allocate at {_size_fields(config)}: {exc}")
         return EXIT_VALIDATION
     except OSError as exc:  # the runners' only I/O is writing their artifacts
         where = out if exc.filename is None else exc.filename
-        print(f"config error: cannot write {where}: {exc}", file=sys.stderr)
+        write_stderr(f"config error: cannot write {where}: {exc}")
         return EXIT_USAGE
     finally:
         shutil.rmtree(staging)
 
 
+def _write(stream, text: str) -> OSError | None:
+    """Write ``text`` to ``stream``, if the process has it, and flush it; after
+    an error the stream goes to /dev/null, so that no later flush can fail."""
+    try:
+        if stream is not None:  # print(file=None) would write to stdout
+            print(text, end="", file=stream, flush=True)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+
+
 def write_stdout(text: str = "") -> int:
     """Write ``text`` to stdout and flush it; returns the exit status of the
     write: EXIT_OK, also when the reader has left early (``| head``: what it
-    read stands), else EXIT_USAGE after one line on stderr. After an error
-    stdout goes to /dev/null, so that no later flush can fail."""
-    try:
-        print(text, end="", flush=True)  # writes nothing if the process has no stdout
-    except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"config error: cannot write stdout: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    return EXIT_OK
+    read stands), else EXIT_USAGE after one line on stderr."""
+    error = _write(sys.stdout, text)
+    if error is None or isinstance(error, BrokenPipeError):
+        return EXIT_OK
+    write_stderr(f"config error: cannot write stdout: {error}")
+    return EXIT_USAGE
+
+
+def write_stderr(*lines: str) -> None:
+    """Write ``lines``, each ended by a newline, to stderr, if it can be written."""
+    _write(sys.stderr, "".join(line + "\n" for line in lines))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -407,8 +418,8 @@ class _ArgumentParser(argparse.ArgumentParser):
     argparse's own 2 is the status of a solve that did not converge."""
 
     def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        write_stderr(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(EXIT_USAGE)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -424,9 +435,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_builtins:
         return write_stdout(catalog.catalog_text() + "\n")
     if args.config is None:
-        parser.print_usage(sys.stderr)
-        print("picardkit: a --config file is required unless --list-builtins is given",
-              file=sys.stderr)
+        write_stderr(f"{parser.format_usage()}picardkit: a --config file is required "
+                     f"unless --list-builtins is given")
         return EXIT_USAGE
     try:
         config = load_config(args.config)
@@ -435,7 +445,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError("--seed must be an unsigned 64-bit integer")
             config.seed = args.seed
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        write_stderr(f"config error: {exc}")
         return EXIT_USAGE
     return run(config, out_dir=args.out)
 

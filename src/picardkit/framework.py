@@ -25,15 +25,15 @@ strictness epsilon. Every sampled verifier, here and in :mod:`.picard`,
 :func:`_table`, and runs on one chunked kernel, :func:`_block_reports`. The
 gate gives one of three tables: an (N, k) float array of reals, an
 (N, k, n + 1) float array of grid functions (k functions of n + 1 nodes
-per row), or a row source of :mod:`~picardkit.sampling` of either (a
-seeded ``Draw``, or a ``SampleStream`` joining ``Mesh``es, ``Draw``s and
+per row), or a :class:`~picardkit.sampling.RowSource` of either (a
+``Mesh``, a seeded ``Draw``, or a ``SampleStream`` joining them and
 arrays), which makes its rows a chunk at a time, so a pass never holds
 its samples whole. Rows given as tuples are stacked once, at the gate; a bad
 shape raises :class:`DimensionError`, and a value that is not a real
 raises :class:`DomainError`. Each clause of the kernel (:class:`BlockCheck`)
 gives the rows of a chunk it applies to with their margins, and one kernel
-function decides which fail, by one rule (:func:`_breaks`); it writes each
-failing row once, its inputs taken from the chunk, straight into the
+function decides which fail, by one rule (:func:`_breaks`); it writes the
+inputs and the margin of each failing row, and nothing else, into the
 check's :class:`~picardkit.report.FailingRows`. A chunk is up to :data:`CHUNK`
 float values per column (16000, so that a float column of a chunk stays
 just under 128 KiB, glibc's default threshold for serving an allocation
@@ -45,9 +45,9 @@ callables tagged :func:`~picardkit.metrics.rowwise` get whole.
 callables may broadcast elementwise over arrays of real samples, and
 callables that do not are evaluated per sample, with the same results.
 The pair hypotheses share one pass, :func:`check_pairs`, so the mapping
-applies at most once per sampled point. The failing rows of a check of one
-clause stay columns and build a witness only when a caller reaches it; a
-report gives its witnesses worst first, the most negative margin first.
+applies at most once per sampled point. A witness is built only when a
+caller reaches it, by replaying its row through the clause; a report
+gives its witnesses worst first, the most negative margin first.
 Only two limit-style conditions loop, over a few probes, each probe's tail
 (at least one term) in one :meth:`Family.values` call:
 :func:`check_simulation_sequences` and the limit probes of
@@ -74,7 +74,7 @@ from .errors import DimensionError, DomainError
 from .metrics import (GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, _require_int,
                       as_grid_function)
 from .report import FailingRows, Witness, VerificationReport, make_report
-from .sampling import Draw, SampleStream
+from .sampling import RowSource
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
 
@@ -96,9 +96,9 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
     arrays of reals, or (k, n + 1) stacks of grid functions), as one float
     array; columns of different lengths raise :class:`DimensionError`.
 
-    ``fn`` is first called once on read-only views of the whole columns
-    when each column of reals has more than one entry, or on stacks (empty
-    ones too) when ``fn`` is tagged :func:`~picardkit.metrics.rowwise`.
+    ``fn`` is first called once on read-only views of the whole columns:
+    on columns of reals of any length, or on stacks (empty ones too) when
+    ``fn`` is tagged :func:`~picardkit.metrics.rowwise`.
     A result of the columns' shape (or of shape (k,)) whose entries all pass
     ``valid`` is taken. Otherwise (``fn`` is written for single samples,
     aggregates or writes its argument, or gives an invalid entry)
@@ -110,8 +110,7 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
     if len(set(lengths)) > 1:
         raise DimensionError(f"columns of lengths {', '.join(map(str, lengths))} do not align")
     row_wise = getattr(fn, "rowwise", False)
-    stacked = columns[0].ndim > 1
-    if row_wise if stacked else lengths[0] > 1:
+    if row_wise or columns[0].ndim == 1:
         shapes = (columns[0].shape, columns[0].shape[:1])  # the same for reals
         views = [column.view() for column in columns]
         for view in views:
@@ -379,20 +378,19 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
 def _table(samples, width: int, nonnegative: str = "", grids: bool = False):
     """The samples as the kernel's table: an (N, width) float array of
     reals, with ``grids`` also an (N, width, n + 1) one of grid functions,
-    or a :class:`~picardkit.sampling.Draw` or
-    :class:`~picardkit.sampling.SampleStream` of those rows, taken as it
-    is. Rows given
-    as tuples are stacked here, once, and a list of reals is a table of
-    width 1. A value that is not a real raises :class:`DomainError`, and any
-    other shape :class:`DimensionError`. With ``nonnegative`` (what they
-    sample), a sample with a negative coordinate raises :class:`DomainError`."""
+    or a :class:`~picardkit.sampling.RowSource` of those rows, taken as it
+    is. Rows given as tuples are stacked here, once, and a list of reals is
+    a table of width 1. A value that is not a real raises
+    :class:`DomainError`, and any other shape :class:`DimensionError`. With
+    ``nonnegative`` (what they sample), a sample with a negative coordinate
+    raises :class:`DomainError`."""
     what = nonnegative or "the"
     wanted = (f"{what} samples must be rows of {width} real{'s' if width > 1 else ''}"
               + (f" or of {width} grid functions on one grid" if grids else ""))
     if not np.iterable(samples):
         raise DimensionError(wanted)
     table = samples
-    if not isinstance(samples, (Draw, SampleStream)):
+    if not isinstance(samples, RowSource):
         table = _stacked(samples if isinstance(samples, np.ndarray) else list(samples),
                          what, grids, wanted)
         if table.ndim == 1 and (width == 1 or not table.size):  # reals, or no rows
@@ -445,12 +443,13 @@ def _blocks(table) -> Iterator[tuple[list, object]]:
 class BlockCheck(NamedTuple):
     """One clause of a chunked pass. ``clause(chunk)`` gives the rows of the
     chunk it applies to, as their indices (None for every row), then at
-    those rows their left-hand values, bounds and signed margins (one value
-    may stand for every row) and the columns ``detail`` takes after the
-    left-hand value; the kernel decides which fail, by :func:`_breaks`
-    under ``tolerance`` and ``strict``. The checks of a pass that share a
-    report ``name`` are the clauses of one check; ``check`` names the
-    witnesses."""
+    those rows their left-hand values and bounds (one value may stand for
+    every row), signed margins and the columns ``detail`` takes after the
+    left-hand value. The kernel decides which fail, by :func:`_breaks` under
+    ``tolerance`` and ``strict``, and keeps their margins; a witness runs the
+    clause on its row for the rest, which must not depend on the chunk. The
+    checks of a pass that share a report ``name`` are the clauses of one
+    check; ``check`` names the witnesses."""
 
     name: str
     check: str
@@ -470,10 +469,9 @@ def _breaks(margin, tolerance: float, strict: bool = False):
 
 def _write_failing(check: BlockCheck, view, rows: np.ndarray, into: FailingRows) -> None:
     """Write the rows of a chunk that break the clause ``into`` its store."""
-    index, *values = check.clause(view)
-    broken = np.flatnonzero(_breaks(values[2], check.tolerance, check.strict))
-    into.add(rows, broken if index is None else index[broken],
-             *(value[broken] if np.ndim(value) else value for value in values))
+    index, _, _, margin, *_ = check.clause(view)
+    broken = np.flatnonzero(_breaks(margin, check.tolerance, check.strict))
+    into.add(rows, broken if index is None else index[broken], margin[broken])
 
 
 def _block_reports(table, checks: Sequence[BlockCheck],
@@ -482,8 +480,10 @@ def _block_reports(table, checks: Sequence[BlockCheck],
     :func:`_table`, one per report name in order: each chunk's columns are
     wrapped by ``chunk`` once and read by every check, and each check's
     failing rows, inputs included, are taken from the chunk, so a stream is
-    never held whole."""
-    found = [FailingRows(check.check, check.detail, table) for check in checks]
+    never held whole. A witness replays its row through ``chunk`` too."""
+    found = [FailingRows(check.check, check.detail, table, lambda rows, clause=check.clause:
+                         clause(chunk(list(np.moveaxis(rows, 1, 0)))))
+             for check in checks]
     for columns, rows in _blocks(table):
         view = chunk(columns)
         for check, into in zip(checks, found):

@@ -6,8 +6,8 @@ inequality, so any witness can be replayed standalone and must reproduce
 its margin. A report holds its witnesses worst first, in the order of
 :meth:`Witness.sort_key`; that makes merging associative and deterministic,
 and the renderers show them in that order. :func:`make_report` sorts a list
-of witnesses once. :class:`FailingRows` holds the failing rows of a block
-check as columns and builds :class:`Witness` objects on demand: the
+of witnesses once. :class:`FailingRows` keeps the failing rows of a block
+check and builds each :class:`Witness` on demand by replaying its row: the
 renderers ask for the first few, and only a caller that iterates over all
 of them (a merge, a test) builds and sorts every one. Only the verifiers
 load this module: every report.csv, an orbit's too, is written by
@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .errors import DomainError
 from .metrics import save_report_csv
 
 PASS = "pass"
@@ -83,57 +84,38 @@ class Witness:
 
 
 class FailingRows(SequenceABC):
-    """The failing rows of one check, written chunk by chunk by :meth:`add`
-    straight into their final columns: the sampled inputs (an array of the
+    """The failing rows of one check, written chunk by chunk by :meth:`add`:
+    only what cannot be recomputed, each row's inputs (in an array of the
     shape and dtype of the sampled ``table``, which may be a row source of
-    :mod:`~picardkit.sampling`: (N, k) for reals, (N, k, n + 1) for grid
-    functions) and per row the left-hand value, the bound, the signed margin
-    (the check's own, not always lhs - bound) and the columns that ``detail``
-    takes after the left-hand value. A column has a row for each of the N
-    samples, of which only the pages written become resident, or is one
-    value stored once.
-    It behaves as the list of their witnesses, worst first, under ``len``,
-    iteration, indexing, slicing and ``==``, and builds each witness the
-    first time a caller reaches it: ``[:k]`` or ``[i]`` builds the first
-    ``k`` or ``i + 1``.
-
-    A witness's inputs are its row as a tuple: of Python numbers, or of the
-    row's grid functions.
+    :mod:`~picardkit.sampling`) and its margin (the check's own, not always
+    lhs - bound), which puts the rows in order. Both are sized for all N
+    samples; only the pages written become resident. It behaves as the list
+    of their witnesses, worst first, under ``len``, iteration, indexing,
+    slicing and ``==``, and builds each witness the first time a caller
+    reaches it: ``[:k]`` or ``[i]`` builds the first ``k`` or ``i + 1``.
+    A witness is its row replayed: ``replay`` runs the check's clause on an
+    array of rows and gives what the pass gave (see
+    :class:`~picardkit.framework.BlockCheck`); a replay that drops a row or
+    changes a margin's bits (a callable that is not deterministic) raises
+    :class:`~picardkit.errors.DomainError`. A witness's inputs are its row
+    as a tuple: of Python numbers, or of the row's grid functions.
     """
 
-    def __init__(self, check: str, detail: Callable[..., str], table):
-        self.check, self._detail, self._count = check, detail, 0
+    def __init__(self, check: str, detail: Callable[..., str], table,
+                 replay: Callable[[np.ndarray], tuple]):
+        self.check, self._detail, self._replay, self._count = check, detail, replay, 0
         # sized before the pass, so that a size too large to allocate fails first
         none = table[:0]
         self._inputs = np.empty((len(table), *none.shape[1:]), none.dtype)
-        self._values = [np.zeros(0)] * 3
+        self._margins = np.empty(len(table))
         self._head: list[Witness] = []  # the first witnesses, in order
 
-    def add(self, rows: np.ndarray, index: np.ndarray, *values) -> None:
-        """Write the failing rows ``index`` of the chunk ``rows`` and their values."""
-        start, end = self._count, self._count + index.size
-        if start == end:
-            return
-        if not start:  # the first failing rows
-            self._values = [None] * len(values)
-        for i, value in enumerate(values):
-            kept = self._values[i]
-            if np.ndim(value) == 0 and (kept is None or kept is value):
-                self._values[i] = value
-                continue
-            if kept is None:
-                self._values[i] = np.empty(len(self._inputs), np.result_type(value))
-            elif np.ndim(kept) == 0:  # rows before these share the value kept
-                self._values[i] = np.empty(len(self._inputs), np.result_type(kept, value))
-                self._values[i][:start] = kept
-            self._values[i][start:end] = value
-        self._inputs[start:end] = rows[index]
+    def add(self, rows: np.ndarray, index: np.ndarray, margins) -> None:
+        """Write the failing rows ``index`` of the chunk ``rows`` and their margins."""
+        end = self._count + index.size
+        self._inputs[self._count:end] = rows[index]
+        self._margins[self._count:end] = margins
         self._count = end
-
-    def column(self, i: int) -> np.ndarray:
-        """Column ``i`` (lhs, bound, margin, details); one value broadcasts, stride 0."""
-        value = self._values[i]
-        return value[:self._count] if np.ndim(value) else np.broadcast_to(value, self._count)
 
     def __len__(self) -> int:
         return self._count
@@ -162,7 +144,7 @@ class FailingRows(SequenceABC):
         can be among them are put in order."""
         k = min(max(k, 0), len(self))
         if k > len(self._head):
-            lhs, bounds, margins = (self.column(i).astype(float, copy=False) for i in range(3))
+            margins = self._margins[:self._count]
             # numpy's order puts every nan last, so the rows kept are the
             # nans and those at most the k-th margin: the first k and more
             rows = np.flatnonzero(~(margins > np.partition(margins, k - 1)[k - 1]))
@@ -184,13 +166,17 @@ class FailingRows(SequenceABC):
                 rows, keys = rows[kept], keys[kept]
             rows = rows[np.lexsort((*_total_order(numbers[rows]).T[::-1], keys))]
             rows = rows[len(self._head):k]
-            chosen = self._inputs[rows]
+            chosen, stored = self._inputs[rows], margins[rows]
+            index, lhs, bounds, replayed, *details = self._replay(chosen)
+            if not ((index is None or len(index) == rows.size) and np.array_equal(
+                    _total_order(np.broadcast_to(replayed, rows.shape)), _total_order(stored))):
+                raise DomainError(f"{self.check}: replayed rows do not give their stored margins")
             inputs = [tuple(row) for row in (chosen.tolist() if chosen.ndim == 2 else chosen)]
-            columns = (lhs, bounds, margins, *map(self.column, range(3, len(self._values))))
+            columns = (np.broadcast_to(column, rows.shape).tolist()
+                       for column in (lhs, bounds, stored, *details))
             self._head += [Witness(self.check, row, margin, self._detail(value, *extra),
                                    lhs=value, bound=bound)
-                           for row, (value, bound, margin, *extra) in zip(
-                               inputs, zip(*(column[rows].tolist() for column in columns)))]
+                           for row, (value, bound, margin, *extra) in zip(inputs, zip(*columns))]
         return self._head[:k]
 
 

@@ -539,6 +539,9 @@ def test_limit_probes_evaluate_each_tail_in_one_call():
     check_geraghty(beta, [], default_beta_probes())
     # 200-term probes: a tail of 50 terms each, 3 probes per check
     assert calls == [(50,)] * 6
+    # a tail of one term reaches the callable once too, as an array
+    check_simulation_sequences(zeta, [probe_pair(2.0, length=1)], min_tail=1)
+    assert calls[6:] == [(1,)]
 
 
 def _trace(seed, size, as_ints):

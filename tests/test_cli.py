@@ -203,6 +203,15 @@ class TestConfigParsing:
         ("[order]", "name = pointwise", EXIT_VALIDATION,
          "the pointwise order needs the grid carrier"),
         ("[bundle]", "k = 2.0", EXIT_VALIDATION, "C-class overrides need both k and r"),
+        # a C-class override that is not finite, named by the field it breaks
+        ("[bundle]", "k = nan\nr = 2.0", EXIT_VALIDATION,
+         "cclass_c needs a finite k >= 1, got nan"),
+        ("[bundle]", "k = inf\nr = 2.0", EXIT_VALIDATION,
+         "cclass_c needs a finite k >= 1, got inf"),
+        ("[bundle]", "k = 1.0\nr = nan", EXIT_VALIDATION,
+         "cclass_c needs a finite r >= 2, got nan"),
+        ("[bundle]", "k = 1.0\nr = inf", EXIT_VALIDATION,
+         "cclass_c needs a finite r >= 2, got inf"),
         # carrier bounds numpy cannot sample between: a validation error
         # naming the field, on either carrier (the check precedes the split)
         ("[carrier]", "low = nan", EXIT_VALIDATION, "[carrier] low must be finite, got nan"),
@@ -1309,6 +1318,29 @@ def test_a_stdout_write_error_keeps_the_exit_contract(argv, target):
     else:
         assert (done.returncode, done.stderr) == (
             EXIT_USAGE, "config error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("args, status", [
+    (["--config", "missing.cfg"], EXIT_USAGE), (["--bogus"], EXIT_USAGE),
+    (["--config", "refused.cfg"], EXIT_VALIDATION)], ids=["no-config-file", "bad-flag", "refused"])
+@pytest.mark.parametrize("target", ["/dev/full", "closed"])
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_status(tmp_path, args, status, target):
+    # the error line is lost, but not the status, and nothing of it goes to
+    # stdout: with fd 2 closed before the interpreter starts there is no
+    # sys.stderr, and print(file=None) would write to stdout
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this system")
+    (tmp_path / "refused.cfg").write_text(_REFUSED_CFG)
+    err = os.open(target, os.O_WRONLY) if target == "/dev/full" else None
+    try:
+        done = subprocess.run([sys.executable, "-m", "picardkit", *args, "--out", "out"],
+                              cwd=tmp_path, env=_python_env(), stdout=subprocess.PIPE,
+                              stderr=err, timeout=120,
+                              preexec_fn=None if err is not None else lambda: os.close(2))
+    finally:
+        if err is not None:
+            os.close(err)
+    assert (done.returncode, done.stdout) == (status, b"")
 
 
 @pytest.mark.parametrize("cfg, status", [(ITERATE_CFG, EXIT_OK), (_DIVERGENT_CFG, EXIT_NOT_CONVERGED)],

@@ -1,15 +1,21 @@
 """The repository's own tools: ``tools/code_lines.py`` counts total and
-code lines by the rule the size figures in CHANGES.md and ROADMAP.md use."""
+code lines by the rule the size figures in CHANGES.md and ROADMAP.md use,
+and ``tools/artifact_digests.py`` hashes what ``python -m picardkit``
+writes on a fixed set of cases."""
 
+import hashlib
 import importlib.util
 import textwrap
 from pathlib import Path
 
+import picardkit
+from picardkit.cli import parse_config, run
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -41,7 +47,7 @@ FIXTURE = textwrap.dedent('''\
 
 
 def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
-    code_lines = _code_lines()
+    code_lines = _tool("code_lines")
     # import, def, the two lines of the string, return, class, the later
     # string and the two lines of the tuple
     assert code_lines.count(FIXTURE) == (21, 9)
@@ -52,3 +58,35 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in out] == [["21", "9"], ["3", "1"], ["24", "10"]]
     assert out[-1].endswith(" total")
+
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_artifact_digests_hash_each_artifact_stream_and_status(tmp_path, monkeypatch):
+    tool = _tool("artifact_digests")
+    # the children import the picardkit on PYTHONPATH, where a relative
+    # entry is taken from the current directory
+    src = Path(picardkit.__file__).resolve().parents[1]
+    monkeypatch.chdir(src.parent)
+    monkeypatch.setenv("PYTHONPATH", src.name)
+    names = ["iterate-converges", "iterate-diverges", "usage-bad-flag", "validation-odd-grid"]
+    lines = tool.digest_lines({name: tool.CASES[name] for name in names})
+    digests = {what: digest for digest, what in (line.split("  ") for line in lines)}
+    assert len(digests) == len(lines)
+    assert [digests[f"{name}/status"] for name in names] == [_sha(b"0"), _sha(b"2"),
+                                                             _sha(b"3"), _sha(b"4")]
+    assert {digests[f"{name}/stdout"] for name in names} == {_sha(b"")}
+    assert digests["validation-odd-grid/stderr"] == _sha(
+        b"validation error: grid size must be even, got 3\n")
+    # an orbit's artifacts are those of its config run in-process
+    config, args = tool.CASES["iterate-converges"]
+    assert args == [] and run(parse_config(config), out_dir=tmp_path) == 0
+    artifacts = {f"iterate-converges/{path.name}": _sha(path.read_bytes())
+                 for path in sorted(tmp_path.iterdir())}
+    assert sorted(artifacts) == ["iterate-converges/report.csv", "iterate-converges/report.txt",
+                                 "iterate-converges/trace.csv"]
+    assert lines[:3] == [f"{digest}  {what}" for what, digest in artifacts.items()]
+    assert [line.split("/")[-1] for line in lines[3:6]] == ["stdout", "stderr", "status"]
