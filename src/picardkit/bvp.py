@@ -169,6 +169,12 @@ class BVPProblem:
         one weight per pair of rows for two stacks."""
         return np.where(np.all(self.gate_values(x, y) > 0.0, axis=-1), 1.0, 0.0)
 
+    def _least_gate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each pair of rows' least gate value over the nodes, and its first node."""
+        values = self.gate_values(x, y)
+        node = np.argmin(values, axis=-1)
+        return values[np.arange(len(node)), node], node
+
     def rhs_values(self, x: np.ndarray) -> np.ndarray:
         """The rhs at the nodes of ``x``, one function or a stack."""
         values = np.asarray(self.rhs(self.nodes, x), dtype=float)
@@ -336,16 +342,14 @@ def check_gate_propagation(problem: BVPProblem,
                            pairs: Iterable[tuple[Point, Point]]) -> VerificationReport:
     """Nodewise gate positivity must survive one application of the
     operator: ``xi(x(t), y(t)) > 0`` for all t implies
-    ``xi(Tx(t), Ty(t)) > 0`` for all t. A pass of
-    :func:`~picardkit.framework.check_pairs`: the operator maps only the
-    pairs the gate admits, a chunk of them per call."""
+    ``xi(Tx(t), Ty(t)) > 0`` for all t, judged on the least gate value as in
+    :func:`check_gate_limit`. A pass of :func:`~picardkit.framework.check_pairs`:
+    the operator maps only the pairs the gate admits, a chunk per call."""
     from .framework import BlockCheck, check_pairs
 
     def clause(chunk):
         held = np.flatnonzero(chunk.weights > 0.0)
-        values = problem.gate_values(*chunk.images_at(held))
-        node = np.argmin(values, axis=-1)
-        worst = values[np.arange(held.size), node]
+        worst, node = problem._least_gate(*chunk.images_at(held))
         # the margin worst - 0.0 is worst itself, bit for bit
         return held, worst, 0.0, worst, node
 
@@ -359,25 +363,24 @@ def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
                      limit: Point) -> VerificationReport:
     """Falsification check of the gate's limit condition: when consecutive
     sequence members pass the gate nodewise and the sequence approaches
-    ``limit``, each member paired with the limit must pass as well. The
-    pairs (member, limit) are one table, so the gate is called on two
-    stacks: the consecutive members, then the members and the limit."""
-    from .framework import _breaks, _table
-    from .report import Witness, make_report
+    ``limit``, each member paired with the limit must pass as well. A kernel
+    pass over the member indices (none unless the members pass): the gate
+    is called on the consecutive members, then on the members and the limit."""
+    from .framework import BlockCheck, _block_reports, _table
 
     limit = as_grid_function(limit)
     table = _table([(x, limit) for x in sequence], 2, grids=True)
     if not np.all(np.isfinite(table)):  # the table admits them
         raise DomainError("grid function contains non-finite values")
     members = table[:, 0]
-    if not (len(table) and np.all(problem.gate_values(members[:-1], members[1:]) > 0.0)):
-        return make_report("gate-limit", [], 0, mode="falsification")
-    values = problem.gate_values(members, table[:, 1])
-    node = np.argmin(values, axis=-1)
-    worst = values[np.arange(len(table)), node]
-    failing = np.flatnonzero(_breaks(worst, 0.0, strict=True))
-    return make_report("gate-limit", [
-        Witness("gate/limit", (k,), w, f"xi(x_{k}, limit) = {w!r} at node {n} is not positive",
-                lhs=w, bound=0.0)
-        for k, w, n in zip(failing.tolist(), worst[failing].tolist(), node[failing].tolist())],
-        len(table), mode="falsification")
+    held = len(table) and np.all(problem.gate_values(members[:-1], members[1:]) > 0.0)
+
+    def clause(columns):
+        k, = columns
+        worst, node = problem._least_gate(members[k], table[k, 1])
+        return None, worst, 0.0, worst, k, node
+
+    return _block_reports(np.arange(len(table) if held else 0)[:, None], [BlockCheck(
+        "gate-limit", "gate/limit", clause,
+        lambda worst, k, node: f"xi(x_{k}, limit) = {worst!r} at node {node} is not positive",
+        strict=True, mode="falsification")])[0]

@@ -219,7 +219,7 @@ def _run_verify(config: RunConfig, out: Path) -> int:
     for key, value in (("low", low), ("high", high)):
         if not math.isfinite(value):
             raise DomainError(f"[carrier] {key} must be finite, got {value!r}")
-    if low > high:
+    if math.copysign(1.0, high - low) < 0.0:  # low > high, or 0.0 and -0.0 as numpy reads them
         raise DomainError(f"[carrier] low = {low!r} exceeds high = {high!r}")
     if not math.isfinite(high - low):
         raise DomainError(f"[carrier] low = {low!r} and high = {high!r} are too far "

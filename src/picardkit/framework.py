@@ -25,12 +25,13 @@ strictness epsilon. Every sampled verifier, here and in :mod:`.picard`,
 :func:`_table`, and runs on one chunked kernel, :func:`_block_reports`. The
 gate gives one of three tables: an (N, k) float array of reals, an
 (N, k, n + 1) float array of grid functions (k functions of n + 1 nodes
-per row), or a :class:`~picardkit.sampling.RowSource` of either (a
+per row), or a :class:`~picardkit.sampling.RowSource` of points (a
 ``Mesh``, a seeded ``Draw``, or a ``SampleStream`` joining them and
 arrays), which makes its rows a chunk at a time, so a pass never holds
-its samples whole. Rows given as tuples are stacked once, at the gate; a bad
-shape raises :class:`DimensionError`, and a value that is not a real
-raises :class:`DomainError`. Each clause of the kernel (:class:`BlockCheck`)
+them whole (a small table of reals only is made whole). Rows given as
+tuples are stacked once, at the gate; a bad shape raises
+:class:`DimensionError`, and a value that is not a real raises
+:class:`DomainError`. Each clause of the kernel (:class:`BlockCheck`)
 gives the rows of a chunk it applies to with their margins, and one kernel
 function decides which fail, by one rule (:func:`_breaks`); it writes the
 inputs and the margin of each failing row, and nothing else, into the
@@ -43,17 +44,17 @@ a 1-d array of reals, or a (k, n + 1) stack of grid functions, which only
 callables tagged :func:`~picardkit.metrics.rowwise` get whole.
 :func:`evaluate_block` evaluates each callable once per chunk: family
 callables may broadcast elementwise over arrays of real samples, and
-callables that do not are evaluated per sample, with the same results.
-The pair hypotheses share one pass, :func:`check_pairs`, so the mapping
-applies at most once per sampled point. A witness is built only when a
-caller reaches it, by replaying its row through the clause; a report
-gives its witnesses worst first, the most negative margin first.
+callables that do not are evaluated per sample, with the same results;
+either way a result is taken in one shape only, one value per row or the
+columns' own. The pair hypotheses share one pass, :func:`check_pairs`, so
+the mapping applies at most once per sampled point. A witness is built
+only when a caller reaches it, by replaying its row through the clause; a
+report gives its witnesses worst first, the most negative margin first.
 Only two limit-style conditions loop, over a few probes, each probe's tail
-(at least one term) in one :meth:`Family.values` call:
-:func:`check_simulation_sequences` and the limit probes of
-:func:`check_geraghty`. :func:`picardkit.bvp.check_gate_limit` calls the
-gate on two stacks. All three decide by the strict rule too. These are
-*falsification* checks: a pass means "no counterexample found on the
+(at least one term) in one :meth:`Family.values` call, and decide by the
+strict rule too: :func:`check_simulation_sequences` and the limit probes of
+:func:`check_geraghty`. They and :func:`picardkit.bvp.check_gate_limit`
+are *falsification* checks: a pass means "no counterexample found on the
 supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
 checked concurrently, and the reports merged with
@@ -81,37 +82,27 @@ MIN_TAIL = 25  # minimum tail length for limsup estimates
 CHUNK = 16000  # float values per column of a chunk: see above
 
 
-def _one_function(row: tuple) -> tuple:
-    """A row's arguments for one call of a row-wise callable, which would
-    read a 2-d one as a stack: that is rejected as a grid function."""
-    for value in row:
-        if np.ndim(value) > 1:
-            as_grid_function(value)
-    return row
-
-
 def evaluate_block(fn: Callable, scalar: Callable, *columns,
                    valid: Callable[[np.ndarray], np.ndarray] = np.isfinite) -> np.ndarray:
     """Values of ``scalar`` at every row of the aligned ``columns`` (1-d
     arrays of reals, or (k, n + 1) stacks of grid functions), as one float
-    array; columns of different lengths raise :class:`DimensionError`.
+    array of the one shape a result may have: the columns' shape, or one
+    value per row. Columns of different lengths, or per-sample values of
+    another shape, raise :class:`DimensionError`.
 
     ``fn`` is first called once on read-only views of the whole columns:
     on columns of reals of any length, or on stacks (empty ones too) when
-    ``fn`` is tagged :func:`~picardkit.metrics.rowwise`.
-    A result of the columns' shape (or of shape (k,)) whose entries all pass
-    ``valid`` is taken. Otherwise (``fn`` is written for single samples,
-    aggregates or writes its argument, or gives an invalid entry)
-    ``scalar`` is called once per row, in order, on Python floats or on one
-    grid function of each stack, which reproduces the per-sample values and
-    errors exactly; values that do not stack raise :class:`DimensionError`.
-    """
+    ``fn`` is tagged :func:`~picardkit.metrics.rowwise`; a result of that
+    shape whose entries all pass ``valid`` is taken. Otherwise (``fn`` is
+    written for single samples, aggregates or writes its argument, or gives
+    an invalid entry) ``scalar`` is called once per row, in order, on Python
+    floats or on one grid function of each stack, which reproduces the
+    per-sample values and errors exactly."""
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
         raise DimensionError(f"columns of lengths {', '.join(map(str, lengths))} do not align")
-    row_wise = getattr(fn, "rowwise", False)
-    if row_wise or columns[0].ndim == 1:
-        shapes = (columns[0].shape, columns[0].shape[:1])  # the same for reals
+    shapes = (columns[0].shape, columns[0].shape[:1])  # the same for reals
+    if getattr(fn, "rowwise", False) or columns[0].ndim == 1:
         views = [column.view() for column in columns]
         for view in views:
             view.flags.writeable = False
@@ -123,21 +114,24 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
         except Exception:  # a callable written for single samples or functions
             pass
     rows = zip(*(column.tolist() if column.ndim == 1 else column for column in columns))
-    values = [scalar(*_one_function(row) if row_wise else row) for row in rows]
+    values = [scalar(*row) for row in rows]
     try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        out = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape not in shapes:
         raise DimensionError("the per-sample values do not stack into one array of "
-                             "reals or of grid functions on one grid") from exc
+                             "reals or of grid functions on one grid")
+    return out
 
 
 @dataclass(frozen=True)
 class Family:
-    """A named member ``fn`` of one function family. A call returns a float
-    and raises :class:`DomainError` unless the value passes the family's
-    :meth:`valid` rule; :meth:`values` evaluates it on sample columns through
-    :func:`evaluate_block` under the same rule. The family's own axioms are
-    checked by the verifiers, not per call."""
+    """A named member ``fn`` of one function family. Its :meth:`valid`
+    rule judges every value: a call returns a float and raises
+    :class:`DomainError` unless the value passes it, and :meth:`values`
+    evaluates the member on sample columns through :func:`evaluate_block`
+    under it. The family's own axioms are checked by the verifiers."""
 
     fn: Callable
     name: str = field(default="f", kw_only=True)
@@ -154,7 +148,7 @@ class Family:
             raise DimensionError(f"{self.name} gives a value of shape {np.shape(value)}, "
                                  f"not one real")
         value = float(value)
-        if not (math.isfinite(value) and value >= self.low):
+        if not self.valid(value):
             raise DomainError(f"{self.name}({', '.join(map(str, args))}) = {value!r} "
                               f"is not {self.rule}")
         return value
@@ -377,22 +371,22 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
 
 def _table(samples, width: int, nonnegative: str = "", grids: bool = False):
     """The samples as the kernel's table: an (N, width) float array of
-    reals, with ``grids`` also an (N, width, n + 1) one of grid functions,
-    or a :class:`~picardkit.sampling.RowSource` of those rows, taken as it
-    is. Rows given as tuples are stacked here, once, and a list of reals is
-    a table of width 1. A value that is not a real raises
-    :class:`DomainError`, and any other shape :class:`DimensionError`. With
-    ``nonnegative`` (what they sample), a sample with a negative coordinate
-    raises :class:`DomainError`."""
+    reals, made whole from a :class:`~picardkit.sampling.RowSource` too, or
+    with ``grids`` also an (N, width, n + 1) one of grid functions, for which
+    a row source of those rows stands as it is. Rows given as tuples are
+    stacked here, once, and a list of reals is a table of width 1. A value
+    that is not a real raises :class:`DomainError`, and any other shape
+    :class:`DimensionError`. With ``nonnegative`` (what they sample), a
+    sample with a negative coordinate raises :class:`DomainError`."""
     what = nonnegative or "the"
     wanted = (f"{what} samples must be rows of {width} real{'s' if width > 1 else ''}"
               + (f" or of {width} grid functions on one grid" if grids else ""))
     if not np.iterable(samples):
         raise DimensionError(wanted)
     table = samples
-    if not isinstance(samples, RowSource):
-        table = _stacked(samples if isinstance(samples, np.ndarray) else list(samples),
-                         what, grids, wanted)
+    if not (grids and isinstance(samples, RowSource)):  # an array or a row source sliced whole
+        table = _stacked(samples[:] if isinstance(samples, (np.ndarray, RowSource))
+                         else list(samples), what, grids, wanted)
         if table.ndim == 1 and (width == 1 or not table.size):  # reals, or no rows
             table = table.reshape(-1, width)
     shape = table[:0].shape
@@ -458,6 +452,7 @@ class BlockCheck(NamedTuple):
     tolerance: float = 0.0
     strict: bool = False
     notes: tuple[str, ...] = ()
+    mode: str = "exact"
 
 
 def _breaks(margin, tolerance: float, strict: bool = False):
@@ -494,7 +489,7 @@ def _block_reports(table, checks: Sequence[BlockCheck],
         clauses.setdefault(check.name, [check]).append(into)
     # a report of several clauses lists their witnesses, for make_report to sort
     return [make_report(name, parts[0] if len(parts) == 1 else [w for p in parts for w in p],
-                        len(table), tolerance=check.tolerance, notes=check.notes)
+                        len(table), tolerance=check.tolerance, notes=check.notes, mode=check.mode)
             for name, (check, *parts) in clauses.items()]
 
 

@@ -38,8 +38,6 @@ def format_value(value) -> str:
     """Deterministic compact rendering used in witness keys and reports: a
     grid function by its node count and range, anything else by its repr,
     a numpy bool, integer or float as the Python one (``.item()``)."""
-    if type(value) is float:  # the common case, ahead of the numpy types
-        return repr(value)
     if isinstance(value, np.ndarray):
         return (f"grid(nodes={value.size}, min={float(value.min())!r}, "
                 f"max={float(value.max())!r})")

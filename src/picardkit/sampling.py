@@ -30,11 +30,15 @@ def seeded_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
 
 
 class RowSource:
-    """``len`` rows; a slice of any step makes the rows it picks as a float
-    array: ``_rows(start, stop)`` those from the least to the greatest."""
+    """``len`` rows, read like the array they stand for: a slice of any step
+    makes the rows it picks as a float array, an int index (negative too)
+    that row, or :class:`IndexError`: ``_rows(start, stop)`` those from the
+    least to the greatest."""
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
+    def __getitem__(self, rows: slice | int) -> np.ndarray:
         picked = range(len(self))[rows]
+        if not isinstance(picked, range):
+            return self._rows(picked, picked + 1)[0]
         if not picked:
             return self._rows(0, 0)
         low, high = sorted((picked[0], picked[-1]))

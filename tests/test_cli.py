@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import picardkit
@@ -218,6 +218,9 @@ class TestConfigParsing:
         ("[carrier]", "high = inf", EXIT_VALIDATION, "[carrier] high must be finite, got inf"),
         ("[carrier]", "low = 3.5", EXIT_VALIDATION,
          "[carrier] low = 3.5 exceeds high = 3.0"),
+        # numpy reads the width -0.0 - 0.0 by its sign
+        ("[carrier]", "low = 0.0\nhigh = -0.0", EXIT_VALIDATION,
+         "[carrier] low = 0.0 exceeds high = -0.0"),
         # finite bounds whose width high - low overflows
         ("[carrier]", "low = -1e308\nhigh = 1e308", EXIT_VALIDATION,
          "[carrier] low = -1e+308 and high = 1e+308 are too far apart"),
@@ -1167,8 +1170,8 @@ _BASE_CFGS = {
 # lambda, a conditional, a complex, a tuple, an f-string, a subscript or an
 # overflow
 _EDGE_VALUES = {
-    ("carrier", "low"): ["1.0", "-1e308", "nan"],
-    ("carrier", "high"): ["1.0", "1e308", "inf"],
+    ("carrier", "low"): ["1.0", "-1e308", "nan", "-0.0"],
+    ("carrier", "high"): ["1.0", "1e308", "inf", "-0.0"],
     ("bundle", "lambda"): ["nan", "0.5"],
     ("bundle", "k"): ["nan", "2.0"],
     ("bundle", "r"): ["3.0", "inf"],
@@ -1194,6 +1197,9 @@ edge_lines = st.sampled_from(sorted(_EDGE_VALUES)).flatmap(
 @given(mode=st.sampled_from(sorted(_BASE_CFGS)),
        seed=st.sampled_from(["7", "7", "7", "7", "-1", "1.5"]),
        edges=st.lists(edge_lines, max_size=3))
+# numpy reads high - low = -0.0 as a negative width, on either carrier
+@example(mode="verify-interval", seed="7", edges=[("carrier", "high", "-0.0")])
+@example(mode="verify-grid", seed="7", edges=[("carrier", "high", "-0.0")])
 @settings(max_examples=150, deadline=timedelta(seconds=5))
 def test_edge_value_configs_keep_the_exit_contract(mode, seed, edges):
     kind = mode.split("-")[0] if mode.startswith("verify") else mode

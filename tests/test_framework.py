@@ -395,6 +395,20 @@ class TestReportMechanics:
             assert str(raised.value) == \
                 "contraction: replayed rows do not give their stored margins"
         assert len(calls) == 4
+        # a gate that counts its calls: positive between the members, and
+        # negative against the limit, by another margin at each call
+        gate_calls = []
+
+        def gate(a, b):
+            gate_calls.append(1)
+            return b - 1e-3 * len(gate_calls)
+
+        members = [np.full(7, 1.0 + 1.0 / k) for k in range(1, 5)]
+        limit = check_gate_limit(BVPProblem(rhs=rhs_zero, n=6, gate=gate), members, np.zeros(7))
+        assert len(gate_calls) == 2 and (limit.status, limit.samples) == (FAIL, 4)
+        with pytest.raises(DomainError) as raised:
+            render_text([limit])
+        assert str(raised.value) == "gate/limit: replayed rows do not give their stored margins"
 
     def _failing_report(self, pairs):
         zeta = SimulationFunction(lambda t, s: s - t, name="subtraction")
@@ -868,6 +882,19 @@ def _stream_and_table(per_axis, count):
             np.concatenate([Mesh(0.0, 3.0, per_axis)[:], random]))
 
 
+def _assert_rows_indexed_like(source, table, indexes):
+    """An int index of the row source, a negative one too, gives the row of
+    the table or raises IndexError as it does; iteration gives its rows."""
+    for index in indexes:
+        if -len(table) <= index < len(table):
+            assert source[index].shape == table[index].shape
+            assert source[index].tobytes() == table[index].tobytes()
+        else:
+            with pytest.raises(IndexError):
+                source[index]
+    assert [row.tobytes() for row in source] == [row.tobytes() for row in table]
+
+
 def _meshgrid_rows(low, high, per_axis):
     axis = np.linspace(low, high, per_axis)
     return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -887,6 +914,9 @@ def test_the_mesh_and_a_stream_make_the_rows_of_the_joined_table(per_axis):
                 rows = slice(start, stop, step)
                 assert stream[rows].shape == table[rows].shape
                 assert stream[rows].tobytes() == table[rows].tobytes()
+    indexes = [*ends, *(-k for k in ends)]
+    _assert_rows_indexed_like(stream, table, indexes)
+    _assert_rows_indexed_like(Mesh(0.0, 3.0, per_axis), table[:per_axis ** 2], indexes)
     with pytest.raises(DimensionError):
         SampleStream(Mesh(0.0, 3.0, per_axis), np.zeros((2, 3)))
 
@@ -912,6 +942,7 @@ def test_a_draw_makes_the_rows_of_the_one_shot_block(rows, shape, regroup, bound
         made = draw[rows_cut]
         assert made.shape == block[rows_cut].shape
         assert made.tobytes() == block[rows_cut].tobytes()
+    _assert_rows_indexed_like(draw, block, cut)
     # the same saved state read with another first axis: the block's rows of
     # shape[1:] in order, regrouped, as the CLI makes triples of drawn pairs
     values = block.reshape(-1, *shape[1:])
@@ -1356,6 +1387,19 @@ def test_per_sample_values_that_do_not_stack_raise_a_dimension_error():
     with pytest.raises(DimensionError) as raised:
         evaluate_block(lambda x: 1 / 0, lambda x: [x] * int(x), np.array([1.0, 2.0]))
     assert str(raised.value).startswith("the per-sample values do not stack")
+    # values of one shape that is neither the columns' nor one per row: a
+    # metric written for single pairs that gives a (1,) array, and a map of
+    # each grid function to a 2-d array, are refused where they are made,
+    # not by the callable that reads them next
+    message = ("the per-sample values do not stack into one array of reals or of grid "
+               "functions on one grid")
+    for run in (lambda: verify_contraction(example31_bundle(), Mesh(0.0, 3.0, 20)[:],
+                                           lambda x, y: np.array([abs(x - y)])),
+                lambda: evaluate_block(lambda x: 1 / 0, lambda x: np.stack([x, x], axis=-1),
+                                       np.zeros((3, 7)))):
+        with pytest.raises(DimensionError) as raised:
+            run()
+        assert str(raised.value) == message
 
 
 def test_unknown_sequence_axiom_raises_a_domain_error():
@@ -1508,13 +1552,15 @@ def test_malformed_samples_raise_only_the_library_errors(name, kind, size, at, s
 def test_well_formed_lists_and_arrays_give_equal_reports(name, size, seed):
     width, carrier, call = GATE_CHECKS[name]
     rows = _gate_rows(width, carrier, size, seed)
+    # the rows as an array, and as a stream of two parts of it
+    table = np.reshape(rows, (size, width, *([GATE_N + 1] if carrier == "grid" else [])))
     outcomes = []
-    for samples in (rows, np.array(rows)):
+    for samples in (rows, table, SampleStream(table[:size // 2], table[size // 2:])):
         try:
             outcomes.append(_gate_fingerprint(call(samples)))
         except (DomainError, DimensionError) as exc:
             outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 @pytest.mark.parametrize("call, error, message", [

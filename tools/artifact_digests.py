@@ -13,7 +13,8 @@ The cases: the benchmark's three workload configs (read from
 ``perfbench/workloads.py``) at seeds 3, 7 and 11, a grid verify whose
 contraction checks fail (with and without the pointwise order), two small
 interval verifies, a Geraghty gain near 1, a converging and a diverging
-orbit, ``--list-builtins``, ``--help``, and a run for each error status.
+orbit, ``--list-builtins``, ``--help``, a run for each error status, and
+interval carriers whose bounds are zeros of both signs.
 Every case runs in a new directory of its own, under the relative names
 ``case.cfg`` and ``out``, so the paths in a message are the same on every
 tree. The children format ``--help`` for 80 columns and write no bytecode,
@@ -66,6 +67,11 @@ CASES = {
     "usage-no-config": (None, []),
     "usage-bad-flag": (None, ["--bogus"]),
     "validation-odd-grid": ("mode = solve-bvp\n[bvp]\nrhs = pi2sin\nn = 3\n", []),
+    # numpy reads high - low = -0.0 as a negative width: refused, as low > high is
+    "validation-carrier-zero-above-minus-zero": (
+        _INTERVAL.replace("interval\n", "interval\nlow = 0.0\nhigh = -0.0\n"), []),
+    "carrier-minus-zero-below-zero": (
+        _INTERVAL.replace("interval\n", "interval\nlow = -0.0\nhigh = 0.0\n"), []),
 }
 
 
