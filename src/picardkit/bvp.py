@@ -21,18 +21,17 @@ operator's contraction constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .metrics import (GRID_EPS, Point, _real_or_array, _require_int, as_grid_function,
-                      grid_pair, nodes, rowwise, sup_metric)
-from .picard import CONVERGED, IterationTrace, PicardConfig, picard_iterate, _require_positive
+from .metrics import (GRID_EPS, Point, _real_or_array, _require_int, _require_positive,
+                      as_grid_function, grid_pair, nodes, rowwise, sup_metric)
 
-if TYPE_CHECKING:  # the checks import the check kernel when called
+if TYPE_CHECKING:  # the checks import the check kernel, and a solve the Picard engine, when called
     from .framework import AlphaFunction, BlockCheck
+    from .picard import IterationTrace, PicardConfig
     from .report import VerificationReport
 
 CONTRACTION_FACTOR = 0.125  # sup_t of the kernel row integral t(1 - t)/2
@@ -113,7 +112,6 @@ def row_integral_quadrature(n: int) -> np.ndarray:
     return _kernel_quadrature(ts, 1.0 - ts, np.ones(n + 1))
 
 
-@dataclass
 class BVPProblem:
     """One Dirichlet problem ``-x'' = f(t, x)``, ``x(0) = x(1) = 0``.
 
@@ -128,22 +126,16 @@ class BVPProblem:
     aligned.
     """
 
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    n: int = 100
-    tolerance: float = 1e-8
-    gate: Optional[Callable[[float, float], float]] = None
-    name: str = "bvp"
-    nodes: np.ndarray = field(init=False, repr=False)
-    _complement: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        _require_int("grid size n", self.n)
-        if self.n < 2:
-            raise DomainError(f"grid size must be at least 2, got {self.n}")
-        if self.n % 2 != 0:
-            raise DomainError(f"grid size must be even, got {self.n}")
-        _require_positive("tolerance", self.tolerance)
-        self.nodes = nodes(self.n)
+    def __init__(self, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int = 100,
+                 tolerance: float = 1e-8, gate: Optional[Callable] = None, name: str = "bvp"):
+        _require_int("grid size n", n)
+        if n < 2:
+            raise DomainError(f"grid size must be at least 2, got {n}")
+        if n % 2 != 0:
+            raise DomainError(f"grid size must be even, got {n}")
+        _require_positive("tolerance", tolerance)
+        self.rhs, self.n, self.tolerance, self.gate, self.name = rhs, n, tolerance, gate, name
+        self.nodes = nodes(n)
         self._complement = 1.0 - self.nodes
 
     def gate_value(self, a: float, b: float) -> float:
@@ -167,6 +159,8 @@ class BVPProblem:
     def gate_weights(self, x: Point, y: Point) -> float | np.ndarray:
         """1 where the gate is positive at every node of the pair, else 0;
         one weight per pair of rows for two stacks."""
+        if self.gate is None:
+            return np.ones(grid_pair(x, y)[0].shape[:-1])
         return np.where(np.all(self.gate_values(x, y) > 0.0, axis=-1), 1.0, 0.0)
 
     def _least_gate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +215,7 @@ def second_difference_residual(problem: BVPProblem, x: Point) -> float:
     return float(np.max(np.abs(lap - f_vals)))
 
 
-@dataclass
-class BVPSolution:
+class BVPSolution(NamedTuple):
     """A solve's trace and the second-difference residual of its values;
     the values, the contraction estimate (the largest defined gap ratio, or
     None) and the verdict are read from the trace."""
@@ -240,7 +233,18 @@ class BVPSolution:
 
     @property
     def converged(self) -> bool:
+        from .picard import CONVERGED
+
         return self.trace.termination == CONVERGED
+
+
+def picard_iterate(*args, **kwargs) -> IterationTrace:
+    """:func:`picardkit.picard.picard_iterate`, which a solve runs through
+    this name (perfbench's traced run wraps it to time the Picard layer);
+    the engine's module loads at the first call, not with bvp."""
+    from . import picard
+
+    return picard.picard_iterate(*args, **kwargs)
 
 
 def solve_bvp(problem: BVPProblem, cfg: PicardConfig | None = None) -> BVPSolution:
@@ -250,6 +254,8 @@ def solve_bvp(problem: BVPProblem, cfg: PicardConfig | None = None) -> BVPSoluti
     On any termination the solution record carries the trace and the
     second-difference residual.
     """
+    from .picard import PicardConfig
+
     if cfg is None:
         cfg = PicardConfig(tolerance=problem.tolerance, max_iterations=200)
     x0 = np.zeros(problem.n + 1)

@@ -15,8 +15,8 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import make_dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
 import numpy as np
@@ -92,9 +92,15 @@ _FIELDS = (
     ("order", "name", "order_name", "order", None),
 )
 
-RunConfig = make_dataclass("RunConfig", [
-    (attr, kind if isinstance(kind, type) else int if kind == "count" else str, default)
-    for _, _, attr, kind, default in _FIELDS], namespace={"__module__": __name__})
+
+class RunConfig(SimpleNamespace):
+    """A run's settings: one attribute per field above, each at its default
+    until the parse sets it."""
+
+    def __init__(self):
+        super().__init__(**{attr: default for _, _, attr, _, default in _FIELDS})
+
+
 _KINDS = {(section, key): (attr, kind) for section, key, attr, kind, _ in _FIELDS}
 
 # sections that must be spelled out per mode; everything else has defaults
@@ -168,18 +174,18 @@ def _build_bundle(config: RunConfig, problem: BVPProblem | None) -> ContractionB
     carrier = config.carrier_kind
     bundle = catalog.resolve("bundle", config.bundle_name, carrier, problem)
     if config.bundle_lambda is not None:
-        bundle = replace(bundle, zeta=catalog.zeta1(config.bundle_lambda))
+        bundle = bundle._replace(zeta=catalog.zeta1(config.bundle_lambda))
     if (config.bundle_k is None) != (config.bundle_r is None):
         raise DomainError("C-class overrides need both k and r")
     if config.bundle_k is not None:
-        bundle = replace(bundle, g=catalog.cclass_c(config.bundle_k, config.bundle_r))
+        bundle = bundle._replace(g=catalog.cclass_c(config.bundle_k, config.bundle_r))
     if config.bundle_beta is not None:
-        bundle = replace(bundle, beta=catalog.resolve("beta", config.bundle_beta))
+        bundle = bundle._replace(beta=catalog.resolve("beta", config.bundle_beta))
     if config.order_name is not None:
         from .posets import alpha_from_order
 
         order = catalog.resolve("order", config.order_name, carrier)
-        bundle = replace(bundle, alpha=alpha_from_order(order))
+        bundle = bundle._replace(alpha=alpha_from_order(order))
     return bundle
 
 
@@ -196,8 +202,8 @@ def _rows_with_caveats(reports: Sequence[VerificationReport],
     from .report import CAVEAT, FAIL
 
     caveats = {name: (clause, note) for name, clause, note in bundle.caveats}
-    adjusted = [replace(rep, status=CAVEAT,
-                        notes=(*rep.notes, f"declared caveat: {caveats[rep.name][1]}"))
+    adjusted = [rep._replace(status=CAVEAT,
+                             notes=(*rep.notes, f"declared caveat: {caveats[rep.name][1]}"))
                 if rep.status == FAIL and rep.name in caveats
                 and all(w.check == caveats[rep.name][0] for w in rep.witnesses) else rep
                 for rep in reports]
@@ -210,7 +216,7 @@ def _run_verify(config: RunConfig, out: Path) -> int:
                             check_triangular_alpha, contraction_check)
     from .report import render_text, write_report_csv
     from .sampling import Draw, Mesh, SampleStream, seeded_rng
-    if config.carrier_kind == "grid":  # bvp compiled after numpy.random peaks 0.4 MB higher
+    if config.carrier_kind == "grid":  # bvp compiled after numpy.random peaks 0.3 MB higher
         from .bvp import operator_contraction_check
 
     # the only mode that draws samples: the others never import numpy.random

@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -125,7 +124,6 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
     return out
 
 
-@dataclass(frozen=True)
 class Family:
     """A named member ``fn`` of one function family. Its :meth:`valid`
     rule judges every value: a call returns a float and raises
@@ -133,10 +131,11 @@ class Family:
     evaluates the member on sample columns through :func:`evaluate_block`
     under it. The family's own axioms are checked by the verifiers."""
 
-    fn: Callable
-    name: str = field(default="f", kw_only=True)
     rule = "finite"
     low = -math.inf  # the least valid value
+
+    def __init__(self, fn: Callable, *, name: str = "f"):
+        self.fn, self.name = fn, name
 
     def valid(self, values: np.ndarray) -> np.ndarray:
         """The rule, elementwise: finite, and at least ``low``."""
@@ -164,30 +163,28 @@ class GeraghtyBeta(Family):
     enforced per call, so bundles with boundary violations still evaluate."""
 
 
-@dataclass(frozen=True, kw_only=True)
 class SimulationFunction(Family):
     """Two-argument function ``zeta(t, s)`` encoding a contraction
     inequality; ``sequence_axiom`` selects which limsup condition
     :func:`check_simulation_sequences` applies ("classic" accepts any
     equal-limit positive probes, "roldan" additionally requires t_n < s_n)."""
 
-    sequence_axiom: str = "classic"
+    def __init__(self, fn: Callable, *, name: str = "f", sequence_axiom: str = "classic"):
+        if sequence_axiom not in ("classic", "roldan"):
+            raise DomainError(f"unknown sequence axiom {sequence_axiom!r}")
+        super().__init__(fn, name=name)
+        self.sequence_axiom = sequence_axiom
 
-    def __post_init__(self) -> None:
-        if self.sequence_axiom not in ("classic", "roldan"):
-            raise DomainError(f"unknown sequence axiom {self.sequence_axiom!r}")
 
-
-@dataclass(frozen=True, kw_only=True)
 class CClassFunction(Family):
     """Function ``G(s, t)`` generalizing the subtraction ``s - t``, together
     with its benchmark constant ``c_g >= 0``."""
 
-    c_g: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c_g) and self.c_g >= 0.0):
-            raise DomainError(f"c_g must be a finite nonnegative real, got {self.c_g}")
+    def __init__(self, fn: Callable, *, name: str = "f", c_g: float = 0.0):
+        if not (math.isfinite(c_g) and c_g >= 0.0):
+            raise DomainError(f"c_g must be a finite nonnegative real, got {c_g}")
+        super().__init__(fn, name=name)
+        self.c_g = c_g
 
 
 class AlphaFunction(Family):
@@ -197,8 +194,7 @@ class AlphaFunction(Family):
     low = 0.0
 
 
-@dataclass(frozen=True)
-class ContractionBundle:
+class ContractionBundle(NamedTuple):
     """One contraction hypothesis: the mapping plus its function family.
 
     ``caveats`` lists (check name, clause, note) triples for known benign

@@ -19,6 +19,8 @@ library's point of view; concurrent use on shared inputs is safe.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
@@ -42,6 +44,11 @@ def _require_int(name: str, value, least: int | None = None) -> None:  # a bool 
         raise DomainError(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
         raise DomainError(f"{name} must be at least {least}, got {value}")
+
+
+def _require_positive(name: str, value, rule: str = "positive") -> None:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
 
 
 def nodes(n: int) -> np.ndarray:

@@ -13,14 +13,12 @@ orbit run loads neither.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .metrics import SCALAR_EPS, Metric, Point, PointMap, _require_int
+from .metrics import SCALAR_EPS, Metric, Point, PointMap, _require_int, _require_positive
 
 if TYPE_CHECKING:  # the checks import the check kernel and the reports when called
     from .framework import AlphaFunction, GeraghtyBeta
@@ -34,25 +32,31 @@ DIVERGED = "diverged"
 RATIO_EPS = SCALAR_EPS
 
 
-def _require_positive(name: str, value, rule: str = "positive") -> None:
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be {rule}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PicardConfig:
+class _StoppingRules(NamedTuple):
     tolerance: float = 1e-10
     max_iterations: int = 1000
     divergence_bound: float = 1e9
 
-    def __post_init__(self) -> None:
-        _require_positive("tolerance", self.tolerance)
-        _require_int("max_iterations", self.max_iterations, least=1)
-        _require_positive("divergence_bound", self.divergence_bound, "finite and positive")
+
+class PicardConfig(_StoppingRules):
+    """An orbit's stopping rules, checked whenever a config is made, by
+    ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        _require_positive("tolerance", config.tolerance)
+        _require_int("max_iterations", config.max_iterations, least=1)
+        _require_positive("divergence_bound", config.divergence_bound, "finite and positive")
+        return config
+
+    @classmethod
+    def _make(cls, values):  # what _replace builds with
+        return cls(*values)
 
 
-@dataclass
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """Record of one Picard orbit: the last iterate ``final`` (the earlier
     ones are not kept), the gaps ``d(x_k, x_{k+1})``, the termination and
     ``residual = d(final, T(final))``. The ratios follow from the gaps:
@@ -195,8 +199,7 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
         lambda value, n, m: f"alpha(x_{n}, x_{m}) = {value!r} falls below 1", tolerance=tol)])[0]
 
 
-@dataclass
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Multi-start probe outcome: converged limits are clustered with
     pairwise distance > 10 * tolerance counting as distinct. A singleton
     cluster set is consistent with uniqueness; several clusters are a
@@ -205,8 +208,8 @@ class UniquenessReport:
 
     starts: list[Point]
     traces: list[IterationTrace]
-    distinct_limits: list[Point] = field(default_factory=list)
-    failed_starts: list[tuple[int, str]] = field(default_factory=list)
+    distinct_limits: list[Point]
+    failed_starts: list[tuple[int, str]]
 
     @property
     def limits(self) -> list[Point]:
@@ -221,10 +224,9 @@ def uniqueness_probe(T: PointMap, starts: Iterable[Point], cfg: PicardConfig,
                      d: Metric,
                      carrier: Callable[[Point], bool] | None = None) -> UniquenessReport:
     """Run :func:`picard_iterate` from every start and cluster the limits."""
-    start_list = list(starts)
-    report = UniquenessReport(starts=start_list, traces=[])
+    report = UniquenessReport(list(starts), [], [], [])
     threshold = 10.0 * cfg.tolerance
-    for index, x0 in enumerate(start_list):
+    for index, x0 in enumerate(report.starts):
         try:
             trace = picard_iterate(T, x0, cfg, d, carrier=carrier)
         except DomainError as exc:

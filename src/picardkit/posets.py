@@ -10,9 +10,8 @@ functions compare by values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +22,7 @@ from .metrics import Metric, Point, PointMap, grid_pair, rowwise
 from .report import VerificationReport, make_report
 
 
-@dataclass(frozen=True)
-class PartialOrder:
+class PartialOrder(NamedTuple):
     """Comparator ``leq(x, y)`` over the carrier; expected reflexive,
     metrically antisymmetric, and transitive (see
     :func:`check_order_axioms`)."""

@@ -17,9 +17,8 @@ load this module: every report.csv, an orbit's too, is written by
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,8 +56,7 @@ def _total_order(values) -> np.ndarray:
     return bits ^ ((bits >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One counterexample: the inputs, the violated inequality rendered as
     text, and the signed margin by which it failed."""
 
@@ -178,11 +176,10 @@ class FailingRows(SequenceABC):
         return self._head[:k]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
     status: str
-    witnesses: Sequence[Witness] = field(default_factory=list)
+    witnesses: Sequence[Witness] = ()
     samples: int = 0
     mode: str = "exact"            # "exact" or "falsification"
     tolerance: float = 0.0

@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
+from .metrics import _require_int
 
 DEFAULT_SEED = 42
 
@@ -69,10 +70,17 @@ class Draw(RowSource):
     Rows are drawn from a copy of the saved state advanced past the rows
     before them (each value takes one 64-bit output of the bit generator,
     which must have ``advance``, as numpy's default PCG64 has), so every
-    slice equals those rows of the block bit for bit."""
+    slice equals those rows of the block bit for bit. Bounds that numpy
+    would refuse at the first slice, and a count of rows that is not an int
+    of at least 0, raise :class:`DomainError` before ``rng`` is touched."""
 
     def __init__(self, rng: np.random.Generator, rows: int, shape: tuple[int, ...],
                  low: float = 0.0, high: float = 1.0):
+        _require_int("rows", rows, least=0)
+        if not math.isfinite(high - low):  # a bound that is not, or a width that overflows
+            raise DomainError(f"a draw's high - low is not finite, for {low!r} and {high!r}")
+        if math.copysign(1.0, high - low) < 0.0:  # low > high, or 0.0 and -0.0 as numpy reads them
+            raise DomainError(f"a draw's low = {low!r} exceeds its high = {high!r}")
         self.rows, self.shape, self.low, self.high = rows, tuple(shape), low, high
         self._rng, self._saved = copy.deepcopy(rng), rng.bit_generator.state
         rng.bit_generator.advance(rows * math.prod(self.shape))

@@ -4,6 +4,8 @@ convergence orders against closed forms, the Picard solve against the
 finite-difference oracle of ``helpers``, that oracle against a dense
 tridiagonal solve, and the gate predicates."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DimensionError,
 from picardkit import bvp as bvp_module
 from picardkit.bvp import _kernel_quadrature, alpha_from_gate, operator_contraction_check
 from picardkit.framework import CHUNK, check_pairs, contraction_check
+from picardkit.picard import picard_iterate
 from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
 from picardkit.sampling import seeded_rng
@@ -268,6 +271,18 @@ class TestSolve:
         assert solution.trace.iterations <= 2
         exact = np.sin(np.pi * problem.nodes)
         assert float(np.max(np.abs(solution.values - exact))) <= 5e-4
+
+    def test_a_solve_iterates_through_the_name_bvp_gives_the_engine(self, monkeypatch):
+        # a wrapper put in its place sees the solve's one orbit and its trace
+        traces = []
+
+        def traced(*args, **kwargs):
+            traces.append(picard_iterate(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(bvp_module, "picard_iterate", traced)
+        solution = solve_bvp(BVPProblem(rhs=rhs_pi2sin, n=20))
+        assert len(traces) == 1 and traces[0] is solution.trace and solution.converged
 
     def test_zero_rhs_immediate(self):
         problem = BVPProblem(rhs=rhs_zero, n=20)
@@ -653,6 +668,31 @@ class TestGatePredicates:
             with pytest.raises(DimensionError) as raised:
                 problem.gate_values(x, y)
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("shape", [(7,), (0, 7), (1, 7), (5, 7)],
+                             ids=["one pair", "empty stacks", "one row", "stacks"])
+    def test_the_open_gate_weighs_pairs_without_a_stack(self, shape, monkeypatch):
+        problem = BVPProblem(rhs=rhs_zero, n=6)
+        x, y = seeded_rng(5).uniform(-1.0, 1.0, (2, *shape))
+        stacked = np.where(np.all(problem.gate_values(x, y) > 0.0, axis=-1), 1.0, 0.0)
+
+        def no_stack(*args):
+            raise AssertionError("the open gate built its values")
+
+        monkeypatch.setattr(problem, "gate_values", no_stack)
+        weights = problem.gate_weights(x, y)
+        assert isinstance(weights, np.ndarray)
+        assert (weights.dtype, weights.shape, weights.tolist()) \
+            == (stacked.dtype, stacked.shape, stacked.tolist())
+
+    def test_the_open_gate_weighs_only_functions_that_pair(self):
+        problem, closed = BVPProblem(rhs=rhs_zero, n=6), BVPProblem(rhs_zero, 6, gate=np.minimum)
+        for x, y in [(np.zeros(7), np.zeros(9)), (np.zeros((2, 7)), np.zeros((3, 7))),
+                     (0.5, np.zeros(7))]:
+            with pytest.raises(DimensionError) as raised:
+                closed.gate_weights(x, y)
+            with pytest.raises(DimensionError, match=f"^{re.escape(str(raised.value))}$"):
+                problem.gate_weights(x, y)
 
     def test_default_gate_accepts_zero_start(self):
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=40)

@@ -936,17 +936,19 @@ class TestColdStart:
         (VERIFY_CFG + "\n[order]\nname = natural\n", EXIT_CHECK_FAILED,
          {"builtins", "errors", "framework", "metrics", "posets", "report", "sampling"}),
         (GRID_VERIFY_CFG, EXIT_OK,
-         {"builtins", "bvp", "errors", "framework", "metrics", "picard", "report", "sampling"}),
+         {"builtins", "bvp", "errors", "framework", "metrics", "report", "sampling"}),
         (SOLVE_CFG, EXIT_OK, {"builtins", "bvp", "errors", "metrics", "picard"}),
         (ITERATE_CFG, EXIT_OK, {"builtins", "errors", "metrics", "picard"}),
     ], ids=["import", "list-builtins", "verify-interval", "verify-interval-order",
             "verify-grid", "solve-bvp", "iterate"])
     def test_each_mode_loads_only_the_modules_it_runs(self, tmp_path, cfg, status, loaded):
-        # the front-end itself (cli, __main__) is left out of the module set
+        # the front-end itself (cli, __main__) is left out of the module set;
+        # no module generates code for its records when it loads
         check = "\n".join([
             "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('picardkit.')}",
             f"assert loaded - {{'cli', '__main__'}} == {loaded!r}, sorted(loaded)",
-            f"assert ('numpy' in sys.modules) is {cfg is not None!r}"])
+            f"assert ('numpy' in sys.modules) is {cfg is not None!r}",
+            "assert 'dataclasses' not in sys.modules"])
         if cfg is None:
             _run_fresh_python("import sys\nimport picardkit\n" + check)
         else:

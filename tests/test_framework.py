@@ -7,7 +7,6 @@ import math
 import random
 import struct
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,7 +296,7 @@ class TestVerifyContraction:
         assert witness.margin == pytest.approx(-0.1, abs=1e-15)
 
     def test_witness_inputs_are_the_sampled_pair(self):
-        bundle = replace(example31_bundle(), alpha=alpha_from_order(natural_order))
+        bundle = example31_bundle()._replace(alpha=alpha_from_order(natural_order))
         # a list of tuples, stacked at the gate: witnesses take a sampled pair's values
         pairs = [tuple(row) for row in Mesh(0.0, 3.0, 11)[:].tolist()]
         report = verify_contraction(bundle, pairs, scalar_metric)
@@ -385,7 +384,7 @@ class TestReportMechanics:
             calls.append(1)
             return 0.5 * s - t - 1e-3 * len(calls)
 
-        drifting = replace(bundle, zeta=SimulationFunction(counted, name="counted"))
+        drifting = bundle._replace(zeta=SimulationFunction(counted, name="counted"))
         report = verify_contraction(drifting, pairs, scalar_metric)
         assert len(calls) == 1 and report.status == FAIL
         for show in (lambda: report.witnesses[0], lambda: render_text([report]),
@@ -436,10 +435,10 @@ class TestReportMechanics:
 
         # a declared caveat outranks pass; a falsification operand sets the mode
         passing = self._failing_report([])
-        caveat = replace(self._failing_report(pairs[:37]), status=CAVEAT)
+        caveat = self._failing_report(pairs[:37])._replace(status=CAVEAT)
         for operands in ((caveat, passing), (passing, caveat)):
             assert merge_reports(*operands).status == CAVEAT
-        falsification = replace(passing, mode="falsification")
+        falsification = passing._replace(mode="falsification")
         for operands in ((passing, falsification), (falsification, passing)):
             assert merge_reports(*operands).mode == "falsification"
 
@@ -817,7 +816,7 @@ def _pair_setup(carrier, as_array):
     # the gate closes on some pairs, and T = 10/8 spreads others past it
     problem = BVPProblem(rhs=lambda t, x: 10.0 * x, n=GRID_N,
                          gate=lambda a, b: 0.3 - np.abs(a - b))
-    bundle = replace(bvp_bundle(problem), name="grid")
+    bundle = bvp_bundle(problem)._replace(name="grid")
     pairs, _ = _grid_samples(4, 1173)
     return bundle, np.array(pairs) if as_array else pairs, sup_metric, GRID_EPS, problem
 
@@ -838,8 +837,8 @@ def test_one_pass_gives_the_standalone_reports(carrier, as_array):
         if problem is not None:
             standalone.append(check_operator_contraction(problem, samples))
     # the first witnesses, read before any caller lists them all
-    assert [_fingerprint_report(replace(rep, witnesses=rep.witnesses[:8])) for rep in one_pass] \
-        == [_fingerprint_report(replace(rep, witnesses=list(rep.witnesses)[:8]))
+    assert [_fingerprint_report(rep._replace(witnesses=rep.witnesses[:8])) for rep in one_pass] \
+        == [_fingerprint_report(rep._replace(witnesses=list(rep.witnesses)[:8]))
             for rep in standalone]
     assert [_fingerprint_report(rep) for rep in one_pass] == \
         [_fingerprint_report(rep) for rep in standalone]
@@ -859,7 +858,7 @@ def test_one_pass_maps_each_sample_once(carrier):
         seen.extend([id(x)] if carrier == "grid" else np.ravel(x).tolist())
         return bundle.mapping(x)
 
-    counted = replace(bundle, mapping=mapping)
+    counted = bundle._replace(mapping=mapping)
     with chunk_sizes(SMALL_CHUNK) as ran:
         check_pairs(mapping, bundle.alpha, samples,
                     [alpha_admissible_check(), contraction_check(counted, tol)], d)
@@ -951,6 +950,26 @@ def test_a_draw_makes_the_rows_of_the_one_shot_block(rows, shape, regroup, bound
     assert grouped[:].tobytes() == values[:kept].tobytes()
     assert grouped[slice(*cut)].tobytes() == \
         values[:kept].reshape(len(grouped), regroup, *shape[1:])[slice(*cut)].tobytes()
+
+
+@pytest.mark.parametrize("rows, bounds, message", [
+    (3, (1.0, 0.0), "a draw's low = 1.0 exceeds its high = 0.0"),
+    (3, (0.0, -0.0), "a draw's low = 0.0 exceeds its high = -0.0"),
+    (3, (math.nan, 1.0), "a draw's high - low is not finite, for nan and 1.0"),
+    (3, (0.0, math.inf), "a draw's high - low is not finite, for 0.0 and inf"),
+    (3, (math.inf, 0.0), "a draw's high - low is not finite, for inf and 0.0"),
+    (3, (-1e308, 1e308), "a draw's high - low is not finite, for -1e+308 and 1e+308"),
+    (-1, (0.0, 1.0), "rows must be at least 0, got -1"),
+    (2.0, (0.0, 1.0), "rows must be an int, got 2.0"),
+    (True, (0.0, 1.0), "rows must be an int, got True"),
+], ids=["reversed", "signed zeros", "nan", "inf", "-inf", "overflow", "negative rows",
+        "float rows", "bool rows"])
+def test_a_malformed_draw_is_refused_before_it_touches_the_generator(rows, bounds, message):
+    caller, reference = seeded_rng(9), seeded_rng(9)
+    with pytest.raises(DomainError) as raised:
+        Draw(caller, rows, (2,), *bounds)
+    assert str(raised.value) == message
+    assert caller.uniform(size=5).tobytes() == reference.uniform(size=5).tobytes()
 
 
 def test_a_stream_of_grid_functions_gives_the_reports_of_the_joined_table():
@@ -1119,19 +1138,19 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
 
 def test_rendering_builds_only_the_shown_witnesses(monkeypatch):
     # the verify-interval workload: 251 000 pairs, ~99 000 failing
-    bundle = replace(example31_bundle(), alpha=alpha_from_order(natural_order))
+    bundle = example31_bundle()._replace(alpha=alpha_from_order(natural_order))
     pairs = np.concatenate([Mesh(0.0, 3.0, 500)[:],
                             seeded_rng(7).uniform(0.0, 3.0, (1000, 2))])
     built = []
 
-    class CountedWitness(report_module.Witness):
-        def __init__(self, *args, **kwargs):
+    class CountedWitness(report_module.Witness):  # a NamedTuple is made by __new__ alone
+        def __new__(cls, *args, **kwargs):
             built.append(1)
-            super().__init__(*args, **kwargs)
+            return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(report_module, "Witness", CountedWitness)
     report = verify_contraction(bundle, pairs, scalar_metric)
-    caveated = replace(report, status=CAVEAT, notes=report.notes + ("declared",))
+    caveated = report._replace(status=CAVEAT, notes=report.notes + ("declared",))
     text = render_text([report, caveated])
     rows = report_rows([report, caveated])
     assert len(report.witnesses) > 90_000 and len(built) <= 8
@@ -1145,10 +1164,10 @@ def test_an_all_tied_check_formats_only_the_shown_rows(monkeypatch):
     # margin, -1.0, throughout, so the inputs alone order the witnesses
     built, formatted = [], []
 
-    class CountedWitness(report_module.Witness):
-        def __init__(self, *args, **kwargs):
+    class CountedWitness(report_module.Witness):  # a NamedTuple is made by __new__ alone
+        def __new__(cls, *args, **kwargs):
             built.append(1)
-            super().__init__(*args, **kwargs)
+            return super().__new__(cls, *args, **kwargs)
 
     def counted_format(inputs):
         formatted.append(1)
@@ -1306,7 +1325,7 @@ def test_faulty_stacks_raise_the_per_function_errors(fault, gate):
     if STACK_GATES[gate] is None:  # the open gate maps every pair
         runs.append((WEIGHT_FAULTS[fault], lambda: check_gate_propagation(problem, pairs)))
     if fault in METRIC_FAULTS:
-        halving = replace(bundle, mapping=lambda x: 0.5 * x)
+        halving = bundle._replace(mapping=lambda x: 0.5 * x)
         runs.append((METRIC_FAULTS[fault], lambda: verify_contraction(halving, pairs, sup_metric)))
     for (error, text), run in runs:
         with pytest.raises(error) as raised:
@@ -1330,7 +1349,7 @@ def test_object_array_of_grid_pairs_raises_the_metric_error():
     problem, pairs = _faulty_problem_and_pairs("node counts", 0)
     pairs = np.array(pairs, dtype=object)
     assert pairs.shape == (40, 2)
-    halving = replace(bvp_bundle(problem), mapping=lambda x: 0.5 * x)
+    halving = bvp_bundle(problem)._replace(mapping=lambda x: 0.5 * x)
     with pytest.raises(DimensionError, match="grid sizes differ: 7 vs 9 nodes"):
         verify_contraction(halving, pairs, sup_metric)
 
