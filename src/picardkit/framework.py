@@ -33,9 +33,10 @@ tuples are stacked once, at the gate; a bad shape raises
 :class:`DimensionError`, and a value that is not a real raises
 :class:`DomainError`. Each clause of the kernel (:class:`BlockCheck`)
 gives the rows of a chunk it applies to with their margins, and one kernel
-function decides which fail, by one rule (:func:`_breaks`); it writes the
-inputs and the margin of each failing row, and nothing else, into the
-check's :class:`~picardkit.report.FailingRows`. A chunk is up to :data:`CHUNK`
+function decides which fail, by one rule (:func:`_breaks`); it gives the
+failing rows of the chunk and their margins to the check's
+:class:`~picardkit.report.FailingRows`, which keeps each one's row number
+and the inputs and margins of the worst few only. A chunk is up to :data:`CHUNK`
 float values per column (16000, so that a float column of a chunk stays
 just under 128 KiB, glibc's default threshold for serving an allocation
 with mmap): 16000 samples of reals, or ``CHUNK // (n + 1)`` grid functions
@@ -181,8 +182,8 @@ class CClassFunction(Family):
     with its benchmark constant ``c_g >= 0``."""
 
     def __init__(self, fn: Callable, *, name: str = "f", c_g: float = 0.0):
-        if not (math.isfinite(c_g) and c_g >= 0.0):
-            raise DomainError(f"c_g must be a finite nonnegative real, got {c_g}")
+        if not (isinstance(c_g, numbers.Real) and math.isfinite(c_g) and c_g >= 0.0):
+            raise DomainError(f"c_g must be a finite nonnegative real, got {c_g!r}")
         super().__init__(fn, name=name)
         self.c_g = c_g
 
@@ -470,8 +471,9 @@ def _block_reports(table, checks: Sequence[BlockCheck],
     """The reports of ``checks`` from one pass over a table of
     :func:`_table`, one per report name in order: each chunk's columns are
     wrapped by ``chunk`` once and read by every check, and each check's
-    failing rows, inputs included, are taken from the chunk, so a stream is
-    never held whole. A witness replays its row through ``chunk`` too."""
+    failing rows are numbered, and the worst kept, from the chunk, so a
+    stream is never held whole. A witness replays its row through
+    ``chunk`` too."""
     found = [FailingRows(check.check, check.detail, table, lambda rows, clause=check.clause:
                          clause(chunk(list(np.moveaxis(rows, 1, 0)))))
              for check in checks]

@@ -6,10 +6,12 @@ inequality, so any witness can be replayed standalone and must reproduce
 its margin. A report holds its witnesses worst first, in the order of
 :meth:`Witness.sort_key`; that makes merging associative and deterministic,
 and the renderers show them in that order. :func:`make_report` sorts a list
-of witnesses once. :class:`FailingRows` keeps the failing rows of a block
-check and builds each :class:`Witness` on demand by replaying its row: the
-renderers ask for the first few, and only a caller that iterates over all
-of them (a merge, a test) builds and sorts every one. Only the verifiers
+of witnesses once. :class:`FailingRows` keeps the row numbers of a block
+check's failing rows, and the worst few whole, and builds each
+:class:`Witness` on demand by replaying its row: the renderers ask for the
+first few, built from the rows kept, and only a caller that iterates over
+all of them (a merge, a test) reads every row back and builds and sorts
+every one. Only the verifiers
 load this module: every report.csv, an orbit's too, is written by
 :func:`picardkit.metrics.save_report_csv`.
 """
@@ -79,39 +81,73 @@ class Witness(NamedTuple):
         return keys[0], self.check, tuple(keys[1:])
 
 
+def _near(margins: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the margins at most the ``k``-th least, and of the
+    nans (numpy's order puts every nan last): the first k rows and more."""
+    return np.flatnonzero(~(margins > np.partition(margins, k - 1)[k - 1]))
+
+
+def _witness_order(margins: np.ndarray, inputs: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the first ``k`` of the rows ``inputs`` of one check
+    with ``margins`` in the witness order (:meth:`Witness.sort_key` on whole
+    columns: a row's numbers are its inputs flattened, a grid function's node
+    values in order), the earlier position first where two rows tie on every
+    key. Only the rows that can be among them are put in order, and by their
+    numbers only where margins tie."""
+    rows = _near(margins, min(k, margins.size))
+    keys = (_total_order(margins[rows]),)
+    ordered = np.sort(keys[0])
+    if np.any(ordered[1:] == ordered[:-1]):
+        keys = (*_total_order(inputs[rows].reshape(rows.size, -1)).T[::-1], *keys)
+    return rows[np.lexsort(keys)][:k]
+
+
 class FailingRows(SequenceABC):
-    """The failing rows of one check, written chunk by chunk by :meth:`add`:
-    only what cannot be recomputed, each row's inputs (in an array of the
-    shape and dtype of the sampled ``table``, which may be a row source of
-    :mod:`~picardkit.sampling`) and its margin (the check's own, not always
-    lhs - bound), which puts the rows in order. Both are sized for all N
-    samples; only the pages written become resident. It behaves as the list
-    of their witnesses, worst first, under ``len``, iteration, indexing,
-    slicing and ``==``, and builds each witness the first time a caller
-    reaches it: ``[:k]`` or ``[i]`` builds the first ``k`` or ``i + 1``.
-    A witness is its row replayed: ``replay`` runs the check's clause on an
-    array of rows and gives what the pass gave (see
-    :class:`~picardkit.framework.BlockCheck`); a replay that drops a row or
-    changes a margin's bits (a callable that is not deterministic) raises
-    :class:`~picardkit.errors.DomainError`. A witness's inputs are its row
-    as a tuple: of Python numbers, or of the row's grid functions.
+    """The failing rows of one check, written chunk by chunk by :meth:`add`.
+    It keeps the number of each row in the sampled ``table`` (an array, or a
+    row source of :mod:`~picardkit.sampling`), in an int64 array sized for
+    all N samples, of which only the pages written become resident; and the
+    inputs and margins (the check's own, not always lhs - bound) of the
+    :data:`_MAX_RENDERED_WITNESSES` worst rows so far. Each chunk's failing
+    rows are merged into those, which is exact: the first k of a union are
+    the first k of one part's first k and the other part. It behaves as the
+    list of their witnesses, worst first, under ``len``, iteration,
+    indexing, slicing and ``==``, and builds each witness the first time a
+    caller reaches it: ``[:k]`` or ``[i]`` builds the first ``k`` or
+    ``i + 1``, from the kept rows while they suffice, else from every
+    failing row, read back from the table (which must be left as it was)
+    a chunk's span at a time and replayed for its margin. A witness is its
+    row replayed: ``replay`` runs the check's clause on an array of rows and
+    gives what the pass gave (see :class:`~picardkit.framework.BlockCheck`);
+    a replay that drops a row, or does not give the kept rows first with
+    their margins bit for bit (a callable that is not deterministic),
+    raises :class:`~picardkit.errors.DomainError`. A witness's inputs are
+    its row as a tuple: of Python numbers, or of the row's grid functions.
     """
 
     def __init__(self, check: str, detail: Callable[..., str], table,
                  replay: Callable[[np.ndarray], tuple]):
-        self.check, self._detail, self._replay, self._count = check, detail, replay, 0
+        self.check, self._detail, self._replay, self._table = check, detail, replay, table
         # sized before the pass, so that a size too large to allocate fails first
-        none = table[:0]
-        self._inputs = np.empty((len(table), *none.shape[1:]), none.dtype)
-        self._margins = np.empty(len(table))
+        self._numbers = np.empty(len(table), np.int64)
+        self._count = self._seen = self._span = 0  # failing rows, rows, rows of a chunk
+        self._worst = self._numbers[:0], table[:0], np.empty(0)  # numbers, inputs, margins
         self._head: list[Witness] = []  # the first witnesses, in order
 
     def add(self, rows: np.ndarray, index: np.ndarray, margins) -> None:
-        """Write the failing rows ``index`` of the chunk ``rows`` and their margins."""
-        end = self._count + index.size
-        self._inputs[self._count:end] = rows[index]
-        self._margins[self._count:end] = margins
-        self._count = end
+        """Number the failing rows ``index`` of the chunk ``rows``, the next
+        rows of the table, and keep the worst of them and of the kept rows."""
+        numbers = index + self._seen
+        self._numbers[self._count:self._count + index.size] = numbers
+        self._count, self._seen = self._count + index.size, self._seen + len(rows)
+        self._span = max(self._span, len(rows))
+        if index.size:
+            margins = np.broadcast_to(margins, index.shape)
+            near = _near(margins, min(_MAX_RENDERED_WITNESSES, index.size))  # all that can join
+            merged = [np.concatenate(pair) for pair in
+                      zip(self._worst, (numbers[near], rows[index[near]], margins[near]))]
+            order = _witness_order(merged[2], merged[1], _MAX_RENDERED_WITNESSES)
+            self._worst = tuple(column[order] for column in merged)
 
     def __len__(self) -> int:
         return self._count
@@ -135,44 +171,37 @@ class FailingRows(SequenceABC):
     def __repr__(self) -> str:
         return repr(list(self))
 
+    def _read(self) -> tuple[np.ndarray, np.ndarray]:
+        """The numbers of the failing rows and the rows, read back from the
+        table a span of one chunk's rows at a time."""
+        numbers, starts = self._numbers[:self._count], range(0, self._seen, self._span)
+        spans = np.split(numbers, np.searchsorted(numbers, starts[1:]))
+        return numbers, np.concatenate([self._table[low:low + self._span][part - low]
+                                        for low, part in zip(starts, spans) if part.size])
+
     def _first(self, k: int) -> list[Witness]:
-        """The first ``k`` witnesses, built once each. Only the rows that
-        can be among them are put in order."""
+        """The first ``k`` witnesses, built once each."""
         k = min(max(k, 0), len(self))
         if k > len(self._head):
-            margins = self._margins[:self._count]
-            # numpy's order puts every nan last, so the rows kept are the
-            # nans and those at most the k-th margin: the first k and more
-            rows = np.flatnonzero(~(margins > np.partition(margins, k - 1)[k - 1]))
-            # Witness.sort_key on whole columns: every row has this check, and
-            # a row's numbers are its inputs flattened, a grid function's
-            # node values in order
-            numbers = self._inputs[:self._count].reshape(self._count, -1)
-            keys = _total_order(margins[rows])
-            if rows.size > k:  # rows tie at the k-th margin, or are nan
-                # the tied rows that fill the first k are the least by their
-                # first number, so the tied rows past them on that number are
-                # dropped before the sort
-                kth = np.partition(keys, k - 1)[k - 1]
-                tied = keys == kth
-                first = _total_order(numbers[rows[tied], 0])
-                need = k - np.count_nonzero(keys < kth)
-                tied[tied] = first <= np.partition(first, need - 1)[need - 1]
-                kept = (keys < kth) | tied
-                rows, keys = rows[kept], keys[kept]
-            rows = rows[np.lexsort((*_total_order(numbers[rows]).T[::-1], keys))]
-            rows = rows[len(self._head):k]
-            chosen, stored = self._inputs[rows], margins[rows]
-            index, lhs, bounds, replayed, *details = self._replay(chosen)
-            if not ((index is None or len(index) == rows.size) and np.array_equal(
-                    _total_order(np.broadcast_to(replayed, rows.shape)), _total_order(stored))):
-                raise DomainError(f"{self.check}: replayed rows do not give their stored margins")
-            inputs = [tuple(row) for row in (chosen.tolist() if chosen.ndim == 2 else chosen)]
-            columns = (np.broadcast_to(column, rows.shape).tolist()
-                       for column in (lhs, bounds, stored, *details))
+            kept, _, stored = self._worst
+            numbers, inputs = self._worst[:2] if k <= kept.size else self._read()
+            index, *columns = self._replay(inputs)
+            mismatch = DomainError(f"{self.check}: replayed rows do not give their stored margins")
+            if index is not None and len(index) != numbers.size:
+                raise mismatch
+            columns = [np.broadcast_to(column, numbers.shape) for column in columns]
+            order = _witness_order(columns[2], inputs, k)
+            top = order[:kept.size]  # the kept rows in their order, if the replay is the pass
+            if not (np.array_equal(numbers[top], kept[:top.size]) and np.array_equal(
+                    _total_order(columns[2][top]), _total_order(stored[:top.size]))):
+                raise mismatch
+            order = order[len(self._head):]
+            chosen = inputs[order]
+            rows = [tuple(row) for row in (chosen.tolist() if chosen.ndim == 2 else chosen)]
             self._head += [Witness(self.check, row, margin, self._detail(value, *extra),
                                    lhs=value, bound=bound)
-                           for row, (value, bound, margin, *extra) in zip(inputs, zip(*columns))]
+                           for row, (value, bound, margin, *extra)
+                           in zip(rows, zip(*(column[order].tolist() for column in columns)))]
         return self._head[:k]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 
 import numpy as np
 
@@ -70,20 +71,25 @@ class Draw(RowSource):
     Rows are drawn from a copy of the saved state advanced past the rows
     before them (each value takes one 64-bit output of the bit generator,
     which must have ``advance``, as numpy's default PCG64 has), so every
-    slice equals those rows of the block bit for bit. Bounds that numpy
-    would refuse at the first slice, and a count of rows that is not an int
-    of at least 0, raise :class:`DomainError` before ``rng`` is touched."""
+    slice equals those rows of the block bit for bit. Bounds that are not
+    reals or that numpy would refuse at the first slice, and a count of rows
+    or a shape entry that is not an int of at least 0, raise
+    :class:`DomainError` before ``rng`` is touched."""
 
     def __init__(self, rng: np.random.Generator, rows: int, shape: tuple[int, ...],
                  low: float = 0.0, high: float = 1.0):
-        _require_int("rows", rows, least=0)
+        for name, value in (("rows", rows), *(("a draw's shape entry", entry) for entry in shape)):
+            _require_int(name, value, least=0)
+        if not all(isinstance(bound, numbers.Real) for bound in (low, high)):
+            raise DomainError(f"a draw's bounds must be reals, got {low!r} and {high!r}")
         if not math.isfinite(high - low):  # a bound that is not, or a width that overflows
             raise DomainError(f"a draw's high - low is not finite, for {low!r} and {high!r}")
         if math.copysign(1.0, high - low) < 0.0:  # low > high, or 0.0 and -0.0 as numpy reads them
             raise DomainError(f"a draw's low = {low!r} exceeds its high = {high!r}")
-        self.rows, self.shape, self.low, self.high = rows, tuple(shape), low, high
+        # Python ints, so that the jump of ``advance`` cannot overflow
+        self.rows, self.shape, self.low, self.high = int(rows), tuple(map(int, shape)), low, high
         self._rng, self._saved = copy.deepcopy(rng), rng.bit_generator.state
-        rng.bit_generator.advance(rows * math.prod(self.shape))
+        rng.bit_generator.advance(self.rows * math.prod(self.shape))
 
     def __len__(self) -> int:
         return self.rows

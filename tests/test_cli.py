@@ -28,6 +28,7 @@ import picardkit
 from picardkit import bvp as bvp_module
 from picardkit import cli as cli_module
 from picardkit import framework as framework_module
+from picardkit import report as report_module
 from picardkit import sampling as sampling_module
 from picardkit.cli import (EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_USAGE, EXIT_VALIDATION, ConfigError, main,
@@ -943,12 +944,13 @@ class TestColdStart:
             "verify-grid", "solve-bvp", "iterate"])
     def test_each_mode_loads_only_the_modules_it_runs(self, tmp_path, cfg, status, loaded):
         # the front-end itself (cli, __main__) is left out of the module set;
-        # no module generates code for its records when it loads
+        # no module generates code for its records when it loads, and none
+        # calls np.unique, whose first call imports numpy.ma (about 1.3 MB)
         check = "\n".join([
             "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('picardkit.')}",
             f"assert loaded - {{'cli', '__main__'}} == {loaded!r}, sorted(loaded)",
             f"assert ('numpy' in sys.modules) is {cfg is not None!r}",
-            "assert 'dataclasses' not in sys.modules"])
+            "assert 'dataclasses' not in sys.modules and 'numpy.ma' not in sys.modules"])
         if cfg is None:
             _run_fresh_python("import sys\nimport picardkit\n" + check)
         else:
@@ -1139,11 +1141,38 @@ def test_shipped_bundles_never_fall_back_to_one_sample_at_a_time(tmp_path, monke
     assert len(calls) > 20 and fallbacks == []
 
 
+def test_a_verify_interval_run_reads_no_contraction_row_back(tmp_path, monkeypatch):
+    # the contraction's ~99 000 failing rows render, in report.txt and
+    # report.csv, from the eight worst rows the pass kept whole: none is read
+    # back from the pairs. Only the small multi-clause reports may list all
+    # their rows, each clause's store read back once
+    reads = []
+    read = report_module.FailingRows._read
+
+    def counted(self):
+        reads.append(self.check)
+        return read(self)
+
+    monkeypatch.setattr(report_module.FailingRows, "_read", counted)
+    out = tmp_path / "out"
+    assert run(parse_config(VERIFY_INTERVAL_CFG), out_dir=out) == EXIT_CHECK_FAILED
+    assert "[  FAIL] contraction  (samples=251000" in (out / "report.txt").read_text()
+    assert (out / "report.csv").read_text().splitlines()[-1].startswith("contraction,fail,")
+    assert "contraction" not in reads and len(reads) == len(set(reads))
+    assert {check.split("/")[0] for check in reads} <= {"simulation", "cclass", "geraghty"}
+    # a full listing is what the counter sees
+    store = report_module.FailingRows("contraction", repr, np.zeros((9, 1)),
+                                      lambda rows: (None, rows[:, 0], 0.0, rows[:, 0]))
+    store.add(np.zeros((9, 1)), np.arange(9), np.zeros(9))
+    assert len(list(store)) == 9 and reads[-1] == "contraction"
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_verify_memory_does_not_grow_with_a_copy_of_the_pairs(tmp_path):
     # 4 * 10**6 pairs, about 1.6 * 10**6 of them failing: the pass makes the
-    # mesh a chunk at a time and writes each failing row once. Building the
-    # joined pair table and copying the failing rows peaked at 207 MB.
+    # mesh a chunk at a time and writes each failing row's number once.
+    # Building the joined pair table and copying the failing rows peaked at
+    # 207 MB; a store of each failing row's inputs and margin, at 87 MB.
     cfg = write_cfg(tmp_path, VERIFY_INTERVAL_CFG.replace("pair_grid = 500", "pair_grid = 2000"))
     # a process's ru_maxrss starts at the peak of the one it was spawned
     # from, so the run is spawned from a new interpreter, not from pytest
@@ -1157,7 +1186,7 @@ def test_verify_memory_does_not_grow_with_a_copy_of_the_pairs(tmp_path):
     assert status == EXIT_CHECK_FAILED, done.stderr
     rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert rows[-1].startswith("contraction,fail,4001000,")
-    assert peak_kib < 140 * 1024
+    assert peak_kib < 70 * 1024
 
 
 _BASE_CFGS = {

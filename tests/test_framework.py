@@ -33,7 +33,7 @@ from picardkit.builtins import (alpha_box, alpha_one,
 from picardkit import framework
 from picardkit import report as report_module
 from picardkit.bvp import alpha_from_gate, operator_contraction_check
-from picardkit.framework import (CHUNK, alpha_admissible_check, check_pairs,
+from picardkit.framework import (CHUNK, BlockCheck, alpha_admissible_check, check_pairs,
                                  contraction_check, evaluate_block)
 from picardkit.metrics import rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
@@ -350,9 +350,10 @@ class TestReportMechanics:
             merge_reports(make_report("a", [], 1), make_report("b", [], 1))
         assert str(raised.value) == "cannot merge reports 'a' and 'b'"
 
-    def test_the_store_keeps_only_inputs_and_margins(self):
-        # the left-hand value and the detail come from the replay of the
-        # rows about to be built, the margin from the store
+    def test_the_store_keeps_row_numbers_and_the_worst_rows(self):
+        # each failing row's number, counted across the chunks, and the
+        # inputs and margins of the worst rows only; the left-hand value and
+        # the detail come from the replay of the kept rows
         table = np.arange(8.0).reshape(4, 2)
         replayed = []
 
@@ -362,17 +363,39 @@ class TestReportMechanics:
             return None, lhs, 0.5, 0.5 - lhs
 
         rows = FailingRows("c", lambda lhs: f"{lhs} > 0.5", table, replay)
-        rows.add(table, np.array([0]), -0.5)
-        rows.add(table, np.array([2, 3]), np.array([-2.5, -3.5]))
-        arrays = {name: value.shape for name, value in vars(rows).items()
-                  if isinstance(value, np.ndarray)}
-        assert arrays == {"_inputs": (4, 2), "_margins": (4,)}
+        rows.add(table[:2], np.array([0]), -0.5)
+        rows.add(table[2:], np.array([0, 1]), np.array([-2.5, -3.5]))
+        arrays = {name: (value.shape, value.dtype) for name, value in vars(rows).items()
+                  if isinstance(value, np.ndarray) and value is not table}
+        assert arrays == {"_numbers": ((4,), np.int64)}
+        assert rows._numbers[:len(rows)].tolist() == [0, 2, 3]
+        assert [column.tolist() for column in rows._worst] == [
+            [3, 2, 0], [[6.0, 7.0], [4.0, 5.0], [0.0, 1.0]], [-3.5, -2.5, -0.5]]
         assert replayed == []
         assert [(w.inputs, w.margin, w.lhs, w.bound, w.detail) for w in rows[:2]] == [
             ((6.0, 7.0), -3.5, 4.0, 0.5, "4.0 > 0.5"), ((4.0, 5.0), -2.5, 3.0, 0.5, "3.0 > 0.5")]
-        assert replayed == [[[6.0, 7.0], [4.0, 5.0]]]
+        kept = [[6.0, 7.0], [4.0, 5.0], [0.0, 1.0]]
+        assert replayed == [kept]
         assert [w.inputs for w in rows] == [(6.0, 7.0), (4.0, 5.0), (0.0, 1.0)]
-        assert replayed[1:] == [[[0.0, 1.0]]]
+        assert replayed == [kept, kept]
+
+    def test_the_store_keeps_at_most_eight_rows_and_reads_the_rest_back(self):
+        # ten failing rows of one chunk: the worst eight are kept whole, and
+        # a ninth witness reads every failing row back by its number
+        table = np.column_stack([np.arange(10.0), np.zeros(10)])
+        replayed = []
+
+        def replay(rows):
+            replayed.append(len(rows))
+            return None, rows[:, 0], 0.0, -rows[:, 0]
+
+        rows = FailingRows("c", repr, table, replay)
+        rows.add(table, np.arange(1, 10), -table[1:, 0])
+        assert [column.tolist() for column in rows._worst] == [
+            list(range(9, 1, -1)), [[float(i), 0.0] for i in range(9, 1, -1)],
+            [-float(i) for i in range(9, 1, -1)]]
+        assert [w.inputs[0] for w in rows[:8]] == list(range(9, 1, -1)) and replayed == [8]
+        assert [w.inputs[0] for w in rows] == list(range(9, 0, -1)) and replayed == [8, 9]
 
     def test_a_replay_that_does_not_give_the_margin_raises_naming_the_check(self):
         # a zeta that counts its calls gives other values when the witness
@@ -952,23 +975,41 @@ def test_a_draw_makes_the_rows_of_the_one_shot_block(rows, shape, regroup, bound
         values[:kept].reshape(len(grouped), regroup, *shape[1:])[slice(*cut)].tobytes()
 
 
-@pytest.mark.parametrize("rows, bounds, message", [
-    (3, (1.0, 0.0), "a draw's low = 1.0 exceeds its high = 0.0"),
-    (3, (0.0, -0.0), "a draw's low = 0.0 exceeds its high = -0.0"),
-    (3, (math.nan, 1.0), "a draw's high - low is not finite, for nan and 1.0"),
-    (3, (0.0, math.inf), "a draw's high - low is not finite, for 0.0 and inf"),
-    (3, (math.inf, 0.0), "a draw's high - low is not finite, for inf and 0.0"),
-    (3, (-1e308, 1e308), "a draw's high - low is not finite, for -1e+308 and 1e+308"),
-    (-1, (0.0, 1.0), "rows must be at least 0, got -1"),
-    (2.0, (0.0, 1.0), "rows must be an int, got 2.0"),
-    (True, (0.0, 1.0), "rows must be an int, got True"),
+@pytest.mark.parametrize("rows, shape, bounds, message", [
+    (3, (2,), (1.0, 0.0), "a draw's low = 1.0 exceeds its high = 0.0"),
+    (3, (2,), (0.0, -0.0), "a draw's low = 0.0 exceeds its high = -0.0"),
+    (3, (2,), (math.nan, 1.0), "a draw's high - low is not finite, for nan and 1.0"),
+    (3, (2,), (0.0, math.inf), "a draw's high - low is not finite, for 0.0 and inf"),
+    (3, (2,), (math.inf, 0.0), "a draw's high - low is not finite, for inf and 0.0"),
+    (3, (2,), (-1e308, 1e308), "a draw's high - low is not finite, for -1e+308 and 1e+308"),
+    (-1, (2,), (0.0, 1.0), "rows must be at least 0, got -1"),
+    (2.0, (2,), (0.0, 1.0), "rows must be an int, got 2.0"),
+    (True, (2,), (0.0, 1.0), "rows must be an int, got True"),
+    (3, (-2,), (0.0, 1.0), "a draw's shape entry must be at least 0, got -2"),
+    (3, (2, -1), (0.0, 1.0), "a draw's shape entry must be at least 0, got -1"),
+    (3, (True,), (0.0, 1.0), "a draw's shape entry must be an int, got True"),
+    (3, (2.5,), (0.0, 1.0), "a draw's shape entry must be an int, got 2.5"),
+    (3, (2,), ("a", 1.0), "a draw's bounds must be reals, got 'a' and 1.0"),
+    (3, (2,), (0.0, None), "a draw's bounds must be reals, got 0.0 and None"),
 ], ids=["reversed", "signed zeros", "nan", "inf", "-inf", "overflow", "negative rows",
-        "float rows", "bool rows"])
-def test_a_malformed_draw_is_refused_before_it_touches_the_generator(rows, bounds, message):
+        "float rows", "bool rows", "negative entry", "negative second entry", "bool entry",
+        "float entry", "string low", "no high"])
+def test_a_malformed_draw_is_refused_before_it_touches_the_generator(rows, shape, bounds,
+                                                                     message):
     caller, reference = seeded_rng(9), seeded_rng(9)
     with pytest.raises(DomainError) as raised:
-        Draw(caller, rows, (2,), *bounds)
+        Draw(caller, rows, shape, *bounds)
     assert str(raised.value) == message
+    assert caller.uniform(size=5).tobytes() == reference.uniform(size=5).tobytes()
+
+
+def test_numpy_ints_size_a_draw_as_python_ints_do():
+    # the generator jumps by a Python int, which cannot overflow
+    caller, reference = seeded_rng(9), seeded_rng(9)
+    drawn, same = Draw(caller, np.int64(3), (np.int64(2),)), Draw(reference, 3, (2,))
+    assert (len(drawn), drawn.shape) == (3, (2,))
+    assert all(type(size) is int for size in (drawn.rows, *drawn.shape))
+    assert drawn[:].tobytes() == same[:].tobytes()
     assert caller.uniform(size=5).tobytes() == reference.uniform(size=5).tobytes()
 
 
@@ -1014,16 +1055,20 @@ def test_a_streamed_mesh_gives_the_reports_of_the_joined_table(per_axis, count):
         assert all(rep.witnesses for rep in streamed)
 
 
-def test_a_contraction_store_holds_only_inputs_and_margins():
-    # one inputs array and one margin array, nothing else per row; the bound
-    # c_G of every witness comes from the replay
+def test_a_contraction_store_holds_row_numbers_and_eight_rows():
+    # one int64 row number per sample, and the inputs and margins of the
+    # worst eight rows; no copy of the pairs. The bound c_G of every witness
+    # comes from the replay
     bundle, pairs, *_ = _pair_setup("interval", as_array=True)
     report = verify_contraction(bundle, pairs, scalar_metric)
-    arrays = {name: value.shape for name, value in vars(report.witnesses).items()
-              if isinstance(value, np.ndarray)}
-    assert arrays == {"_inputs": (len(pairs), 2), "_margins": (len(pairs),)}
-    assert len(report.witnesses) > 100
-    assert {w.bound for w in report.witnesses} == {bundle.g.c_g}
+    store = report.witnesses
+    arrays = {name: (value.shape, value.dtype) for name, value in vars(store).items()
+              if isinstance(value, np.ndarray) and value is not store._table}
+    assert arrays == {"_numbers": ((len(pairs),), np.int64)}
+    assert np.shares_memory(store._table, pairs)
+    assert [column.shape for column in store._worst] == [(8,), (8, 2), (8,)]
+    assert len(store) > 100
+    assert {w.bound for w in store} == {bundle.g.c_g}
 
 
 # ---------------------------------------------------------------------------
@@ -1134,6 +1179,97 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
                    merge_reports(tail_report, head_report)):
         assert not comparable or merged == whole
         assert _fingerprint(merged.witnesses) == _fingerprint(whole.witnesses)
+
+
+def _tied_margins(xs, ys):
+    """Margins in steps of 0.1, so that many rows tie, and where y > 0.9 a
+    nan of the sign of x - 0.2, so that a few of the first eight are nans;
+    for stacks of grid functions, of each function's first node value."""
+    xs, ys = (column if column.ndim == 1 else column[:, 0] for column in (xs, ys))
+    return np.where(ys > 0.9, np.copysign(np.nan, xs - 0.2), np.round(xs - ys, 1) - 0.25)
+
+
+# tables of pairs: arrays, row sources and streams, of reals and of grid functions
+_STORE_TABLES = {
+    "array": lambda: seeded_rng(21).uniform(size=(300, 2)),
+    "mesh": lambda: Mesh(0.0, 1.0, 11),
+    "draw": lambda: Draw(seeded_rng(22), 300, (2,)),
+    "stream": lambda: SampleStream(Mesh(0.0, 1.0, 11), seeded_rng(23).uniform(size=(40, 2)),
+                                   Draw(seeded_rng(24), 130, (2,))),
+    "grid array": lambda: seeded_rng(25).uniform(size=(120, 2, 5)),
+    "grid draw": lambda: Draw(seeded_rng(26), 120, (2, 5)),
+    "grid stream": lambda: SampleStream(seeded_rng(27).uniform(size=(50, 2, 5)),
+                                        Draw(seeded_rng(28), 70, (2, 5))),
+}
+
+
+@pytest.mark.parametrize("make", _STORE_TABLES.values(), ids=_STORE_TABLES.keys())
+def test_the_store_matches_the_full_sort_on_every_table(make):
+    # a strict clause, so that nan margins fail, on chunks of 16 float values
+    # per column (16 pairs of reals, 3 of grid functions); ties at the
+    # eighth margin straddle the chunks
+    table = framework._table(make(), 2, grids=True)
+    check = BlockCheck("tied", "tied", lambda columns: (None, _tied_margins(*columns), 0.0,
+                                                        _tied_margins(*columns)),
+                       lambda value: f"lhs = {value!r}", strict=True)
+    rows = table[:]
+    margins = _tied_margins(rows[:, 0], rows[:, 1])
+    failing = np.flatnonzero(~(margins > 0.0))
+    expected = _all_witnesses("tied", [tuple(row) for row in rows[failing].tolist()]
+                              if rows.ndim == 2 else [tuple(row) for row in rows[failing]],
+                              margins[failing].tolist(), 0.0, margins[failing].tolist(),
+                              check.detail)
+    n = len(expected)
+    grids = rows.ndim == 3
+
+    def store():
+        with chunk_sizes(16) as ran:
+            found = framework._block_reports(table, [check])[0].witnesses
+        return found, ran
+
+    found, ran = store()
+    eighth = expected[7].margin
+    tied_chunks = {np.searchsorted(ran, number, side="right") for number in failing
+                   if margins[number] == eighth}
+    assert len(ran) > 1 and len(tied_chunks) > 1
+    assert 0 < sum(math.isnan(w.margin) for w in expected[:8]) < 8
+    signs = {math.copysign(1.0, m) for m in margins[failing] if math.isnan(m)}
+    assert signs == {-1.0, 1.0}
+    for k in (0, 1, 7, 8, 9, n, n + 1):
+        assert _fingerprint(store()[0][:k]) == _fingerprint(expected[:k])
+    for i in (0, 7, 8, n - 1, -1, -n):
+        assert _fingerprint([store()[0][i]]) == _fingerprint([expected[i]])
+    # the first eight, from the kept rows, then every one, read back
+    head = found[:8]
+    assert _fingerprint(head) == _fingerprint(expected[:8])
+    assert _fingerprint(list(found)) == _fingerprint(expected)
+    assert all(a is b for a, b in zip(head, found[:8]))
+    assert _fingerprint(found[3:20:2]) == _fingerprint(expected[3:20:2])
+    # nan != nan, and grid functions do not compare as one truth value
+    finite = [w for w in expected if not math.isnan(w.margin)]
+    if not grids:
+        assert store()[0] != expected and list(found) != expected
+        keep = ~np.isnan(margins)
+        clean = framework._block_reports(rows[keep], [check])[0].witnesses
+        assert clean == finite and finite == clean
+
+
+def test_a_row_source_is_read_back_a_chunk_at_a_time(monkeypatch):
+    # 900 mesh rows in chunks of 50, of which the 270 with x < 0.3 fail:
+    # only the 6 spans with a failing row are read back, each in one slice
+    reads, rows = [], Mesh._rows
+    monkeypatch.setattr(Mesh, "_rows", lambda self, start, stop:
+                        reads.append((start, stop)) or rows(self, start, stop))
+    mesh = Mesh(0.0, 1.0, 30)
+    check = BlockCheck("low x", "low x", lambda columns: (None, columns[0], 0.3,
+                                                          columns[0] - 0.3), repr)
+    with chunk_sizes(50):
+        found = framework._block_reports(mesh, [check])[0].witnesses
+    assert (0, 50) in reads and (850, 900) in reads
+    del reads[:]
+    assert len(found[:8]) == 8 and reads == []
+    assert len(list(found)) == 270
+    assert reads == [(start, start + 50) for start in range(0, 300, 50)]
 
 
 def test_rendering_builds_only_the_shown_witnesses(monkeypatch):

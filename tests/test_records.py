@@ -80,12 +80,17 @@ def test_a_config_is_checked_when_replaced_too():
      "c_g must be a finite nonnegative real, got -1.0"),
     (lambda: CClassFunction(lambda s, t: s - t, c_g=math.inf),
      "c_g must be a finite nonnegative real, got inf"),
+    (lambda: CClassFunction(lambda s, t: s - t, c_g="a"),
+     "c_g must be a finite nonnegative real, got 'a'"),
+    (lambda: CClassFunction(lambda s, t: s - t, c_g=None),
+     "c_g must be a finite nonnegative real, got None"),
     (lambda: BVPProblem(rhs_zero, 1), "grid size must be at least 2, got 1"),
     (lambda: BVPProblem(rhs_zero, n=3), "grid size must be even, got 3"),
     (lambda: BVPProblem(rhs_zero, n=4.0), "grid size n must be an int, got 4.0"),
     (lambda: BVPProblem(rhs_zero, 4, 0.0), "tolerance must be positive, got 0.0"),
 ], ids=["zero tolerance", "nan tolerance", "no iterations", "a float budget",
         "an infinite bound", "an unknown axiom", "a negative c_g", "an infinite c_g",
+        "a string c_g", "no c_g",
         "one subinterval", "an odd grid", "a float grid", "a zero grid tolerance"])
 def test_each_construction_error_names_its_field(call, message):
     with pytest.raises(DomainError) as raised:

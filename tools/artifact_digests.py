@@ -12,9 +12,10 @@ directory). Each line is ``digest  case/name``.
 The cases: the benchmark's three workload configs (read from
 ``perfbench/workloads.py``) at seeds 3, 7 and 11, a grid verify whose
 contraction checks fail (with and without the pointwise order), two small
-interval verifies, a Geraghty gain near 1, a converging and a diverging
-orbit, ``--list-builtins``, ``--help``, a run for each error status, and
-interval carriers whose bounds are zeros of both signs.
+interval verifies and one of 4·10⁶ pairs, a Geraghty gain near 1, a
+converging and a diverging orbit, ``--list-builtins``, ``--help``, a run
+for each error status, and interval carriers whose bounds are zeros of
+both signs.
 Every case runs in a new directory of its own, under the relative names
 ``case.cfg`` and ``out``, so the paths in a message are the same on every
 tree. The children format ``--help`` for 80 columns and write no bytecode,
@@ -57,6 +58,10 @@ CASES = {
     # simulation/limit, geraghty/range and 430 contraction witnesses
     "interval-wide": (_INTERVAL.replace("interval\n", "interval\nlow = -2.0\nhigh = 2.0\n")
                       .replace("example31\n", "example31\nk = 1\nr = 2\nlambda = 0.999\n"), []),
+    # 4 000 037 pairs on [0, 3], about 1.6e6 of them failing the contraction
+    "interval-scale": (_INTERVAL.replace("interval\n", "interval\nlow = 0.0\nhigh = 3.0\n")
+                       .replace("pair_grid = 20\n", "pair_grid = 2000\n")
+                       + "[order]\nname = natural\n", []),
     "beta-near-one": (_INTERVAL.replace("example31\n", "example31\nbeta = 0.9999999999\n"), []),
     "iterate-converges": ("mode = iterate\n[iterate]\nmap = affine:0.5:0.25\nstart = 1.0\n", []),
     "iterate-diverges": ("mode = iterate\n[iterate]\nmap = affine:3:0\n"
