@@ -283,7 +283,10 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     if outside.size:
         raise DomainError(f"t = {t[outside[0]]} outside [0, 1]")
     table = table[~(problem.gate_values(a, b) <= 0.0)]
-    constants = np.unique(table[:, 1:])
+    # the first of each run of equal values, so 0.0 and -0.0 are one
+    # constant, as in np.unique, whose first call imports numpy.ma
+    ordered = np.sort(table[:, 1:], axis=None)
+    constants = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
     T = bvp_operator(problem)
     images = evaluate_block(T, T, np.repeat(constants[:, None], problem.n + 1, axis=1))
 

@@ -35,8 +35,8 @@ tuples are stacked once, at the gate; a bad shape raises
 gives the rows of a chunk it applies to with their margins, and one kernel
 function decides which fail, by one rule (:func:`_breaks`); it gives the
 failing rows of the chunk and their margins to the check's
-:class:`~picardkit.report.FailingRows`, which keeps each one's row number
-and the inputs and margins of the worst few only. A chunk is up to :data:`CHUNK`
+:class:`~picardkit.report.FailingRows`, which keeps a bit per row, set if
+it fails, and the inputs and margins of the worst few only. A chunk is up to :data:`CHUNK`
 float values per column (16000, so that a float column of a chunk stays
 just under 128 KiB, glibc's default threshold for serving an allocation
 with mmap): 16000 samples of reals, or ``CHUNK // (n + 1)`` grid functions
@@ -471,7 +471,7 @@ def _block_reports(table, checks: Sequence[BlockCheck],
     """The reports of ``checks`` from one pass over a table of
     :func:`_table`, one per report name in order: each chunk's columns are
     wrapped by ``chunk`` once and read by every check, and each check's
-    failing rows are numbered, and the worst kept, from the chunk, so a
+    failing rows are marked, and the worst kept, from the chunk, so a
     stream is never held whole. A witness replays its row through
     ``chunk`` too."""
     found = [FailingRows(check.check, check.detail, table, lambda rows, clause=check.clause:

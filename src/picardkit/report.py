@@ -6,13 +6,13 @@ inequality, so any witness can be replayed standalone and must reproduce
 its margin. A report holds its witnesses worst first, in the order of
 :meth:`Witness.sort_key`; that makes merging associative and deterministic,
 and the renderers show them in that order. :func:`make_report` sorts a list
-of witnesses once. :class:`FailingRows` keeps the row numbers of a block
-check's failing rows, and the worst few whole, and builds each
-:class:`Witness` on demand by replaying its row: the renderers ask for the
-first few, built from the rows kept, and only a caller that iterates over
-all of them (a merge, a test) reads every row back and builds and sorts
-every one. Only the verifiers
-load this module: every report.csv, an orbit's too, is written by
+of witnesses once. :class:`FailingRows` keeps one bit per sampled row of
+a block check, set where the row fails, and the worst few rows whole, and
+builds each :class:`Witness` on demand by replaying its row: the renderers
+ask for the first few, built from the rows kept, and only a caller that
+iterates over all of them (a merge, a test) reads every row back and
+builds and sorts every one. Only the verifiers load this module: every
+report.csv, an orbit's too, is written by
 :func:`picardkit.metrics.save_report_csv`.
 """
 
@@ -104,44 +104,51 @@ def _witness_order(margins: np.ndarray, inputs: np.ndarray, k: int) -> np.ndarra
 
 class FailingRows(SequenceABC):
     """The failing rows of one check, written chunk by chunk by :meth:`add`.
-    It keeps the number of each row in the sampled ``table`` (an array, or a
-    row source of :mod:`~picardkit.sampling`), in an int64 array sized for
-    all N samples, of which only the pages written become resident; and the
-    inputs and margins (the check's own, not always lhs - bound) of the
+    It keeps a bitmap of the N rows of the sampled ``table`` (an array, or
+    a row source of :mod:`~picardkit.sampling`), N / 8 bytes whatever
+    fails, with bit i set where row i fails; and the numbers, inputs and
+    margins (the check's own, not always lhs - bound) of the
     :data:`_MAX_RENDERED_WITNESSES` worst rows so far. Each chunk's failing
     rows are merged into those, which is exact: the first k of a union are
     the first k of one part's first k and the other part. It behaves as the
     list of their witnesses, worst first, under ``len``, iteration,
     indexing, slicing and ``==``, and builds each witness the first time a
     caller reaches it: ``[:k]`` or ``[i]`` builds the first ``k`` or
-    ``i + 1``, from the kept rows while they suffice, else from every
-    failing row, read back from the table (which must be left as it was)
-    a chunk's span at a time and replayed for its margin. A witness is its
-    row replayed: ``replay`` runs the check's clause on an array of rows and
-    gives what the pass gave (see :class:`~picardkit.framework.BlockCheck`);
-    a replay that drops a row, or does not give the kept rows first with
-    their margins bit for bit (a callable that is not deterministic),
-    raises :class:`~picardkit.errors.DomainError`. A witness's inputs are
-    its row as a tuple: of Python numbers, or of the row's grid functions.
+    ``i + 1`` (a slice, up to its last position), from the kept rows while
+    they suffice, else from every failing row, read back from the bitmap
+    and the table (which must be left as it was) a chunk's span at a time
+    and replayed for its margin. A witness is its row replayed: ``replay``
+    runs the check's clause on an array of rows and gives what the pass
+    gave (see :class:`~picardkit.framework.BlockCheck`); a replay that
+    drops a row, or does not give the kept rows first with their margins
+    bit for bit (a callable that is not deterministic), raises
+    :class:`~picardkit.errors.DomainError`. A witness's inputs are its row
+    as a tuple: of Python numbers, or of the row's grid functions.
     """
 
     def __init__(self, check: str, detail: Callable[..., str], table,
                  replay: Callable[[np.ndarray], tuple]):
         self.check, self._detail, self._replay, self._table = check, detail, replay, table
-        # sized before the pass, so that a size too large to allocate fails first
-        self._numbers = np.empty(len(table), np.int64)
-        self._count = self._seen = self._span = 0  # failing rows, rows, rows of a chunk
-        self._worst = self._numbers[:0], table[:0], np.empty(0)  # numbers, inputs, margins
+        # bit i of the bitmap is set where row i fails; sized before the
+        # pass, so that a size too large to allocate fails first
+        self._bits = np.zeros((len(table) + 7) // 8, np.uint8)
+        self._count, self._seen, self._span = 0, 0, 1  # failing rows, rows, most rows of a chunk
+        self._worst = np.empty(0, np.int64), table[:0], np.empty(0)  # numbers, inputs, margins
         self._head: list[Witness] = []  # the first witnesses, in order
 
     def add(self, rows: np.ndarray, index: np.ndarray, margins) -> None:
-        """Number the failing rows ``index`` of the chunk ``rows``, the next
+        """Mark the failing rows ``index`` of the chunk ``rows``, the next
         rows of the table, and keep the worst of them and of the kept rows."""
-        numbers = index + self._seen
-        self._numbers[self._count:self._count + index.size] = numbers
+        numbers, (byte, shift) = index + self._seen, divmod(self._seen, 8)
         self._count, self._seen = self._count + index.size, self._seen + len(rows)
         self._span = max(self._span, len(rows))
         if index.size:
+            # the chunk's bits from its first row's bit on: the byte it
+            # starts in may hold the last chunk's, so they are or-ed in
+            mask = np.zeros(shift + len(rows), bool)
+            mask[index + shift] = True
+            packed = np.packbits(mask, bitorder="little")
+            self._bits[byte:byte + packed.size] |= packed
             margins = np.broadcast_to(margins, index.shape)
             near = _near(margins, min(_MAX_RENDERED_WITNESSES, index.size))  # all that can join
             merged = [np.concatenate(pair) for pair in
@@ -153,12 +160,11 @@ class FailingRows(SequenceABC):
         return self._count
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if start == 0 and step == 1:
-                return self._first(stop)
-            return self._first(len(self))[index]
-        return self._first(len(self))[index] if index < 0 else self._first(index + 1)[index]
+        positions = range(len(self))[index]  # an int, or a range for a slice
+        if isinstance(positions, int):
+            return self._first(positions + 1)[positions]
+        head = self._first(max(positions[0], positions[-1]) + 1) if positions else []
+        return [head[i] for i in positions]
 
     def __iter__(self):
         return iter(self._first(len(self)))
@@ -172,12 +178,17 @@ class FailingRows(SequenceABC):
         return repr(list(self))
 
     def _read(self) -> tuple[np.ndarray, np.ndarray]:
-        """The numbers of the failing rows and the rows, read back from the
-        table a span of one chunk's rows at a time."""
-        numbers, starts = self._numbers[:self._count], range(0, self._seen, self._span)
-        spans = np.split(numbers, np.searchsorted(numbers, starts[1:]))
-        return numbers, np.concatenate([self._table[low:low + self._span][part - low]
-                                        for low, part in zip(starts, spans) if part.size])
+        """The numbers of the failing rows, in order, and the rows, read back
+        from the bitmap and the table a span of one chunk's rows at a time."""
+        numbers, rows = [[column[:0]] for column in self._worst[:2]]
+        for low in range(0, self._seen, self._span):
+            byte, shift = divmod(low, 8)
+            bits = np.unpackbits(self._bits[byte:(low + self._span + 7) // 8], bitorder="little")
+            part = np.flatnonzero(bits[shift:shift + self._span])
+            if part.size:
+                numbers.append(part + low)
+                rows.append(self._table[low:low + self._span][part])
+        return np.concatenate(numbers), np.concatenate(rows)
 
     def _first(self, k: int) -> list[Witness]:
         """The first ``k`` witnesses, built once each."""

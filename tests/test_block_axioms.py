@@ -12,8 +12,13 @@ DomainError on both paths.
 """
 
 import math
+import os
 import struct
+import subprocess
+import sys
 from contextlib import contextmanager
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -768,6 +773,53 @@ def test_rhs_displacement_counts_only_gated_triples():
     block = check_rhs_displacement_bound(problem, triples)
     assert block.samples == 2
     assert_same_report(block, oracle_rhs_displacement_bound(problem, triples))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rhs_displacement_applies_the_operator_to_the_constants_of_np_unique(monkeypatch, seed):
+    # constants drawn from a small pool, so that they repeat, with zeros of
+    # both signs: T applies once, to the constants np.unique gives (0.0 and
+    # -0.0 as one), and the report is the one that np.unique's stack gives
+    pool = np.array([0.0, -0.0, 0.5, -1.0, 2.0])
+    rng = seeded_rng(seed)
+    triples = np.column_stack([rng.integers(0, 5, 40) / 4.0, pool[rng.integers(0, 5, (40, 2))]])
+    problem = BVPProblem(rhs=lambda t, x: 2.0 * np.asarray(x, float), n=4)
+    evaluate, stacks = framework.evaluate_block, []
+
+    def recorded(f, g, *args, unique=False):
+        if f is g:  # the operator, on the stack of constants
+            stacks.append(args[0])
+            if unique:
+                args = (np.repeat(np.unique(triples[:, 1:])[:, None], problem.n + 1, axis=1),)
+        return evaluate(f, g, *args)
+
+    monkeypatch.setattr(framework, "evaluate_block", recorded)
+    block = check_rhs_displacement_bound(problem, triples)
+    assert len(stacks) == 1 and np.array_equal(stacks[0][:, 0], np.unique(triples[:, 1:]))
+    assert {math.copysign(1.0, x) for x in triples[:, 1:].ravel() if x == 0.0} == {-1.0, 1.0}
+    monkeypatch.setattr(framework, "evaluate_block", partial(recorded, unique=True))
+    assert_same_report(block, check_rhs_displacement_bound(problem, triples))
+    assert_same_report(block, oracle_rhs_displacement_bound(problem, triples))
+    # a nan constant: the same DomainError on both stacks
+    triples[7, 2] = math.nan
+    for unique in (False, True):
+        monkeypatch.setattr(framework, "evaluate_block", partial(recorded, unique=unique))
+        with pytest.raises(DomainError, match="^grid function contains non-finite values$"):
+            check_rhs_displacement_bound(problem, triples)
+
+
+def test_rhs_displacement_does_not_import_numpy_ma():
+    # np.unique's first call imports numpy.ma (about 1.3 MB of modules)
+    code = ("import sys\nfrom picardkit import BVPProblem, check_rhs_displacement_bound\n"
+            "problem = BVPProblem(rhs=lambda t, x: x / 2.0, n=4)\n"
+            "assert check_rhs_displacement_bound(problem, [(0.5, 1.0, 0.0), (0.5, 0.0, -0.0)])"
+            ".passed\nassert 'numpy.ma' not in sys.modules\n")
+    src = str(Path(framework.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -351,9 +351,10 @@ class TestReportMechanics:
         assert str(raised.value) == "cannot merge reports 'a' and 'b'"
 
     def test_the_store_keeps_row_numbers_and_the_worst_rows(self):
-        # each failing row's number, counted across the chunks, and the
-        # inputs and margins of the worst rows only; the left-hand value and
-        # the detail come from the replay of the kept rows
+        # one bit per row of the table, set where the row fails, counted
+        # across the chunks, and the numbers, inputs and margins of the worst
+        # rows only; the left-hand value and the detail come from the replay
+        # of the kept rows
         table = np.arange(8.0).reshape(4, 2)
         replayed = []
 
@@ -367,8 +368,9 @@ class TestReportMechanics:
         rows.add(table[2:], np.array([0, 1]), np.array([-2.5, -3.5]))
         arrays = {name: (value.shape, value.dtype) for name, value in vars(rows).items()
                   if isinstance(value, np.ndarray) and value is not table}
-        assert arrays == {"_numbers": ((4,), np.int64)}
-        assert rows._numbers[:len(rows)].tolist() == [0, 2, 3]
+        assert arrays == {"_bits": (((4 + 7) // 8,), np.uint8)}
+        assert rows._bits.tolist() == [0b1101]
+        assert rows._read()[0].tolist() == [0, 2, 3]
         assert [column.tolist() for column in rows._worst] == [
             [3, 2, 0], [[6.0, 7.0], [4.0, 5.0], [0.0, 1.0]], [-3.5, -2.5, -0.5]]
         assert replayed == []
@@ -1056,15 +1058,16 @@ def test_a_streamed_mesh_gives_the_reports_of_the_joined_table(per_axis, count):
 
 
 def test_a_contraction_store_holds_row_numbers_and_eight_rows():
-    # one int64 row number per sample, and the inputs and margins of the
-    # worst eight rows; no copy of the pairs. The bound c_G of every witness
-    # comes from the replay
+    # one bit per sample, and the numbers, inputs and margins of the worst
+    # eight rows; no copy of the pairs. The bound c_G of every witness comes
+    # from the replay
     bundle, pairs, *_ = _pair_setup("interval", as_array=True)
     report = verify_contraction(bundle, pairs, scalar_metric)
     store = report.witnesses
     arrays = {name: (value.shape, value.dtype) for name, value in vars(store).items()
               if isinstance(value, np.ndarray) and value is not store._table}
-    assert arrays == {"_numbers": ((len(pairs),), np.int64)}
+    assert arrays == {"_bits": (((len(pairs) + 7) // 8,), np.uint8)}
+    assert int(np.unpackbits(store._bits).sum()) == len(store)
     assert np.shares_memory(store._table, pairs)
     assert [column.shape for column in store._worst] == [(8,), (8, 2), (8,)]
     assert len(store) > 100
@@ -1270,6 +1273,80 @@ def test_a_row_source_is_read_back_a_chunk_at_a_time(monkeypatch):
     assert len(found[:8]) == 8 and reads == []
     assert len(list(found)) == 270
     assert reads == [(start, start + 50) for start in range(0, 300, 50)]
+
+
+def _flagged_rows(flags, nodes):
+    """A table of pairs whose row i is (i, flag i), each value a grid
+    function of ``nodes`` equal node values where ``nodes`` is not 0."""
+    rows = np.column_stack([np.arange(len(flags), dtype=float), np.asarray(flags, dtype=float)])
+    return np.repeat(rows[:, :, None], nodes, axis=2) if nodes else rows
+
+
+def _flag_margins(xs, ys):
+    """Below zero where the flag is set, in five tied steps of the row number."""
+    xs, ys = (column if column.ndim == 1 else column[:, 0] for column in (xs, ys))
+    return np.where(ys > 0.5, -1.0 - xs % 5, 1.0)
+
+
+_BYTE_SEAMS = [i in (0, 7, 8, 15, 16, 23, 24, 39) for i in range(40)]
+
+
+@given(flags=st.integers(0, 70).flatmap(lambda n: st.one_of(
+           st.just([False] * n), st.just([True] * n),
+           st.lists(st.booleans(), min_size=n, max_size=n))),
+       chunk=st.sampled_from([1, 3, 7, 8, 13, 15]), nodes=st.sampled_from([0, 5]))
+# the first and last rows, rows either side of byte seams, none and every row
+@example(flags=[True] + [False] * 37 + [True], chunk=15, nodes=0)
+@example(flags=_BYTE_SEAMS, chunk=7, nodes=0)
+@example(flags=_BYTE_SEAMS, chunk=15, nodes=5)
+@example(flags=[False] * 45, chunk=15, nodes=5)
+@example(flags=[True] * 45, chunk=13, nodes=0)
+# grid functions of 1001 nodes under the library's own chunk size: 15 rows a chunk
+@example(flags=_BYTE_SEAMS, chunk=None, nodes=1001)
+@settings(max_examples=80, deadline=None)
+def test_the_bitmap_gives_the_failing_rows_at_any_chunk_offset(flags, chunk, nodes):
+    rows = _flagged_rows(flags, nodes)
+    table = framework._table(rows, 2, grids=bool(nodes))
+    check = BlockCheck("flag", "flag", lambda columns: (None, _flag_margins(*columns), 0.0,
+                                                        _flag_margins(*columns)),
+                       lambda value: f"lhs = {value!r}")
+    per_chunk = CHUNK // max(nodes, 1) if chunk is None else chunk
+    with chunk_sizes(per_chunk * max(nodes, 1)) as ran:
+        store = framework._block_reports(table, [check])[0].witnesses
+    assert ran == list(range(0, len(flags), per_chunk))
+    failing = np.flatnonzero(flags)
+    assert store._bits.shape == ((len(flags) + 7) // 8,) and store._bits.dtype == np.uint8
+    numbers, read = store._read()
+    assert numbers.tolist() == failing.tolist() and np.array_equal(read, rows[failing])
+    margins = _flag_margins(rows[:, 0], rows[:, 1])[failing].tolist()
+    expected = _all_witnesses("flag", [tuple(row) for row in (
+        rows[failing] if nodes else rows[failing].tolist())], margins, 0.0, margins,
+        check.detail)
+    assert len(store) == len(expected)
+    for k in (0, 1, 8, 9, len(expected), len(expected) + 1):
+        assert _fingerprint(store[:k]) == _fingerprint(expected[:k])
+    assert _fingerprint(list(store)) == _fingerprint(expected)
+    # grid functions do not compare as one truth value
+    assert nodes or (store == expected and expected == store)
+
+
+def test_a_slice_builds_the_witnesses_up_to_its_last_position():
+    bundle, pairs, *_ = _pair_setup("interval", as_array=True)
+
+    def store():
+        return verify_contraction(bundle, pairs, scalar_metric).witnesses
+
+    whole = list(store())
+    n = len(whole)
+    assert n > 100
+    for index, built in [(slice(1, 3), 3), (slice(None, 3, 2), 3), (slice(0, 2), 2),
+                         (slice(5, 1, -2), 6), (slice(-3, None), n), (slice(None, None, -1), n),
+                         (slice(n + 3, None, -4), n), (slice(-n + 9, -n - 5, -3), 10),
+                         (slice(4, 2), 0), (slice(3, 3), 0), (slice(None, 40, 7), 36),
+                         (slice(-n - 3, 4), 4), (slice(2, None, n), 3)]:
+        sliced = store()
+        assert _fingerprint(sliced[index]) == _fingerprint(whole[index])
+        assert len(sliced._head) == built, index
 
 
 def test_rendering_builds_only_the_shown_witnesses(monkeypatch):

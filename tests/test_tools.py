@@ -1,12 +1,15 @@
 """The repository's own tools: ``tools/code_lines.py`` counts total and
 code lines by the rule the size figures in CHANGES.md and ROADMAP.md use,
 and ``tools/artifact_digests.py`` hashes what ``python -m picardkit``
-writes on a fixed set of cases."""
+writes on a fixed set of cases, which must give the digests committed in
+``artifact_digests.txt``."""
 
 import hashlib
 import importlib.util
 import textwrap
 from pathlib import Path
+
+import numpy as np
 
 import picardkit
 from picardkit.cli import parse_config, run
@@ -90,3 +93,30 @@ def test_artifact_digests_hash_each_artifact_stream_and_status(tmp_path, monkeyp
                                  "iterate-converges/trace.csv"]
     assert lines[:3] == [f"{digest}  {what}" for what, digest in artifacts.items()]
     assert [line.split("/")[-1] for line in lines[3:6]] == ["stdout", "stderr", "status"]
+
+
+# the tool's output on the committed tree, under a first line "# numpy VERSION":
+#   (echo "# numpy $(python -c 'import numpy; print(numpy.__version__)')";
+#    PYTHONPATH=src python tools/artifact_digests.py) > tests/artifact_digests.txt
+REFERENCE_DIGESTS = Path(__file__).with_name("artifact_digests.txt")
+
+
+def test_every_case_gives_the_reference_digests(monkeypatch):
+    # every artifact, stream and exit status of the tool's cases, byte for
+    # byte; the digests follow numpy's float formatting and generator
+    # stream, so they stand for the numpy version the file names
+    header, *reference = REFERENCE_DIGESTS.read_text().splitlines()
+    version = header.removeprefix("# numpy ")
+    assert np.__version__ == version, (
+        f"{REFERENCE_DIGESTS.name} holds the digests of numpy {version}, "
+        f"this is numpy {np.__version__}")
+    tool = _tool("artifact_digests")
+    src = Path(picardkit.__file__).resolve().parents[1]
+    monkeypatch.chdir(src.parent)
+    monkeypatch.setenv("PYTHONPATH", src.name)
+    lines = tool.digest_lines(tool.CASES)
+    got, want = ({what: digest for digest, what in (line.split("  ") for line in table)}
+                 for table in (lines, reference))
+    differ = [what for what in sorted(got.keys() | want.keys()) if got.get(what) != want.get(what)]
+    assert not differ, f"digests that differ from {REFERENCE_DIGESTS.name}: {differ}"
+    assert lines == reference
