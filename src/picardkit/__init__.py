@@ -16,7 +16,7 @@ _MODULES = {
     "metrics": ("GRID_EPS", "SCALAR_EPS", "Point", "as_grid_function", "nodes", "rowwise",
                 "save_grid_csv", "scalar_metric", "sup_metric"),
     "report": ("FAIL", "HYPOTHESIS_UNMET", "PASS", "VerificationReport", "Witness",
-               "make_report", "merge_reports", "render_text", "report_rows", "write_report_csv"),
+               "render_text", "report_rows", "write_report_csv"),
     "framework": ("AlphaFunction", "CClassFunction", "ContractionBundle", "GeraghtyBeta",
                   "SimulationFunction", "check_alpha_admissible", "check_cclass",
                   "check_geraghty", "check_simulation_pointwise", "check_simulation_sequences",

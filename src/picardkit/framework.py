@@ -51,15 +51,15 @@ columns' own. The pair hypotheses share one pass, :func:`check_pairs`, so
 the mapping applies at most once per sampled point. A witness is built
 only when a caller reaches it, by replaying its row through the clause; a
 report gives its witnesses worst first, the most negative margin first.
-Only two limit-style conditions loop, over a few probes, each probe's tail
-(at least one term) in one :meth:`Family.values` call, and decide by the
-strict rule too: :func:`check_simulation_sequences` and the limit probes of
-:func:`check_geraghty`. They and :func:`picardkit.bvp.check_gate_limit`
-are *falsification* checks: a pass means "no counterexample found on the
-supplied probes", never a proof.
+The two limit-style conditions, :func:`check_simulation_sequences` and the
+limit probes of :func:`check_geraghty`, evaluate each probe's tail (at least
+one term) in one :meth:`Family.values` call, then make one kernel pass over
+a row per probe, whose clause reads that probe's estimate. They and
+:func:`picardkit.bvp.check_gate_limit` are *falsification* checks: a pass
+means "no counterexample found on the supplied probes", never a proof.
 All verifiers are pure and order-independent; sample sets may be partitioned,
-checked concurrently, and the reports merged with
-:func:`picardkit.report.merge_reports`.
+checked concurrently, and the reports merged, as the reference merge of
+``tests/helpers.py`` does.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .metrics import (GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, _require_int,
                       as_grid_function)
-from .report import FailingRows, Witness, VerificationReport, make_report
+from .report import FailingRows, VerificationReport, make_report
 from .sampling import RowSource
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
@@ -269,9 +269,8 @@ def check_simulation_sequences(zeta: SimulationFunction,
     sharper estimates. A pass refutes nothing beyond the supplied probes.
     """
     _require_int("min_tail", min_tail, least=1)
-    pairs = list(sequence_pairs)
-    witnesses: list[Witness] = []
-    for index, (t_seq, s_seq) in enumerate(pairs):
+    rows, estimates, lengths = [], [], []
+    for index, (t_seq, s_seq) in enumerate(sequence_pairs):
         tn, sn = (_table(seq, 1)[:, 0] for seq in (t_seq, s_seq))
         if tn.size == 0 or tn.size != sn.size:
             raise DomainError(f"probe pair {index} must be two non-empty sequences of equal length")
@@ -285,15 +284,20 @@ def check_simulation_sequences(zeta: SimulationFunction,
         tails_t, tails_s = tn[-k:], sn[-k:]
         values = zeta.values(tails_t, tails_s)
         best = int(np.argmax(values))
-        estimate = float(values[best])
-        if _breaks(-estimate, tol, strict=True):
-            witnesses.append(Witness(
-                "simulation/limit", (index, float(tails_t[best]), float(tails_s[best])),
-                -estimate,
-                f"tail limsup estimate {estimate!r} over {k} terms is not negative",
-                lhs=estimate, bound=0.0))
-    return make_report("simulation-limits", witnesses, len(pairs),
-                       mode="falsification", tolerance=tol)
+        rows.append((index, float(tails_t[best]), float(tails_s[best])))
+        estimates.append(values[best])
+        lengths.append(k)
+    estimates, lengths = np.array(estimates), np.array(lengths)
+
+    def clause(columns):  # a probe's row (index, t, s) reads its tail's estimate
+        probe = columns[0].astype(np.intp)
+        return None, estimates[probe], 0.0, -estimates[probe], lengths[probe]
+
+    # an object table, handed to the kernel past _table, keeps the index an int
+    return _block_reports(np.array(rows, dtype=object).reshape(-1, 3), [BlockCheck(
+        "simulation-limits", "simulation/limit", clause,
+        lambda estimate, k: f"tail limsup estimate {estimate!r} over {k} terms is not negative",
+        tolerance=tol, strict=True, mode="falsification")])[0]
 
 
 def check_cclass(g: CClassFunction, samples: Iterable[tuple[float, float]] | np.ndarray,
@@ -342,27 +346,29 @@ def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
                       np.where(_breaks(b, tol), b, 1.0 - b)),
         lambda b, t: f"beta({t!r}) = {b!r} is "
                      + ("below 0" if _breaks(b, tol) else "not strictly below 1"), True)])
-    witnesses: list[Witness] = []
-    probes = list(probe_sequences)
-    for index, seq in enumerate(probes):
+    rows, least_beta = [], []
+    for index, seq in enumerate(probe_sequences):
         arr = _table(seq, 1)[:, 0]
         if arr.size == 0 or not np.all(np.isfinite(arr)) or float(arr.min()) < 0.0:
             raise DomainError(f"beta probe {index} must be non-empty, finite and nonnegative")
-        k = _tail(arr.size, min_tail)
-        tail = arr[-k:]
-        tail_beta = beta.values(tail)
-        tail_min_t = float(tail.min())
-        tail_min_beta = float(tail_beta.min())
-        if tail_min_beta >= 1.0 - limit_tol and _breaks(-tail_min_t, -separation, strict=True):
-            witnesses.append(Witness(
-                "geraghty/limit", (index, tail_min_t), -tail_min_t,
-                f"beta tends to 1 (tail min beta = {tail_min_beta!r}) while the "
-                f"arguments stay above {tail_min_t!r}",
-                lhs=tail_min_beta, bound=1.0))
-    notes = ("range clause is exact; limit clause is falsification-only",) if probes else ()
-    return make_report("geraghty", [*ranged.witnesses, *witnesses],
-                       ranged.samples + len(probes),
-                       mode="falsification" if probes else "exact",
+        tail = arr[-_tail(arr.size, min_tail):]
+        rows.append((index, float(tail.min())))
+        least_beta.append(beta.values(tail).min())
+    least_beta = np.array(least_beta)
+
+    def clause(columns):  # a probe's row (index, least tail argument) reads its least beta
+        probe, least_t = columns[0].astype(np.intp), columns[1].astype(float)
+        held = np.flatnonzero(least_beta[probe] >= 1.0 - limit_tol)
+        return held, least_beta[probe[held]], 1.0, -least_t[held], least_t[held]
+
+    limits = _block_reports(np.array(rows, dtype=object).reshape(-1, 2), [BlockCheck(
+        "geraghty", "geraghty/limit", clause,
+        lambda b, t: f"beta tends to 1 (tail min beta = {b!r}) while the "
+                     f"arguments stay above {t!r}", tolerance=-separation, strict=True)])[0]
+    notes = ("range clause is exact; limit clause is falsification-only",) if rows else ()
+    return make_report("geraghty", [ranged.witnesses, limits.witnesses],
+                       ranged.samples + len(rows),
+                       mode="falsification" if rows else "exact",
                        tolerance=tol, notes=notes)
 
 
@@ -469,11 +475,12 @@ def _write_failing(check: BlockCheck, view, rows: np.ndarray, into: FailingRows)
 def _block_reports(table, checks: Sequence[BlockCheck],
                    chunk: Callable = lambda columns: columns) -> list[VerificationReport]:
     """The reports of ``checks`` from one pass over a table of
-    :func:`_table`, one per report name in order: each chunk's columns are
-    wrapped by ``chunk`` once and read by every check, and each check's
-    failing rows are marked, and the worst kept, from the chunk, so a
-    stream is never held whole. A witness replays its row through
-    ``chunk`` too."""
+    :func:`_table` (or an index or probe table a verifier makes itself),
+    one per report name in order, each made of its clauses' stores: each
+    chunk's columns are wrapped by ``chunk`` once and read by every check,
+    and each check's failing rows are marked, and the worst kept, from the
+    chunk, so a stream is never held whole. A witness replays its row
+    through ``chunk`` too."""
     found = [FailingRows(check.check, check.detail, table, lambda rows, clause=check.clause:
                          clause(chunk(list(np.moveaxis(rows, 1, 0)))))
              for check in checks]
@@ -485,9 +492,8 @@ def _block_reports(table, checks: Sequence[BlockCheck],
     clauses: dict[str, list] = {}
     for check, into in zip(checks, found):
         clauses.setdefault(check.name, [check]).append(into)
-    # a report of several clauses lists their witnesses, for make_report to sort
-    return [make_report(name, parts[0] if len(parts) == 1 else [w for p in parts for w in p],
-                        len(table), tolerance=check.tolerance, notes=check.notes, mode=check.mode)
+    return [make_report(name, parts, len(table), tolerance=check.tolerance, notes=check.notes,
+                        mode=check.mode)
             for name, (check, *parts) in clauses.items()]
 
 

@@ -117,5 +117,5 @@ def check_order_axioms(order: PartialOrder, elements: Iterable[Point], d: Metric
     reports = [_block_reports(_table(list(product(items, repeat=arity)), arity, grids=True),
                               [clause])[0]
                for arity, clause in enumerate(clauses, start=1)]
-    return make_report("order-axioms", [w for rep in reports for w in rep.witnesses],
+    return make_report("order-axioms", [rep.witnesses for rep in reports],
                        sum(rep.samples for rep in reports), tolerance=tol)

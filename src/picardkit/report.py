@@ -3,16 +3,18 @@
 Checks never raise on a violated inequality: violations are recorded as
 witnesses carrying the offending inputs and the signed margin of the
 inequality, so any witness can be replayed standalone and must reproduce
-its margin. A report holds its witnesses worst first, in the order of
-:meth:`Witness.sort_key`; that makes merging associative and deterministic,
-and the renderers show them in that order. :func:`make_report` sorts a list
-of witnesses once. :class:`FailingRows` keeps one bit per sampled row of
-a block check, set where the row fails, and the worst few rows whole, and
-builds each :class:`Witness` on demand by replaying its row: the renderers
-ask for the first few, built from the rows kept, and only a caller that
-iterates over all of them (a merge, a test) reads every row back and
-builds and sorts every one. Only the verifiers load this module: every
-report.csv, an orbit's too, is written by
+its margin. A report holds its witnesses worst first, in the witness order:
+the margin, then the check name, then the numbers in the inputs, each
+number in the IEEE-754 total order; the renderers show them in that order.
+:class:`FailingRows`, the one place a :class:`Witness` is built, keeps one
+bit per sampled row of a clause, set where the row fails, and the worst few
+rows whole, puts them in that order by columns (:func:`_witness_order`),
+and builds each witness on demand by replaying its row: the renderers ask
+for the first few, built from the rows kept, and only a caller that
+iterates over all of them (a test, say) reads every row back and builds
+and sorts every one. :func:`make_report` makes a report of the stores of a
+check's clauses, merging several by margin and check name. Only the
+verifiers load this module: every report.csv, an orbit's too, is written by
 :func:`picardkit.metrics.save_report_csv`.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,14 +74,6 @@ class Witness(NamedTuple):
     def render(self) -> str:
         return f"{self.check} at {format_inputs(self.inputs)}: {self.detail}"
 
-    def sort_key(self) -> tuple[int, str, tuple[int, ...]]:
-        """The witness order: the margin, most negative first, then the
-        check name, then the numbers in the inputs (a grid function gives
-        its node values in order), numbers compared in the IEEE-754 total order."""
-        keys = _total_order(np.concatenate([np.ravel(v) for v in (self.margin, *self.inputs)]))
-        keys = keys.tolist()
-        return keys[0], self.check, tuple(keys[1:])
-
 
 def _near(margins: np.ndarray, k: int) -> np.ndarray:
     """The positions of the margins at most the ``k``-th least, and of the
@@ -89,8 +83,8 @@ def _near(margins: np.ndarray, k: int) -> np.ndarray:
 
 def _witness_order(margins: np.ndarray, inputs: np.ndarray, k: int) -> np.ndarray:
     """The positions of the first ``k`` of the rows ``inputs`` of one check
-    with ``margins`` in the witness order (:meth:`Witness.sort_key` on whole
-    columns: a row's numbers are its inputs flattened, a grid function's node
+    with ``margins`` in the witness order, by whole columns (the margin,
+    then a row's numbers: its inputs flattened, a grid function's node
     values in order), the earlier position first where two rows tie on every
     key. Only the rows that can be among them are put in order, and by their
     numbers only where margins tie."""
@@ -230,46 +224,18 @@ class VerificationReport(NamedTuple):
         return self.status == PASS
 
 
-def make_report(name: str, witnesses: Iterable[Witness] | FailingRows, samples: int, *,
+def make_report(name: str, stores: Sequence[Sequence[Witness]], samples: int, *,
                 mode: str = "exact", tolerance: float = 0.0,
                 notes: tuple[str, ...] = ()) -> VerificationReport:
-    """A report whose status is FAIL exactly when there is a witness;
-    ``witnesses`` are put in order, worst first (failing rows already are)."""
-    ordered = (witnesses if isinstance(witnesses, FailingRows)
-               else sorted(witnesses, key=Witness.sort_key))
-    status = FAIL if ordered else PASS
-    return VerificationReport(name=name, status=status, witnesses=ordered,
-                              samples=samples, mode=mode, tolerance=tolerance,
-                              notes=notes)
-
-
-# merged status: the first of these that any operand has
-_STATUS_PRECEDENCE = (FAIL, HYPOTHESIS_UNMET, CAVEAT, PASS)
-
-
-def merge_reports(first: VerificationReport, *rest: VerificationReport) -> VerificationReport:
-    """Combine reports of the same check over partitioned sample sets.
-
-    The merge is associative and order-independent: witnesses are re-sorted
-    worst first, notes are kept once each in sorted order, statuses combine
-    as fail > hypothesis-unmet > caveat > pass, and the merged mode is
-    "falsification" when any operand's is.
-    """
-    reports = (first,) + rest
-    for other in rest:
-        if other.name != first.name:
-            raise ValueError(f"cannot merge reports {first.name!r} and {other.name!r}")
-    statuses = {rep.status for rep in reports}
-    modes = {rep.mode for rep in reports}
-    return VerificationReport(
-        name=first.name,
-        status=next(s for s in _STATUS_PRECEDENCE if s in statuses),
-        witnesses=sorted((w for rep in reports for w in rep.witnesses),
-                         key=Witness.sort_key),
-        samples=sum(rep.samples for rep in reports),
-        mode="falsification" if "falsification" in modes else first.mode,
-        tolerance=max(rep.tolerance for rep in reports),
-        notes=tuple(sorted({note for rep in reports for note in rep.notes})))
+    """A report whose status is FAIL exactly when there is a witness, from
+    the clause ``stores`` of one check, each in the witness order and of a
+    check name of its own: one store is the report's witnesses as it is, and
+    several are merged by margin, then check name, in a stable sort, which
+    keeps each store's order where those tie: the witness order again."""
+    witnesses = stores[0] if len(stores) == 1 else sorted(
+        [w for store in stores for w in store], key=lambda w: (int(_total_order(w.margin)), w.check))
+    return VerificationReport(name=name, status=FAIL if witnesses else PASS, witnesses=witnesses,
+                              samples=samples, mode=mode, tolerance=tolerance, notes=notes)
 
 
 def render_text(reports: Sequence[VerificationReport],

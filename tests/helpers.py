@@ -1,6 +1,9 @@
 """Helpers that only the tests use: reading a grid function back from the
-CSV ``save_grid_csv`` writes, the gate's start predicate, and the
-finite-difference reference oracle for the boundary-value solver."""
+CSV ``save_grid_csv`` writes, the gate's start predicate, the
+finite-difference reference oracle for the boundary-value solver, and the
+reference witness order with the list-sorting report and report merge
+that the library's one columnar order and clause merge are checked
+against."""
 
 import csv
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from picardkit import BVPProblem, Point, as_grid_function, green_kernel, integral_operator
+from picardkit.report import CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, VerificationReport
 
 
 def load_grid_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -71,3 +75,52 @@ def finite_difference_solve(problem: BVPProblem, damping: float = 0.8,
             return x
     raise OracleError(f"finite-difference iteration did not reach {tol} "
                       f"within {max_iterations} sweeps")
+
+
+def sort_key(witness) -> tuple[int, str, tuple[int, ...]]:
+    """The witness order, one witness at a time: the margin, most negative
+    first, then the check name, then the numbers in the inputs (a grid
+    function gives its node values in order), numbers compared in the
+    IEEE-754 total order (-0.0 before 0.0, a nan at the end its sign bit
+    names)."""
+    values = np.concatenate([np.ravel(v) for v in (witness.margin, *witness.inputs)])
+    bits = values.astype(float).view(np.int64)
+    keys = (bits ^ ((bits >> 63) & 0x7FFF_FFFF_FFFF_FFFF)).tolist()
+    return keys[0], witness.check, tuple(keys[1:])
+
+
+def make_report(name, witnesses, samples, *, mode="exact", tolerance=0.0, notes=()):
+    """A report whose status is FAIL exactly when there is a witness, with
+    the witnesses sorted once by :func:`sort_key`, worst first."""
+    ordered = sorted(witnesses, key=sort_key)
+    return VerificationReport(name=name, status=FAIL if ordered else PASS, witnesses=ordered,
+                              samples=samples, mode=mode, tolerance=tolerance, notes=notes)
+
+
+# merged status: the first of these that any operand has
+_STATUS_PRECEDENCE = (FAIL, HYPOTHESIS_UNMET, CAVEAT, PASS)
+
+
+def merge_reports(first, *rest):
+    """Combine reports of the same check over partitioned sample sets: the
+    oracle of the claim that the verifiers are order-independent.
+
+    The merge is associative and order-independent: witnesses are re-sorted
+    worst first, notes are kept once each in sorted order, statuses combine
+    as fail > hypothesis-unmet > caveat > pass, and the merged mode is
+    "falsification" when any operand's is.
+    """
+    reports = (first,) + rest
+    for other in rest:
+        if other.name != first.name:
+            raise ValueError(f"cannot merge reports {first.name!r} and {other.name!r}")
+    statuses = {rep.status for rep in reports}
+    modes = {rep.mode for rep in reports}
+    return VerificationReport(
+        name=first.name,
+        status=next(s for s in _STATUS_PRECEDENCE if s in statuses),
+        witnesses=sorted((w for rep in reports for w in rep.witnesses), key=sort_key),
+        samples=sum(rep.samples for rep in reports),
+        mode="falsification" if "falsification" in modes else first.mode,
+        tolerance=max(rep.tolerance for rep in reports),
+        notes=tuple(sorted({note for rep in reports for note in rep.notes})))

@@ -41,8 +41,10 @@ from picardkit.builtins import (alpha_box, alpha_one, beta_constant, beta_recipr
                                 rhs_pi2sin, rhs_sin_plus_one, zeta1)
 from picardkit.framework import CHUNK, GRID_EPS, MIN_TAIL, SCALAR_EPS, _tail
 from picardkit.picard import _validate_iterate
-from picardkit.report import Witness, format_inputs, make_report, VerificationReport
+from picardkit.report import Witness, format_inputs, VerificationReport
 from picardkit.sampling import probe_pair, seeded_rng
+
+from helpers import make_report
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DimensionError,
                        check_operator_contraction,
                        check_rhs_displacement_bound,
                        green_kernel, green_row_integral,
-                       integral_operator, make_report, nodes,
+                       integral_operator, nodes,
                        row_integral_quadrature, solve_bvp, sup_metric,
                        verify_contraction)
 from picardkit import bvp as bvp_module
@@ -29,7 +29,8 @@ from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_on
                                 rhs_zero)
 from picardkit.sampling import seeded_rng
 
-from helpers import OracleError, finite_difference_solve, gate_accepts_start, trapezoid_weights
+from helpers import (OracleError, finite_difference_solve, gate_accepts_start, make_report,
+                     trapezoid_weights)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

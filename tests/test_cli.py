@@ -506,10 +506,29 @@ class TestSolveMode:
         assert status == EXIT_NOT_CONVERGED
 
 
+def reference_digests(case):
+    """The SHA-256 of each artifact of the case ``case`` of
+    ``tools/artifact_digests.py``, by file name, as ``artifact_digests.txt``
+    records them (the case's stdout, stderr and exit status left out)."""
+    lines = Path(__file__).with_name("artifact_digests.txt").read_text().splitlines()[1:]
+    streams = ("/stdout", "/stderr", "/status")
+    digests = {what.removeprefix(f"{case}/"): digest
+               for digest, what in (line.split("  ") for line in lines)
+               if what.startswith(f"{case}/") and not what.endswith(streams)}
+    assert digests, f"no artifact digests of {case!r}"
+    return digests
+
+
+def artifact_digests(out):
+    """The SHA-256 of each file in the directory ``out``, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 # An order-reduction run with 1450 contraction witnesses, the first of them
-# (the most negative margin) and the SHA-256 of its artifacts. The reports
-# show the most negative margins first; a change in witness order, or a
-# numpy scalar repr reaching a witness, changes the digests.
+# (the most negative margin) and the SHA-256 of its artifacts, those of the
+# digest tool's case "order-reduction". The reports show the most negative
+# margins first; a change in witness order, or a numpy scalar repr reaching
+# a witness, changes the digests.
 GOLDEN_CFG = """\
 mode = verify
 seed = 7
@@ -530,15 +549,12 @@ random_pairs = 50
 name = natural
 """
 GOLDEN_FIRST = ("contraction (0.0, 3.0)", "-8.238095238095237")
-GOLDEN_SHA256 = {
-    "report.csv": "459802999898112b545d2336d4f1552c9dfd370d642cd7b5efb7cbfba6b8cdb4",
-    "report.txt": "4786cb692f86d47ba3990474d443c036f3052549524a92d3d476814f20c2ed8c",
-}
+GOLDEN_SHA256 = reference_digests("order-reduction")
 
 # A grid-carrier run whose contraction and operator-contraction checks fail,
 # its first contraction witness and the SHA-256 of its artifacts as the
-# one-function-per-call verifiers wrote them. Stacking the grid functions
-# must not change a byte.
+# one-function-per-call verifiers wrote them (the digest tool's case
+# "failing-grid"). Stacking the grid functions must not change a byte.
 FAILING_GRID_CFG = """\
 mode = verify
 seed = 11
@@ -559,13 +575,11 @@ n = 10
 FAILING_GRID_FIRST = (
     "contraction (grid(nodes=11, min=0.23574452155768388, max=2.988493733111469), "
     "grid(nodes=11, min=0.089061671362059, max=2.770204813550651))", "-1.339134724984873")
-FAILING_GRID_SHA256 = {
-    "report.csv": "a27eb44536c866870fd6512e2bfe734a21708a0cc8ac7596d02faa0bb5e92d71",
-    "report.txt": "b70a3dd949b1e1c93681ed3d94ffd75e421f03198ee111d7e5d144fa11ba3316",
-}
+FAILING_GRID_SHA256 = reference_digests("failing-grid")
 
 # A solve and an orbit whose trace carries defined ratios, and the SHA-256
-# of their artifacts: the trace's ratio column and the solve's contraction
+# of their artifacts (the digest tool's cases "solve-sin-plus-one" and
+# "iterate-converges"): the trace's ratio column and the solve's contraction
 # estimate are read from the gaps, and must not move.
 SOLVE_GOLDEN_CFG = """\
 mode = solve-bvp
@@ -577,12 +591,7 @@ n = 100
 [picard]
 tolerance = 1e-10
 """
-SOLVE_SHA256 = {
-    "report.csv": "f130abc2132942fc03fc6d53f7c351ccff62bf084a458905e42946a3b2a55381",
-    "report.txt": "0fb357e7ce5811d9ccbd124f33ef88586e85f80f1b589fb750d372da2b75f35d",
-    "solution.csv": "2cb30a392d81590f381a12ef9a397a0abcebccbc9a59bc64736f1d4fe6af9123",
-    "trace.csv": "b5e88983553a88200977cf73f5d1426f2e4bafd40fb61306ea7eceb09c6f0f17",
-}
+SOLVE_SHA256 = reference_digests("solve-sin-plus-one")
 ITERATE_GOLDEN_CFG = """\
 mode = iterate
 
@@ -590,11 +599,7 @@ mode = iterate
 map = affine:0.5:0.25
 start = 1.0
 """
-ITERATE_SHA256 = {
-    "report.csv": "c165769c916190db00ed18bbbe8cce5b27490042ddbe8ab3cb239ec2b7667c4a",
-    "report.txt": "9717968d54e123a8772660092dbb67e4d2b5949c49228f300523b2aa182b1302",
-    "trace.csv": "7ae70d4d7541b9ed89f529f6ae4cbb44752728dcab32d026265a892bfdb6e4be",
-}
+ITERATE_SHA256 = reference_digests("iterate-converges")
 
 
 def contraction_row(out):
@@ -624,9 +629,7 @@ class TestDeterminism:
         assert run(parse_config(GOLDEN_CFG), out_dir=out) == EXIT_CHECK_FAILED
         row = contraction_row(out)
         assert (row["witness"], row["margin"]) == GOLDEN_FIRST
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in GOLDEN_SHA256}
-        assert digests == GOLDEN_SHA256
+        assert artifact_digests(out) == GOLDEN_SHA256
 
     def test_failing_grid_artifacts_match_golden_digests(self, tmp_path):
         out = tmp_path / "golden-grid"
@@ -636,9 +639,7 @@ class TestDeterminism:
             ["contraction", "fail"], ["operator-contraction", "fail"]]
         row = contraction_row(out)
         assert (row["witness"], row["margin"]) == FAILING_GRID_FIRST
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in FAILING_GRID_SHA256}
-        assert digests == FAILING_GRID_SHA256
+        assert artifact_digests(out) == FAILING_GRID_SHA256
 
     @pytest.mark.parametrize("cfg_text, digests, iterations", [
         (SOLVE_GOLDEN_CFG, SOLVE_SHA256, 11), (ITERATE_GOLDEN_CFG, ITERATE_SHA256, 33)],
@@ -650,8 +651,7 @@ class TestDeterminism:
         assert f"iterations: {iterations}\n" in (out / "report.txt").read_text()
         with open(out / "trace.csv", newline="") as fh:
             assert sum(bool(row["ratio"]) for row in csv.DictReader(fh)) == iterations - 1
-        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in digests} == digests
+        assert artifact_digests(out) == digests
 
     def test_first_contraction_witness_replays_and_is_the_worst(self, tmp_path):
         out = tmp_path / "golden"

@@ -23,7 +23,7 @@ from picardkit import (CONVERGED, GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProble
                        check_initial_point, check_operator_contraction, check_order_axioms,
                        check_ratio_bound, check_rhs_displacement_bound,
                        check_simulation_pointwise, check_simulation_sequences,
-                       check_triangular_alpha, merge_reports,
+                       check_triangular_alpha,
                        natural_order, picard_iterate, pointwise_order, scalar_metric,
                        sup_metric, verify_contraction)
 from picardkit.builtins import (alpha_box, alpha_one,
@@ -38,8 +38,10 @@ from picardkit.framework import (CHUNK, BlockCheck, alpha_admissible_check, chec
 from picardkit.metrics import rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
                               VerificationReport, Witness, format_inputs,
-                              make_report, render_text, report_rows)
+                              render_text, report_rows)
 from picardkit.sampling import Draw, Mesh, SampleStream, probe_pair, seeded_rng
+
+from helpers import make_report, merge_reports, sort_key
 
 
 def max_displacement(T, x, y, d):
@@ -1086,12 +1088,12 @@ def _all_witnesses(check, inputs, lhs, bound, margins, detail):
     """Every witness, in sample order, sorted once: the reference order."""
     witnesses = [Witness(check, tuple(row), margin, detail(value), lhs=value, bound=bound)
                  for row, value, margin in zip(inputs, lhs, margins)]
-    return sorted(witnesses, key=Witness.sort_key)
+    return sorted(witnesses, key=sort_key)
 
 
 def _fingerprint(witnesses):
     # reprs tell 0.0 from -0.0, which == does not
-    return [(w.sort_key(), repr(w.lhs), w.detail, repr(w.inputs)) for w in witnesses]
+    return [(sort_key(w), repr(w.lhs), w.detail, repr(w.inputs)) for w in witnesses]
 
 
 failing_rows = st.integers(1, 3).flatmap(lambda width: st.lists(
@@ -1173,15 +1175,66 @@ def test_first_witnesses_match_the_full_sort(rows, as_array, bound):
 
     # a merge of a lazy and a list report equals the report of the whole
     cut = n // 2
-    head_report = make_report("probe", failing(samples[:cut], margins[:cut]), cut)
+    head_report = report_module.make_report("probe", [failing(samples[:cut], margins[:cut])], cut)
     tail_report = make_report("probe", _all_witnesses(
         "probe", [tuple(map(float, row)) for row in samples[cut:]],
         lhs[cut:].tolist(), bound, margins[cut:].tolist(), detail), n - cut)
-    whole = make_report("probe", failing(samples, margins), n)
+    whole = report_module.make_report("probe", [failing(samples, margins)], n)
     for merged in (merge_reports(head_report, tail_report),
                    merge_reports(tail_report, head_report)):
         assert not comparable or merged == whole
         assert _fingerprint(merged.witnesses) == _fingerprint(whole.witnesses)
+
+
+# margins that tie across clauses: equal values, both zeros and nans of both signs
+_NEG_NAN = math.copysign(math.nan, -1.0)
+_CLAUSE_MARGINS = [-0.5, -0.25, 0.0, -0.0, math.nan, _NEG_NAN]
+
+# a clause per row width, as the order axioms have: (width, [(row, margin)])
+merge_clauses = st.permutations([1, 2, 3]).flatmap(lambda widths: st.tuples(*[
+    st.tuples(st.just(width), st.lists(st.tuples(
+        st.tuples(*[st.sampled_from(_ADVERSARIAL)] * width), st.sampled_from(_CLAUSE_MARGINS)),
+        max_size=12))
+    for width in widths]))
+
+
+# check names out of store order, so that a margin tied across clauses is
+# ordered by the check name, not by the store it came from
+@given(clauses=merge_clauses, count=st.integers(2, 3))
+# every row of every clause tied at one margin, past the 8 each store keeps
+@example(clauses=((2, [((float(i), 0.0), -0.5) for i in range(12)]),
+                  (1, [((float(-i),), -0.5 if i < 9 else -0.25) for i in range(12)]),
+                  (3, [((0.0, -0.0, float(i)), -0.5) for i in range(12)])), count=3)
+# both zeros and nans of both signs in every clause, the 8th margin inside a tie
+@example(clauses=((1, [((float(i),), _CLAUSE_MARGINS[i % 6]) for i in range(12)]),
+                  (3, [((1.0, float(i), -0.0), _CLAUSE_MARGINS[-1 - i % 6]) for i in range(12)]),
+                  (2, [])), count=2)
+@settings(max_examples=200, deadline=None)
+def test_the_clause_merge_matches_the_full_sort(clauses, count):
+    # each clause's store, as the kernel leaves it, against every witness of
+    # every clause sorted once by the reference order
+    stores, expected, samples = [], [], 0
+    for check, (width, rows) in zip(["merge/b", "merge/c", "merge/a"], clauses[:count]):
+        table = np.array([inputs for inputs, _ in rows], dtype=float).reshape(len(rows), width)
+        drawn = {}  # a row's margin is a function of the row, as a replay needs
+        for row, (_, margin) in zip(table, rows):
+            drawn.setdefault(row.tobytes(), margin)
+
+        def replay(table, drawn=drawn):
+            margins = np.array([drawn[row.tobytes()] for row in table], dtype=float)
+            return None, 1.0 + margins, 1.0, margins
+
+        _, lhs, _, margins = replay(table)
+        store = FailingRows(check, repr, table, replay)
+        store.add(table, np.arange(len(table)), margins)
+        stores.append(store)
+        expected += _all_witnesses(check, [tuple(row) for row in table.tolist()], lhs.tolist(),
+                                   1.0, margins.tolist(), repr)
+        samples += 2 * len(rows)
+    merged = report_module.make_report("merged", stores, samples)
+    want = make_report("merged", expected, samples)
+    assert (merged.status, merged.samples) == (want.status, want.samples)
+    assert _fingerprint(merged.witnesses) == _fingerprint(want.witnesses)
 
 
 def _tied_margins(xs, ys):

@@ -14,8 +14,9 @@ The cases: the benchmark's three workload configs (read from
 contraction checks fail (with and without the pointwise order), two small
 interval verifies and one of 4·10⁶ pairs, a Geraghty gain near 1, a
 converging and a diverging orbit, ``--list-builtins``, ``--help``, a run
-for each error status, and interval carriers whose bounds are zeros of
-both signs.
+for each error status, interval carriers whose bounds are zeros of both
+signs, and the order-reduction verify and the solve whose artifacts
+``tests/test_cli.py`` checks against these digests.
 Every case runs in a new directory of its own, under the relative names
 ``case.cfg`` and ``out``, so the paths in a message are the same on every
 tree. The children format ``--help`` for 80 columns and write no bytecode,
@@ -55,7 +56,7 @@ CASES = {
     "failing-grid": (_FAILING_GRID, []),
     "failing-grid-pointwise": (_FAILING_GRID + "[order]\nname = pointwise\n", []),
     "interval": (_INTERVAL, []),
-    # simulation/limit, geraghty/range and 430 contraction witnesses
+    # simulation/limit, geraghty/range and 437 contraction witnesses
     "interval-wide": (_INTERVAL.replace("interval\n", "interval\nlow = -2.0\nhigh = 2.0\n")
                       .replace("example31\n", "example31\nk = 1\nr = 2\nlambda = 0.999\n"), []),
     # 4 000 037 pairs on [0, 3], about 1.6e6 of them failing the contraction
@@ -77,6 +78,15 @@ CASES = {
         _INTERVAL.replace("interval\n", "interval\nlow = 0.0\nhigh = -0.0\n"), []),
     "carrier-minus-zero-below-zero": (
         _INTERVAL.replace("interval\n", "interval\nlow = -0.0\nhigh = 0.0\n"), []),
+    # 1450 contraction witnesses under the natural order
+    "order-reduction": (_INTERVAL.replace("seed = 3\n", "seed = 7\n")
+                        .replace("interval\n", "interval\nlow = 0.0\nhigh = 3.0\n")
+                        .replace("pair_grid = 20\nrandom_pairs = 37\n",
+                                 "pair_grid = 60\nrandom_pairs = 50\n")
+                        + "[order]\nname = natural\n", []),
+    # an orbit whose trace carries defined ratios
+    "solve-sin-plus-one": ("mode = solve-bvp\n[bvp]\nrhs = sin_plus_one\nn = 100\n"
+                           "[picard]\ntolerance = 1e-10\n", []),
 }
 
 
