@@ -1,13 +1,14 @@
 """Walkthrough: Picard orbits and their convergence diagnostics.
 
 Follows the orbit of the x/3 map step by step, checks the decreasing-gap
-and ratio-bound predictions, probes uniqueness from several starts, and
-shows how a non-contractive map terminates.
+and ratio-bound predictions and the orbit's alpha-admissibility, probes
+uniqueness from several starts, and shows how a non-contractive map
+terminates.
 """
 
-from picardkit import (PicardConfig, check_ratio_bound, gaps_monotone,
+from picardkit import (PicardConfig, check_alpha_orbit, check_ratio_bound, gaps_monotone,
                        picard_iterate, scalar_metric, uniqueness_probe)
-from picardkit.builtins import beta_reciprocal, example31_map
+from picardkit.builtins import alpha_box, beta_reciprocal, example31_map
 
 cfg = PicardConfig(tolerance=1e-10)
 
@@ -29,6 +30,15 @@ ratio_report = check_ratio_bound(trace, beta_reciprocal())
 print("every ratio below beta(gap):", ratio_report.passed,
       f"(first gap {trace.gaps[0]:.4f}, beta there = "
       f"{beta_reciprocal()(trace.gaps[0]):.4f})")
+print()
+
+print("== alpha-admissibility along the orbit ==")
+# alpha(x_n, x_m) >= 1 for every n < m <= 10 once alpha(x0, T(x0)) >= 1;
+# from 2.0 the map leaves [0, 1] at once, so that hypothesis is unmet
+for start in (1.0, 2.0):
+    orbit = check_alpha_orbit(example31_map, alpha_box(0.0, 1.0), start, 10)
+    print(f"alpha_box(0, 1) from {start}: {orbit.status} on {orbit.samples} pairs",
+          *orbit.notes, sep="; ")
 print()
 
 print("== uniqueness probe ==")

@@ -3,7 +3,8 @@
 Solves -x'' = f(t, x) with zero boundary values by Picard iteration
 on the kernel integral operator: first with a source term whose solution
 is known exactly, then with a genuinely nonlinear right-hand side, whose
-solve is compared with one on a grid twice as fine.
+solve is compared with one on a grid twice as fine. Then checks the
+hypotheses behind the bound, the gate's among them, on sampled data.
 Writes the nonlinear solution and its trace next to this script.
 """
 
@@ -11,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from picardkit import (BVPProblem, PicardConfig, check_operator_contraction,
-                       check_rhs_displacement_bound,
-                       green_kernel, green_row_integral, nodes,
+from picardkit import (BVPProblem, PicardConfig, check_gate_limit, check_gate_propagation,
+                       check_operator_contraction, check_rhs_displacement_bound,
+                       green_kernel, green_row_integral, integral_operator, nodes,
                        row_integral_quadrature, save_grid_csv, solve_bvp)
 from picardkit.builtins import rhs_pi2sin, rhs_sin_plus_one
 from picardkit.cli import write_trace_csv
@@ -63,6 +64,15 @@ print("rhs displacement bound:",
 pairs = Draw(rng, 40, (2, 101), 0.0, 1.0)
 print("operator eighth-contraction on random pairs:",
       check_operator_contraction(nonlinear, pairs).status)
+# a gate that is not open: xi(a, b) = 1 - max(|a|, |b|) admits the pairs whose
+# values stay inside (-1, 1)
+gated = BVPProblem(rhs=rhs_sin_plus_one, n=100,
+                   gate=lambda a, b: 1.0 - np.maximum(np.abs(a), np.abs(b)))
+print("gate positivity survives one operator step:",
+      check_gate_propagation(gated, pairs).status)
+limit = integral_operator(gated, np.zeros(101))
+print("gate limit condition on a sequence tending to T(0):",
+      check_gate_limit(gated, [(1.0 - 2.0 ** -k) * limit for k in range(1, 11)], limit).status)
 
 out_dir = Path(__file__).resolve().parent
 save_grid_csv(out_dir / "nonlinear_solution.csv", solved.values)

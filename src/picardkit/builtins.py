@@ -2,10 +2,9 @@
 
 :data:`BUILTINS` is the table of every choice a config selector field can
 name; :func:`resolve` builds the selected object, and :func:`catalog_text`
-lists the table and the factory :data:`FAMILIES`. The module also holds the
-standard probe sets the verifiers use when the caller supplies none. A
-factory imports the modules its object comes from when it is called, so the
-tables themselves load none of them.
+lists the table. The module also holds the standard probe sets the verifiers
+use when the caller supplies none. A factory imports the modules its object
+comes from when it is called, so the table itself loads none of them.
 """
 
 from __future__ import annotations
@@ -39,24 +38,6 @@ def zeta1(lam: float = 0.5) -> SimulationFunction:
     return SimulationFunction(lambda t, s: lam * s - t, name=f"zeta1({lam!r})")
 
 
-def zeta2(phi: Optional[Callable[[float], float]] = None) -> SimulationFunction:
-    """zeta(t, s) = s*phi(s) - t, for phi into [0, 1); default phi(s) = 1/(1+s)."""
-    from .framework import SimulationFunction
-
-    gain = phi if phi is not None else (lambda s: 1.0 / (1.0 + s))
-    return SimulationFunction(lambda t, s: s * gain(s) - t, name="zeta2")
-
-
-def zeta3(psi: Optional[Callable[[float], float]] = None) -> SimulationFunction:
-    """zeta(t, s) = s - psi(s) - t, for psi >= 0; default psi(s) = s/(1+s).
-
-    ``psi`` must be continuous and vanish only at 0."""
-    from .framework import SimulationFunction
-
-    offset = psi if psi is not None else (lambda s: s / (1.0 + s))
-    return SimulationFunction(lambda t, s: s - offset(s) - t, name="zeta3")
-
-
 # --------------------------------------------------------------------------
 # C-class functions
 
@@ -66,14 +47,6 @@ def cclass_a(r: float = 0.0) -> CClassFunction:
 
     r = float(r)
     return CClassFunction(lambda s, t: s - t, c_g=r, name=f"cclass_a({r!r})")
-
-
-def cclass_b() -> CClassFunction:
-    """G(s, t) = s - (2+t)t/(1+t), with benchmark c_g = 0."""
-    from .framework import CClassFunction
-
-    return CClassFunction(lambda s, t: s - (2.0 + t) * t / (1.0 + t),
-                          c_g=0.0, name="cclass_b")
 
 
 def cclass_c(k: float = 1.0, r: float = 2.0) -> CClassFunction:
@@ -109,13 +82,6 @@ def beta_constant(value: float = 0.5) -> GeraghtyBeta:
         raise DomainError(f"constant beta needs a value in [0, 1), got {value}")
     return GeraghtyBeta(lambda t: np.full(np.shape(t), value),
                         name=f"beta_constant({value!r})")
-
-
-def alpha_one() -> AlphaFunction:
-    """alpha(x, y) = 1."""
-    from .framework import AlphaFunction
-
-    return AlphaFunction(lambda x, y: 1.0, name="alpha_one")
 
 
 def alpha_box(low: float = 0.0, high: float = 1.0) -> AlphaFunction:
@@ -407,28 +373,12 @@ def resolve(kind: str, spec: str, carrier: Optional[str] = None, *context):
         raise DomainError(f"{kind} {spec!r}: {exc}") from exc
 
 
-# the families the catalog lists, by the kind of object they build
-FAMILIES = (
-    ("simulation functions", (zeta1, zeta2, zeta3)),
-    ("c-class functions", (cclass_a, cclass_b, cclass_c)),
-    ("geraghty gains", (beta_reciprocal, beta_constant)),
-    ("admissibility weights", (alpha_one, alpha_box)),
-    ("bundles", (example31_bundle, bvp_bundle)),
-)
-
 def catalog_text() -> str:
-    """Listing of the :data:`FAMILIES`, each factory with its parameters and
-    the first line of its docstring, and of every :data:`BUILTINS` choice."""
-    lines = ["builtin catalog"]
-    for heading, factories in FAMILIES:
-        lines += ["", heading]
-        for f in factories:
-            call = f"{f.__name__}({', '.join(f.__code__.co_varnames[:f.__code__.co_argcount])})"
-            summary = (f.__doc__ or "").partition("\n")[0]
-            lines.append(f"  {call:<21} {summary}")
-    lines += ["", "config selectors, by field: carrier is [carrier] kind, bundle [bundle] name,",
-              "beta [bundle] beta, order [order] name, map [iterate] map, rhs [bvp] rhs;",
-              "[interval] or [grid] marks a choice that fits that carrier only"]
+    """Listing of every :data:`BUILTINS` choice, by kind."""
+    lines = ["builtin catalog", "",
+             "config selectors, by field: carrier is [carrier] kind, bundle [bundle] name,",
+             "beta [bundle] beta, order [order] name, map [iterate] map, rhs [bvp] rhs;",
+             "[interval] or [grid] marks a choice that fits that carrier only"]
     for kind in dict.fromkeys(e.kind for e in BUILTINS):
         lines.append(f"  {kind}")
         lines += [f"    {e.selector:<14} {e.doc}" + (f"  [{e.carrier}]" if e.carrier else "")

@@ -138,11 +138,6 @@ class BVPProblem:
         self.nodes = nodes(n)
         self._complement = 1.0 - self.nodes
 
-    def gate_value(self, a: float, b: float) -> float:
-        if self.gate is None:
-            return 1.0
-        return float(self.gate(float(a), float(b)))
-
     def gate_values(self, x: Point, y: Point) -> np.ndarray:
         """Gate values ``xi(x(t_i), y(t_i))`` at every node of a
         :func:`~picardkit.metrics.grid_pair`, as one array (one row per pair
@@ -153,7 +148,8 @@ class BVPProblem:
             return np.ones(xa.shape)
         from .framework import evaluate_block
 
-        values = evaluate_block(self.gate, self.gate_value, xa.ravel(), ya.ravel())
+        values = evaluate_block(self.gate, lambda a, b: float(self.gate(a, b)),
+                                xa.ravel(), ya.ravel())
         return values.reshape(xa.shape)
 
     def gate_weights(self, x: Point, y: Point) -> float | np.ndarray:
@@ -217,8 +213,9 @@ def second_difference_residual(problem: BVPProblem, x: Point) -> float:
 
 class BVPSolution(NamedTuple):
     """A solve's trace and the second-difference residual of its values;
-    the values, the contraction estimate (the largest defined gap ratio, or
-    None) and the verdict are read from the trace."""
+    the values and the contraction estimate (the largest defined gap ratio,
+    or None) are read from the trace, and so is the verdict, as
+    ``trace.termination``."""
 
     trace: IterationTrace
     residual: float
@@ -230,12 +227,6 @@ class BVPSolution(NamedTuple):
     @property
     def contraction_estimate(self) -> Optional[float]:
         return max(self.trace.defined_ratios(), default=None)
-
-    @property
-    def converged(self) -> bool:
-        from .picard import CONVERGED
-
-        return self.trace.termination == CONVERGED
 
 
 def picard_iterate(*args, **kwargs) -> IterationTrace:

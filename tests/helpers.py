@@ -1,16 +1,17 @@
 """Helpers that only the tests use: reading a grid function back from the
-CSV ``save_grid_csv`` writes, the gate's start predicate, the
-finite-difference reference oracle for the boundary-value solver, and the
-reference witness order with the list-sorting report and report merge
-that the library's one columnar order and clause merge are checked
-against."""
+CSV ``save_grid_csv`` writes, the gate's start predicate and its per-node
+oracle, the finite-difference reference oracle for the boundary-value
+solver, the family members that no config selects, and the reference
+witness order with the list-sorting report and report merge that the
+library's one columnar order and clause merge are checked against."""
 
 import csv
 from pathlib import Path
 
 import numpy as np
 
-from picardkit import BVPProblem, Point, as_grid_function, green_kernel, integral_operator
+from picardkit import (AlphaFunction, BVPProblem, CClassFunction, Point, SimulationFunction,
+                       as_grid_function, green_kernel, integral_operator)
 from picardkit.report import CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, VerificationReport
 
 
@@ -37,6 +38,38 @@ def gate_accepts_start(problem: BVPProblem, x0: Point) -> bool:
     xa = as_grid_function(x0)
     tx = integral_operator(problem, xa)
     return bool(np.all(problem.gate_values(xa, tx) >= 0.0))
+
+
+def gate_value(problem: BVPProblem, a: float, b: float) -> float:
+    """The gate ``xi(a, b)`` at one node, 1 for the open gate: the per-node
+    oracle of :meth:`picardkit.BVPProblem.gate_values`."""
+    if problem.gate is None:
+        return 1.0
+    return float(problem.gate(float(a), float(b)))
+
+
+def zeta2(phi=None) -> SimulationFunction:
+    """zeta(t, s) = s*phi(s) - t, for phi into [0, 1); default phi(s) = 1/(1+s)."""
+    gain = phi if phi is not None else (lambda s: 1.0 / (1.0 + s))
+    return SimulationFunction(lambda t, s: s * gain(s) - t, name="zeta2")
+
+
+def zeta3(psi=None) -> SimulationFunction:
+    """zeta(t, s) = s - psi(s) - t, for psi >= 0; default psi(s) = s/(1+s).
+
+    ``psi`` must be continuous and vanish only at 0."""
+    offset = psi if psi is not None else (lambda s: s / (1.0 + s))
+    return SimulationFunction(lambda t, s: s - offset(s) - t, name="zeta3")
+
+
+def cclass_b() -> CClassFunction:
+    """G(s, t) = s - (2+t)t/(1+t), with benchmark c_g = 0."""
+    return CClassFunction(lambda s, t: s - (2.0 + t) * t / (1.0 + t), c_g=0.0, name="cclass_b")
+
+
+def alpha_one() -> AlphaFunction:
+    """alpha(x, y) = 1, a Python float, so every call takes the per-sample path."""
+    return AlphaFunction(lambda x, y: 1.0, name="alpha_one")
 
 
 class OracleError(RuntimeError):

@@ -21,12 +21,12 @@ from picardkit import (BVPProblem, CClassFunction, ContractionBundle,
                        write_report_csv)
 from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
                                 cclass_a, example31_bundle, rhs_pi2sin,
-                                rhs_sin_plus_one, zeta1, zeta2, zeta3)
+                                rhs_sin_plus_one, zeta1)
 from picardkit.cli import parse_config, run
 from picardkit.posets import alpha_from_order, natural_order
 from picardkit.sampling import Mesh, seeded_rng
 
-from helpers import finite_difference_solve
+from helpers import finite_difference_solve, zeta2, zeta3
 
 SEED = 42
 
@@ -97,11 +97,11 @@ def test_criterion_4_bvp_exact_solution():
     solution = solve_bvp(problem, PicardConfig(tolerance=1e-8, max_iterations=20))
     elapsed = time.perf_counter() - started
     error = float(np.max(np.abs(solution.values - np.sin(np.pi * problem.nodes))))
-    ok = (solution.converged and solution.trace.iterations <= 2
+    ok = (solution.trace.termination == "converged" and solution.trace.iterations <= 2
           and error <= 5e-4 and elapsed < 2.0)
     _announce(4, ok, f"{solution.trace.iterations} steps, sup error {error:.2e}, "
                      f"{elapsed:.2f}s")
-    assert solution.converged
+    assert solution.trace.termination == "converged"
     assert solution.trace.iterations <= 2
     assert error <= 5e-4
     assert elapsed < 2.0
@@ -117,10 +117,10 @@ def test_criterion_5_nonlinear_bvp_contraction():
     worst_ratio = max(ratios)
     oracle = finite_difference_solve(problem)
     disagreement = float(np.max(np.abs(solution.values - oracle)))
-    ok = (solution.converged and worst_ratio <= 0.125 + 1e-6
+    ok = (solution.trace.termination == "converged" and worst_ratio <= 0.125 + 1e-6
           and disagreement <= 1e-3)
     _announce(5, ok, f"max ratio {worst_ratio:.6f}, oracle gap {disagreement:.2e}")
-    assert solution.converged
+    assert solution.trace.termination == "converged"
     assert worst_ratio <= 0.125 + 1e-6
     assert disagreement <= 1e-3
 

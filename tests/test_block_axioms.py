@@ -34,7 +34,7 @@ from picardkit import (AlphaFunction, BVPProblem, CClassFunction,
                        integral_operator,
                        natural_order, pointwise_order, scalar_metric, sup_metric)
 from picardkit import framework
-from picardkit.builtins import (alpha_box, alpha_one, beta_constant, beta_reciprocal,
+from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
                                 cclass_a, cclass_c, compile_rhs_expression,
                                 default_beta_probes, default_sequence_probes,
                                 example31_map, rhs_const,
@@ -44,7 +44,7 @@ from picardkit.picard import _validate_iterate
 from picardkit.report import Witness, format_inputs, VerificationReport
 from picardkit.sampling import probe_pair, seeded_rng
 
-from helpers import make_report
+from helpers import alpha_one, gate_value, make_report
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def oracle_rhs_displacement_bound(problem, triples, tol=GRID_EPS):
         t, a, b = float(t), float(a), float(b)
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"t = {t} outside [0, 1]")
-        if problem.gate_value(a, b) <= 0.0:
+        if gate_value(problem, a, b) <= 0.0:
             continue
         checked += 1
         index = int(round(t * problem.n))

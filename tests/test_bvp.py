@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from picardkit import (CONTRACTION_FACTOR, GRID_EPS, BVPProblem, DimensionError, DomainError,
-                       as_grid_function,
+from picardkit import (CONTRACTION_FACTOR, CONVERGED, GRID_EPS, BVPProblem, DimensionError,
+                       DomainError, as_grid_function,
                        PicardConfig, Witness, bvp_operator,
                        check_gate_limit, check_gate_propagation,
                        check_operator_contraction,
@@ -29,8 +29,8 @@ from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_on
                                 rhs_zero)
 from picardkit.sampling import seeded_rng
 
-from helpers import (OracleError, finite_difference_solve, gate_accepts_start, make_report,
-                     trapezoid_weights)
+from helpers import (OracleError, finite_difference_solve, gate_accepts_start, gate_value,
+                     make_report, trapezoid_weights)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -268,7 +268,7 @@ class TestSolve:
         # equals the first, so the solve ends after two applications
         problem = BVPProblem(rhs=rhs_pi2sin, n=100)
         solution = solve_bvp(problem, PicardConfig(tolerance=1e-8, max_iterations=20))
-        assert solution.converged
+        assert solution.trace.termination == CONVERGED
         assert solution.trace.iterations <= 2
         exact = np.sin(np.pi * problem.nodes)
         assert float(np.max(np.abs(solution.values - exact))) <= 5e-4
@@ -283,12 +283,13 @@ class TestSolve:
 
         monkeypatch.setattr(bvp_module, "picard_iterate", traced)
         solution = solve_bvp(BVPProblem(rhs=rhs_pi2sin, n=20))
-        assert len(traces) == 1 and traces[0] is solution.trace and solution.converged
+        assert len(traces) == 1 and traces[0] is solution.trace
+        assert solution.trace.termination == CONVERGED
 
     def test_zero_rhs_immediate(self):
         problem = BVPProblem(rhs=rhs_zero, n=20)
         solution = solve_bvp(problem)
-        assert solution.converged
+        assert solution.trace.termination == CONVERGED
         assert solution.trace.iterations == 1
         assert np.array_equal(solution.values, np.zeros(21))
 
@@ -296,7 +297,7 @@ class TestSolve:
         # |sin' | <= 1, so observed gap ratios stay within the kernel bound 1/8
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=100, tolerance=1e-10)
         solution = solve_bvp(problem, PicardConfig(tolerance=1e-10, max_iterations=100))
-        assert solution.converged
+        assert solution.trace.termination == CONVERGED
         assert solution.contraction_estimate is not None
         assert solution.contraction_estimate <= 0.125 + 1e-6
 
@@ -650,12 +651,19 @@ class TestGatePredicates:
         gates = [broadcasting, lambda a, b: 1.0 if a <= b else -1.0, None]
         for gate in gates:
             problem = BVPProblem(rhs=rhs_zero, n=20, gate=gate)
-            per_node = [problem.gate_value(a, b) for a, b in zip(x, y)]
+            per_node = [gate_value(problem, a, b) for a, b in zip(x, y)]
             values = problem.gate_values(x, y)
             assert values.shape == (21,) and values.tolist() == per_node
         # the broadcasting gate took the node arrays in one call; the
         # per-node reference made the other 21
         assert calls[21:] == [(21,)] and len(calls) == 22
+
+    @pytest.mark.parametrize("value, kind", [(None, "NoneType"), ([0.0, 1.0], "list")])
+    def test_a_gate_value_that_is_not_a_real_raises_type_error(self, value, kind):
+        # not a nan, which would read as a closed gate
+        problem = BVPProblem(rhs=rhs_zero, n=4, gate=lambda a, b: value)
+        with pytest.raises(TypeError, match=f"not '{kind}'$"):
+            problem.gate_values(np.zeros(5), np.ones(5))
 
     @pytest.mark.parametrize("gate", [None, lambda a, b: 0.5 - np.abs(a - b)],
                              ids=["open", "broadcasting"])

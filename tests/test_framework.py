@@ -26,9 +26,9 @@ from picardkit import (CONVERGED, GRID_EPS, SCALAR_EPS, AlphaFunction, BVPProble
                        check_triangular_alpha,
                        natural_order, picard_iterate, pointwise_order, scalar_metric,
                        sup_metric, verify_contraction)
-from picardkit.builtins import (alpha_box, alpha_one,
+from picardkit.builtins import (alpha_box,
                                 beta_constant, beta_reciprocal, bvp_bundle,
-                                cclass_a, cclass_b, cclass_c, example31_bundle,
+                                cclass_a, cclass_c, example31_bundle,
                                 example31_map, resolve, rhs_sin_plus_one, rhs_zero, zeta1)
 from picardkit import framework
 from picardkit import report as report_module
@@ -41,7 +41,7 @@ from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
                               render_text, report_rows)
 from picardkit.sampling import Draw, Mesh, SampleStream, probe_pair, seeded_rng
 
-from helpers import make_report, merge_reports, sort_key
+from helpers import alpha_one, cclass_b, make_report, merge_reports, sort_key
 
 
 def max_displacement(T, x, y, d):

@@ -12,8 +12,10 @@ from picardkit import (CONVERGED, DIVERGED, MAX_ITERATIONS, DomainError, HYPOTHE
                        IterationTrace, PicardConfig, check_alpha_orbit,
                        check_ratio_bound, gaps_monotone, picard_iterate,
                        scalar_metric, sup_metric, uniqueness_probe)
-from picardkit.builtins import (alpha_box, alpha_one, beta_constant,
+from picardkit.builtins import (alpha_box, beta_constant,
                                 beta_reciprocal, example31_map)
+
+from helpers import alpha_one
 
 
 def shrink(x):

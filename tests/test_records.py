@@ -11,11 +11,13 @@ from picardkit import (BVPProblem, BVPSolution, CClassFunction, ContractionBundl
                        IterationTrace, PartialOrder, PicardConfig, SimulationFunction,
                        UniquenessReport, VerificationReport, Witness, scalar_metric,
                        uniqueness_probe)
-from picardkit.builtins import (alpha_one, beta_constant, cclass_a, example31_map, rhs_zero,
+from picardkit.builtins import (beta_constant, cclass_a, example31_map, rhs_zero,
                                 zeta1)
 from picardkit.cli import _FIELDS, RunConfig
 from picardkit.framework import AlphaFunction, Family, GeraghtyBeta
 from picardkit.report import PASS
+
+from helpers import alpha_one
 
 
 def _bundle_parts():

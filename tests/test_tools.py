@@ -1,11 +1,15 @@
 """The repository's own tools: ``tools/code_lines.py`` counts total and
 code lines by the rule the size figures in CHANGES.md and ROADMAP.md use,
-and ``tools/artifact_digests.py`` hashes what ``python -m picardkit``
-writes on a fixed set of cases, which must give the digests committed in
-``artifact_digests.txt``."""
+``tools/artifact_digests.py`` hashes what ``python -m picardkit`` writes
+on a fixed set of cases, which must give the digests committed in
+``artifact_digests.txt``, and ``tools/unreached.py`` lists the functions
+that none of those cases, nor a demo, enters."""
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -120,3 +124,28 @@ def test_every_case_gives_the_reference_digests(monkeypatch):
     differ = [what for what in sorted(got.keys() | want.keys()) if got.get(what) != want.get(what)]
     assert not differ, f"digests that differ from {REFERENCE_DIGESTS.name}: {differ}"
     assert lines == reference
+
+
+# the functions that no run of tools/unreached.py enters, each with the
+# reason it stays in the library; any other function a run does not reach
+# belongs in the tests or nowhere
+UNREACHED = {
+    "__init__.__dir__": "dir(picardkit) calls it, and no run does",
+    "__main__.entry": "the tool calls cli.main in-process, past the process entry",
+    "cli._size_fields": "it names the size fields of a run that runs out of memory",
+    "picard.PicardConfig._make": "_replace builds through it, and no run derives a config",
+    "report.FailingRows.__eq__": "a store compares as the list of its witnesses (Sequence)",
+    "report.FailingRows.__repr__": "a store shows as the list of its witnesses (Sequence)",
+    "report.FailingRows._read": "it reads back the witnesses past a store's worst 8, "
+                                "which no run lists",
+}
+
+
+def test_every_function_a_run_does_not_enter_is_allowed(tmp_path):
+    # a fresh process, so the functions that run at import are seen too
+    src = Path(picardkit.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(TOOLS / "unreached.py")], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert sorted(line.split()[1] for line in done.stdout.splitlines()) == sorted(UNREACHED)
