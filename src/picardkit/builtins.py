@@ -251,29 +251,27 @@ def bvp_bundle(problem: BVPProblem) -> ContractionBundle:
 # --------------------------------------------------------------------------
 # standard probe sets
 
-def default_sequence_probes(mode: str = "classic",
-                            length: int = 200) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Equal-limit positive probe pairs for the limsup check. The roldan
-    variant keeps t_n strictly below s_n."""
+PROBE_TERMS = 200  # the length of every default probe
+# (limit, t_offset, s_offset, start) of each default probe pair, by sequence axiom
+_SEQUENCE_PROBES = {"classic": ((1.0, 1.0, 1.0, 1), (2.0, 0.0, 0.0, 1), (0.5, -0.25, 0.25, 2)),
+                    "roldan": ((1.0, -1.0, 1.0, 2), (2.0, -0.5, 0.5, 1), (0.5, -0.25, 0.0, 2))}
+
+
+def default_sequence_probes(mode: str = "classic") -> list[tuple[np.ndarray, np.ndarray]]:
+    """Equal-limit positive probe pairs of :data:`PROBE_TERMS` terms for
+    the limsup check. The roldan variant keeps t_n strictly below s_n; any
+    other ``mode`` gives the classic probes."""
     from .sampling import probe_pair
 
-    if mode == "roldan":
-        return [
-            probe_pair(1.0, length, t_offset=-1.0, s_offset=1.0, start=2),
-            probe_pair(2.0, length, t_offset=-0.5, s_offset=0.5),
-            probe_pair(0.5, length, t_offset=-0.25, s_offset=0.0, start=2),
-        ]
-    return [
-        probe_pair(1.0, length, t_offset=1.0, s_offset=1.0),
-        probe_pair(2.0, length, t_offset=0.0, s_offset=0.0),
-        probe_pair(0.5, length, t_offset=-0.25, s_offset=0.25, start=2),
-    ]
+    probes = _SEQUENCE_PROBES["roldan" if mode == "roldan" else "classic"]
+    return [probe_pair(limit, PROBE_TERMS, t_offset, s_offset, start)
+            for limit, t_offset, s_offset, start in probes]
 
 
-def default_beta_probes(length: int = 200) -> list[np.ndarray]:
-    """Probes for the Geraghty limit property: arguments diverging, tending
-    to zero, and tending to a positive limit."""
-    k = np.arange(1, length + 1, dtype=float)
+def default_beta_probes() -> list[np.ndarray]:
+    """Probes of :data:`PROBE_TERMS` terms for the Geraghty limit property:
+    arguments diverging, tending to zero, and tending to a positive limit."""
+    k = np.arange(1, PROBE_TERMS + 1, dtype=float)
     return [k, 1.0 / k, 1.0 + 1.0 / k]
 
 

@@ -255,10 +255,11 @@ def solve_bvp(problem: BVPProblem, cfg: PicardConfig | None = None) -> BVPSoluti
 
 
 def check_rhs_displacement_bound(problem: BVPProblem,
-                                 triples: Iterable[tuple[float, float, float]] | np.ndarray,
-                                 tol: float = GRID_EPS) -> VerificationReport:
-    """Check ``|f(t, a) - f(t, b)| <= max{|a - b|, |a - Ta|, |b - Tb|}`` on
-    sampled ``(t, a, b)`` triples admitted by the gate.
+                                 triples: Iterable[tuple[float, float, float]] | np.ndarray
+                                 ) -> VerificationReport:
+    """Check ``|f(t, a) - f(t, b)| <= max{|a - b|, |a - Ta|, |b - Tb|}``,
+    within :data:`~picardkit.metrics.GRID_EPS`, on sampled ``(t, a, b)``
+    triples admitted by the gate.
 
     ``Ta`` embeds the constant function a, applies the integral operator,
     and reads the node nearest to t. Triples with a non-positive gate value
@@ -295,36 +296,35 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     return _block_reports(table, [BlockCheck(
         "rhs-displacement-bound", "rhs/displacement", clause,
         lambda lhs, bound: f"|f(t, a) - f(t, b)| = {lhs!r} exceeds the displacement max {bound!r}",
-        tolerance=tol)])[0]
+        tolerance=GRID_EPS)])[0]
 
 
-def operator_contraction_check(factor: float = CONTRACTION_FACTOR,
-                               tol: float = GRID_EPS) -> BlockCheck:
-    """``d(Tx, Ty) <= factor * M`` as a pair check of
+def operator_contraction_check() -> BlockCheck:
+    """``d(Tx, Ty) <= CONTRACTION_FACTOR * M`` as a pair check of
     :func:`~picardkit.framework.check_pairs`: the bound is per pair."""
     from .framework import BlockCheck
 
     def clause(chunk):
-        bound = factor * chunk.gauge
+        bound = CONTRACTION_FACTOR * chunk.gauge
         return None, chunk.gap, bound, bound - chunk.gap, bound
 
     return BlockCheck(
         "operator-contraction", "operator/contraction", clause,
-        lambda lhs, bound: f"||Tx - Ty|| = {lhs!r} exceeds {factor!r} * M = {bound!r}",
-        tolerance=tol)
+        lambda lhs, bound: f"||Tx - Ty|| = {lhs!r} exceeds {CONTRACTION_FACTOR!r} * M = {bound!r}",
+        tolerance=GRID_EPS)
 
 
 def check_operator_contraction(problem: BVPProblem,
-                               pairs: Iterable[tuple[Point, Point]],
-                               tol: float = GRID_EPS,
-                               factor: float = CONTRACTION_FACTOR) -> VerificationReport:
-    """Check ``||Tx - Ty||_inf <= factor * max{d(x, y), d(x, Tx), d(y, Ty)}``
-    on sampled grid-function pairs; the default factor 1/8 is the kernel
-    row-integral maximum. T applies once per sampled function."""
+                               pairs: Iterable[tuple[Point, Point]]) -> VerificationReport:
+    """Check ``||Tx - Ty||_inf <= CONTRACTION_FACTOR * max{d(x, y), d(x, Tx),
+    d(y, Ty)}``, within :data:`~picardkit.metrics.GRID_EPS`, on sampled
+    grid-function pairs; the factor 1/8 is the kernel row-integral maximum,
+    so the check holds for an rhs whose Lipschitz constant in x is at most 1.
+    T applies once per sampled function."""
     from .framework import check_pairs
 
     return check_pairs(bvp_operator(problem), None, pairs,
-                       [operator_contraction_check(factor, tol)], sup_metric)[0]
+                       [operator_contraction_check()], sup_metric)[0]
 
 
 def alpha_from_gate(problem: BVPProblem) -> AlphaFunction:

@@ -72,12 +72,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .metrics import (GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, _require_int,
-                      as_grid_function)
+from .metrics import GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, as_grid_function
 from .report import FailingRows, VerificationReport, make_report
 from .sampling import RowSource
 
 MIN_TAIL = 25  # minimum tail length for limsup estimates
+LIMIT_TOL = 1e-9  # a beta probe's tail tends to 1 when it comes this close
+SEPARATION = 1e-6  # a beta probe's tail arguments stay this far from 0
 
 CHUNK = 16000  # float values per column of a chunk: see above
 
@@ -212,11 +213,11 @@ class ContractionBundle(NamedTuple):
     caveats: tuple[tuple[str, str, str], ...] = ()
 
 
-def _tail(length: int, min_tail: int = MIN_TAIL) -> int:
-    return min(length, max(length // 4, min_tail))
+def _tail(length: int) -> int:
+    return min(length, max(length // 4, MIN_TAIL))
 
 
-def _clauses(name: str, member: Family, table: np.ndarray, tol: float,
+def _clauses(name: str, member: Family, table: np.ndarray,
              clauses: Sequence[tuple]) -> VerificationReport:
     """The report of an axiom's clauses from one pass over real samples that
     evaluates the family ``member`` once per sample. Of a clause ``(check,
@@ -229,15 +230,15 @@ def _clauses(name: str, member: Family, table: np.ndarray, tol: float,
             index = None if applies is None else np.flatnonzero(applies)
             return index, *(column if index is None or not np.ndim(column) else column[index]
                             for column in (chunk[-1], bound, margin, *chunk[:-1]))
-        return BlockCheck(name, witness, clause, detail, tolerance=tol, strict=strict)
+        return BlockCheck(name, witness, clause, detail, tolerance=SCALAR_EPS, strict=strict)
 
     return _block_reports(table, [check(*clause) for clause in clauses],
                           lambda columns: (*columns, member.values(*columns)))[0]
 
 
 def check_simulation_pointwise(zeta: SimulationFunction,
-                               samples: Iterable[tuple[float, float]] | np.ndarray,
-                               tol: float = SCALAR_EPS) -> VerificationReport:
+                               samples: Iterable[tuple[float, float]] | np.ndarray
+                               ) -> VerificationReport:
     """Exact check of the origin value ``zeta(0, 0) = 0`` and of the strict
     bound ``zeta(t, s) < s - t`` on strictly positive samples.
 
@@ -249,7 +250,7 @@ def check_simulation_pointwise(zeta: SimulationFunction,
     t, s = table.T
     # adding 0.0 turns a -0.0 coordinate into the origin's 0.0
     table = table[((t == 0.0) & (s == 0.0)) | ((t > 0.0) & (s > 0.0))] + 0.0
-    return _clauses("simulation-pointwise", zeta, table, tol, [
+    return _clauses("simulation-pointwise", zeta, table, [
         ("simulation/origin", lambda t, s, z: (t == 0.0, 0.0, -np.abs(z)),
          lambda z, t, s: f"zeta(0, 0) = {z!r} is not 0"),
         ("simulation/strict", lambda t, s, z: (t > 0.0, s - t, s - t - z),
@@ -258,17 +259,16 @@ def check_simulation_pointwise(zeta: SimulationFunction,
 
 
 def check_simulation_sequences(zeta: SimulationFunction,
-                               sequence_pairs: Iterable[tuple[Sequence[float], Sequence[float]]],
-                               tol: float = SCALAR_EPS,
-                               min_tail: int = MIN_TAIL) -> VerificationReport:
+                               sequence_pairs: Iterable[tuple[Sequence[float], Sequence[float]]]
+                               ) -> VerificationReport:
     """Falsification check of the negative-limsup condition along probe
     sequence pairs sharing a positive limit.
 
     The limsup is estimated by the maximum of zeta over the final quarter of
-    each probe (at least ``min_tail`` terms); supply longer probes for
-    sharper estimates. A pass refutes nothing beyond the supplied probes.
+    each probe (at least :data:`MIN_TAIL` terms, or the whole of a shorter
+    probe); supply longer probes for sharper estimates. A pass refutes
+    nothing beyond the supplied probes.
     """
-    _require_int("min_tail", min_tail, least=1)
     rows, estimates, lengths = [], [], []
     for index, (t_seq, s_seq) in enumerate(sequence_pairs):
         tn, sn = (_table(seq, 1)[:, 0] for seq in (t_seq, s_seq))
@@ -280,7 +280,7 @@ def check_simulation_sequences(zeta: SimulationFunction,
             raise DomainError(f"probe pair {index} must be strictly positive")
         if zeta.sequence_axiom == "roldan" and not np.all(tn < sn):
             raise DomainError(f"probe pair {index} must satisfy t_n < s_n elementwise (roldan mode)")
-        k = _tail(tn.size, min_tail)
+        k = _tail(tn.size)
         tails_t, tails_s = tn[-k:], sn[-k:]
         values = zeta.values(tails_t, tails_s)
         best = int(np.argmax(values))
@@ -297,24 +297,25 @@ def check_simulation_sequences(zeta: SimulationFunction,
     return _block_reports(np.array(rows, dtype=object).reshape(-1, 3), [BlockCheck(
         "simulation-limits", "simulation/limit", clause,
         lambda estimate, k: f"tail limsup estimate {estimate!r} over {k} terms is not negative",
-        tolerance=tol, strict=True, mode="falsification")])[0]
+        tolerance=SCALAR_EPS, strict=True, mode="falsification")])[0]
 
 
-def check_cclass(g: CClassFunction, samples: Iterable[tuple[float, float]] | np.ndarray,
-                 tol: float = SCALAR_EPS) -> VerificationReport:
+def check_cclass(g: CClassFunction,
+                 samples: Iterable[tuple[float, float]] | np.ndarray) -> VerificationReport:
     """Check the C-class clauses on sampled ``(s, t)`` from the closed
     positive quadrant:
 
     * upper bound: G(s, t) <= s;
-    * degeneracy: G(s, t) = s (within tol) only when s or t is within tol of 0;
+    * degeneracy: G(s, t) = s (within tol) only when s or t is within tol of 0,
+      where tol is :data:`~picardkit.metrics.SCALAR_EPS`;
     * benchmark: G(s, t) > c_g forces s > t;
     * zero row: G(s, t) <= c_g whenever s = 0.
 
     The zero-row clause is evaluated at s = 0 only; a useful sample set
     covers s = 0, t = 0, and the open quadrant.
     """
-    c = float(g.c_g)
-    return _clauses("cclass", g, _table(samples, 2, "C-class"), tol, [
+    c, tol = float(g.c_g), SCALAR_EPS
+    return _clauses("cclass", g, _table(samples, 2, "C-class"), [
         ("cclass/upper", lambda s, t, v: (None, s, s - v),
          lambda v, s, t: f"G({s!r}, {t!r}) = {v!r} exceeds s"),
         # G = s within tol breaks the clause unless s or t is within tol of 0
@@ -327,49 +328,46 @@ def check_cclass(g: CClassFunction, samples: Iterable[tuple[float, float]] | np.
 
 
 def check_geraghty(beta: GeraghtyBeta, samples: Iterable[float],
-                   probe_sequences: Iterable[Sequence[float]] = (),
-                   tol: float = SCALAR_EPS, limit_tol: float = 1e-9,
-                   separation: float = 1e-6,
-                   min_tail: int = MIN_TAIL) -> VerificationReport:
+                   probe_sequences: Iterable[Sequence[float]] = ()) -> VerificationReport:
     """Range check ``beta(t) in [0, 1)`` on the samples, plus falsification
     probes of the limit property: a witness is reported when beta tends to 1
-    (tail values within ``limit_tol`` of 1) along a probe whose arguments
-    stay at least ``separation`` away from 0, decided by the strict rule on
-    the margin minus the tail's least argument under the tolerance
-    ``-separation``.
+    (tail values within :data:`LIMIT_TOL` of 1) along a probe whose
+    arguments stay at least :data:`SEPARATION` away from 0, decided by the
+    strict rule on the margin minus the tail's least argument under the
+    tolerance ``-SEPARATION``. A probe's tail is as in
+    :func:`check_simulation_sequences`.
     """
-    _require_int("min_tail", min_tail, least=1)
-    ranged = _clauses("geraghty", beta, _table(samples, 1, "beta"), tol, [(
+    ranged = _clauses("geraghty", beta, _table(samples, 1, "beta"), [(
         "geraghty/range",
         # the margin from 0 where that breaks the rule, else the margin from 1
-        lambda t, b: (None, np.where(_breaks(b, tol), 0.0, 1.0),
-                      np.where(_breaks(b, tol), b, 1.0 - b)),
+        lambda t, b: (None, np.where(_breaks(b, SCALAR_EPS), 0.0, 1.0),
+                      np.where(_breaks(b, SCALAR_EPS), b, 1.0 - b)),
         lambda b, t: f"beta({t!r}) = {b!r} is "
-                     + ("below 0" if _breaks(b, tol) else "not strictly below 1"), True)])
+                     + ("below 0" if _breaks(b, SCALAR_EPS) else "not strictly below 1"), True)])
     rows, least_beta = [], []
     for index, seq in enumerate(probe_sequences):
         arr = _table(seq, 1)[:, 0]
         if arr.size == 0 or not np.all(np.isfinite(arr)) or float(arr.min()) < 0.0:
             raise DomainError(f"beta probe {index} must be non-empty, finite and nonnegative")
-        tail = arr[-_tail(arr.size, min_tail):]
+        tail = arr[-_tail(arr.size):]
         rows.append((index, float(tail.min())))
         least_beta.append(beta.values(tail).min())
     least_beta = np.array(least_beta)
 
     def clause(columns):  # a probe's row (index, least tail argument) reads its least beta
         probe, least_t = columns[0].astype(np.intp), columns[1].astype(float)
-        held = np.flatnonzero(least_beta[probe] >= 1.0 - limit_tol)
+        held = np.flatnonzero(least_beta[probe] >= 1.0 - LIMIT_TOL)
         return held, least_beta[probe[held]], 1.0, -least_t[held], least_t[held]
 
     limits = _block_reports(np.array(rows, dtype=object).reshape(-1, 2), [BlockCheck(
         "geraghty", "geraghty/limit", clause,
         lambda b, t: f"beta tends to 1 (tail min beta = {b!r}) while the "
-                     f"arguments stay above {t!r}", tolerance=-separation, strict=True)])[0]
+                     f"arguments stay above {t!r}", tolerance=-SEPARATION, strict=True)])[0]
     notes = ("range clause is exact; limit clause is falsification-only",) if rows else ()
     return make_report("geraghty", [ranged.witnesses, limits.witnesses],
                        ranged.samples + len(rows),
                        mode="falsification" if rows else "exact",
-                       tolerance=tol, notes=notes)
+                       tolerance=SCALAR_EPS, notes=notes)
 
 
 def _table(samples, width: int, nonnegative: str = "", grids: bool = False):
@@ -561,11 +559,10 @@ def check_pairs(T: PointMap, alpha: Optional[AlphaFunction],
 
 
 def check_alpha_admissible(T: PointMap, alpha: AlphaFunction,
-                           pairs: Iterable[tuple[Point, Point]] | np.ndarray,
-                           tol: float = SCALAR_EPS) -> VerificationReport:
+                           pairs: Iterable[tuple[Point, Point]] | np.ndarray) -> VerificationReport:
     """``alpha(x, y) >= 1`` must survive one application of the mapping.
     The mapping is applied only to pairs with ``alpha(x, y) >= 1``."""
-    return check_pairs(T, alpha, pairs, [alpha_admissible_check(tol)])[0]
+    return check_pairs(T, alpha, pairs, [alpha_admissible_check()])[0]
 
 
 def _chained(alpha: AlphaFunction, tol: float) -> Callable:
@@ -583,13 +580,13 @@ def _chained(alpha: AlphaFunction, tol: float) -> Callable:
 
 
 def check_triangular_alpha(alpha: AlphaFunction,
-                           triples: Iterable[tuple[Point, Point, Point]] | np.ndarray,
-                           tol: float = SCALAR_EPS) -> VerificationReport:
+                           triples: Iterable[tuple[Point, Point, Point]] | np.ndarray
+                           ) -> VerificationReport:
     """``alpha(x, z) >= 1`` and ``alpha(z, y) >= 1`` must force
     ``alpha(x, y) >= 1`` on every sampled triple (x, z, y)."""
     return _block_reports(_table(triples, 3, grids=True), [BlockCheck(
-        "alpha-triangular", "alpha/triangular", _chained(alpha, tol),
-        lambda v: f"alpha chains through z but alpha(x, y) = {v!r}", tolerance=tol)])[0]
+        "alpha-triangular", "alpha/triangular", _chained(alpha, SCALAR_EPS),
+        lambda v: f"alpha chains through z but alpha(x, y) = {v!r}", tolerance=SCALAR_EPS)])[0]
 
 
 def verify_contraction(bundle: ContractionBundle,

@@ -129,17 +129,17 @@ def picard_iterate(T: PointMap, x0: Point, cfg: PicardConfig, d: Metric,
     return IterationTrace(final=x, gaps=gaps, termination=termination, residual=residual)
 
 
-def gaps_monotone(trace: IterationTrace, tol: float = SCALAR_EPS) -> bool:
-    """True when the successive gaps are non-increasing within tolerance;
-    vacuously true for traces with fewer than two gaps."""
-    return all(b <= a + tol for a, b in zip(trace.gaps, trace.gaps[1:]))
+def gaps_monotone(trace: IterationTrace) -> bool:
+    """True when the successive gaps are non-increasing within
+    :data:`~picardkit.metrics.SCALAR_EPS`; vacuously true for traces with
+    fewer than two gaps."""
+    return all(b <= a + SCALAR_EPS for a, b in zip(trace.gaps, trace.gaps[1:]))
 
 
-def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta,
-                      tol: float = SCALAR_EPS) -> VerificationReport:
+def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta) -> VerificationReport:
     """Each defined ratio ``gaps[i+1] / gaps[i]`` must stay below
-    ``beta(gaps[i]) + tol``, the per-step gain a Geraghty-type contraction
-    predicts for its own orbit."""
+    ``beta(gaps[i]) + SCALAR_EPS``, the per-step gain a Geraghty-type
+    contraction predicts for its own orbit."""
     from .framework import BlockCheck, _block_reports, _table
 
     gaps = _table(trace.gaps, 1)[:, 0]
@@ -156,11 +156,11 @@ def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta,
     return _block_reports(table, [BlockCheck(
         "ratio-bound", "picard/ratio", clause,
         lambda ratio, bound, step: f"gap ratio {ratio!r} exceeds beta(gap) = {bound!r} "
-                                   f"at step {step}", tolerance=tol)])[0]
+                                   f"at step {step}", tolerance=SCALAR_EPS)])[0]
 
 
-def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
-                      tol: float = SCALAR_EPS) -> VerificationReport:
+def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point,
+                      n_max: int) -> VerificationReport:
     """Check ``alpha(x_n, x_m) >= 1`` for all 0 <= n < m <= n_max along the
     Picard orbit of ``x0``, in one pass over the index pairs (n, m).
 
@@ -181,10 +181,10 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
         _validate_iterate(nxt, k + 1, None)
         orbit.append(nxt)
     start_value = alpha(orbit[0], orbit[1])
-    if _breaks(start_value - 1.0, tol):
+    if _breaks(start_value - 1.0, SCALAR_EPS):
         return VerificationReport(
             name="alpha-orbit", status=HYPOTHESIS_UNMET, witnesses=[], samples=0,
-            tolerance=tol,
+            tolerance=SCALAR_EPS,
             notes=(f"hypothesis unmet: alpha(x0, T(x0)) = {start_value!r} < 1",))
     points = _table([(x,) for x in orbit], 1, grids=True)[:, 0]
 
@@ -196,7 +196,8 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point, n_max: int,
     # the index pairs in the order of combinations(range(len(orbit)), 2), as ints
     return _block_reports(np.column_stack(np.triu_indices(len(orbit), 1)), [BlockCheck(
         "alpha-orbit", "alpha/orbit", clause,
-        lambda value, n, m: f"alpha(x_{n}, x_{m}) = {value!r} falls below 1", tolerance=tol)])[0]
+        lambda value, n, m: f"alpha(x_{n}, x_{m}) = {value!r} falls below 1",
+        tolerance=SCALAR_EPS)])[0]
 
 
 class UniquenessReport(NamedTuple):
@@ -221,14 +222,14 @@ class UniquenessReport(NamedTuple):
 
 
 def uniqueness_probe(T: PointMap, starts: Iterable[Point], cfg: PicardConfig,
-                     d: Metric,
-                     carrier: Callable[[Point], bool] | None = None) -> UniquenessReport:
-    """Run :func:`picard_iterate` from every start and cluster the limits."""
+                     d: Metric) -> UniquenessReport:
+    """Run :func:`picard_iterate` from every start, with no carrier
+    predicate, and cluster the limits."""
     report = UniquenessReport(list(starts), [], [], [])
     threshold = 10.0 * cfg.tolerance
     for index, x0 in enumerate(report.starts):
         try:
-            trace = picard_iterate(T, x0, cfg, d, carrier=carrier)
+            trace = picard_iterate(T, x0, cfg, d)
         except DomainError as exc:
             report.traces.append(IterationTrace(x0, [], "domain-error", math.inf))
             report.failed_starts.append((index, f"domain-error: {exc}"))

@@ -89,10 +89,12 @@ def check_initial_point(T: PointMap, order: PartialOrder, x1: Point) -> bool:
     return order(x1, T(x1))
 
 
-def check_order_axioms(order: PartialOrder, elements: Iterable[Point], d: Metric,
-                       tol: float = SCALAR_EPS) -> VerificationReport:
-    """Reflexivity, metric antisymmetry, and transitivity of the comparator
-    on a finite element sample (cubic in the sample size; keep it small)."""
+def check_order_axioms(order: PartialOrder, elements: Iterable[Point],
+                       d: Metric) -> VerificationReport:
+    """Reflexivity, antisymmetry up to a distance of
+    :data:`~picardkit.metrics.SCALAR_EPS`, and transitivity of the
+    comparator on a finite element sample (cubic in the sample size; keep it
+    small)."""
     items = list(elements)
     alpha = alpha_from_order(order)
 
@@ -105,7 +107,7 @@ def check_order_axioms(order: PartialOrder, elements: Iterable[Point], d: Metric
         first = np.flatnonzero(alpha.values(xs, ys) >= 1.0)
         both = first[alpha.values(ys[first], xs[first]) >= 1.0]
         gap = evaluate_block(d, d, xs[both], ys[both])
-        return both, gap, tol, tol - gap  # tol is the bound: the clause's own tolerance is 0
+        return both, gap, SCALAR_EPS, SCALAR_EPS - gap  # the bound; the clause's tolerance is 0
 
     clauses = [
         BlockCheck("order-axioms", "order/reflexive", reflexive, lambda _: "leq(x, x) fails"),
@@ -118,4 +120,4 @@ def check_order_axioms(order: PartialOrder, elements: Iterable[Point], d: Metric
                               [clause])[0]
                for arity, clause in enumerate(clauses, start=1)]
     return make_report("order-axioms", [rep.witnesses for rep in reports],
-                       sum(rep.samples for rep in reports), tolerance=tol)
+                       sum(rep.samples for rep in reports), tolerance=SCALAR_EPS)

@@ -13,7 +13,8 @@ and builds each witness on demand by replaying its row: the renderers ask
 for the first few, built from the rows kept, and only a caller that
 iterates over all of them (a test, say) reads every row back and builds
 and sorts every one. :func:`make_report` makes a report of the stores of a
-check's clauses, merging several by margin and check name. Only the
+check's clauses, merging several by margin and check name as a store too,
+whose first k witnesses are built from each clause's first k. Only the
 verifiers load this module: every report.csv, an orbit's too, is written by
 :func:`picardkit.metrics.save_report_csv`.
 """
@@ -210,6 +211,23 @@ class FailingRows(SequenceABC):
         return self._head[:k]
 
 
+class _Merged(FailingRows):
+    """The witnesses of a check's clause ``stores``, each in the witness
+    order and of a check name of its own, as one store of them in that
+    order: merged by margin, then check name, in a stable sort, which keeps
+    each store's order where those tie. The first ``k`` are merged from each
+    store's first ``k``, so only those are built."""
+
+    def __init__(self, stores: Sequence[Sequence[Witness]]):
+        self._stores, self._head, self._count = stores, [], sum(map(len, stores))
+
+    def _first(self, k: int) -> list[Witness]:
+        if k > len(self._head):
+            self._head = sorted([w for store in self._stores for w in store[:k]],
+                                key=lambda w: (int(_total_order(w.margin)), w.check))[:k]
+        return self._head[:k]
+
+
 class VerificationReport(NamedTuple):
     name: str
     status: str
@@ -230,10 +248,8 @@ def make_report(name: str, stores: Sequence[Sequence[Witness]], samples: int, *,
     """A report whose status is FAIL exactly when there is a witness, from
     the clause ``stores`` of one check, each in the witness order and of a
     check name of its own: one store is the report's witnesses as it is, and
-    several are merged by margin, then check name, in a stable sort, which
-    keeps each store's order where those tie: the witness order again."""
-    witnesses = stores[0] if len(stores) == 1 else sorted(
-        [w for store in stores for w in store], key=lambda w: (int(_total_order(w.margin)), w.check))
+    several are merged lazily (:class:`_Merged`) into the witness order."""
+    witnesses = stores[0] if len(stores) == 1 else _Merged(stores)
     return VerificationReport(name=name, status=FAIL if witnesses else PASS, witnesses=witnesses,
                               samples=samples, mode=mode, tolerance=tolerance, notes=notes)
 
@@ -277,6 +293,5 @@ def report_rows(reports: Sequence[VerificationReport]) -> list[list[str]]:
     return rows
 
 
-def write_report_csv(path: str | Path, reports: Sequence[VerificationReport],
-                     extra_rows: Sequence[Sequence[str]] = ()) -> None:
-    save_report_csv(path, [*report_rows(reports), *extra_rows])
+def write_report_csv(path: str | Path, reports: Sequence[VerificationReport]) -> None:
+    save_report_csv(path, report_rows(reports))

@@ -16,13 +16,14 @@ from picardkit import (BVPProblem, CClassFunction, ContractionBundle,
                        check_alpha_admissible, check_cclass, check_geraghty,
                        check_simulation_pointwise,
                        green_row_integral, nodes, picard_iterate,
-                       row_integral_quadrature, scalar_metric, solve_bvp,
+                       report_rows, row_integral_quadrature, scalar_metric, solve_bvp,
                        uniqueness_probe, verify_contraction,
                        write_report_csv)
 from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
                                 cclass_a, example31_bundle, rhs_pi2sin,
                                 rhs_sin_plus_one, zeta1)
 from picardkit.cli import parse_config, run
+from picardkit.metrics import save_report_csv
 from picardkit.posets import alpha_from_order, natural_order
 from picardkit.sampling import Mesh, seeded_rng
 
@@ -361,8 +362,7 @@ def _produce_artifacts(root: Path) -> list[Path]:
     rows = [["uniqueness", "pass" if probe.consistent_with_uniqueness else "fail",
              str(len(probe.starts)), "exact", "", "", "",
              repr(float(probe.distinct_limits[0])), ""]]
-    write_report_csv(root / "c7" / "report.csv", [fitting, quarter_gain],
-                     extra_rows=rows)
+    save_report_csv(root / "c7" / "report.csv", [*report_rows([fitting, quarter_gain]), *rows])
 
     return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
 

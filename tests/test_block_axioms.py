@@ -39,7 +39,7 @@ from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
                                 default_beta_probes, default_sequence_probes,
                                 example31_map, rhs_const,
                                 rhs_pi2sin, rhs_sin_plus_one, zeta1)
-from picardkit.framework import CHUNK, GRID_EPS, MIN_TAIL, SCALAR_EPS, _tail
+from picardkit.framework import CHUNK, GRID_EPS, MIN_TAIL, SCALAR_EPS
 from picardkit.picard import _validate_iterate
 from picardkit.report import Witness, format_inputs, VerificationReport
 from picardkit.sampling import probe_pair, seeded_rng
@@ -152,7 +152,7 @@ def oracle_simulation_sequences(zeta, sequence_pairs, tol=SCALAR_EPS, min_tail=M
             raise DomainError(f"probe pair {index} must be strictly positive")
         if zeta.sequence_axiom == "roldan" and not np.all(tn < sn):
             raise DomainError(f"probe pair {index} must satisfy t_n < s_n elementwise (roldan mode)")
-        k = _tail(tn.size, min_tail)
+        k = min(tn.size, max(tn.size // 4, min_tail))
         tails_t, tails_s = tn[-k:], sn[-k:]
         values = [zeta(float(a), float(b)) for a, b in zip(tails_t, tails_s)]
         best = int(np.argmax(values))
@@ -189,7 +189,7 @@ def oracle_geraghty(beta, samples, probe_sequences=(), tol=SCALAR_EPS, limit_tol
         arr = np.asarray(seq, dtype=float)
         if arr.size == 0 or not np.all(np.isfinite(arr)) or float(arr.min()) < 0.0:
             raise DomainError(f"beta probe {index} must be non-empty, finite and nonnegative")
-        k = _tail(arr.size, min_tail)
+        k = min(arr.size, max(arr.size // 4, min_tail))
         tail = arr[-k:]
         tail_beta = np.array([beta(float(u)) for u in tail])
         tail_min_t = float(tail.min())
@@ -547,7 +547,7 @@ def test_limit_probes_evaluate_each_tail_in_one_call():
     # 200-term probes: a tail of 50 terms each, 3 probes per check
     assert calls == [(50,)] * 6
     # a tail of one term reaches the callable once too, as an array
-    check_simulation_sequences(zeta, [probe_pair(2.0, length=1)], min_tail=1)
+    check_simulation_sequences(zeta, [probe_pair(2.0, length=1)])
     assert calls[6:] == [(1,)]
 
 

@@ -480,22 +480,22 @@ STACK_COUNTS = [(1000, 0), (1000, 1), *((1000, CHUNK // 1001 + i) for i in (-1, 
 
 
 class TestOperatorContraction:
-    @pytest.mark.parametrize("rhs, factor, fails", [
-        ("expr:10*x", CONTRACTION_FACTOR, True),   # Lipschitz 10 overwhelms 1/8
-        ("sin_plus_one", CONTRACTION_FACTOR, False),
-        ("sin_plus_one", 0.01, True),              # a factor below the operator's
+    @pytest.mark.parametrize("rhs, fails", [
+        ("expr:10*x", True),       # Lipschitz 10 overwhelms 1/8
+        ("sin_plus_one", False),
+        ("expr:3*sin(x)", True),   # Lipschitz 3: the operator's constant is 3/8
     ])
-    def test_matches_the_per_pair_oracle(self, rhs, factor, fails):
+    def test_matches_the_per_pair_oracle(self, rhs, fails):
         problem = BVPProblem(rhs=resolve("rhs", rhs), n=10)
         pairs = seeded_rng(5).uniform(0.0, 1.0, (60, 2, 11))
-        got = check_operator_contraction(problem, pairs, factor=factor)
-        assert_same_report(got, oracle_operator_contraction(problem, pairs, factor=factor))
+        got = check_operator_contraction(problem, pairs)
+        assert_same_report(got, oracle_operator_contraction(problem, pairs))
         assert got.passed is not fails
         if fails:
             assert 0 < len(got.witnesses) <= len(pairs)
         # an (N, 2, n + 1) array of pairs gives the same witnesses, with
         # copies of the sampled functions as inputs
-        stacked = check_operator_contraction(problem, np.array(pairs), factor=factor)
+        stacked = check_operator_contraction(problem, np.array(pairs))
         assert [(w.margin, w.lhs, w.bound, w.detail) for w in stacked.witnesses] == \
             [(w.margin, w.lhs, w.bound, w.detail) for w in got.witnesses]
         assert all(np.array_equal(u, v) for a, b in zip(stacked.witnesses, got.witnesses)

@@ -33,7 +33,7 @@ from picardkit.builtins import (alpha_box,
 from picardkit import framework
 from picardkit import report as report_module
 from picardkit.bvp import alpha_from_gate, operator_contraction_check
-from picardkit.framework import (CHUNK, BlockCheck, alpha_admissible_check, check_pairs,
+from picardkit.framework import (CHUNK, MIN_TAIL, BlockCheck, alpha_admissible_check, check_pairs,
                                  contraction_check, evaluate_block)
 from picardkit.metrics import rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
@@ -143,30 +143,16 @@ class TestSimulationSequences:
 
 
 def test_a_short_probe_reads_a_tail_of_at_least_one_term():
-    # a quarter of 3 terms is none: the tail is min_tail = 1 term, the last
+    # a quarter of 3 terms is none, and the floor of MIN_TAIL terms is more
+    # than there are: the tail is the whole probe, not its last term
+    assert MIN_TAIL > 3
     zeta = SimulationFunction(lambda t, s: s - t)
-    report = check_simulation_sequences(zeta, [([1.0, 2.0, 1.0], [3.0, 2.5, 1.0])], min_tail=1)
-    assert [w.detail for w in report.witnesses] == [
-        "tail limsup estimate 0.0 over 1 terms is not negative"]
-    beta = GeraghtyBeta(lambda t: np.where(t > 1.5, 1.0, 0.5))
-    report = check_geraghty(beta, [], [[2.0, 1.0, 2.0]], min_tail=1)
-    assert report.status == FAIL and report.witnesses[0].inputs == (0, 2.0)
-
-
-@pytest.mark.parametrize("min_tail, message", [
-    (0, "min_tail must be at least 1, got 0"), (-2, "min_tail must be at least 1, got -2"),
-    (2.5, "min_tail must be an int, got 2.5"), (True, "min_tail must be an int, got True")])
-@pytest.mark.parametrize("check", ["sequences", "geraghty"])
-def test_min_tail_is_an_int_of_at_least_one(check, min_tail, message):
-    # a tail of 0 terms read the whole probe: seq[-0:] is seq
-    with pytest.raises(DomainError) as raised:
-        if check == "sequences":
-            check_simulation_sequences(SimulationFunction(lambda t, s: s - t),
-                                       [([1.0, 2.0, 1.0], [3.0, 2.5, 1.0])], min_tail=min_tail)
-        else:
-            check_geraghty(GeraghtyBeta(lambda t: np.where(t > 1.5, 1.0, 0.5)), [],
-                           [[2.0, 1.0, 2.0]], min_tail=min_tail)
-    assert str(raised.value) == message
+    report = check_simulation_sequences(zeta, [([1.0, 2.0, 1.0], [3.0, 2.5, 1.0])])
+    assert [(w.inputs, w.detail) for w in report.witnesses] == [
+        ((0, 1.0, 3.0), "tail limsup estimate 2.0 over 3 terms is not negative")]
+    beta = GeraghtyBeta(lambda t: np.where(t > 0.5, 1.0, 0.5))
+    report = check_geraghty(beta, [], [[1.0, 2.0, 2.0]])
+    assert report.status == FAIL and report.witnesses[0].inputs == (0, 1.0)
 
 
 class TestCClass:
@@ -567,10 +553,11 @@ def test_a_weight_at_the_tolerance_meets_the_hypothesis_and_the_conclusion_alike
     for value, kept in ((held, True), (np.nextafter(held, 0.0), False)):
         alpha = AlphaFunction(lambda x, y, v=value: 0.0 * np.asarray(x) + v, name="flat")
         pairs = np.array([[0.0, 1.0], [0.5, 2.0]])
-        assert check_alpha_admissible(lambda x: x, alpha, pairs, tol).passed
-        assert check_triangular_alpha(alpha, np.array([[0.0, 0.5, 1.0]]), tol).passed
-        orbit = check_alpha_orbit(lambda x: x + 0.5, alpha, 0.0, 3, tol)
-        assert orbit.status == (PASS if kept else HYPOTHESIS_UNMET)
+        assert check_pairs(lambda x: x, alpha, pairs, [alpha_admissible_check(tol)])[0].passed
+        if tol == SCALAR_EPS:  # the tolerance of the triangular and orbit checks
+            assert check_triangular_alpha(alpha, np.array([[0.0, 0.5, 1.0]])).passed
+            orbit = check_alpha_orbit(lambda x: x + 0.5, alpha, 0.0, 3)
+            assert orbit.status == (PASS if kept else HYPOTHESIS_UNMET)
 
 
 def oracle_verify_contraction(bundle, pairs, d, tol=SCALAR_EPS):
@@ -1231,9 +1218,17 @@ def test_the_clause_merge_matches_the_full_sort(clauses, count):
         expected += _all_witnesses(check, [tuple(row) for row in table.tolist()], lhs.tolist(),
                                    1.0, margins.tolist(), repr)
         samples += 2 * len(rows)
-    merged = report_module.make_report("merged", stores, samples)
     want = make_report("merged", expected, samples)
+    # each prefix, and the last witness, of a merge that has built none yet
+    for k in range(len(want.witnesses) + 2):
+        prefix = report_module.make_report("merged", stores, samples).witnesses[:k]
+        assert _fingerprint(prefix) == _fingerprint(want.witnesses[:k])
+    if want.witnesses:
+        last = report_module.make_report("merged", stores, samples).witnesses[-1]
+        assert _fingerprint([last]) == _fingerprint(want.witnesses[-1:])
+    merged = report_module.make_report("merged", stores, samples)
     assert (merged.status, merged.samples) == (want.status, want.samples)
+    assert len(merged.witnesses) == len(want.witnesses)
     assert _fingerprint(merged.witnesses) == _fingerprint(want.witnesses)
 
 
@@ -1448,6 +1443,27 @@ def test_an_all_tied_check_formats_only_the_shown_rows(monkeypatch):
     assert len(built) <= 8 and len(formatted) == 8
     assert report.witnesses[0].inputs == (0.0, 0.006012024048096192)
     assert {w.margin for w in report.witnesses[:8]} == {-1.0}
+
+
+def test_a_report_of_several_clauses_builds_only_the_shown_witnesses(monkeypatch):
+    # G(s, t) = s + 1 breaks the upper bound on every pair and the benchmark
+    # where s <= t: about 300 000 failing rows in two of the four stores
+    built = []
+
+    class CountedWitness(report_module.Witness):  # a NamedTuple is made by __new__ alone
+        def __new__(cls, *args, **kwargs):
+            built.append(1)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(report_module, "Witness", CountedWitness)
+    plus_one = CClassFunction(lambda s, t: s + 1.0, name="plus-one")
+    report = check_cclass(plus_one, seeded_rng(1).uniform(0.0, 1.0, (200_000, 2)))
+    text = render_text([report])
+    rows = report_rows([report])
+    assert len(report.witnesses) > 290_000
+    assert f"... and {len(report.witnesses) - 8} more witnesses" in text
+    assert rows[0][4] == f"cclass/upper {format_inputs(report.witnesses[0].inputs)}"
+    assert len(built) <= 8 * 4  # the first 8 of each clause's store at most
 
 
 # ---------------------------------------------------------------------------

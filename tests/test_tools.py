@@ -3,8 +3,10 @@ code lines by the rule the size figures in CHANGES.md and ROADMAP.md use,
 ``tools/artifact_digests.py`` hashes what ``python -m picardkit`` writes
 on a fixed set of cases, which must give the digests committed in
 ``artifact_digests.txt``, and ``tools/unreached.py`` lists the functions
-that none of those cases, nor a demo, enters."""
+that none of those cases, nor a demo, enters. The last test scans the
+source for the options of the library that no caller sets."""
 
+import ast
 import hashlib
 import importlib.util
 import os
@@ -149,3 +151,62 @@ def test_every_function_a_run_does_not_enter_is_allowed(tmp_path):
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert sorted(line.split()[1] for line in done.stdout.splitlines()) == sorted(UNREACHED)
+
+
+# the defaulted parameters that no call in src/, demos/ or tools/ passes,
+# each with the reason it stays; any other belongs to a caller, or is a
+# constant of the library
+UNSET = {
+    "framework.Family(name)": "its subclasses pass it through super().__init__, "
+                              "which the scan does not resolve",
+    "framework.check(strict)": "_clauses' inner check takes its arguments unpacked, "
+                               "check(*clause), which the scan does not count",
+    "framework.SimulationFunction(sequence_axiom)": "it selects the family's variant "
+                                                    "(Roldan's), a definition, not a tolerance",
+    "framework.verify_contraction(tol)": "its tolerance follows the carrier; the tests pass "
+                                         "GRID_EPS for grid functions",
+    "picard.picard_iterate(carrier)": "a membership check of the orbit, which stays",
+}
+
+
+def _defaulted(package):
+    """(module, callee, parameter) -> the parameter's position among the
+    arguments of a call, or None for a keyword-only one, of every defaulted
+    parameter of the functions and methods of ``package``; an ``__init__``
+    is called by its class's name."""
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for parent in ast.walk(ast.parse(path.read_text())):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                named = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+                passed = positional[isinstance(parent, ast.ClassDef):]  # self is not passed
+                callee = parent.name if node.name == "__init__" else node.name
+                for name in named:
+                    found[path.stem, callee, name] = (passed.index(name) if name in passed
+                                                      else None)
+    return found
+
+
+def test_every_option_no_caller_sets_is_allowed():
+    # calls are matched by the callee's name alone; an unpacked argument
+    # (*args, **kwargs) counts as none, and so do the positions after it
+    repo = TOOLS.parent
+    calls = {}
+    for path in sorted(p for d in ("src", "demos", "tools") for p in (repo / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append((
+                    next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                         len(node.args)),
+                    {k.arg for k in node.keywords}))
+    unset = [f"{module}.{callee}({name})"
+             for (module, callee, name), position in _defaulted(repo / "src" / "picardkit").items()
+             if not any(name in keywords or position is not None and position < count
+                        for count, keywords in calls.get(callee, []))]
+    assert sorted(unset) == sorted(UNSET)
