@@ -155,6 +155,21 @@ def test_a_short_probe_reads_a_tail_of_at_least_one_term():
     assert report.status == FAIL and report.witnesses[0].inputs == (0, 1.0)
 
 
+@pytest.mark.parametrize("length, tail", [
+    (1, 1), (3, 3), (MIN_TAIL - 1, MIN_TAIL - 1), (MIN_TAIL, MIN_TAIL), (MIN_TAIL + 1, MIN_TAIL),
+    (4 * MIN_TAIL, MIN_TAIL), (4 * MIN_TAIL + 4, MIN_TAIL + 1), (200, 50)])
+def test_a_probe_reads_its_last_quarter_and_at_least_min_tail_terms(length, tail):
+    # the whole of a probe of up to MIN_TAIL terms, MIN_TAIL terms up to
+    # 4 * MIN_TAIL + 3, then the last quarter; both limit checks read alike
+    terms = np.arange(1.0, length + 1.0)  # increasing: a tail's least term is its first
+    zeta = SimulationFunction(lambda t, s: s - t)
+    report = check_simulation_sequences(zeta, [(terms, terms + 1.0)])
+    assert [w.detail for w in report.witnesses] == [
+        f"tail limsup estimate 1.0 over {tail} terms is not negative"]
+    report = check_geraghty(GeraghtyBeta(lambda t: np.ones_like(t)), [], [terms])
+    assert [w.inputs for w in report.witnesses] == [(0, float(length - tail + 1))]
+
+
 class TestCClass:
     def test_subtraction_passes(self):
         samples = Mesh(0.0, 3.0, 20)[:]
