@@ -114,21 +114,16 @@ def affine_map(a: float, b: float) -> Callable[[float], float]:
 
 
 # --------------------------------------------------------------------------
-# right-hand sides for the boundary-value solver; each gives the broadcast
-# shape of (t, x), so a stack of grid functions is one call
-
-def _nodewise_shape(t, x) -> tuple:
-    return np.broadcast_shapes(np.shape(t), np.shape(x))
-
+# right-hand sides for the boundary-value solver. One that ignores x gives
+# t's shape, which BVPProblem.rhs_values spreads over a stack of grid
+# functions, as it does a scalar
 
 def rhs_zero(t, x):
-    return np.zeros(_nodewise_shape(t, x))
+    return np.zeros(np.shape(t))
 
 
 def rhs_pi2sin(t, x):
-    value = math.pi ** 2 * np.sin(math.pi * np.asarray(t, dtype=float))
-    shape = _nodewise_shape(t, x)
-    return value if np.shape(value) == shape else np.broadcast_to(value, shape)
+    return math.pi ** 2 * np.sin(math.pi * np.asarray(t, dtype=float))
 
 
 def rhs_sin_plus_one(t, x):
@@ -137,7 +132,7 @@ def rhs_sin_plus_one(t, x):
 
 def rhs_const(c: float) -> Callable:
     c = float(c)
-    return lambda t, x: np.full(_nodewise_shape(t, x), c)
+    return lambda t, x: np.full(np.shape(t), c)
 
 
 # numpy functions an ``expr:`` right-hand side may call
@@ -259,13 +254,15 @@ _SEQUENCE_PROBES = {"classic": ((1.0, 1.0, 1.0, 1), (2.0, 0.0, 0.0, 1), (0.5, -0
 
 def default_sequence_probes(mode: str = "classic") -> list[tuple[np.ndarray, np.ndarray]]:
     """Equal-limit positive probe pairs of :data:`PROBE_TERMS` terms for
-    the limsup check. The roldan variant keeps t_n strictly below s_n; any
-    other ``mode`` gives the classic probes."""
+    the limsup check of the sequence axiom ``mode``, "classic" or "roldan";
+    the roldan probes keep t_n strictly below s_n. Any other ``mode`` raises
+    :class:`DomainError`."""
     from .sampling import probe_pair
 
-    probes = _SEQUENCE_PROBES["roldan" if mode == "roldan" else "classic"]
+    if mode not in _SEQUENCE_PROBES:
+        raise DomainError(f"unknown sequence axiom {mode!r}; choices: {', '.join(_SEQUENCE_PROBES)}")
     return [probe_pair(limit, PROBE_TERMS, t_offset, s_offset, start)
-            for limit, t_offset, s_offset, start in probes]
+            for limit, t_offset, s_offset, start in _SEQUENCE_PROBES[mode]]
 
 
 def default_beta_probes() -> list[np.ndarray]:

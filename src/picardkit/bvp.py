@@ -118,9 +118,11 @@ class BVPProblem:
     ``rhs(t, x)`` must accept numpy arrays of nodes and node values and
     return finite values, nodewise: the value at a node depends on t and x
     there only. A stack of grid functions arrives as a 2-d ``x`` (one
-    function per row, t broadcasting along the rows); an rhs whose result
-    does not have the stack's shape is called again one function at a time,
-    where scalars broadcast. ``gate`` is an optional pair predicate
+    function per row, t broadcasting along the rows). A result of x's shape
+    is taken as it is; a scalar or a result of t's shape depends on t alone
+    and is spread over x's shape, one function or a stack. Any other shape
+    raises, so an rhs that cannot take a stack is called again one function
+    at a time. ``gate`` is an optional pair predicate
     ``xi(a, b)``; None means the always-open gate (constant 1), which admits
     every pair. The grid size must be even to keep the split Simpson panels
     aligned.
@@ -168,8 +170,8 @@ class BVPProblem:
     def rhs_values(self, x: np.ndarray) -> np.ndarray:
         """The rhs at the nodes of ``x``, one function or a stack."""
         values = np.asarray(self.rhs(self.nodes, x), dtype=float)
-        if values.ndim == 0 and x.ndim == 1:
-            values = np.full(self.nodes.shape, float(values))
+        if values.shape in ((), self.nodes.shape):  # t alone
+            values = np.broadcast_to(values, x.shape)
         if values.shape != x.shape:
             raise DomainError(f"rhs returned shape {values.shape}, "
                               f"expected {x.shape}")

@@ -242,7 +242,6 @@ def _run_verify(config: RunConfig, out: Path) -> int:
         np.column_stack([np.repeat(axis, coarse.size), np.tile(coarse, axis.size)]),
         rng.uniform(1e-3, 10.0, (100, 2))])
     beta_samples = np.concatenate([axis, rng.uniform(0.0, 10.0, 50)])
-    probes_mode = bundle.zeta.sequence_axiom
 
     metric, tol = catalog.resolve("carrier", config.carrier_kind)
     # made a chunk at a time: the pass never holds a pair or triple table whole
@@ -259,7 +258,7 @@ def _run_verify(config: RunConfig, out: Path) -> int:
     reports = [
         check_simulation_pointwise(bundle.zeta, zeta_samples),
         check_simulation_sequences(bundle.zeta,
-                                   catalog.default_sequence_probes(probes_mode)),
+                                   catalog.default_sequence_probes(bundle.zeta.sequence_axiom)),
         check_cclass(bundle.g, cclass_samples),
         check_geraghty(bundle.beta, beta_samples, catalog.default_beta_probes()),
     ]

@@ -72,7 +72,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .metrics import GRID_EPS, SCALAR_EPS, Metric, Point, PointMap, as_grid_function
+from .metrics import SCALAR_EPS, Metric, Point, PointMap, as_grid_function
 from .report import FailingRows, VerificationReport, make_report
 from .sampling import RowSource
 
@@ -94,11 +94,13 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
     ``fn`` is first called once on read-only views of the whole columns:
     on columns of reals of any length, or on stacks (empty ones too) when
     ``fn`` is tagged :func:`~picardkit.metrics.rowwise`; a result of that
-    shape whose entries all pass ``valid`` is taken. Otherwise (``fn`` is
-    written for single samples, aggregates or writes its argument, or gives
-    an invalid entry) ``scalar`` is called once per row, in order, on Python
-    floats or on one grid function of each stack, which reproduces the
-    per-sample values and errors exactly."""
+    shape whose entries all pass ``valid`` is taken. Otherwise (``fn``
+    raises the :class:`TypeError`, :class:`ValueError` or
+    :class:`AttributeError` of a callable written for single samples or
+    functions, aggregates or writes its argument, or gives an invalid entry)
+    ``scalar`` is called once per row, in order, on Python floats or on one
+    grid function of each stack, which reproduces the per-sample values and
+    errors exactly. Any other exception of ``fn`` propagates."""
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
         raise DimensionError(f"columns of lengths {', '.join(map(str, lengths))} do not align")
@@ -112,7 +114,7 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
                 out = fn(*views)
                 if isinstance(out, np.ndarray) and out.shape in shapes and np.all(valid(out)):
                     return out.astype(float, copy=False)
-        except Exception:  # a callable written for single samples or functions
+        except (TypeError, ValueError, AttributeError):  # written for single samples or functions
             pass
     rows = zip(*(column.tolist() if column.ndim == 1 else column for column in columns))
     values = [scalar(*row) for row in rows]

@@ -39,7 +39,8 @@ from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
                                 default_beta_probes, default_sequence_probes,
                                 example31_map, rhs_const,
                                 rhs_pi2sin, rhs_sin_plus_one, zeta1)
-from picardkit.framework import CHUNK, GRID_EPS, MIN_TAIL, SCALAR_EPS
+from picardkit.framework import CHUNK, MIN_TAIL, SCALAR_EPS
+from picardkit.metrics import GRID_EPS
 from picardkit.picard import _validate_iterate
 from picardkit.report import Witness, format_inputs, VerificationReport
 from picardkit.sampling import probe_pair, seeded_rng

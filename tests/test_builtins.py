@@ -143,30 +143,44 @@ class TestDefaultProbes:
         for tn, sn in default_sequence_probes("roldan"):
             assert np.all(tn < sn)
 
+    @pytest.mark.parametrize("mode", ["Roldan", "other"])
+    def test_unknown_modes_raise_naming_the_choices(self, mode):
+        # classic probes for a misspelt roldan mode would be refused by the
+        # roldan check, which would blame the probes, not the mode
+        with pytest.raises(DomainError) as raised:
+            default_sequence_probes(mode)
+        assert str(raised.value) == f"unknown sequence axiom {mode!r}; choices: classic, roldan"
+
     def test_beta_probes_nonnegative(self):
         for seq in default_beta_probes():
             assert seq.min() >= 0.0
 
 
 class TestRhsShapes:
-    # the definitions that returned t's shape whatever x was
-    T_SHAPED = {
-        "zero": lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
-        "pi2sin": lambda t, x: np.pi ** 2 * np.sin(np.pi * np.asarray(t, dtype=float)),
-        "const:2": lambda t, x: np.full_like(np.asarray(t, dtype=float), 2.0),
+    # an rhs that ignores x gives t's shape whatever x is; BVPProblem.rhs_values
+    # spreads it over one grid function or a stack
+    T_ONLY = {
+        "zero": lambda t: np.zeros(np.shape(t)),
+        "pi2sin": lambda t: np.pi ** 2 * np.sin(np.pi * np.asarray(t, dtype=float)),
+        "const:2": lambda t: np.full(np.shape(t), 2.0),
     }
 
-    @pytest.mark.parametrize("spec", list(T_SHAPED))
-    def test_broadcast_shape_of_t_and_x(self, spec):
+    @pytest.mark.parametrize("spec", list(T_ONLY))
+    def test_t_shape_for_every_argument_form(self, spec):
         rhs = resolve("rhs", spec)
         t = np.linspace(0.0, 1.0, 7)
         stack = np.arange(21.0).reshape(3, 7)
-        values = rhs(t, stack)
-        assert values.shape == (3, 7)
-        assert all(np.array_equal(row, rhs(t, x)) for row, x in zip(values, stack))
-        # scalar and 1-d results stay as they were
-        old = self.T_SHAPED[spec]
-        for args in [(0.25, 0.5), (t, t), (t, 0.5), (t, stack[0])]:
-            got, want = rhs(*args), old(*args)
-            assert type(got) is type(want) and np.shape(got) == np.shape(want)
-            assert np.array_equal(got, want)
+        for args in [(0.25, 0.5), (0.25, stack), (t, t), (t, 0.5), (t, stack[0]), (t, stack)]:
+            got = rhs(*args)
+            assert np.shape(got) == np.shape(args[0])
+            assert np.array_equal(got, self.T_ONLY[spec](args[0]))
+
+    @pytest.mark.parametrize("spec", [*T_ONLY, "sin_plus_one", "expr:2",
+                                      "expr:pi**2*sin(pi*t)", "expr:10*x"])
+    def test_rhs_values_on_a_stack_are_the_per_function_rows(self, spec):
+        problem = BVPProblem(rhs=resolve("rhs", spec), n=6)
+        stack = np.arange(21.0).reshape(3, 7) / 21.0
+        values = problem.rhs_values(stack)
+        assert values.shape == stack.shape
+        rows = np.array([problem.rhs_values(x) for x in stack])
+        assert np.ascontiguousarray(values).tobytes() == rows.tobytes()

@@ -1119,13 +1119,22 @@ n = 1000
 """
 
 
-@pytest.mark.parametrize("cfg, status", [(VERIFY_INTERVAL_CFG, EXIT_CHECK_FAILED),
-                                         (VERIFY_GRID_CFG, EXIT_OK)],
-                         ids=["verify-interval", "verify-grid"])
+# right-hand sides that ignore x give a scalar or t's shape, which the
+# problem spreads over a stack: mapped one function at a time, the 200 pairs
+# would take 400 operator calls
+T_ONLY_RHS = ["zero", "const:2", "pi2sin", "expr:2", "expr:pi**2*sin(pi*t)"]
+
+
+@pytest.mark.parametrize("cfg, status", [
+    (VERIFY_INTERVAL_CFG, EXIT_CHECK_FAILED), (VERIFY_GRID_CFG, EXIT_OK),
+    *[(VERIFY_GRID_CFG.replace("rhs = sin_plus_one", f"rhs = {rhs}"), EXIT_OK)
+      for rhs in T_ONLY_RHS]],
+    ids=["verify-interval", "verify-grid", *[f"verify-grid-rhs={rhs}" for rhs in T_ONLY_RHS]])
 def test_shipped_bundles_never_fall_back_to_one_sample_at_a_time(tmp_path, monkeypatch,
                                                                  cfg, status):
     # evaluate_block calls its per-sample callable only where the call on the
-    # whole chunk fails; every check of a verify run goes through it
+    # whole chunk fails; every check of a verify run goes through it. On the
+    # grid carrier a per-sample call maps one grid function
     calls, fallbacks = [], []
     original = framework_module.evaluate_block
 

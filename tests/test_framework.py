@@ -1487,9 +1487,10 @@ def test_a_report_of_several_clauses_builds_only_the_shown_witnesses(monkeypatch
 # call. Each must give, bit for bit, what it gives one function at a time.
 
 STACK_NS = [2, 4, 6, 10, 1000]
-# builtins and an expression that read x, and three right-hand sides that
-# ignore it: two builtins that broadcast to the stack, and fixed node values
-STACK_RHS = ["sin_plus_one", "expr:10*x", "zero", "const:2", "pi2sin", "fixed"]
+# builtins and an expression that read x, and right-hand sides that ignore
+# it, whose scalar or t-shaped values the problem spreads over a stack:
+# three builtins, a constant expression and fixed node values
+STACK_RHS = ["sin_plus_one", "expr:10*x", "zero", "const:2", "pi2sin", "expr:2", "fixed"]
 STACK_GATES = [None, lambda a, b: 1.2 - np.abs(a - b),
                lambda a, b: 1.0 if a <= b + 0.9 else -1.0]  # the last for single nodes
 # stack sizes around the chunk length k, in functions
@@ -1544,15 +1545,7 @@ def test_rowwise_callables_on_a_stack_match_the_per_function_loop(n, size, rhs, 
         got = evaluate_block(counted, fn, *stacks)
         assert len(got) == count and len(calls) == 1  # one call per stack, the empty one too
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, one_by_one))
-        if not count:
-            continue
-        # the stack's one call gave every row, unless the rhs ignores x and
-        # gives one function's node values, which a stack does not broadcast:
-        # then the rows were mapped one at a time
-        if rhs == "fixed" and len(stacks) == 1:
-            with pytest.raises(DomainError, match="rhs returned shape"):
-                fn(*stacks)
-        else:
+        if count:  # the stack's one call gave every row
             assert np.array_equal(_bits(fn(*stacks)), _bits(np.array(one_by_one)))
 
 
@@ -1699,9 +1692,11 @@ def test_samples_that_are_not_iterable_raise_a_dimension_error():
 
 
 def test_per_sample_values_that_do_not_stack_raise_a_dimension_error():
-    # one value per sample is wanted: these are lists of 1 and 2 entries
+    # one value per sample is wanted: these are lists of 1 and 2 entries,
+    # and on the whole column the callable raises the TypeError of int()
+    per_sample = lambda x: [x] * int(x)
     with pytest.raises(DimensionError) as raised:
-        evaluate_block(lambda x: 1 / 0, lambda x: [x] * int(x), np.array([1.0, 2.0]))
+        evaluate_block(per_sample, per_sample, np.array([1.0, 2.0]))
     assert str(raised.value).startswith("the per-sample values do not stack")
     # values of one shape that is neither the columns' nor one per row: a
     # metric written for single pairs that gives a (1,) array, and a map of
@@ -1716,6 +1711,32 @@ def test_per_sample_values_that_do_not_stack_raise_a_dimension_error():
         with pytest.raises(DimensionError) as raised:
             run()
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError, AttributeError, MemoryError])
+@pytest.mark.parametrize("column", [np.arange(3.0), np.arange(21.0).reshape(3, 7)],
+                         ids=["reals", "stack"])
+def test_only_a_single_sample_callables_errors_send_a_chunk_one_sample_at_a_time(
+        error, column):
+    # a callable written for one sample raises one of the first three on
+    # arrays; a rerun one sample at a time would only hide any other error,
+    # such as running out of memory, so it propagates without one
+    calls = []
+
+    def fast(x):
+        raise error
+
+    def per_sample(x):
+        calls.append(x)
+        return 2.0 * np.asarray(x)
+
+    if error is MemoryError:
+        with pytest.raises(MemoryError):
+            evaluate_block(rowwise(fast), per_sample, column)
+        assert calls == []
+    else:
+        assert np.array_equal(evaluate_block(rowwise(fast), per_sample, column), 2.0 * column)
+        assert len(calls) == len(column)
 
 
 def test_unknown_sequence_axiom_raises_a_domain_error():

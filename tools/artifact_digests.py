@@ -11,7 +11,8 @@ directory). Each line is ``digest  case/name``.
 
 The cases: the benchmark's three workload configs (read from
 ``perfbench/workloads.py``) at seeds 3, 7 and 11, a grid verify whose
-contraction checks fail (with and without the pointwise order), two small
+contraction checks fail (with and without the pointwise order), a grid
+verify whose rhs reads t alone, two small
 interval verifies and one of 4·10⁶ pairs, a Geraghty gain near 1, a
 converging and a diverging orbit, ``--list-builtins``, ``--help``, a run
 for each error status, interval carriers whose bounds are zeros of both
@@ -55,6 +56,8 @@ CASES = {
     **_workload_cases(),
     "failing-grid": (_FAILING_GRID, []),
     "failing-grid-pointwise": (_FAILING_GRID + "[order]\nname = pointwise\n", []),
+    # an rhs of t alone, which the problem spreads over a stack of grid functions
+    "grid-rhs-of-t": (_FAILING_GRID.replace("expr:10*x", "expr:pi**2*sin(pi*t)"), []),
     "interval": (_INTERVAL, []),
     # simulation/limit, geraghty/range and 437 contraction witnesses
     "interval-wide": (_INTERVAL.replace("interval\n", "interval\nlow = -2.0\nhigh = 2.0\n")
