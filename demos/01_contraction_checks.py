@@ -11,7 +11,7 @@ import numpy as np
 from picardkit import (CClassFunction, SimulationFunction,
                        check_alpha_admissible, check_cclass, check_geraghty,
                        check_simulation_pointwise, check_simulation_sequences,
-                       render_text, scalar_metric, verify_contraction)
+                       elementwise, render_text, scalar_metric, verify_contraction)
 from picardkit.builtins import (alpha_box, default_beta_probes,
                                 default_sequence_probes, example31_bundle)
 from picardkit.sampling import Draw, Mesh, SampleStream, seeded_rng
@@ -46,14 +46,16 @@ print(render_text(reports, ["reference bundle checks"]))
 # inequality still passes (its left side degenerates to zeta(0, 0) = 0).
 
 print("== what failures look like ==")
+# each function is tagged elementwise, so that the checks evaluate it on
+# whole arrays of samples rather than one sample at a time
 broken = [
     ("zeta = s - t (never strict)",
-     check_simulation_pointwise(SimulationFunction(lambda t, s: s - t),
+     check_simulation_pointwise(SimulationFunction(elementwise(lambda t, s: s - t)),
                                 [(1.0, 2.0), (0.5, 0.5)])),
     ("G = s + t (exceeds s)",
-     check_cclass(CClassFunction(lambda s, t: s + t), [(1.0, 1.0)])),
+     check_cclass(CClassFunction(elementwise(lambda s, t: s + t)), [(1.0, 1.0)])),
     ("tripling map under the unit-box weight",
-     check_alpha_admissible(lambda x: 3.0 * x, alpha_box(0.0, 1.0),
+     check_alpha_admissible(elementwise(lambda x: 3.0 * x), alpha_box(0.0, 1.0),
                             [(0.5, 0.5)])),
 ]
 print(render_text([report for _, report in broken],

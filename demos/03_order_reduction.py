@@ -11,12 +11,13 @@ import numpy as np
 
 from picardkit import (alpha_from_order, check_alpha_admissible,
                        check_increasing, check_initial_point,
-                       check_order_axioms, check_triangular_alpha,
+                       check_order_axioms, check_triangular_alpha, elementwise,
                        natural_order, nodes, pointwise_order, scalar_metric)
 from picardkit.sampling import Draw, Mesh, seeded_rng
 
 rng = seeded_rng(42)
-halving = lambda x: x / 2.0 + 0.25
+# elementwise: the checks map whole arrays of sampled points in one call
+halving = elementwise(lambda x: x / 2.0 + 0.25)
 
 print("== natural order on the reals ==")
 axioms = check_order_axioms(natural_order, [0.0, 0.25, 0.5, 0.75, 1.0],
@@ -58,4 +59,4 @@ print("final sup distance to target:", float(np.max(np.abs(f - target))))
 print()
 print("counterexample: x -> 1 - x reverses the order")
 print("increasing check:",
-      check_increasing(lambda x: 1.0 - x, natural_order, [(0.0, 1.0)]).status)
+      check_increasing(elementwise(lambda x: 1.0 - x), natural_order, [(0.0, 1.0)]).status)

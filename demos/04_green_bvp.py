@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from picardkit import (BVPProblem, PicardConfig, check_gate_limit, check_gate_propagation,
-                       check_operator_contraction, check_rhs_displacement_bound,
+                       check_operator_contraction, check_rhs_displacement_bound, elementwise,
                        green_kernel, green_row_integral, integral_operator, nodes,
                        row_integral_quadrature, save_grid_csv, solve_bvp)
 from picardkit.builtins import rhs_pi2sin, rhs_sin_plus_one
@@ -65,9 +65,9 @@ pairs = Draw(rng, 40, (2, 101), 0.0, 1.0)
 print("operator eighth-contraction on random pairs:",
       check_operator_contraction(nonlinear, pairs).status)
 # a gate that is not open: xi(a, b) = 1 - max(|a|, |b|) admits the pairs whose
-# values stay inside (-1, 1)
+# values stay inside (-1, 1); elementwise, it reads all the nodes in one call
 gated = BVPProblem(rhs=rhs_sin_plus_one, n=100,
-                   gate=lambda a, b: 1.0 - np.maximum(np.abs(a), np.abs(b)))
+                   gate=elementwise(lambda a, b: 1.0 - np.maximum(np.abs(a), np.abs(b))))
 print("gate positivity survives one operator step:",
       check_gate_propagation(gated, pairs).status)
 limit = integral_operator(gated, np.zeros(101))

@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # own name gives the submodule itself
 _MODULES = {
     "errors": ("DimensionError", "DomainError"),
-    "metrics": ("GRID_EPS", "SCALAR_EPS", "Point", "as_grid_function", "nodes", "rowwise",
-                "save_grid_csv", "scalar_metric", "sup_metric"),
+    "metrics": ("GRID_EPS", "SCALAR_EPS", "Point", "as_grid_function", "elementwise", "nodes",
+                "rowwise", "save_grid_csv", "scalar_metric", "sup_metric"),
     "report": ("FAIL", "HYPOTHESIS_UNMET", "PASS", "VerificationReport", "Witness",
                "render_text", "report_rows", "write_report_csv"),
     "framework": ("AlphaFunction", "CClassFunction", "ContractionBundle", "GeraghtyBeta",

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
+from .metrics import elementwise
 
 if TYPE_CHECKING:
     from .bvp import BVPProblem
@@ -35,7 +36,7 @@ def zeta1(lam: float = 0.5) -> SimulationFunction:
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise DomainError(f"zeta1 needs lam in (0, 1), got {lam}")
-    return SimulationFunction(lambda t, s: lam * s - t, name=f"zeta1({lam!r})")
+    return SimulationFunction(elementwise(lambda t, s: lam * s - t), name=f"zeta1({lam!r})")
 
 
 # --------------------------------------------------------------------------
@@ -46,7 +47,7 @@ def cclass_a(r: float = 0.0) -> CClassFunction:
     from .framework import CClassFunction
 
     r = float(r)
-    return CClassFunction(lambda s, t: s - t, c_g=r, name=f"cclass_a({r!r})")
+    return CClassFunction(elementwise(lambda s, t: s - t), c_g=r, name=f"cclass_a({r!r})")
 
 
 def cclass_c(k: float = 1.0, r: float = 2.0) -> CClassFunction:
@@ -59,7 +60,7 @@ def cclass_c(k: float = 1.0, r: float = 2.0) -> CClassFunction:
         raise DomainError(f"cclass_c needs a finite k >= 1, got {k}")
     if not 2.0 <= r < math.inf:
         raise DomainError(f"cclass_c needs a finite r >= 2, got {r}")
-    return CClassFunction(lambda s, t: s / (1.0 + k * t), c_g=r / (1.0 + k),
+    return CClassFunction(elementwise(lambda s, t: s / (1.0 + k * t)), c_g=r / (1.0 + k),
                           name=f"cclass_c({k!r}, {r!r})")
 
 
@@ -70,7 +71,7 @@ def beta_reciprocal() -> GeraghtyBeta:
     """beta(t) = 1/(1+t); beta(0) = 1 touches the top of the Geraghty range."""
     from .framework import GeraghtyBeta
 
-    return GeraghtyBeta(lambda t: 1.0 / (1.0 + t), name="beta_reciprocal")
+    return GeraghtyBeta(elementwise(lambda t: 1.0 / (1.0 + t)), name="beta_reciprocal")
 
 
 def beta_constant(value: float = 0.5) -> GeraghtyBeta:
@@ -80,7 +81,7 @@ def beta_constant(value: float = 0.5) -> GeraghtyBeta:
     value = float(value)
     if not 0.0 <= value < 1.0:
         raise DomainError(f"constant beta needs a value in [0, 1), got {value}")
-    return GeraghtyBeta(lambda t: np.full(np.shape(t), value),
+    return GeraghtyBeta(elementwise(lambda t: np.full(np.shape(t), value)),
                         name=f"beta_constant({value!r})")
 
 
@@ -90,14 +91,15 @@ def alpha_box(low: float = 0.0, high: float = 1.0) -> AlphaFunction:
 
     low = float(low)
     high = float(high)
-    return AlphaFunction(
-        lambda x, y: np.where((low <= x) & (x <= high) & (low <= y) & (y <= high), 1.0, 0.0),
+    return AlphaFunction(elementwise(
+        lambda x, y: np.where((low <= x) & (x <= high) & (low <= y) & (y <= high), 1.0, 0.0)),
         name=f"alpha_box({low!r}, {high!r})")
 
 
 # --------------------------------------------------------------------------
 # mappings
 
+@elementwise
 def example31_map(x: Point) -> Point:
     """Scalar map: ``x / 3`` on [0, 1], ``3 x`` elsewhere; elementwise on
     arrays."""
@@ -114,25 +116,28 @@ def affine_map(a: float, b: float) -> Callable[[float], float]:
 
 
 # --------------------------------------------------------------------------
-# right-hand sides for the boundary-value solver. One that ignores x gives
-# t's shape, which BVPProblem.rhs_values spreads over a stack of grid
-# functions, as it does a scalar
+# right-hand sides for the boundary-value solver, each elementwise. One that
+# ignores x gives t's shape, which BVPProblem.rhs_at spreads over x's shape,
+# as it does a scalar
 
+@elementwise
 def rhs_zero(t, x):
     return np.zeros(np.shape(t))
 
 
+@elementwise
 def rhs_pi2sin(t, x):
     return math.pi ** 2 * np.sin(math.pi * np.asarray(t, dtype=float))
 
 
+@elementwise
 def rhs_sin_plus_one(t, x):
     return np.sin(np.asarray(x, dtype=float)) + 1.0
 
 
 def rhs_const(c: float) -> Callable:
     c = float(c)
-    return lambda t, x: np.full(np.shape(t), c)
+    return elementwise(lambda t, x: np.full(np.shape(t), c))
 
 
 # numpy functions an ``expr:`` right-hand side may call
@@ -152,7 +157,9 @@ def compile_rhs_expression(body: str) -> Callable:
     integer: an expression that subscripts is rejected. Non-finite values
     pass, silently: the solver rejects them where they occur. The expression
     gets read-only t and x. An expression that uses ``@`` takes one grid
-    function at a time."""
+    function at a time (a stack, or one node's value, raises
+    :class:`DomainError`), and is left untagged; any other is
+    :func:`~picardkit.metrics.elementwise`."""
     names, kinds = set(), set()  # read in the one walk that floats the ints
     try:
         tree = ast.parse(body, mode="eval")
@@ -182,7 +189,7 @@ def compile_rhs_expression(body: str) -> Callable:
         for name, value in (("t", t), ("x", x)):  # read-only: a ufunc's out= cannot write them
             local[name] = np.asarray(value, dtype=float).view()
             local[name].flags.writeable = False
-        if local["x"].ndim > 1 and not nodewise:
+        if local["x"].ndim != 1 and not nodewise:  # a stack, or one node's value
             raise DomainError(f"expression {body!r} uses @, so it takes "
                               f"one grid function at a time")
         with np.errstate(all="ignore"):
@@ -197,7 +204,7 @@ def compile_rhs_expression(body: str) -> Callable:
     if value.dtype.kind not in "biuf" or value.shape not in ((), t.shape):
         raise DomainError(f"expression {body!r} gives {value.dtype} of shape "
                           f"{value.shape}, not real values of t's shape")
-    return rhs
+    return elementwise(rhs) if nodewise else rhs
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .metrics import (GRID_EPS, Point, _real_or_array, _require_int, _require_positive,
-                      as_grid_function, grid_pair, nodes, rowwise, sup_metric)
+                      as_grid_function, elementwise, grid_pair, nodes, rowwise, sup_metric)
 
 if TYPE_CHECKING:  # the checks import the check kernel, and a solve the Picard engine, when called
     from .framework import AlphaFunction, BlockCheck
@@ -117,15 +117,17 @@ class BVPProblem:
 
     ``rhs(t, x)`` must accept numpy arrays of nodes and node values and
     return finite values, nodewise: the value at a node depends on t and x
-    there only. A stack of grid functions arrives as a 2-d ``x`` (one
-    function per row, t broadcasting along the rows). A result of x's shape
-    is taken as it is; a scalar or a result of t's shape depends on t alone
-    and is spread over x's shape, one function or a stack. Any other shape
-    raises, so an rhs that cannot take a stack is called again one function
-    at a time. ``gate`` is an optional pair predicate
-    ``xi(a, b)``; None means the always-open gate (constant 1), which admits
-    every pair. The grid size must be even to keep the split Simpson panels
-    aligned.
+    there only. An rhs tagged :func:`~picardkit.metrics.elementwise` also
+    takes a stack of grid functions, as a 2-d ``x`` (one function per row,
+    t broadcasting along the rows), and the columns of reals of
+    :func:`check_rhs_displacement_bound`; an untagged one gets one function,
+    or one real, at a time. A result of x's shape is taken as it is; a
+    scalar or a result of t's shape depends on t alone and is spread over
+    x's shape (:meth:`rhs_at`). Any other shape raises. ``gate`` is an
+    optional pair predicate ``xi(a, b)``, which gets the node values of a
+    pair whole when it is tagged elementwise; None means the always-open
+    gate (constant 1), which admits every pair. The grid size must be even
+    to keep the split Simpson panels aligned.
     """
 
     def __init__(self, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int = 100,
@@ -162,16 +164,24 @@ class BVPProblem:
         return np.where(np.all(self.gate_values(x, y) > 0.0, axis=-1), 1.0, 0.0)
 
     def _least_gate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each pair of rows' least gate value over the nodes, and its first node."""
+        """Each pair of rows' least gate value over the nodes, and its first
+        node; none for no rows, which a per-function operator maps to shape
+        (0,)."""
+        if not len(x):
+            return np.empty(0), np.empty(0, np.intp)
         values = self.gate_values(x, y)
         node = np.argmin(values, axis=-1)
         return values[np.arange(len(node)), node], node
 
+    def rhs_at(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The rhs at nodes ``t`` and node values ``x``, with a scalar or a
+        result of t's shape (t alone) spread over x's shape."""
+        values = np.asarray(self.rhs(t, x), dtype=float)
+        return np.broadcast_to(values, x.shape) if values.shape in ((), t.shape) else values
+
     def rhs_values(self, x: np.ndarray) -> np.ndarray:
         """The rhs at the nodes of ``x``, one function or a stack."""
-        values = np.asarray(self.rhs(self.nodes, x), dtype=float)
-        if values.shape in ((), self.nodes.shape):  # t alone
-            values = np.broadcast_to(values, x.shape)
+        values = self.rhs_at(self.nodes, x)
         if values.shape != x.shape:
             raise DomainError(f"rhs returned shape {values.shape}, "
                               f"expected {x.shape}")
@@ -196,10 +206,17 @@ def integral_operator(problem: BVPProblem, x: Point) -> np.ndarray:
     return out
 
 
+def _tagged_as_rhs(problem: BVPProblem, tag: Callable, fn: Callable) -> Callable:
+    """``fn``, tagged with ``tag`` when the problem's rhs is elementwise: a
+    callable that evaluates the rhs takes arrays whole only if the rhs does."""
+    return tag(fn) if getattr(problem.rhs, "elementwise", False) else fn
+
+
 def bvp_operator(problem: BVPProblem) -> Callable[[Point], np.ndarray]:
     """The problem's integral operator as a plain mapping for the Picard
-    engine and the contraction verifiers, tagged row-wise."""
-    return rowwise(lambda x: integral_operator(problem, x))
+    engine and the contraction verifiers, tagged row-wise when the rhs is
+    elementwise; else it maps one function at a time."""
+    return _tagged_as_rhs(problem, rowwise, lambda x: integral_operator(problem, x))
 
 
 def second_difference_residual(problem: BVPProblem, x: Point) -> float:
@@ -267,7 +284,8 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     and reads the node nearest to t. Triples with a non-positive gate value
     are skipped (the bound is only required on gated pairs). The operator
     applies once, to the stack of the distinct constants of the admitted
-    triples.
+    triples, and an elementwise rhs once per chunk, a result of t alone
+    spread over the chunk as by :meth:`BVPProblem.rhs_at`.
     """
     from .framework import BlockCheck, _block_reports, _table, evaluate_block
 
@@ -283,9 +301,10 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     constants = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
     T = bvp_operator(problem)
     images = evaluate_block(T, T, np.repeat(constants[:, None], problem.n + 1, axis=1))
+    spread = _tagged_as_rhs(problem, elementwise, lambda t, x: problem.rhs_at(t, x))
 
     def rhs(t, x):
-        return evaluate_block(problem.rhs, lambda t, x: float(problem.rhs(t, x)), t, x)
+        return evaluate_block(spread, lambda t, x: float(problem.rhs(t, x)), t, x)
 
     def clause(columns):
         t, a, b = columns

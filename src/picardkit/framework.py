@@ -41,13 +41,14 @@ float values per column (16000, so that a float column of a chunk stays
 just under 128 KiB, glibc's default threshold for serving an allocation
 with mmap): 16000 samples of reals, or ``CHUNK // (n + 1)`` grid functions
 of n + 1 nodes (at least one). A column of a chunk is a view of its rows:
-a 1-d array of reals, or a (k, n + 1) stack of grid functions, which only
-callables tagged :func:`~picardkit.metrics.rowwise` get whole.
-:func:`evaluate_block` evaluates each callable once per chunk: family
-callables may broadcast elementwise over arrays of real samples, and
-callables that do not are evaluated per sample, with the same results;
-either way a result is taken in one shape only, one value per row or the
-columns' own. The pair hypotheses share one pass, :func:`check_pairs`, so
+a 1-d array of reals, or a (k, n + 1) stack of grid functions.
+:func:`evaluate_block` evaluates a callable once per chunk where it
+declares that it takes such columns whole, tagged
+:func:`~picardkit.metrics.elementwise` for reals or
+:func:`~picardkit.metrics.rowwise` for stacks, and lets its errors
+propagate; an untagged callable is evaluated per sample, with the same
+results. Either way a result is taken in one shape only, one value per row
+or the columns' own. The pair hypotheses share one pass, :func:`check_pairs`, so
 the mapping applies at most once per sampled point. A witness is built
 only when a caller reaches it, by replaying its row through the clause; a
 report gives its witnesses worst first, the most negative margin first.
@@ -91,31 +92,33 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
     value per row. Columns of different lengths, or per-sample values of
     another shape, raise :class:`DimensionError`.
 
-    ``fn`` is first called once on read-only views of the whole columns:
-    on columns of reals of any length, or on stacks (empty ones too) when
-    ``fn`` is tagged :func:`~picardkit.metrics.rowwise`; a result of that
-    shape whose entries all pass ``valid`` is taken. Otherwise (``fn``
-    raises the :class:`TypeError`, :class:`ValueError` or
-    :class:`AttributeError` of a callable written for single samples or
-    functions, aggregates or writes its argument, or gives an invalid entry)
-    ``scalar`` is called once per row, in order, on Python floats or on one
-    grid function of each stack, which reproduces the per-sample values and
-    errors exactly. Any other exception of ``fn`` propagates."""
+    ``fn`` is called once, on read-only views of the whole columns, only
+    when it declares that it takes them: tagged
+    :func:`~picardkit.metrics.elementwise` for columns of reals, or
+    :func:`~picardkit.metrics.rowwise` for stacks (empty ones too). Its
+    exceptions propagate, and a result of that shape whose entries all pass
+    ``valid`` is taken. At an invalid entry, ``scalar`` runs on the first
+    row that holds one, so that the error the per-sample values raise first
+    is raised. Otherwise (an untagged ``fn``, a result of another shape, or
+    an invalid entry that ``scalar`` takes) ``scalar`` is called once per
+    row, in order, on Python floats or on one grid function of each stack,
+    which reproduces the per-sample values and errors exactly."""
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
         raise DimensionError(f"columns of lengths {', '.join(map(str, lengths))} do not align")
     shapes = (columns[0].shape, columns[0].shape[:1])  # the same for reals
-    if getattr(fn, "rowwise", False) or columns[0].ndim == 1:
+    if getattr(fn, "rowwise" if columns[0].ndim > 1 else "elementwise", False):
         views = [column.view() for column in columns]
         for view in views:
             view.flags.writeable = False
-        try:
-            with np.errstate(all="ignore"):
-                out = fn(*views)
-                if isinstance(out, np.ndarray) and out.shape in shapes and np.all(valid(out)):
-                    return out.astype(float, copy=False)
-        except (TypeError, ValueError, AttributeError):  # written for single samples or functions
-            pass
+        with np.errstate(all="ignore"):
+            out = fn(*views)
+        if isinstance(out, np.ndarray) and out.shape in shapes:
+            ok = valid(out)
+            if np.all(ok):
+                return out.astype(float, copy=False)
+            row = np.argwhere(np.logical_not(ok))[0, 0]  # where the loop below would raise first
+            scalar(*(column[row].item() if column.ndim == 1 else column[row] for column in columns))
     rows = zip(*(column.tolist() if column.ndim == 1 else column for column in columns))
     values = [scalar(*row) for row in rows]
     try:

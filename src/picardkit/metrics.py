@@ -8,8 +8,9 @@ The verifiers work on two carriers, whose elements the samplers in
   grid of ``n + 1`` nodes (both endpoints included), compared in the sup
   norm.
 
-A (k, n + 1) array is a *stack* of k grid functions, one per row (see
-:func:`rowwise`).
+A (k, n + 1) array is a *stack* of k grid functions, one per row. A
+callable declares which arrays it takes whole: :func:`elementwise` for 1-d
+arrays of reals, :func:`rowwise` for stacks.
 
 All operations are pure and reject non-finite values up front, so every
 downstream check can assume finite distances. Values are immutable from the
@@ -62,10 +63,22 @@ def _real_or_array(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
+def elementwise(fn: Callable) -> Callable:
+    """Tag ``fn`` as elementwise: given arrays of reals in place of reals,
+    it treats each entry as one real and returns one value per entry. The
+    verifiers give a chunk's columns of reals whole only to a callable so
+    tagged, and call any other one sample at a time. Returns ``fn``."""
+    fn.elementwise = True
+    return fn
+
+
 def rowwise(fn: Callable) -> Callable:
     """Tag ``fn`` as row-wise: given stacks of grid functions in place of
     grid functions, it treats each row as one function and returns one value
-    (or one grid function) per row. Returns ``fn``."""
+    (or one grid function) per row. The verifiers give a chunk's stacks
+    whole only to a callable so tagged, and call any other one function at
+    a time; an elementwise tag does not stand for this one. Returns
+    ``fn``."""
     fn.rowwise = True
     return fn
 
@@ -86,6 +99,7 @@ def as_grid_function(values: Iterable[float], stack: bool = False) -> np.ndarray
     return arr
 
 
+@elementwise
 def scalar_metric(x: Point, y: Point) -> Point:
     """Absolute difference ``|x - y|`` between two finite reals; elementwise
     on arrays of reals."""

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionError
 from .framework import (SCALAR_EPS, AlphaFunction, BlockCheck, _block_reports, _chained,
                         _table, alpha_admissible_check, check_pairs, evaluate_block)
-from .metrics import Metric, Point, PointMap, grid_pair, rowwise
+from .metrics import Metric, Point, PointMap, elementwise, grid_pair, rowwise
 from .report import VerificationReport, make_report
 
 
@@ -38,10 +38,10 @@ class PartialOrder(NamedTuple):
         return bool(value)
 
 
-# Both comparators are elementwise over arrays of points: reals for the
-# natural order, grid functions along the last axis for the pointwise order.
+# Both comparators take arrays of points: reals for the natural order, stacks
+# of grid functions (compared along the last axis) for the pointwise order.
 natural_order = PartialOrder(
-    lambda x, y: np.asarray(x, dtype=float) <= np.asarray(y, dtype=float),
+    elementwise(lambda x, y: np.asarray(x, dtype=float) <= np.asarray(y, dtype=float)),
     name="natural")
 
 
@@ -59,15 +59,11 @@ def alpha_from_order(order: PartialOrder) -> AlphaFunction:
     """Indicator weight of the order: 1 where x <= y, 0 elsewhere.
 
     For any increasing mapping this weight is admissible, and its
-    triangularity follows from transitivity of the order. It is elementwise
-    wherever the comparator is, and row-wise on stacks of grid functions
-    where the comparator is tagged so.
+    triangularity follows from transitivity of the order. Its member is the
+    comparator itself, whose truth values are the weights as floats, so it
+    takes the arrays the comparator takes.
     """
-    def weight(x: Point, y: Point) -> np.ndarray:
-        return np.where(order.leq(x, y), 1.0, 0.0)
-
-    return AlphaFunction(rowwise(weight) if getattr(order.leq, "rowwise", False) else weight,
-                         name=f"indicator({order.name})")
+    return AlphaFunction(order.leq, name=f"indicator({order.name})")
 
 
 def check_increasing(T: PointMap, order: PartialOrder,

@@ -40,7 +40,7 @@ from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
                                 example31_map, rhs_const,
                                 rhs_pi2sin, rhs_sin_plus_one, zeta1)
 from picardkit.framework import CHUNK, MIN_TAIL, SCALAR_EPS
-from picardkit.metrics import GRID_EPS
+from picardkit.metrics import GRID_EPS, elementwise
 from picardkit.picard import _validate_iterate
 from picardkit.report import Witness, format_inputs, VerificationReport
 from picardkit.sampling import probe_pair, seeded_rng
@@ -400,13 +400,16 @@ def _scalar_only(fn):
     return lambda *args: fn(*(float(a) for a in args))
 
 
+# the members that broadcast are tagged, so that the block verifiers give
+# them whole columns
 ZETAS = [
     zeta1(0.5),
-    SimulationFunction(lambda t, s: s - t, name="subtraction"),
-    SimulationFunction(lambda t, s: 0.5 * s - t + 1e-9, name="shifted"),
+    SimulationFunction(elementwise(lambda t, s: s - t), name="subtraction"),
+    SimulationFunction(elementwise(lambda t, s: 0.5 * s - t + 1e-9), name="shifted"),
     SimulationFunction(_scalar_only(lambda t, s: math.sqrt(s) - t - 1.0), name="scalar"),
     # infinite above s = 3: a DomainError on both paths
-    SimulationFunction(lambda t, s: np.where(s > 3.0, np.inf, 0.5 * s - t), name="blow-up"),
+    SimulationFunction(elementwise(lambda t, s: np.where(s > 3.0, np.inf, 0.5 * s - t)),
+                       name="blow-up"),
 ]
 
 
@@ -436,20 +439,21 @@ def test_simulation_pointwise_reads_minus_zero_as_the_origin():
 
 CCLASS = [
     cclass_a(0.0), cclass_a(0.5), cclass_c(1.0, 2.0),
-    CClassFunction(lambda s, t: s + t, name="sum"),
-    CClassFunction(lambda s, t: s + 0.0 * t, name="identity"),
-    CClassFunction(lambda s, t: t, c_g=0.25, name="swap"),
+    CClassFunction(elementwise(lambda s, t: s + t), name="sum"),
+    CClassFunction(elementwise(lambda s, t: s + 0.0 * t), name="identity"),
+    CClassFunction(elementwise(lambda s, t: t), c_g=0.25, name="swap"),
     CClassFunction(_scalar_only(lambda s, t: s / (1.0 + math.exp(-t))), name="scalar"),
     # infinite past t = 3: a DomainError on both paths, as any G at a nan sample
-    CClassFunction(lambda s, t: np.where(t > 3.0, np.inf, s - t), name="blow-up"),
+    CClassFunction(elementwise(lambda s, t: np.where(t > 3.0, np.inf, s - t)), name="blow-up"),
 ]
 
 
 # s - t a hair above tol where G exceeds c_g, and G a hair above c_g + tol
 # on the s = 0 row: rows that the rule reads on their margins otherwise than
 # ``s > t + tol`` and ``G > c_g + tol`` read them
-BENCHMARK_EDGE = CClassFunction(lambda s, t: 0.0 * s + 1.0, name="one")
-ZERO_ROW_EDGE = CClassFunction(lambda s, t: 0.0 * s + 1.000000000001, c_g=1.0, name="above-one")
+BENCHMARK_EDGE = CClassFunction(elementwise(lambda s, t: 0.0 * s + 1.0), name="one")
+ZERO_ROW_EDGE = CClassFunction(elementwise(lambda s, t: 0.0 * s + 1.000000000001), c_g=1.0,
+                               name="above-one")
 real_pairs = st.builds(_real_pairs, st.integers(0, 2 ** 32 - 1), st.sampled_from(SIZES), rarely)
 
 
@@ -471,9 +475,9 @@ def test_cclass_matches_the_per_sample_loop(samples, chunk, g, finite):
 
 BETAS = [
     beta_reciprocal(), beta_constant(0.5),
-    GeraghtyBeta(lambda t: 1.0 - t, name="descending"),  # negative past t = 1
+    GeraghtyBeta(elementwise(lambda t: 1.0 - t), name="descending"),  # negative past t = 1
     GeraghtyBeta(_scalar_only(lambda t: math.exp(-t)), name="scalar"),
-    GeraghtyBeta(lambda t: np.where(t > 3.0, np.inf, 0.5), name="blow-up"),
+    GeraghtyBeta(elementwise(lambda t: np.where(t > 3.0, np.inf, 0.5)), name="blow-up"),
 ]
 PROBES = [(), default_beta_probes(), [np.full(40, 2.0), [0.5, math.nan]]]
 
@@ -538,8 +542,8 @@ def test_geraghty_limit_probes_match_the_per_term_loop(beta, probes):
 def test_limit_probes_evaluate_each_tail_in_one_call():
     calls = []
 
-    def counted(fn):
-        return lambda *args: calls.append(np.shape(args[0])) or fn(*args)
+    def counted(fn):  # elementwise, so a tail's column reaches it whole
+        return elementwise(lambda *args: calls.append(np.shape(args[0])) or fn(*args))
 
     zeta = SimulationFunction(counted(lambda t, s: 0.5 * s - t), name="counted")
     check_simulation_sequences(zeta, default_sequence_probes())
@@ -596,19 +600,19 @@ def _halving_map(x):
     return x / 2.0 + 0.25 if x < 2.0 else 0.5 * x
 
 
-SCALAR_MAPS = [example31_map, _halving_map, lambda x: 3.0 * x, lambda x: 1.0 - x,
-               lambda x: x + 0.3]
+SCALAR_MAPS = [example31_map, _halving_map, elementwise(lambda x: 3.0 * x),
+               elementwise(lambda x: 1.0 - x), elementwise(lambda x: x + 0.3)]
 SCALAR_ALPHAS = [
     alpha_box(0.0, 1.0), alpha_one(), alpha_from_order(natural_order),
     AlphaFunction(lambda x, y: 1.0 if abs(x - y) <= 1.0 else 0.0, name="near"),
     # negative where x < y: a DomainError on both paths
-    AlphaFunction(lambda x, y: x - y + 1.0, name="signed-gap"),
+    AlphaFunction(elementwise(lambda x, y: x - y + 1.0), name="signed-gap"),
 ]
 # the least alpha whose margin alpha - 1 is not below -tol, and the one below it
 _ALPHA_HELD = 1.0 - SCALAR_EPS
-ALPHA_EDGE = AlphaFunction(lambda x, y: np.where(
+ALPHA_EDGE = AlphaFunction(elementwise(lambda x, y: np.where(
     np.abs(x - y) > 1.0, np.nextafter(_ALPHA_HELD, 0.0),
-    np.where(np.abs(x - y) > 0.5, _ALPHA_HELD, 1.0)), name="edge")
+    np.where(np.abs(x - y) > 0.5, _ALPHA_HELD, 1.0))), name="edge")
 
 
 def _with_chunk(shift, size, check, *args):
@@ -658,12 +662,13 @@ def test_alpha_orbit_keeps_int_indices():
     assert report.witnesses[0].detail.startswith("alpha(x_0, x_2) = 0.0")
 
 
-ORDERS = [natural_order, PartialOrder(lambda x, y: abs(x - y) <= 1.0, name="near"),
+ORDERS = [natural_order, PartialOrder(elementwise(lambda x, y: abs(x - y) <= 1.0), name="near"),
           PartialOrder(lambda x, y: True, name="always"),
           PartialOrder(_scalar_only(lambda x, y: x <= y + 0.5), name="scalar")]
 
 
 def _bad_above(limit):
+    @elementwise
     def T(x):
         if np.any(np.asarray(x) > limit):
             raise DomainError("left the carrier")
@@ -726,11 +731,12 @@ def test_order_axioms_keep_the_elements_as_inputs():
     assert block.passed
 
 
-RHS = [lambda t, x: 2.0 * np.asarray(x, dtype=float), rhs_sin_plus_one, rhs_const(2.0),
-       rhs_pi2sin, compile_rhs_expression("10*x*t"),
+RHS = [elementwise(lambda t, x: 2.0 * np.asarray(x, dtype=float)), rhs_sin_plus_one,
+       rhs_const(2.0), rhs_pi2sin, compile_rhs_expression("10*x*t"),
        # infinite past x = 1.5: the operator on such a constant raises a DomainError
-       lambda t, x: np.where(np.asarray(x) > 1.5, np.inf, np.sin(3.0 * np.asarray(x)) * t)]
-GATES = [None, lambda a, b: 1.2 - np.abs(a - b),
+       elementwise(lambda t, x: np.where(np.asarray(x) > 1.5, np.inf,
+                                         np.sin(3.0 * np.asarray(x)) * t))]
+GATES = [None, elementwise(lambda a, b: 1.2 - np.abs(a - b)),
          _scalar_only(lambda a, b: 1.0 if a <= b + 0.5 else -1.0), lambda a, b: -1.0]
 # t*n lands halfway between nodes at n = 4: round() goes to the even node
 _TIMES = [0.0, 0.125, 0.375, 0.5, 0.625, 0.875, 1.0]

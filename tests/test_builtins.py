@@ -4,7 +4,7 @@ parsing."""
 import numpy as np
 import pytest
 
-from picardkit import BVPProblem, DomainError
+from picardkit import BVPProblem, DomainError, alpha_from_order, bvp_operator
 from picardkit.builtins import (BUILTINS, beta_constant, catalog_text, cclass_c,
                                 default_beta_probes, default_sequence_probes,
                                 example31_map, resolve, rhs_zero, zeta1)
@@ -184,3 +184,52 @@ class TestRhsShapes:
         assert values.shape == stack.shape
         rows = np.array([problem.rhs_values(x) for x in stack])
         assert np.ascontiguousarray(values).tobytes() == rows.tobytes()
+
+
+# the tag a callable needs for the kernel to give it a chunk's columns whole:
+# 1-d columns of reals, or stacks of grid functions
+TAG = {"interval": "elementwise", "grid": "rowwise"}
+# calls float(x), so it takes one real at a time; only iterate runs a map
+# alone, and that calls it on one point, outside the kernel
+UNTAGGED = {("map", "affine:a:b")}
+
+
+def _evaluated(entry, choice):
+    """(carrier, callable) of each callable of a built choice that the
+    kernel evaluates on sample columns; family members read reals on
+    either carrier."""
+    if entry.kind == "carrier":
+        return [(entry.selector, choice[0])]
+    if entry.kind == "bundle":
+        return [(entry.carrier, choice.mapping), (entry.carrier, choice.alpha.fn),
+                *[("interval", member.fn) for member in (choice.beta, choice.zeta, choice.g)]]
+    if entry.kind == "order":
+        return [(entry.carrier, choice.leq), (entry.carrier, alpha_from_order(choice).fn)]
+    if entry.kind == "rhs":  # on the displacement check's reals, and as an operator on stacks
+        return [("interval", choice), ("grid", bvp_operator(BVPProblem(rhs=choice, n=10)))]
+    return [("interval", choice if entry.kind == "map" else choice.fn)]
+
+
+class TestTags:
+    def test_every_builtin_the_kernel_evaluates_carries_its_carriers_tag(self):
+        problem = BVPProblem(rhs=rhs_zero, n=10)
+        for entry in BUILTINS:
+            context = (problem,) if entry.kind == "bundle" else ()
+            choice = resolve(entry.kind, _sample(entry.selector), None, *context)
+            for carrier, fn in _evaluated(entry, choice):
+                tagged = getattr(fn, TAG[carrier], False)
+                assert tagged is ((entry.kind, entry.selector) not in UNTAGGED), entry
+                # one that fits one carrier does not take the other's columns
+                other, = set(TAG.values()) - {TAG[carrier]}
+                assert entry.carrier is None or not hasattr(fn, other), entry
+        # the [bundle] overrides: lambda and beta are covered above, k and r here
+        assert cclass_c(2.0, 3.0).fn.elementwise
+
+    @pytest.mark.parametrize("body, tagged", [("sin(x) + t", True), ("2", True),
+                                              ("x*(x@x)", False), ("x*(t@x)", False)])
+    def test_an_expression_is_elementwise_unless_it_uses_matmul(self, body, tagged):
+        # @ reads across the entries of an array, so such a body, and the
+        # operator it makes, take one grid function at a time
+        rhs = resolve("rhs", f"expr:{body}")
+        assert getattr(rhs, "elementwise", False) is tagged
+        assert getattr(bvp_operator(BVPProblem(rhs=rhs, n=4)), "rowwise", False) is tagged

@@ -24,6 +24,7 @@ from picardkit import (CONTRACTION_FACTOR, CONVERGED, GRID_EPS, BVPProblem, Dime
 from picardkit import bvp as bvp_module
 from picardkit.bvp import _kernel_quadrature, alpha_from_gate, operator_contraction_check
 from picardkit.framework import CHUNK, check_pairs, contraction_check
+from picardkit.metrics import elementwise
 from picardkit.picard import picard_iterate
 from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
@@ -427,6 +428,20 @@ class TestRhsDisplacementBound:
         report = check_rhs_displacement_bound(problem, [(0.5, 1.0, 0.0)])
         assert report.passed and report.samples == 0
 
+    @pytest.mark.parametrize("rhs", ["expr:2", "const:2", "expr:pi**2*sin(pi*t)",
+                                     "sin_plus_one"])
+    def test_a_builtin_rhs_takes_the_columns_whole(self, rhs):
+        # a scalar, such as expr:2 gives, is spread over the columns of reals
+        # as over a stack: the 500 triples make one call on the stack of
+        # constants, one on each column of values, and none of one sample
+        problem = BVPProblem(rhs=resolve("rhs", rhs), n=10)
+        builtin, shapes = problem.rhs, []
+        assert builtin.elementwise
+        problem.rhs = elementwise(lambda t, x: shapes.append(np.shape(x)) or builtin(t, x))
+        triples = seeded_rng(4).uniform(0.0, 1.0, (500, 3))
+        check_rhs_displacement_bound(problem, triples)
+        assert [shape[1:] for shape in shapes] == [(11,), (), ()] and shapes[1:] == [(500,)] * 2
+
 
 def oracle_operator_contraction(problem, pairs, tol=GRID_EPS, factor=CONTRACTION_FACTOR):
     """The per-pair loop the chunked pass replaced: T applied to both
@@ -644,6 +659,7 @@ class TestGatePredicates:
         x, y = rng.uniform(-1.0, 1.0, size=(2, 21))
         calls = []
 
+        @elementwise
         def broadcasting(a, b):
             calls.append(np.shape(a))
             return 0.5 - np.abs(a - b)
@@ -654,7 +670,7 @@ class TestGatePredicates:
             per_node = [gate_value(problem, a, b) for a, b in zip(x, y)]
             values = problem.gate_values(x, y)
             assert values.shape == (21,) and values.tolist() == per_node
-        # the broadcasting gate took the node arrays in one call; the
+        # the elementwise gate took the node arrays in one call; the
         # per-node reference made the other 21
         assert calls[21:] == [(21,)] and len(calls) == 22
 
@@ -736,9 +752,10 @@ class TestGatePredicates:
 
     def test_gate_limit_evaluates_the_gate_once_per_stack(self):
         # once on the 5 consecutive pairs and once on the 6 member/limit
-        # pairs, 7 nodes each: the gate broadcasts, so 2 calls, not 2 * 6 - 1
+        # pairs, 7 nodes each: the gate is elementwise, so 2 calls, not 2 * 6 - 1
         calls = []
 
+        @elementwise
         def gate(a, b):
             calls.append(np.shape(a))
             return 1.0 + np.minimum(a, b)

@@ -932,7 +932,7 @@ class TestColdStart:
 
     @pytest.mark.parametrize("cfg, status, loaded", [
         (None, None, set()),
-        ("--list-builtins", EXIT_OK, {"builtins", "errors"}),
+        ("--list-builtins", EXIT_OK, {"builtins", "errors", "metrics"}),
         (VERIFY_CFG, EXIT_OK, {"builtins", "errors", "framework", "metrics", "report", "sampling"}),
         (VERIFY_CFG + "\n[order]\nname = natural\n", EXIT_CHECK_FAILED,
          {"builtins", "errors", "framework", "metrics", "posets", "report", "sampling"}),
@@ -1132,10 +1132,11 @@ T_ONLY_RHS = ["zero", "const:2", "pi2sin", "expr:2", "expr:pi**2*sin(pi*t)"]
     ids=["verify-interval", "verify-grid", *[f"verify-grid-rhs={rhs}" for rhs in T_ONLY_RHS]])
 def test_shipped_bundles_never_fall_back_to_one_sample_at_a_time(tmp_path, monkeypatch,
                                                                  cfg, status):
-    # evaluate_block calls its per-sample callable only where the call on the
-    # whole chunk fails; every check of a verify run goes through it. On the
-    # grid carrier a per-sample call maps one grid function
-    calls, fallbacks = [], []
+    # evaluate_block calls its per-sample callable only where the callable
+    # is not tagged for the chunk's columns, or its result on them is not
+    # taken; every check of a verify run goes through it. On the grid
+    # carrier a per-sample call maps one grid function
+    calls, fallbacks, untagged = [], [], []
     original = framework_module.evaluate_block
 
     def spied(fn, scalar, *columns, **kwargs):
@@ -1144,11 +1145,13 @@ def test_shipped_bundles_never_fall_back_to_one_sample_at_a_time(tmp_path, monke
             return scalar(*args)
 
         calls.append(fn)
+        if not getattr(fn, "rowwise" if columns[0].ndim > 1 else "elementwise", False):
+            untagged.append(fn)
         return original(fn, per_sample, *columns, **kwargs)
 
     monkeypatch.setattr(framework_module, "evaluate_block", spied)
     assert run(parse_config(cfg), out_dir=tmp_path / "out") == status
-    assert len(calls) > 20 and fallbacks == []
+    assert len(calls) > 20 and fallbacks == [] and untagged == []
 
 
 def test_a_verify_interval_run_reads_no_contraction_row_back(tmp_path, monkeypatch):

@@ -35,7 +35,7 @@ from picardkit import report as report_module
 from picardkit.bvp import alpha_from_gate, operator_contraction_check
 from picardkit.framework import (CHUNK, MIN_TAIL, BlockCheck, alpha_admissible_check, check_pairs,
                                  contraction_check, evaluate_block)
-from picardkit.metrics import rowwise
+from picardkit.metrics import elementwise, rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
                               VerificationReport, Witness, format_inputs,
                               render_text, report_rows)
@@ -408,6 +408,7 @@ class TestReportMechanics:
         bundle, pairs, *_ = _pair_setup("interval", as_array=True)
         calls = []
 
+        @elementwise
         def counted(t, s):
             calls.append(1)
             return 0.5 * s - t - 1e-3 * len(calls)
@@ -426,6 +427,7 @@ class TestReportMechanics:
         # negative against the limit, by another margin at each call
         gate_calls = []
 
+        @elementwise
         def gate(a, b):
             gate_calls.append(1)
             return b - 1e-3 * len(gate_calls)
@@ -669,28 +671,32 @@ def _halving_map(x):
     return x / 2.0 + 0.25 if x < 2.0 else 0.5 * x
 
 
+@elementwise
 def _norm_gain(t):
-    # aggregates a block into one value; on a single real it is |t| / (1 + |t|)
+    # aggregates a block into one value, of no row's shape, so the block goes
+    # one sample at a time despite the tag; on a single real it is |t| / (1 + |t|)
     r = float(np.linalg.norm(t))
     return r / (1.0 + r)
 
 
-SCALAR_MAPS = [example31_map, _halving_map, lambda x: 3.0 * x]
+# the callables that broadcast are tagged, so that the block verifiers give
+# them whole columns
+SCALAR_MAPS = [example31_map, _halving_map, elementwise(lambda x: 3.0 * x)]
 SCALAR_ALPHAS = [
     alpha_box(0.0, 1.0), alpha_from_order(natural_order), alpha_one(),
     AlphaFunction(lambda x, y: 1.0 if abs(x - y) <= 1.0 else 0.0, name="near"),
     # negative where x < y: a DomainError on both paths
-    AlphaFunction(lambda x, y: x - y, name="signed-gap"),
+    AlphaFunction(elementwise(lambda x, y: x - y), name="signed-gap"),
 ]
 BETAS = [
     beta_reciprocal(), beta_constant(0.5),
     GeraghtyBeta(_norm_gain, name="norm-gain"),
     # infinite once M > 1: a DomainError on both paths
-    GeraghtyBeta(lambda t: np.where(t > 1.0, np.inf, 0.5), name="blow-up"),
+    GeraghtyBeta(elementwise(lambda t: np.where(t > 1.0, np.inf, 0.5)), name="blow-up"),
     GeraghtyBeta(lambda t: math.inf if t > 1.0 else 0.5, name="scalar-blow-up"),
 ]
 ZETAS = [zeta1(8.0 / 9.0), zeta1(0.25),
-         SimulationFunction(lambda t, s: s - t, name="subtraction")]
+         SimulationFunction(elementwise(lambda t, s: s - t), name="subtraction")]
 
 
 def _scalar_samples(seed, size, arity):
@@ -745,7 +751,7 @@ GRID_MAPS = [
 GRID_ALPHAS = [
     alpha_from_order(pointwise_order), alpha_one(),
     # a broadcasting gate and one written for single node values
-    alpha_from_gate(_gated_problem(lambda a, b: 0.8 - np.abs(a - b))),
+    alpha_from_gate(_gated_problem(elementwise(lambda a, b: 0.8 - np.abs(a - b)))),
     alpha_from_gate(_gated_problem(lambda a, b: 1.0 if a <= b + 0.5 else -1.0)),
 ]
 
@@ -1491,7 +1497,7 @@ STACK_NS = [2, 4, 6, 10, 1000]
 # it, whose scalar or t-shaped values the problem spreads over a stack:
 # three builtins, a constant expression and fixed node values
 STACK_RHS = ["sin_plus_one", "expr:10*x", "zero", "const:2", "pi2sin", "expr:2", "fixed"]
-STACK_GATES = [None, lambda a, b: 1.2 - np.abs(a - b),
+STACK_GATES = [None, elementwise(lambda a, b: 1.2 - np.abs(a - b)),
                lambda a, b: 1.0 if a <= b + 0.9 else -1.0]  # the last for single nodes
 # stack sizes around the chunk length k, in functions
 STACK_SIZES = {"0": 0, "1": 1, "k-1": -1, "k": 0, "k+1": 1}
@@ -1504,8 +1510,8 @@ def _stack_size(n, size):
 def _stack_problem(n, rhs, gate, rng):
     if rhs != "fixed":
         return BVPProblem(rhs=resolve("rhs", rhs), n=n, gate=STACK_GATES[gate])
-    values = rng.uniform(-1.0, 1.0, n + 1)
-    return BVPProblem(rhs=lambda t, x: values, n=n, gate=STACK_GATES[gate])
+    values = rng.uniform(-1.0, 1.0, n + 1)  # of t alone, so the operator takes a stack
+    return BVPProblem(rhs=elementwise(lambda t, x: values), n=n, gate=STACK_GATES[gate])
 
 
 def _stack_pairs(rng, count, n):
@@ -1713,30 +1719,69 @@ def test_per_sample_values_that_do_not_stack_raise_a_dimension_error():
         assert str(raised.value) == message
 
 
+TAGS = {"reals": elementwise, "stack": rowwise}
+COLUMNS = {"reals": np.arange(3.0), "stack": np.arange(21.0).reshape(3, 7)}
+
+
 @pytest.mark.parametrize("error", [TypeError, ValueError, AttributeError, MemoryError])
-@pytest.mark.parametrize("column", [np.arange(3.0), np.arange(21.0).reshape(3, 7)],
-                         ids=["reals", "stack"])
-def test_only_a_single_sample_callables_errors_send_a_chunk_one_sample_at_a_time(
-        error, column):
-    # a callable written for one sample raises one of the first three on
-    # arrays; a rerun one sample at a time would only hide any other error,
-    # such as running out of memory, so it propagates without one
+@pytest.mark.parametrize("carrier", list(TAGS))
+def test_a_tagged_callables_errors_propagate_with_no_per_sample_call(error, carrier):
+    # a callable that declares it takes the columns whole is not second-
+    # guessed: whatever it raises, a bug in a builtin say, propagates
     calls = []
 
     def fast(x):
-        raise error
+        raise error("from the whole columns")
 
-    def per_sample(x):
-        calls.append(x)
+    with pytest.raises(error, match="from the whole columns"):
+        evaluate_block(TAGS[carrier](fast), lambda x: calls.append(x) or 1.0, COLUMNS[carrier])
+    assert calls == []
+
+
+@pytest.mark.parametrize("tags", [(), ("elementwise",), ("rowwise",)])
+@pytest.mark.parametrize("carrier", list(TAGS))
+def test_only_the_carriers_tag_gets_the_whole_columns(carrier, tags):
+    # an untagged callable, or one tagged for the other carrier only, is
+    # called one sample at a time: on Python floats, or on one grid function
+    # of each stack
+    column, shapes = COLUMNS[carrier], []
+
+    def fn(x):
+        shapes.append(np.shape(x))
         return 2.0 * np.asarray(x)
 
-    if error is MemoryError:
-        with pytest.raises(MemoryError):
-            evaluate_block(rowwise(fast), per_sample, column)
-        assert calls == []
-    else:
-        assert np.array_equal(evaluate_block(rowwise(fast), per_sample, column), 2.0 * column)
-        assert len(calls) == len(column)
+    for tag in tags:
+        setattr(fn, tag, True)
+    got = evaluate_block(fn, fn, column)
+    assert np.array_equal(got, 2.0 * column)
+    whole = TAGS[carrier].__name__ in tags
+    assert shapes == ([column.shape] if whole else [column.shape[1:]] * len(column))
+
+
+@pytest.mark.parametrize("carrier", list(TAGS))
+def test_an_invalid_entry_replays_only_its_row_before_it_raises(carrier):
+    # the whole-column call is nan at rows 3 and 5 of 8, and the per-sample
+    # callable raises at both, so the loop would raise first at row 3: only
+    # row 3 is replayed. One that takes the row runs the loop as before
+    column = np.arange(8.0) if carrier == "reals" else np.arange(56.0).reshape(8, 7)
+    nans = np.where(np.isin(np.arange(8), [3, 5]), np.nan, 1.0)
+    fast = TAGS[carrier](lambda x: nans)
+    first = lambda x: float(np.ravel(x)[0])  # a row's first entry names it
+    calls = []
+
+    def strict(x):
+        calls.append(first(x))
+        if first(x) in (first(column[3]), first(column[5])):
+            raise DomainError(f"invalid at {first(x)}")
+        return 1.0
+
+    with pytest.raises(DomainError) as raised:
+        evaluate_block(fast, strict, column)
+    assert str(raised.value) == f"invalid at {first(column[3])}"
+    assert calls == [first(column[3])]
+    calls.clear()
+    got = evaluate_block(fast, lambda x: calls.append(first(x)) or 0.5, column)
+    assert got.tolist() == [0.5] * 8 and calls == [first(column[3])] + list(map(first, column))
 
 
 def test_unknown_sequence_axiom_raises_a_domain_error():
@@ -1769,6 +1814,9 @@ def test_expressions_that_mix_nodes_take_one_function_at_a_time(body):
         T(xs)
     assert np.array_equal(_bits(evaluate_block(T, T, xs)), _bits([T(x) for x in xs]))
     assert T(xs[:0]).shape == (0, 5)  # an empty stack maps without calling the rhs
+    # nor has such an rhs a value at one node, which the displacement check reads
+    with pytest.raises(DomainError, match="one grid function at a time"):
+        check_rhs_displacement_bound(problem, [(0.5, 1.0, 0.0)])
 
 
 def test_a_rowwise_callable_keeps_the_node_axis_of_an_empty_stack():

@@ -30,9 +30,12 @@ class TestInducedAlpha:
         assert alpha(crossing, zero) == 0.0  # not comparable
 
     def test_only_the_pointwise_weight_is_rowwise(self):
-        # on a stack, the natural order would compare node by node
+        # on a stack, the natural order would compare node by node: each
+        # weight takes its comparator's one tag
         assert alpha_from_order(pointwise_order).fn.rowwise
         assert not hasattr(alpha_from_order(natural_order).fn, "rowwise")
+        assert alpha_from_order(natural_order).fn.elementwise
+        assert not hasattr(alpha_from_order(pointwise_order).fn, "elementwise")
         stack = np.array([np.zeros(11), np.ones(11), np.linspace(-0.5, 0.5, 11)])
         weights = alpha_from_order(pointwise_order).fn(stack, stack[[1, 0, 0]])
         assert weights.tolist() == [1.0, 0.0, 0.0]
