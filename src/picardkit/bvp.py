@@ -206,17 +206,12 @@ def integral_operator(problem: BVPProblem, x: Point) -> np.ndarray:
     return out
 
 
-def _tagged_as_rhs(problem: BVPProblem, tag: Callable, fn: Callable) -> Callable:
-    """``fn``, tagged with ``tag`` when the problem's rhs is elementwise: a
-    callable that evaluates the rhs takes arrays whole only if the rhs does."""
-    return tag(fn) if getattr(problem.rhs, "elementwise", False) else fn
-
-
 def bvp_operator(problem: BVPProblem) -> Callable[[Point], np.ndarray]:
     """The problem's integral operator as a plain mapping for the Picard
     engine and the contraction verifiers, tagged row-wise when the rhs is
     elementwise; else it maps one function at a time."""
-    return _tagged_as_rhs(problem, rowwise, lambda x: integral_operator(problem, x))
+    T = lambda x: integral_operator(problem, x)
+    return rowwise(T) if getattr(problem.rhs, "elementwise", False) else T
 
 
 def second_difference_residual(problem: BVPProblem, x: Point) -> float:
@@ -301,7 +296,9 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     constants = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
     T = bvp_operator(problem)
     images = evaluate_block(T, T, np.repeat(constants[:, None], problem.n + 1, axis=1))
-    spread = _tagged_as_rhs(problem, elementwise, lambda t, x: problem.rhs_at(t, x))
+    spread = lambda t, x: problem.rhs_at(t, x)  # takes columns whole if the rhs does
+    if getattr(problem.rhs, "elementwise", False):
+        elementwise(spread)
 
     def rhs(t, x):
         return evaluate_block(spread, lambda t, x: float(problem.rhs(t, x)), t, x)

@@ -97,12 +97,10 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
     :func:`~picardkit.metrics.elementwise` for columns of reals, or
     :func:`~picardkit.metrics.rowwise` for stacks (empty ones too). Its
     exceptions propagate, and a result of that shape whose entries all pass
-    ``valid`` is taken. At an invalid entry, ``scalar`` runs on the first
-    row that holds one, so that the error the per-sample values raise first
-    is raised. Otherwise (an untagged ``fn``, a result of another shape, or
-    an invalid entry that ``scalar`` takes) ``scalar`` is called once per
-    row, in order, on Python floats or on one grid function of each stack,
-    which reproduces the per-sample values and errors exactly."""
+    ``valid`` is taken. Otherwise (an untagged ``fn``, a result of another
+    shape, or one with an invalid entry) ``scalar`` is called once per row,
+    in order, on Python floats or on one grid function of each stack, which
+    reproduces the per-sample values and errors exactly."""
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
         raise DimensionError(f"columns of lengths {', '.join(map(str, lengths))} do not align")
@@ -113,12 +111,8 @@ def evaluate_block(fn: Callable, scalar: Callable, *columns,
             view.flags.writeable = False
         with np.errstate(all="ignore"):
             out = fn(*views)
-        if isinstance(out, np.ndarray) and out.shape in shapes:
-            ok = valid(out)
-            if np.all(ok):
-                return out.astype(float, copy=False)
-            row = np.argwhere(np.logical_not(ok))[0, 0]  # where the loop below would raise first
-            scalar(*(column[row].item() if column.ndim == 1 else column[row] for column in columns))
+        if isinstance(out, np.ndarray) and out.shape in shapes and np.all(valid(out)):
+            return out.astype(float, copy=False)
     rows = zip(*(column.tolist() if column.ndim == 1 else column for column in columns))
     values = [scalar(*row) for row in rows]
     try:

@@ -67,7 +67,11 @@ def elementwise(fn: Callable) -> Callable:
     """Tag ``fn`` as elementwise: given arrays of reals in place of reals,
     it treats each entry as one real and returns one value per entry. The
     verifiers give a chunk's columns of reals whole only to a callable so
-    tagged, and call any other one sample at a time. Returns ``fn``."""
+    tagged, and call any other one sample at a time. The tag is an
+    attribute set on ``fn``: a bound method or a builtin function takes
+    none and raises :class:`AttributeError`, and a ufunc would be tagged
+    for every caller, so wrap such a callable in a function to tag it.
+    Returns ``fn``."""
     fn.elementwise = True
     return fn
 
@@ -77,8 +81,9 @@ def rowwise(fn: Callable) -> Callable:
     grid functions, it treats each row as one function and returns one value
     (or one grid function) per row. The verifiers give a chunk's stacks
     whole only to a callable so tagged, and call any other one function at
-    a time; an elementwise tag does not stand for this one. Returns
-    ``fn``."""
+    a time; an elementwise tag does not stand for this one. As with
+    :func:`elementwise`, wrap a ufunc, a bound method or a builtin function
+    in a function to tag it. Returns ``fn``."""
     fn.rowwise = True
     return fn
 

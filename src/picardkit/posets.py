@@ -59,11 +59,14 @@ def alpha_from_order(order: PartialOrder) -> AlphaFunction:
     """Indicator weight of the order: 1 where x <= y, 0 elsewhere.
 
     For any increasing mapping this weight is admissible, and its
-    triangularity follows from transitivity of the order. Its member is the
-    comparator itself, whose truth values are the weights as floats, so it
-    takes the arrays the comparator takes.
+    triangularity follows from transitivity of the order. It carries the
+    comparator's tags, so it takes the arrays the comparator takes.
     """
-    return AlphaFunction(order.leq, name=f"indicator({order.name})")
+    def weight(x: Point, y: Point) -> np.ndarray:
+        return np.where(order.leq(x, y), 1.0, 0.0)
+
+    weight.__dict__.update(getattr(order.leq, "__dict__", {}))  # the comparator's tags
+    return AlphaFunction(weight, name=f"indicator({order.name})")
 
 
 def check_increasing(T: PointMap, order: PartialOrder,

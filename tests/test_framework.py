@@ -1758,30 +1758,26 @@ def test_only_the_carriers_tag_gets_the_whole_columns(carrier, tags):
     assert shapes == ([column.shape] if whole else [column.shape[1:]] * len(column))
 
 
-@pytest.mark.parametrize("carrier", list(TAGS))
-def test_an_invalid_entry_replays_only_its_row_before_it_raises(carrier):
-    # the whole-column call is nan at rows 3 and 5 of 8, and the per-sample
-    # callable raises at both, so the loop would raise first at row 3: only
-    # row 3 is replayed. One that takes the row runs the loop as before
-    column = np.arange(8.0) if carrier == "reals" else np.arange(56.0).reshape(8, 7)
-    nans = np.where(np.isin(np.arange(8), [3, 5]), np.nan, 1.0)
-    fast = TAGS[carrier](lambda x: nans)
-    first = lambda x: float(np.ravel(x)[0])  # a row's first entry names it
-    calls = []
+def test_a_ufunc_or_a_bound_method_takes_the_columns_whole_only_wrapped():
+    # a tag is an attribute set on the function, which a bound method or a
+    # builtin function does not take (and a ufunc is shared by every caller):
+    # unwrapped, a ufunc goes one sample at a time, with the same values,
+    # and wrapped in a tagged function it takes the columns whole
+    for fn in (np.arange(3.0).dot, math.hypot, AlphaFunction(lambda x, y: 0.0).valid):
+        for tag in TAGS.values():
+            with pytest.raises(AttributeError):
+                tag(fn)
+    x, shapes = np.arange(4.0), []
 
-    def strict(x):
-        calls.append(first(x))
-        if first(x) in (first(column[3]), first(column[5])):
-            raise DomainError(f"invalid at {first(x)}")
-        return 1.0
+    def minimum(x, y):
+        shapes.append(np.shape(x))
+        return np.minimum(x, y)
 
-    with pytest.raises(DomainError) as raised:
-        evaluate_block(fast, strict, column)
-    assert str(raised.value) == f"invalid at {first(column[3])}"
-    assert calls == [first(column[3])]
-    calls.clear()
-    got = evaluate_block(fast, lambda x: calls.append(first(x)) or 0.5, column)
-    assert got.tolist() == [0.5] * 8 and calls == [first(column[3])] + list(map(first, column))
+    assert evaluate_block(np.minimum, minimum, x, 2.0 - x).tolist() == [0.0, 1.0, 0.0, -1.0]
+    assert shapes == [()] * 4
+    shapes.clear()
+    assert evaluate_block(elementwise(minimum), minimum, x, 2.0 - x).tolist() == [0.0, 1.0, 0.0, -1.0]
+    assert shapes == [(4,)]
 
 
 def test_unknown_sequence_axiom_raises_a_domain_error():

@@ -11,6 +11,8 @@ from picardkit import (alpha_from_order, check_alpha_admissible,
                        scalar_metric, sup_metric)
 from picardkit.builtins import resolve
 from picardkit.errors import DimensionError, DomainError
+from picardkit.metrics import elementwise
+from picardkit.posets import PartialOrder
 from picardkit.sampling import Mesh, seeded_rng
 
 
@@ -39,6 +41,16 @@ class TestInducedAlpha:
         stack = np.array([np.zeros(11), np.ones(11), np.linspace(-0.5, 0.5, 11)])
         weights = alpha_from_order(pointwise_order).fn(stack, stack[[1, 0, 0]])
         assert weights.tolist() == [1.0, 0.0, 0.0]
+
+    def test_a_truthy_comparator_value_weighs_one(self):
+        # a comparator may give any truthy value, here 2.0, for x <= y: the
+        # weight is the indicator all the same, per pair and on whole columns
+        alpha = alpha_from_order(PartialOrder(
+            elementwise(lambda x, y: 2.0 * (np.asarray(x) <= np.asarray(y))), name="doubled"))
+        assert alpha(0.2, 0.7) == 1.0 and alpha(0.7, 0.2) == 0.0
+        x = np.array([0.0, 1.0, 2.0])
+        assert alpha.fn(x, 1.0 - x).tolist() == [1.0, 0.0, 0.0]
+        assert alpha.values(x, 1.0 - x).tolist() == [1.0, 0.0, 0.0]
 
     def test_pointwise_order_rejects_different_grids(self):
         triples = [(np.zeros(5), np.ones(5), np.full(5, 2.0)),
