@@ -4,7 +4,8 @@
 name; :func:`resolve` builds the selected object, and :func:`catalog_text`
 lists the table. The module also holds the standard probe sets the verifiers
 use when the caller supplies none. A factory imports the modules its object
-comes from when it is called, so the table itself loads none of them.
+comes from when it is called, so the table itself loads none of them but
+:mod:`~picardkit.metrics`, which every mode loads.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .metrics import elementwise
+from .metrics import GRID_EPS, SCALAR_EPS, _real_or_array, elementwise, scalar_metric, sup_metric
 
 if TYPE_CHECKING:
     from .bvp import BVPProblem
@@ -102,17 +103,15 @@ def alpha_box(low: float = 0.0, high: float = 1.0) -> AlphaFunction:
 @elementwise
 def example31_map(x: Point) -> Point:
     """Scalar map: ``x / 3`` on [0, 1], ``3 x`` elsewhere; elementwise on
-    arrays."""
-    if getattr(x, "ndim", 0):
-        return np.where((0.0 <= x) & (x <= 1.0), x / 3.0, 3.0 * x)
-    x = float(x)
-    return x / 3.0 if 0.0 <= x <= 1.0 else 3.0 * x
+    arrays, and a Python float for a real."""
+    return _real_or_array(np.where((0.0 <= x) & (x <= 1.0), x / 3.0, 3.0 * x))
 
 
-def affine_map(a: float, b: float) -> Callable[[float], float]:
+def affine_map(a: float, b: float) -> Callable[[Point], Point]:
+    """x -> a*x + b; elementwise on arrays."""
     a = float(a)
     b = float(b)
-    return lambda x: a * float(x) + b
+    return elementwise(lambda x: a * x + b)
 
 
 # --------------------------------------------------------------------------
@@ -152,14 +151,12 @@ def compile_rhs_expression(body: str) -> Callable:
     names (attributes and names in nested code included) are all among t,
     x, pi and the numpy functions in ``_EXPR_FUNCTIONS``, and one evaluation
     on a probe (t and x float arrays of 5 nodes in [0, 1]) gives a real
-    scalar or a real array of t's shape. Integer literals become floats, so a power
-    overflows at once instead of growing a huge integer, and no index is an
-    integer: an expression that subscripts is rejected. Non-finite values
-    pass, silently: the solver rejects them where they occur. The expression
-    gets read-only t and x. An expression that uses ``@`` takes one grid
-    function at a time (a stack, or one node's value, raises
-    :class:`DomainError`), and is left untagged; any other is
-    :func:`~picardkit.metrics.elementwise`."""
+    scalar or a real array of t's shape. Integer literals become floats, so a
+    power overflows at once instead of growing a huge integer. An index or an
+    ``@`` reads across nodes, so an expression that subscripts or uses ``@``
+    is rejected; every other one is :func:`~picardkit.metrics.elementwise`.
+    Non-finite values pass, silently: the solver rejects them where they
+    occur. The expression gets read-only t and x."""
     names, kinds = set(), set()  # read in the one walk that floats the ints
     try:
         tree = ast.parse(body, mode="eval")
@@ -176,22 +173,20 @@ def compile_rhs_expression(body: str) -> Callable:
     if unknown:
         raise DomainError(f"expression {body!r} uses unknown name(s) "
                           f"{', '.join(unknown)}; allowed: {', '.join(sorted(_EXPR_NAMES))}")
-    if ast.Subscript in kinds:
-        raise DomainError(f"expression {body!r} subscripts, which an expr: body cannot: "
-                          f"its integer literals are floats, and an index reads across nodes")
+    if ast.Subscript in kinds or ast.MatMult in kinds:
+        reason = ("subscripts, which an expr: body cannot: its integer literals are floats, "
+                  "and an index" if ast.Subscript in kinds else
+                  "uses @, which an expr: body cannot: a matrix product")
+        raise DomainError(f"expression {body!r} {reason} reads across nodes")
     namespace = {name: getattr(np, name) for name in _EXPR_FUNCTIONS}
     namespace["pi"] = math.pi
-    # @ can mix the rows of a stack of grid functions
-    nodewise = ast.MatMult not in kinds
 
+    @elementwise
     def rhs(t, x):
         local = dict(namespace)
         for name, value in (("t", t), ("x", x)):  # read-only: a ufunc's out= cannot write them
             local[name] = np.asarray(value, dtype=float).view()
             local[name].flags.writeable = False
-        if local["x"].ndim != 1 and not nodewise:  # a stack, or one node's value
-            raise DomainError(f"expression {body!r} uses @, so it takes "
-                              f"one grid function at a time")
         with np.errstate(all="ignore"):
             return eval(code, {"__builtins__": {}}, local)
 
@@ -204,7 +199,7 @@ def compile_rhs_expression(body: str) -> Callable:
     if value.dtype.kind not in "biuf" or value.shape not in ((), t.shape):
         raise DomainError(f"expression {body!r} gives {value.dtype} of shape "
                           f"{value.shape}, not real values of t's shape")
-    return elementwise(rhs) if nodewise else rhs
+    return rhs
 
 
 # --------------------------------------------------------------------------
@@ -282,16 +277,6 @@ def default_beta_probes() -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 # selector table and catalog listing
 
-def _imported(module: str, *names: str) -> Callable:
-    """A factory of the ``names`` of the picardkit module ``module`` (one
-    name, or a tuple of several), imported when it is called."""
-    def factory():
-        found = [getattr(import_module(f".{module}", __package__), name) for name in names]
-        return found[0] if len(found) == 1 else tuple(found)
-
-    return factory
-
-
 class Builtin(NamedTuple):
     """One choice of a config selector field (see :func:`lookup` for the
     selector forms); ``factory`` builds it from the argument strings, and
@@ -305,10 +290,8 @@ class Builtin(NamedTuple):
 
 
 BUILTINS = (
-    Builtin("carrier", "interval", None, _imported("metrics", "scalar_metric", "SCALAR_EPS"),
-            "reals, |x - y|"),
-    Builtin("carrier", "grid", None, _imported("metrics", "sup_metric", "GRID_EPS"),
-            "grid functions, sup metric"),
+    Builtin("carrier", "interval", None, lambda: (scalar_metric, SCALAR_EPS), "reals, |x - y|"),
+    Builtin("carrier", "grid", None, lambda: (sup_metric, GRID_EPS), "grid functions, sup metric"),
     Builtin("bundle", "example31", "interval", lambda problem: example31_bundle(),
             "example31_bundle: example31 map, alpha_box, zeta1(8/9), beta_reciprocal, "
             "cclass_a(0)"),
@@ -317,9 +300,10 @@ BUILTINS = (
     Builtin("beta", "reciprocal", None, beta_reciprocal, "beta_reciprocal"),
     Builtin("beta", "half", None, lambda: beta_constant(0.5), "beta_constant(0.5)"),
     Builtin("beta", "<v>", None, beta_constant, "beta_constant(v), 0 <= v < 1"),
-    Builtin("order", "natural", "interval", _imported("posets", "natural_order"),
-            "alpha = [x <= y]"),
-    Builtin("order", "pointwise", "grid", _imported("posets", "pointwise_order"),
+    Builtin("order", "natural", "interval",
+            lambda: import_module(".posets", __package__).natural_order, "alpha = [x <= y]"),
+    Builtin("order", "pointwise", "grid",
+            lambda: import_module(".posets", __package__).pointwise_order,
             "alpha = [x <= y nodewise]"),
     Builtin("map", "example31", None, lambda: example31_map, "x/3 on [0, 1], 3x elsewhere"),
     Builtin("map", "affine:a:b", None, affine_map, "x -> a*x + b"),

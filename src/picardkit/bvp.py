@@ -148,6 +148,9 @@ class BVPProblem:
         of rows for two stacks): all ones for the open gate, else through
         :func:`~picardkit.framework.evaluate_block` on the node values."""
         xa, ya = grid_pair(x, y)
+        # the open gate's own branch: a constant gate function in its place
+        # cost 2-4 ms of a 28 ms in-process verify-grid run at n = 1000 (2
+        # vCPUs, 3 sets of 20 runs)
         if self.gate is None:
             return np.ones(xa.shape)
         from .framework import evaluate_block
@@ -159,7 +162,7 @@ class BVPProblem:
     def gate_weights(self, x: Point, y: Point) -> float | np.ndarray:
         """1 where the gate is positive at every node of the pair, else 0;
         one weight per pair of rows for two stacks."""
-        if self.gate is None:
+        if self.gate is None:  # the open gate's own branch, kept as in gate_values
             return np.ones(grid_pair(x, y)[0].shape[:-1])
         return np.where(np.all(self.gate_values(x, y) > 0.0, axis=-1), 1.0, 0.0)
 

@@ -1,7 +1,8 @@
 """Batch front-end: parse a run-configuration file, run a verify suite, a
 Picard orbit or a BVP solve, and write reports plus CSV artifacts. The
 config keys, defaults, artifacts and exit statuses are in the README's
-"Command-line interface" section. Each runner imports the layers it runs.
+"Command-line interface" section. Each runner imports the layers it runs;
+metrics, which builtins loads in every mode, is imported here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import builtins as catalog
 from .errors import DimensionError, DomainError
+from .metrics import save_grid_csv, save_report_csv, scalar_metric
 
 if TYPE_CHECKING:
     from .bvp import BVPProblem
@@ -301,7 +303,6 @@ def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
     ``before``, the termination and the iteration count, then ``after``) and
     its report.csv (the ``picard`` row, then ``rows`` of (name, value)),
     every row with the orbit's status; returns the exit status."""
-    from .metrics import save_report_csv
     from .picard import CONVERGED
 
     write_trace_csv(out / "trace.csv", trace)
@@ -317,7 +318,6 @@ def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
 
 
 def _run_iterate(config: RunConfig, out: Path) -> int:
-    from .metrics import scalar_metric
     from .picard import picard_iterate
 
     mapping = catalog.resolve("map", config.map_spec)
@@ -330,7 +330,6 @@ def _run_iterate(config: RunConfig, out: Path) -> int:
 
 def _run_solve(config: RunConfig, out: Path) -> int:
     from .bvp import solve_bvp
-    from .metrics import save_grid_csv
 
     problem = _build_problem(config)
     solution = solve_bvp(problem, _picard_config(config))

@@ -1,6 +1,9 @@
 """Builtin catalog: listing contents, parameter validation, and selector
 parsing."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,15 @@ class TestSelectors:
         assert example31_map(0.9) == pytest.approx(0.3)
         assert example31_map(2.0) == 6.0
 
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1.0 / 3.0, 1.0, 1.0 + 2.0 ** -52, 3.0,
+                                   math.inf, math.nan])
+    def test_example31_map_gives_a_real_a_python_float(self, x):
+        # the type and bits of the scalar formula, for a real and an array of one
+        want = x / 3.0 if 0.0 <= x <= 1.0 else 3.0 * x
+        for got in (example31_map(x), example31_map(np.float64(x)), example31_map(np.array(x))):
+            assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+        assert example31_map(np.array([x])).tobytes() == struct.pack("<d", want)
+
     def test_map_selectors(self):
         mapping = resolve("map", "affine:3:0")
         assert mapping(2.0) == 6.0
@@ -189,9 +201,6 @@ class TestRhsShapes:
 # the tag a callable needs for the kernel to give it a chunk's columns whole:
 # 1-d columns of reals, or stacks of grid functions
 TAG = {"interval": "elementwise", "grid": "rowwise"}
-# calls float(x), so it takes one real at a time; only iterate runs a map
-# alone, and that calls it on one point, outside the kernel
-UNTAGGED = {("map", "affine:a:b")}
 
 
 def _evaluated(entry, choice):
@@ -217,19 +226,16 @@ class TestTags:
             context = (problem,) if entry.kind == "bundle" else ()
             choice = resolve(entry.kind, _sample(entry.selector), None, *context)
             for carrier, fn in _evaluated(entry, choice):
-                tagged = getattr(fn, TAG[carrier], False)
-                assert tagged is ((entry.kind, entry.selector) not in UNTAGGED), entry
+                assert getattr(fn, TAG[carrier], False) is True, entry
                 # one that fits one carrier does not take the other's columns
                 other, = set(TAG.values()) - {TAG[carrier]}
                 assert entry.carrier is None or not hasattr(fn, other), entry
         # the [bundle] overrides: lambda and beta are covered above, k and r here
         assert cclass_c(2.0, 3.0).fn.elementwise
 
-    @pytest.mark.parametrize("body, tagged", [("sin(x) + t", True), ("2", True),
-                                              ("x*(x@x)", False), ("x*(t@x)", False)])
-    def test_an_expression_is_elementwise_unless_it_uses_matmul(self, body, tagged):
-        # @ reads across the entries of an array, so such a body, and the
-        # operator it makes, take one grid function at a time
+    @pytest.mark.parametrize("body", ["sin(x) + t", "2"])
+    def test_an_expression_is_elementwise(self, body):
+        # an expression reads one node at a time, so its operator takes stacks
         rhs = resolve("rhs", f"expr:{body}")
-        assert getattr(rhs, "elementwise", False) is tagged
-        assert getattr(bvp_operator(BVPProblem(rhs=rhs, n=4)), "rowwise", False) is tagged
+        assert rhs.elementwise
+        assert bvp_operator(BVPProblem(rhs=rhs, n=4)).rowwise

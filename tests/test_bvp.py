@@ -621,11 +621,12 @@ class TestGatePropagation:
         for report in (propagation, limit):
             assert report.status == "fail" and np.isnan(report.witnesses[0].margin)
 
-    @pytest.mark.parametrize("rhs", ["expr:2", "expr:t*0+1", "expr:0*(x@x)"])
+    @pytest.mark.parametrize("rhs", ["expr:2", "expr:t*0+1", "untagged"])
     def test_a_closed_gate_maps_no_function(self, rhs):
         # no pair passes the gate, so the operator maps an empty stack, also
-        # for an rhs that takes one function at a time
-        problem = BVPProblem(rhs=resolve("rhs", rhs), n=6, gate=lambda a, b: -1.0)
+        # for an untagged rhs, which takes one function at a time
+        rhs = (lambda t, x: 0.0 * (x @ x)) if rhs == "untagged" else resolve("rhs", rhs)
+        problem = BVPProblem(rhs=rhs, n=6, gate=lambda a, b: -1.0)
         report = check_gate_propagation(problem, _shifted_pairs(seeded_rng(1), 5, 6, (0.0, 0.1)))
         assert report.status == "pass" and report.samples == 5 and not report.witnesses
 

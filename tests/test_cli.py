@@ -135,6 +135,8 @@ class TestConfigParsing:
         "t*0+[1,2]",             # does not broadcast to the grid
         "x[::-1]",               # subscripts: -1 is a float
         "x - x[x >= 0.0]*0.5",   # subscripts, though a mask works on arrays
+        "x@x",                   # @ reads across nodes, as an index does
+        "x*(t@x)",
         "sin(x, x)+1",           # writes x: the rhs gets read-only views
         "sin(x, out=x)+1",
         "exp(t, t)*0 + sin(x) + 1",  # writes t, the problem's nodes

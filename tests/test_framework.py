@@ -1799,20 +1799,28 @@ def test_expressions_that_subscript_are_rejected_when_compiled(body):
         resolve("rhs", f"expr:{body}")
 
 
-@pytest.mark.parametrize("body", ["x*(x@x)", "x*(t@x)"])
-def test_expressions_that_mix_nodes_take_one_function_at_a_time(body):
-    # on 1-d x these give a scalar or t's shape; on a (5, 5) stack, @ would
-    # read across its rows
-    problem = BVPProblem(rhs=resolve("rhs", f"expr:{body}"), n=4)
-    T = bvp_operator(problem)
+@pytest.mark.parametrize("body", ["x@x", "x*(x@x)", "x*(t@x)"])
+def test_expressions_that_use_matmul_are_rejected_when_compiled(body):
+    with pytest.raises(DomainError, match=r"uses @, which an expr: body cannot"):
+        resolve("rhs", f"expr:{body}")
+
+
+def _one_function_rhs(t, x):
+    """An untagged rhs that reads across nodes, as the Python API allows:
+    it takes one grid function at a time."""
+    if np.ndim(x) != 1:
+        raise DomainError("takes one grid function at a time")
+    return x * (x @ x)
+
+
+def test_an_untagged_rhs_makes_an_operator_of_one_function_at_a_time():
+    T = bvp_operator(BVPProblem(rhs=_one_function_rhs, n=4))
+    assert not hasattr(T, "rowwise")
     xs = seeded_rng(1).uniform(0.0, 1.0, size=(5, 5))
     with pytest.raises(DomainError, match="one grid function at a time"):
         T(xs)
     assert np.array_equal(_bits(evaluate_block(T, T, xs)), _bits([T(x) for x in xs]))
     assert T(xs[:0]).shape == (0, 5)  # an empty stack maps without calling the rhs
-    # nor has such an rhs a value at one node, which the displacement check reads
-    with pytest.raises(DomainError, match="one grid function at a time"):
-        check_rhs_displacement_bound(problem, [(0.5, 1.0, 0.0)])
 
 
 def test_a_rowwise_callable_keeps_the_node_axis_of_an_empty_stack():
