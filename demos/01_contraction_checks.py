@@ -26,7 +26,7 @@ print()
 
 # axiom checks on seeded samples: (N, 2) arrays, joined with np.concatenate
 zeta_samples = np.concatenate([[(0.0, 0.0)], Mesh(1e-2, 10.0, 40)[:],
-                               rng.uniform(1e-3, 10.0, (100, 2))])
+                               Draw(rng, 100, (2,), 1e-3, 10.0)[:]])
 # the pair checks take a stream: the mesh, then 100 seeded draws, made a
 # chunk at a time and never joined into one table
 pairs = SampleStream(Mesh(0.0, 1.0, 51), Draw(rng, 100, (2,), 0.0, 3.0))

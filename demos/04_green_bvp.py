@@ -57,7 +57,7 @@ print()
 print("== the hypotheses behind the bound ==")
 rng = seeded_rng(42)
 triples = [(float(round(t * 100) / 100), float(a), float(b))
-           for t, a, b in rng.uniform(0.0, 1.0, (60, 3))]
+           for t, a, b in Draw(rng, 60, (3,), 0.0, 1.0)[:]]
 print("rhs displacement bound:",
       check_rhs_displacement_bound(nonlinear, triples).status)
 # 40 pairs of grid functions, drawn a chunk at a time by the check

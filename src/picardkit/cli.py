@@ -8,7 +8,6 @@ metrics, which builtins loads in every mode, is imported here.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import errno
 import math
@@ -217,12 +216,11 @@ def _run_verify(config: RunConfig, out: Path) -> int:
                             check_simulation_pointwise, check_simulation_sequences,
                             check_triangular_alpha, contraction_check)
     from .report import render_text, write_report_csv
-    from .sampling import Draw, Mesh, SampleStream, seeded_rng
-    if config.carrier_kind == "grid":  # bvp compiled after numpy.random peaks 0.3 MB higher
+    from .sampling import Draw, Mesh, SampleStream, SplitMix64, seeded_rng
+    if config.carrier_kind == "grid":
         from .bvp import operator_contraction_check
 
-    # the only mode that draws samples: the others never import numpy.random
-    rng = seeded_rng(config.seed)
+    rng = seeded_rng(config.seed)  # the only mode that draws samples
     low, high = config.carrier_low, config.carrier_high
     for key, value in (("low", low), ("high", high)):
         if not math.isfinite(value):
@@ -237,13 +235,13 @@ def _run_verify(config: RunConfig, out: Path) -> int:
 
     # the origin, then positive pairs well above the strictness epsilon
     zeta_samples = np.concatenate([np.zeros((1, 2)), Mesh(1e-2, 10.0, 40)[:],
-                                   rng.uniform(1e-3, 10.0, (100, 2))])
+                                   Draw(rng, 100, (2,), 1e-3, 10.0)[:]])
     axis = np.linspace(0.0, 10.0, 41)
     coarse = axis[::8]  # (s, t) for s in axis for t in coarse
     cclass_samples = np.concatenate([
         np.column_stack([np.repeat(axis, coarse.size), np.tile(coarse, axis.size)]),
-        rng.uniform(1e-3, 10.0, (100, 2))])
-    beta_samples = np.concatenate([axis, rng.uniform(0.0, 10.0, 50)])
+        Draw(rng, 100, (2,), 1e-3, 10.0)[:]])
+    beta_samples = np.concatenate([axis, Draw(rng, 50, (), 0.0, 10.0)[:]])
 
     metric, tol = catalog.resolve("carrier", config.carrier_kind)
     # made a chunk at a time: the pass never holds a pair or triple table whole
@@ -254,7 +252,7 @@ def _run_verify(config: RunConfig, out: Path) -> int:
     else:
         count, nodes = max(config.random_pairs, 10), config.bvp_n + 1
         # the pairs' functions in order, x_0, y_0, x_1, ..., three at a time
-        triples = Draw(copy.deepcopy(rng), 2 * count // 3, (3, nodes), low, high)
+        triples = Draw(SplitMix64(rng.seed, rng.drawn), 2 * count // 3, (3, nodes), low, high)
         pairs = Draw(rng, count, (2, nodes), low, high)
 
     reports = [

@@ -1,21 +1,20 @@
 """Seeded sample generation for the verifiers.
 
-All randomness flows through numpy Generators created by :func:`seeded_rng`;
-the default seed (42) keeps reports reproducible run to run. A sample set
-the verifiers take whole is an (N, k) float array of reals. A
-:class:`RowSource` makes its rows a slice at a time: ``len`` is its number
-of rows, and a slice, of any step, makes the rows it picks as a float
-array. There are three kinds: a :class:`Mesh` of pairs, deterministic by
-construction; a :class:`Draw` of uniform rows of any row shape, reals or
-grid functions, which reads its rows back from the generator state it
-saved; and a :class:`SampleStream`, which joins row sources and arrays of
-one row shape without building the joined table, so a verify pass holds
-one chunk of its samples, never the whole.
+All randomness flows from the :class:`SplitMix64` stream that
+:func:`seeded_rng` creates; the default seed (42) keeps reports
+reproducible run to run. A sample set the verifiers take whole is an
+(N, k) float array of reals. A :class:`RowSource` makes its rows a slice
+at a time: ``len`` is its number of rows, and a slice, of any step, makes
+the rows it picks as a float array. There are three kinds: a :class:`Mesh`
+of pairs, deterministic by construction; a :class:`Draw` of uniform rows
+of any row shape, reals or grid functions, which computes its rows from the
+span of the stream it reserved; and a :class:`SampleStream`, which joins
+row sources and arrays of one row shape without building the joined table,
+so a verify pass holds one chunk of its samples, never the whole.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 
@@ -25,10 +24,23 @@ from .errors import DimensionError, DomainError
 from .metrics import _require_int
 
 DEFAULT_SEED = 42
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 over the golden ratio
 
 
-def seeded_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
-    return np.random.default_rng(int(seed))
+class SplitMix64:
+    """The SplitMix64 stream of ``seed`` (Steele, Lea & Flood, OOPSLA 2014),
+    read by counter (Salmon et al., SC 2011): value i is ``mix64(seed +
+    (i + 1) * GAMMA)`` mod 2**64, so any span of it is made directly. The
+    first ``drawn`` values are reserved by the draws made from it."""
+
+    def __init__(self, seed: int, drawn: int):
+        self.seed, self.drawn = seed, drawn
+
+
+def seeded_rng(seed: int = DEFAULT_SEED) -> SplitMix64:
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(f"a seed must be an unsigned 64-bit integer, got {seed!r}")
+    return SplitMix64(int(seed), 0)
 
 
 class RowSource:
@@ -65,18 +77,18 @@ class Mesh(RowSource):
 
 
 class Draw(RowSource):
-    """The block ``rng.uniform(low, high, (rows, *shape))`` would draw, made
-    a slice at a time: it saves the state of ``rng`` and advances ``rng``
-    past the block, so the caller's later draws are those after the block.
-    Rows are drawn from a copy of the saved state advanced past the rows
-    before them (each value takes one 64-bit output of the bit generator,
-    which must have ``advance``, as numpy's default PCG64 has), so every
-    slice equals those rows of the block bit for bit. Bounds that are not
-    reals or that numpy would refuse at the first slice, and a count of rows
-    or a shape entry that is not an int of at least 0, raise
-    :class:`DomainError` before ``rng`` is touched."""
+    """``rows`` rows of ``shape`` drawn uniform in ``[low, high)``, made a
+    slice at a time: it reserves the next ``rows * prod(shape)`` values of
+    ``rng``'s stream, so the caller's later draws are those after the block,
+    and makes a slice's rows from their span of the stream alone, so every
+    slice equals those rows of the whole block bit for bit. A value z gives
+    ``low + (high - low) * ((z >> 11) * 2**-53)``, as numpy's
+    ``Generator.uniform`` makes one from a 64-bit output. Bounds that are not
+    reals or whose width is not finite or negative, and a count of rows or a
+    shape entry that is not an int of at least 0, raise :class:`DomainError`
+    before ``rng`` is touched."""
 
-    def __init__(self, rng: np.random.Generator, rows: int, shape: tuple[int, ...],
+    def __init__(self, rng: SplitMix64, rows: int, shape: tuple[int, ...],
                  low: float = 0.0, high: float = 1.0):
         for name, value in (("rows", rows), *(("a draw's shape entry", entry) for entry in shape)):
             _require_int(name, value, least=0)
@@ -84,20 +96,32 @@ class Draw(RowSource):
             raise DomainError(f"a draw's bounds must be reals, got {low!r} and {high!r}")
         if not math.isfinite(high - low):  # a bound that is not, or a width that overflows
             raise DomainError(f"a draw's high - low is not finite, for {low!r} and {high!r}")
-        if math.copysign(1.0, high - low) < 0.0:  # low > high, or 0.0 and -0.0 as numpy reads them
+        if math.copysign(1.0, high - low) < 0.0:  # low > high, or low = 0.0 and high = -0.0
             raise DomainError(f"a draw's low = {low!r} exceeds its high = {high!r}")
-        # Python ints, so that the jump of ``advance`` cannot overflow
+        # Python ints, so that the counter cannot overflow
         self.rows, self.shape, self.low, self.high = int(rows), tuple(map(int, shape)), low, high
-        self._rng, self._saved = copy.deepcopy(rng), rng.bit_generator.state
-        rng.bit_generator.advance(self.rows * math.prod(self.shape))
+        self._seed, self._first = rng.seed, rng.drawn
+        rng.drawn += self.rows * math.prod(self.shape)
 
     def __len__(self) -> int:
         return self.rows
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
-        self._rng.bit_generator.state = self._saved
-        self._rng.bit_generator.advance(start * math.prod(self.shape))
-        return self._rng.uniform(self.low, self.high, (stop - start, *self.shape))
+        size = math.prod(self.shape)
+        z = np.arange((stop - start) * size, dtype=np.uint64).reshape(stop - start, *self.shape)
+        z *= np.uint64(GAMMA)  # the counters, mixed in place: uint64 wraps mod 2**64
+        z += np.uint64((self._seed + (self._first + start * size + 1) * GAMMA) % 2 ** 64)
+        values = np.empty(z.shape)
+        shifted = values.view(np.uint64)  # the shifts' scratch, until the values fill it
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= np.right_shift(z, shift, out=shifted)
+            z *= np.uint64(factor)
+        z ^= np.right_shift(z, 31, out=shifted)
+        z >>= np.uint64(11)
+        np.multiply(z, 2.0 ** -53, out=values)
+        values *= float(self.high) - float(self.low)
+        values += float(self.low)
+        return values
 
 
 class SampleStream(RowSource):

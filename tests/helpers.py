@@ -1,9 +1,11 @@
 """Helpers that only the tests use: reading a grid function back from the
 CSV ``save_grid_csv`` writes, the gate's start predicate and its per-node
 oracle, the finite-difference reference oracle for the boundary-value
-solver, the family members that no config selects, and the reference
+solver, the family members that no config selects, the reference
 witness order with the list-sorting report and report merge that the
-library's one columnar order and clause merge are checked against."""
+library's one columnar order and clause merge are checked against, and
+the step-by-step SplitMix64 generator that the sampler's counter-based
+stream is checked against."""
 
 import csv
 from pathlib import Path
@@ -157,3 +159,31 @@ def merge_reports(first, *rest):
         mode="falsification" if "falsification" in modes else first.mode,
         tolerance=max(rep.tolerance for rep in reports),
         notes=tuple(sorted({note for rep in reports for note in rep.notes})))
+
+
+MASK64 = 2 ** 64 - 1
+
+
+def splitmix64(seed: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 seeded with ``seed``, made
+    one at a time as the published C reference (``splitmix64.c``) makes
+    them: add the golden-ratio increment to the state, then mix it."""
+    state, outputs = seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        outputs.append(z ^ (z >> 31))
+    return outputs
+
+
+def uniform_block(seed: int, low: float, high: float, shape: tuple[int, ...],
+                  skip: int = 0) -> np.ndarray:
+    """The uniforms ``low + (high - low) * ((z >> 11) * 2**-53)`` of the
+    SplitMix64 outputs of ``seed`` after the first ``skip``, in Python
+    floats, as a float array of ``shape``."""
+    count = int(np.prod(shape))
+    values = splitmix64(seed, skip + count)[skip:]
+    width = float(high) - float(low)
+    return np.array([float(low) + width * ((z >> 11) * 2.0 ** -53) for z in values],
+                    dtype=float).reshape(shape)

@@ -25,7 +25,7 @@ from picardkit.builtins import (alpha_box, beta_constant, beta_reciprocal,
 from picardkit.cli import parse_config, run
 from picardkit.metrics import save_report_csv
 from picardkit.posets import alpha_from_order, natural_order
-from picardkit.sampling import Mesh, seeded_rng
+from picardkit.sampling import Mesh
 
 from helpers import finite_difference_solve, zeta2, zeta3
 
@@ -43,7 +43,7 @@ def test_criterion_1_reference_contraction_grid():
     [0, 3]^2, with zero counterexamples, in under 5 seconds."""
     bundle = example31_bundle()
     pairs = np.concatenate([Mesh(0.0, 1.0, 101)[:],
-                            seeded_rng(SEED).uniform(0.0, 3.0, (100, 2))])
+                            np.random.default_rng(SEED).uniform(0.0, 3.0, (100, 2))])
     started = time.perf_counter()
     report = verify_contraction(bundle, pairs, scalar_metric)
     elapsed = time.perf_counter() - started
@@ -149,7 +149,7 @@ def test_criterion_6_falsification_suite():
     check on 10^4 seeded positive pairs; the deliberately broken functions
     each yield at least one witness; and every witness replays to its
     reported margin within 1e-12."""
-    rng = seeded_rng(SEED)
+    rng = np.random.default_rng(SEED)
     pairs = rng.uniform(1e-3, 10.0, (10_000, 2))
     families = [zeta1(), zeta2(), zeta3()]
     family_reports = [check_simulation_pointwise(z, pairs) for z in families]
@@ -215,7 +215,7 @@ def _order_pipeline(seed: int = SEED):
     """Monotone-map pipeline: the halving map x -> x/2 + 1/4 checked under
     the fitting and the quarter-gain bundle on the same seeded pairs, plus a
     five-start uniqueness probe."""
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     pairs = np.concatenate([Mesh(0.0, 1.0, 21)[:], rng.uniform(0.0, 1.0, (100, 2))])
     fitting = verify_contraction(FITTING_BUNDLE, pairs, scalar_metric)
     quarter_gain = verify_contraction(QUARTER_GAIN_BUNDLE, pairs, scalar_metric)
@@ -347,7 +347,7 @@ def _produce_artifacts(root: Path) -> list[Path]:
                       ("c5_nonlinear", SOLVE_NONLINEAR_CFG)):
         run(parse_config(cfg), out_dir=root / name)
 
-    rng = seeded_rng(SEED)
+    rng = np.random.default_rng(SEED)
     pairs = rng.uniform(1e-3, 10.0, (2_000, 2))
     reports = [check_simulation_pointwise(z, pairs)
                for z in (zeta1(), zeta2(), zeta3())]

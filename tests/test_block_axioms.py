@@ -43,7 +43,7 @@ from picardkit.framework import CHUNK, MIN_TAIL, SCALAR_EPS
 from picardkit.metrics import GRID_EPS, elementwise
 from picardkit.picard import _validate_iterate
 from picardkit.report import Witness, format_inputs, VerificationReport
-from picardkit.sampling import probe_pair, seeded_rng
+from picardkit.sampling import probe_pair
 
 from helpers import alpha_one, gate_value, make_report
 
@@ -387,7 +387,7 @@ _REALS = [0.0, -0.0, 1e-13, 1e-5, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, math.nan]
 def _real_pairs(seed, size, negative=False, finite=False):
     """``size`` pairs of Python floats: pool values (but nan if ``finite``)
     and uniform reals in [0, 4], one negative coordinate if ``negative``."""
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     pool = np.concatenate([_REALS[:-1] if finite else _REALS, rng.uniform(0.0, 4.0, 40)])
     rows = pool[rng.integers(0, pool.size, size=(size, 2))]
     if negative and size:
@@ -558,7 +558,7 @@ def test_limit_probes_evaluate_each_tail_in_one_call():
 
 def _trace(seed, size, as_ints):
     """A trace with ``size`` defined ratios among omitted ones."""
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     omitted = size // 5
     gaps = rng.uniform(0.0, 1.0, size + omitted + 1)
     # a gap below the ratio floor omits the ratio that divides by it
@@ -689,7 +689,7 @@ def test_increasing_matches_the_per_pair_loop(size, chunk, seed, mapping, order)
 
 
 def test_increasing_on_grid_functions():
-    rng = seeded_rng(9)
+    rng = np.random.default_rng(9)
     xs = rng.uniform(0.0, 1.0, (40, 7))
     pairs = [(x, x + shift) for x, shift in zip(xs, rng.uniform(-0.2, 0.4, (40, 1)))]
     for T in (lambda x: 0.5 * x + 0.1, lambda x: x[::-1], lambda x: 1.0 - x):
@@ -709,7 +709,7 @@ def test_increasing_on_grid_functions():
 @example(n=26, shift=None, arity=3, seed=7, order=ORDERS[1], finite=True)
 @settings(max_examples=40, deadline=None)
 def test_order_axioms_match_the_tuple_loops(n, shift, arity, seed, order, finite):
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     elements = rng.choice([0.0, 0.25, 0.5, 1.0, 1.25, 2.5, 3.0, math.inf], n).tolist()
     if finite:  # d(inf, inf) raises a DomainError
         elements = [min(x, 5.0) for x in elements]
@@ -743,7 +743,7 @@ _TIMES = [0.0, 0.125, 0.375, 0.5, 0.625, 0.875, 1.0]
 
 
 def _triples(seed, size, fault):
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     ts = np.concatenate([_TIMES, rng.uniform(0.0, 1.0, 10)])
     values = np.concatenate([[0.0, -0.0, 0.5, 1.0, -1.0, 2.0], rng.uniform(-2.0, 2.0, 20)])
     rows = np.stack([ts[rng.integers(0, ts.size, size)],
@@ -790,7 +790,7 @@ def test_rhs_displacement_applies_the_operator_to_the_constants_of_np_unique(mon
     # both signs: T applies once, to the constants np.unique gives (0.0 and
     # -0.0 as one), and the report is the one that np.unique's stack gives
     pool = np.array([0.0, -0.0, 0.5, -1.0, 2.0])
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     triples = np.column_stack([rng.integers(0, 5, 40) / 4.0, pool[rng.integers(0, 5, (40, 2))]])
     problem = BVPProblem(rhs=lambda t, x: 2.0 * np.asarray(x, float), n=4)
     evaluate, stacks = framework.evaluate_block, []
@@ -848,7 +848,7 @@ def _orbit_case(seed, size):
 
 
 def _order_case(seed, size):
-    elements = seeded_rng(seed).choice([0.0, 0.25, 0.5, 1.0, 1.25, 2.5, 3.0], size % 7)
+    elements = np.random.default_rng(seed).choice([0.0, 0.25, 0.5, 1.0, 1.25, 2.5, 3.0], size % 7)
     return check_order_axioms, oracle_order_axioms, (ORDERS[seed % 4], elements.tolist(),
                                                      scalar_metric)
 

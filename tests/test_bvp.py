@@ -28,7 +28,6 @@ from picardkit.metrics import elementwise
 from picardkit.picard import picard_iterate
 from picardkit.builtins import (bvp_bundle, resolve, rhs_pi2sin, rhs_sin_plus_one,
                                 rhs_zero)
-from picardkit.sampling import seeded_rng
 
 from helpers import (OracleError, finite_difference_solve, gate_accepts_start, gate_value,
                      make_report, trapezoid_weights)
@@ -122,7 +121,7 @@ class TestMatrixFreeOperator:
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_oracle(self, half_n, seed, scale):
         n = 2 * half_n
-        values = seeded_rng(seed).uniform(-scale, scale, n + 1)
+        values = np.random.default_rng(seed).uniform(-scale, scale, n + 1)
         problem = BVPProblem(rhs=lambda t, x, v=values: v, n=n)
         fast = integral_operator(problem, np.zeros(n + 1))
         dense = kernel_quadrature_matrix(n) @ values
@@ -221,7 +220,7 @@ class TestIntegralOperator:
         assert float(np.max(np.abs(out - exact))) <= 1e-6
 
     def test_boundary_exactness(self):
-        rng = seeded_rng(4)
+        rng = np.random.default_rng(4)
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=30)
         for x, _ in rng.uniform(0.0, 1.0, (5, 2, 31)):
             out = integral_operator(problem, x)
@@ -230,7 +229,7 @@ class TestIntegralOperator:
     def test_maximum_principle(self):
         # nonnegative rhs gives a nonnegative image: all quadrature
         # coefficients of the discrete operator are nonnegative
-        rng = seeded_rng(9)
+        rng = np.random.default_rng(9)
         values = rng.uniform(0.0, 3.0, 101)
         problem = BVPProblem(rhs=lambda t, x, v=values: v, n=100)
         out = integral_operator(problem, np.zeros(101))
@@ -417,7 +416,7 @@ class TestRhsDisplacementBound:
 
     def test_sine_slope_passes(self):
         problem = BVPProblem(rhs=lambda t, x: np.sin(np.asarray(x, float)), n=100)
-        rng = seeded_rng(12)
+        rng = np.random.default_rng(12)
         triples = [(float(round(t * 100) / 100), float(a), float(b))
                    for t, a, b in rng.uniform(0.0, 1.0, (50, 3))]
         assert check_rhs_displacement_bound(problem, triples).passed
@@ -438,7 +437,7 @@ class TestRhsDisplacementBound:
         builtin, shapes = problem.rhs, []
         assert builtin.elementwise
         problem.rhs = elementwise(lambda t, x: shapes.append(np.shape(x)) or builtin(t, x))
-        triples = seeded_rng(4).uniform(0.0, 1.0, (500, 3))
+        triples = np.random.default_rng(4).uniform(0.0, 1.0, (500, 3))
         check_rhs_displacement_bound(problem, triples)
         assert [shape[1:] for shape in shapes] == [(11,), (), ()] and shapes[1:] == [(500,)] * 2
 
@@ -502,7 +501,7 @@ class TestOperatorContraction:
     ])
     def test_matches_the_per_pair_oracle(self, rhs, fails):
         problem = BVPProblem(rhs=resolve("rhs", rhs), n=10)
-        pairs = seeded_rng(5).uniform(0.0, 1.0, (60, 2, 11))
+        pairs = np.random.default_rng(5).uniform(0.0, 1.0, (60, 2, 11))
         got = check_operator_contraction(problem, pairs)
         assert_same_report(got, oracle_operator_contraction(problem, pairs))
         assert got.passed is not fails
@@ -521,7 +520,7 @@ class TestOperatorContraction:
         # then passes; the operator contraction ignores alpha and fails them
         problem = BVPProblem(rhs=resolve("rhs", "expr:10*x"), n=10,
                              gate=lambda a, b: 1.0 if abs(a - b) < 1e-3 else -1.0)
-        rng = seeded_rng(9)
+        rng = np.random.default_rng(9)
         x = rng.uniform(0.0, 1.0, 11)
         pairs = np.concatenate([rng.uniform(0.0, 1.0, (20, 2, 11)), [(x, x.copy()), (x, x + 1e-4)]])
         bundle = resolve("bundle", "bvp", "grid", problem)
@@ -538,7 +537,7 @@ class TestOperatorContraction:
     @pytest.mark.parametrize("n, count", STACK_COUNTS)
     def test_stacks_match_the_per_pair_oracle(self, n, count):
         problem = BVPProblem(rhs=resolve("rhs", "expr:10*x"), n=n)
-        pairs = _shifted_pairs(seeded_rng(count), count, n, (-0.5, 0.5))
+        pairs = _shifted_pairs(np.random.default_rng(count), count, n, (-0.5, 0.5))
         got = check_operator_contraction(problem, pairs)
         assert_same_report(got, oracle_operator_contraction(problem, pairs))
         assert got.passed is not (count > 0)
@@ -559,7 +558,7 @@ class TestOperatorContraction:
 
     def test_random_pairs_bounded(self):
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=100)
-        rng = seeded_rng(42)
+        rng = np.random.default_rng(42)
         pairs = rng.uniform(0.0, 1.0, (50, 2, 101))
         assert check_operator_contraction(problem, pairs).passed
 
@@ -597,7 +596,7 @@ class TestGatePropagation:
     @pytest.mark.parametrize("n, count", STACK_COUNTS)
     def test_matches_the_per_pair_oracle(self, gate, n, count):
         problem = BVPProblem(rhs=resolve("rhs", "expr:10*x"), n=n, gate=self.GATES[gate])
-        pairs = _shifted_pairs(seeded_rng(count), count, n, (0.2, 0.31))
+        pairs = _shifted_pairs(np.random.default_rng(count), count, n, (0.2, 0.31))
         got = check_gate_propagation(problem, pairs)
         assert_same_report(got, oracle_gate_propagation(problem, pairs))
         if gate != "open" and count >= 16:
@@ -627,13 +626,14 @@ class TestGatePropagation:
         # for an untagged rhs, which takes one function at a time
         rhs = (lambda t, x: 0.0 * (x @ x)) if rhs == "untagged" else resolve("rhs", rhs)
         problem = BVPProblem(rhs=rhs, n=6, gate=lambda a, b: -1.0)
-        report = check_gate_propagation(problem, _shifted_pairs(seeded_rng(1), 5, 6, (0.0, 0.1)))
+        pairs = _shifted_pairs(np.random.default_rng(1), 5, 6, (0.0, 0.1))
+        report = check_gate_propagation(problem, pairs)
         assert report.status == "pass" and report.samples == 5 and not report.witnesses
 
     def test_non_finite_function_raises_on_a_closed_gate(self):
         # every function is checked, as the per-pair loop checked them
         problem = BVPProblem(rhs=rhs_zero, n=10, gate=lambda a, b: -1.0)
-        pairs = _shifted_pairs(seeded_rng(1), 20, 10, (0.0, 0.1))
+        pairs = _shifted_pairs(np.random.default_rng(1), 20, 10, (0.0, 0.1))
         pairs[7][1][4] = np.nan
         with pytest.raises(DomainError, match="grid function contains non-finite values"):
             oracle_gate_propagation(problem, pairs)
@@ -656,7 +656,7 @@ class TestGatePropagation:
 
 class TestGatePredicates:
     def test_gate_values_match_per_node_gate_value(self):
-        rng = seeded_rng(8)
+        rng = np.random.default_rng(8)
         x, y = rng.uniform(-1.0, 1.0, size=(2, 21))
         calls = []
 
@@ -699,7 +699,7 @@ class TestGatePredicates:
                              ids=["one pair", "empty stacks", "one row", "stacks"])
     def test_the_open_gate_weighs_pairs_without_a_stack(self, shape, monkeypatch):
         problem = BVPProblem(rhs=rhs_zero, n=6)
-        x, y = seeded_rng(5).uniform(-1.0, 1.0, (2, *shape))
+        x, y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, *shape))
         stacked = np.where(np.all(problem.gate_values(x, y) > 0.0, axis=-1), 1.0, 0.0)
 
         def no_stack(*args):
@@ -726,7 +726,7 @@ class TestGatePredicates:
 
     def test_default_gate_propagates(self):
         problem = BVPProblem(rhs=rhs_sin_plus_one, n=40)
-        rng = seeded_rng(3)
+        rng = np.random.default_rng(3)
         pairs = rng.uniform(0.0, 1.0, (5, 2, 41))
         assert check_gate_propagation(problem, pairs).passed
 

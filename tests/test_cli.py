@@ -575,8 +575,8 @@ rhs = expr:10*x
 n = 10
 """
 FAILING_GRID_FIRST = (
-    "contraction (grid(nodes=11, min=0.23574452155768388, max=2.988493733111469), "
-    "grid(nodes=11, min=0.089061671362059, max=2.770204813550651))", "-1.339134724984873")
+    "contraction (grid(nodes=11, min=0.25382745948187835, max=2.866341706423385), "
+    "grid(nodes=11, min=0.942674503909421, max=2.919230121233852))", "-1.3860112442395367")
 FAILING_GRID_SHA256 = reference_digests("failing-grid")
 
 # A solve and an orbit whose trace carries defined ratios, and the SHA-256
@@ -767,7 +767,7 @@ def _verify_grid_calls(tmp_path, monkeypatch):
 
 def test_verify_grid_pairs_and_triples_are_draws_the_kernel_slices(tmp_path, monkeypatch):
     # the drawn (200, 2, 1001) block is never made whole: the kernel makes
-    # the pairs and the triples a chunk at a time from one saved state
+    # the pairs and the triples a chunk at a time from one span of the stream
     seen = {}
     draws = _recorded_draws(monkeypatch)
 
@@ -786,7 +786,10 @@ def test_verify_grid_pairs_and_triples_are_draws_the_kernel_slices(tmp_path, mon
     assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
     sliced = {id(draw): draw.sliced[:] for draw in draws}
     pairs, triples = seen["pairs"], seen["triples"]
-    assert len(draws) == 2 and pairs in draws and triples in draws
+    assert len(draws) == 5 and draws[3:] == [triples, pairs]
+    # drawn first, and made whole: the samples of zeta, of G, then of beta
+    assert [(len(draw), draw.shape, draw.sliced) for draw in draws[:3]] == [
+        (100, (2,), [100]), (100, (2,), [100]), (50, (), [50])]
     assert (len(pairs), pairs.shape) == (200, (2, 1001))
     # the drawn functions in order, three at a time
     assert (len(triples), triples.shape) == (133, (3, 1001))
@@ -904,9 +907,9 @@ def _run_entry(argv, status, then=""):
 class TestColdStart:
     """picardkit needs numpy and the standard library alone: importing the
     package and every CLI mode load no scipy module, and neither does the
-    tests' finite-difference oracle. Only the runs that draw samples import
-    numpy.random. The package namespace is lazy, and each mode loads only
-    the modules it runs."""
+    tests' finite-difference oracle. No mode imports numpy.random, whose
+    seeding loads secrets and OpenSSL's _hashlib, nor copy. The package
+    namespace is lazy, and each mode loads only the modules it runs."""
 
     @pytest.mark.parametrize("cfg", [None, "--list-builtins", VERIFY_CFG,
                                      GRID_VERIFY_CFG, SOLVE_CFG, ITERATE_CFG],
@@ -925,12 +928,14 @@ class TestColdStart:
             assert not loaded, loaded
             """)
 
-    @pytest.mark.parametrize("cfg, draws", [(SOLVE_CFG, False), (ITERATE_CFG, False),
-                                            (VERIFY_CFG, True), (GRID_VERIFY_CFG, True)],
+    @pytest.mark.parametrize("cfg", [SOLVE_CFG, ITERATE_CFG, VERIFY_CFG, GRID_VERIFY_CFG],
                              ids=["solve-bvp", "iterate", "verify-interval", "verify-grid"])
-    def test_numpy_random_is_loaded_only_by_runs_that_draw(self, tmp_path, cfg, draws):
+    def test_no_mode_loads_numpy_random_or_copy(self, tmp_path, cfg):
+        # the verify runs draw from the sampler's own stream
         _run_entry(_mode_argv(tmp_path, cfg), EXIT_OK,
-                   f"assert ('numpy.random' in sys.modules) is {draws!r}")
+                   "loaded = [m for m in ('numpy.random', 'secrets', '_hashlib', 'copy')\n"
+                   "          if m in sys.modules]\n"
+                   "assert not loaded, loaded")
 
     @pytest.mark.parametrize("cfg, status, loaded", [
         (None, None, set()),

@@ -2,7 +2,6 @@
 computed expectations, witness replay, order-independence properties, and
 the block verifiers against per-sample reference loops."""
 
-import copy
 import math
 import random
 import struct
@@ -39,9 +38,11 @@ from picardkit.metrics import elementwise, rowwise
 from picardkit.report import (CAVEAT, FAIL, HYPOTHESIS_UNMET, PASS, FailingRows,
                               VerificationReport, Witness, format_inputs,
                               render_text, report_rows)
-from picardkit.sampling import Draw, Mesh, SampleStream, probe_pair, seeded_rng
+from picardkit.sampling import (Draw, Mesh, SampleStream, SplitMix64, probe_pair,
+                                seeded_rng)
 
-from helpers import alpha_one, cclass_b, make_report, merge_reports, sort_key
+from helpers import (alpha_one, cclass_b, make_report, merge_reports, sort_key,
+                     uniform_block)
 
 
 def max_displacement(T, x, y, d):
@@ -314,7 +315,7 @@ class TestVerifyContraction:
         # with G = s - t and benchmark 0 a passing check means
         # alpha * d(Tx, Ty) < beta(M) * M + tol on every sampled pair
         bundle = example31_bundle()
-        rng = seeded_rng(7)
+        rng = np.random.default_rng(7)
         pairs = np.concatenate([Mesh(0.0, 1.0, 21)[:], rng.uniform(0.0, 1.0, (100, 2))])
         report = verify_contraction(bundle, pairs, scalar_metric)
         assert report.passed
@@ -444,7 +445,7 @@ class TestReportMechanics:
         return check_simulation_pointwise(zeta, pairs)
 
     def test_verdict_is_order_independent(self):
-        rng = seeded_rng(3)
+        rng = np.random.default_rng(3)
         pairs = [(float(a), float(b)) for a, b in rng.uniform(0.1, 5.0, (200, 2))]
         baseline = self._failing_report(pairs)
         shuffled = list(pairs)
@@ -454,7 +455,7 @@ class TestReportMechanics:
         assert replay.witnesses == baseline.witnesses
 
     def test_merge_matches_whole(self):
-        rng = seeded_rng(5)
+        rng = np.random.default_rng(5)
         pairs = [(float(a), float(b)) for a, b in rng.uniform(0.1, 5.0, (100, 2))]
         whole = self._failing_report(pairs)
         merged = merge_reports(self._failing_report(pairs[:37]),
@@ -700,7 +701,7 @@ ZETAS = [zeta1(8.0 / 9.0), zeta1(0.25),
 
 
 def _scalar_samples(seed, size, arity):
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     # exact branch points of the maps and weights, and random reals
     pool = np.concatenate([np.linspace(0.0, 3.0, 31), rng.uniform(-0.5, 3.5, 200)])
     index = rng.integers(0, pool.size, size=(size, arity))
@@ -757,7 +758,7 @@ GRID_ALPHAS = [
 
 
 def _grid_samples(seed, size):
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, size=(size, GRID_N + 1))
     # shifted partners, so that the pointwise order holds on many pairs
     ys = xs + rng.uniform(-0.3, 0.6, size=(size, 1)) \
@@ -845,7 +846,7 @@ def _pair_setup(carrier, as_array):
         bundle = ContractionBundle(example31_map, SCALAR_ALPHAS[3], beta_constant(0.2),
                                    zeta1(0.5), cclass_a(0.0), name="interval")
         pairs = np.concatenate([Mesh(0.0, 3.0, 40)[:],
-                                seeded_rng(3).uniform(0.0, 3.0, (300, 2))])
+                                np.random.default_rng(3).uniform(0.0, 3.0, (300, 2))])
         samples = pairs if as_array else [tuple(p) for p in pairs.tolist()]
         return bundle, samples, scalar_metric, SCALAR_EPS, None
     # the gate closes on some pairs, and T = 10/8 spreads others past it
@@ -911,7 +912,7 @@ def test_one_pass_maps_each_sample_once(carrier):
 # give the reports of the joined table.
 
 def _stream_and_table(per_axis, count):
-    random = seeded_rng(per_axis + count).uniform(0.0, 3.0, (count, 2))
+    random = np.random.default_rng(per_axis + count).uniform(0.0, 3.0, (count, 2))
     return (SampleStream(Mesh(0.0, 3.0, per_axis), random),
             np.concatenate([Mesh(0.0, 3.0, per_axis)[:], random]))
 
@@ -957,27 +958,33 @@ def test_the_mesh_and_a_stream_make_the_rows_of_the_joined_table(per_axis):
 
 @given(rows=st.integers(0, 12), shape=st.lists(st.integers(1, 4), min_size=1, max_size=2),
        regroup=st.integers(1, 4), bounds=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
-       seed=st.integers(0, 2 ** 64 - 1), cut=st.tuples(*[st.integers(-14, 14)] * 2))
-@example(rows=0, shape=[1], regroup=1, bounds=[0.0, -0.0], seed=0, cut=(0, 0))
+       seed=st.integers(0, 2 ** 64 - 1), skip=st.integers(0, 5),
+       cut=st.tuples(*[st.integers(-14, 14)] * 2))
+@example(rows=0, shape=[1], regroup=1, bounds=[0.0, -0.0], seed=0, skip=0, cut=(0, 0))
+@example(rows=3, shape=[2], regroup=2, bounds=[-1.0, 1.0], seed=2 ** 64 - 1, skip=5, cut=(0, 3))
 @settings(max_examples=200, deadline=None)
-def test_a_draw_makes_the_rows_of_the_one_shot_block(rows, shape, regroup, bounds, seed, cut):
-    # numpy refuses the bounds (0.0, -0.0), which sorted() leaves in that order
+def test_a_draw_makes_the_rows_of_the_one_shot_block(rows, shape, regroup, bounds, seed, skip,
+                                                     cut):
+    # a draw refuses the bounds (0.0, -0.0), which sorted() leaves in that order
     low, high = sorted(bound + 0.0 for bound in bounds)
-    caller, reference = seeded_rng(seed), seeded_rng(seed)
-    block = reference.uniform(low, high, (rows, *shape))
-    start = copy.deepcopy(caller)
+    caller = seeded_rng(seed)
+    Draw(caller, skip, ())  # the caller's earlier draws
+    start = SplitMix64(caller.seed, caller.drawn)
     draw = Draw(caller, rows, shape, low, high)
-    # the caller's generator is past the block: its next draws are as before
-    assert caller.uniform(size=5).tobytes() == reference.uniform(size=5).tobytes()
+    # the oracle's block: the values after the earlier draws, stepped one at a time
+    block = uniform_block(seed, low, high, (rows, *shape), skip)
+    # the caller's stream is past the block: its next draws are those after it
+    after = uniform_block(seed, 0.0, 1.0, (5,), skip + block.size)
+    assert Draw(caller, 5, ())[:].tobytes() == after.tobytes()
     assert (len(draw), draw.shape) == (rows, tuple(shape))
-    # stepped and reversed slices too
+    # stepped, reversed and empty slices too
     for rows_cut in (slice(*cut), slice(None), slice(cut[0], None), slice(*cut, 2),
-                     slice(None, None, -1), slice(cut[1], cut[0], -3)):
+                     slice(None, None, -1), slice(cut[1], cut[0], -3), slice(cut[0], cut[0])):
         made = draw[rows_cut]
         assert made.shape == block[rows_cut].shape
         assert made.tobytes() == block[rows_cut].tobytes()
     _assert_rows_indexed_like(draw, block, cut)
-    # the same saved state read with another first axis: the block's rows of
+    # the same span read with another first axis: the block's rows of
     # shape[1:] in order, regrouped, as the CLI makes triples of drawn pairs
     values = block.reshape(-1, *shape[1:])
     grouped = Draw(start, len(values) // regroup, (regroup, *shape[1:]), low, high)
@@ -1008,21 +1015,32 @@ def test_a_draw_makes_the_rows_of_the_one_shot_block(rows, shape, regroup, bound
         "float entry", "string low", "no high"])
 def test_a_malformed_draw_is_refused_before_it_touches_the_generator(rows, shape, bounds,
                                                                      message):
-    caller, reference = seeded_rng(9), seeded_rng(9)
+    caller = seeded_rng(9)
     with pytest.raises(DomainError) as raised:
         Draw(caller, rows, shape, *bounds)
     assert str(raised.value) == message
-    assert caller.uniform(size=5).tobytes() == reference.uniform(size=5).tobytes()
+    assert (caller.seed, caller.drawn) == (9, 0)
 
 
-def test_numpy_ints_size_a_draw_as_python_ints_do():
-    # the generator jumps by a Python int, which cannot overflow
-    caller, reference = seeded_rng(9), seeded_rng(9)
-    drawn, same = Draw(caller, np.int64(3), (np.int64(2),)), Draw(reference, 3, (2,))
-    assert (len(drawn), drawn.shape) == (3, (2,))
-    assert all(type(size) is int for size in (drawn.rows, *drawn.shape))
-    assert drawn[:].tobytes() == same[:].tobytes()
-    assert caller.uniform(size=5).tobytes() == reference.uniform(size=5).tobytes()
+@given(seed=st.integers(0, 2 ** 64 - 1), rows=st.integers(0, 6), entry=st.integers(0, 4),
+       kind=st.sampled_from([np.int64, np.uint64, np.int32, np.uint8]))
+@settings(max_examples=60, deadline=None)
+def test_numpy_ints_size_a_draw_as_python_ints_do(seed, rows, entry, kind):
+    # the counter moves by a Python int, which cannot overflow
+    caller = seeded_rng(np.uint64(seed))
+    drawn = Draw(caller, kind(rows), (kind(entry),))
+    assert (len(drawn), drawn.shape) == (rows, (entry,))
+    assert all(type(size) is int for size in (drawn.rows, *drawn.shape, caller.seed, caller.drawn))
+    assert drawn[:].tobytes() == uniform_block(seed, 0.0, 1.0, (rows, entry)).tobytes()
+    after = uniform_block(seed, 0.0, 1.0, (5,), rows * entry)
+    assert Draw(caller, 5, ())[:].tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, np.int64(-3)])
+def test_a_seed_outside_64_bits_is_refused(seed):
+    with pytest.raises(DomainError) as raised:
+        seeded_rng(seed)
+    assert str(raised.value) == f"a seed must be an unsigned 64-bit integer, got {seed!r}"
 
 
 def test_a_stream_of_grid_functions_gives_the_reports_of_the_joined_table():
@@ -1263,14 +1281,15 @@ def _tied_margins(xs, ys):
 
 # tables of pairs: arrays, row sources and streams, of reals and of grid functions
 _STORE_TABLES = {
-    "array": lambda: seeded_rng(21).uniform(size=(300, 2)),
+    "array": lambda: np.random.default_rng(21).uniform(size=(300, 2)),
     "mesh": lambda: Mesh(0.0, 1.0, 11),
-    "draw": lambda: Draw(seeded_rng(22), 300, (2,)),
-    "stream": lambda: SampleStream(Mesh(0.0, 1.0, 11), seeded_rng(23).uniform(size=(40, 2)),
+    "draw": lambda: Draw(seeded_rng(23), 300, (2,)),
+    "stream": lambda: SampleStream(Mesh(0.0, 1.0, 11),
+                                   np.random.default_rng(23).uniform(size=(40, 2)),
                                    Draw(seeded_rng(24), 130, (2,))),
-    "grid array": lambda: seeded_rng(25).uniform(size=(120, 2, 5)),
+    "grid array": lambda: np.random.default_rng(25).uniform(size=(120, 2, 5)),
     "grid draw": lambda: Draw(seeded_rng(26), 120, (2, 5)),
-    "grid stream": lambda: SampleStream(seeded_rng(27).uniform(size=(50, 2, 5)),
+    "grid stream": lambda: SampleStream(np.random.default_rng(27).uniform(size=(50, 2, 5)),
                                         Draw(seeded_rng(28), 70, (2, 5))),
 }
 
@@ -1422,7 +1441,7 @@ def test_rendering_builds_only_the_shown_witnesses(monkeypatch):
     # the verify-interval workload: 251 000 pairs, ~99 000 failing
     bundle = example31_bundle()._replace(alpha=alpha_from_order(natural_order))
     pairs = np.concatenate([Mesh(0.0, 3.0, 500)[:],
-                            seeded_rng(7).uniform(0.0, 3.0, (1000, 2))])
+                            np.random.default_rng(7).uniform(0.0, 3.0, (1000, 2))])
     built = []
 
     class CountedWitness(report_module.Witness):  # a NamedTuple is made by __new__ alone
@@ -1478,7 +1497,7 @@ def test_a_report_of_several_clauses_builds_only_the_shown_witnesses(monkeypatch
 
     monkeypatch.setattr(report_module, "Witness", CountedWitness)
     plus_one = CClassFunction(lambda s, t: s + 1.0, name="plus-one")
-    report = check_cclass(plus_one, seeded_rng(1).uniform(0.0, 1.0, (200_000, 2)))
+    report = check_cclass(plus_one, np.random.default_rng(1).uniform(0.0, 1.0, (200_000, 2)))
     text = render_text([report])
     rows = report_rows([report])
     assert len(report.witnesses) > 290_000
@@ -1536,7 +1555,7 @@ stack_draws = dict(n=st.sampled_from(STACK_NS), size=st.sampled_from(list(STACK_
 @example(n=2, size="k", rhs="fixed", gate=2, seed=2)
 @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 def test_rowwise_callables_on_a_stack_match_the_per_function_loop(n, size, rhs, gate, seed):
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     count = _stack_size(n, size)
     problem = _stack_problem(n, rhs, gate, rng)
     xs, ys = _stack_pairs(rng, count, n)
@@ -1559,7 +1578,7 @@ def test_rowwise_callables_on_a_stack_match_the_per_function_loop(n, size, rhs, 
 @example(n=1000, size="k+1", rhs="expr:10*x", gate=1, seed=3)
 @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
 def test_block_verifiers_match_per_sample_oracle_on_stacks(n, size, rhs, gate, seed):
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     count = _stack_size(n, size)
     bundle = bvp_bundle(_stack_problem(n, rhs, gate, rng))
     xs, ys = _stack_pairs(rng, count, n)
@@ -1593,7 +1612,8 @@ METRIC_FAULTS = {
 def _faulty_problem_and_pairs(fault, gate):
     rhs = (lambda t, x: np.zeros(3)) if fault == "rhs shape" else rhs_zero
     problem = BVPProblem(rhs=rhs, n=GRID_N, gate=STACK_GATES[gate])
-    pairs = [(np.array(x), np.array(y)) for x, y in zip(*_stack_pairs(seeded_rng(5), 40, GRID_N))]
+    pairs = [(np.array(x), np.array(y))
+             for x, y in zip(*_stack_pairs(np.random.default_rng(5), 40, GRID_N))]
     x, y = pairs[25]
     if fault == "non-finite":
         x[3] = np.nan
@@ -1816,7 +1836,7 @@ def _one_function_rhs(t, x):
 def test_an_untagged_rhs_makes_an_operator_of_one_function_at_a_time():
     T = bvp_operator(BVPProblem(rhs=_one_function_rhs, n=4))
     assert not hasattr(T, "rowwise")
-    xs = seeded_rng(1).uniform(0.0, 1.0, size=(5, 5))
+    xs = np.random.default_rng(1).uniform(0.0, 1.0, size=(5, 5))
     with pytest.raises(DomainError, match="one grid function at a time"):
         T(xs)
     assert np.array_equal(_bits(evaluate_block(T, T, xs)), _bits([T(x) for x in xs]))
@@ -1891,7 +1911,7 @@ def test_the_gate_checks_cover_every_check_name():
 def _gate_rows(width, carrier, size, seed):
     """``size`` well-formed rows of ``width`` reals in (0, 1), or of as many
     constant grid functions of GATE_N + 1 nodes."""
-    values = seeded_rng(seed).uniform(0.05, 0.95, (size, width))
+    values = np.random.default_rng(seed).uniform(0.05, 0.95, (size, width))
     return [tuple(np.full(GATE_N + 1, v) if carrier == "grid" else v for v in row)
             for row in values.tolist()]
 

@@ -15,9 +15,9 @@ from picardkit.builtins import rhs_zero
 from picardkit.bvp import BVPProblem
 from picardkit.metrics import grid_pair
 from picardkit.posets import pointwise_order
-from picardkit.sampling import Draw
+from picardkit.sampling import Draw, seeded_rng
 
-from helpers import load_grid_csv
+from helpers import load_grid_csv, splitmix64, uniform_block
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -132,33 +132,45 @@ class TestSpaces:
     """The carriers have no space objects: their elements come from the
     samplers in ``picardkit.sampling`` and are checked by the metrics."""
 
-    def test_interval_samples_stay_in_window(self):
-        rng = np.random.default_rng(0)
-        samples = Draw(rng, 5, (2,), 0.0, 2.0)[:]
+    @given(seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_interval_samples_stay_in_window(self, seed):
+        samples = Draw(seeded_rng(seed), 5, (2,), 0.0, 2.0)[:]
         assert samples.shape == (5, 2) and samples.dtype == float
-        assert np.all((0.0 <= samples) & (samples <= 2.0))
+        assert samples.tobytes() == uniform_block(seed, 0.0, 2.0, (5, 2)).tobytes()
+        assert np.all((0.0 <= samples) & (samples < 2.0))
 
-    def test_grid_samples_are_grid_functions(self):
-        rng = np.random.default_rng(1)
-        pairs = Draw(rng, 4, (2, 11), 0.0, 1.0)[:]
+    @given(seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_grid_samples_are_grid_functions(self, seed):
+        pairs = Draw(seeded_rng(seed), 4, (2, 11), 0.0, 1.0)[:]
+        assert pairs.tobytes() == uniform_block(seed, 0.0, 1.0, (4, 2, 11)).tobytes()
         fns = [f for pair in pairs for f in pair]
         assert len(fns) == 8
         for f in fns:
             assert as_grid_function(f).shape == (11,)
-            assert 0.0 <= f.min() and f.max() <= 1.0
-        assert 0.0 < sup_metric(*pairs[0]) <= 1.0
+            assert 0.0 <= f.min() and f.max() < 1.0
+        assert 0.0 < sup_metric(*pairs[0]) < 1.0
 
-    def test_grid_pairs_are_row_views_of_one_block(self):
-        # the same draws as the one-shot block; a slice's pairs share one block
-        pairs = Draw(np.random.default_rng(3), 3, (2, 5), -1.0, 2.0)[:]
-        block = np.random.default_rng(3).uniform(-1.0, 2.0, size=(3, 2, 5))
-        assert np.array_equal(np.array(pairs), block)
-        assert float(pairs[0][0][0]) == -0.7430524985691269
-        assert float(pairs[2][1][4]) == 1.1208952869668707
+    @given(seed=st.integers(0, 2 ** 64 - 1), cut=st.tuples(*[st.integers(-4, 4)] * 2))
+    @settings(max_examples=30, deadline=None)
+    def test_grid_pairs_are_row_views_of_one_block(self, seed, cut):
+        # the oracle's block, a slice at a time; a slice's pairs share one block
+        drawn = Draw(seeded_rng(seed), 3, (2, 5), -1.0, 2.0)
+        block = uniform_block(seed, -1.0, 2.0, (3, 2, 5))
+        for rows in (slice(None), slice(*cut), slice(None, None, -1)):
+            assert drawn[rows].tobytes() == block[rows].tobytes()
+        pairs = drawn[:]
         shared = pairs[0][0].base
         assert shared is not None and shared.shape == (3, 2, 5)
         assert all(f.base is shared and np.shares_memory(f, shared)
                    for pair in pairs for f in pair)
+
+    def test_the_oracle_is_the_published_splitmix64(self):
+        # the reference outputs of splitmix64.c for the seed 1234567
+        assert splitmix64(1234567, 5) == [6457827717110365317, 3203168211198807973,
+                                          9817491932198370423, 4593380528125082431,
+                                          16408922859458223821]
 
     def test_grid_function_validation(self):
         with pytest.raises(DimensionError):

@@ -13,7 +13,7 @@ from picardkit.builtins import resolve
 from picardkit.errors import DimensionError, DomainError
 from picardkit.metrics import elementwise
 from picardkit.posets import PartialOrder
-from picardkit.sampling import Mesh, seeded_rng
+from picardkit.sampling import Mesh
 
 
 class TestInducedAlpha:
@@ -74,7 +74,7 @@ class TestInducedAlpha:
     def test_induced_alpha_is_triangular(self):
         # transitivity of the order transfers to the indicator implication
         alpha = alpha_from_order(natural_order)
-        rng = seeded_rng(2)
+        rng = np.random.default_rng(2)
         triples = [tuple(map(float, row)) for row in rng.uniform(0, 1, (300, 3))]
         assert check_triangular_alpha(alpha, triples).passed
 

@@ -109,8 +109,8 @@ REFERENCE_DIGESTS = Path(__file__).with_name("artifact_digests.txt")
 
 def test_every_case_gives_the_reference_digests(monkeypatch):
     # every artifact, stream and exit status of the tool's cases, byte for
-    # byte; the digests follow numpy's float formatting and generator
-    # stream, so they stand for the numpy version the file names
+    # byte; the digests follow numpy's float formatting, so they stand for
+    # the numpy version the file names
     header, *reference = REFERENCE_DIGESTS.read_text().splitlines()
     version = header.removeprefix("# numpy ")
     assert np.__version__ == version, (
