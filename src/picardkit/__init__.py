@@ -3,7 +3,9 @@ hypotheses, Picard iteration with convergence diagnostics, and a
 Green's-kernel solver for two-point boundary-value problems.
 
 The package namespace is lazy: a public name imports its module when it is
-first read, so ``import picardkit`` loads no submodule and no numpy."""
+first read, so ``import picardkit`` loads no submodule and no numpy. A
+submodule names the modules it loads on first use once, at its top, as
+:class:`_Later` handles."""
 
 from importlib import import_module as _import_module
 
@@ -36,6 +38,18 @@ _MODULES = {
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 __all__ = tuple(_MODULE_OF)  # so ``from picardkit import *`` binds the table
+
+
+class _Later:
+    """The submodule ``name``, imported at the first read of one of its
+    names. Every read goes through ``import_module``, so a name patched on
+    the module is seen, and ``sys.modules`` holds only modules that ran."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(_import_module(f".{self._name}", __name__), attr)
 
 
 def __getattr__(name: str):

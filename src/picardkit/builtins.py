@@ -3,8 +3,8 @@
 :data:`BUILTINS` is the table of every choice a config selector field can
 name; :func:`resolve` builds the selected object, and :func:`catalog_text`
 lists the table. The module also holds the standard probe sets the verifiers
-use when the caller supplies none. A factory imports the modules its object
-comes from when it is called, so the table itself loads none of them but
+use when the caller supplies none. The modules a factory's object comes
+from load when it is called, so the table itself loads none of them but
 :mod:`~picardkit.metrics`, which every mode loads.
 """
 
@@ -12,87 +12,74 @@ from __future__ import annotations
 
 import ast
 import math
-from importlib import import_module
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import _Later
 from .errors import DomainError
-from .metrics import GRID_EPS, SCALAR_EPS, _real_or_array, elementwise, scalar_metric, sup_metric
+from .metrics import (GRID_EPS, SCALAR_EPS, Point, _real_or_array, elementwise, scalar_metric,
+                      sup_metric)
 
-if TYPE_CHECKING:
-    from .bvp import BVPProblem
-    from .framework import (AlphaFunction, CClassFunction, ContractionBundle, GeraghtyBeta,
-                            SimulationFunction)
-    from .metrics import Point
+bvp, framework, posets, sampling = map(_Later, ("bvp", "framework", "posets", "sampling"))
 
 
 # --------------------------------------------------------------------------
 # simulation functions
 
-def zeta1(lam: float = 0.5) -> SimulationFunction:
+def zeta1(lam: float = 0.5) -> framework.SimulationFunction:
     """zeta(t, s) = lam*s - t, for 0 < lam < 1."""
-    from .framework import SimulationFunction
-
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise DomainError(f"zeta1 needs lam in (0, 1), got {lam}")
-    return SimulationFunction(elementwise(lambda t, s: lam * s - t), name=f"zeta1({lam!r})")
+    return framework.SimulationFunction(elementwise(lambda t, s: lam * s - t),
+                                        name=f"zeta1({lam!r})")
 
 
 # --------------------------------------------------------------------------
 # C-class functions
 
-def cclass_a(r: float = 0.0) -> CClassFunction:
+def cclass_a(r: float = 0.0) -> framework.CClassFunction:
     """G(s, t) = s - t, with benchmark c_g = r >= 0."""
-    from .framework import CClassFunction
-
     r = float(r)
-    return CClassFunction(elementwise(lambda s, t: s - t), c_g=r, name=f"cclass_a({r!r})")
+    return framework.CClassFunction(elementwise(lambda s, t: s - t), c_g=r,
+                                    name=f"cclass_a({r!r})")
 
 
-def cclass_c(k: float = 1.0, r: float = 2.0) -> CClassFunction:
+def cclass_c(k: float = 1.0, r: float = 2.0) -> framework.CClassFunction:
     """G(s, t) = s/(1 + k*t), with benchmark c_g = r/(1+k), for k >= 1, r >= 2."""
-    from .framework import CClassFunction
-
     k = float(k)
     r = float(r)
     if not 1.0 <= k < math.inf:
         raise DomainError(f"cclass_c needs a finite k >= 1, got {k}")
     if not 2.0 <= r < math.inf:
         raise DomainError(f"cclass_c needs a finite r >= 2, got {r}")
-    return CClassFunction(elementwise(lambda s, t: s / (1.0 + k * t)), c_g=r / (1.0 + k),
-                          name=f"cclass_c({k!r}, {r!r})")
+    return framework.CClassFunction(elementwise(lambda s, t: s / (1.0 + k * t)),
+                                    c_g=r / (1.0 + k), name=f"cclass_c({k!r}, {r!r})")
 
 
 # --------------------------------------------------------------------------
 # Geraghty gains and admissibility weights
 
-def beta_reciprocal() -> GeraghtyBeta:
+def beta_reciprocal() -> framework.GeraghtyBeta:
     """beta(t) = 1/(1+t); beta(0) = 1 touches the top of the Geraghty range."""
-    from .framework import GeraghtyBeta
-
-    return GeraghtyBeta(elementwise(lambda t: 1.0 / (1.0 + t)), name="beta_reciprocal")
+    return framework.GeraghtyBeta(elementwise(lambda t: 1.0 / (1.0 + t)), name="beta_reciprocal")
 
 
-def beta_constant(value: float = 0.5) -> GeraghtyBeta:
+def beta_constant(value: float = 0.5) -> framework.GeraghtyBeta:
     """beta(t) = value, for 0 <= value < 1."""
-    from .framework import GeraghtyBeta
-
     value = float(value)
     if not 0.0 <= value < 1.0:
         raise DomainError(f"constant beta needs a value in [0, 1), got {value}")
-    return GeraghtyBeta(elementwise(lambda t: np.full(np.shape(t), value)),
-                        name=f"beta_constant({value!r})")
+    return framework.GeraghtyBeta(elementwise(lambda t: np.full(np.shape(t), value)),
+                                  name=f"beta_constant({value!r})")
 
 
-def alpha_box(low: float = 0.0, high: float = 1.0) -> AlphaFunction:
+def alpha_box(low: float = 0.0, high: float = 1.0) -> framework.AlphaFunction:
     """alpha(x, y) = 1 on [low, high]^2, else 0; elementwise on arrays."""
-    from .framework import AlphaFunction
-
     low = float(low)
     high = float(high)
-    return AlphaFunction(elementwise(
+    return framework.AlphaFunction(elementwise(
         lambda x, y: np.where((low <= x) & (x <= high) & (low <= y) & (y <= high), 1.0, 0.0)),
         name=f"alpha_box({low!r}, {high!r})")
 
@@ -205,7 +192,7 @@ def compile_rhs_expression(body: str) -> Callable:
 # --------------------------------------------------------------------------
 # bundles
 
-def example31_bundle() -> ContractionBundle:
+def example31_bundle() -> framework.ContractionBundle:
     """The scalar reference bundle, on the reals.
 
     The piecewise x/3-or-3x map, the unit-box weight, zeta1(8/9), the
@@ -213,9 +200,7 @@ def example31_bundle() -> ContractionBundle:
     caveat: beta(0) = 1 violates the open Geraghty range while the
     contraction inequality itself is unaffected (the left-hand side is
     zeta(0, 0) = 0 there)."""
-    from .framework import ContractionBundle
-
-    return ContractionBundle(
+    return framework.ContractionBundle(
         mapping=example31_map,
         alpha=alpha_box(0.0, 1.0),
         beta=beta_reciprocal(),
@@ -228,17 +213,14 @@ def example31_bundle() -> ContractionBundle:
                   "reads zeta(0, 0) = 0 >= 0 there. Both facts are reported."),))
 
 
-def bvp_bundle(problem: BVPProblem) -> ContractionBundle:
+def bvp_bundle(problem: bvp.BVPProblem) -> framework.ContractionBundle:
     """The bundle of the boundary-value operator, on grid functions.
 
     The gate-induced weight alpha_gate, zeta1(1/4), constant gain 1/2,
     subtraction with benchmark 0."""
-    from .bvp import alpha_from_gate, bvp_operator
-    from .framework import ContractionBundle
-
-    return ContractionBundle(
-        mapping=bvp_operator(problem),
-        alpha=alpha_from_gate(problem),
+    return framework.ContractionBundle(
+        mapping=bvp.bvp_operator(problem),
+        alpha=bvp.alpha_from_gate(problem),
         beta=beta_constant(0.5),
         zeta=zeta1(0.25),
         g=cclass_a(0.0),
@@ -259,11 +241,9 @@ def default_sequence_probes(mode: str = "classic") -> list[tuple[np.ndarray, np.
     the limsup check of the sequence axiom ``mode``, "classic" or "roldan";
     the roldan probes keep t_n strictly below s_n. Any other ``mode`` raises
     :class:`DomainError`."""
-    from .sampling import probe_pair
-
     if mode not in _SEQUENCE_PROBES:
         raise DomainError(f"unknown sequence axiom {mode!r}; choices: {', '.join(_SEQUENCE_PROBES)}")
-    return [probe_pair(limit, PROBE_TERMS, t_offset, s_offset, start)
+    return [sampling.probe_pair(limit, PROBE_TERMS, t_offset, s_offset, start)
             for limit, t_offset, s_offset, start in _SEQUENCE_PROBES[mode]]
 
 
@@ -300,11 +280,9 @@ BUILTINS = (
     Builtin("beta", "reciprocal", None, beta_reciprocal, "beta_reciprocal"),
     Builtin("beta", "half", None, lambda: beta_constant(0.5), "beta_constant(0.5)"),
     Builtin("beta", "<v>", None, beta_constant, "beta_constant(v), 0 <= v < 1"),
-    Builtin("order", "natural", "interval",
-            lambda: import_module(".posets", __package__).natural_order, "alpha = [x <= y]"),
+    Builtin("order", "natural", "interval", lambda: posets.natural_order, "alpha = [x <= y]"),
     Builtin("order", "pointwise", "grid",
-            lambda: import_module(".posets", __package__).pointwise_order,
-            "alpha = [x <= y nodewise]"),
+            lambda: posets.pointwise_order, "alpha = [x <= y nodewise]"),
     Builtin("map", "example31", None, lambda: example31_map, "x/3 on [0, 1], 3x elsewhere"),
     Builtin("map", "affine:a:b", None, affine_map, "x -> a*x + b"),
     Builtin("rhs", "zero", None, lambda: rhs_zero, "f = 0"),

@@ -21,18 +21,17 @@ operator's contraction constant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from . import _Later
 from .errors import DomainError
 from .metrics import (GRID_EPS, Point, _real_or_array, _require_int, _require_positive,
                       as_grid_function, elementwise, grid_pair, nodes, rowwise, sup_metric)
 
-if TYPE_CHECKING:  # the checks import the check kernel, and a solve the Picard engine, when called
-    from .framework import AlphaFunction, BlockCheck
-    from .picard import IterationTrace, PicardConfig
-    from .report import VerificationReport
+# the checks load the check kernel, and a solve the Picard engine, at their first call
+framework, picard, report = map(_Later, ("framework", "picard", "report"))
 
 CONTRACTION_FACTOR = 0.125  # sup_t of the kernel row integral t(1 - t)/2
 
@@ -153,10 +152,8 @@ class BVPProblem:
         # vCPUs, 3 sets of 20 runs)
         if self.gate is None:
             return np.ones(xa.shape)
-        from .framework import evaluate_block
-
-        values = evaluate_block(self.gate, lambda a, b: float(self.gate(a, b)),
-                                xa.ravel(), ya.ravel())
+        values = framework.evaluate_block(self.gate, lambda a, b: float(self.gate(a, b)),
+                                          xa.ravel(), ya.ravel())
         return values.reshape(xa.shape)
 
     def gate_weights(self, x: Point, y: Point) -> float | np.ndarray:
@@ -234,7 +231,7 @@ class BVPSolution(NamedTuple):
     or None) are read from the trace, and so is the verdict, as
     ``trace.termination``."""
 
-    trace: IterationTrace
+    trace: picard.IterationTrace
     residual: float
 
     @property
@@ -246,26 +243,23 @@ class BVPSolution(NamedTuple):
         return max(self.trace.defined_ratios(), default=None)
 
 
-def picard_iterate(*args, **kwargs) -> IterationTrace:
+def picard_iterate(*args, **kwargs) -> picard.IterationTrace:
     """:func:`picardkit.picard.picard_iterate`, which a solve runs through
     this name (perfbench's traced run wraps it to time the Picard layer);
-    the engine's module loads at the first call, not with bvp."""
-    from . import picard
-
+    the engine's module loads at the first call, through the ``picard``
+    handle, not with bvp."""
     return picard.picard_iterate(*args, **kwargs)
 
 
-def solve_bvp(problem: BVPProblem, cfg: PicardConfig | None = None) -> BVPSolution:
+def solve_bvp(problem: BVPProblem, cfg: picard.PicardConfig | None = None) -> BVPSolution:
     """Picard-iterate the integral operator from the zero function.
 
     The zero start lies in the carrier and is admitted by the default gate.
     On any termination the solution record carries the trace and the
     second-difference residual.
     """
-    from .picard import PicardConfig
-
     if cfg is None:
-        cfg = PicardConfig(tolerance=problem.tolerance, max_iterations=200)
+        cfg = picard.PicardConfig(tolerance=problem.tolerance, max_iterations=200)
     x0 = np.zeros(problem.n + 1)
     trace = picard_iterate(bvp_operator(problem), x0, cfg, sup_metric)
     return BVPSolution(trace, second_difference_residual(problem, trace.final))
@@ -273,7 +267,7 @@ def solve_bvp(problem: BVPProblem, cfg: PicardConfig | None = None) -> BVPSoluti
 
 def check_rhs_displacement_bound(problem: BVPProblem,
                                  triples: Iterable[tuple[float, float, float]] | np.ndarray
-                                 ) -> VerificationReport:
+                                 ) -> report.VerificationReport:
     """Check ``|f(t, a) - f(t, b)| <= max{|a - b|, |a - Ta|, |b - Tb|}``,
     within :data:`~picardkit.metrics.GRID_EPS`, on sampled ``(t, a, b)``
     triples admitted by the gate.
@@ -285,9 +279,7 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     triples, and an elementwise rhs once per chunk, a result of t alone
     spread over the chunk as by :meth:`BVPProblem.rhs_at`.
     """
-    from .framework import BlockCheck, _block_reports, _table, evaluate_block
-
-    table = _table(triples, 3)
+    table = framework._table(triples, 3)
     t, a, b = table.T
     outside = np.flatnonzero(~((0.0 <= t) & (t <= 1.0)))
     if outside.size:
@@ -298,13 +290,13 @@ def check_rhs_displacement_bound(problem: BVPProblem,
     ordered = np.sort(table[:, 1:], axis=None)
     constants = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
     T = bvp_operator(problem)
-    images = evaluate_block(T, T, np.repeat(constants[:, None], problem.n + 1, axis=1))
+    images = framework.evaluate_block(T, T, np.repeat(constants[:, None], problem.n + 1, axis=1))
     spread = lambda t, x: problem.rhs_at(t, x)  # takes columns whole if the rhs does
     if getattr(problem.rhs, "elementwise", False):
         elementwise(spread)
 
     def rhs(t, x):
-        return evaluate_block(spread, lambda t, x: float(problem.rhs(t, x)), t, x)
+        return framework.evaluate_block(spread, lambda t, x: float(problem.rhs(t, x)), t, x)
 
     def clause(columns):
         t, a, b = columns
@@ -314,59 +306,53 @@ def check_rhs_displacement_bound(problem: BVPProblem,
         bound = np.maximum(np.maximum(np.abs(a - b), np.abs(a - ta)), np.abs(b - tb))
         return None, lhs, bound, bound - lhs, bound
 
-    return _block_reports(table, [BlockCheck(
+    return framework._block_reports(table, [framework.BlockCheck(
         "rhs-displacement-bound", "rhs/displacement", clause,
         lambda lhs, bound: f"|f(t, a) - f(t, b)| = {lhs!r} exceeds the displacement max {bound!r}",
         tolerance=GRID_EPS)])[0]
 
 
-def operator_contraction_check() -> BlockCheck:
+def operator_contraction_check() -> framework.BlockCheck:
     """``d(Tx, Ty) <= CONTRACTION_FACTOR * M`` as a pair check of
     :func:`~picardkit.framework.check_pairs`: the bound is per pair."""
-    from .framework import BlockCheck
 
     def clause(chunk):
         bound = CONTRACTION_FACTOR * chunk.gauge
         return None, chunk.gap, bound, bound - chunk.gap, bound
 
-    return BlockCheck(
+    return framework.BlockCheck(
         "operator-contraction", "operator/contraction", clause,
         lambda lhs, bound: f"||Tx - Ty|| = {lhs!r} exceeds {CONTRACTION_FACTOR!r} * M = {bound!r}",
         tolerance=GRID_EPS)
 
 
 def check_operator_contraction(problem: BVPProblem,
-                               pairs: Iterable[tuple[Point, Point]]) -> VerificationReport:
+                               pairs: Iterable[tuple[Point, Point]]) -> report.VerificationReport:
     """Check ``||Tx - Ty||_inf <= CONTRACTION_FACTOR * max{d(x, y), d(x, Tx),
     d(y, Ty)}``, within :data:`~picardkit.metrics.GRID_EPS`, on sampled
     grid-function pairs; the factor 1/8 is the kernel row-integral maximum,
     so the check holds for an rhs whose Lipschitz constant in x is at most 1.
     T applies once per sampled function."""
-    from .framework import check_pairs
-
-    return check_pairs(bvp_operator(problem), None, pairs,
-                       [operator_contraction_check()], sup_metric)[0]
+    return framework.check_pairs(bvp_operator(problem), None, pairs,
+                                 [operator_contraction_check()], sup_metric)[0]
 
 
-def alpha_from_gate(problem: BVPProblem) -> AlphaFunction:
+def alpha_from_gate(problem: BVPProblem) -> framework.AlphaFunction:
     """Weight 1 on grid-function pairs whose gate is positive at every node
     (always 1 under the default open gate), else 0; row-wise on stacks.
     Each function is validated first, so a non-finite one raises
     :class:`DomainError` whatever the gate."""
-    from .framework import AlphaFunction
-
-    return AlphaFunction(rowwise(lambda x, y: problem.gate_weights(
+    return framework.AlphaFunction(rowwise(lambda x, y: problem.gate_weights(
         as_grid_function(x, stack=True), as_grid_function(y, stack=True))), name="alpha_gate")
 
 
 def check_gate_propagation(problem: BVPProblem,
-                           pairs: Iterable[tuple[Point, Point]]) -> VerificationReport:
+                           pairs: Iterable[tuple[Point, Point]]) -> report.VerificationReport:
     """Nodewise gate positivity must survive one application of the
     operator: ``xi(x(t), y(t)) > 0`` for all t implies
     ``xi(Tx(t), Ty(t)) > 0`` for all t, judged on the least gate value as in
     :func:`check_gate_limit`. A pass of :func:`~picardkit.framework.check_pairs`:
     the operator maps only the pairs the gate admits, a chunk per call."""
-    from .framework import BlockCheck, check_pairs
 
     def clause(chunk):
         held = np.flatnonzero(chunk.weights > 0.0)
@@ -374,23 +360,22 @@ def check_gate_propagation(problem: BVPProblem,
         # the margin worst - 0.0 is worst itself, bit for bit
         return held, worst, 0.0, worst, node
 
-    return check_pairs(bvp_operator(problem), alpha_from_gate(problem), pairs, [BlockCheck(
-        "gate-propagation", "gate/propagation", clause,
-        lambda worst, node: f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} "
-                            f"at node {node}", strict=True)])[0]
+    return framework.check_pairs(bvp_operator(problem), alpha_from_gate(problem), pairs, [
+        framework.BlockCheck(
+            "gate-propagation", "gate/propagation", clause,
+            lambda worst, node: f"gate positive on (x, y) but xi(Tx, Ty) = {worst!r} "
+                                f"at node {node}", strict=True)])[0]
 
 
 def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
-                     limit: Point) -> VerificationReport:
+                     limit: Point) -> report.VerificationReport:
     """Falsification check of the gate's limit condition: when consecutive
     sequence members pass the gate nodewise and the sequence approaches
     ``limit``, each member paired with the limit must pass as well. A kernel
     pass over the member indices (none unless the members pass): the gate
     is called on the consecutive members, then on the members and the limit."""
-    from .framework import BlockCheck, _block_reports, _table
-
     limit = as_grid_function(limit)
-    table = _table([(x, limit) for x in sequence], 2, grids=True)
+    table = framework._table([(x, limit) for x in sequence], 2, grids=True)
     if not np.all(np.isfinite(table)):  # the table admits them
         raise DomainError("grid function contains non-finite values")
     members = table[:, 0]
@@ -401,7 +386,8 @@ def check_gate_limit(problem: BVPProblem, sequence: Iterable[Point],
         worst, node = problem._least_gate(members[k], table[k, 1])
         return None, worst, 0.0, worst, k, node
 
-    return _block_reports(np.arange(len(table) if held else 0)[:, None], [BlockCheck(
-        "gate-limit", "gate/limit", clause,
-        lambda worst, k, node: f"xi(x_{k}, limit) = {worst!r} at node {node} is not positive",
-        strict=True, mode="falsification")])[0]
+    return framework._block_reports(np.arange(len(table) if held else 0)[:, None], [
+        framework.BlockCheck(
+            "gate-limit", "gate/limit", clause,
+            lambda worst, k, node: f"xi(x_{k}, limit) = {worst!r} at node {node} is not positive",
+            strict=True, mode="falsification")])[0]

@@ -1,8 +1,9 @@
 """Batch front-end: parse a run-configuration file, run a verify suite, a
 Picard orbit or a BVP solve, and write reports plus CSV artifacts. The
 config keys, defaults, artifacts and exit statuses are in the README's
-"Command-line interface" section. Each runner imports the layers it runs;
-metrics, which builtins loads in every mode, is imported here.
+"Command-line interface" section. The layers a runner runs load at their
+first use, through the handles at the top of the module; metrics, which
+builtins loads in every mode, is imported here.
 """
 
 from __future__ import annotations
@@ -17,19 +18,17 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
+from . import _Later
 from . import builtins as catalog
 from .errors import DimensionError, DomainError
 from .metrics import save_grid_csv, save_report_csv, scalar_metric
 
-if TYPE_CHECKING:
-    from .bvp import BVPProblem
-    from .framework import ContractionBundle
-    from .picard import IterationTrace, PicardConfig
-    from .report import VerificationReport
+bvp, framework, picard, posets, report, sampling = map(
+    _Later, ("bvp", "framework", "picard", "posets", "report", "sampling"))
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,16 +41,22 @@ class ConfigError(ValueError):
     """Configuration problem, carrying the source line when known."""
 
 
+# what a field of each kind whose value a conversion can refuse needs
+_NEEDS = {int: "an int", float: "a float", "count": "a nonnegative int",
+          "seed": "an unsigned 64-bit int"}
+
+
 def _convert(raw: str, kind, where: str, key: str):
     """``raw`` as a value of ``kind``: a type, ``"count"`` (a nonnegative
-    int), or the kind of a selector in the builtin table, looked up here so
-    a bad choice names its line. A choice with arguments is also built here,
-    so a rejected argument names it too; one without (a bundle's factory
-    needs the problem) imports nothing yet."""
+    int), ``"seed"`` (an unsigned 64-bit int), or the kind of a selector in
+    the builtin table, looked up here so a bad choice names its line. A
+    choice with arguments is also built here, so a rejected argument names
+    it too; one without (a bundle's factory needs the problem) imports
+    nothing yet."""
     try:
-        if kind == "count":
+        if kind in ("count", "seed"):
             value = int(raw)
-            if value < 0:
+            if value < 0 or kind == "seed" and value >= 2 ** 64:
                 raise ValueError(raw)
             return value
         if isinstance(kind, type):
@@ -62,15 +67,13 @@ def _convert(raw: str, kind, where: str, key: str):
     except DomainError as exc:
         raise ConfigError(f"{where}: field {key!r}: {exc}") from exc
     except ValueError as exc:
-        wanted = "nonnegative int" if kind == "count" else kind.__name__
-        raise ConfigError(f"{where}: field {key!r} needs a {wanted}, "
-                          f"got {raw!r}") from exc
+        raise ConfigError(f"{where}: field {key!r} needs {_NEEDS[kind]}, got {raw!r}") from exc
 
 
 # section, key, RunConfig attribute, type or selector kind, default
 _FIELDS = (
     ("", "mode", "mode", str, None),  # required
-    ("", "seed", "seed", int, 42),
+    ("", "seed", "seed", "seed", 42),
     ("", "out", "out", str, "reports"),
     ("carrier", "kind", "carrier_kind", "carrier", "interval"),
     ("carrier", "low", "carrier_low", float, 0.0),
@@ -140,8 +143,6 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     if config.mode not in _REQUIRED_SECTIONS:
         raise ConfigError(f"{source}: mode must be one of {', '.join(_REQUIRED_SECTIONS)}, "
                           f"got {config.mode!r}")
-    if not 0 <= config.seed < 2 ** 64:
-        raise ConfigError(f"{source}: seed must be an unsigned 64-bit integer")
     required = list(_REQUIRED_SECTIONS[config.mode])
     if config.mode == "verify" and config.carrier_kind == "grid":
         required.append("bvp")
@@ -164,14 +165,13 @@ def load_config(path: str | Path) -> RunConfig:
 # --------------------------------------------------------------------------
 # mode runners
 
-def _build_problem(config: RunConfig) -> BVPProblem:
-    from .bvp import BVPProblem
-
-    return BVPProblem(rhs=catalog.resolve("rhs", config.rhs), n=config.bvp_n,
-                      tolerance=config.bvp_tolerance, name=config.rhs)
+def _build_problem(config: RunConfig) -> bvp.BVPProblem:
+    return bvp.BVPProblem(rhs=catalog.resolve("rhs", config.rhs), n=config.bvp_n,
+                          tolerance=config.bvp_tolerance, name=config.rhs)
 
 
-def _build_bundle(config: RunConfig, problem: BVPProblem | None) -> ContractionBundle:
+def _build_bundle(config: RunConfig,
+                  problem: bvp.BVPProblem | None) -> framework.ContractionBundle:
     carrier = config.carrier_kind
     bundle = catalog.resolve("bundle", config.bundle_name, carrier, problem)
     if config.bundle_lambda is not None:
@@ -183,10 +183,8 @@ def _build_bundle(config: RunConfig, problem: BVPProblem | None) -> ContractionB
     if config.bundle_beta is not None:
         bundle = bundle._replace(beta=catalog.resolve("beta", config.bundle_beta))
     if config.order_name is not None:
-        from .posets import alpha_from_order
-
         order = catalog.resolve("order", config.order_name, carrier)
-        bundle = bundle._replace(alpha=alpha_from_order(order))
+        bundle = bundle._replace(alpha=posets.alpha_from_order(order))
     return bundle
 
 
@@ -194,33 +192,25 @@ def _header_lines(config: RunConfig, extra: Sequence[str] = ()) -> list[str]:
     return ["picardkit run report", f"mode: {config.mode}", f"seed: {config.seed}", *extra]
 
 
-def _rows_with_caveats(reports: Sequence[VerificationReport],
-                       bundle: ContractionBundle) -> tuple[list[VerificationReport], int]:
+def _rows_with_caveats(reports: Sequence[report.VerificationReport],
+                       bundle: framework.ContractionBundle
+                       ) -> tuple[list[report.VerificationReport], int]:
     """Apply declared bundle caveats: a failing check the bundle names, all
     of whose witnesses are of the clause it vouches for, is reported with
     status 'caveat' (witnesses preserved) and does not count toward the
     exit status. No other check's witnesses are read."""
-    from .report import CAVEAT, FAIL
-
     caveats = {name: (clause, note) for name, clause, note in bundle.caveats}
-    adjusted = [rep._replace(status=CAVEAT,
+    adjusted = [rep._replace(status=report.CAVEAT,
                              notes=(*rep.notes, f"declared caveat: {caveats[rep.name][1]}"))
-                if rep.status == FAIL and rep.name in caveats
+                if rep.status == report.FAIL and rep.name in caveats
                 and all(w.check == caveats[rep.name][0] for w in rep.witnesses) else rep
                 for rep in reports]
-    return adjusted, sum(rep.status == FAIL for rep in adjusted)
+    return adjusted, sum(rep.status == report.FAIL for rep in adjusted)
 
 
 def _run_verify(config: RunConfig, out: Path) -> int:
-    from .framework import (alpha_admissible_check, check_cclass, check_geraghty, check_pairs,
-                            check_simulation_pointwise, check_simulation_sequences,
-                            check_triangular_alpha, contraction_check)
-    from .report import render_text, write_report_csv
-    from .sampling import Draw, Mesh, SampleStream, SplitMix64, seeded_rng
-    if config.carrier_kind == "grid":
-        from .bvp import operator_contraction_check
-
-    rng = seeded_rng(config.seed)  # the only mode that draws samples
+    framework.check_pairs  # loaded first: loaded by the bundle, a verify peaks 0.1-0.2 MB higher
+    rng = sampling.seeded_rng(config.seed)  # the only mode that draws samples
     low, high = config.carrier_low, config.carrier_high
     for key, value in (("low", low), ("high", high)):
         if not math.isfinite(value):
@@ -234,50 +224,51 @@ def _run_verify(config: RunConfig, out: Path) -> int:
     bundle = _build_bundle(config, problem)
 
     # the origin, then positive pairs well above the strictness epsilon
-    zeta_samples = np.concatenate([np.zeros((1, 2)), Mesh(1e-2, 10.0, 40)[:],
-                                   Draw(rng, 100, (2,), 1e-3, 10.0)[:]])
+    zeta_samples = np.concatenate([np.zeros((1, 2)), sampling.Mesh(1e-2, 10.0, 40)[:],
+                                   sampling.Draw(rng, 100, (2,), 1e-3, 10.0)[:]])
     axis = np.linspace(0.0, 10.0, 41)
     coarse = axis[::8]  # (s, t) for s in axis for t in coarse
     cclass_samples = np.concatenate([
         np.column_stack([np.repeat(axis, coarse.size), np.tile(coarse, axis.size)]),
-        Draw(rng, 100, (2,), 1e-3, 10.0)[:]])
-    beta_samples = np.concatenate([axis, Draw(rng, 50, (), 0.0, 10.0)[:]])
+        sampling.Draw(rng, 100, (2,), 1e-3, 10.0)[:]])
+    beta_samples = np.concatenate([axis, sampling.Draw(rng, 50, (), 0.0, 10.0)[:]])
 
     metric, tol = catalog.resolve("carrier", config.carrier_kind)
     # made a chunk at a time: the pass never holds a pair or triple table whole
     if config.carrier_kind == "interval":
-        pairs = SampleStream(Mesh(low, high, config.pair_grid),
-                             Draw(rng, config.random_pairs, (2,), low, high))
-        triples = Draw(rng, 200, (3,), low, high)
+        pairs = sampling.SampleStream(sampling.Mesh(low, high, config.pair_grid),
+                                      sampling.Draw(rng, config.random_pairs, (2,), low, high))
+        triples = sampling.Draw(rng, 200, (3,), low, high)
     else:
         count, nodes = max(config.random_pairs, 10), config.bvp_n + 1
         # the pairs' functions in order, x_0, y_0, x_1, ..., three at a time
-        triples = Draw(SplitMix64(rng.seed, rng.drawn), 2 * count // 3, (3, nodes), low, high)
-        pairs = Draw(rng, count, (2, nodes), low, high)
+        triples = sampling.Draw(sampling.SplitMix64(rng.seed, rng.drawn), 2 * count // 3,
+                                (3, nodes), low, high)
+        pairs = sampling.Draw(rng, count, (2, nodes), low, high)
 
     reports = [
-        check_simulation_pointwise(bundle.zeta, zeta_samples),
-        check_simulation_sequences(bundle.zeta,
-                                   catalog.default_sequence_probes(bundle.zeta.sequence_axiom)),
-        check_cclass(bundle.g, cclass_samples),
-        check_geraghty(bundle.beta, beta_samples, catalog.default_beta_probes()),
+        framework.check_simulation_pointwise(bundle.zeta, zeta_samples),
+        framework.check_simulation_sequences(
+            bundle.zeta, catalog.default_sequence_probes(bundle.zeta.sequence_axiom)),
+        framework.check_cclass(bundle.g, cclass_samples),
+        framework.check_geraghty(bundle.beta, beta_samples, catalog.default_beta_probes()),
     ]
-    pair_checks = [alpha_admissible_check(), contraction_check(bundle, tol)]
+    pair_checks = [framework.alpha_admissible_check(), framework.contraction_check(bundle, tol)]
     if problem is not None:  # on the grid carrier the bundle maps by the problem's operator
-        pair_checks.append(operator_contraction_check())
-    admissible, *contracting = check_pairs(bundle.mapping, bundle.alpha, pairs,
-                                           pair_checks, metric)
-    reports += [admissible, check_triangular_alpha(bundle.alpha, triples), *contracting]
+        pair_checks.append(bvp.operator_contraction_check())
+    admissible, *contracting = framework.check_pairs(bundle.mapping, bundle.alpha, pairs,
+                                                     pair_checks, metric)
+    reports += [admissible, framework.check_triangular_alpha(bundle.alpha, triples), *contracting]
 
     adjusted, failures = _rows_with_caveats(reports, bundle)
     header = _header_lines(config, [f"bundle: {bundle.name}",
                                     f"carrier: {config.carrier_kind}"])
-    (out / "report.txt").write_text(render_text(adjusted, header))
-    write_report_csv(out / "report.csv", adjusted)
+    (out / "report.txt").write_text(report.render_text(adjusted, header))
+    report.write_report_csv(out / "report.csv", adjusted)
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-def write_trace_csv(path: str | Path, trace: IterationTrace) -> None:
+def write_trace_csv(path: str | Path, trace: picard.IterationTrace) -> None:
     """Trace export: iteration_index, gap, ratio, residual (residual on the
     final row only; omitted ratios stay blank)."""
     with open(path, "w", newline="") as fh:
@@ -288,23 +279,19 @@ def write_trace_csv(path: str | Path, trace: IterationTrace) -> None:
                              repr(float(trace.residual)) if i == len(trace.gaps) else ""])
 
 
-def _picard_config(config: RunConfig) -> PicardConfig:
-    from .picard import PicardConfig
-
-    return PicardConfig(config.tolerance, config.max_iterations, config.divergence_bound)
+def _picard_config(config: RunConfig) -> picard.PicardConfig:
+    return picard.PicardConfig(config.tolerance, config.max_iterations, config.divergence_bound)
 
 
-def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
+def _write_orbit(config: RunConfig, out: Path, trace: picard.IterationTrace,
                  before: Sequence[str], after: Sequence[str],
                  rows: Sequence[tuple[str, str]] = ()) -> int:
     """Write an orbit's trace.csv, its report.txt (the header lines
     ``before``, the termination and the iteration count, then ``after``) and
     its report.csv (the ``picard`` row, then ``rows`` of (name, value)),
     every row with the orbit's status; returns the exit status."""
-    from .picard import CONVERGED
-
     write_trace_csv(out / "trace.csv", trace)
-    converged = trace.termination == CONVERGED
+    converged = trace.termination == picard.CONVERGED
     status = "pass" if converged else "fail"
     header = _header_lines(config, [*before, f"termination: {trace.termination}",
                                     f"iterations: {trace.iterations}", *after])
@@ -316,10 +303,8 @@ def _write_orbit(config: RunConfig, out: Path, trace: IterationTrace,
 
 
 def _run_iterate(config: RunConfig, out: Path) -> int:
-    from .picard import picard_iterate
-
     mapping = catalog.resolve("map", config.map_spec)
-    trace = picard_iterate(mapping, config.start, _picard_config(config), scalar_metric)
+    trace = picard.picard_iterate(mapping, config.start, _picard_config(config), scalar_metric)
     final_gap = trace.gaps[-1] if trace.gaps else 0.0
     return _write_orbit(config, out, trace,
                         [f"map: {config.map_spec}", f"start: {config.start!r}"],
@@ -327,10 +312,8 @@ def _run_iterate(config: RunConfig, out: Path) -> int:
 
 
 def _run_solve(config: RunConfig, out: Path) -> int:
-    from .bvp import solve_bvp
-
     problem = _build_problem(config)
-    solution = solve_bvp(problem, _picard_config(config))
+    solution = bvp.solve_bvp(problem, _picard_config(config))
     save_grid_csv(out / "solution.csv", solution.values)
     estimate = solution.contraction_estimate
     return _write_orbit(config, out, solution.trace, [f"rhs: {problem.name}", f"n: {problem.n}"], [

@@ -6,23 +6,22 @@ conditions: the gap and the fixed-point residual both fall below the
 tolerance ("converged"), the gap exceeds the divergence bound ("diverged"),
 or the iteration budget runs out ("max_iterations"). The engine is
 deterministic: identical inputs produce identical traces bit for bit. The
-checks import :mod:`.framework` and :mod:`.report` when called, so an
-orbit run loads neither.
+checks load :mod:`.framework` and :mod:`.report` at their first call,
+through the handles at the top of the module, so an orbit run loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from . import _Later
 from .errors import DomainError
 from .metrics import SCALAR_EPS, Metric, Point, PointMap, _require_int, _require_positive
 
-if TYPE_CHECKING:  # the checks import the check kernel and the reports when called
-    from .framework import AlphaFunction, GeraghtyBeta
-    from .report import VerificationReport
+framework, report = map(_Later, ("framework", "report"))
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -136,13 +135,12 @@ def gaps_monotone(trace: IterationTrace) -> bool:
     return all(b <= a + SCALAR_EPS for a, b in zip(trace.gaps, trace.gaps[1:]))
 
 
-def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta) -> VerificationReport:
+def check_ratio_bound(trace: IterationTrace,
+                      beta: framework.GeraghtyBeta) -> report.VerificationReport:
     """Each defined ratio ``gaps[i+1] / gaps[i]`` must stay below
     ``beta(gaps[i]) + SCALAR_EPS``, the per-step gain a Geraghty-type
     contraction predicts for its own orbit."""
-    from .framework import BlockCheck, _block_reports, _table
-
-    gaps = _table(trace.gaps, 1)[:, 0]
+    gaps = framework._table(trace.gaps, 1)[:, 0]
     steps = np.flatnonzero(gaps[:-1] > RATIO_EPS)  # the steps whose ratio is defined
 
     def clause(columns):
@@ -153,14 +151,14 @@ def check_ratio_bound(trace: IterationTrace, beta: GeraghtyBeta) -> Verification
         return None, ratio, bound, bound - ratio, bound, step
 
     table = np.column_stack([steps, gaps[steps]])
-    return _block_reports(table, [BlockCheck(
+    return framework._block_reports(table, [framework.BlockCheck(
         "ratio-bound", "picard/ratio", clause,
         lambda ratio, bound, step: f"gap ratio {ratio!r} exceeds beta(gap) = {bound!r} "
                                    f"at step {step}", tolerance=SCALAR_EPS)])[0]
 
 
-def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point,
-                      n_max: int) -> VerificationReport:
+def check_alpha_orbit(T: PointMap, alpha: framework.AlphaFunction, x0: Point,
+                      n_max: int) -> report.VerificationReport:
     """Check ``alpha(x_n, x_m) >= 1`` for all 0 <= n < m <= n_max along the
     Picard orbit of ``x0``, in one pass over the index pairs (n, m).
 
@@ -171,9 +169,6 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point,
     candidate limit as the last orbit entry by choosing ``n_max``
     accordingly.
     """
-    from .framework import BlockCheck, _block_reports, _breaks, _table
-    from .report import HYPOTHESIS_UNMET, VerificationReport
-
     _require_int("n_max", n_max, least=1)
     orbit: list[Point] = [x0]
     for k in range(n_max):
@@ -181,12 +176,12 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point,
         _validate_iterate(nxt, k + 1, None)
         orbit.append(nxt)
     start_value = alpha(orbit[0], orbit[1])
-    if _breaks(start_value - 1.0, SCALAR_EPS):
-        return VerificationReport(
-            name="alpha-orbit", status=HYPOTHESIS_UNMET, witnesses=[], samples=0,
+    if framework._breaks(start_value - 1.0, SCALAR_EPS):
+        return report.VerificationReport(
+            name="alpha-orbit", status=report.HYPOTHESIS_UNMET, witnesses=[], samples=0,
             tolerance=SCALAR_EPS,
             notes=(f"hypothesis unmet: alpha(x0, T(x0)) = {start_value!r} < 1",))
-    points = _table([(x,) for x in orbit], 1, grids=True)[:, 0]
+    points = framework._table([(x,) for x in orbit], 1, grids=True)[:, 0]
 
     def clause(columns):
         n, m = columns
@@ -194,10 +189,11 @@ def check_alpha_orbit(T: PointMap, alpha: AlphaFunction, x0: Point,
         return None, value, 1.0, value - 1.0, n, m
 
     # the index pairs in the order of combinations(range(len(orbit)), 2), as ints
-    return _block_reports(np.column_stack(np.triu_indices(len(orbit), 1)), [BlockCheck(
-        "alpha-orbit", "alpha/orbit", clause,
-        lambda value, n, m: f"alpha(x_{n}, x_{m}) = {value!r} falls below 1",
-        tolerance=SCALAR_EPS)])[0]
+    return framework._block_reports(np.column_stack(np.triu_indices(len(orbit), 1)), [
+        framework.BlockCheck(
+            "alpha-orbit", "alpha/orbit", clause,
+            lambda value, n, m: f"alpha(x_{n}, x_{m}) = {value!r} falls below 1",
+            tolerance=SCALAR_EPS)])[0]
 
 
 class UniquenessReport(NamedTuple):
@@ -225,19 +221,19 @@ def uniqueness_probe(T: PointMap, starts: Iterable[Point], cfg: PicardConfig,
                      d: Metric) -> UniquenessReport:
     """Run :func:`picard_iterate` from every start, with no carrier
     predicate, and cluster the limits."""
-    report = UniquenessReport(list(starts), [], [], [])
+    probe = UniquenessReport(list(starts), [], [], [])
     threshold = 10.0 * cfg.tolerance
-    for index, x0 in enumerate(report.starts):
+    for index, x0 in enumerate(probe.starts):
         try:
             trace = picard_iterate(T, x0, cfg, d)
         except DomainError as exc:
-            report.traces.append(IterationTrace(x0, [], "domain-error", math.inf))
-            report.failed_starts.append((index, f"domain-error: {exc}"))
+            probe.traces.append(IterationTrace(x0, [], "domain-error", math.inf))
+            probe.failed_starts.append((index, f"domain-error: {exc}"))
             continue
-        report.traces.append(trace)
+        probe.traces.append(trace)
         if trace.termination != CONVERGED:
-            report.failed_starts.append((index, trace.termination))
+            probe.failed_starts.append((index, trace.termination))
             continue
-        if not any(d(trace.final, seen) <= threshold for seen in report.distinct_limits):
-            report.distinct_limits.append(trace.final)
-    return report
+        if not any(d(trace.final, seen) <= threshold for seen in probe.distinct_limits):
+            probe.distinct_limits.append(trace.final)
+    return probe

@@ -120,6 +120,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("mode = verify\nseed = -3\n")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "abc"])
+    def test_a_bad_config_seed_names_its_line_and_field(self, tmp_path, capsys, seed):
+        path = write_cfg(tmp_path, VERIFY_CFG.replace("seed = 42", f"seed = {seed}"))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"config error: {path}: line 2: field 'seed' needs "
+                                           f"an unsigned 64-bit int, got '{seed}'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_largest_config_seed_is_accepted(self):
+        config = parse_config(f"mode = iterate\nseed = {2 ** 64 - 1}\n[iterate]\n")
+        assert config.seed == 2 ** 64 - 1
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("mode = verify\njust words\n")
@@ -201,6 +213,8 @@ class TestConfigParsing:
         # sample counts numpy cannot draw
         ("[verify]", "pair_grid = -1", EXIT_USAGE, "needs a nonnegative int, got '-1'"),
         ("[verify]", "random_pairs = -5", EXIT_USAGE, "needs a nonnegative int, got '-5'"),
+        # a value of another type, named with the type's article
+        ("[bvp]", "n = 1.5", EXIT_USAGE, "field 'n' needs an int, got '1.5'"),
         # valid choices that do not fit together: a validation error
         ("[bundle]", "name = bvp", EXIT_VALIDATION, "the bvp bundle needs the grid carrier"),
         ("[order]", "name = pointwise", EXIT_VALIDATION,

@@ -3,8 +3,9 @@ code lines by the rule the size figures in CHANGES.md and ROADMAP.md use,
 ``tools/artifact_digests.py`` hashes what ``python -m picardkit`` writes
 on a fixed set of cases, which must give the digests committed in
 ``artifact_digests.txt``, and ``tools/unreached.py`` lists the functions
-that none of those cases, nor a demo, enters. The last test scans the
-source for the options of the library that no caller sets."""
+that none of those cases, nor a demo, enters. The last tests scan the
+source for the options of the library that no caller sets, and for
+imports of the package made inside a function."""
 
 import ast
 import hashlib
@@ -128,6 +129,24 @@ def test_every_case_gives_the_reference_digests(monkeypatch):
     assert lines == reference
 
 
+def test_the_seed_flag_runs_as_the_config_seed_it_overrides():
+    # the digest case that runs the seed-3 interval workload with --seed 11
+    # gives, artifact for artifact, what the seed-11 config gives
+    tool = _tool("artifact_digests")
+    config, args = tool.CASES["verify-interval-seed3-flag11"]
+    seed3, seed11 = (tool.CASES[f"verify-interval-seed{seed}"][0] for seed in (3, 11))
+    assert config == seed3 != seed11
+    assert args == ["--seed", "11"]
+    by_case = {}
+    for line in REFERENCE_DIGESTS.read_text().splitlines()[1:]:
+        digest, what = line.split("  ")
+        case, name = what.rsplit("/", 1)
+        by_case.setdefault(case, {})[name] = digest
+    flagged = by_case["verify-interval-seed3-flag11"]
+    assert sorted(flagged) == ["report.csv", "report.txt", "status", "stderr", "stdout"]
+    assert flagged == by_case["verify-interval-seed11"] != by_case["verify-interval-seed3"]
+
+
 # the functions that no run of tools/unreached.py enters, each with the
 # reason it stays in the library; any other function a run does not reach
 # belongs in the tests or nowhere
@@ -210,3 +229,37 @@ def test_every_option_no_caller_sets_is_allowed():
              if not any(name in keywords or position is not None and position < count
                         for count, keywords in calls.get(callee, []))]
     assert sorted(unset) == sorted(UNSET)
+
+
+def _imports_the_package(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "picardkit"
+    return (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "picardkit" for alias in node.names))
+
+
+def test_no_function_imports_a_module_of_the_package():
+    # a module names the submodules it loads on first use once, at its top,
+    # as picardkit._Later handles; only the process entry imports one in a
+    # function, cli, after it has turned the collector off. No TYPE_CHECKING
+    # block holds imports, and only the package's own lazy names call
+    # import_module
+    package = Path(picardkit.__file__).parent
+    inside, guarded = {}, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # outer functions come first in the walk, so an import is named by
+        # the innermost function that holds it
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(scope, "name", "<lambda>")
+                for node in ast.walk(scope):
+                    called = (isinstance(node, ast.Call) and path.stem != "__init__"
+                              and ast.unparse(node.func).endswith("import_module"))
+                    if _imports_the_package(node) or called:
+                        inside[path.stem, node.lineno] = f"{path.stem}.{name}"
+        guarded += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                    if "TYPE_CHECKING" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                           getattr(node, "name", None))]
+    assert sorted(inside.values()) == ["__main__.entry"]
+    assert guarded == []

@@ -17,7 +17,8 @@ interval verifies and one of 4·10⁶ pairs, a Geraghty gain near 1, a
 converging and a diverging orbit, ``--list-builtins``, ``--help``, a run
 for each error status, interval carriers whose bounds are zeros of both
 signs, and the order-reduction verify and the solve whose artifacts
-``tests/test_cli.py`` checks against these digests.
+``tests/test_cli.py`` checks against these digests, and the seed-3
+interval workload run with ``--seed 11``.
 Every case runs in a new directory of its own, under the relative names
 ``case.cfg`` and ``out``, so the paths in a message are the same on every
 tree. The children format ``--help`` for 80 columns and write no bytecode,
@@ -51,9 +52,11 @@ def _workload_cases() -> dict[str, tuple[str | None, list[str]]]:
             for name, workload in workloads.WORKLOADS.items() for seed in (3, 7, 11)}
 
 
+_WORKLOADS = _workload_cases()
+
 # case name: (the config file's text, or None for no --config; further arguments)
 CASES = {
-    **_workload_cases(),
+    **_WORKLOADS,
     "failing-grid": (_FAILING_GRID, []),
     "failing-grid-pointwise": (_FAILING_GRID + "[order]\nname = pointwise\n", []),
     # an rhs of t alone, which the problem spreads over a stack of grid functions
@@ -90,6 +93,8 @@ CASES = {
     # an orbit whose trace carries defined ratios
     "solve-sin-plus-one": ("mode = solve-bvp\n[bvp]\nrhs = sin_plus_one\nn = 100\n"
                            "[picard]\ntolerance = 1e-10\n", []),
+    # --seed overrides the config's seed: the same artifacts as verify-interval-seed11
+    "verify-interval-seed3-flag11": (_WORKLOADS["verify-interval-seed3"][0], ["--seed", "11"]),
 }
 
 
