@@ -241,7 +241,9 @@ def _run_verify(config: RunConfig, out: Path) -> int:
         triples = sampling.Draw(rng, 200, (3,), low, high)
     else:
         count, nodes = max(config.random_pairs, 10), config.bvp_n + 1
-        # the pairs' functions in order, x_0, y_0, x_1, ..., three at a time
+        # the pairs' functions in order, x_0, y_0, x_1, ..., three at a time:
+        # the pair pass makes the triangular check's rows from its own
+        # chunks, and a witness replays its row from this draw
         triples = sampling.Draw(sampling.SplitMix64(rng.seed, rng.drawn), 2 * count // 3,
                                 (3, nodes), low, high)
         pairs = sampling.Draw(rng, count, (2, nodes), low, high)
@@ -256,9 +258,12 @@ def _run_verify(config: RunConfig, out: Path) -> int:
     pair_checks = [framework.alpha_admissible_check(), framework.contraction_check(bundle, tol)]
     if problem is not None:  # on the grid carrier the bundle maps by the problem's operator
         pair_checks.append(bvp.operator_contraction_check())
+    folded = triples if problem is not None else None
     admissible, *contracting = framework.check_pairs(bundle.mapping, bundle.alpha, pairs,
-                                                     pair_checks, metric)
-    reports += [admissible, framework.check_triangular_alpha(bundle.alpha, triples), *contracting]
+                                                     pair_checks, metric, folded)
+    triangular = (contracting.pop() if folded is not None
+                  else framework.check_triangular_alpha(bundle.alpha, triples))
+    reports += [admissible, triangular, *contracting]
 
     adjusted, failures = _rows_with_caveats(reports, bundle)
     header = _header_lines(config, [f"bundle: {bundle.name}",
@@ -426,9 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise ConfigError("--seed must be an unsigned 64-bit integer")
-            config.seed = args.seed
+            config.seed = _convert(str(args.seed), "seed", "--seed", "seed")
     except ConfigError as exc:
         write_stderr(f"config error: {exc}")
         return EXIT_USAGE

@@ -37,11 +37,14 @@ function decides which fail, by one rule (:func:`_breaks`); it gives the
 failing rows of the chunk and their margins to the check's
 :class:`~picardkit.report.FailingRows`, which keeps a bit per row, set if
 it fails, and the inputs and margins of the worst few only. A chunk is up to :data:`CHUNK`
-float values per column (16000, so that a float column of a chunk stays
-just under 128 KiB, glibc's default threshold for serving an allocation
-with mmap): 16000 samples of reals, or ``CHUNK // (n + 1)`` grid functions
-of n + 1 nodes (at least one). A column of a chunk is a view of its rows:
-a 1-d array of reals, or a (k, n + 1) stack of grid functions.
+float values in all (16000, so that its rows, the largest array it
+allocates, stay just under 128 KiB, glibc's default threshold for serving
+an allocation with mmap): ``CHUNK // k`` rows of k reals (8000 pairs), or
+``CHUNK // (k (n + 1))`` rows of k grid functions of n + 1 nodes (at least
+one row: 7 pairs or 5 triples at n = 1000), and a pass frees each chunk's
+columns before it makes the next chunk. A column of a chunk is a view of
+its rows: a 1-d array of reals, or a (rows, n + 1) stack of grid
+functions.
 :func:`evaluate_block` evaluates a callable once per chunk where it
 declares that it takes such columns whole, tagged
 :func:`~picardkit.metrics.elementwise` for reals or
@@ -49,7 +52,9 @@ declares that it takes such columns whole, tagged
 propagate; an untagged callable is evaluated per sample, with the same
 results. Either way a result is taken in one shape only, one value per row
 or the columns' own. The pair hypotheses share one pass, :func:`check_pairs`, so
-the mapping applies at most once per sampled point. A witness is built
+the mapping applies at most once per sampled point; on triples of the
+pairs' own grid functions, the triangular check reads them in that pass
+too, so each function is made once. A witness is built
 only when a caller reaches it, by replaying its row through the clause; a
 report gives its witnesses worst first, the most negative margin first.
 The two limit-style conditions, :func:`check_simulation_sequences` and the
@@ -81,7 +86,7 @@ MIN_TAIL = 25  # minimum tail length for limsup estimates
 LIMIT_TOL = 1e-9  # a beta probe's tail tends to 1 when it comes this close
 SEPARATION = 1e-6  # a beta probe's tail arguments stay this far from 0
 
-CHUNK = 16000  # float values per column of a chunk: see above
+CHUNK = 16000  # float values of a chunk's rows: see above
 
 
 def evaluate_block(fn: Callable, scalar: Callable, *columns,
@@ -423,15 +428,19 @@ def _stacked(rows, what: str, grids: bool, wanted: str) -> np.ndarray:
                          else wanted)
 
 
-def _blocks(table) -> Iterator[tuple[list, object]]:
-    """(columns, rows) of consecutive chunks of the table, each of at least
-    one row and up to CHUNK float values per column. ``rows`` is the chunk
-    of the table, and its columns are views of it: 1-d arrays of reals, or
-    (k, n + 1) stacks."""
-    length = max(1, CHUNK // math.prod(table[:0].shape[2:]))
+def _blocks(table) -> Iterator[np.ndarray]:
+    """Consecutive chunks of the table's rows, each of at least one row and
+    up to CHUNK float values in all; no chunk is held here while the next
+    one is made."""
+    length = max(1, CHUNK // math.prod(table[:0].shape[1:]))
     for start in range(0, len(table), length):
-        rows = table[start:start + length]
-        yield list(np.moveaxis(rows, 1, 0)), rows
+        yield table[start:start + length]
+
+
+def _columns(rows) -> list:
+    """The columns of a chunk's rows, as views: 1-d arrays of reals, or
+    (rows, n + 1) stacks of grid functions."""
+    return list(np.moveaxis(rows, 1, 0))
 
 
 class BlockCheck(NamedTuple):
@@ -462,36 +471,69 @@ def _breaks(margin, tolerance: float, strict: bool = False):
     return np.logical_not(margin > tolerance) if strict else margin < -tolerance
 
 
-def _write_failing(check: BlockCheck, view, rows: np.ndarray, into: FailingRows) -> None:
-    """Write the rows of a chunk that break the clause ``into`` its store."""
-    index, _, _, margin, *_ = check.clause(view)
+def _write_failing(check: BlockCheck, rows: np.ndarray, into: FailingRows, view=None) -> None:
+    """Write the rows of a chunk that break the clause ``into`` its store;
+    the clause reads ``view``, the chunk's wrapped columns, else the rows'
+    columns."""
+    index, _, _, margin, *_ = check.clause(_columns(rows) if view is None else view)
     broken = np.flatnonzero(_breaks(margin, check.tolerance, check.strict))
     into.add(rows, broken if index is None else index[broken], margin[broken])
 
 
 def _block_reports(table, checks: Sequence[BlockCheck],
-                   chunk: Callable = lambda columns: columns) -> list[VerificationReport]:
+                   chunk: Callable = lambda columns: columns,
+                   folds: Sequence[tuple] = ()) -> list[VerificationReport]:
     """The reports of ``checks`` from one pass over a table of
     :func:`_table` (or an index or probe table a verifier makes itself),
     one per report name in order, each made of its clauses' stores: each
     chunk's columns are wrapped by ``chunk`` once and read by every check,
     and each check's failing rows are marked, and the worst kept, from the
     chunk, so a stream is never held whole. A witness replays its row
-    through ``chunk`` too."""
-    found = [FailingRows(check.check, check.detail, table, lambda rows, clause=check.clause:
-                         clause(chunk(list(np.moveaxis(rows, 1, 0)))))
-             for check in checks]
-    for columns, rows in _blocks(table):
-        view = chunk(columns)
-        for check, into in zip(checks, found):
-            _write_failing(check, view, rows, into)
-        del view  # free this chunk's columns before the next chunk computes its own
+    through ``chunk`` too. A fold ``(check, triples)`` is a check of a
+    table of triples that are the pass's points in order, three a row
+    (:class:`_Threes`): each chunk's are made from its rows before its
+    columns are, so what a fold carries over is dropped before the next
+    chunk's columns are made. A fold's witnesses replay from ``triples``
+    unwrapped, and its report comes after the others."""
+    def store(check: BlockCheck, rows, wrap: Callable) -> FailingRows:
+        return FailingRows(check.check, check.detail, rows,
+                           lambda part, clause=check.clause: clause(wrap(_columns(part))))
+
+    found = [(check, table, store(check, table, chunk)) for check in checks]
+    folded = [(check, rows, store(check, rows, lambda columns: columns), _Threes(table))
+              for check, rows in folds]
+    for rows in _blocks(table):
+        for check, _, into, threes in folded:
+            _write_failing(check, threes(rows), into)
+        view = chunk(_columns(rows))
+        for check, _, into in found:
+            _write_failing(check, rows, into, view)
+        del view, rows  # free this chunk before the next is made, but for a fold's carry
     clauses: dict[str, list] = {}
-    for check, into in zip(checks, found):
-        clauses.setdefault(check.name, [check]).append(into)
-    return [make_report(name, parts, len(table), tolerance=check.tolerance, notes=check.notes,
+    for check, rows, into, *_ in found + folded:
+        clauses.setdefault(check.name, [check, len(rows)]).append(into)
+    return [make_report(name, parts, samples, tolerance=check.tolerance, notes=check.notes,
                         mode=check.mode)
-            for name, (check, *parts) in clauses.items()]
+            for name, (check, samples, *parts) in clauses.items()]
+
+
+class _Threes:
+    """The points of a pass's chunks of pairs regrouped, in order, three a
+    row. A call on a chunk's rows gives the whole rows of three that the
+    points the last call left over (at most two) and the chunk's own make.
+    The points it leaves over stay a view of the chunk until the next call:
+    a copy of them, made so that the chunk is freed before the next one is
+    made, raised the verify runs' peaks by 0.1-0.3 MB."""
+
+    def __init__(self, table):
+        self.left = np.empty((0, *table[:0].shape[2:]))
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        points = rows.reshape(-1, *self.left.shape[1:])
+        cut = len(points) - (len(self.left) + len(points)) % 3
+        whole = np.concatenate([self.left, points[:cut]])
+        self.left = points[cut:]
+        return whole.reshape(-1, 3, *self.left.shape[1:])
 
 
 def _pair_columns(T: PointMap, alpha: Optional[AlphaFunction], d: Optional[Metric],
@@ -545,16 +587,23 @@ def contraction_check(bundle: ContractionBundle, tol: float = SCALAR_EPS) -> Blo
 
 def check_pairs(T: PointMap, alpha: Optional[AlphaFunction],
                 pairs: Iterable[tuple[Point, Point]] | np.ndarray,
-                checks: Sequence[BlockCheck],
-                d: Optional[Metric] = None) -> list[VerificationReport]:
+                checks: Sequence[BlockCheck], d: Optional[Metric] = None,
+                triples: Optional[Iterable[tuple[Point, Point, Point]] | np.ndarray] = None
+                ) -> list[VerificationReport]:
     """The reports of the pair ``checks`` (:func:`alpha_admissible_check`,
     :func:`contraction_check`, :func:`picardkit.bvp.operator_contraction_check`),
     in their order, from one chunked pass over ``pairs`` under the mapping
     ``T``, the weight ``alpha`` (None if no check reads it) and the metric
     ``d``. The checks share each chunk's columns (:func:`_pair_columns`), so
-    T applies at most once per sampled point."""
+    T applies at most once per sampled point. ``triples`` are the pairs'
+    points in order, three a row (x_0, y_0, x_1; y_1, x_2, y_2; ...): with
+    them, the report of :func:`check_triangular_alpha` on them comes last,
+    its rows made from each chunk's points (at most two carried to the next
+    chunk), so that no point is made twice; its witnesses replay from
+    ``triples``."""
+    folds = [] if triples is None else [(_triangular_check(alpha), _table(triples, 3, grids=True))]
     return _block_reports(_table(pairs, 2, grids=True), checks,
-                          lambda columns: _pair_columns(T, alpha, d, *columns))
+                          lambda columns: _pair_columns(T, alpha, d, *columns), folds)
 
 
 def check_alpha_admissible(T: PointMap, alpha: AlphaFunction,
@@ -578,14 +627,18 @@ def _chained(alpha: AlphaFunction, tol: float) -> Callable:
     return clause
 
 
+def _triangular_check(alpha: AlphaFunction) -> BlockCheck:
+    return BlockCheck("alpha-triangular", "alpha/triangular", _chained(alpha, SCALAR_EPS),
+                      lambda v: f"alpha chains through z but alpha(x, y) = {v!r}",
+                      tolerance=SCALAR_EPS)
+
+
 def check_triangular_alpha(alpha: AlphaFunction,
                            triples: Iterable[tuple[Point, Point, Point]] | np.ndarray
                            ) -> VerificationReport:
     """``alpha(x, z) >= 1`` and ``alpha(z, y) >= 1`` must force
     ``alpha(x, y) >= 1`` on every sampled triple (x, z, y)."""
-    return _block_reports(_table(triples, 3, grids=True), [BlockCheck(
-        "alpha-triangular", "alpha/triangular", _chained(alpha, SCALAR_EPS),
-        lambda v: f"alpha chains through z but alpha(x, y) = {v!r}", tolerance=SCALAR_EPS)])[0]
+    return _block_reports(_table(triples, 3, grids=True), [_triangular_check(alpha)])[0]
 
 
 def verify_contraction(bundle: ContractionBundle,

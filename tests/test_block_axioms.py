@@ -371,7 +371,8 @@ small_chunk = st.just(SMALL_CHUNK)
 
 @contextmanager
 def chunk_size(chunk):
-    """The library's real-sample chunk size set to ``chunk`` for the block."""
+    """The library's chunk size (float values of a chunk's rows) set to
+    ``chunk`` for the block."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(framework, "CHUNK", chunk)
         yield
@@ -615,17 +616,18 @@ ALPHA_EDGE = AlphaFunction(elementwise(lambda x, y: np.where(
     np.where(np.abs(x - y) > 0.5, _ALPHA_HELD, 1.0))), name="edge")
 
 
-def _with_chunk(shift, size, check, *args):
-    """``check(*args)`` with the chunk size at ``size + shift`` (at the
-    library's CHUNK if ``shift`` is None)."""
-    with chunk_size(CHUNK if shift is None else max(size + shift, 1)):
+def _with_chunk(shift, size, width, check, *args):
+    """``check(*args)`` with the chunk size at ``size + shift`` rows of
+    ``width`` values (at the library's CHUNK if ``shift`` is None)."""
+    with chunk_size(CHUNK if shift is None else max(size + shift, 1) * width):
         return _outcome(check, *args)
 
 
 # orbit lengths whose index-pair counts (1, 3, 45 and 4095) the drawn shift
 # puts at, just below or just above a chunk size; an orbit has at least one
 # pair, so the size 0 does not occur. Under the library's CHUNK (shift None)
-# these fit in one chunk, and the orbit of length 180 (16110 pairs) spans two.
+# these fit in one chunk of 8000 pairs, and the orbit of length 180 (16110
+# pairs) spans three.
 @given(length=st.sampled_from([2, 3, 10, 91]), shift=st.sampled_from([-1, 0, 1, None]),
        mapping=st.sampled_from(SCALAR_MAPS), alpha=st.sampled_from(SCALAR_ALPHAS),
        x0=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.5, -0.25]))
@@ -638,7 +640,7 @@ def _with_chunk(shift, size, check, *args):
 @example(length=10, shift=None, mapping=SCALAR_MAPS[4], alpha=ALPHA_EDGE, x0=0.0)
 @settings(max_examples=60, deadline=None)
 def test_alpha_orbit_matches_the_pair_loop(length, shift, mapping, alpha, x0):
-    block = _with_chunk(shift, length * (length - 1) // 2,
+    block = _with_chunk(shift, length * (length - 1) // 2, 2,
                         check_alpha_orbit, mapping, alpha, x0, length - 1)
     assert_same_report(block, _outcome(oracle_alpha_orbit, mapping, alpha, x0, length - 1))
 
@@ -705,7 +707,7 @@ def test_increasing_on_grid_functions():
 @given(n=st.sampled_from([0, 1, 2, 5, 16]), shift=st.sampled_from([-1, 0, 1, None]),
        arity=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
        order=st.sampled_from(ORDERS), finite=st.sampled_from([True, True, False]))
-# 26**3 = 17576 triples span two of the library's chunks
+# 26**3 = 17576 triples span four of the library's chunks of 5333
 @example(n=26, shift=None, arity=3, seed=7, order=ORDERS[1], finite=True)
 @settings(max_examples=40, deadline=None)
 def test_order_axioms_match_the_tuple_loops(n, shift, arity, seed, order, finite):
@@ -713,7 +715,8 @@ def test_order_axioms_match_the_tuple_loops(n, shift, arity, seed, order, finite
     elements = rng.choice([0.0, 0.25, 0.5, 1.0, 1.25, 2.5, 3.0, math.inf], n).tolist()
     if finite:  # d(inf, inf) raises a DomainError
         elements = [min(x, 5.0) for x in elements]
-    block = _with_chunk(shift, n ** arity, check_order_axioms, order, elements, scalar_metric)
+    block = _with_chunk(shift, n ** arity, arity, check_order_axioms, order, elements,
+                        scalar_metric)
     assert_same_report(block, _outcome(oracle_order_axioms, order, elements, scalar_metric))
     if block is not DomainError:
         assert block.samples == n + n ** 2 + n ** 3

@@ -487,10 +487,10 @@ def _shifted_pairs(rng, count, n, shift):
     return [(np.array(x), np.array(y)) for x, y in zip(xs, ys)]
 
 
-# n and pair counts around a chunk of CHUNK // (n + 1) grid functions (15
-# at n = 1000, 1454 at n = 10)
-STACK_COUNTS = [(1000, 0), (1000, 1), *((1000, CHUNK // 1001 + i) for i in (-1, 0, 1)),
-                (1000, 40), (10, CHUNK // 11 - 1), (10, CHUNK // 11 + 1)]
+# n and pair counts around a chunk of CHUNK // (2 (n + 1)) pairs (7 at
+# n = 1000, 727 at n = 10)
+STACK_COUNTS = [(1000, 0), (1000, 1), *((1000, CHUNK // 2002 + i) for i in (-1, 0, 1)),
+                (1000, 40), (10, CHUNK // 22 - 1), (10, CHUNK // 22 + 1)]
 
 
 class TestOperatorContraction:

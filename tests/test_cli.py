@@ -275,12 +275,15 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "validation error: unknown mode 'bogus'\n"
         assert list((tmp_path / "out").iterdir()) == []
 
-    def test_a_seed_past_64_bits_on_the_command_line_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seed", [2 ** 64, -1])
+    def test_a_seed_past_64_bits_on_the_command_line_is_a_usage_error(self, tmp_path, capsys,
+                                                                       seed):
+        # the flag's value is converted as the config field's is
         path = write_cfg(tmp_path, SOLVE_CFG)
-        argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--seed", str(2 ** 64)]
+        argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--seed", str(seed)]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "config error: --seed must be an unsigned 64-bit integer\n")
+            f"config error: --seed: field 'seed' needs an unsigned 64-bit int, got '{seed}'\n")
         assert not (tmp_path / "out").exists()
 
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
@@ -403,12 +406,12 @@ n = 40
         drawn, calls = _verify_grid_calls(tmp_path, monkeypatch)
         # alpha-admissible, contraction and operator-contraction share the
         # images: each of the 400 sampled functions is mapped once, none
-        # twice, in stacks of CHUNK // 1001 = 15 (at most CHUNK node values):
-        # 14 chunks of x and y rows
+        # twice, in stacks of CHUNK // 2002 = 7 (pairs of at most CHUNK node
+        # values): 29 chunks of x and y rows
         mapped = [row.tobytes() for rows in calls for row in rows]
         sampled = {f.tobytes() for pair in drawn for f in pair}
         assert len(mapped) == 400 and set(mapped) == sampled and len(sampled) == 400
-        assert len(calls) <= 2 * math.ceil(200 / (framework_module.CHUNK // 1001))
+        assert len(calls) <= 2 * math.ceil(200 / (framework_module.CHUNK // 2002))
         rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
         assert [row.split(",")[:3] for row in rows[-4:]] == [
             ["alpha-admissible", "pass", "200"], ["alpha-triangular", "pass", "133"],
@@ -781,25 +784,22 @@ def _verify_grid_calls(tmp_path, monkeypatch):
 
 def test_verify_grid_pairs_and_triples_are_draws_the_kernel_slices(tmp_path, monkeypatch):
     # the drawn (200, 2, 1001) block is never made whole: the kernel makes
-    # the pairs and the triples a chunk at a time from one span of the stream
-    seen = {}
+    # the pairs a chunk at a time, and the triples' rows from the pairs'
+    # chunks; the triples' draw is the table their witnesses replay from
+    seen = []
     draws = _recorded_draws(monkeypatch)
+    check_pairs = framework_module.check_pairs
 
-    def spied(name, fn, position):
-        def call(*args, **kwargs):
-            seen[name] = args[position]
-            return fn(*args, **kwargs)
-        return call
+    def spied(*args, **kwargs):
+        seen.append(args)
+        return check_pairs(*args, **kwargs)
 
-    monkeypatch.setattr(framework_module, "check_pairs",
-                        spied("pairs", framework_module.check_pairs, 2))
-    monkeypatch.setattr(framework_module, "check_triangular_alpha",
-                        spied("triples", framework_module.check_triangular_alpha, 1))
+    monkeypatch.setattr(framework_module, "check_pairs", spied)
     cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
     cfg = cfg.replace("n = 20", "n = 1000")
     assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
     sliced = {id(draw): draw.sliced[:] for draw in draws}
-    pairs, triples = seen["pairs"], seen["triples"]
+    (_, _, pairs, _, _, triples), = seen
     assert len(draws) == 5 and draws[3:] == [triples, pairs]
     # drawn first, and made whole: the samples of zeta, of G, then of beta
     assert [(len(draw), draw.shape, draw.sliced) for draw in draws[:3]] == [
@@ -808,13 +808,34 @@ def test_verify_grid_pairs_and_triples_are_draws_the_kernel_slices(tmp_path, mon
     # the drawn functions in order, three at a time
     assert (len(triples), triples.shape) == (133, (3, 1001))
     assert np.array_equal(triples[:].reshape(-1, 1001), pairs[:].reshape(-1, 1001)[:399])
-    # the run made each one chunk of at most 15 rows at a time, never whole
-    for draw in (pairs, triples):
-        assert max(sliced[id(draw)]) == framework_module.CHUNK // 1001
-        assert sum(sliced[id(draw)]) == len(draw)
+    # the run made the pairs one chunk of at most 7 rows at a time, never
+    # whole, and no row of the triples
+    assert max(sliced[id(pairs)]) == framework_module.CHUNK // 2002
+    assert sum(sliced[id(pairs)]) == len(pairs)
+    assert not any(sliced[id(triples)])
     # the gate takes both as they are
     assert framework_module._table(pairs, 2, grids=True) is pairs
     assert framework_module._table(triples, 3, grids=True) is triples
+
+
+def test_a_passing_grid_verify_makes_each_stream_value_once(tmp_path, monkeypatch):
+    # every value the run reserves of the stream is made once: the spans
+    # the draws make tile the reserved span, none made twice
+    spans, rows = [], sampling_module.Draw._rows
+
+    def counted(self, start, stop):
+        size = math.prod(self.shape)
+        spans.append((self._first + start * size, self._first + stop * size))
+        return rows(self, start, stop)
+
+    monkeypatch.setattr(sampling_module.Draw, "_rows", counted)
+    cfg = GRID_VERIFY_CFG.replace("random_pairs = 10", "random_pairs = 200")
+    cfg = cfg.replace("n = 20", "n = 1000")
+    assert run(parse_config(cfg), out_dir=tmp_path / "out") == EXIT_OK
+    made = sorted(span for span in spans if span[0] < span[1])
+    assert [low for low, _ in made] == [0, *(high for _, high in made[:-1])]
+    # the samples of zeta, G and beta, then the pairs' 400 400 values
+    assert made[-1][1] == 2 * 100 + 2 * 100 + 50 + 200 * 2 * 1001
 
 
 ITERATE_CFG = "mode = iterate\n[iterate]\nmap = example31\nstart = 1.0\n"
@@ -1058,8 +1079,8 @@ def test_readme_config_block_shows_the_config_table():
 def test_readme_states_the_chunk_size_and_the_operator_calls(tmp_path, monkeypatch):
     text = " ".join(README.read_text().split())
     chunk = framework_module.CHUNK
-    assert re.search(r"in chunks of (\d+) float values per column", text)[1] == str(chunk)
-    assert re.search(r"so (\d+) functions at n = 1000", text)[1] == str(chunk // 1001)
+    assert re.search(r"in chunks of (\d+) float values", text)[1] == str(chunk)
+    assert re.search(r"so (\d+) pairs at n = 1000", text)[1] == str(chunk // 2002)
     _, calls = _verify_grid_calls(tmp_path, monkeypatch)
     assert re.search(r"n = 1000 make (\d+) operator calls", text)[1] == str(len(calls))
 

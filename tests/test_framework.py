@@ -644,18 +644,18 @@ CHUNK_SIZES = [0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]
 
 @contextmanager
 def chunk_sizes(chunk):
-    """The library's chunk size (float values per column) set to the one
-    given for the block, counting the chunks it runs: yields the list that
-    gets one entry per chunk, the offset of its first row."""
+    """The library's chunk size (float values of a chunk's rows) set to
+    the one given for the block, counting the chunks it runs: yields the
+    list that gets one entry per chunk, the offset of its first row."""
     blocks = framework._blocks
     ran = []
 
     def counted(*args):
         offset = 0
-        for columns, rows in blocks(*args):
+        for rows in blocks(*args):
             ran.append(offset)
             offset += len(rows)
-            yield columns, rows
+            yield rows
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(framework, "CHUNK", chunk)
@@ -737,8 +737,8 @@ def test_block_verifiers_match_per_sample_oracle_on_reals(
 
 
 GRID_N = 6
-# grid pairs per chunk under SMALL_CHUNK patched in: 14 functions
-GRID_CHUNK = SMALL_CHUNK // (GRID_N + 1)
+# grid pairs per chunk under SMALL_CHUNK patched in: 7 pairs of 7 nodes
+GRID_CHUNK = SMALL_CHUNK // (2 * (GRID_N + 1))
 
 
 def _gated_problem(gate):
@@ -905,6 +905,59 @@ def test_one_pass_maps_each_sample_once(carrier):
         check_alpha_admissible(mapping, bundle.alpha, samples)
     held = sum(bundle.alpha(x, y) >= 1.0 for x, y in samples)
     assert 0 < held < len(samples) and len(seen) == 2 * held
+
+
+TABLES = {
+    "reals": lambda rng: np.arange(20001.0)[:, None],
+    "real pairs": lambda rng: SampleStream(Mesh(0.0, 3.0, 101), Draw(rng, 100, (2,), 0.0, 3.0)),
+    # the interval workload's mesh and random pairs
+    "pair_grid 500": lambda rng: SampleStream(Mesh(0.0, 3.0, 500),
+                                              Draw(rng, 1000, (2,), 0.0, 3.0)),
+    "grid pairs": lambda rng: Draw(rng, 200, (2, 1001)),
+    "grid triples": lambda rng: Draw(rng, 133, (3, 1001)),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_a_chunk_s_rows_stay_within_the_chunk_s_values(name):
+    # a chunk's rows, the largest array it allocates, stay under 128 KiB:
+    # 8000 pairs of reals, or 7 pairs and 5 triples of 1001-node functions
+    table = TABLES[name](seeded_rng(1))
+    chunks = list(framework._blocks(table))
+    assert max(rows.nbytes for rows in chunks) <= CHUNK * 8 < 128 * 1024
+    assert sum(map(len, chunks)) == len(table)
+    assert len(chunks[0]) == CHUNK // math.prod(table[0].shape)
+
+
+# pairs a chunk: 1 and 7 leave 2, then 1, then 0 functions over; 2 leaves
+# 1, then 2, then 0; 3 leaves none
+@pytest.mark.parametrize("per_chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("rhs", ["sin_plus_one", "expr:10*x"])
+def test_the_folded_triangular_check_gives_the_standalone_report(per_chunk, rhs):
+    # the pair pass reads the triples' rows from its own chunks: the
+    # report and witnesses are those of the triples' draw, checked alone.
+    # The gate holds where two functions are within 0.8 at every node,
+    # which chains through z on some triples and not on others
+    bundle = bvp_bundle(BVPProblem(rhs=resolve("rhs", rhs), n=GRID_N,
+                                   gate=elementwise(lambda a, b: 0.8 - np.abs(a - b))))
+    rng = seeded_rng(5)
+    triples = Draw(SplitMix64(rng.seed, rng.drawn), 2 * 40 // 3, (3, GRID_N + 1))
+    pairs = Draw(rng, 40, (2, GRID_N + 1))
+    checks = [alpha_admissible_check(), contraction_check(bundle, GRID_EPS),
+              operator_contraction_check()]
+    with chunk_sizes(per_chunk * 2 * (GRID_N + 1)) as ran:
+        *folded, triangular = check_pairs(bundle.mapping, bundle.alpha, pairs, checks,
+                                          sup_metric, triples)
+    assert ran == list(range(0, 40, per_chunk))
+    standalone = check_triangular_alpha(bundle.alpha, triples)
+    assert _fingerprint_report(triangular._replace(witnesses=triangular.witnesses[:8])) == \
+        _fingerprint_report(standalone._replace(witnesses=list(standalone.witnesses)[:8]))
+    assert _fingerprint_report(triangular) == _fingerprint_report(standalone)
+    assert triangular.witnesses and len(triangular.witnesses) < len(triples)
+    assert [_fingerprint_report(rep) for rep in folded] == \
+        [_fingerprint_report(rep) for rep in check_pairs(bundle.mapping, bundle.alpha, pairs,
+                                                         checks, sup_metric)]
+    assert folded[-1].passed is (rhs == "sin_plus_one")
 
 
 # ---------------------------------------------------------------------------
@@ -1346,15 +1399,16 @@ def test_the_store_matches_the_full_sort_on_every_table(make):
 
 
 def test_a_row_source_is_read_back_a_chunk_at_a_time(monkeypatch):
-    # 900 mesh rows in chunks of 50, of which the 270 with x < 0.3 fail:
-    # only the 6 spans with a failing row are read back, each in one slice
+    # 900 mesh rows in chunks of 50 (100 values), of which the 270 with
+    # x < 0.3 fail: only the 6 spans with a failing row are read back, each
+    # in one slice
     reads, rows = [], Mesh._rows
     monkeypatch.setattr(Mesh, "_rows", lambda self, start, stop:
                         reads.append((start, stop)) or rows(self, start, stop))
     mesh = Mesh(0.0, 1.0, 30)
     check = BlockCheck("low x", "low x", lambda columns: (None, columns[0], 0.3,
                                                           columns[0] - 0.3), repr)
-    with chunk_sizes(50):
+    with chunk_sizes(100):
         found = framework._block_reports(mesh, [check])[0].witnesses
     assert (0, 50) in reads and (850, 900) in reads
     del reads[:]
@@ -1389,7 +1443,7 @@ _BYTE_SEAMS = [i in (0, 7, 8, 15, 16, 23, 24, 39) for i in range(40)]
 @example(flags=_BYTE_SEAMS, chunk=15, nodes=5)
 @example(flags=[False] * 45, chunk=15, nodes=5)
 @example(flags=[True] * 45, chunk=13, nodes=0)
-# grid functions of 1001 nodes under the library's own chunk size: 15 rows a chunk
+# pairs of grid functions of 1001 nodes under the library's own chunk size: 7 rows a chunk
 @example(flags=_BYTE_SEAMS, chunk=None, nodes=1001)
 @settings(max_examples=80, deadline=None)
 def test_the_bitmap_gives_the_failing_rows_at_any_chunk_offset(flags, chunk, nodes):
@@ -1398,8 +1452,8 @@ def test_the_bitmap_gives_the_failing_rows_at_any_chunk_offset(flags, chunk, nod
     check = BlockCheck("flag", "flag", lambda columns: (None, _flag_margins(*columns), 0.0,
                                                         _flag_margins(*columns)),
                        lambda value: f"lhs = {value!r}")
-    per_chunk = CHUNK // max(nodes, 1) if chunk is None else chunk
-    with chunk_sizes(per_chunk * max(nodes, 1)) as ran:
+    per_chunk = CHUNK // (2 * max(nodes, 1)) if chunk is None else chunk
+    with chunk_sizes(per_chunk * 2 * max(nodes, 1)) as ran:
         store = framework._block_reports(table, [check])[0].witnesses
     assert ran == list(range(0, len(flags), per_chunk))
     failing = np.flatnonzero(flags)
@@ -1518,12 +1572,12 @@ STACK_NS = [2, 4, 6, 10, 1000]
 STACK_RHS = ["sin_plus_one", "expr:10*x", "zero", "const:2", "pi2sin", "expr:2", "fixed"]
 STACK_GATES = [None, elementwise(lambda a, b: 1.2 - np.abs(a - b)),
                lambda a, b: 1.0 if a <= b + 0.9 else -1.0]  # the last for single nodes
-# stack sizes around the chunk length k, in functions
+# stack sizes around the chunk length k, in pairs (a column's functions)
 STACK_SIZES = {"0": 0, "1": 1, "k-1": -1, "k": 0, "k+1": 1}
 
 
 def _stack_size(n, size):
-    return STACK_SIZES[size] + (CHUNK // (n + 1) if size.startswith("k") else 0)
+    return STACK_SIZES[size] + (CHUNK // (2 * (n + 1)) if size.startswith("k") else 0)
 
 
 def _stack_problem(n, rhs, gate, rng):
